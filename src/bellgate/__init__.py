@@ -12,12 +12,10 @@ and quantifies fidelity under parameter perturbations.
 from .bellframe import (
     LABELS,
     BellFrame,
-    BlockPauliBasis,
     ReducedBlockParams,
     bell_change_of_basis,
     bell_frame,
     bell_state,
-    block_pauli_basis,
     closed_form_block,
     frame_permutation,
     reduced_params,
@@ -38,7 +36,6 @@ from .calib import (
 )
 from .errors import (
     BellgateError,
-    FrameConsistencyError,
     NonFiniteDerivative,
     NonHermitianError,
     NonUnitaryError,
@@ -75,7 +72,6 @@ from .spinlin import (
     dist_phase_invariant,
     dist_unitary,
     expm_hermitian,
-    kron,
     pauli,
 )
 

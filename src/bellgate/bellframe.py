@@ -5,37 +5,39 @@ For every field axis h the Hamiltonian couples the four Bell states
     |b_ij> = (|0,j> + (-1)^i |1, 1 xor j>) / sqrt(2)
 
 in two disjoint pairs, so the propagator splits into two independent
-2x2 blocks.  The pairing is not assumed: bell_frame discovers it by a
-coupling scan over generic parameters and freezes it, together with the
-per-block sign conventions, into a BellFrame.
+2x2 blocks.  The pairing depends on h alone and is a literal frame
+order; bell_frame freezes it, together with the per-block sign
+conventions, into a BellFrame.
 
-Each block propagator has the closed form
+Each block restriction of H is c0*1 + c . sigma, linear in the
+couplings (J1, J2, J3, B1, B2).  BLOCK_COEFFS[h] holds that map as a
+2x4x5 matrix (block, (c0, cx, cy, cz), coupling), projected once from
+the model's generator table; every entry is 0 or +-1.  Each block
+propagator has the closed form
 
     s = exp(i dplus) (cos(dminus) 1 - i sin(dminus) n . sigma)
 
 with a unit vector n = (q b sin(h pi/2), q b cos(h pi/2), beta j).
-reduced_params extracts (dplus, dminus, b, j) from the Hamiltonian
-restriction; closed_form_block rebuilds the block from them.  The signs
-alpha, beta, q are fixed per block from the frame's row labels.
+reduced_params extracts (dplus, dminus, b, j) from the coefficients;
+closed_form_block rebuilds the block from them.  The signs alpha, beta,
+q are fixed per block from the frame's row labels.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import FrameConsistencyError
-from .model import PhysicalParams, build_hamiltonian
+from .model import GENERATORS, PhysicalParams
 from .spinlin import pauli
 
 __all__ = [
     "LABELS",
     "BellFrame",
     "ReducedBlockParams",
-    "BlockPauliBasis",
     "bell_state",
     "bell_change_of_basis",
     "bell_frame",
@@ -43,7 +45,6 @@ __all__ = [
     "to_blocks",
     "reduced_params",
     "closed_form_block",
-    "block_pauli_basis",
 ]
 
 LABELS = ("b00", "b01", "b10", "b11")
@@ -52,14 +53,8 @@ LABELS = ("b00", "b01", "b10", "b11")
 _SIN_H = {1: 1.0, 2: 0.0, 3: -1.0}
 _COS_H = {1: 0.0, 2: -1.0, 3: 0.0}
 
-# generic couplings for the pairing scan; three sets so that accidental
-# zeros in any single draw cannot hide a coupling
-_SCAN_SETS = (
-    ((0.9137, 1.3819, 0.5743), 1.1291, 0.7873),
-    ((1.7002, 0.6173, 1.1311), 0.8317, 1.4129),
-    ((0.4701, 1.0903, 0.9241), 1.2741, 0.5527),
-)
-_SCAN_TOL = 1e-9
+# canonical label index at each frame position; block 1 holds b00
+_FRAME_ORDER = {1: (0, 1, 2, 3), 2: (0, 3, 1, 2), 3: (0, 2, 1, 3)}
 
 
 def bell_state(i: int, j: int) -> np.ndarray:
@@ -121,69 +116,14 @@ class ReducedBlockParams:
     j: float
 
 
-@dataclass(frozen=True, eq=False)
-class BlockPauliBasis:
-    """Identity plus three Pauli components of one block, embedded in 4x4.
-
-    The matrices live in frame coordinates and vanish outside the
-    block's 2x2 subspace.  in_computational() conjugates them back to
-    the computational basis.
-    """
-
-    block: int
-    frame: BellFrame
-    matrices: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-
-    def in_computational(self) -> tuple[np.ndarray, ...]:
-        c = self.frame.change_of_basis
-        return tuple(c @ m @ c.conj().T for m in self.matrices)
-
-
-def _connected_pairs(adj: np.ndarray) -> list[list[int]]:
-    comps: list[list[int]] = []
-    seen: set[int] = set()
-    for a in range(4):
-        if a in seen:
-            continue
-        grp = {a}
-        frontier = [a]
-        while frontier:
-            x = frontier.pop()
-            for y in range(4):
-                if adj[x, y] and y not in grp:
-                    grp.add(y)
-                    frontier.append(y)
-        seen |= grp
-        comps.append(sorted(grp))
-    return comps
-
-
-@lru_cache(maxsize=None)
-def bell_frame(h: int) -> BellFrame:
-    """Discover the Bell pairing for field axis h and freeze the frame."""
-    if h not in (1, 2, 3):
-        raise ValueError(f"field axis h must be 1, 2 or 3, got {h!r}")
-    q_canon = bell_change_of_basis()
-    adj = np.zeros((4, 4), dtype=bool)
-    for J, b1, b2 in _SCAN_SETS:
-        hm = build_hamiltonian(PhysicalParams(t=1.0, J=J, B1=b1, B2=b2, h=h))
-        m = q_canon.conj().T @ hm @ q_canon
-        adj |= np.abs(m) > _SCAN_TOL
-    np.fill_diagonal(adj, False)
-    comps = _connected_pairs(adj)
-    if sorted(len(c) for c in comps) != [2, 2]:
-        raise FrameConsistencyError(
-            f"coupling scan for h={h} produced components {comps}, expected two pairs"
-        )
-    first = next(c for c in comps if 0 in c)
-    second = next(c for c in comps if 0 not in c)
-    order = first + second
-    pairing = (
-        (LABELS[first[0]], LABELS[first[1]]),
-        (LABELS[second[0]], LABELS[second[1]]),
-    )
-    cob = q_canon[:, order].copy()
+def _make_frame(h: int) -> BellFrame:
+    order = _FRAME_ORDER[h]
+    cob = bell_change_of_basis()[:, order]
     cob.flags.writeable = False
+    pairing = (
+        (LABELS[order[0]], LABELS[order[1]]),
+        (LABELS[order[2]], LABELS[order[3]]),
+    )
     row_labels = ((1, 2), (3, 4))
     alpha = tuple((-1) ** (h + j + 1) for j in (1, 2))
     beta = tuple((-1) ** (j * (h + row_labels[j - 1][1] - row_labels[j - 1][0] + 1)) for j in (1, 2))
@@ -197,6 +137,32 @@ def bell_frame(h: int) -> BellFrame:
         q=q,
         row_labels=row_labels,
     )
+
+
+def _block_coefficients(frame: BellFrame) -> np.ndarray:
+    # tr(s_a g) / 2 over s_a = (1, sigma_x, sigma_y, sigma_z) for each 2x2
+    # diagonal block g of every generator in frame coordinates; rint removes
+    # the 1/sqrt(2) rounding noise and + 0.0 turns its -0.0 into +0.0
+    basis = np.stack([np.eye(2), pauli(1), pauli(2), pauli(3)])
+    c = frame.change_of_basis
+    w = c.conj().T @ np.stack(GENERATORS[frame.h]) @ c
+    out = np.stack([np.einsum("aij,nji->an", basis, w[:, k : k + 2, k : k + 2]) for k in (0, 2)])
+    out = np.rint(out.real / 2.0) + 0.0
+    out.flags.writeable = False
+    return out
+
+
+_FRAMES = {h: _make_frame(h) for h in _FRAME_ORDER}
+
+# (c0, cx, cy, cz) of each block as a linear map of (J1, J2, J3, B1, B2)
+BLOCK_COEFFS = {h: _block_coefficients(fr) for h, fr in _FRAMES.items()}
+
+
+def bell_frame(h: int) -> BellFrame:
+    """The frozen Bell frame of field axis h."""
+    if h not in _FRAMES:
+        raise ValueError(f"field axis h must be 1, 2 or 3, got {h!r}")
+    return _FRAMES[h]
 
 
 def frame_permutation(frame: BellFrame) -> list[int]:
@@ -218,16 +184,11 @@ def to_blocks(u: np.ndarray, frame: BellFrame) -> tuple[np.ndarray, np.ndarray, 
     return m[0:2, 0:2].copy(), m[2:4, 2:4].copy(), off
 
 
-def _block_restriction(p: PhysicalParams, frame: BellFrame, block: int) -> np.ndarray:
-    c = frame.change_of_basis[:, 2 * (block - 1) : 2 * (block - 1) + 2]
-    return c.conj().T @ build_hamiltonian(p) @ c
-
-
 def reduced_params(p: PhysicalParams, frame: BellFrame) -> tuple[ReducedBlockParams, ReducedBlockParams]:
     """Closed-form parameters of both blocks for the given physical parameters.
 
     The block restriction of H decomposes as c0*1 + c . sigma with real
-    coefficients; then dplus = -c0*t (propagator sign convention),
+    coefficients read off BLOCK_COEFFS; then dplus = -c0*t (propagator sign convention),
     dminus = |c|*t >= 0, and the unit vector n = c/|c| is split into the
     longitudinal weight j (along sigma_z, sign beta) and the transversal
     weight b (along the frame's h-dependent transversal direction, sign
@@ -236,15 +197,12 @@ def reduced_params(p: PhysicalParams, frame: BellFrame) -> tuple[ReducedBlockPar
     if p.h != frame.h:
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
     sh, ch = _SIN_H[frame.h], _COS_H[frame.h]
+    coeffs = BLOCK_COEFFS[frame.h] @ np.array((*p.J, p.B1, p.B2))
     out = []
-    for block in (1, 2):
-        hb = _block_restriction(p, frame, block)
-        c0 = float(np.real(hb[0, 0] + hb[1, 1])) / 2.0
-        cx = float(np.real(hb[0, 1] + hb[1, 0])) / 2.0
-        cy = float(np.imag(hb[1, 0] - hb[0, 1])) / 2.0
-        cz = float(np.real(hb[0, 0] - hb[1, 1])) / 2.0
-        r = float(np.sqrt(cx * cx + cy * cy + cz * cz))
-        scale = max(1.0, abs(c0), float(np.abs(hb).max()))
+    for block, (c0, cx, cy, cz) in enumerate(coeffs.tolist(), start=1):
+        r = math.sqrt(cx * cx + cy * cy + cz * cz)
+        # largest entry of the block restriction, c0 + cz sigma_z + cx sigma_x + cy sigma_y
+        scale = max(1.0, abs(c0) + abs(cz), math.hypot(cx, cy))
         beta = frame.beta[block - 1]
         q = frame.q[block - 1]
         if r < 1e-13 * scale:
@@ -283,17 +241,3 @@ def closed_form_block(rp: ReducedBlockParams, frame: BellFrame) -> np.ndarray:
     ns = n[0] * pauli(1) + n[1] * pauli(2) + n[2] * pauli(3)
     u = np.cos(rp.delta_minus) * np.eye(2) - 1j * np.sin(rp.delta_minus) * ns
     return np.exp(1j * rp.delta_plus) * u
-
-
-def block_pauli_basis(frame: BellFrame, block: int) -> BlockPauliBasis:
-    """Identity and Pauli components of one block, embedded in the full space."""
-    if block not in (1, 2):
-        raise ValueError(f"block must be 1 or 2, got {block!r}")
-    lo = 2 * (block - 1)
-    mats = []
-    for m2 in (np.eye(2, dtype=np.complex128), pauli(1), pauli(2), pauli(3)):
-        m4 = np.zeros((4, 4), dtype=np.complex128)
-        m4[lo : lo + 2, lo : lo + 2] = m2
-        m4.flags.writeable = False
-        mats.append(m4)
-    return BlockPauliBasis(block=block, frame=frame, matrices=tuple(mats))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .bellframe import bell_frame, frame_permutation, reduced_params
+from .bellframe import BLOCK_COEFFS, bell_frame, frame_permutation, reduced_params
 from .errors import SolverFailure
 from .gates import GateId, d_gate
 from .jsonio import dumps
@@ -334,11 +334,6 @@ def _canonical_gauge(p: PhysicalParams) -> PhysicalParams:
     )
 
 
-# the exchange coupling along the drive axis enters only the trace part of
-# the blocks, with this sign on block 1
-_TRACE_SIGN = {1: 1.0, 2: -1.0, 3: 1.0}
-
-
 def _snap_trace_coupling(p: PhysicalParams, tg: PrescriptionTargets) -> PhysicalParams:
     """Move the drift phase onto the target's branch where possible.
 
@@ -364,8 +359,10 @@ def _snap_trace_coupling(p: PhysicalParams, tg: PrescriptionTargets) -> Physical
             best_k = k
     if best_k == 0:
         return p
-    # delta_plus = -sign * J_h * t, so a +k pi shift lowers J_h accordingly
-    shift = best_k * math.pi / (_TRACE_SIGN[tg.h] * p.t)
+    # J_h enters only the trace part c0 = sign * J_h + ... of block 1, and
+    # delta_plus = -c0 * t, so a +k pi shift lowers J_h accordingly
+    sign = float(BLOCK_COEFFS[tg.h][0, 0, tg.h - 1])
+    shift = best_k * math.pi / (sign * p.t)
     new_j = list(p.J)
     new_j[tg.h - 1] -= shift
     return PhysicalParams(t=p.t, J=tuple(new_j), B1=p.B1, B2=p.B2, h=p.h)

@@ -23,10 +23,6 @@ class NonUnitaryError(BellgateError):
         super().__init__(f"matrix is not unitary: max |u^dag u - 1| = {defect:.3e}")
 
 
-class FrameConsistencyError(BellgateError):
-    """The Bell-pair coupling scan did not produce two disjoint pairs."""
-
-
 class SolverFailure(BellgateError):
     """The multi-start solver did not reach the requested accuracy."""
 

@@ -6,6 +6,10 @@ common axis h in {1, 2, 3}:
 
     H = sum_k J_k sigma_k (x) sigma_k - B1 sigma_h (x) 1 - B2 1 (x) sigma_h
 
+H is linear in the couplings (J1, J2, J3, B1, B2).  The generator table
+GENERATORS[h] holds the five constant 4x4 matrices they multiply:
+sigma_k (x) sigma_k for k = 1, 2, 3, then -sigma_h (x) 1 and -1 (x) sigma_h.
+
 Computational basis ordering is |q1 q2> -> index 2*q1 + q2.  The
 propagator is U(t) = exp(-i H t); negative times are rejected, inverse
 evolution is expressed by the adjoint.
@@ -19,11 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spinlin import expm_hermitian, kron, pauli
+from .spinlin import expm_hermitian, pauli
 
 __all__ = ["PhysicalParams", "assemble_hamiltonian", "build_hamiltonian", "evolve"]
 
-_I2 = np.eye(2, dtype=np.complex128)
+
+def _generators(h: int) -> tuple[np.ndarray, ...]:
+    i2 = np.eye(2, dtype=np.complex128)
+    sh = pauli(h)
+    gens = tuple(np.kron(pauli(k), pauli(k)) for k in (1, 2, 3))
+    gens += (-np.kron(sh, i2), -np.kron(i2, sh))
+    for g in gens:
+        g.flags.writeable = False
+    return gens
+
+
+GENERATORS = {h: _generators(h) for h in (1, 2, 3)}
 
 
 @dataclass(frozen=True)
@@ -70,17 +85,15 @@ class PhysicalParams:
 def assemble_hamiltonian(J, B1: float, B2: float, h: int) -> np.ndarray:
     """Assemble the 4x4 Hamiltonian from raw components.
 
-    Hermitian by construction and traceless.  No range validation
-    happens here; callers that need the full parameter contract go
-    through PhysicalParams.
+    Hermitian by construction and traceless.  Only the axis is checked
+    (ValueError outside 1, 2, 3); callers that need the full parameter
+    contract go through PhysicalParams.
     """
+    if h not in GENERATORS:
+        raise ValueError(f"field axis h must be 1, 2 or 3, got {h!r}")
     hm = np.zeros((4, 4), dtype=np.complex128)
-    for k in (1, 2, 3):
-        s = pauli(k)
-        hm += float(J[k - 1]) * kron(s, s)
-    sh = pauli(h)
-    hm -= float(B1) * kron(sh, _I2)
-    hm -= float(B2) * kron(_I2, sh)
+    for c, g in zip((J[0], J[1], J[2], B1, B2), GENERATORS[h]):
+        hm += float(c) * g
     return hm
 
 

@@ -14,7 +14,6 @@ from .errors import NonHermitianError, NonUnitaryError
 
 __all__ = [
     "pauli",
-    "kron",
     "expm_hermitian",
     "dist_unitary",
     "dist_phase_invariant",
@@ -34,11 +33,6 @@ def pauli(k: int) -> np.ndarray:
     if k not in _PAULI:
         raise ValueError(f"pauli index must be 1, 2 or 3, got {k!r}")
     return _PAULI[k].copy()
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first factor acting on the first spin."""
-    return np.kron(np.asarray(a, dtype=np.complex128), np.asarray(b, dtype=np.complex128))
 
 
 def expm_hermitian(hm: np.ndarray, scale: float = 1.0) -> np.ndarray:

@@ -7,6 +7,9 @@ tests check the package against them rather than the other way around.
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellgate import (
     LABELS,
@@ -14,7 +17,6 @@ from bellgate import (
     bell_change_of_basis,
     bell_frame,
     bell_state,
-    block_pauli_basis,
     build_hamiltonian,
     closed_form_block,
     evolve,
@@ -55,6 +57,25 @@ SIGNS = {
 }
 
 PERMUTATIONS = {1: [0, 1, 2, 3], 2: [0, 3, 1, 2], 3: [0, 2, 1, 3]}
+
+# Generic couplings for rebuilding the pairing from the Hamiltonian; three
+# sets so that an accidental zero in one draw cannot hide a coupling.
+SCAN_SETS = (
+    ((0.9137, 1.3819, 0.5743), 1.1291, 0.7873),
+    ((1.7002, 0.6173, 1.1311), 0.8317, 1.4129),
+    ((0.4701, 1.0903, 0.9241), 1.2741, 0.5527),
+)
+
+# Couplings that make one block's |c| vanish, expanded by hand:
+# (h, block) -> (a, b, sJ, sB) with J[b] = sJ * J[a] and B2 = sB * B1.
+DEGENERATE = {
+    (1, 1): (1, 2, 1, -1),
+    (1, 2): (1, 2, -1, 1),
+    (2, 1): (0, 2, -1, 1),
+    (2, 2): (0, 2, 1, -1),
+    (3, 1): (0, 1, 1, -1),
+    (3, 2): (0, 1, -1, 1),
+}
 
 # Restriction of H onto each block as (c0, cz, cx, cy) for
 # J=(0.3, -0.7, 1.1), B1=0.4, B2=-0.2, expanded by hand.
@@ -282,30 +303,51 @@ def test_reduced_params_frame_mismatch_rejected():
         reduced_params(p, bell_frame(2))
 
 
-def test_block_pauli_basis_structure():
-    for h in (1, 2, 3):
-        fr = bell_frame(h)
-        for blk in (1, 2):
-            bp = block_pauli_basis(fr, blk)
-            own = slice(0, 2) if blk == 1 else slice(2, 4)
-            other = slice(2, 4) if blk == 1 else slice(0, 2)
-            for a in range(4):
-                ma = bp.matrices[a]
-                assert np.max(np.abs(ma[other, :])) < 1e-15
-                assert np.max(np.abs(ma[:, other])) < 1e-15
-                for b in range(4):
-                    ip = np.trace(ma.conj().T @ bp.matrices[b]) / 2.0
-                    assert abs(ip - (1.0 if a == b else 0.0)) < 1e-14
-            # embedded identity restricted to the block is the identity
-            assert np.max(np.abs(bp.matrices[0][own, own] - np.eye(2))) < 1e-15
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_scan_rebuilds_frame_order(h):
+    # the pairing is the pair of connected components of the Bell-basis
+    # coupling graph |Q^dag H Q| > 1e-9 over generic couplings
+    q = bell_change_of_basis()
+    adj = np.eye(4, dtype=bool)
+    for J, b1, b2 in SCAN_SETS:
+        hm = build_hamiltonian(PhysicalParams(t=1.0, J=J, B1=b1, B2=b2, h=h))
+        adj |= np.abs(q.conj().T @ hm @ q) > 1e-9
+    reach = np.linalg.matrix_power(adj.astype(int), 3) > 0
+    comps = sorted({tuple(np.flatnonzero(row)) for row in reach})
+    assert [len(c) for c in comps] == [2, 2]
+    assert list(comps[0] + comps[1]) == frame_permutation(bell_frame(h))
 
 
-def test_block_pauli_basis_in_computational():
-    fr = bell_frame(3)
-    bp = block_pauli_basis(fr, 2)
-    cob = fr.change_of_basis
-    embedded = bp.in_computational()
-    assert len(embedded) == 4
-    for a in range(4):
-        back = cob @ bp.matrices[a] @ cob.conj().T
-        assert np.max(np.abs(embedded[a] - back)) < 1e-14
+@st.composite
+def _edge_params(draw):
+    h = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    c = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5))) * scale
+    kind = draw(st.sampled_from(["generic", "degenerate", "near"]))
+    block = draw(st.integers(1, 2)) if kind != "generic" else None
+    if block is not None:
+        a, b, s_j, s_b = DEGENERATE[(h, block)]
+        c[b] = s_j * c[a]
+        c[4] = s_b * c[3]
+    if kind == "near":
+        nudge = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)))
+        c += nudge * scale * 10.0 ** draw(st.floats(-16.0, -6.0))
+    t = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    p = PhysicalParams(t=t, J=tuple(c[:3]), B1=c[3], B2=c[4], h=h)
+    return p, block if kind == "degenerate" else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_params())
+def test_closed_form_matches_expm_oracle(case):
+    # degenerate, near-degenerate and large-coupling blocks against scipy's
+    # Pade exponential of the full Hamiltonian
+    p, degenerate = case
+    fr = bell_frame(p.h)
+    u = scipy.linalg.expm(-1j * p.t * build_hamiltonian(p))
+    b1, b2, _ = to_blocks(u, fr)
+    rp1, rp2 = reduced_params(p, fr)
+    if degenerate is not None:
+        assert (rp1, rp2)[degenerate - 1].delta_minus == 0.0
+    assert np.max(np.abs(closed_form_block(rp1, fr) - b1)) < ROUND_TRIP_TOL
+    assert np.max(np.abs(closed_form_block(rp2, fr) - b2)) < ROUND_TRIP_TOL

@@ -26,9 +26,11 @@ from bellgate import (
     frame_permutation,
     parse_card,
     prescription_targets,
+    reduced_params,
     residual_labels,
     solve_physical,
 )
+from bellgate.calib import _snap_trace_coupling
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
@@ -234,6 +236,21 @@ def test_solver_reaches_shifted_drift_branch():
     lam = max(abs(v) for v in (*card.solved.J, card.solved.B1, card.solved.B2))
     assert lam == pytest.approx(1.0, abs=1e-12)
     assert solve_physical(tg) == card
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_snap_trace_coupling_lands_on_raw_target(h):
+    # a drift phase pi off the target is moved onto the target itself, not
+    # onto a 2 pi image of it, and only J_h changes
+    p = PhysicalParams(t=0.5, J=(0.3, -0.2, 0.4), B1=0.1, B2=0.2, h=h)
+    dp = reduced_params(p, bell_frame(h))[0].delta_plus
+    tg = dataclasses.replace(_targets("CNOT_12"), h=h, delta_plus_1=dp + PI)
+    snapped = _snap_trace_coupling(p, tg)
+    assert reduced_params(snapped, bell_frame(h))[0].delta_plus == pytest.approx(dp + PI, abs=1e-12)
+    assert [j for k, j in enumerate(snapped.J) if k != h - 1] == [
+        j for k, j in enumerate(p.J) if k != h - 1
+    ]
+    assert (snapped.B1, snapped.B2, snapped.t) == (p.B1, p.B2, p.t)
 
 
 def test_solver_failure_reports_best_residual():

@@ -31,6 +31,12 @@ def test_hamiltonian_frozen_example():
     assert np.max(np.abs(hm - FROZEN_H)) < 1e-15
 
 
+@pytest.mark.parametrize("h", [0, 4])
+def test_hamiltonian_rejects_bad_axis(h):
+    with pytest.raises(ValueError):
+        assemble_hamiltonian((0.3, -0.7, 1.1), 0.4, -0.2, h)
+
+
 def test_hamiltonian_is_hermitian_and_traceless():
     rng = np.random.default_rng(21)
     for _ in range(50):

@@ -12,7 +12,6 @@ from bellgate import (
     dist_phase_invariant,
     dist_unitary,
     expm_hermitian,
-    kron,
     pauli,
 )
 
@@ -58,17 +57,6 @@ def test_pauli_algebra():
         assert np.allclose(pauli(k) @ pauli(k), np.eye(2))
 
 
-def test_kron_matches_manual_expansion():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    got = kron(a, b)
-    assert got.shape == (4, 4)
-    for r in range(4):
-        for c in range(4):
-            assert got[r, c] == pytest.approx(a[r // 2, c // 2] * b[r % 2, c % 2])
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6))
 def test_expm_hermitian_is_unitary_and_matches_pade(seed):
@@ -103,7 +91,7 @@ def test_expm_hermitian_rejects_nonhermitian():
 
 def test_dist_unitary_zero_for_unitary():
     assert dist_unitary(np.eye(4)) < 1e-15
-    assert dist_unitary(kron(SIGMA_1, SIGMA_2)) < 1e-15
+    assert dist_unitary(np.kron(SIGMA_1, SIGMA_2)) < 1e-15
 
 
 def test_dist_unitary_detects_scaling():
@@ -120,7 +108,7 @@ def test_dist_phase_invariant_quotient():
 
 
 def test_dist_phase_invariant_separates_distinct_gates():
-    x1 = kron(SIGMA_1, np.eye(2))
+    x1 = np.kron(SIGMA_1, np.eye(2))
     assert dist_phase_invariant(x1, np.eye(4)) > 0.5
 
 
