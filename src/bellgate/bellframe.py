@@ -210,12 +210,13 @@ def reduced_params(p: PhysicalParams, frame: BellFrame) -> tuple[ReducedBlockPar
         else:
             n = (cx / r, cy / r, cz / r)
             dminus = r * p.t
-            j = beta * n[2]
-            b = q * (n[0] * sh + n[1] * ch)
+            # + 0.0, here and on delta_plus, turns a vanishing term's -0.0 into +0.0
+            j = beta * n[2] + 0.0
+            b = q * (n[0] * sh + n[1] * ch) + 0.0
         out.append(
             ReducedBlockParams(
                 block=block,
-                delta_plus=-c0 * p.t,
+                delta_plus=-c0 * p.t + 0.0,
                 delta_minus=dminus,
                 b=float(b),
                 j=float(j),

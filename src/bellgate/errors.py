@@ -33,7 +33,7 @@ class SolverFailure(BellgateError):
 
 
 class NonFiniteDerivative(BellgateError):
-    """A finite-difference stencil produced a non-finite value."""
+    """A block derivative came out non-finite, e.g. for an overflowing displacement."""
 
     def __init__(self, index: int):
         self.index = index

@@ -4,15 +4,16 @@ A state living in the frame arrangement evolves under the solved pulse
 and under a parameter-perturbed copy of it.  The squared overlap of
 the two outcomes has no linear term in the perturbation because the
 blocks stay unitary, so the leading behaviour is quadratic.  This
-module computes that second-order expansion from finite-difference
-block derivatives, the exact overlap as the brute-force oracle, and
+module computes that second-order expansion from exact block
+derivatives, the exact overlap as the brute-force oracle, and
 per-parameter sensitivity sweeps built on both.
 
-The two expansion variants differ in how the second derivative enters:
-"cross" keeps the 2 Re of the half second-derivative overlap, while
-"firstonly" replaces it through the unitarity identity with the first
-derivative's Gram term.  They agree at the kept order; both are
-exposed so the oracle can arbitrate, and "cross" is the default.
+Along a displacement the frame-coordinate generator is a quadratic
+polynomial in the path parameter, so one matrix exponential of a
+block upper-triangular matrix carries the propagator and its first
+two derivatives (Najfeld & Havel, Adv. Appl. Math. 16 (1995) 321).
+That augmented matrix is not normal, so it goes through scipy's Pade
+expm rather than the Hermitian eigendecomposition evolve uses.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.special import ndtri
 from scipy.stats import qmc
 
@@ -28,8 +30,7 @@ from .bellframe import BellFrame, bell_frame, to_blocks
 from .calib import PrescriptionCard
 from .errors import NonFiniteDerivative
 from .gates import GateId
-from .model import PhysicalParams, assemble_hamiltonian, evolve
-from .spinlin import expm_hermitian
+from .model import PhysicalParams, assemble_hamiltonian, build_hamiltonian, evolve
 
 __all__ = [
     "PARAM_NAMES",
@@ -49,9 +50,6 @@ PARAM_NAMES = ("t", "J1", "J2", "J3", "B1", "B2")
 
 #: sensitivity probes use this coordinate step
 SENSITIVITY_STEP = 1e-3
-
-_EPS1 = float(np.finfo(float).eps) ** (1.0 / 3.0)
-_EPS2 = float(np.finfo(float).eps) ** (1.0 / 5.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +113,7 @@ class Perturbation:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.dp))
+        return math.hypot(*self.dp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,57 +135,39 @@ def _param_vector(p: PhysicalParams) -> np.ndarray:
     return np.array([p.t, *p.J, p.B1, p.B2], dtype=float)
 
 
-def _block_map(x: np.ndarray, frame: BellFrame) -> tuple[np.ndarray, np.ndarray]:
-    # Stencil points may push t a hair below zero; the propagator map
-    # stays analytic there, so assemble directly instead of round
-    # tripping through the validated parameter type.
-    hm = assemble_hamiltonian(x[1:4], x[4], x[5], frame.h)
-    u = expm_hermitian(hm, x[0])
-    c = frame.change_of_basis
-    m = c.conj().T @ u @ c
-    return m[0:2, 0:2], m[2:4, 2:4]
-
-
 def directional_derivatives(
     p: PhysicalParams, dp: Perturbation, frame: BellFrame
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """First and second directional derivatives of both block maps.
 
-    Central differences along the unit direction of dp, one Richardson
-    refinement each, scaled by |dp| and |dp|^2 so the outputs are the
-    actual first- and second-order responses to the displacement.
+    Along x + l*u, u the unit direction of dp, the frame-coordinate
+    generator -i (t + l u_t)(W + l dW) is A + l B + l^2 Q exactly, with W
+    and dW the Hamiltonians of the couplings and of u in frame
+    coordinates.  The first block row of exp([[A, B, Q], [0, A, B],
+    [0, 0, A]]) is (U, DU, D2U / 2).  The derivatives are scaled by |dp|
+    and |dp|^2 so the outputs are the actual first- and second-order
+    responses to the displacement; a unit direction keeps the augmented
+    matrix's norm, and with it expm's scaling, independent of |dp|.
     dp = 0 returns zero matrices.
     """
     if p.h != frame.h:
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
     d = dp.as_array()
     n = dp.norm
-    zero = (np.zeros((2, 2), dtype=np.complex128), np.zeros((2, 2), dtype=np.complex128))
-    if n == 0.0:
-        return zero, (zero[0].copy(), zero[1].copy())
-    dhat = d / n
-    x0 = _param_vector(p)
-    scale = max(1.0, float(np.max(np.abs(x0))))
-
-    def at(u: float) -> np.ndarray:
-        b1, b2 = _block_map(x0 + u * dhat, frame)
-        return np.stack([b1, b2])
-
-    e1 = _EPS1 * scale
-    first = lambda e: (at(e) - at(-e)) / (2.0 * e)
-    d1 = (4.0 * first(e1 / 2.0) - first(e1)) / 3.0
-
-    e2 = _EPS2 * scale
-    f0 = at(0.0)
-    second = lambda e: (at(e) - 2.0 * f0 + at(-e)) / (e * e)
-    d2 = (4.0 * second(e2 / 2.0) - second(e2)) / 3.0
-
-    d1 *= n
-    d2 *= n * n
-    for arr in (d1, d2):
-        if not np.all(np.isfinite(arr.view(float))):
-            raise NonFiniteDerivative(int(np.argmax(np.abs(d))))
-    return (d1[0], d1[1]), (d2[0], d2[1])
+    u = d / n if n > 0.0 else d
+    c = frame.change_of_basis
+    w = c.conj().T @ build_hamiltonian(p) @ c
+    dw = c.conj().T @ assemble_hamiltonian(u[1:4], u[4], u[5], p.h) @ c
+    a = -1j * p.t * w
+    b = -1j * (u[0] * w + p.t * dw)
+    z = np.zeros((4, 4), dtype=np.complex128)
+    e = expm(np.block([[a, b, -1j * u[0] * dw], [z, a, b], [z, z, a]]))
+    # an overflowing displacement surfaces as NonFiniteDerivative below
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1, d2 = n * e[0:4, 4:8], (2.0 * n * n) * e[0:4, 8:12]
+    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
+        raise NonFiniteDerivative(int(np.argmax(np.abs(d))))
+    return (d1[0:2, 0:2], d1[2:4, 2:4]), (d2[0:2, 0:2], d2[2:4, 2:4])
 
 
 def _check_state(state: BlockState, p: PhysicalParams) -> None:
@@ -218,38 +198,25 @@ def fidelity_exact(state: BlockState, p: PhysicalParams, dp: Perturbation) -> fl
     return float(abs(ov) ** 2)
 
 
-def fidelity_second_order(
-    state: BlockState, p: PhysicalParams, dp: Perturbation, variant: str = "cross"
-) -> float:
+def fidelity_second_order(state: BlockState, p: PhysicalParams, dp: Perturbation) -> float:
     """Second-order fidelity expansion, blockwise.
 
-    With per-block overlaps B = sum_k a_k^dag (s_k^dag Ds_k) a_k,
-    A = sum_k a_k^dag (Ds_k^dag Ds_k) a_k and
-    C = sum_k a_k^dag (s_k^dag D2s_k) a_k, the variants are
+    With per-block overlaps B = sum_k a_k^dag (s_k^dag Ds_k) a_k and
+    C = sum_k a_k^dag (s_k^dag D2s_k) a_k,
 
-        cross:     F^2 = 1 + 2 Re(B) + Re(C) + |B|^2
-        firstonly: F^2 = 1 - Re(A) + |B|^2
-
-    which coincide at second order through the unitarity identity
-    s^dag D2s + 2 Ds^dag Ds + D2s^dag s = 0.
+        F^2 = 1 + 2 Re(B) + Re(C) + |B|^2
     """
-    if variant not in ("cross", "firstonly"):
-        raise ValueError(f"variant must be cross or firstonly, got {variant!r}")
     _check_state(state, p)
     (d1_1, d1_2), (d2_1, d2_2) = directional_derivatives(p, dp, state.frame)
     s1, s2, _ = to_blocks(evolve(p), state.frame)
     a1 = state.amplitudes[0:2]
     a2 = state.amplitudes[2:4]
     b_ov = complex(0.0)
-    a_ov = complex(0.0)
     c_ov = complex(0.0)
     for ak, sk, d1k, d2k in ((a1, s1, d1_1, d2_1), (a2, s2, d1_2, d2_2)):
         b_ov += np.vdot(ak, (sk.conj().T @ d1k) @ ak)
-        a_ov += np.vdot(ak, (d1k.conj().T @ d1k) @ ak)
         c_ov += np.vdot(ak, (sk.conj().T @ d2k) @ ak)
-    if variant == "cross":
-        return float(1.0 + 2.0 * b_ov.real + c_ov.real + abs(b_ov) ** 2)
-    return float(1.0 - a_ov.real + abs(b_ov) ** 2)
+    return float(1.0 + 2.0 * b_ov.real + c_ov.real + abs(b_ov) ** 2)
 
 
 def quadratic_sensitivities(

@@ -5,6 +5,9 @@ hand from the two-spin Hamiltonian and are kept as frozen literals; the
 tests check the package against them rather than the other way around.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -252,6 +255,18 @@ def test_reduced_params_normalization():
         p = random_params(rng)
         for rp in reduced_params(p, bell_frame(p.h)):
             assert abs(rp.b**2 + rp.j**2 - 1.0) < NORMALIZATION_TOL
+
+
+def test_reduced_params_have_no_negative_zero():
+    # a vanishing trace part or field component must print as 0.0, not -0.0
+    base = (0.7, -0.4, 0.9, 0.3, -0.6)
+    for h, t in itertools.product((1, 2, 3), (0.0, 1.2)):
+        for mask in itertools.product((False, True), repeat=5):
+            c = [0.0 if zeroed else v for v, zeroed in zip(base, mask)]
+            p = PhysicalParams(t=t, J=tuple(c[:3]), B1=c[3], B2=c[4], h=h)
+            for rp in reduced_params(p, bell_frame(h)):
+                for v in (rp.delta_plus, rp.delta_minus, rp.b, rp.j):
+                    assert math.copysign(1.0, v) > 0 or v != 0.0
 
 
 def test_closed_form_round_trip():

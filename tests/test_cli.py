@@ -1,6 +1,8 @@
 """Command-line surface: schemas, determinism, and exit codes."""
 
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +109,14 @@ def test_blocks_matched_frame(capsys, params_file):
     for entry in doc["reduced"]:
         assert entry["closed_form_residual"] < 1e-9
         assert abs(entry["b"] ** 2 + entry["j"] ** 2 - 1.0) < 1e-12
+
+
+def test_blocks_prints_no_negative_zero(capsys, tmp_path):
+    f = tmp_path / "params.json"
+    f.write_text('{"t": 1.2, "J": [0.0, -0.4, 0.9], "B1": 0.3, "B2": -0.6, "h": 1}')
+    code, out, _ = run(capsys, "blocks", str(f))
+    assert code == 0
+    assert re.search(r"-0\.0(?![0-9])", out) is None
 
 
 def test_blocks_cross_frame_weight(capsys, params_file):
@@ -288,3 +298,16 @@ def test_solver_failure_maps_to_exit_3(capsys, monkeypatch):
     doc = json.loads(err)
     assert doc["error"]["type"] == "solver"
     assert "gave up" in doc["error"]["message"]
+
+
+def test_overflowing_step_maps_to_exit_3(capsys, card_file):
+    # the derivatives overflow for real; stderr must hold one JSON error
+    # line and no numpy warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "fidelity-sweep", card_file, "--states", "1", "--steps", "1e200")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"]["type"] == "numerical"
+    assert "non-finite derivative" in doc["error"]["message"]
