@@ -14,6 +14,14 @@ block upper-triangular matrix carries the propagator and its first
 two derivatives (Najfeld & Havel, Adv. Appl. Math. 16 (1995) 321).
 That augmented matrix is not normal, so it goes through scipy's Pade
 expm rather than the Hermitian eigendecomposition evolve uses.
+
+Those derivatives are linear and quadratic in the displacement, and
+neither they nor the propagators depend on the state.  A sweep
+therefore does its per-card work once: one propagator, the six
+unit-axis derivative pairs (scaled by step and step^2 for every grid
+step) and one displaced propagator per (axis, step).  All states are
+then evaluated together as (n, 4) amplitude arrays through the same
+expansion that fidelity_second_order uses for a single state.
 """
 
 from __future__ import annotations
@@ -101,9 +109,11 @@ class Perturbation:
 
     @classmethod
     def axis(cls, index, step: float) -> "Perturbation":
-        """Single-coordinate displacement; index is 0..5 or a PARAM_NAMES entry."""
-        if isinstance(index, str):
+        """Single-coordinate displacement; index is an int 0..5 or a PARAM_NAMES entry."""
+        if isinstance(index, str) and index in PARAM_NAMES:
             index = PARAM_NAMES.index(index)
+        elif type(index) is not int or not 0 <= index < 6:
+            raise ValueError(f"axis must be an int in 0..5 or one of {PARAM_NAMES}, got {index!r}")
         vals = [0.0] * 6
         vals[index] = float(step)
         return cls(dp=tuple(vals))
@@ -133,6 +143,11 @@ class FidelityReport:
 
 def _param_vector(p: PhysicalParams) -> np.ndarray:
     return np.array([p.t, *p.J, p.B1, p.B2], dtype=float)
+
+
+def _displaced(p: PhysicalParams, dp: Perturbation) -> PhysicalParams:
+    x = _param_vector(p) + dp.as_array()
+    return PhysicalParams(t=x[0], J=(x[1], x[2], x[3]), B1=x[4], B2=x[5], h=p.h)
 
 
 def directional_derivatives(
@@ -177,6 +192,55 @@ def _check_state(state: BlockState, p: PhysicalParams) -> None:
         )
 
 
+def _overlaps(psi: np.ndarray, u: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """|<u psi | u2 psi>|^2 for each row of psi (computational amplitudes)."""
+    return np.abs(np.einsum("ni,ni->n", (psi @ u.T).conj(), psi @ u2.T)) ** 2
+
+
+def _expansion(amps: np.ndarray, s, d1, d2) -> np.ndarray:
+    """Second-order F^2 for each row of amps, (n, 4) frame amplitudes.
+
+    s, d1 and d2 are the block pairs of the propagator and of its first
+    and second derivatives along one displacement.  With per-block
+    overlaps B = sum_k a_k^dag (s_k^dag D1_k) a_k and
+    C = sum_k a_k^dag (s_k^dag D2_k) a_k,
+
+        F^2 = 1 + 2 Re(B) + Re(C) + |B|^2
+    """
+    b = c = 0.0
+    for k in (0, 1):
+        a = amps[:, 2 * k : 2 * k + 2]
+        sh = s[k].conj().T
+        b = b + np.einsum("ni,ij,nj->n", a.conj(), sh @ d1[k], a)
+        c = c + np.einsum("ni,ij,nj->n", a.conj(), sh @ d2[k], a)
+    return 1.0 + 2.0 * b.real + c.real + np.abs(b) ** 2
+
+
+def _card_derivatives(p: PhysicalParams, frame: BellFrame):
+    """evolve(p), its two blocks and the derivative pairs along the six unit axes."""
+    u = evolve(p)
+    s1, s2, _ = to_blocks(u, frame)
+    unit = [directional_derivatives(p, Perturbation.axis(i, 1.0), frame) for i in range(6)]
+    return u, (s1, s2), unit
+
+
+def _scaled(unit, axis: int, step: float):
+    """A unit-axis derivative pair scaled to a step of that axis."""
+    # an overflowing step surfaces as NonFiniteDerivative below
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = tuple(step * m for m in unit[0])
+        d2 = tuple((step * step) * m for m in unit[1])
+    if not all(np.all(np.isfinite(m)) for m in d1 + d2):
+        raise NonFiniteDerivative(axis)
+    return d1, d2
+
+
+def _quadratic(amps: np.ndarray, s, unit, step: float) -> np.ndarray:
+    """(1 - F^2) / step^2 along each axis, shape (n, 6)."""
+    cols = [(1.0 - _expansion(amps, s, *_scaled(unit[i], i, step))) / (step * step) for i in range(6)]
+    return np.stack(cols, axis=1)
+
+
 def fidelity_exact(state: BlockState, p: PhysicalParams, dp: Perturbation) -> float:
     """Squared overlap of the exact and the perturbed final states.
 
@@ -185,38 +249,21 @@ def fidelity_exact(state: BlockState, p: PhysicalParams, dp: Perturbation) -> fl
     must themselves be valid (in particular t + dt >= 0).
     """
     _check_state(state, p)
-    shifted = _param_vector(p) + dp.as_array()
-    p2 = PhysicalParams(
-        t=shifted[0],
-        J=(shifted[1], shifted[2], shifted[3]),
-        B1=shifted[4],
-        B2=shifted[5],
-        h=p.h,
-    )
-    psi0 = state.frame.change_of_basis @ state.amplitudes
-    ov = np.vdot(evolve(p) @ psi0, evolve(p2) @ psi0)
-    return float(abs(ov) ** 2)
+    p2 = _displaced(p, dp)
+    psi = (state.frame.change_of_basis @ state.amplitudes)[None]
+    return float(_overlaps(psi, evolve(p), evolve(p2))[0])
 
 
 def fidelity_second_order(state: BlockState, p: PhysicalParams, dp: Perturbation) -> float:
-    """Second-order fidelity expansion, blockwise.
+    """Second-order fidelity expansion of one state, blockwise.
 
-    With per-block overlaps B = sum_k a_k^dag (s_k^dag Ds_k) a_k and
-    C = sum_k a_k^dag (s_k^dag D2s_k) a_k,
-
-        F^2 = 1 + 2 Re(B) + Re(C) + |B|^2
+    The block overlaps B and C of the first and second derivatives
+    enter as F^2 = 1 + 2 Re(B) + Re(C) + |B|^2 (see _expansion).
     """
     _check_state(state, p)
-    (d1_1, d1_2), (d2_1, d2_2) = directional_derivatives(p, dp, state.frame)
+    d1, d2 = directional_derivatives(p, dp, state.frame)
     s1, s2, _ = to_blocks(evolve(p), state.frame)
-    a1 = state.amplitudes[0:2]
-    a2 = state.amplitudes[2:4]
-    b_ov = complex(0.0)
-    c_ov = complex(0.0)
-    for ak, sk, d1k, d2k in ((a1, s1, d1_1, d2_1), (a2, s2, d1_2, d2_2)):
-        b_ov += np.vdot(ak, (sk.conj().T @ d1k) @ ak)
-        c_ov += np.vdot(ak, (sk.conj().T @ d2k) @ ak)
-    return float(1.0 + 2.0 * b_ov.real + c_ov.real + abs(b_ov) ** 2)
+    return float(_expansion(state.amplitudes[None], (s1, s2), d1, d2)[0])
 
 
 def quadratic_sensitivities(
@@ -225,13 +272,15 @@ def quadratic_sensitivities(
     """Per-parameter quadratic infidelity coefficients (1 - F^2) / step^2.
 
     The expansion has no linear term, so these diagonal coefficients
-    are the meaningful sensitivity ranking quantities.
+    are the meaningful sensitivity ranking quantities.  The step must
+    be finite and nonzero.
     """
-    out = []
-    for i in range(6):
-        f2 = fidelity_second_order(state, p, Perturbation.axis(i, step))
-        out.append((1.0 - f2) / (step * step))
-    return tuple(out)
+    _check_state(state, p)
+    step = float(step)
+    if not math.isfinite(step) or step == 0.0:
+        raise ValueError(f"sensitivity step must be finite and nonzero, got {step!r}")
+    _, s, unit = _card_derivatives(p, state.frame)
+    return tuple(_quadratic(state.amplitudes[None], s, unit, step)[0].tolist())
 
 
 def sensitivity_sweep(
@@ -242,34 +291,54 @@ def sensitivity_sweep(
     Every state is probed along each of the six parameter axes with
     every step in the grid; each report carries the state's quadratic
     sensitivity vector so rankings can be derived downstream.
+
+    The per-card work is shared by all states: one propagator, six
+    unit-axis derivative pairs scaled by step and step^2, and one
+    displaced propagator per (axis, distinct step).  The states are
+    then evaluated together; all of them must live in one frame.
     """
+    grid = [float(step) for step in grid]
     if not states:
         raise ValueError("sensitivity sweep needs at least one state")
-    if not list(grid):
+    if not grid:
         raise ValueError("sensitivity sweep needs a nonempty step grid")
     p = card.solved
-    reports: list[FidelityReport] = []
-    for sid, state in enumerate(states):
+    frame = states[0].frame
+    for state in states:
         _check_state(state, p)
-        grad = quadratic_sensitivities(p, state)
-        for name in PARAM_NAMES:
-            for step in grid:
-                pert = Perturbation.axis(name, float(step))
-                f2e = fidelity_exact(state, p, pert)
-                f2s = fidelity_second_order(state, p, pert)
-                reports.append(
-                    FidelityReport(
-                        gate=card.targets.gate,
-                        card=card,
-                        state_id=sid,
-                        param=name,
-                        dp=pert,
-                        f2_exact=f2e,
-                        f2_second_order=f2s,
-                        per_parameter_gradient=grad,
-                        cubic_residual=abs(f2s - f2e),
-                    )
+        if state.frame is not frame:
+            raise ValueError("sensitivity sweep states must share one frame")
+    amps = np.array([state.amplitudes for state in states])
+    psi = amps @ frame.change_of_basis.T
+    u, s, unit = _card_derivatives(p, frame)
+    grads = _quadratic(amps, s, unit, SENSITIVITY_STEP).tolist()
+    # (name, perturbation, exact column, second-order column) in report order
+    probes = []
+    for i, name in enumerate(PARAM_NAMES):
+        exact = {}
+        for step in grid:
+            pert = Perturbation.axis(i, step)
+            if step not in exact:
+                exact[step] = _overlaps(psi, u, evolve(_displaced(p, pert))).tolist()
+            f2s = _expansion(amps, s, *_scaled(unit[i], i, step)).tolist()
+            probes.append((name, pert, exact[step], f2s))
+    reports: list[FidelityReport] = []
+    for sid, grad in enumerate(grads):
+        grad = tuple(grad)
+        for name, pert, f2e, f2s in probes:
+            reports.append(
+                FidelityReport(
+                    gate=card.targets.gate,
+                    card=card,
+                    state_id=sid,
+                    param=name,
+                    dp=pert,
+                    f2_exact=f2e[sid],
+                    f2_second_order=f2s[sid],
+                    per_parameter_gradient=grad,
+                    cubic_residual=abs(f2s[sid] - f2e[sid]),
                 )
+            )
     return reports
 
 

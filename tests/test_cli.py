@@ -311,3 +311,19 @@ def test_overflowing_step_maps_to_exit_3(capsys, card_file):
     doc = json.loads(err)
     assert doc["error"]["type"] == "numerical"
     assert "non-finite derivative" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        ("-5", "t must be nonnegative"),
+        ("nan", "perturbation components must be finite"),
+        (",", "sensitivity sweep needs a nonempty step grid"),
+    ],
+)
+def test_bad_step_maps_to_exit_2(capsys, card_file, steps, message):
+    code, out, err = run(capsys, "fidelity-sweep", card_file, "--states", "1", "--steps", steps)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["error"] == {"type": "input", "message": message}

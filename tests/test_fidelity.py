@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import bellgate.fidelity as fid
 from bellgate import (
     PARAM_NAMES,
     BlockState,
@@ -83,8 +84,9 @@ def test_perturbation_axis_helpers():
     assert by_name == by_index
     assert by_name.norm == pytest.approx(1e-3)
     assert Perturbation.axis("t", 2.0).dp == (2.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ValueError):
-        Perturbation.axis("J4", 1e-3)
+    for bad in ("J4", -1, 6, True, 2.0, None):
+        with pytest.raises(ValueError):
+            Perturbation.axis(bad, 1e-3)
 
 
 def test_directional_derivatives_zero_direction():
@@ -322,6 +324,13 @@ def test_quadratic_sensitivities_definition():
         assert sens[i] == pytest.approx((1.0 - f2) / step**2, rel=1e-12)
 
 
+@pytest.mark.parametrize("step", [0.0, -0.0, np.nan, np.inf])
+def test_quadratic_sensitivities_rejects_bad_step(step):
+    st = _state([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        quadratic_sensitivities(BASE, st, step=step)
+
+
 def test_sample_states_deterministic_and_normalized():
     a = sample_states(FRAME, n=16, seed=7)
     b = sample_states(FRAME, n=16, seed=7)
@@ -364,6 +373,94 @@ def test_sensitivity_sweep_validation():
         sensitivity_sweep(card, [], [1e-3])
     with pytest.raises(ValueError):
         sensitivity_sweep(card, states, [])
+
+
+def test_sensitivity_sweep_accepts_iterable_grids():
+    card = solve_physical(prescription_targets(GateId("H_q2")))
+    states = sample_states(bell_frame(card.solved.h), n=2, seed=7)
+    want = [(r.state_id, r.param, r.f2_exact) for r in sensitivity_sweep(card, states, [1e-3, 2e-3])]
+    for grid in (iter([1e-3, 2e-3]), (s for s in (1e-3, 2e-3))):
+        got = sensitivity_sweep(card, states, grid)
+        assert [(r.state_id, r.param, r.f2_exact) for r in got] == want
+
+
+def test_sensitivity_sweep_states_share_one_frame():
+    card = solve_physical(prescription_targets(GateId("H_q2")))
+    frame = bell_frame(card.solved.h)
+    twin = replace(frame)
+    states = [BlockState.normalized([1.0, 0.0, 0.0, 0.0], f) for f in (frame, twin)]
+    with pytest.raises(ValueError):
+        sensitivity_sweep(card, states, [1e-3])
+
+
+SWEEP_CARDS = {
+    "H_q2": lambda: solve_physical(prescription_targets(GateId("H_q2"))),
+    "S_phi_q2": lambda: solve_physical(prescription_targets(GateId("S_phi_q2", phi=0.4))),
+    "CNOT_12-8-10": lambda: cnot_family(GateId("CNOT_12"), 8, 10.0),
+    "CNOT_21-4-3": lambda: cnot_family(GateId("CNOT_21"), 4, 3.0),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_CARDS))
+def test_shared_sweep_matches_per_state_references(name):
+    # the sweep shares propagators and unit-axis derivatives across states;
+    # each report must still match a scipy expm overlap and the per-state
+    # expansion, also for a negative, a zero and a repeated step
+    card = SWEEP_CARDS[name]()
+    p = card.solved
+    frame = bell_frame(p.h)
+    states = sample_states(frame, n=3, seed=5)
+    grid = [1e-2, -5e-3, 0.0, 1e-2]
+    x0 = np.array([p.t, *p.J, p.B1, p.B2])
+
+    def propagator(x):
+        return scipy.linalg.expm(-1j * x[0] * assemble_hamiltonian(x[1:4], x[4], x[5], p.h))
+
+    def close(got, want):
+        return abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    u0 = propagator(x0)
+    grads = [
+        [(1.0 - fidelity_second_order(st, p, Perturbation.axis(k, 1e-3))) / 1e-6 for k in range(6)]
+        for st in states
+    ]
+    reports = sensitivity_sweep(card, states, grid)
+    assert len(reports) == len(states) * len(PARAM_NAMES) * len(grid)
+    for r in reports:
+        st = states[r.state_id]
+        i = PARAM_NAMES.index(r.param)
+        step = r.dp.dp[i]
+        x = x0.copy()
+        x[i] += step
+        psi = frame.change_of_basis @ st.amplitudes
+        assert close(r.f2_exact, abs(np.vdot(u0 @ psi, propagator(x) @ psi)) ** 2)
+        assert close(r.f2_second_order, fidelity_second_order(st, p, Perturbation.axis(r.param, step)))
+        assert all(close(g, want) for g, want in zip(r.per_parameter_gradient, grads[r.state_id]))
+
+
+@pytest.mark.parametrize("n", [1, 64])
+def test_sweep_shares_per_card_work(monkeypatch, n):
+    # the optimisation's guard: per-card work must not scale with the
+    # number of states, and a repeated step reuses its propagator
+    calls = {"directional_derivatives": 0, "evolve": 0}
+
+    def counting(name):
+        fn = getattr(fid, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(fid, name, wrapper)
+
+    counting("directional_derivatives")
+    counting("evolve")
+    card = solve_physical(prescription_targets(GateId("H_q2")))
+    states = sample_states(bell_frame(card.solved.h), n=n, seed=7)
+    grid = [1e-2, 5e-3, 1e-2, 2.5e-3]
+    reports = sensitivity_sweep(card, states, grid)
+    assert len(reports) == n * 6 * len(grid)
+    assert calls == {"directional_derivatives": 6, "evolve": 1 + 6 * 3}
 
 
 def test_cubic_residual_shrinks_under_step_halving():
