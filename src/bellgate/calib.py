@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .bellframe import BLOCK_COEFFS, bell_frame, frame_permutation, reduced_params
 from .errors import SolverFailure
@@ -380,6 +379,9 @@ def _matrix_residual(x: np.ndarray, t: float, h: int, cob: np.ndarray, wf: np.nd
 def _polish(
     p0: PhysicalParams, wf: np.ndarray, cob: np.ndarray, opts: SolverOptions
 ) -> PhysicalParams:
+    # imported on first use, so that import bellgate loads no scipy module
+    from scipy.optimize import least_squares
+
     x0 = np.array([*p0.J, p0.B1, p0.B2], dtype=float)
     sol = least_squares(
         _matrix_residual,

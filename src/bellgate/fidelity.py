@@ -30,9 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from .bellframe import BellFrame, bell_frame, to_blocks
 from .calib import PrescriptionCard
@@ -165,6 +162,9 @@ def directional_derivatives(
     matrix's norm, and with it expm's scaling, independent of |dp|.
     dp = 0 returns zero matrices.
     """
+    # imported on first use, so that import bellgate loads no scipy module
+    from scipy.linalg import expm
+
     if p.h != frame.h:
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
     d = dp.as_array()
@@ -356,6 +356,10 @@ def rank_parameters(reports: list[FidelityReport]) -> list[tuple[str, float]]:
 
 def sample_states(frame: BellFrame, n: int = 64, seed: int = 7) -> list[BlockState]:
     """Deterministic low-discrepancy states on the amplitude sphere."""
+    # imported on first use, so that import bellgate loads no scipy module
+    from scipy.special import ndtri
+    from scipy.stats import qmc
+
     if n < 1:
         raise ValueError(f"need at least one state, got {n}")
     sob = qmc.Sobol(d=8, scramble=True, seed=seed)

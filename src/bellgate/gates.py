@@ -79,8 +79,12 @@ class GateId:
                 raise ValueError(f"{self.tag} requires a finite phi")
         elif self.phi is not None:
             raise ValueError(f"{self.tag} takes no phi")
-        if self.qubit is not None and self.qubit not in (1, 2):
-            raise ValueError(f"qubit must be 1 or 2, got {self.qubit!r}")
+        if self.qubit is not None:
+            # bool is an int subclass and 1.0 == 1, so both would pass "in"
+            q = self.qubit
+            if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q not in (1, 2):
+                raise ValueError(f"qubit must be 1 or 2, got {q!r}")
+            object.__setattr__(self, "qubit", int(q))
         if self.qubit is not None and self.tag not in _B_ONE_LEVEL:
             raise ValueError(f"{self.tag} takes no qubit annotation")
 

@@ -58,8 +58,11 @@ class PhysicalParams:
         object.__setattr__(self, "B2", float(self.B2))
         if len(self.J) != 3:
             raise ValueError("J must have exactly three components")
-        if self.h not in (1, 2, 3):
-            raise ValueError(f"field axis h must be 1, 2 or 3, got {self.h!r}")
+        h = self.h
+        # bool is an int subclass and 1.0 == 1, so both would pass "in"
+        if isinstance(h, bool) or not isinstance(h, (int, np.integer)) or h not in (1, 2, 3):
+            raise ValueError(f"field axis h must be 1, 2 or 3, got {h!r}")
+        object.__setattr__(self, "h", int(h))
         vals = (self.t, *self.J, self.B1, self.B2)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("parameters must be finite")

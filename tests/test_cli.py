@@ -1,18 +1,26 @@
 """Command-line surface: schemas, determinism, and exit codes."""
 
+import dataclasses
 import json
+import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bellgate
 import bellgate.cli as cli
 from bellgate import (
     Circuit,
     GateId,
     PhysicalParams,
     SolverFailure,
+    emit_card,
     evolve,
     parse_card,
     prescription_targets,
@@ -314,6 +322,24 @@ def test_overflowing_step_maps_to_exit_3(capsys, card_file):
 
 
 @pytest.mark.parametrize(
+    "command, text",
+    [
+        ("evolve", PARAMS_TEXT.replace('"h": 1', '"h": true')),
+        ("blocks", PARAMS_TEXT.replace('"h": 1', '"h": 3.0')),
+        ("compile", '{"basis": "computational", "gates": [{"gate": "B_H", "qubit": true}]}'),
+        ("compile", '{"basis": "computational", "gates": [{"gate": "B_H", "qubit": 2.0}]}'),
+    ],
+    ids=["h-true", "h-float", "qubit-true", "qubit-float"],
+)
+def test_bool_and_float_axis_or_qubit_is_input_error(capsys, tmp_path, command, text):
+    f = tmp_path / "doc.json"
+    f.write_text(text)
+    code, out, err = run(capsys, command, str(f))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "input"
+
+
+@pytest.mark.parametrize(
     "steps, message",
     [
         ("-5", "t must be nonnegative"),
@@ -327,3 +353,71 @@ def test_bad_step_maps_to_exit_2(capsys, card_file, steps, message):
     assert len(err.splitlines()) == 1
     doc = json.loads(err)
     assert doc["error"] == {"type": "input", "message": message}
+
+
+# Import boundary: scipy loads on first use by the solver, the derivative
+# exponential and sample_states, never at import.  Each check starts a fresh
+# interpreter on the src tree the tests import, runs BODY (which sets
+# `code`), and reports the scipy modules it ended up with on stderr's last line.
+_SRC = str(Path(bellgate.__file__).resolve().parents[1])
+_COLD = """
+import json, sys
+{body}
+sys.stdout.flush()
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))), file=sys.stderr)
+sys.exit(code)
+"""
+_CLI_BODY = "from bellgate.cli import main\ncode = main(sys.argv[1:])"
+
+
+def _cold(body, *args):
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD.format(body=body), *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        timeout=300,
+    )
+    *err, mods = proc.stderr.splitlines()
+    return proc.returncode, proc.stdout, err, json.loads(mods)
+
+
+def test_import_loads_no_scipy():
+    body = "import bellgate, bellgate.cli\ncode = 0 if bellgate.__file__.startswith(sys.argv[1]) else 1"
+    assert _cold(body, _SRC) == (0, "", [], [])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("evolve", "{params}"), ("blocks", "{params}"), ("compile", "{circuit}"), ("synth", "H_q2")],
+    ids=lambda argv: argv[0],
+)
+def test_numpy_only_commands_load_no_scipy(capsys, params_file, circuit_file, argv):
+    argv = [a.format(params=params_file, circuit=circuit_file) for a in argv]
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+    assert _cold(_CLI_BODY, *argv) == (0, want, [], [])
+
+
+def test_fidelity_sweep_loads_scipy_on_first_use(capsys, card_file):
+    argv = ("fidelity-sweep", card_file, "--states", "2")
+    code, want, _ = run(capsys, *argv)
+    code_cold, out, err, mods = _cold(_CLI_BODY, *argv)
+    assert (code, code_cold, out, err) == (0, 0, want, [])
+    assert "scipy.linalg" in mods and "scipy.stats" in mods
+
+
+def test_multistart_solve_loads_scipy_on_first_use():
+    # the shifted-drift row of test_solver_reaches_shifted_drift_branch:
+    # the closed form misses it, so the multistart polish must run
+    tg = dataclasses.replace(prescription_targets(GateId("S_phi_q2", phi=0.5)), delta_plus_1=math.pi)
+    body = (
+        "import dataclasses, math\n"
+        "from bellgate import GateId, emit_card, prescription_targets, solve_physical\n"
+        "tg = dataclasses.replace(prescription_targets(GateId('S_phi_q2', phi=0.5)), delta_plus_1=math.pi)\n"
+        "print(emit_card(solve_physical(tg)))\n"
+        "code = 0"
+    )
+    code, out, err, mods = _cold(body)
+    assert (code, out, err) == (0, emit_card(solve_physical(tg)) + "\n", [])
+    assert "scipy.optimize" in mods

@@ -118,11 +118,18 @@ def test_hadamard_and_cnot_involutions():
         dict(tag="H_q1", qubit=1),
         dict(tag="B_S8", phi=0.1),
         dict(tag="X_gate"),
+        dict(tag="B_H", qubit=True),
+        dict(tag="B_H", qubit=1.0),
     ],
 )
 def test_gate_id_validation(kwargs):
     with pytest.raises(ValueError):
         GateId(**kwargs)
+
+
+def test_gate_id_stores_qubit_as_int():
+    g = GateId("B_H", qubit=np.int64(2))
+    assert type(g.qubit) is int and g == GateId("B_H", qubit=2)
 
 
 def test_embedded_matrix_qubit_placement():

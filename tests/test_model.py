@@ -96,11 +96,18 @@ def test_evolve_composes_in_time():
         dict(t=1.0, J=(0.0, 0.0), B1=0.0, B2=0.0, h=1),
         dict(t=1.0, J=(0.0, np.nan, 0.0), B1=0.0, B2=0.0, h=1),
         dict(t=np.inf, J=(0.0, 0.0, 0.0), B1=0.0, B2=0.0, h=1),
+        dict(t=1.0, J=(0.0, 0.0, 0.0), B1=0.0, B2=0.0, h=True),
+        dict(t=1.0, J=(0.0, 0.0, 0.0), B1=0.0, B2=0.0, h=1.0),
     ],
 )
 def test_params_validation(kwargs):
     with pytest.raises(ValueError):
         PhysicalParams(**kwargs)
+
+
+def test_params_store_axis_as_int():
+    p = PhysicalParams(t=1.0, J=(0.0, 0.0, 0.0), B1=0.0, B2=0.0, h=np.int64(3))
+    assert type(p.h) is int and json.loads(p.to_json())["h"] == 3
 
 
 def test_params_json_round_trip():
@@ -117,6 +124,8 @@ def test_params_json_round_trip():
         "not json",
         '{"t": 1.0, "J": [0.0, 0.0], "B1": 0.0, "B2": 0.0, "h": 1}',
         '{"t": 1.0, "J": [0.0, 0.0, 0.0], "B1": 0.0, "B2": 0.0, "h": "one"}',
+        '{"h": true, "t": 1.0, "J": [0.0, 0.0, 0.0], "B1": 0.0, "B2": 0.0}',
+        '{"h": 3.0, "t": 1.0, "J": [0.0, 0.0, 0.0], "B1": 0.0, "B2": 0.0}',
         '{"t": "x", "J": [0.0, 0.0, 0.0], "B1": 0.0, "B2": 0.0, "h": 1}',
     ],
 )
