@@ -44,6 +44,7 @@ __all__ = [
     "frame_permutation",
     "to_blocks",
     "reduced_params",
+    "block_axis",
     "closed_form_block",
 ]
 
@@ -225,6 +226,17 @@ def reduced_params(p: PhysicalParams, frame: BellFrame) -> tuple[ReducedBlockPar
     return out[0], out[1]
 
 
+def block_axis(b: float, j: float, frame: BellFrame, block: int) -> tuple[float, float, float]:
+    """Rotation axis n of a block from its weights: (q b sin(h pi/2), q b cos(h pi/2), beta j).
+
+    The inverse of the (b, j) read-out in reduced_params; a unit vector
+    whenever b^2 + j^2 = 1.
+    """
+    q = frame.q[block - 1]
+    sh, ch = _SIN_H[frame.h], _COS_H[frame.h]
+    return (q * b * sh, q * b * ch, frame.beta[block - 1] * j)
+
+
 def closed_form_block(rp: ReducedBlockParams, frame: BellFrame) -> np.ndarray:
     """Rebuild the 2x2 block propagator from its reduced parameters.
 
@@ -235,10 +247,7 @@ def closed_form_block(rp: ReducedBlockParams, frame: BellFrame) -> np.ndarray:
     norm2 = rp.b * rp.b + rp.j * rp.j
     if abs(norm2 - 1.0) > 1e-9:
         raise ValueError(f"(b, j) must lie on the unit circle, got b^2 + j^2 = {norm2!r}")
-    beta = frame.beta[rp.block - 1]
-    q = frame.q[rp.block - 1]
-    sh, ch = _SIN_H[frame.h], _COS_H[frame.h]
-    n = (q * rp.b * sh, q * rp.b * ch, beta * rp.j)
+    n = block_axis(rp.b, rp.j, frame, rp.block)
     ns = n[0] * pauli(1) + n[1] * pauli(2) + n[2] * pauli(3)
     u = np.cos(rp.delta_minus) * np.eye(2) - 1j * np.sin(rp.delta_minus) * ns
     return np.exp(1j * rp.delta_plus) * u

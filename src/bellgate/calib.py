@@ -8,6 +8,30 @@ the realized gate error), and cnot_family builds the finite-winding
 controlled-NOT approximants whose error vanishes as the driving field
 dominates the exchange.
 
+Synthesis is exact inversion, not a search.  In the frame of axis h
+each block restriction c0 + c . sigma is linear in the couplings, and
+five of its coordinates (c0 of block 1, block 2 carrying -c0, and the
+transversal and longitudinal components of c in each block) are a
+one-to-one 0/+-1 image of (J1, J2, J3, B1, B2).  At t = 1 a target row
+fixes these coordinates up to a finite choice:
+
+- phase branch: c0 = -s r with s = +-1 and r the drift target folded
+  into [-pi, pi].  The residual accepts exactly the phases +-r + 2 pi n,
+  and |c0| is one of the couplings, so every other branch is longer;
+- rotation angle, taken literally: |c_k| = delta_minus_k.  A card winds
+  as often as its row asks, so the windings m, m_prime of a CNOT row
+  are realized as given, not folded mod 2 pi;
+- axis n_k = c_k / |c_k|: fixed where the row pins (b_k, j_k), a sign
+  choice where it pins one weight or the Hadamard relation, the axis of
+  the target gate's frame block (up to sign) where it pins neither, and,
+  where that block is a multiple of the identity so that no axis is
+  visible, the axis of the shortest pulse (closed form).
+
+Each choice gives the couplings x by one 5x5 solve, and max|x| is its
+canonical duration.  Candidates are tried shortest first, ties in
+enumeration order (phase sign +1 first, then block 1's axis choices,
+then block 2's, the positive sign of a free weight first).
+
 Gauge convention: a solved card is normalized so the largest coupling
 magnitude is 1 and the duration carries the overall scale.  Family
 cards instead keep unit exchange strength so the field_scale knob
@@ -16,18 +40,19 @@ retains its meaning.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bellframe import BLOCK_COEFFS, bell_frame, frame_permutation, reduced_params
+from .bellframe import BLOCK_COEFFS, bell_frame, block_axis, frame_permutation, reduced_params
 from .errors import SolverFailure
 from .gates import GateId, d_gate
 from .jsonio import dumps
 from .model import PhysicalParams, evolve
-from .spinlin import dist_phase_invariant
+from .spinlin import dist_phase_invariant, pauli
 
 __all__ = [
     "ACCEPT_TOL",
@@ -57,16 +82,24 @@ _SOLVABLE_TAGS = ("S_phi_q2", "S_phi_q1", "H_q2", "H_q1") + _CNOT_TAGS
 #: transversal rotation angle of the Hadamard rows, |b| = |j| = 1/sqrt(2)
 _HADAMARD_WEIGHT = 1.0 / math.sqrt(2.0)
 
+#: largest Pauli component of a target block read as a multiple of the identity
+_INVISIBLE_AXIS = 1e-12
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Multi-start search budget; defaults are desk-scale and deterministic."""
+    """Acceptance threshold of solve_physical; the inversion has no search budget."""
 
-    n_starts: int = 64
-    newton_tol: float = 1e-12
-    max_iter: int = 200
-    seed: int = 7
     accept_tol: float = ACCEPT_TOL
+
+
+def _optional_int(name: str, v):
+    # bool is an int subclass and 2.0 == 2, so neither may pass as a count
+    if v is None:
+        return None
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer or None, got {v!r}")
+    return int(v)
 
 
 @dataclass(frozen=True)
@@ -94,6 +127,14 @@ class PrescriptionTargets:
     b_abs_to_one: bool = False
     m: int | None = None
     m_prime: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "m", _optional_int("m", self.m))
+        object.__setattr__(self, "m_prime", _optional_int("m_prime", self.m_prime))
+        r = _optional_int("b_relation_sign", self.b_relation_sign)
+        if r not in (None, 1, -1):
+            raise ValueError(f"b_relation_sign must be 1, -1 or None, got {r!r}")
+        object.__setattr__(self, "b_relation_sign", r)
 
 
 @dataclass(frozen=True)
@@ -320,81 +361,148 @@ def _construction(tg: PrescriptionTargets) -> PhysicalParams:
     )
 
 
-def _canonical_gauge(p: PhysicalParams) -> PhysicalParams:
-    lam = max(abs(v) for v in (*p.J, p.B1, p.B2))
-    if lam == 0.0 or abs(lam - 1.0) < 1e-15:
-        return p
-    return PhysicalParams(
-        t=p.t * lam,
-        J=tuple(j / lam for j in p.J),
-        B1=p.B1 / lam,
-        B2=p.B2 / lam,
-        h=p.h,
-    )
+#: index of the transversal coefficient in BLOCK_COEFFS[h]: c_x on axes 1 and 3, c_y on 2
+_TRANSVERSAL = {h: 1 if BLOCK_COEFFS[h][0, 1].any() else 2 for h in BLOCK_COEFFS}
 
 
-def _snap_trace_coupling(p: PhysicalParams, tg: PrescriptionTargets) -> PhysicalParams:
-    """Move the drift phase onto the target's branch where possible.
+def _inverse(h: int) -> np.ndarray:
+    # rows: c0 of block 1, then the transversal and longitudinal component
+    # of each block.  Block 2's c0 is minus block 1's and the other
+    # transversal component vanishes, so these five fix both restrictions.
+    tr = _TRANSVERSAL[h]
+    m = BLOCK_COEFFS[h][[0, 0, 0, 1, 1], [0, tr, 3, tr, 3]]
+    # each coupling pair enters one block as a sum and the other as a
+    # difference, so the 0/+-1 columns are orthogonal and the inverse is the
+    # transpose over the squared column norms, exact in floating point
+    inv = m.T / (m * m).sum(axis=0)[:, None] + 0.0
+    inv.flags.writeable = False
+    return inv
 
-    Shifting delta_plus by a multiple of pi rescales the gate by a global
-    sign, so the matrix fit is indifferent to it; only the trace coupling
-    J_h moves.  The least-squares polish therefore lands on an arbitrary
-    representative, and this picks the one closest to the target.
+
+#: couplings (J1, J2, J3, B1, B2) at t = 1 from the five block coordinates
+_INVERSE = {h: _inverse(h) for h in BLOCK_COEFFS}
+
+
+def _axis_choices(
+    tg: PrescriptionTargets, block: int, w: np.ndarray
+) -> list[tuple[float, ...]] | None:
+    """Rotation axes the row allows for one block, in tie-break order.
+
+    Pinned weights give one axis, a weight pinned alone or the Hadamard
+    relation give two (the free weight's sign, positive first).  A block
+    with neither takes the axis of the target gate's frame block w, up to
+    sign (its largest component positive first); None marks the case
+    where w is a multiple of the identity, so that no axis is visible and
+    the caller picks one by pulse length.
     """
-    if p.t < 1e-9:
-        return p
     frame = bell_frame(tg.h)
-    rp1, _ = reduced_params(p, frame)
-    best_k = 0
-    best_dist = min(
-        _circ(rp1.delta_plus - tg.delta_plus_1),
-        _circ(rp1.delta_plus + tg.delta_plus_1),
+    k = block - 1
+    j = None if tg.j_targets is None else tg.j_targets[k]
+    b = None if tg.b_targets is None else tg.b_targets[k]
+    if tg.b_relation_sign is not None:
+        rel = tg.b_relation_sign * frame.q[k] * frame.beta[k]
+        js = [j] if j is not None else [_HADAMARD_WEIGHT, -_HADAMARD_WEIGHT]
+        pairs = [(rel * jv, jv) for jv in js]
+    elif j is not None and b is not None:
+        pairs = [(b, j)]
+    elif j is not None:
+        other = math.sqrt(max(0.0, 1.0 - j * j))
+        pairs = [(other, j), (-other, j)]
+    elif b is not None:
+        other = math.sqrt(max(0.0, 1.0 - b * b))
+        pairs = [(b, other), (b, -other)]
+    else:
+        # w = e^{i theta} (cos a - i sin a n . sigma): the Pauli components
+        # of w are one complex phase times the real vector sin(a) n
+        a = np.array([np.trace(pauli(i) @ w) for i in (1, 2, 3)]) / 2.0
+        top = int(np.argmax(np.abs(a)))
+        if abs(a[top]) <= _INVISIBLE_AXIS:
+            return None
+        n = (a * (abs(a[top]) / a[top])).real
+        n /= np.linalg.norm(n)
+        return [tuple(n), tuple(-n)]
+    pairs = list(dict.fromkeys(pairs))
+    return [block_axis(bv, jv, frame, block) for bv, jv in pairs]
+
+
+def _free_angle(a0: float, b0: float, r: float) -> float:
+    """Angle in [0, pi/2] that minimises max(a0 + r cos, b0 + r sin)."""
+    # cos - sin falls from 1 to -1 across the quarter turn; the crossing
+    # of the falling and the rising term is the minimax when it exists
+    u = (b0 - a0) / r if r > 0.0 else 1.0
+    if u >= 1.0:
+        return 0.0
+    if u <= -1.0:
+        return math.pi / 2
+    return math.acos(u / math.sqrt(2.0)) - math.pi / 4
+
+
+def _fill_invisible(
+    axes: list[list[tuple[float, ...]] | None], rot: tuple[float, float], tr: int
+) -> list[list[tuple[float, ...]]]:
+    """Replace invisible axes by the in-plane axes of the shortest pulse.
+
+    The inverse pairs the couplings so that, at t = 1, max|x| is
+    max(|c0|, (|T_1| + |T_2|) / 2, (|L_1| + |L_2|) / 2), with T and L the
+    transversal and longitudinal coordinates.  An invisible axis at angle
+    th from the transversal direction adds r (cos th, sin th) to the two
+    sums and is set to minimise the larger one.  With both axes invisible
+    the optimum keeps one axis on a quarter-turn edge (inside the square
+    both sums can fall together); the best edge puts the smaller rotation
+    on the transversal axis and balances the larger one against it.
+    """
+
+    def only_axis(th: float) -> list[tuple[float, ...]]:
+        n = [0.0, 0.0, math.sin(th)]
+        n[tr - 1] = math.cos(th)
+        return [tuple(n)]
+
+    axes = list(axes)
+    if axes[0] is None and axes[1] is None:
+        axes[0 if rot[0] <= rot[1] else 1] = only_axis(0.0)
+    for f in (0, 1):
+        if axes[f] is None:
+            # a visible block's axis choices differ only in sign
+            n = axes[1 - f][0]
+            r = rot[1 - f]
+            axes[f] = only_axis(_free_angle(r * abs(n[tr - 1]), r * abs(n[2]), rot[f]))
+    return axes
+
+
+def _candidates(tg: PrescriptionTargets) -> list[PhysicalParams]:
+    """Every finite inversion choice as canonical controls, shortest first.
+
+    Ties in duration keep enumeration order: phase sign +1 before -1,
+    then block 1's axis choices, then block 2's, each in the order of
+    _axis_choices.
+    """
+    h = tg.h
+    tr = _TRANSVERSAL[h]
+    w = _frame_target(tg)
+    rot = (tg.delta_minus_1, tg.delta_minus_2)
+    axes = _fill_invisible(
+        [_axis_choices(tg, k, w[2 * k - 2 : 2 * k, 2 * k - 2 : 2 * k]) for k in (1, 2)], rot, tr
     )
-    for s in (1.0, -1.0):
-        k = round((s * tg.delta_plus_1 - rp1.delta_plus) / math.pi)
-        dist = _circ(rp1.delta_plus + k * math.pi - s * tg.delta_plus_1)
-        if dist < best_dist - 1e-15:
-            best_dist = dist
-            best_k = k
-    if best_k == 0:
-        return p
-    # J_h enters only the trace part c0 = sign * J_h + ... of block 1, and
-    # delta_plus = -c0 * t, so a +k pi shift lowers J_h accordingly
-    sign = float(BLOCK_COEFFS[tg.h][0, 0, tg.h - 1])
-    shift = best_k * math.pi / (sign * p.t)
-    new_j = list(p.J)
-    new_j[tg.h - 1] -= shift
-    return PhysicalParams(t=p.t, J=tuple(new_j), B1=p.B1, B2=p.B2, h=p.h)
+    # every drift phase the residual accepts is +-r + 2 pi n; beyond +-r
+    # a branch only lengthens the pulse, since |c0| is one of the couplings
+    r = math.remainder(tg.delta_plus_1, TWO_PI)
+    scored = []
+    for s, n1, n2 in itertools.product((1.0, -1.0), axes[0], axes[1]):
+        y = [-s * r, rot[0] * n1[tr - 1], rot[0] * n1[2], rot[1] * n2[tr - 1], rot[1] * n2[2]]
+        x = _INVERSE[h] @ np.array(y)
+        scored.append((float(np.abs(x).max()), len(scored), x))
+    scored.sort(key=lambda item: item[:2])
+    out = []
+    for lam, _, x in scored:
+        x = x / lam if lam else x
+        out.append(PhysicalParams(t=lam, J=(x[0], x[1], x[2]), B1=x[3], B2=x[4], h=h))
+    return out
 
 
-def _matrix_residual(x: np.ndarray, t: float, h: int, cob: np.ndarray, wf: np.ndarray) -> np.ndarray:
-    p = PhysicalParams(t=t, J=(x[0], x[1], x[2]), B1=x[3], B2=x[4], h=h)
-    mat = cob.conj().T @ evolve(p) @ cob
-    ov = np.trace(wf.conj().T @ mat)
-    phase = ov / abs(ov) if abs(ov) > 1e-300 else 1.0
-    diff = mat - phase * wf
-    return np.concatenate([diff.real.ravel(), diff.imag.ravel()])
-
-
-def _polish(
-    p0: PhysicalParams, wf: np.ndarray, cob: np.ndarray, opts: SolverOptions
-) -> PhysicalParams:
-    # imported on first use, so that import bellgate loads no scipy module
-    from scipy.optimize import least_squares
-
-    x0 = np.array([*p0.J, p0.B1, p0.B2], dtype=float)
-    sol = least_squares(
-        _matrix_residual,
-        x0,
-        args=(p0.t, p0.h, cob, wf),
-        method="lm",
-        xtol=opts.newton_tol,
-        ftol=opts.newton_tol,
-        gtol=1e-15,
-        max_nfev=opts.max_iter * len(x0),
-    )
-    x = sol.x
-    return PhysicalParams(t=p0.t, J=(x[0], x[1], x[2]), B1=x[3], B2=x[4], h=p0.h)
+def _attempts(tg: PrescriptionTargets):
+    """The row's closed form, then the inversion candidates (computed only if needed)."""
+    yield _construction(tg)
+    yield from _candidates(tg)
 
 
 def solve_physical(
@@ -405,75 +513,27 @@ def solve_physical(
     The closed-form construction for the row is evaluated first and
     returned when it meets the acceptance tolerance, which keeps the
     published prescriptions recognizable in the emitted cards.  If it
-    does not (hand-built target sets), a seeded multi-start damped
-    least-squares search runs with the evolution time frozen per start,
-    and among acceptable solutions the one with minimal duration in
-    canonical gauge wins.  Exhausting the budget raises SolverFailure
-    carrying the best residual seen.
+    does not (hand-built target sets), the row is inverted exactly (see
+    the module docstring) and the shortest accepted candidate is
+    returned, ties in enumeration order.  If none is accepted,
+    SolverFailure carries the smallest worst residual seen.
     """
     opts = SolverOptions() if opts is None else opts
     _check_feasible(tg)
-    frame = bell_frame(tg.h)
-    wf = _frame_target(tg)
-    cob = frame.change_of_basis
 
-    seed_p = _construction(tg)
-    res, branch, err = _evaluate(tg, seed_p)
-    if err <= opts.accept_tol and max(res) <= opts.accept_tol:
-        return PrescriptionCard(
-            targets=tg,
-            solved=seed_p,
-            residuals=res,
-            realized_error=err,
-            phase_branch=branch,
-        )
-
-    rng = np.random.default_rng(opts.seed)
-    best_worst = max(max(res), err)
-    accepted: list[tuple[float, int, PrescriptionCard]] = []
-    for start in range(opts.n_starts):
-        if start == 0:
-            p0 = seed_p
-        elif start < 8:
-            jig = rng.normal(scale=0.05, size=5)
-            p0 = PhysicalParams(
-                t=seed_p.t,
-                J=tuple(seed_p.J[i] + jig[i] for i in range(3)),
-                B1=seed_p.B1 + jig[3],
-                B2=seed_p.B2 + jig[4],
-                h=seed_p.h,
+    best_worst = math.inf
+    for tried, p in enumerate(_attempts(tg), start=1):
+        res, branch, err = _evaluate(tg, p)
+        if err <= opts.accept_tol and max(res) <= opts.accept_tol:
+            return PrescriptionCard(
+                targets=tg, solved=p, residuals=res, realized_error=err, phase_branch=branch
             )
-        else:
-            t0 = float(rng.uniform(0.5, 4.0 * math.pi))
-            c0 = rng.uniform(-2.0, 2.0, size=5)
-            p0 = PhysicalParams(
-                t=t0, J=(c0[0], c0[1], c0[2]), B1=c0[3], B2=c0[4], h=tg.h
-            )
-        sol = _canonical_gauge(_snap_trace_coupling(_polish(p0, wf, cob, opts), tg))
-        res, branch, err = _evaluate(tg, sol)
-        worst = max(max(res), err)
-        best_worst = min(best_worst, worst)
-        if worst <= opts.accept_tol:
-            accepted.append(
-                (
-                    sol.t,
-                    start,
-                    PrescriptionCard(
-                        targets=tg,
-                        solved=sol,
-                        residuals=res,
-                        realized_error=err,
-                        phase_branch=branch,
-                    ),
-                )
-            )
-    if not accepted:
-        raise SolverFailure(
-            best_worst,
-            f"no acceptable controls for {tg.gate.tag} in {opts.n_starts} starts",
-        )
-    accepted.sort(key=lambda item: (item[0], item[1]))
-    return accepted[0][2]
+        best_worst = min(best_worst, max(max(res), err))
+    raise SolverFailure(
+        best_worst,
+        f"no acceptable controls for {tg.gate.tag}: the closed form and "
+        f"{tried - 1} inversion candidates missed",
+    )
 
 
 def cnot_family(g: GateId, m: int, field_scale: float) -> PrescriptionCard:

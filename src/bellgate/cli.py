@@ -209,7 +209,7 @@ def _cmd_synth(args) -> str:
     tg = calib.prescription_targets(
         gate, m=int(args.m), m_prime=args.m_prime, route=args.route
     )
-    opts = calib.SolverOptions(seed=args.seed, accept_tol=args.tol_synthesis)
+    opts = calib.SolverOptions(accept_tol=args.tol_synthesis)
     card = calib.solve_physical(tg, opts)
     return calib.emit_card(card) + "\n"
 

@@ -24,11 +24,11 @@ class NonUnitaryError(BellgateError):
 
 
 class SolverFailure(BellgateError):
-    """The multi-start solver did not reach the requested accuracy."""
+    """No candidate control set met the solver's acceptance tolerance."""
 
     def __init__(self, best_residual: float, message: str = ""):
         self.best_residual = best_residual
-        msg = message or f"no start converged; best residual {best_residual:.3e}"
+        msg = message or f"no candidate accepted; best residual {best_residual:.3e}"
         super().__init__(msg)
 
 

@@ -89,10 +89,11 @@ def assemble_hamiltonian(J, B1: float, B2: float, h: int) -> np.ndarray:
     """Assemble the 4x4 Hamiltonian from raw components.
 
     Hermitian by construction and traceless.  Only the axis is checked
-    (ValueError outside 1, 2, 3); callers that need the full parameter
-    contract go through PhysicalParams.
+    (ValueError unless a non-bool integer 1, 2 or 3, as in
+    PhysicalParams); callers that need the full parameter contract go
+    through PhysicalParams.
     """
-    if h not in GENERATORS:
+    if isinstance(h, bool) or not isinstance(h, (int, np.integer)) or h not in GENERATORS:
         raise ValueError(f"field axis h must be 1, 2 or 3, got {h!r}")
     hm = np.zeros((4, 4), dtype=np.complex128)
     for c, g in zip((J[0], J[1], J[2], B1, B2), GENERATORS[h]):

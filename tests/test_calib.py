@@ -14,7 +14,6 @@ import pytest
 from bellgate import (
     ACCEPT_TOL,
     GateId,
-    PhysicalParams,
     SolverFailure,
     SolverOptions,
     bell_frame,
@@ -30,7 +29,8 @@ from bellgate import (
     residual_labels,
     solve_physical,
 )
-from bellgate.calib import _snap_trace_coupling
+from bellgate.bellframe import BLOCK_COEFFS
+from bellgate.calib import _INVERSE, _TRANSVERSAL
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
@@ -227,8 +227,8 @@ def test_parse_card_rejects_malformed(text):
 
 def test_solver_reaches_shifted_drift_branch():
     # a pi shift of the drift phase is a global sign, so this variant of
-    # the phase-gate row is realizable; it must go through the multistart
-    # path because the closed form lands on the published branch
+    # the phase-gate row is realizable; it must go through the inversion
+    # because the closed form lands on the published branch
     tg = dataclasses.replace(_targets("S_phi_q2"), delta_plus_1=PI)
     card = solve_physical(tg)
     assert card.realized_error <= ACCEPT_TOL
@@ -239,27 +239,125 @@ def test_solver_reaches_shifted_drift_branch():
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
-def test_snap_trace_coupling_lands_on_raw_target(h):
-    # a drift phase pi off the target is moved onto the target itself, not
-    # onto a 2 pi image of it, and only J_h changes
-    p = PhysicalParams(t=0.5, J=(0.3, -0.2, 0.4), B1=0.1, B2=0.2, h=h)
-    dp = reduced_params(p, bell_frame(h))[0].delta_plus
-    tg = dataclasses.replace(_targets("CNOT_12"), h=h, delta_plus_1=dp + PI)
-    snapped = _snap_trace_coupling(p, tg)
-    assert reduced_params(snapped, bell_frame(h))[0].delta_plus == pytest.approx(dp + PI, abs=1e-12)
-    assert [j for k, j in enumerate(snapped.J) if k != h - 1] == [
-        j for k, j in enumerate(p.J) if k != h - 1
-    ]
-    assert (snapped.B1, snapped.B2, snapped.t) == (p.B1, p.B2, p.t)
+def test_inversion_table_is_exact_and_pairs_the_couplings(h):
+    tr = _TRANSVERSAL[h]
+    rows = BLOCK_COEFFS[h][[0, 0, 0, 1, 1], [0, tr, 3, tr, 3]]
+    inv = _INVERSE[h]
+    assert np.array_equal(inv @ rows, np.eye(5))
+    assert set(np.abs(inv).ravel().tolist()) <= {0.0, 0.5, 1.0}
+    for y in np.random.default_rng(h).normal(size=(50, 5)):
+        x = inv @ y
+        full = BLOCK_COEFFS[h] @ x
+        # the three rows left out follow from the five solved for
+        assert full[1, 0] == pytest.approx(-y[0], abs=1e-15)
+        assert full[0, 3 - tr] == full[1, 3 - tr] == 0.0
+        # the pairing the shortest-pulse axis choice relies on
+        want = max(abs(y[0]), (abs(y[1]) + abs(y[3])) / 2, (abs(y[2]) + abs(y[4])) / 2)
+        assert np.abs(x).max() == pytest.approx(want, rel=1e-15)
+
+
+def _shifted_card(tg, shift):
+    tg = dataclasses.replace(tg, delta_plus_1=shift)
+    card = solve_physical(tg)
+    assert card.targets == tg
+    assert card.realized_error <= ACCEPT_TOL
+    assert max(card.residuals) <= ACCEPT_TOL
+    assert _verify_card_against_frame(card) < 1e-12
+    return card
+
+
+@pytest.mark.parametrize(
+    "tag, m, m_prime, t", [("CNOT_12", 2, 1, 3.25 * PI), ("CNOT_21", 2, 0, 2.25 * PI)]
+)
+def test_shifted_cnot_windings_are_solved(tag, m, m_prime, t):
+    # both windings exhausted the former 64-start search; the inversion
+    # realizes them as asked, with duration (delta_minus_1 + delta_minus_2) / 2
+    card = _shifted_card(_targets(tag, m=m, m_prime=m_prime), 5 * PI / 4)
+    assert card.solved.t == pytest.approx(t, abs=1e-12)
+    rp1, rp2 = reduced_params(card.solved, bell_frame(card.targets.h))
+    assert rp1.delta_minus == pytest.approx(2 * m * PI, abs=1e-12)
+    assert rp2.delta_minus == pytest.approx(PI / 2 + 2 * m_prime * PI, abs=1e-12)
+
+
+@pytest.mark.parametrize("phi", [0.05, PI - 0.04])
+def test_shifted_phase_gate_near_zero_and_pi(phi):
+    # the drift phase pi is one coupling of magnitude pi at t = 1 and the
+    # rotation phi is below it, so the pulse lasts exactly pi
+    tg = prescription_targets(GateId("S_phi_q2", phi=phi))
+    card = _shifted_card(tg, PI)
+    assert card.solved.t == pytest.approx(PI, abs=1e-12)
+
+
+def test_unpinned_hadamard_reads_axis_from_gate():
+    # without the relation the row pins no axis: the blocks' Hadamard axes
+    # are read from the target gate, and the drift shift costs nothing
+    tg = dataclasses.replace(_targets("H_q2"), b_relation_sign=None)
+    assert residual_labels(tg) == ("delta_plus", "delta_minus_1", "delta_minus_2")
+    card = _shifted_card(tg, PI / 2 + PI)
+    assert card.solved.t == pytest.approx(PI / 2, abs=1e-12)
+    rp1, rp2 = reduced_params(card.solved, bell_frame(1))
+    assert abs(rp1.b) == pytest.approx(SQ2, abs=1e-12)
+    assert abs(rp2.j) == pytest.approx(SQ2, abs=1e-12)
+
+
+def test_invisible_axes_take_the_shortest_pulse():
+    # a half-turn on both blocks of the printed S_phi_q1 row makes each a
+    # multiple of the identity, so neither axis is visible; one transversal
+    # and one longitudinal axis split the rotation between exchange and
+    # field, and the pulse lasts pi / 2 against the closed form's 2 pi
+    tg = dataclasses.replace(_targets("S_phi_q1"), delta_minus_1=PI, delta_minus_2=PI)
+    card = _shifted_card(tg, PHI)
+    assert card.solved.t == pytest.approx(PI / 2, abs=1e-12)
+
+
+def test_one_invisible_axis_balances_the_other_block():
+    # CNOT_12 without the j pin: block 1 (2 pi, identity) hides its axis,
+    # block 2 (pi / 2 about the transversal axis) does not, and the hidden
+    # axis is tilted until field and exchange sums are equal
+    tg = dataclasses.replace(_targets("CNOT_12"), j_targets=None)
+    card = _shifted_card(tg, 5 * PI / 4)
+    th = np.linspace(0.0, PI / 2, 200001)
+    grid = np.maximum(PI / 2 + TWO_PI * np.cos(th), TWO_PI * np.sin(th)).min() / 2
+    assert card.solved.t <= grid + 1e-12
+    assert card.solved.t == pytest.approx(grid, abs=1e-4)
+    assert card.solved.t < 5 * PI / 4
+    # balanced: both field amplitudes and the exchange pair J2, J3 reach the bound
+    p = card.solved
+    assert max(abs(p.B1), abs(p.B2)) == pytest.approx(1.0, abs=1e-12)
+    assert max(abs(p.J[1]), abs(p.J[2])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solver_failure_reports_best_residual():
     # a drift target off the pi grid is inconsistent with the gate matrix
     tg = dataclasses.replace(_targets("S_phi_q2"), delta_plus_1=0.7)
-    opts = SolverOptions(n_starts=6, max_iter=40)
     with pytest.raises(SolverFailure) as exc:
-        solve_physical(tg, opts)
+        solve_physical(tg)
     assert 0.0 < exc.value.best_residual < 1.0
+
+
+def test_solver_options_hold_only_the_tolerance():
+    assert [f.name for f in dataclasses.fields(SolverOptions)] == ["accept_tol"]
+    tg = dataclasses.replace(_targets("S_phi_q2"), delta_plus_1=PI)
+    with pytest.raises(SolverFailure):
+        solve_physical(tg, SolverOptions(accept_tol=0.0))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("m", 2.5), ("m", True), ("m_prime", True), ("m_prime", 1.0),
+     ("b_relation_sign", 2), ("b_relation_sign", True), ("b_relation_sign", 1.0)],
+)
+def test_targets_reject_non_integer_fields(field, value):
+    with pytest.raises(ValueError):
+        dataclasses.replace(_targets("CNOT_12"), **{field: value})
+
+
+def test_targets_store_integer_fields_as_int():
+    tg = dataclasses.replace(
+        _targets("H_q2"), m=np.int64(2), m_prime=np.int32(1), b_relation_sign=np.int8(-1)
+    )
+    assert (tg.m, tg.m_prime, tg.b_relation_sign) == (2, 1, -1)
+    assert all(type(v) is int for v in (tg.m, tg.m_prime, tg.b_relation_sign))
 
 
 def test_infeasible_axis_targets_rejected():

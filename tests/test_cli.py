@@ -340,6 +340,21 @@ def test_bool_and_float_axis_or_qubit_is_input_error(capsys, tmp_path, command, 
 
 
 @pytest.mark.parametrize(
+    "key, value",
+    [("m", 2.5), ("m", True), ("m_prime", True), ("m_prime", 1.0), ("b_relation_sign", 2)],
+    ids=["m-float", "m-true", "m_prime-true", "m_prime-float", "relation-2"],
+)
+def test_non_integer_card_field_is_input_error(capsys, tmp_path, card_file, key, value):
+    doc = json.loads(Path(card_file).read_text())
+    (doc if key == "m" else doc["targets"])[key] = value
+    f = tmp_path / "bad_card.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "fidelity-sweep", str(f), "--states", "1", "--steps", "1e-2")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "input"
+
+
+@pytest.mark.parametrize(
     "steps, message",
     [
         ("-5", "t must be nonnegative"),
@@ -355,10 +370,11 @@ def test_bad_step_maps_to_exit_2(capsys, card_file, steps, message):
     assert doc["error"] == {"type": "input", "message": message}
 
 
-# Import boundary: scipy loads on first use by the solver, the derivative
-# exponential and sample_states, never at import.  Each check starts a fresh
-# interpreter on the src tree the tests import, runs BODY (which sets
-# `code`), and reports the scipy modules it ended up with on stderr's last line.
+# Import boundary: scipy loads on first use by the derivative exponential
+# and sample_states, never at import and never for synthesis.  Each check
+# starts a fresh interpreter on the src tree the tests import, runs BODY
+# (which sets `code`), and reports the scipy modules it ended up with on
+# stderr's last line.
 _SRC = str(Path(bellgate.__file__).resolve().parents[1])
 _COLD = """
 import json, sys
@@ -407,9 +423,9 @@ def test_fidelity_sweep_loads_scipy_on_first_use(capsys, card_file):
     assert "scipy.linalg" in mods and "scipy.stats" in mods
 
 
-def test_multistart_solve_loads_scipy_on_first_use():
+def test_shifted_solve_loads_no_scipy():
     # the shifted-drift row of test_solver_reaches_shifted_drift_branch:
-    # the closed form misses it, so the multistart polish must run
+    # the closed form misses it, so the inversion must run, on numpy alone
     tg = dataclasses.replace(prescription_targets(GateId("S_phi_q2", phi=0.5)), delta_plus_1=math.pi)
     body = (
         "import dataclasses, math\n"
@@ -418,6 +434,4 @@ def test_multistart_solve_loads_scipy_on_first_use():
         "print(emit_card(solve_physical(tg)))\n"
         "code = 0"
     )
-    code, out, err, mods = _cold(body)
-    assert (code, out, err) == (0, emit_card(solve_physical(tg)) + "\n", [])
-    assert "scipy.optimize" in mods
+    assert _cold(body) == (0, emit_card(solve_physical(tg)) + "\n", [], [])

@@ -31,7 +31,7 @@ def test_hamiltonian_frozen_example():
     assert np.max(np.abs(hm - FROZEN_H)) < 1e-15
 
 
-@pytest.mark.parametrize("h", [0, 4])
+@pytest.mark.parametrize("h", [0, 4, True, 2.0])
 def test_hamiltonian_rejects_bad_axis(h):
     with pytest.raises(ValueError):
         assemble_hamiltonian((0.3, -0.7, 1.1), 0.4, -0.2, h)
