@@ -317,8 +317,12 @@ def _evaluate(
     return tuple(float(v) for v in res), branch, float(err)
 
 
-def _construction(tg: PrescriptionTargets) -> PhysicalParams:
-    """Closed-form controls for a published row, already in canonical gauge."""
+def _construction(tg: PrescriptionTargets) -> PhysicalParams | None:
+    """Closed-form controls for a published row, already in canonical gauge.
+
+    None for a CNOT row whose rotations sum to zero or less: its closed
+    form lasts their half-sum, so it has no positive duration.
+    """
     tag = tg.gate.tag
     if tag == "S_phi_q2":
         pc = tg.delta_minus_1
@@ -351,6 +355,8 @@ def _construction(tg: PrescriptionTargets) -> PhysicalParams:
     # both blocks, so the finite-m realization is exact up to phase.
     theta_hi = (tg.delta_minus_1 + tg.delta_minus_2) / 2.0
     theta_lo = (tg.delta_minus_1 - tg.delta_minus_2) / 2.0
+    if theta_hi <= 0.0:
+        return None
     t = theta_hi
     if tag == "CNOT_12":
         return PhysicalParams(
@@ -499,9 +505,10 @@ def _candidates(tg: PrescriptionTargets) -> list[PhysicalParams]:
     return out
 
 
-def _attempts(tg: PrescriptionTargets):
-    """The row's closed form, then the inversion candidates (computed only if needed)."""
-    yield _construction(tg)
+def _attempts(tg: PrescriptionTargets, closed: PhysicalParams | None):
+    """The row's closed form if it has one, then the inversion candidates (computed only if needed)."""
+    if closed is not None:
+        yield closed
     yield from _candidates(tg)
 
 
@@ -521,8 +528,9 @@ def solve_physical(
     opts = SolverOptions() if opts is None else opts
     _check_feasible(tg)
 
+    closed = _construction(tg)
     best_worst = math.inf
-    for tried, p in enumerate(_attempts(tg), start=1):
+    for tried, p in enumerate(_attempts(tg, closed), start=1):
         res, branch, err = _evaluate(tg, p)
         if err <= opts.accept_tol and max(res) <= opts.accept_tol:
             return PrescriptionCard(
@@ -531,8 +539,9 @@ def solve_physical(
         best_worst = min(best_worst, max(max(res), err))
     raise SolverFailure(
         best_worst,
-        f"no acceptable controls for {tg.gate.tag}: the closed form and "
-        f"{tried - 1} inversion candidates missed",
+        f"no acceptable controls for {tg.gate.tag}: "
+        + ("the closed form and " if closed is not None else "")
+        + f"{tried - (closed is not None)} inversion candidates missed",
     )
 
 

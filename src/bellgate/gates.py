@@ -11,9 +11,17 @@ in canonical Bell order b00, b01, b10, b11.
 The translator T is the Bell-basis matrix of (H on label i); it is
 self-adjoint, involutory, and sends each Bell column to the
 computational state |i, i xor j>.  compile_circuit uses it to rewrite
-any computational-basis circuit as T (T g T)... T, resolving each
-conjugate to a named Bell-basis gate when one matches exactly and
-keeping it as an opaque matrix node otherwise.
+any computational-basis circuit as T (T g T)... T, with each conjugate
+named as a Bell-basis gate when one matches exactly and kept as an
+opaque matrix node otherwise.
+
+Both sets are finite, so every matrix here except the parametric phase
+gates is a constant.  They are built once at import as read-only
+tables: the computational gates, their 4x4 embeddings per (tag, qubit),
+the fixed Bell-basis gates, and the resolved conjugate T g T of each
+embedding.  boykin_gate, d_gate, translator and embedded_matrix return
+these shared arrays (copy before writing), and compile_circuit is one
+table lookup per gate.
 """
 
 from __future__ import annotations
@@ -45,18 +53,51 @@ _B_ONE_LEVEL = ("B_S8", "B_S4", "B_H")
 
 MATCH_TOL = 1e-10
 
-_I2 = np.eye(2, dtype=np.complex128)
-_H2 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-_CX_FIRST = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
-)
-_CX_SECOND = np.array(
-    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=np.complex128
-)
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
 
 
 def _phase2(phi: float) -> np.ndarray:
     return np.diag([np.exp(-1j * phi), np.exp(1j * phi)])
+
+
+_I2 = _frozen(np.eye(2, dtype=np.complex128))
+_H2 = _frozen(np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0))
+_CX_FIRST = _frozen(
+    np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128)
+)
+_CX_SECOND = _frozen(
+    np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=np.complex128)
+)
+
+#: computational-basis library: 2x2 one-level gates, 4x4 CNOTs
+_BOYKIN = {
+    "B_S8": _frozen(_phase2(np.pi / 8)),
+    "B_S4": _frozen(_phase2(np.pi / 4)),
+    "B_H": _H2,
+    "B_CNOT12": _CX_FIRST,
+    "B_CNOT21": _CX_SECOND,
+}
+
+#: 4x4 computational matrix of each (tag, qubit) a circuit can hold
+_EMBEDDED = {
+    (tag, q): _frozen(np.kron(_BOYKIN[tag], _I2) if q == 1 else np.kron(_I2, _BOYKIN[tag]))
+    for tag in _B_ONE_LEVEL
+    for q in (1, 2)
+}
+_EMBEDDED.update({(tag, None): _BOYKIN[tag] for tag in ("B_CNOT12", "B_CNOT21")})
+
+#: Bell-basis library members without a parameter; T is H on label i
+_D_FIXED = {
+    "H_q2": _frozen(np.kron(_I2, _H2)),
+    "H_q1": _frozen(np.kron(_H2, _I2)),
+    "CNOT_12": _CX_FIRST,
+    "CNOT_21": _CX_SECOND,
+}
+_D_FIXED["T_translator"] = _D_FIXED["H_q1"]
+_T = _D_FIXED["T_translator"]
 
 
 @dataclass(frozen=True)
@@ -91,9 +132,21 @@ class GateId:
 
 @dataclass(frozen=True, eq=False)
 class OpaqueGate:
-    """A compiled node with no name in the Bell-basis library."""
+    """A compiled node with no name in the Bell-basis library.
+
+    Owns a read-only complex128 copy of its 4x4 matrix, so nodes can be
+    shared between circuits.
+    """
 
     matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.array(self.matrix, dtype=np.complex128)
+        if m.shape != (4, 4):
+            raise ValueError(f"opaque gate matrix must be 4x4, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("opaque gate matrix has non-finite entries")
+        object.__setattr__(self, "matrix", _frozen(m))
 
 
 @dataclass(frozen=True)
@@ -163,44 +216,33 @@ class Circuit:
 
 
 def boykin_gate(g: GateId) -> np.ndarray:
-    """Computational-basis matrix of a finite-set gate: 2x2 one-level, 4x4 CNOT."""
-    if g.tag == "B_S8":
-        return _phase2(np.pi / 8)
-    if g.tag == "B_S4":
-        return _phase2(np.pi / 4)
-    if g.tag == "B_H":
-        return _H2.copy()
-    if g.tag == "B_CNOT12":
-        return _CX_FIRST.copy()
-    if g.tag == "B_CNOT21":
-        return _CX_SECOND.copy()
-    raise ValueError(f"{g.tag} is not a computational-basis library gate")
+    """Computational-basis matrix of a finite-set gate: 2x2 one-level, 4x4 CNOT (read-only)."""
+    m = _BOYKIN.get(g.tag)
+    if m is None:
+        raise ValueError(f"{g.tag} is not a computational-basis library gate")
+    return m
 
 
 def d_gate(g: GateId) -> np.ndarray:
     """Bell-basis matrix of a product-gate library member (canonical label order).
 
     Built from the logical action on the (i, j) labels: one-level gates
-    act on a single label, the CNOTs are label-controlled NOTs.
+    act on a single label, the CNOTs are label-controlled NOTs.  The
+    phase gates are diagonal and built per call; the others are shared
+    read-only tables.
     """
-    if g.tag == "S_phi_q2":
-        return np.kron(_I2, _phase2(g.phi))
-    if g.tag == "S_phi_q1":
-        return np.kron(_phase2(g.phi), _I2)
-    if g.tag == "H_q2":
-        return np.kron(_I2, _H2)
-    if g.tag in ("H_q1", "T_translator"):
-        return np.kron(_H2, _I2)
-    if g.tag == "CNOT_12":
-        return _CX_FIRST.copy()
-    if g.tag == "CNOT_21":
-        return _CX_SECOND.copy()
-    raise ValueError(f"{g.tag} is not a Bell-basis library gate")
+    if g.tag in _PHASE_TAGS:
+        a, b = np.exp(-1j * g.phi), np.exp(1j * g.phi)
+        return np.diag([a, b, a, b] if g.tag == "S_phi_q2" else [a, a, b, b])
+    m = _D_FIXED.get(g.tag)
+    if m is None:
+        raise ValueError(f"{g.tag} is not a Bell-basis library gate")
+    return m
 
 
 def translator() -> np.ndarray:
-    """The translator T: Bell-basis matrix of (H on label i).  T = T^dag, T^2 = 1."""
-    return np.kron(_H2, _I2)
+    """The translator T: Bell-basis matrix of (H on label i).  T = T^dag, T^2 = 1 (read-only)."""
+    return _T
 
 
 def embedded_matrix(g, basis: str) -> np.ndarray:
@@ -208,15 +250,15 @@ def embedded_matrix(g, basis: str) -> np.ndarray:
     if basis not in ("computational", "bell"):
         raise ValueError(f"basis must be computational or bell, got {basis!r}")
     if isinstance(g, OpaqueGate):
-        return np.asarray(g.matrix, dtype=np.complex128)
+        return g.matrix
     if basis == "bell":
         return d_gate(g)
-    m = boykin_gate(g)
-    if m.shape == (4, 4):
+    m = _EMBEDDED.get((g.tag, g.qubit))
+    if m is not None:
         return m
-    if g.qubit is None:
-        raise ValueError(f"one-level gate {g.tag} needs a qubit annotation to embed")
-    return np.kron(m, _I2) if g.qubit == 1 else np.kron(_I2, m)
+    if g.tag not in _BOYKIN:
+        raise ValueError(f"{g.tag} is not a computational-basis library gate")
+    raise ValueError(f"one-level gate {g.tag} needs a qubit annotation to embed")
 
 
 def matrix_of(c: Circuit) -> np.ndarray:
@@ -233,15 +275,24 @@ def _match_named(w: np.ndarray):
     if np.abs(off).max() <= 1e-12:
         d = np.diag(w)
         for tag, pick in (("S_phi_q2", 1), ("S_phi_q1", 2)):
-            phi = float(np.angle(d[pick]))
-            cand = GateId(tag, phi=phi)
+            cand = GateId(tag, phi=float(np.angle(d[pick])))
             if np.abs(d_gate(cand) - w).max() <= MATCH_TOL:
                 return cand
     for tag in ("H_q2", "H_q1", "CNOT_12", "CNOT_21"):
-        cand = GateId(tag)
-        if np.abs(d_gate(cand) - w).max() <= MATCH_TOL:
-            return cand
+        if np.abs(_D_FIXED[tag] - w).max() <= MATCH_TOL:
+            return GateId(tag)
     return None
+
+
+def _conjugate_node(m: np.ndarray):
+    w = _T @ m @ _T
+    named = _match_named(w)
+    return named if named is not None else OpaqueGate(w)
+
+
+#: Bell-basis node of T g T for each computational (tag, qubit)
+_COMPILED = {key: _conjugate_node(m) for key, m in _EMBEDDED.items()}
+_T_ID = GateId("T_translator")
 
 
 def compile_circuit(c: Circuit) -> Circuit:
@@ -250,16 +301,17 @@ def compile_circuit(c: Circuit) -> Circuit:
     Returns [T, T g_1 T, ..., T g_n T, T]; the product telescopes back
     to the original circuit because T is involutory.  Each conjugate is
     emitted under its library name when it matches one exactly,
-    otherwise as an opaque matrix node.
+    otherwise as an opaque matrix node; both are looked up in a table
+    built at import.
     """
     if c.basis != "computational":
         raise ValueError("compile_circuit expects a computational-basis circuit")
-    t = translator()
-    t_id = GateId("T_translator")
-    out: list = [t_id]
+    out: list = [_T_ID]
     for g in c.gates:
-        w = t @ embedded_matrix(g, c.basis) @ t
-        named = _match_named(w)
-        out.append(named if named is not None else OpaqueGate(w))
-    out.append(t_id)
+        node = _COMPILED.get((g.tag, g.qubit))
+        if node is None:
+            # only a one-level gate without a qubit misses; this raises for it
+            embedded_matrix(g, c.basis)
+        out.append(node)
+    out.append(_T_ID)
     return Circuit(gates=tuple(out), basis="bell")

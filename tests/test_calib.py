@@ -335,6 +335,21 @@ def test_solver_failure_reports_best_residual():
     assert 0.0 < exc.value.best_residual < 1.0
 
 
+@pytest.mark.parametrize("rotations", [(0.0, 0.0), (-1.0, 0.0)])
+def test_cnot_rotations_without_a_duration_skip_the_closed_form(rotations):
+    # the CNOT closed form lasts the rotations' half-sum; with none left
+    # the inversion alone decides, and a CNOT cannot rotate neither block
+    tg = dataclasses.replace(
+        _targets("CNOT_12", m=1, m_prime=0),
+        delta_minus_1=rotations[0],
+        delta_minus_2=rotations[1],
+    )
+    with pytest.raises(SolverFailure) as exc:
+        solve_physical(tg)
+    assert "closed form" not in str(exc.value)
+    assert exc.value.best_residual > 0.5
+
+
 def test_solver_options_hold_only_the_tolerance():
     assert [f.name for f in dataclasses.fields(SolverOptions)] == ["accept_tol"]
     tg = dataclasses.replace(_targets("S_phi_q2"), delta_plus_1=PI)

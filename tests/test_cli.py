@@ -435,3 +435,25 @@ def test_shifted_solve_loads_no_scipy():
         "code = 0"
     )
     assert _cold(body) == (0, emit_card(solve_physical(tg)) + "\n", [], [])
+
+
+_DATA = Path(__file__).resolve().parent / "data"
+_CLI_ENTRY = "import sys; from bellgate.cli import main; sys.exit(main())"
+
+
+def test_compile_stdout_matches_golden_fixture():
+    # the fixture is the output of the compiler that built every
+    # embedding with a kron and matched every conjugate per call; the
+    # circuit holds each of the eight computational (tag, qubit) entries
+    circuit = _DATA / "compile_all_gates.json"
+    doc = json.loads(circuit.read_text())
+    keys = {(g["gate"], g.get("qubit")) for g in doc["gates"]}
+    assert len(keys) == 8
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_ENTRY, "compile", str(circuit)],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (_DATA / "compile_all_gates.stdout").read_bytes()

@@ -1,7 +1,11 @@
 """Gate dictionaries, the translator, and circuit compilation."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellgate import (
     B_TAGS,
@@ -261,3 +265,170 @@ def test_compile_equivalence_random_circuits():
         # compiled circuits survive serialization with equivalence intact
         back = Circuit.from_json(cc.to_json())
         assert dist_phase_invariant(matrix_of(back), matrix_of(c)) < COMPILE_TOL
+
+
+# Oracle for the import-time tables: the per-call construction they
+# replaced.  Library matrices are krons of the 2x2 gates, each compiled
+# node is T m T matched against freshly built candidates.
+_I2 = np.eye(2, dtype=np.complex128)
+_H2 = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
+_CX_FIRST = np.array(
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128
+)
+_CX_SECOND = np.array(
+    [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=np.complex128
+)
+
+# every (tag, qubit) a computational circuit can hold
+COMPUTATIONAL_KEYS = [
+    (tag, q) for tag in ("B_S8", "B_S4", "B_H") for q in (1, 2)
+] + [("B_CNOT12", None), ("B_CNOT21", None)]
+FIXED_D_TAGS = ("H_q2", "H_q1", "CNOT_12", "CNOT_21", "T_translator")
+
+
+def _oracle_phase2(phi):
+    return np.diag([np.exp(-1j * phi), np.exp(1j * phi)])
+
+
+def _oracle_boykin(tag):
+    return {
+        "B_S8": lambda: _oracle_phase2(np.pi / 8),
+        "B_S4": lambda: _oracle_phase2(np.pi / 4),
+        "B_H": lambda: _H2.copy(),
+        "B_CNOT12": lambda: _CX_FIRST.copy(),
+        "B_CNOT21": lambda: _CX_SECOND.copy(),
+    }[tag]()
+
+
+def _oracle_d_gate(tag, phi=None):
+    if tag == "S_phi_q2":
+        return np.kron(_I2, _oracle_phase2(phi))
+    if tag == "S_phi_q1":
+        return np.kron(_oracle_phase2(phi), _I2)
+    if tag == "H_q2":
+        return np.kron(_I2, _H2)
+    if tag in ("H_q1", "T_translator"):
+        return np.kron(_H2, _I2)
+    return {"CNOT_12": _CX_FIRST, "CNOT_21": _CX_SECOND}[tag].copy()
+
+
+def _oracle_embedded(tag, qubit):
+    m = _oracle_boykin(tag)
+    if qubit is None:
+        return m
+    return np.kron(m, _I2) if qubit == 1 else np.kron(_I2, m)
+
+
+def _oracle_compiled(tag, qubit):
+    """(name, phi) of the matching library gate, else ("OPAQUE", matrix)."""
+    t = _oracle_d_gate("T_translator")
+    w = t @ _oracle_embedded(tag, qubit) @ t
+    if np.abs(w - np.diag(np.diag(w))).max() <= 1e-12:
+        d = np.diag(w)
+        for name, pick in (("S_phi_q2", 1), ("S_phi_q1", 2)):
+            phi = float(np.angle(d[pick]))
+            if np.abs(_oracle_d_gate(name, phi) - w).max() <= 1e-10:
+                return name, phi
+    for name in ("H_q2", "H_q1", "CNOT_12", "CNOT_21"):
+        if np.abs(_oracle_d_gate(name) - w).max() <= 1e-10:
+            return name, None
+    return "OPAQUE", w
+
+
+def test_library_tables_match_kron_oracle():
+    for tag in B_TAGS:
+        assert np.array_equal(boykin_gate(GateId(tag)), _oracle_boykin(tag))
+    for tag, qubit in COMPUTATIONAL_KEYS:
+        got = embedded_matrix(GateId(tag, qubit=qubit), "computational")
+        assert np.array_equal(got, _oracle_embedded(tag, qubit))
+    for tag in FIXED_D_TAGS:
+        assert np.array_equal(d_gate(GateId(tag)), _oracle_d_gate(tag))
+        assert np.array_equal(embedded_matrix(GateId(tag), "bell"), _oracle_d_gate(tag))
+    assert np.array_equal(translator(), _oracle_d_gate("T_translator"))
+
+
+@pytest.mark.parametrize("tag, qubit", COMPUTATIONAL_KEYS)
+def test_compiled_table_matches_oracle(tag, qubit):
+    node = compile_circuit(Circuit(gates=(GateId(tag, qubit=qubit),))).gates[1]
+    name, want = _oracle_compiled(tag, qubit)
+    if name == "OPAQUE":
+        assert isinstance(node, OpaqueGate)
+        assert np.array_equal(node.matrix, want)
+    else:
+        assert node == GateId(name, phi=want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_phase_gates_equal_kron_of_phase2(phi):
+    for tag in ("S_phi_q2", "S_phi_q1"):
+        got = d_gate(GateId(tag, phi=phi))
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, _oracle_d_gate(tag, phi))
+
+
+def _table_arrays():
+    out = [boykin_gate(GateId(tag)) for tag in B_TAGS]
+    out += [embedded_matrix(GateId(tag, qubit=q), "computational") for tag, q in COMPUTATIONAL_KEYS]
+    out += [d_gate(GateId(tag)) for tag in FIXED_D_TAGS]
+    out.append(translator())
+    for tag, qubit in COMPUTATIONAL_KEYS:
+        node = compile_circuit(Circuit(gates=(GateId(tag, qubit=qubit),))).gates[1]
+        if isinstance(node, OpaqueGate):
+            out.append(node.matrix)
+    return out
+
+
+def test_returned_tables_are_read_only():
+    arrays = _table_arrays()
+    assert len(arrays) == 5 + 8 + 5 + 1 + 4
+    for m in arrays:
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
+    # the shared tables stay intact for the next caller
+    assert np.array_equal(translator(), _oracle_d_gate("T_translator"))
+
+
+def test_opaque_gate_owns_a_read_only_copy():
+    u = random_unitary(np.random.default_rng(4))
+    g = OpaqueGate(u)
+    assert g.matrix is not u and g.matrix.dtype == np.complex128
+    assert not g.matrix.flags.writeable
+    u[0, 0] = 7.0
+    assert g.matrix[0, 0] != 7.0
+    real = OpaqueGate(np.eye(4, dtype=int))
+    assert real.matrix.dtype == np.complex128
+    assert np.array_equal(real.matrix, np.eye(4))
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.zeros((3, 3)),
+        np.eye(4)[:, :3],
+        np.eye(16).reshape(4, 4, 4, 4),
+        np.full((4, 4), np.nan),
+        np.diag([1.0, 1.0, 1.0, np.inf]),
+    ],
+)
+def test_opaque_gate_rejects_bad_matrices(matrix):
+    with pytest.raises(ValueError):
+        OpaqueGate(matrix)
+
+
+def _opaque_doc(matrix):
+    rows = [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in matrix]
+    return json.dumps({"basis": "bell", "gates": [{"gate": "OPAQUE", "matrix": rows}]})
+
+
+@pytest.mark.parametrize(
+    "matrix", [np.eye(3), np.diag([1.0, 1.0, np.nan, 1.0]), np.diag([1.0, -np.inf, 1.0, 1.0])]
+)
+def test_circuit_from_json_checks_opaque_matrices(matrix):
+    with pytest.raises(ValueError):
+        Circuit.from_json(_opaque_doc(matrix))
+
+
+def test_circuit_from_json_opaque_matrix_is_read_only():
+    back = Circuit.from_json(_opaque_doc(np.eye(4)))
+    assert not back.gates[0].matrix.flags.writeable
