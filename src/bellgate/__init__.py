@@ -22,11 +22,9 @@ from .bellframe import (
     to_blocks,
 )
 from .calib import (
-    ACCEPT_TOL,
     FAMILY_EXCHANGE,
     PrescriptionCard,
     PrescriptionTargets,
-    SolverOptions,
     cnot_family,
     emit_card,
     parse_card,
@@ -34,6 +32,7 @@ from .calib import (
     residual_labels,
     solve_physical,
 )
+from .checks import ACCEPT_TOL, STRUCTURAL_TOL
 from .errors import (
     BellgateError,
     NonFiniteDerivative,

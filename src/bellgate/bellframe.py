@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import DEGENERATE_TOL, UNIT_CIRCLE_TOL, strict_int
 from .model import GENERATORS, PhysicalParams
 from .spinlin import pauli
 
@@ -161,9 +162,7 @@ BLOCK_COEFFS = {h: _block_coefficients(fr) for h, fr in _FRAMES.items()}
 
 def bell_frame(h: int) -> BellFrame:
     """The frozen Bell frame of field axis h."""
-    if h not in _FRAMES:
-        raise ValueError(f"field axis h must be 1, 2 or 3, got {h!r}")
-    return _FRAMES[h]
+    return _FRAMES[strict_int("field axis h", h, _FRAMES)]
 
 
 def frame_permutation(frame: BellFrame) -> list[int]:
@@ -206,7 +205,7 @@ def reduced_params(p: PhysicalParams, frame: BellFrame) -> tuple[ReducedBlockPar
         scale = max(1.0, abs(c0) + abs(cz), math.hypot(cx, cy))
         beta = frame.beta[block - 1]
         q = frame.q[block - 1]
-        if r < 1e-13 * scale:
+        if r < DEGENERATE_TOL * scale:
             dminus, b, j = 0.0, 0.0, 1.0
         else:
             n = (cx / r, cy / r, cz / r)
@@ -245,7 +244,7 @@ def closed_form_block(rp: ReducedBlockParams, frame: BellFrame) -> np.ndarray:
     determinant is exp(2 i dplus).
     """
     norm2 = rp.b * rp.b + rp.j * rp.j
-    if abs(norm2 - 1.0) > 1e-9:
+    if abs(norm2 - 1.0) > UNIT_CIRCLE_TOL:
         raise ValueError(f"(b, j) must lie on the unit circle, got b^2 + j^2 = {norm2!r}")
     n = block_axis(rp.b, rp.j, frame, rp.block)
     ns = n[0] * pauli(1) + n[1] * pauli(2) + n[2] * pauli(3)

@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bellframe import BLOCK_COEFFS, bell_frame, block_axis, frame_permutation, reduced_params
+from .checks import ACCEPT_TOL, INVISIBLE_AXIS_TOL, UNIT_CIRCLE_TOL, WEIGHT_TOL, strict_int
 from .errors import SolverFailure
 from .gates import GateId, d_gate
 from .jsonio import dumps
@@ -55,9 +56,7 @@ from .model import PhysicalParams, evolve
 from .spinlin import dist_phase_invariant, pauli
 
 __all__ = [
-    "ACCEPT_TOL",
     "FAMILY_EXCHANGE",
-    "SolverOptions",
     "PrescriptionTargets",
     "PrescriptionCard",
     "prescription_targets",
@@ -70,9 +69,6 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-#: acceptance threshold on realized gate error and target residuals
-ACCEPT_TOL = 1e-8
-
 #: exchange strength held fixed across the asymptotic CNOT family
 FAMILY_EXCHANGE = 1.0
 
@@ -81,25 +77,6 @@ _SOLVABLE_TAGS = ("S_phi_q2", "S_phi_q1", "H_q2", "H_q1") + _CNOT_TAGS
 
 #: transversal rotation angle of the Hadamard rows, |b| = |j| = 1/sqrt(2)
 _HADAMARD_WEIGHT = 1.0 / math.sqrt(2.0)
-
-#: largest Pauli component of a target block read as a multiple of the identity
-_INVISIBLE_AXIS = 1e-12
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Acceptance threshold of solve_physical; the inversion has no search budget."""
-
-    accept_tol: float = ACCEPT_TOL
-
-
-def _optional_int(name: str, v):
-    # bool is an int subclass and 2.0 == 2, so neither may pass as a count
-    if v is None:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer or None, got {v!r}")
-    return int(v)
 
 
 @dataclass(frozen=True)
@@ -129,12 +106,10 @@ class PrescriptionTargets:
     m_prime: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "m", _optional_int("m", self.m))
-        object.__setattr__(self, "m_prime", _optional_int("m_prime", self.m_prime))
-        r = _optional_int("b_relation_sign", self.b_relation_sign)
-        if r not in (None, 1, -1):
-            raise ValueError(f"b_relation_sign must be 1, -1 or None, got {r!r}")
-        object.__setattr__(self, "b_relation_sign", r)
+        for name, allowed in (("m", None), ("m_prime", None), ("b_relation_sign", (1, -1))):
+            v = getattr(self, name)
+            if v is not None:
+                object.__setattr__(self, name, strict_int(name, v, allowed))
 
 
 @dataclass(frozen=True)
@@ -245,8 +220,8 @@ def prescription_targets(
             b_relation_sign=-1,
         )
 
-    m = int(m)
-    m_prime = int(m_prime)
+    m = strict_int("m", m)
+    m_prime = strict_int("m_prime", m_prime)
     if m < 1 or m_prime < 0:
         raise ValueError(f"CNOT windings require m >= 1, m_prime >= 0, got {m}, {m_prime}")
     return PrescriptionTargets(
@@ -264,11 +239,11 @@ def prescription_targets(
 
 def _check_feasible(tg: PrescriptionTargets) -> None:
     for pair in (tg.j_targets, tg.b_targets):
-        if pair is not None and max(abs(v) for v in pair) > 1.0 + 1e-12:
+        if pair is not None and max(abs(v) for v in pair) > 1.0 + WEIGHT_TOL:
             raise ValueError(f"infeasible targets: weight outside [-1, 1] in {pair}")
     if tg.j_targets is not None and tg.b_targets is not None:
         for jv, bv in zip(tg.j_targets, tg.b_targets):
-            if abs(jv * jv + bv * bv - 1.0) > 1e-9:
+            if abs(jv * jv + bv * bv - 1.0) > UNIT_CIRCLE_TOL:
                 raise ValueError(
                     f"infeasible targets: j^2 + b^2 = {jv * jv + bv * bv} != 1"
                 )
@@ -422,7 +397,7 @@ def _axis_choices(
         # of w are one complex phase times the real vector sin(a) n
         a = np.array([np.trace(pauli(i) @ w) for i in (1, 2, 3)]) / 2.0
         top = int(np.argmax(np.abs(a)))
-        if abs(a[top]) <= _INVISIBLE_AXIS:
+        if abs(a[top]) <= INVISIBLE_AXIS_TOL:
             return None
         n = (a * (abs(a[top]) / a[top])).real
         n /= np.linalg.norm(n)
@@ -512,27 +487,25 @@ def _attempts(tg: PrescriptionTargets, closed: PhysicalParams | None):
     yield from _candidates(tg)
 
 
-def solve_physical(
-    tg: PrescriptionTargets, opts: SolverOptions | None = None
-) -> PrescriptionCard:
+def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
     """Physical controls realizing the target set.
 
-    The closed-form construction for the row is evaluated first and
-    returned when it meets the acceptance tolerance, which keeps the
-    published prescriptions recognizable in the emitted cards.  If it
-    does not (hand-built target sets), the row is inverted exactly (see
-    the module docstring) and the shortest accepted candidate is
-    returned, ties in enumeration order.  If none is accepted,
-    SolverFailure carries the smallest worst residual seen.
+    A candidate is accepted when its realized gate error and every
+    residual are at most ACCEPT_TOL.  The row's closed-form construction
+    is tried first, which keeps the published prescriptions recognizable
+    in the emitted cards.  If it is not accepted (hand-built target
+    sets), the row is inverted exactly (see the module docstring) and
+    the shortest accepted candidate is returned, ties in enumeration
+    order.  If none is accepted, SolverFailure carries the smallest
+    worst residual seen.
     """
-    opts = SolverOptions() if opts is None else opts
     _check_feasible(tg)
 
     closed = _construction(tg)
     best_worst = math.inf
     for tried, p in enumerate(_attempts(tg, closed), start=1):
         res, branch, err = _evaluate(tg, p)
-        if err <= opts.accept_tol and max(res) <= opts.accept_tol:
+        if err <= ACCEPT_TOL and max(res) <= ACCEPT_TOL:
             return PrescriptionCard(
                 targets=tg, solved=p, residuals=res, realized_error=err, phase_branch=branch
             )
@@ -559,7 +532,7 @@ def cnot_family(g: GateId, m: int, field_scale: float) -> PrescriptionCard:
     """
     if not isinstance(g, GateId) or g.tag not in _CNOT_TAGS:
         raise ValueError("cnot_family requires a CNOT gate id")
-    m = int(m)
+    m = strict_int("family winding m", m)
     if m < 1:
         raise ValueError(f"family winding m must be >= 1, got {m}")
     s = float(field_scale)

@@ -1,0 +1,47 @@
+"""Every tolerance the package applies, each with its reason, and one integer check.
+
+The tolerances are constants of the contract, not settings: ACCEPT_TOL
+(criterion 5) accepts every synthesized card and STRUCTURAL_TOL
+(criterion 1) judges every blocks report.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+#: max |H - H^dag| for expm_hermitian; assembled Hamiltonians are Hermitian exactly
+HERMITICITY_TOL = 1e-12
+#: max |U^dag U - 1| for dist_phase_invariant; rounding stays far below, a non-unitary far above
+UNITARITY_TOL = 1e-8
+#: synthesis (criterion 5): largest realized gate error and target residual of an accepted card
+ACCEPT_TOL = 1e-8
+#: block structure (criterion 1): largest off-block norm reported as within_structural_tol
+STRUCTURAL_TOL = 1e-10
+#: entrywise distance at which a compiled conjugate T g T takes a library gate's name
+MATCH_TOL = 1e-10
+#: largest off-diagonal entry of a conjugate that is still tried as a phase gate
+DIAGONAL_TOL = 1e-12
+#: |c| below this multiple of a block's largest entry is rounding noise: the block is degenerate
+DEGENERATE_TOL = 1e-13
+#: slack on b^2 + j^2 = 1 for block weights, in closed_form_block and the feasibility check
+UNIT_CIRCLE_TOL = 1e-9
+#: slack on |weight| <= 1 for pinned j and b targets
+WEIGHT_TOL = 1e-12
+#: largest Pauli component of a target block read as a multiple of the identity
+INVISIBLE_AXIS_TOL = 1e-12
+#: slack on the unit norm of a BlockState; normalized() lands within a few ulps
+STATE_NORM_TOL = 1e-12
+#: norm below which BlockState.normalized() refuses a vector as zero
+ZERO_NORM_TOL = 1e-12
+
+
+def strict_int(name: str, value, allowed=None) -> int:
+    """int(value); ValueError for a bool, a non-integer, or a value not in allowed."""
+    # bool is an int subclass and 2.0 == 2, so both would pass "in"; numpy integers pass
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (
+        allowed is not None and value not in allowed
+    ):
+        vals = [repr(a) for a in allowed or ()]
+        spec = ", ".join(vals[:-1]) + " or " + vals[-1] if vals else "an integer"
+        raise ValueError(f"{name} must be {spec}, got {value!r}")
+    return int(value)

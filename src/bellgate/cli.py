@@ -25,6 +25,7 @@ import numpy as np
 
 from . import calib, fidelity
 from .bellframe import bell_frame, closed_form_block, reduced_params, to_blocks
+from .checks import STRUCTURAL_TOL
 from .errors import BellgateError, SolverFailure
 from .gates import Circuit, GateId, compile_circuit, matrix_of
 from .jsonio import complex_to_doc, dumps, format_float
@@ -63,8 +64,6 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--tol-structural", type=float, default=1e-10)
-        p.add_argument("--tol-synthesis", type=float, default=calib.ACCEPT_TOL)
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     p = sub.add_parser("evolve", help="propagator of a parameter file")
@@ -126,7 +125,8 @@ def _cmd_blocks(args) -> str:
         raise ValueError("blocks only supports --format json")
     p = PhysicalParams.from_json(_read(args.params))
     frame = bell_frame(p.h)
-    b1, b2, off = to_blocks(evolve(p), frame)
+    u = evolve(p)
+    b1, b2, off = to_blocks(u, frame)
     rps = reduced_params(p, frame)
     reduced = []
     for rp, blk in zip(rps, (b1, b2)):
@@ -146,12 +146,12 @@ def _cmd_blocks(args) -> str:
         "block1": _matrix_doc(b1),
         "block2": _matrix_doc(b2),
         "offblock_norm": off,
-        "within_structural_tol": bool(off <= args.tol_structural),
+        "within_structural_tol": bool(off <= STRUCTURAL_TOL),
         "reduced": reduced,
         "cross": None,
     }
     if args.cross_h is not None:
-        _, _, cross_off = to_blocks(evolve(p), bell_frame(args.cross_h))
+        _, _, cross_off = to_blocks(u, bell_frame(args.cross_h))
         doc["cross"] = {"h": args.cross_h, "offblock_norm": cross_off}
     return dumps(doc, indent=2) + "\n"
 
@@ -209,9 +209,7 @@ def _cmd_synth(args) -> str:
     tg = calib.prescription_targets(
         gate, m=int(args.m), m_prime=args.m_prime, route=args.route
     )
-    opts = calib.SolverOptions(accept_tol=args.tol_synthesis)
-    card = calib.solve_physical(tg, opts)
-    return calib.emit_card(card) + "\n"
+    return calib.emit_card(calib.solve_physical(tg)) + "\n"
 
 
 def _cmd_compile(args) -> str:

@@ -33,8 +33,8 @@ import numpy as np
 
 from .bellframe import BellFrame, bell_frame, to_blocks
 from .calib import PrescriptionCard
+from .checks import STATE_NORM_TOL, ZERO_NORM_TOL, strict_int
 from .errors import NonFiniteDerivative
-from .gates import GateId
 from .model import PhysicalParams, assemble_hamiltonian, build_hamiltonian, evolve
 
 __all__ = [
@@ -62,8 +62,8 @@ class BlockState:
     """Four complex amplitudes in the frame arrangement, unit norm.
 
     The first two entries ride block 1, the last two block 2.  The
-    norm must already be 1 to within 1e-12; use normalized() to build
-    a state from an arbitrary vector.
+    norm must already be 1 to within STATE_NORM_TOL; use normalized()
+    to build a state from an arbitrary vector.
     """
 
     amplitudes: np.ndarray
@@ -76,7 +76,7 @@ class BlockState:
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("state amplitudes must be finite")
         nrm = float(np.linalg.norm(amps))
-        if abs(nrm - 1.0) > 1e-12:
+        if abs(nrm - 1.0) > STATE_NORM_TOL:
             raise ValueError(f"state norm is {nrm}, expected 1")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -85,7 +85,7 @@ class BlockState:
     def normalized(cls, vec, frame: BellFrame) -> "BlockState":
         v = np.asarray(vec, dtype=np.complex128).reshape(-1)
         nrm = float(np.linalg.norm(v))
-        if nrm < 1e-12:
+        if nrm < ZERO_NORM_TOL:
             raise ValueError("cannot normalize a (near-)zero state vector")
         return cls(amplitudes=v / nrm, frame=frame)
 
@@ -109,10 +109,8 @@ class Perturbation:
         """Single-coordinate displacement; index is an int 0..5 or a PARAM_NAMES entry."""
         if isinstance(index, str) and index in PARAM_NAMES:
             index = PARAM_NAMES.index(index)
-        elif type(index) is not int or not 0 <= index < 6:
-            raise ValueError(f"axis must be an int in 0..5 or one of {PARAM_NAMES}, got {index!r}")
         vals = [0.0] * 6
-        vals[index] = float(step)
+        vals[strict_int("axis", index, range(6))] = float(step)
         return cls(dp=tuple(vals))
 
     def as_array(self) -> np.ndarray:
@@ -127,8 +125,6 @@ class Perturbation:
 class FidelityReport:
     """One (state, displacement) probe of a solved card."""
 
-    gate: GateId
-    card: PrescriptionCard
     state_id: int
     param: str
     dp: Perturbation
@@ -328,8 +324,6 @@ def sensitivity_sweep(
         for name, pert, f2e, f2s in probes:
             reports.append(
                 FidelityReport(
-                    gate=card.targets.gate,
-                    card=card,
                     state_id=sid,
                     param=name,
                     dp=pert,
@@ -360,7 +354,7 @@ def sample_states(frame: BellFrame, n: int = 64, seed: int = 7) -> list[BlockSta
     from scipy.special import ndtri
     from scipy.stats import qmc
 
-    if n < 1:
+    if strict_int("n", n) < 1:
         raise ValueError(f"need at least one state, got {n}")
     sob = qmc.Sobol(d=8, scramble=True, seed=seed)
     # draw a full power-of-two batch to keep the sequence balanced

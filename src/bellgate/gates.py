@@ -32,6 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import DIAGONAL_TOL, MATCH_TOL, strict_int
+
 __all__ = [
     "D_TAGS",
     "B_TAGS",
@@ -50,8 +52,6 @@ D_TAGS = ("S_phi_q2", "S_phi_q1", "H_q2", "H_q1", "CNOT_12", "CNOT_21", "T_trans
 B_TAGS = ("B_S8", "B_S4", "B_H", "B_CNOT12", "B_CNOT21")
 _PHASE_TAGS = ("S_phi_q2", "S_phi_q1")
 _B_ONE_LEVEL = ("B_S8", "B_S4", "B_H")
-
-MATCH_TOL = 1e-10
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -121,11 +121,7 @@ class GateId:
         elif self.phi is not None:
             raise ValueError(f"{self.tag} takes no phi")
         if self.qubit is not None:
-            # bool is an int subclass and 1.0 == 1, so both would pass "in"
-            q = self.qubit
-            if isinstance(q, bool) or not isinstance(q, (int, np.integer)) or q not in (1, 2):
-                raise ValueError(f"qubit must be 1 or 2, got {q!r}")
-            object.__setattr__(self, "qubit", int(q))
+            object.__setattr__(self, "qubit", strict_int("qubit", self.qubit, (1, 2)))
         if self.qubit is not None and self.tag not in _B_ONE_LEVEL:
             raise ValueError(f"{self.tag} takes no qubit annotation")
 
@@ -196,22 +192,21 @@ class Circuit:
     @classmethod
     def from_json(cls, text: str) -> "Circuit":
         doc = json.loads(text)
+        gates: list = []
         try:
             basis = doc["basis"]
-            raw = doc["gates"]
+            for item in doc["gates"]:
+                tag = item["gate"]
+                if tag == "OPAQUE":
+                    m = np.array(
+                        [[complex(z["re"], z["im"]) for z in row] for row in item["matrix"]],
+                        dtype=np.complex128,
+                    )
+                    gates.append(OpaqueGate(m))
+                else:
+                    gates.append(GateId(tag=tag, phi=item.get("phi"), qubit=item.get("qubit")))
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed circuit document: {exc}") from exc
-        gates: list = []
-        for item in raw:
-            tag = item["gate"]
-            if tag == "OPAQUE":
-                m = np.array(
-                    [[complex(z["re"], z["im"]) for z in row] for row in item["matrix"]],
-                    dtype=np.complex128,
-                )
-                gates.append(OpaqueGate(m))
-            else:
-                gates.append(GateId(tag=tag, phi=item.get("phi"), qubit=item.get("qubit")))
         return cls(gates=tuple(gates), basis=basis)
 
 
@@ -272,7 +267,7 @@ def matrix_of(c: Circuit) -> np.ndarray:
 def _match_named(w: np.ndarray):
     """Return the library GateId whose matrix equals w to MATCH_TOL, or None."""
     off = w - np.diag(np.diag(w))
-    if np.abs(off).max() <= 1e-12:
+    if np.abs(off).max() <= DIAGONAL_TOL:
         d = np.diag(w)
         for tag, pick in (("S_phi_q2", 1), ("S_phi_q1", 2)):
             cand = GateId(tag, phi=float(np.angle(d[pick])))

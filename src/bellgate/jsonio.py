@@ -54,7 +54,7 @@ def _emit(obj, parts: list[str], indent: int | None, level: int) -> None:
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
             if i:
-                parts.append("," if indent is None else ",")
+                parts.append(",")
             parts.append(pad)
             parts.append(json.dumps(k))
             parts.append(": " if indent is not None else ":")

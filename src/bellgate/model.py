@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import strict_int
 from .spinlin import expm_hermitian, pauli
 
 __all__ = ["PhysicalParams", "assemble_hamiltonian", "build_hamiltonian", "evolve"]
@@ -58,11 +59,7 @@ class PhysicalParams:
         object.__setattr__(self, "B2", float(self.B2))
         if len(self.J) != 3:
             raise ValueError("J must have exactly three components")
-        h = self.h
-        # bool is an int subclass and 1.0 == 1, so both would pass "in"
-        if isinstance(h, bool) or not isinstance(h, (int, np.integer)) or h not in (1, 2, 3):
-            raise ValueError(f"field axis h must be 1, 2 or 3, got {h!r}")
-        object.__setattr__(self, "h", int(h))
+        object.__setattr__(self, "h", strict_int("field axis h", self.h, (1, 2, 3)))
         vals = (self.t, *self.J, self.B1, self.B2)
         if not all(math.isfinite(v) for v in vals):
             raise ValueError("parameters must be finite")
@@ -93,10 +90,9 @@ def assemble_hamiltonian(J, B1: float, B2: float, h: int) -> np.ndarray:
     PhysicalParams); callers that need the full parameter contract go
     through PhysicalParams.
     """
-    if isinstance(h, bool) or not isinstance(h, (int, np.integer)) or h not in GENERATORS:
-        raise ValueError(f"field axis h must be 1, 2 or 3, got {h!r}")
+    gens = GENERATORS[strict_int("field axis h", h, GENERATORS)]
     hm = np.zeros((4, 4), dtype=np.complex128)
-    for c, g in zip((J[0], J[1], J[2], B1, B2), GENERATORS[h]):
+    for c, g in zip((J[0], J[1], J[2], B1, B2), gens):
         hm += float(c) * g
     return hm
 

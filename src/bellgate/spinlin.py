@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checks import HERMITICITY_TOL, UNITARITY_TOL
 from .errors import NonHermitianError, NonUnitaryError
 
 __all__ = [
@@ -18,9 +19,6 @@ __all__ = [
     "dist_unitary",
     "dist_phase_invariant",
 ]
-
-HERMITICITY_TOL = 1e-12
-UNITARITY_TOL = 1e-8
 
 _SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -39,7 +37,7 @@ def expm_hermitian(hm: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """exp(-i * scale * hm) for Hermitian hm, via eigendecomposition.
 
     Raises NonHermitianError (carrying the measured asymmetry) if
-    max |hm - hm^dag| exceeds 1e-12.
+    max |hm - hm^dag| exceeds HERMITICITY_TOL.
     """
     hm = np.asarray(hm, dtype=np.complex128)
     asym = float(np.abs(hm - hm.conj().T).max())

@@ -15,7 +15,6 @@ from bellgate import (
     ACCEPT_TOL,
     GateId,
     SolverFailure,
-    SolverOptions,
     bell_frame,
     cnot_family,
     d_gate,
@@ -348,13 +347,6 @@ def test_cnot_rotations_without_a_duration_skip_the_closed_form(rotations):
         solve_physical(tg)
     assert "closed form" not in str(exc.value)
     assert exc.value.best_residual > 0.5
-
-
-def test_solver_options_hold_only_the_tolerance():
-    assert [f.name for f in dataclasses.fields(SolverOptions)] == ["accept_tol"]
-    tg = dataclasses.replace(_targets("S_phi_q2"), delta_plus_1=PI)
-    with pytest.raises(SolverFailure):
-        solve_physical(tg, SolverOptions(accept_tol=0.0))
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,85 @@
+"""The tolerance table and the one integer check every entry point uses."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import bellgate
+from bellgate import (
+    GateId,
+    Perturbation,
+    bell_frame,
+    cnot_family,
+    prescription_targets,
+    sample_states,
+)
+from bellgate.checks import strict_int
+
+SRC = Path(bellgate.__file__).resolve().parent
+
+#: a float literal between 1e-7 and 1e-19, in code, comments or docstrings
+TOLERANCE_LITERAL = re.compile(r"\d(?:\.\d*)?[eE]-0*(?:[7-9]|1\d)\b")
+
+
+def test_tolerance_literals_live_only_in_checks():
+    assert TOLERANCE_LITERAL.search((SRC / "checks.py").read_text())
+    hits = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "checks.py"
+        for n, line in enumerate(path.read_text().splitlines(), start=1)
+        if TOLERANCE_LITERAL.search(line)
+    ]
+    assert hits == []
+
+
+@pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3), np.uint8(3)])
+def test_strict_int_accepts_integers(value):
+    out = strict_int("k", value, (1, 2, 3))
+    assert out == 3 and type(out) is int
+
+
+@pytest.mark.parametrize("value", [True, False, 3.0, 2.5, "3", None, np.float64(3.0)])
+def test_strict_int_rejects_non_integers(value):
+    with pytest.raises(ValueError, match="^k must be an integer, got "):
+        strict_int("k", value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bell_frame(True),
+        lambda: bell_frame(3.0),
+        lambda: prescription_targets(GateId("CNOT_12"), m=2.5),
+        lambda: prescription_targets(GateId("CNOT_12"), m_prime=True),
+        lambda: cnot_family(GateId("CNOT_12"), 2.5, 1.0),
+        lambda: cnot_family(GateId("CNOT_12"), True, 1.0),
+        lambda: sample_states(bell_frame(1), n=2.5),
+    ],
+    ids=[
+        "bell_frame-bool",
+        "bell_frame-float",
+        "targets-m-float",
+        "targets-m_prime-bool",
+        "family-m-float",
+        "family-m-bool",
+        "sample_states-n-float",
+    ],
+)
+def test_integer_entry_points_reject_non_integers(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_bell_frame_keeps_its_message():
+    with pytest.raises(ValueError, match=r"^field axis h must be 1, 2 or 3, got True$"):
+        bell_frame(True)
+
+
+def test_numpy_integers_pass_every_entry_point():
+    assert Perturbation.axis(np.int64(4), 1e-3) == Perturbation.axis(4, 1e-3)
+    assert bell_frame(np.int64(2)) is bell_frame(2)
+    assert prescription_targets(GateId("CNOT_12"), m=np.int64(2)).m == 2
+    assert len(sample_states(bell_frame(1), n=np.int64(3))) == 3

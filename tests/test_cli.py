@@ -290,6 +290,24 @@ def test_malformed_params_is_input_error(capsys, tmp_path):
     assert json.loads(err)["error"]["type"] == "input"
 
 
+def test_malformed_circuit_entry_is_input_error(capsys, tmp_path):
+    f = tmp_path / "bad.json"
+    f.write_text('{"basis": "computational", "gates": [{"qubit": 1}]}')
+    code, out, err = run(capsys, "compile", str(f))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "input"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("synth", "H_q2", "--tol-synthesis", "1e-3"), ("blocks", "x.json", "--tol-structural", "1")],
+)
+def test_tolerances_are_not_options(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "usage"
+
+
 def test_unknown_subcommand_is_usage_error(capsys):
     code, _, err = run(capsys, "transmogrify")
     assert code == 2

@@ -194,6 +194,21 @@ def test_circuit_from_json_rejects_malformed(text):
         Circuit.from_json(text)
 
 
+@pytest.mark.parametrize(
+    "gates",
+    [
+        [{"qubit": 1}],
+        ["B_H"],
+        5,
+        [{"gate": "OPAQUE", "matrix": [[{"re": "x", "im": 0.0}] * 4] * 4}],
+    ],
+    ids=["no-gate-key", "string-entry", "gates-not-a-list", "non-numeric-matrix"],
+)
+def test_circuit_from_json_rejects_malformed_entries(gates):
+    with pytest.raises(ValueError, match="malformed circuit document"):
+        Circuit.from_json(json.dumps({"basis": "bell", "gates": gates}))
+
+
 def test_compile_conjugates_with_translators():
     c = Circuit(gates=(GateId("B_H", qubit=2),), basis="computational")
     cc = compile_circuit(c)
