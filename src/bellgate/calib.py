@@ -8,7 +8,9 @@ the realized gate error), and cnot_family builds the finite-winding
 controlled-NOT approximants whose error vanishes as the driving field
 dominates the exchange.
 
-Synthesis is exact inversion, not a search.  In the frame of axis h
+A published row, exactly as prescription_targets returns it, is
+realized by its closed-form construction.  Any other target set is
+synthesized by exact inversion, not a search.  In the frame of axis h
 each block restriction c0 + c . sigma is linear in the couplings, and
 five of its coordinates (c0 of block 1, block 2 carrying -c0, and the
 transversal and longitudinal components of c in each block) are a
@@ -292,12 +294,19 @@ def _evaluate(
     return tuple(float(v) for v in res), branch, float(err)
 
 
-def _construction(tg: PrescriptionTargets) -> PhysicalParams | None:
-    """Closed-form controls for a published row, already in canonical gauge.
+def _published(tg: PrescriptionTargets) -> bool:
+    """Whether tg is the row prescription_targets returns for its gate, route and windings."""
+    route = "alternate" if tg.gate.tag == "S_phi_q1" and tg.h == 3 else "printed"
+    windings = {} if tg.m is None else {"m": tg.m, "m_prime": tg.m_prime}
+    try:
+        return tg == prescription_targets(tg.gate, route=route, **windings)
+    except ValueError:
+        # a row prescription_targets refuses is not a published one
+        return False
 
-    None for a CNOT row whose rotations sum to zero or less: its closed
-    form lasts their half-sum, so it has no positive duration.
-    """
+
+def _construction(tg: PrescriptionTargets) -> PhysicalParams:
+    """Closed-form controls for a published row, already in canonical gauge."""
     tag = tg.gate.tag
     if tag == "S_phi_q2":
         pc = tg.delta_minus_1
@@ -330,8 +339,6 @@ def _construction(tg: PrescriptionTargets) -> PhysicalParams | None:
     # both blocks, so the finite-m realization is exact up to phase.
     theta_hi = (tg.delta_minus_1 + tg.delta_minus_2) / 2.0
     theta_lo = (tg.delta_minus_1 - tg.delta_minus_2) / 2.0
-    if theta_hi <= 0.0:
-        return None
     t = theta_hi
     if tag == "CNOT_12":
         return PhysicalParams(
@@ -480,30 +487,23 @@ def _candidates(tg: PrescriptionTargets) -> list[PhysicalParams]:
     return out
 
 
-def _attempts(tg: PrescriptionTargets, closed: PhysicalParams | None):
-    """The row's closed form if it has one, then the inversion candidates (computed only if needed)."""
-    if closed is not None:
-        yield closed
-    yield from _candidates(tg)
-
-
 def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
     """Physical controls realizing the target set.
 
-    A candidate is accepted when its realized gate error and every
-    residual are at most ACCEPT_TOL.  The row's closed-form construction
-    is tried first, which keeps the published prescriptions recognizable
-    in the emitted cards.  If it is not accepted (hand-built target
-    sets), the row is inverted exactly (see the module docstring) and
-    the shortest accepted candidate is returned, ties in enumeration
-    order.  If none is accepted, SolverFailure carries the smallest
-    worst residual seen.
+    A published row (the one prescription_targets returns for the gate,
+    route and windings of tg) gets its closed-form construction, which
+    keeps the published prescriptions recognizable in the emitted cards.
+    Any other target set is inverted exactly (see the module docstring)
+    and the shortest accepted candidate is returned, ties in enumeration
+    order.  A candidate is accepted when its realized gate error and
+    every residual are at most ACCEPT_TOL.  If none is accepted,
+    SolverFailure carries the smallest worst residual seen.
     """
     _check_feasible(tg)
 
-    closed = _construction(tg)
+    attempts = [_construction(tg)] if _published(tg) else _candidates(tg)
     best_worst = math.inf
-    for tried, p in enumerate(_attempts(tg, closed), start=1):
+    for p in attempts:
         res, branch, err = _evaluate(tg, p)
         if err <= ACCEPT_TOL and max(res) <= ACCEPT_TOL:
             return PrescriptionCard(
@@ -512,9 +512,7 @@ def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
         best_worst = min(best_worst, max(max(res), err))
     raise SolverFailure(
         best_worst,
-        f"no acceptable controls for {tg.gate.tag}: "
-        + ("the closed form and " if closed is not None else "")
-        + f"{tried - (closed is not None)} inversion candidates missed",
+        f"no acceptable controls for {tg.gate.tag}: {len(attempts)} candidates missed",
     )
 
 

@@ -1,4 +1,4 @@
-"""Every tolerance the package applies, each with its reason, and one integer check.
+"""Every tolerance the package applies, each with its reason, and the integer and real-number checks.
 
 The tolerances are constants of the contract, not settings: ACCEPT_TOL
 (criterion 5) accepts every synthesized card and STRUCTURAL_TOL
@@ -6,6 +6,8 @@ The tolerances are constants of the contract, not settings: ACCEPT_TOL
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -45,3 +47,12 @@ def strict_int(name: str, value, allowed=None) -> int:
         spec = ", ".join(vals[:-1]) + " or " + vals[-1] if vals else "an integer"
         raise ValueError(f"{name} must be {spec}, got {value!r}")
     return int(value)
+
+
+def strict_float(name: str, value) -> float:
+    """float(value); ValueError for a bool, a string, any other non-number, or a non-finite value."""
+    # bool is an int subclass, and float() would also parse "1.5"; numpy ints and floats pass
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)

@@ -63,7 +63,6 @@ def _build_parser() -> _Parser:
 
     def common(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
     p = sub.add_parser("evolve", help="propagator of a parameter file")
@@ -96,6 +95,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--states", type=int, default=64)
     p.add_argument("--steps", default="1e-2,5e-3,2.5e-3",
                    help="comma-separated coordinate steps")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="state sampling seed")
     common(p)
 
     return parser

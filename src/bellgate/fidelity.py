@@ -15,13 +15,17 @@ two derivatives (Najfeld & Havel, Adv. Appl. Math. 16 (1995) 321).
 That augmented matrix is not normal, so it goes through scipy's Pade
 expm rather than the Hermitian eigendecomposition evolve uses.
 
-Those derivatives are linear and quadratic in the displacement, and
-neither they nor the propagators depend on the state.  A sweep
-therefore does its per-card work once: one propagator, the six
-unit-axis derivative pairs (scaled by step and step^2 for every grid
-step) and one displaced propagator per (axis, step).  All states are
-then evaluated together as (n, 4) amplitude arrays through the same
-expansion that fidelity_second_order uses for a single state.
+Those derivatives are linear and quadratic in the displacement, so
+along a unit direction the expansion F^2 = 1 + 2 l Re(B) + l^2 (Re(C) +
+|B|^2) of a state is fixed by two coefficients that do not depend on
+the step l.  A sweep therefore does its per-card work once: one
+propagator, the six unit-axis derivative pairs with the two
+coefficients per state and axis they give, and one displaced
+propagator per (axis, step).  All states are evaluated together as
+(n, 4) amplitude arrays.  The quadratic coefficient is itself the
+per-parameter sensitivity, so no probe step enters, and
+fidelity_second_order uses the same two coefficients along the unit
+direction of its displacement.
 """
 
 from __future__ import annotations
@@ -52,10 +56,6 @@ __all__ = [
 ]
 
 PARAM_NAMES = ("t", "J1", "J2", "J3", "B1", "B2")
-
-#: sensitivity probes use this coordinate step
-SENSITIVITY_STEP = 1e-3
-
 
 @dataclass(frozen=True, eq=False)
 class BlockState:
@@ -193,48 +193,39 @@ def _overlaps(psi: np.ndarray, u: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.abs(np.einsum("ni,ni->n", (psi @ u.T).conj(), psi @ u2.T)) ** 2
 
 
-def _expansion(amps: np.ndarray, s, d1, d2) -> np.ndarray:
-    """Second-order F^2 for each row of amps, (n, 4) frame amplitudes.
+def _coefficients(amps: np.ndarray, s, pair) -> tuple[np.ndarray, np.ndarray]:
+    """(Re B, Re C + |B|^2) for each row of amps, (n, 4) frame amplitudes.
 
-    s, d1 and d2 are the block pairs of the propagator and of its first
-    and second derivatives along one displacement.  With per-block
-    overlaps B = sum_k a_k^dag (s_k^dag D1_k) a_k and
-    C = sum_k a_k^dag (s_k^dag D2_k) a_k,
-
-        F^2 = 1 + 2 Re(B) + Re(C) + |B|^2
+    s is the block pair of the propagator and pair the block pairs of
+    its first and second derivatives along one unit direction.  With
+    per-block overlaps B = sum_k a_k^dag (s_k^dag D1_k) a_k and
+    C = sum_k a_k^dag (s_k^dag D2_k) a_k, a step l along that direction
+    has F^2 = 1 + 2 l Re(B) + l^2 (Re(C) + |B|^2) to second order.
     """
     b = c = 0.0
     for k in (0, 1):
         a = amps[:, 2 * k : 2 * k + 2]
         sh = s[k].conj().T
-        b = b + np.einsum("ni,ij,nj->n", a.conj(), sh @ d1[k], a)
-        c = c + np.einsum("ni,ij,nj->n", a.conj(), sh @ d2[k], a)
-    return 1.0 + 2.0 * b.real + c.real + np.abs(b) ** 2
+        b = b + np.einsum("ni,ij,nj->n", a.conj(), sh @ pair[0][k], a)
+        c = c + np.einsum("ni,ij,nj->n", a.conj(), sh @ pair[1][k], a)
+    return b.real, c.real + np.abs(b) ** 2
 
 
-def _card_derivatives(p: PhysicalParams, frame: BellFrame):
-    """evolve(p), its two blocks and the derivative pairs along the six unit axes."""
+def _second_order(lin: np.ndarray, quad: np.ndarray, step: float, axis: int) -> np.ndarray:
+    """F^2 = 1 + 2 step lin + step^2 quad; NonFiniteDerivative(axis) if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        f2 = 1.0 + 2.0 * step * lin + (step * step) * quad
+    if not np.all(np.isfinite(f2)):
+        raise NonFiniteDerivative(axis)
+    return f2
+
+
+def _axis_coefficients(p: PhysicalParams, frame: BellFrame, amps: np.ndarray):
+    """evolve(p) and the (lin, quad) coefficients of each row of amps along the six unit axes."""
     u = evolve(p)
     s1, s2, _ = to_blocks(u, frame)
-    unit = [directional_derivatives(p, Perturbation.axis(i, 1.0), frame) for i in range(6)]
-    return u, (s1, s2), unit
-
-
-def _scaled(unit, axis: int, step: float):
-    """A unit-axis derivative pair scaled to a step of that axis."""
-    # an overflowing step surfaces as NonFiniteDerivative below
-    with np.errstate(over="ignore", invalid="ignore"):
-        d1 = tuple(step * m for m in unit[0])
-        d2 = tuple((step * step) * m for m in unit[1])
-    if not all(np.all(np.isfinite(m)) for m in d1 + d2):
-        raise NonFiniteDerivative(axis)
-    return d1, d2
-
-
-def _quadratic(amps: np.ndarray, s, unit, step: float) -> np.ndarray:
-    """(1 - F^2) / step^2 along each axis, shape (n, 6)."""
-    cols = [(1.0 - _expansion(amps, s, *_scaled(unit[i], i, step))) / (step * step) for i in range(6)]
-    return np.stack(cols, axis=1)
+    pairs = [directional_derivatives(p, Perturbation.axis(i, 1.0), frame) for i in range(6)]
+    return u, [_coefficients(amps, (s1, s2), pair) for pair in pairs]
 
 
 def fidelity_exact(state: BlockState, p: PhysicalParams, dp: Perturbation) -> float:
@@ -253,30 +244,30 @@ def fidelity_exact(state: BlockState, p: PhysicalParams, dp: Perturbation) -> fl
 def fidelity_second_order(state: BlockState, p: PhysicalParams, dp: Perturbation) -> float:
     """Second-order fidelity expansion of one state, blockwise.
 
-    The block overlaps B and C of the first and second derivatives
-    enter as F^2 = 1 + 2 Re(B) + Re(C) + |B|^2 (see _expansion).
+    The block overlaps along the unit direction of dp give the two
+    coefficients of F^2 = 1 + 2 l Re(B) + l^2 (Re(C) + |B|^2), evaluated
+    at l = |dp| (see _coefficients).
     """
     _check_state(state, p)
-    d1, d2 = directional_derivatives(p, dp, state.frame)
+    step = dp.norm
+    unit = Perturbation(dp=tuple(v / step for v in dp.dp)) if step > 0.0 else dp
+    pair = directional_derivatives(p, unit, state.frame)
     s1, s2, _ = to_blocks(evolve(p), state.frame)
-    return float(_expansion(state.amplitudes[None], (s1, s2), d1, d2)[0])
+    lin, quad = _coefficients(state.amplitudes[None], (s1, s2), pair)
+    axis = int(np.argmax(np.abs(dp.as_array())))
+    return float(_second_order(lin, quad, step, axis)[0])
 
 
-def quadratic_sensitivities(
-    p: PhysicalParams, state: BlockState, step: float = SENSITIVITY_STEP
-) -> tuple[float, ...]:
-    """Per-parameter quadratic infidelity coefficients (1 - F^2) / step^2.
+def quadratic_sensitivities(p: PhysicalParams, state: BlockState) -> tuple[float, ...]:
+    """Per-parameter quadratic infidelity coefficients, -(Re(C) + |B|^2) per axis.
 
-    The expansion has no linear term, so these diagonal coefficients
-    are the meaningful sensitivity ranking quantities.  The step must
-    be finite and nonzero.
+    The expansion has no linear term, so 1 - F^2 = l^2 times these
+    diagonal coefficients to second order along each axis; they are the
+    meaningful sensitivity ranking quantities.
     """
     _check_state(state, p)
-    step = float(step)
-    if not math.isfinite(step) or step == 0.0:
-        raise ValueError(f"sensitivity step must be finite and nonzero, got {step!r}")
-    _, s, unit = _card_derivatives(p, state.frame)
-    return tuple(_quadratic(state.amplitudes[None], s, unit, step)[0].tolist())
+    _, coeffs = _axis_coefficients(p, state.frame, state.amplitudes[None])
+    return tuple(float(-quad[0]) for _, quad in coeffs)
 
 
 def sensitivity_sweep(
@@ -289,9 +280,10 @@ def sensitivity_sweep(
     sensitivity vector so rankings can be derived downstream.
 
     The per-card work is shared by all states: one propagator, six
-    unit-axis derivative pairs scaled by step and step^2, and one
-    displaced propagator per (axis, distinct step).  The states are
-    then evaluated together; all of them must live in one frame.
+    unit-axis derivative pairs and the two expansion coefficients per
+    state and axis, and one displaced propagator per (axis, distinct
+    step).  The states are evaluated together; all of them must live in
+    one frame.
     """
     grid = [float(step) for step in grid]
     if not states:
@@ -306,8 +298,8 @@ def sensitivity_sweep(
             raise ValueError("sensitivity sweep states must share one frame")
     amps = np.array([state.amplitudes for state in states])
     psi = amps @ frame.change_of_basis.T
-    u, s, unit = _card_derivatives(p, frame)
-    grads = _quadratic(amps, s, unit, SENSITIVITY_STEP).tolist()
+    u, coeffs = _axis_coefficients(p, frame, amps)
+    grads = (-np.stack([quad for _, quad in coeffs], axis=1)).tolist()
     # (name, perturbation, exact column, second-order column) in report order
     probes = []
     for i, name in enumerate(PARAM_NAMES):
@@ -316,7 +308,7 @@ def sensitivity_sweep(
             pert = Perturbation.axis(i, step)
             if step not in exact:
                 exact[step] = _overlaps(psi, u, evolve(_displaced(p, pert))).tolist()
-            f2s = _expansion(amps, s, *_scaled(unit[i], i, step)).tolist()
+            f2s = _second_order(*coeffs[i], step, i).tolist()
             probes.append((name, pert, exact[step], f2s))
     reports: list[FidelityReport] = []
     for sid, grad in enumerate(grads):

@@ -27,12 +27,11 @@ table lookup per gate.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import DIAGONAL_TOL, MATCH_TOL, strict_int
+from .checks import DIAGONAL_TOL, MATCH_TOL, strict_float, strict_int
 
 __all__ = [
     "D_TAGS",
@@ -116,8 +115,9 @@ class GateId:
         if self.tag not in D_TAGS + B_TAGS:
             raise ValueError(f"unknown gate tag {self.tag!r}")
         if self.tag in _PHASE_TAGS:
-            if self.phi is None or not math.isfinite(self.phi):
+            if self.phi is None:
                 raise ValueError(f"{self.tag} requires a finite phi")
+            object.__setattr__(self, "phi", strict_float("phi", self.phi))
         elif self.phi is not None:
             raise ValueError(f"{self.tag} takes no phi")
         if self.qubit is not None:

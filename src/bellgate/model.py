@@ -18,12 +18,11 @@ evolution is expressed by the adjoint.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import strict_int
+from .checks import strict_float, strict_int
 from .spinlin import expm_hermitian, pauli
 
 __all__ = ["PhysicalParams", "assemble_hamiltonian", "build_hamiltonian", "evolve"]
@@ -53,16 +52,12 @@ class PhysicalParams:
     h: int
 
     def __post_init__(self):
-        object.__setattr__(self, "J", tuple(float(j) for j in self.J))
-        object.__setattr__(self, "t", float(self.t))
-        object.__setattr__(self, "B1", float(self.B1))
-        object.__setattr__(self, "B2", float(self.B2))
+        object.__setattr__(self, "J", tuple(strict_float("J", j) for j in self.J))
+        for name in ("t", "B1", "B2"):
+            object.__setattr__(self, name, strict_float(name, getattr(self, name)))
         if len(self.J) != 3:
             raise ValueError("J must have exactly three components")
         object.__setattr__(self, "h", strict_int("field axis h", self.h, (1, 2, 3)))
-        vals = (self.t, *self.J, self.B1, self.B2)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("parameters must be finite")
         if self.t < 0:
             raise ValueError("t must be nonnegative")
 

@@ -15,7 +15,7 @@ from bellgate import (
     prescription_targets,
     sample_states,
 )
-from bellgate.checks import strict_int
+from bellgate.checks import strict_float, strict_int
 
 SRC = Path(bellgate.__file__).resolve().parent
 
@@ -45,6 +45,20 @@ def test_strict_int_accepts_integers(value):
 def test_strict_int_rejects_non_integers(value):
     with pytest.raises(ValueError, match="^k must be an integer, got "):
         strict_int("k", value)
+
+
+@pytest.mark.parametrize("value", [2.5, 3, np.float64(2.5), np.float32(2.5), np.int64(3), -0.0])
+def test_strict_float_accepts_real_numbers(value):
+    out = strict_float("x", value)
+    assert out == value and type(out) is float
+
+
+@pytest.mark.parametrize(
+    "value", [True, False, np.bool_(True), "2.5", None, 1j, np.nan, np.inf, -np.inf, np.float64(np.nan)]
+)
+def test_strict_float_rejects_non_reals(value):
+    with pytest.raises(ValueError, match="^x must be a finite real number, got "):
+        strict_float("x", value)
 
 
 @pytest.mark.parametrize(

@@ -373,6 +373,70 @@ def test_non_integer_card_field_is_input_error(capsys, tmp_path, card_file, key,
 
 
 @pytest.mark.parametrize(
+    "text",
+    [
+        PARAMS_TEXT.replace('"t": 1.2', '"t": true'),
+        PARAMS_TEXT.replace("-0.4", '"-0.4"'),
+        PARAMS_TEXT.replace('"B1": 0.3', '"B1": false'),
+        PARAMS_TEXT.replace('"B2": -0.6', '"B2": "-0.6"'),
+    ],
+    ids=["t-true", "J-string", "B1-false", "B2-string"],
+)
+def test_bool_or_string_parameter_is_input_error(capsys, tmp_path, text):
+    f = tmp_path / "params.json"
+    f.write_text(text)
+    code, out, err = run(capsys, "evolve", str(f))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "input"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("phi", True), ("phi", False), ("t", True), ("B2", "0.0")],
+    ids=["phi-true", "phi-false", "solved-t-true", "solved-B2-string"],
+)
+def test_bool_or_string_card_float_is_input_error(capsys, tmp_path, field, value):
+    card = tmp_path / "card.json"
+    assert cli.main(["synth", "S_phi_q2", "--phi", "1.0", "--out", str(card)]) == 0
+    doc = json.loads(card.read_text())
+    (doc if field == "phi" else doc["solved"])[field] = value
+    card.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "fidelity-sweep", str(card), "--states", "1", "--steps", "1e-2")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "input"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "H_q2", "--seed", "3"),
+        ("evolve", "x.json", "--seed", "3"),
+        ("blocks", "x.json", "--seed", "3"),
+        ("compile", "x.json", "--seed", "3"),
+    ],
+    ids=["synth", "evolve", "blocks", "compile"],
+)
+def test_seed_is_only_a_fidelity_sweep_option(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["type"] == "usage"
+
+
+def test_huge_finite_step_is_not_an_input_error(capsys, card_file):
+    # 7e153 squared is finite, so only the expansion's value can overflow;
+    # the sweep either reports finite numbers or fails as numerical
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "fidelity-sweep", card_file, "--steps", "7e153")
+    assert code in (0, 3)
+    assert len(err.splitlines()) <= 1
+    if code == 3:
+        assert json.loads(err)["error"]["type"] == "numerical"
+    else:
+        assert json.loads(out)["reports"]
+
+
+@pytest.mark.parametrize(
     "steps, message",
     [
         ("-5", "t must be nonnegative"),

@@ -1,5 +1,7 @@
 """Fidelity response of calibrated gates to control perturbations."""
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +13,7 @@ from bellgate import (
     PARAM_NAMES,
     BlockState,
     GateId,
+    NonFiniteDerivative,
     Perturbation,
     PhysicalParams,
     assemble_hamiltonian,
@@ -316,19 +319,11 @@ def test_frame_mismatch_rejected():
 def test_quadratic_sensitivities_definition():
     rng = np.random.default_rng(113)
     st = _random_state(rng)
-    step = 1e-3
-    sens = quadratic_sensitivities(BASE, st, step=step)
+    sens = quadratic_sensitivities(BASE, st)
     assert len(sens) == 6
     for i in range(6):
-        f2 = fidelity_second_order(st, BASE, Perturbation.axis(i, step))
-        assert sens[i] == pytest.approx((1.0 - f2) / step**2, rel=1e-12)
-
-
-@pytest.mark.parametrize("step", [0.0, -0.0, np.nan, np.inf])
-def test_quadratic_sensitivities_rejects_bad_step(step):
-    st = _state([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(ValueError):
-        quadratic_sensitivities(BASE, st, step=step)
+        f2 = fidelity_second_order(st, BASE, Perturbation.axis(i, 1.0))
+        assert sens[i] == pytest.approx(1.0 - f2, rel=1e-12)
 
 
 def test_sample_states_deterministic_and_normalized():
@@ -420,10 +415,7 @@ def test_shared_sweep_matches_per_state_references(name):
         return abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     u0 = propagator(x0)
-    grads = [
-        [(1.0 - fidelity_second_order(st, p, Perturbation.axis(k, 1e-3))) / 1e-6 for k in range(6)]
-        for st in states
-    ]
+    grads = [quadratic_sensitivities(p, st) for st in states]
     reports = sensitivity_sweep(card, states, grid)
     assert len(reports) == len(states) * len(PARAM_NAMES) * len(grid)
     for r in reports:
@@ -441,8 +433,9 @@ def test_shared_sweep_matches_per_state_references(name):
 @pytest.mark.parametrize("n", [1, 64])
 def test_sweep_shares_per_card_work(monkeypatch, n):
     # the optimisation's guard: per-card work must not scale with the
-    # number of states, and a repeated step reuses its propagator
-    calls = {"directional_derivatives": 0, "evolve": 0}
+    # number of states, a repeated step reuses its propagator, and the
+    # expansion's two coefficients are computed once per axis, not per step
+    calls = {}
 
     def counting(name):
         fn = getattr(fid, name)
@@ -453,14 +446,45 @@ def test_sweep_shares_per_card_work(monkeypatch, n):
 
         monkeypatch.setattr(fid, name, wrapper)
 
-    counting("directional_derivatives")
-    counting("evolve")
+    for name in ("directional_derivatives", "evolve", "_coefficients"):
+        counting(name)
     card = solve_physical(prescription_targets(GateId("H_q2")))
     states = sample_states(bell_frame(card.solved.h), n=n, seed=7)
-    grid = [1e-2, 5e-3, 1e-2, 2.5e-3]
-    reports = sensitivity_sweep(card, states, grid)
-    assert len(reports) == n * 6 * len(grid)
-    assert calls == {"directional_derivatives": 6, "evolve": 1 + 6 * 3}
+    for grid in ([1e-2], [1e-2, 5e-3, 1e-2, 2.5e-3]):
+        calls.update(directional_derivatives=0, evolve=0, _coefficients=0)
+        reports = sensitivity_sweep(card, states, grid)
+        assert len(reports) == n * 6 * len(grid)
+        assert calls == {
+            "directional_derivatives": 6,
+            "evolve": 1 + 6 * len(set(grid)),
+            "_coefficients": 6,
+        }
+
+
+def test_huge_step_is_finite_or_non_finite_derivative():
+    # 7e153 squared is still finite, so nothing overflows before the
+    # expansion itself; its value must come out finite or as the typed
+    # error, with no numpy warning on the way
+    card = solve_physical(prescription_targets(GateId("H_q2")))
+    p = card.solved
+    states = sample_states(bell_frame(p.h), n=64, seed=7)
+    step = 7e153
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            reports = sensitivity_sweep(card, states, [step])
+        except NonFiniteDerivative:
+            reports = []
+        for r in reports:
+            assert all(math.isfinite(v) for v in (r.f2_exact, r.f2_second_order, r.cubic_residual))
+            assert all(math.isfinite(g) for g in r.per_parameter_gradient)
+        for st in states:
+            for i in range(6):
+                try:
+                    f2 = fidelity_second_order(st, p, Perturbation.axis(i, step))
+                except NonFiniteDerivative:
+                    continue
+                assert math.isfinite(f2)
 
 
 def test_cubic_residual_shrinks_under_step_halving():
