@@ -141,14 +141,18 @@ def _make_frame(h: int) -> BellFrame:
     )
 
 
+#: (1, sigma_x, sigma_y, sigma_z); a block is its (c0, cx, cy, cz) contracted with these
+BLOCK_BASIS = np.stack([np.eye(2), pauli(1), pauli(2), pauli(3)])
+BLOCK_BASIS.flags.writeable = False
+
+
 def _block_coefficients(frame: BellFrame) -> np.ndarray:
-    # tr(s_a g) / 2 over s_a = (1, sigma_x, sigma_y, sigma_z) for each 2x2
-    # diagonal block g of every generator in frame coordinates; rint removes
-    # the 1/sqrt(2) rounding noise and + 0.0 turns its -0.0 into +0.0
-    basis = np.stack([np.eye(2), pauli(1), pauli(2), pauli(3)])
+    # tr(s_a g) / 2 over s_a in BLOCK_BASIS for each 2x2 diagonal block g of
+    # every generator in frame coordinates; rint removes the 1/sqrt(2)
+    # rounding noise and + 0.0 turns its -0.0 into +0.0
     c = frame.change_of_basis
     w = c.conj().T @ np.stack(GENERATORS[frame.h]) @ c
-    out = np.stack([np.einsum("aij,nji->an", basis, w[:, k : k + 2, k : k + 2]) for k in (0, 2)])
+    out = np.stack([np.einsum("aij,nji->an", BLOCK_BASIS, w[:, k : k + 2, k : k + 2]) for k in (0, 2)])
     out = np.rint(out.real / 2.0) + 0.0
     out.flags.writeable = False
     return out

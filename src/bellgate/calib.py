@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bellframe import BLOCK_COEFFS, bell_frame, block_axis, frame_permutation, reduced_params
-from .checks import ACCEPT_TOL, INVISIBLE_AXIS_TOL, UNIT_CIRCLE_TOL, WEIGHT_TOL, strict_int
+from .checks import ACCEPT_TOL, INVISIBLE_AXIS_TOL, UNIT_CIRCLE_TOL, WEIGHT_TOL, strict_float, strict_int
 from .errors import SolverFailure
 from .gates import GateId, d_gate
 from .jsonio import dumps
@@ -533,9 +533,9 @@ def cnot_family(g: GateId, m: int, field_scale: float) -> PrescriptionCard:
     m = strict_int("family winding m", m)
     if m < 1:
         raise ValueError(f"family winding m must be >= 1, got {m}")
-    s = float(field_scale)
-    if not math.isfinite(s) or s <= 0.0:
-        raise ValueError(f"field_scale must be positive and finite, got {field_scale!r}")
+    s = strict_float("field_scale", field_scale)
+    if s <= 0.0:
+        raise ValueError(f"field_scale must be positive, got {field_scale!r}")
 
     tg = prescription_targets(g, m=m, m_prime=m)
     t = 1.0 / s

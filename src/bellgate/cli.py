@@ -10,9 +10,9 @@ All output is deterministic for fixed inputs and seed: floats print
 with 17 significant digits, complex entries as {"re":…, "im":…},
 angles are radians.  Exit codes: 0 success, 2 input error, 3
 numerical or solver failure; failures write one JSON error object to
-stderr.  Formats are defined per subcommand: evolve supports json and
-csv, synth supports json always and csv for --family, fidelity-sweep
-supports json and csv, blocks and compile are json only.
+stderr.  --format exists where a second format does: evolve and
+fidelity-sweep print json or csv, synth prints json always and csv for
+--family; blocks and compile print json and take no --format.
 """
 
 from __future__ import annotations
@@ -61,19 +61,22 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bellgate", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def out(p):
         p.add_argument("--out", default=None, help="write output to a file instead of stdout")
+
+    def formatted(p):
+        p.add_argument("--format", choices=("json", "csv"), default="json")
+        out(p)
 
     p = sub.add_parser("evolve", help="propagator of a parameter file")
     p.add_argument("params", help="PhysicalParams JSON file")
-    common(p)
+    formatted(p)
 
     p = sub.add_parser("blocks", help="Bell-frame decomposition of a propagator")
     p.add_argument("params", help="PhysicalParams JSON file")
     p.add_argument("--cross-h", type=int, default=None, choices=(1, 2, 3),
                    help="also report the off-block residual in this frame")
-    common(p)
+    out(p)
 
     p = sub.add_parser("synth", help="solve a pulse prescription card")
     p.add_argument("gate", choices=_SYNTH_TAGS)
@@ -84,11 +87,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--family", action="store_true",
                    help="emit the asymptotic CNOT family instead of one card")
     p.add_argument("--field-scale", type=float, default=1.0)
-    common(p)
+    formatted(p)
 
     p = sub.add_parser("compile", help="compile a computational circuit to Bell grammar")
     p.add_argument("circuit", help="Circuit JSON file")
-    common(p)
+    out(p)
 
     p = sub.add_parser("fidelity-sweep", help="perturbation reports for a solved card")
     p.add_argument("card", help="PrescriptionCard JSON file")
@@ -96,7 +99,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--steps", default="1e-2,5e-3,2.5e-3",
                    help="comma-separated coordinate steps")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="state sampling seed")
-    common(p)
+    formatted(p)
 
     return parser
 
@@ -121,8 +124,6 @@ def _cmd_evolve(args) -> str:
 
 
 def _cmd_blocks(args) -> str:
-    if args.format == "csv":
-        raise ValueError("blocks only supports --format json")
     p = PhysicalParams.from_json(_read(args.params))
     frame = bell_frame(p.h)
     u = evolve(p)
@@ -213,8 +214,6 @@ def _cmd_synth(args) -> str:
 
 
 def _cmd_compile(args) -> str:
-    if args.format == "csv":
-        raise ValueError("compile only supports --format json")
     circuit = Circuit.from_json(_read(args.circuit))
     compiled = compile_circuit(circuit)
     residual = dist_phase_invariant(matrix_of(compiled), matrix_of(circuit))

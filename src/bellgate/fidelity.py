@@ -1,31 +1,26 @@
 """Fidelity of perturbed gate pulses.
 
 A state living in the frame arrangement evolves under the solved pulse
-and under a parameter-perturbed copy of it.  The squared overlap of
-the two outcomes has no linear term in the perturbation because the
-blocks stay unitary, so the leading behaviour is quadratic.  This
-module computes that second-order expansion from exact block
-derivatives, the exact overlap as the brute-force oracle, and
-per-parameter sensitivity sweeps built on both.
+and under a parameter-perturbed copy of it.  The blocks stay unitary
+along any displacement, so the squared overlap of the two outcomes has
+no linear term and its quadratic term needs first derivatives only:
+along a unit direction, F^2 = 1 - l^2 Var(G) + O(l^3) with the Hermitian
+generator G = i s^dag Ds of the block maps s and their derivative Ds
+(the Fubini-Study metric; Braunstein & Caves, PRL 72 (1994) 3439).  This
+module computes that expansion, the exact overlap as the brute-force
+oracle, and per-parameter sensitivity sweeps built on both.
 
-Along a displacement the frame-coordinate generator is a quadratic
-polynomial in the path parameter, so one matrix exponential of a
-block upper-triangular matrix carries the propagator and its first
-two derivatives (Najfeld & Havel, Adv. Appl. Math. 16 (1995) 321).
-That augmented matrix is not normal, so it goes through scipy's Pade
-expm rather than the Hermitian eigendecomposition evolve uses.
+Each block derivative is the Frechet derivative of the exponential of a
+2x2 Hermitian block, read off the block's eigendecomposition with the
+Daleckii-Krein divided differences exp(-i t (w_a + w_b) / 2)
+sinc(t (w_a - w_b) / 2), which stay smooth for degenerate blocks and at
+t = 0 (Higham, Functions of Matrices, SIAM 2008, sec. 3.2).
 
-Those derivatives are linear and quadratic in the displacement, so
-along a unit direction the expansion F^2 = 1 + 2 l Re(B) + l^2 (Re(C) +
-|B|^2) of a state is fixed by two coefficients that do not depend on
-the step l.  A sweep therefore does its per-card work once: one
-propagator, the six unit-axis derivative pairs with the two
-coefficients per state and axis they give, and one displaced
-propagator per (axis, step).  All states are evaluated together as
-(n, 4) amplitude arrays.  The quadratic coefficient is itself the
-per-parameter sensitivity, so no probe step enters, and
-fidelity_second_order uses the same two coefficients along the unit
-direction of its displacement.
+A sweep does its per-card work once: one propagator, the six unit-axis
+derivatives with the variance they give per state and axis, and one
+displaced propagator per (axis, step).  All states are evaluated
+together as (n, 4) amplitude arrays.  The variance is itself the
+per-parameter sensitivity.
 """
 
 from __future__ import annotations
@@ -35,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellframe import BellFrame, bell_frame, to_blocks
+from .bellframe import BLOCK_BASIS, BLOCK_COEFFS, BellFrame
 from .calib import PrescriptionCard
-from .checks import STATE_NORM_TOL, ZERO_NORM_TOL, strict_int
+from .checks import STATE_NORM_TOL, ZERO_NORM_TOL, strict_float, strict_int
 from .errors import NonFiniteDerivative
-from .model import PhysicalParams, assemble_hamiltonian, build_hamiltonian, evolve
+from .model import PhysicalParams, evolve
 
 __all__ = [
     "PARAM_NAMES",
@@ -97,11 +92,9 @@ class Perturbation:
     dp: tuple[float, float, float, float, float, float]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.dp)
+        vals = tuple(strict_float("perturbation component", v) for v in self.dp)
         if len(vals) != 6:
             raise ValueError(f"perturbation needs 6 components, got {len(vals)}")
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("perturbation components must be finite")
         object.__setattr__(self, "dp", vals)
 
     @classmethod
@@ -110,7 +103,7 @@ class Perturbation:
         if isinstance(index, str) and index in PARAM_NAMES:
             index = PARAM_NAMES.index(index)
         vals = [0.0] * 6
-        vals[strict_int("axis", index, range(6))] = float(step)
+        vals[strict_int("axis", index, range(6))] = step
         return cls(dp=tuple(vals))
 
     def as_array(self) -> np.ndarray:
@@ -146,39 +139,34 @@ def _displaced(p: PhysicalParams, dp: Perturbation) -> PhysicalParams:
 def directional_derivatives(
     p: PhysicalParams, dp: Perturbation, frame: BellFrame
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """First and second directional derivatives of both block maps.
+    """First directional derivatives of both block maps, and the block maps.
 
-    Along x + l*u, u the unit direction of dp, the frame-coordinate
-    generator -i (t + l u_t)(W + l dW) is A + l B + l^2 Q exactly, with W
-    and dW the Hamiltonians of the couplings and of u in frame
-    coordinates.  The first block row of exp([[A, B, Q], [0, A, B],
-    [0, 0, A]]) is (U, DU, D2U / 2).  The derivatives are scaled by |dp|
-    and |dp|^2 so the outputs are the actual first- and second-order
-    responses to the displacement; a unit direction keeps the augmented
-    matrix's norm, and with it expm's scaling, independent of |dp|.
-    dp = 0 returns zero matrices.
+    Returns ((Ds_1, Ds_2), (s_1, s_2)).  Each block map is
+    s_k = exp(-i t W_k), with W_k = V diag(w) V^dag the block's
+    Hamiltonian in frame coordinates.  Along x + l*dp its derivative is
+    Ds_k = V ((V^dag E V) * Phi) V^dag with E = -i (dt W_k + t dW_k),
+    dW_k the block Hamiltonian of dp's couplings, and the divided
+    differences Phi_ab = exp(-i t (w_a + w_b) / 2) sinc(t (w_a - w_b) / 2).
+    Ds is linear in dp; dp = 0 returns zero matrices.
     """
-    # imported on first use, so that import bellgate loads no scipy module
-    from scipy.linalg import expm
-
     if p.h != frame.h:
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
     d = dp.as_array()
-    n = dp.norm
-    u = d / n if n > 0.0 else d
-    c = frame.change_of_basis
-    w = c.conj().T @ build_hamiltonian(p) @ c
-    dw = c.conj().T @ assemble_hamiltonian(u[1:4], u[4], u[5], p.h) @ c
-    a = -1j * p.t * w
-    b = -1j * (u[0] * w + p.t * dw)
-    z = np.zeros((4, 4), dtype=np.complex128)
-    e = expm(np.block([[a, b, -1j * u[0] * dw], [z, a, b], [z, z, a]]))
+    coeffs = BLOCK_COEFFS[frame.h]
+    w = np.einsum("ka,aij->kij", coeffs @ _param_vector(p)[1:], BLOCK_BASIS)
+    lam, v = np.linalg.eigh(w)
+    vh = v.conj().swapaxes(1, 2)
+    mean = (lam[:, :, None] + lam[:, None, :]) / 2.0
+    half = (lam[:, :, None] - lam[:, None, :]) / 2.0
+    phi = np.exp(-1j * p.t * mean) * np.sinc(p.t * half / np.pi)
     # an overflowing displacement surfaces as NonFiniteDerivative below
     with np.errstate(over="ignore", invalid="ignore"):
-        d1, d2 = n * e[0:4, 4:8], (2.0 * n * n) * e[0:4, 8:12]
-    if not (np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))):
+        dw = np.einsum("ka,aij->kij", coeffs @ d[1:], BLOCK_BASIS)
+        ds = v @ ((vh @ (-1j * (d[0] * w + p.t * dw)) @ v) * phi) @ vh
+    if not np.all(np.isfinite(ds)):
         raise NonFiniteDerivative(int(np.argmax(np.abs(d))))
-    return (d1[0:2, 0:2], d1[2:4, 2:4]), (d2[0:2, 0:2], d2[2:4, 2:4])
+    s = v @ (phi * np.eye(2)) @ vh
+    return (ds[0], ds[1]), (s[0], s[1])
 
 
 def _check_state(state: BlockState, p: PhysicalParams) -> None:
@@ -193,39 +181,29 @@ def _overlaps(psi: np.ndarray, u: np.ndarray, u2: np.ndarray) -> np.ndarray:
     return np.abs(np.einsum("ni,ni->n", (psi @ u.T).conj(), psi @ u2.T)) ** 2
 
 
-def _coefficients(amps: np.ndarray, s, pair) -> tuple[np.ndarray, np.ndarray]:
-    """(Re B, Re C + |B|^2) for each row of amps, (n, 4) frame amplitudes.
+def _variance(amps: np.ndarray, ds, s) -> np.ndarray:
+    """Var(G) = ||G a||^2 - |<a|G|a>|^2 for each row a of amps, (n, 4) frame amplitudes.
 
-    s is the block pair of the propagator and pair the block pairs of
-    its first and second derivatives along one unit direction.  With
-    per-block overlaps B = sum_k a_k^dag (s_k^dag D1_k) a_k and
-    C = sum_k a_k^dag (s_k^dag D2_k) a_k, a step l along that direction
-    has F^2 = 1 + 2 l Re(B) + l^2 (Re(C) + |B|^2) to second order.
+    ds and s are the block pairs directional_derivatives returns for one
+    direction; G is block-diagonal with G_k = i s_k^dag Ds_k.
     """
-    b = c = 0.0
-    for k in (0, 1):
-        a = amps[:, 2 * k : 2 * k + 2]
-        sh = s[k].conj().T
-        b = b + np.einsum("ni,ij,nj->n", a.conj(), sh @ pair[0][k], a)
-        c = c + np.einsum("ni,ij,nj->n", a.conj(), sh @ pair[1][k], a)
-    return b.real, c.real + np.abs(b) ** 2
+    ga = np.hstack([amps[:, 2 * k : 2 * k + 2] @ (1j * s[k].conj().T @ ds[k]).T for k in (0, 1)])
+    return np.sum(np.abs(ga) ** 2, axis=1) - np.abs(np.einsum("ni,ni->n", amps.conj(), ga)) ** 2
 
 
-def _second_order(lin: np.ndarray, quad: np.ndarray, step: float, axis: int) -> np.ndarray:
-    """F^2 = 1 + 2 step lin + step^2 quad; NonFiniteDerivative(axis) if it overflows."""
+def _second_order(var: np.ndarray, step: float, axis: int) -> np.ndarray:
+    """F^2 = 1 - step^2 var; NonFiniteDerivative(axis) if it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        f2 = 1.0 + 2.0 * step * lin + (step * step) * quad
+        f2 = 1.0 - (step * step) * var
     if not np.all(np.isfinite(f2)):
         raise NonFiniteDerivative(axis)
     return f2
 
 
-def _axis_coefficients(p: PhysicalParams, frame: BellFrame, amps: np.ndarray):
-    """evolve(p) and the (lin, quad) coefficients of each row of amps along the six unit axes."""
-    u = evolve(p)
-    s1, s2, _ = to_blocks(u, frame)
+def _axis_variances(p: PhysicalParams, frame: BellFrame, amps: np.ndarray) -> np.ndarray:
+    """Var(G) of each row of amps along the six unit axes, shape (n, 6)."""
     pairs = [directional_derivatives(p, Perturbation.axis(i, 1.0), frame) for i in range(6)]
-    return u, [_coefficients(amps, (s1, s2), pair) for pair in pairs]
+    return np.stack([_variance(amps, *pair) for pair in pairs], axis=1)
 
 
 def fidelity_exact(state: BlockState, p: PhysicalParams, dp: Perturbation) -> float:
@@ -244,30 +222,26 @@ def fidelity_exact(state: BlockState, p: PhysicalParams, dp: Perturbation) -> fl
 def fidelity_second_order(state: BlockState, p: PhysicalParams, dp: Perturbation) -> float:
     """Second-order fidelity expansion of one state, blockwise.
 
-    The block overlaps along the unit direction of dp give the two
-    coefficients of F^2 = 1 + 2 l Re(B) + l^2 (Re(C) + |B|^2), evaluated
-    at l = |dp| (see _coefficients).
+    F^2 = 1 - l^2 Var(G) with Var(G) along the unit direction of dp,
+    evaluated at l = |dp| (see _variance).
     """
     _check_state(state, p)
     step = dp.norm
     unit = Perturbation(dp=tuple(v / step for v in dp.dp)) if step > 0.0 else dp
-    pair = directional_derivatives(p, unit, state.frame)
-    s1, s2, _ = to_blocks(evolve(p), state.frame)
-    lin, quad = _coefficients(state.amplitudes[None], (s1, s2), pair)
+    var = _variance(state.amplitudes[None], *directional_derivatives(p, unit, state.frame))
     axis = int(np.argmax(np.abs(dp.as_array())))
-    return float(_second_order(lin, quad, step, axis)[0])
+    return float(_second_order(var, step, axis)[0])
 
 
 def quadratic_sensitivities(p: PhysicalParams, state: BlockState) -> tuple[float, ...]:
-    """Per-parameter quadratic infidelity coefficients, -(Re(C) + |B|^2) per axis.
+    """Per-parameter quadratic infidelity coefficients, Var(G) per axis.
 
     The expansion has no linear term, so 1 - F^2 = l^2 times these
     diagonal coefficients to second order along each axis; they are the
     meaningful sensitivity ranking quantities.
     """
     _check_state(state, p)
-    _, coeffs = _axis_coefficients(p, state.frame, state.amplitudes[None])
-    return tuple(float(-quad[0]) for _, quad in coeffs)
+    return tuple(_axis_variances(p, state.frame, state.amplitudes[None])[0].tolist())
 
 
 def sensitivity_sweep(
@@ -280,10 +254,9 @@ def sensitivity_sweep(
     sensitivity vector so rankings can be derived downstream.
 
     The per-card work is shared by all states: one propagator, six
-    unit-axis derivative pairs and the two expansion coefficients per
-    state and axis, and one displaced propagator per (axis, distinct
-    step).  The states are evaluated together; all of them must live in
-    one frame.
+    unit-axis derivatives and the variance per state and axis they
+    give, and one displaced propagator per (axis, distinct step).  The
+    states are evaluated together; all of them must live in one frame.
     """
     grid = [float(step) for step in grid]
     if not states:
@@ -298,8 +271,9 @@ def sensitivity_sweep(
             raise ValueError("sensitivity sweep states must share one frame")
     amps = np.array([state.amplitudes for state in states])
     psi = amps @ frame.change_of_basis.T
-    u, coeffs = _axis_coefficients(p, frame, amps)
-    grads = (-np.stack([quad for _, quad in coeffs], axis=1)).tolist()
+    u = evolve(p)
+    var = _axis_variances(p, frame, amps)
+    grads = var.tolist()
     # (name, perturbation, exact column, second-order column) in report order
     probes = []
     for i, name in enumerate(PARAM_NAMES):
@@ -308,7 +282,7 @@ def sensitivity_sweep(
             pert = Perturbation.axis(i, step)
             if step not in exact:
                 exact[step] = _overlaps(psi, u, evolve(_displaced(p, pert))).tolist()
-            f2s = _second_order(*coeffs[i], step, i).tolist()
+            f2s = _second_order(var[:, i], step, i).tolist()
             probes.append((name, pert, exact[step], f2s))
     reports: list[FidelityReport] = []
     for sid, grad in enumerate(grads):

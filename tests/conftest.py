@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from bellgate import PhysicalParams
 
@@ -26,3 +27,38 @@ def random_unitary(rng, n=4):
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(a)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+# Couplings that make one block's |c| vanish, expanded by hand:
+# (h, block) -> (a, b, sJ, sB) with J[b] = sJ * J[a] and B2 = sB * B1.
+DEGENERATE = {
+    (1, 1): (1, 2, 1, -1),
+    (1, 2): (1, 2, -1, 1),
+    (2, 1): (0, 2, -1, 1),
+    (2, 2): (0, 2, 1, -1),
+    (3, 1): (0, 1, 1, -1),
+    (3, 2): (0, 1, -1, 1),
+}
+
+
+@st.composite
+def edge_params(draw):
+    """(p, block): generic, degenerate or near-degenerate couplings over six decades, t = 0 often.
+
+    block is the degenerate block (1 or 2) of a "degenerate" draw, None otherwise.
+    """
+    h = draw(st.integers(1, 3))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    c = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5))) * scale
+    kind = draw(st.sampled_from(["generic", "degenerate", "near"]))
+    block = draw(st.integers(1, 2)) if kind != "generic" else None
+    if block is not None:
+        a, b, s_j, s_b = DEGENERATE[(h, block)]
+        c[b] = s_j * c[a]
+        c[4] = s_b * c[3]
+    if kind == "near":
+        nudge = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)))
+        c += nudge * scale * 10.0 ** draw(st.floats(-16.0, -6.0))
+    t = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
+    p = PhysicalParams(t=t, J=tuple(c[:3]), B1=c[3], B2=c[4], h=h)
+    return p, block if kind == "degenerate" else None

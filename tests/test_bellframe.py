@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bellgate import (
     LABELS,
@@ -29,7 +28,7 @@ from bellgate import (
     to_blocks,
 )
 
-from conftest import random_params
+from conftest import edge_params, random_params
 
 STRUCTURAL_TOL = 1e-10
 MISMATCH_FLOOR = 1e-3
@@ -68,17 +67,6 @@ SCAN_SETS = (
     ((1.7002, 0.6173, 1.1311), 0.8317, 1.4129),
     ((0.4701, 1.0903, 0.9241), 1.2741, 0.5527),
 )
-
-# Couplings that make one block's |c| vanish, expanded by hand:
-# (h, block) -> (a, b, sJ, sB) with J[b] = sJ * J[a] and B2 = sB * B1.
-DEGENERATE = {
-    (1, 1): (1, 2, 1, -1),
-    (1, 2): (1, 2, -1, 1),
-    (2, 1): (0, 2, -1, 1),
-    (2, 2): (0, 2, 1, -1),
-    (3, 1): (0, 1, 1, -1),
-    (3, 2): (0, 1, -1, 1),
-}
 
 # Restriction of H onto each block as (c0, cz, cx, cy) for
 # J=(0.3, -0.7, 1.1), B1=0.4, B2=-0.2, expanded by hand.
@@ -333,27 +321,8 @@ def test_scan_rebuilds_frame_order(h):
     assert list(comps[0] + comps[1]) == frame_permutation(bell_frame(h))
 
 
-@st.composite
-def _edge_params(draw):
-    h = draw(st.integers(1, 3))
-    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
-    c = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5))) * scale
-    kind = draw(st.sampled_from(["generic", "degenerate", "near"]))
-    block = draw(st.integers(1, 2)) if kind != "generic" else None
-    if block is not None:
-        a, b, s_j, s_b = DEGENERATE[(h, block)]
-        c[b] = s_j * c[a]
-        c[4] = s_b * c[3]
-    if kind == "near":
-        nudge = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5)))
-        c += nudge * scale * 10.0 ** draw(st.floats(-16.0, -6.0))
-    t = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
-    p = PhysicalParams(t=t, J=tuple(c[:3]), B1=c[3], B2=c[4], h=h)
-    return p, block if kind == "degenerate" else None
-
-
 @settings(max_examples=300, deadline=None)
-@given(_edge_params())
+@given(edge_params())
 def test_closed_form_matches_expm_oracle(case):
     # degenerate, near-degenerate and large-coupling blocks against scipy's
     # Pade exponential of the full Hamiltonian

@@ -87,6 +87,38 @@ def test_integer_entry_points_reject_non_integers(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Perturbation(dp=(True, 0.0, 0.0, 0.0, 0.0, 0.0)),
+        lambda: Perturbation(dp=(0.0, "0.1", 0.0, 0.0, 0.0, 0.0)),
+        lambda: Perturbation.axis(0, "0.1"),
+        lambda: Perturbation.axis(0, True),
+        lambda: cnot_family(GateId("CNOT_12"), 2, "3"),
+        lambda: cnot_family(GateId("CNOT_12"), 2, True),
+        lambda: cnot_family(GateId("CNOT_12"), 2, np.inf),
+    ],
+    ids=[
+        "perturbation-bool",
+        "perturbation-string",
+        "axis-step-string",
+        "axis-step-bool",
+        "family-field_scale-string",
+        "family-field_scale-bool",
+        "family-field_scale-inf",
+    ],
+)
+def test_real_entry_points_reject_non_reals(call):
+    with pytest.raises(ValueError, match="must be a finite real number, got "):
+        call()
+
+
+def test_family_field_scale_stays_positive():
+    with pytest.raises(ValueError, match=r"^field_scale must be positive, got -1.0$"):
+        cnot_family(GateId("CNOT_12"), 2, -1.0)
+    assert cnot_family(GateId("CNOT_12"), 2, np.int64(3)).solved.t == 1.0 / 3.0
+
+
 def test_bell_frame_keeps_its_message():
     with pytest.raises(ValueError, match=r"^field axis h must be 1, 2 or 3, got True$"):
         bell_frame(True)

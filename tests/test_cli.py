@@ -1,5 +1,6 @@
 """Command-line surface: schemas, determinism, and exit codes."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -16,12 +17,16 @@ import pytest
 import bellgate
 import bellgate.cli as cli
 from bellgate import (
+    BlockState,
     Circuit,
     GateId,
+    Perturbation,
     PhysicalParams,
     SolverFailure,
+    bell_frame,
     emit_card,
     evolve,
+    fidelity_second_order,
     parse_card,
     prescription_targets,
     solve_physical,
@@ -138,7 +143,7 @@ def test_blocks_cross_frame_weight(capsys, params_file):
 def test_blocks_rejects_csv(capsys, params_file):
     code, out, err = run(capsys, "blocks", params_file, "--format", "csv")
     assert code == 2 and out == ""
-    assert json.loads(err)["error"]["type"] == "input"
+    assert json.loads(err)["error"]["type"] == "usage"
 
 
 def test_synth_card_round_trips_into_library(capsys):
@@ -211,7 +216,7 @@ def test_compile_document(capsys, circuit_file):
 def test_compile_rejects_csv(capsys, circuit_file):
     code, _, err = run(capsys, "compile", circuit_file, "--format", "csv")
     assert code == 2
-    assert json.loads(err)["error"]["type"] == "input"
+    assert json.loads(err)["error"]["type"] == "usage"
 
 
 def test_fidelity_sweep_csv(capsys, card_file):
@@ -440,7 +445,7 @@ def test_huge_finite_step_is_not_an_input_error(capsys, card_file):
     "steps, message",
     [
         ("-5", "t must be nonnegative"),
-        ("nan", "perturbation components must be finite"),
+        ("nan", "perturbation component must be a finite real number, got nan"),
         (",", "sensitivity sweep needs a nonempty step grid"),
     ],
 )
@@ -452,8 +457,8 @@ def test_bad_step_maps_to_exit_2(capsys, card_file, steps, message):
     assert doc["error"] == {"type": "input", "message": message}
 
 
-# Import boundary: scipy loads on first use by the derivative exponential
-# and sample_states, never at import and never for synthesis.  Each check
+# Import boundary: scipy loads on first use by sample_states only, never
+# at import, for synthesis or for the fidelity expansion.  Each cold check
 # starts a fresh interpreter on the src tree the tests import, runs BODY
 # (which sets `code`), and reports the scipy modules it ended up with on
 # stderr's last line.
@@ -503,6 +508,47 @@ def test_fidelity_sweep_loads_scipy_on_first_use(capsys, card_file):
     code_cold, out, err, mods = _cold(_CLI_BODY, *argv)
     assert (code, code_cold, out, err) == (0, 0, want, [])
     assert "scipy.linalg" in mods and "scipy.stats" in mods
+
+
+def _scipy_imports(node, where):
+    """(module, enclosing function) of every scipy import below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom):
+            names = [child.module or ""]
+        else:
+            names = []
+        yield from ((name, where) for name in names if name.split(".")[0] == "scipy")
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _scipy_imports(child, inner)
+
+
+def test_scipy_is_imported_only_by_sample_states():
+    src = Path(bellgate.__file__).resolve().parent
+    hits = {
+        (path.name, where)
+        for path in sorted(src.glob("*.py"))
+        for _, where in _scipy_imports(ast.parse(path.read_text()), None)
+    }
+    assert hits == {("fidelity.py", "sample_states")}
+
+
+def test_fidelity_expansion_loads_no_scipy():
+    body = (
+        "from bellgate import BlockState, Perturbation, PhysicalParams, bell_frame\n"
+        "from bellgate import directional_derivatives, fidelity_second_order\n"
+        "p = PhysicalParams(t=1.2, J=(0.7, -0.4, 0.9), B1=0.3, B2=-0.6, h=1)\n"
+        "state = BlockState.normalized([0.6, 0.5j, 0.4, -0.3], bell_frame(1))\n"
+        "dp = Perturbation(dp=(1e-2, 0.0, 2e-2, 0.0, 0.0, -1e-2))\n"
+        "directional_derivatives(p, dp, bell_frame(1))\n"
+        "print(repr(fidelity_second_order(state, p, dp)))\n"
+        "code = 0"
+    )
+    p = PhysicalParams(t=1.2, J=(0.7, -0.4, 0.9), B1=0.3, B2=-0.6, h=1)
+    state = BlockState.normalized([0.6, 0.5j, 0.4, -0.3], bell_frame(1))
+    dp = Perturbation(dp=(1e-2, 0.0, 2e-2, 0.0, 0.0, -1e-2))
+    assert _cold(body) == (0, repr(fidelity_second_order(state, p, dp)) + "\n", [], [])
 
 
 def test_shifted_solve_loads_no_scipy():

@@ -4,9 +4,12 @@ import math
 import warnings
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellgate.fidelity as fid
 from bellgate import (
@@ -21,6 +24,7 @@ from bellgate import (
     build_hamiltonian,
     cnot_family,
     directional_derivatives,
+    evolve,
     fidelity_exact,
     fidelity_second_order,
     prescription_targets,
@@ -29,14 +33,15 @@ from bellgate import (
     sample_states,
     sensitivity_sweep,
     solve_physical,
+    to_blocks,
 )
+from bellgate.model import GENERATORS
 
-from conftest import random_params
+from conftest import edge_params, random_params
 
 EXACT_UNITY_TOL = 1e-14
 SKEW_TOL = 1e-9
 DS_ORACLE_TOL = 1e-10
-D2S_ORACLE_TOL = 1e-6
 CUBIC_RATIO_LO = 6.0
 CUBIC_RATIO_HI = 10.0
 SCALING_LO = 3.6
@@ -94,8 +99,8 @@ def test_perturbation_axis_helpers():
 
 def test_directional_derivatives_zero_direction():
     zero = Perturbation(dp=(0.0,) * 6)
-    (ds1, ds2), (d2s1, d2s2) = directional_derivatives(BASE, zero, FRAME)
-    for m in (ds1, ds2, d2s1, d2s2):
+    (ds1, ds2), _ = directional_derivatives(BASE, zero, FRAME)
+    for m in (ds1, ds2):
         assert np.max(np.abs(m)) == 0.0
 
 
@@ -112,31 +117,28 @@ def test_directional_derivatives_against_plain_stencil():
     x0 = np.array([BASE.t, *BASE.J, BASE.B1, BASE.B2])
     for _ in range(5):
         dp = _random_direction(rng, 3e-3)
-        (ds1, ds2), (d2s1, d2s2) = directional_derivatives(BASE, dp, FRAME)
+        (ds1, ds2), _ = directional_derivatives(BASE, dp, FRAME)
         d = np.array(dp.dp)
         eps = 1e-6 / np.linalg.norm(d)
         hi1, hi2 = block_map(x0 + eps * d)
         lo1, lo2 = block_map(x0 - eps * d)
-        mid1, mid2 = block_map(x0)
         assert np.max(np.abs(ds1 - (hi1 - lo1) / (2 * eps))) < DS_ORACLE_TOL
         assert np.max(np.abs(ds2 - (hi2 - lo2) / (2 * eps))) < DS_ORACLE_TOL
-        assert np.max(np.abs(d2s1 - (hi1 - 2 * mid1 + lo1) / eps**2)) < D2S_ORACLE_TOL
-        assert np.max(np.abs(d2s2 - (hi2 - 2 * mid2 + lo2) / eps**2)) < D2S_ORACLE_TOL
 
 
 def test_directional_derivatives_scale_with_step():
-    # the derivatives are linear and quadratic in the displacement, also
-    # far outside the range where the expansion is useful
+    # the derivatives are linear in the displacement, also far outside the
+    # range where the expansion is useful
     rng = np.random.default_rng(72)
     for _ in range(10):
         p = random_params(rng)
         frame = bell_frame(p.h)
         dp = _random_direction(rng, 1.0)
-        (u1, u2), (v1, v2) = directional_derivatives(p, dp, frame)
+        (u1, u2), _ = directional_derivatives(p, dp, frame)
         for k in (1e-6, 1e20):
             big = Perturbation(dp=tuple(k * x for x in dp.dp))
-            (ds1, ds2), (d2s1, d2s2) = directional_derivatives(p, big, frame)
-            for got, want in ((ds1, k * u1), (ds2, k * u2), (d2s1, k * k * v1), (d2s2, k * k * v2)):
+            (ds1, ds2), _ = directional_derivatives(p, big, frame)
+            for got, want in ((ds1, k * u1), (ds2, k * u2)):
                 assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -157,37 +159,119 @@ def test_overlap_generator_is_skew_hermitian():
             assert np.max(np.abs(g + g.conj().T)) < SKEW_TOL
 
 
-def test_unitarity_ties_first_and_second_derivatives():
-    # d^2/dl^2 of s^dag s = 0 gives s^dag D2s + 2 Ds^dag Ds + D2s^dag s = 0
-    rng = np.random.default_rng(79)
-    for i in range(50):
-        p = random_params(rng)
-        if i % 5 == 0:
-            p = replace(p, t=0.0)
+def _augmented_derivatives(p, d, frame):
+    """Oracle for the block derivatives along d: the upper-right block of
+    exp([[A, B], [0, A]]) is the derivative of exp(A + l B) at l = 0
+    (Najfeld & Havel, Adv. Appl. Math. 16 (1995) 321), here with scipy's
+    Pade expm, A = -i t W and B = -i (dt W + t dW) in frame coordinates."""
+    c = frame.change_of_basis
+    w = c.conj().T @ build_hamiltonian(p) @ c
+    dw = c.conj().T @ assemble_hamiltonian(d[1:4], d[4], d[5], p.h) @ c
+    a = -1j * p.t * w
+    e = scipy.linalg.expm(np.block([[a, -1j * (d[0] * w + p.t * dw)], [np.zeros((4, 4)), a]]))
+    return e[0:2, 4:6], e[2:4, 6:8]
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_params(), st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+def test_block_derivatives_match_augmented_exponential(case, direction):
+    # degenerate and near-degenerate blocks, t = 0 and couplings up to 1e3,
+    # along the six unit axes and one drawn direction: the divided
+    # differences against the augmented-matrix oracle, whose own Pade
+    # error grows with the couplings and sets the loose bound; the block
+    # maps against the propagator; and a Hermitian generator G = i s^dag Ds
+    p, _ = case
+    frame = bell_frame(p.h)
+    dirs = list(np.eye(6))
+    d = np.array(direction)
+    if np.linalg.norm(d) > 1e-3:
+        dirs.append(d / np.linalg.norm(d))
+    want_s = to_blocks(evolve(p), frame)[:2]
+    for u in dirs:
+        ds, s = directional_derivatives(p, Perturbation(dp=tuple(u)), frame)
+        for got, want in zip(ds, _augmented_derivatives(p, u, frame)):
+            assert np.max(np.abs(got - want)) <= 1e-7 * max(1.0, np.max(np.abs(want)))
+        for got, want in zip(s, want_s):
+            assert np.max(np.abs(got - want)) <= 1e-10
+        for sk, dk in zip(s, ds):
+            g = 1j * sk.conj().T @ dk
+            assert np.max(np.abs(g - g.conj().T)) <= 1e-12 * max(1.0, np.max(np.abs(g)))
+
+
+def _mp_block_maps(p, d, frame):
+    """60-digit oracle: the 4x4 frame-coordinate map s and its derivative Ds
+    along d, as mpmath matrices from mpmath's expm of the augmented matrix
+    of _augmented_derivatives.  Call under mpmath.workdps(60)."""
+    c = mpmath.matrix(np.rint(frame.change_of_basis.real * np.sqrt(2.0)).tolist()) / mpmath.sqrt(2)
+
+    def hamiltonian(x):
+        hm = mpmath.zeros(4, 4)
+        for v, g in zip(x, GENERATORS[p.h]):
+            hm += mpmath.mpf(float(v)) * mpmath.matrix(g.tolist())
+        return c.H * hm * c
+
+    w = hamiltonian((*p.J, p.B1, p.B2))
+    a = -1j * mpmath.mpf(p.t) * w
+    b = -1j * (mpmath.mpf(float(d[0])) * w + mpmath.mpf(p.t) * hamiltonian(d[1:]))
+    aug = mpmath.zeros(8, 8)
+    for i in range(4):
+        for j in range(4):
+            aug[i, j] = aug[i + 4, j + 4] = a[i, j]
+            aug[i, j + 4] = b[i, j]
+    e = mpmath.expm(aug)
+    return e[0:4, 0:4], e[0:4, 4:8]
+
+
+@pytest.mark.parametrize("tag, m, field_scale", [("CNOT_12", 8, 10.0), ("CNOT_21", 4, 3.0)])
+def test_gradient_against_60_digit_oracle(tag, m, field_scale):
+    # the sweep's quadratic coefficients Var(G) on large-field cards
+    card = cnot_family(GateId(tag), m, field_scale)
+    p = card.solved
+    frame = bell_frame(p.h)
+    states = sample_states(frame, n=4, seed=7)
+    grads = {r.state_id: r.per_parameter_gradient for r in sensitivity_sweep(card, states, [1e-2])}
+    with mpmath.workdps(60):
+        for i in range(6):
+            s, ds = _mp_block_maps(p, np.eye(6)[i], frame)
+            g = 1j * s.H * ds
+            for sid, state in enumerate(states):
+                a = mpmath.matrix(state.amplitudes.tolist())
+                ga = g * a
+                var = float(sum(abs(z) ** 2 for z in ga) - abs((a.H * ga)[0]) ** 2)
+                assert abs(grads[sid][i] - var) <= 1e-13 * var
+
+
+def test_block_derivatives_against_60_digit_oracle():
+    # couplings of 3e2 to 1e3 at short times, where a Pade exponential of
+    # the augmented matrix loses digits to scaling and squaring
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        c = rng.uniform(3e2, 1e3, size=5) * rng.choice([-1.0, 1.0], size=5)
+        t = float(10.0 ** rng.uniform(-2.0, -0.5))
+        p = PhysicalParams(t=t, J=tuple(c[:3]), B1=c[3], B2=c[4], h=int(rng.integers(1, 4)))
+        d = rng.normal(size=6)
+        d /= np.linalg.norm(d)
         frame = bell_frame(p.h)
-        dp = _random_direction(rng, 1.0)
-        (ds1, ds2), (d2s1, d2s2) = directional_derivatives(p, dp, frame)
-        hm = build_hamiltonian(p)
-        w = frame.change_of_basis.conj().T @ hm @ frame.change_of_basis
-        for k, ds, d2s in ((0, ds1, d2s1), (2, ds2, d2s2)):
-            s = scipy.linalg.expm(-1j * p.t * w[k : k + 2, k : k + 2])
-            lhs = s.conj().T @ d2s + 2 * ds.conj().T @ ds + d2s.conj().T @ s
-            assert np.max(np.abs(lhs)) < 1e-10
+        ds, _ = directional_derivatives(p, Perturbation(dp=tuple(d)), frame)
+        with mpmath.workdps(60):
+            want = np.array([[complex(z) for z in row] for row in _mp_block_maps(p, d, frame)[1].tolist()])
+        scale = max(1.0, np.max(np.abs(want)))
+        for k, got in zip((0, 2), ds):
+            assert np.max(np.abs(got - want[k : k + 2, k : k + 2])) <= 1e-12 * scale
 
 
 def test_time_derivatives_at_zero_time():
     # at t = 0 the block maps are exp(-i l W_k) along the time axis, so
-    # Ds = -i W_k and D2s = -W_k^2 exactly
+    # Ds = -i W_k exactly
     rng = np.random.default_rng(80)
     for _ in range(50):
         p = replace(random_params(rng), t=0.0)
         frame = bell_frame(p.h)
         w = frame.change_of_basis.conj().T @ build_hamiltonian(p) @ frame.change_of_basis
-        (ds1, ds2), (d2s1, d2s2) = directional_derivatives(p, Perturbation.axis("t", 1.0), frame)
-        for k, ds, d2s in ((0, ds1, d2s1), (2, ds2, d2s2)):
+        (ds1, ds2), _ = directional_derivatives(p, Perturbation.axis("t", 1.0), frame)
+        for k, ds in ((0, ds1), (2, ds2)):
             wk = w[k : k + 2, k : k + 2]
             assert np.max(np.abs(ds - (-1j * wk))) < 1e-12
-            assert np.max(np.abs(d2s - (-wk @ wk))) < 1e-12
 
 
 @pytest.mark.parametrize("tag, m, field_scale", [("CNOT_12", 8, 10.0), ("CNOT_21", 4, 3.0)])
@@ -434,7 +518,7 @@ def test_shared_sweep_matches_per_state_references(name):
 def test_sweep_shares_per_card_work(monkeypatch, n):
     # the optimisation's guard: per-card work must not scale with the
     # number of states, a repeated step reuses its propagator, and the
-    # expansion's two coefficients are computed once per axis, not per step
+    # expansion's variance is computed once per axis, not per step
     calls = {}
 
     def counting(name):
@@ -446,19 +530,30 @@ def test_sweep_shares_per_card_work(monkeypatch, n):
 
         monkeypatch.setattr(fid, name, wrapper)
 
-    for name in ("directional_derivatives", "evolve", "_coefficients"):
+    for name in ("directional_derivatives", "evolve", "_variance"):
         counting(name)
     card = solve_physical(prescription_targets(GateId("H_q2")))
     states = sample_states(bell_frame(card.solved.h), n=n, seed=7)
     for grid in ([1e-2], [1e-2, 5e-3, 1e-2, 2.5e-3]):
-        calls.update(directional_derivatives=0, evolve=0, _coefficients=0)
+        calls.update(directional_derivatives=0, evolve=0, _variance=0)
         reports = sensitivity_sweep(card, states, grid)
         assert len(reports) == n * 6 * len(grid)
         assert calls == {
             "directional_derivatives": 6,
             "evolve": 1 + 6 * len(set(grid)),
-            "_coefficients": 6,
+            "_variance": 6,
         }
+
+
+def test_sweep_second_order_has_no_linear_term():
+    # F^2 = 1 - step^2 Var(G) exactly, also on a large-field card where a
+    # numerically nonzero linear coefficient would show
+    card = cnot_family(GateId("CNOT_12"), 8, 10.0)
+    states = sample_states(bell_frame(card.solved.h), n=8, seed=7)
+    for r in sensitivity_sweep(card, states, [1e-2, 5e-3, 2.5e-3]):
+        i = PARAM_NAMES.index(r.param)
+        step = r.dp.dp[i]
+        assert abs(r.f2_second_order - (1.0 - step * step * r.per_parameter_gradient[i])) <= 1e-15
 
 
 def test_huge_step_is_finite_or_non_finite_derivative():
