@@ -29,7 +29,6 @@ from .calib import (
     emit_card,
     parse_card,
     prescription_targets,
-    residual_labels,
     solve_physical,
 )
 from .checks import ACCEPT_TOL, STRUCTURAL_TOL
@@ -48,7 +47,6 @@ from .fidelity import (
     directional_derivatives,
     fidelity_exact,
     fidelity_second_order,
-    quadratic_sensitivities,
     rank_parameters,
     sample_states,
     sensitivity_sweep,
@@ -59,7 +57,6 @@ from .gates import (
     Circuit,
     GateId,
     OpaqueGate,
-    boykin_gate,
     compile_circuit,
     d_gate,
     embedded_matrix,

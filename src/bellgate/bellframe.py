@@ -20,7 +20,7 @@ propagator has the closed form
 with a unit vector n = (q b sin(h pi/2), q b cos(h pi/2), beta j).
 reduced_params extracts (dplus, dminus, b, j) from the coefficients;
 closed_form_block rebuilds the block from them.  The signs alpha, beta,
-q are fixed per block from the frame's row labels.
+q are fixed per block from the frame's row positions.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ _FRAME_ORDER = {1: (0, 1, 2, 3), 2: (0, 3, 1, 2), 3: (0, 2, 1, 3)}
 
 def bell_state(i: int, j: int) -> np.ndarray:
     """Bell state |b_ij> as a computational-basis column vector."""
-    if i not in (0, 1) or j not in (0, 1):
-        raise ValueError("bell labels must be binary")
+    i = strict_int("bell label i", i, (0, 1))
+    j = strict_int("bell label j", j, (0, 1))
     v = np.zeros(4, dtype=np.complex128)
     v[j] = 1.0
     v[2 + (1 ^ j)] = (-1.0) ** i
@@ -91,7 +91,6 @@ class BellFrame:
     alpha: tuple[int, int]
     beta: tuple[int, int]
     q: tuple[int, int]
-    row_labels: tuple[tuple[int, int], tuple[int, int]]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -126,9 +125,9 @@ def _make_frame(h: int) -> BellFrame:
         (LABELS[order[0]], LABELS[order[1]]),
         (LABELS[order[2]], LABELS[order[3]]),
     )
-    row_labels = ((1, 2), (3, 4))
     alpha = tuple((-1) ** (h + j + 1) for j in (1, 2))
-    beta = tuple((-1) ** (j * (h + row_labels[j - 1][1] - row_labels[j - 1][0] + 1)) for j in (1, 2))
+    # block j holds the adjacent rows (k, l) = (2j - 1, 2j), so l - k = 1
+    beta = tuple((-1) ** (j * (h + 1 + 1)) for j in (1, 2))
     q = tuple(beta[j - 1] * (-1) ** (h + 1) for j in (1, 2))
     return BellFrame(
         h=h,
@@ -137,7 +136,6 @@ def _make_frame(h: int) -> BellFrame:
         alpha=alpha,
         beta=beta,
         q=q,
-        row_labels=row_labels,
     )
 
 
@@ -171,7 +169,7 @@ def bell_frame(h: int) -> BellFrame:
 
 def frame_permutation(frame: BellFrame) -> list[int]:
     """Canonical label index occupying each frame position."""
-    return [LABELS.index(lbl) for pair in frame.pairing for lbl in pair]
+    return list(_FRAME_ORDER[frame.h])
 
 
 def to_blocks(u: np.ndarray, frame: BellFrame) -> tuple[np.ndarray, np.ndarray, float]:

@@ -8,14 +8,29 @@ the realized gate error), and cnot_family builds the finite-winding
 controlled-NOT approximants whose error vanishes as the driving field
 dominates the exchange.
 
-A published row, exactly as prescription_targets returns it, is
-realized by its closed-form construction.  Any other target set is
-synthesized by exact inversion, not a search.  In the frame of axis h
-each block restriction c0 + c . sigma is linear in the couplings, and
-five of its coordinates (c0 of block 1, block 2 carrying -c0, and the
-transversal and longitudinal components of c in each block) are a
-one-to-one 0/+-1 image of (J1, J2, J3, B1, B2).  At t = 1 a target row
-fixes these coordinates up to a finite choice:
+The published rows, with the targets on the left and the closed-form
+controls that realize them on the right.  d+ is delta_plus_1 and d-
+the pair (delta_minus_1, delta_minus_2); pc is phi folded into
+(0, 2 pi], w = 1/sqrt(2), and for the windings m, m_prime of a CNOT row
+D = pi/2 + 2 pi m_prime, T = pi (m + m_prime) + pi/4 and
+L = pi (m - m_prime) - pi/4:
+
+    row          h  d+    d-            pins           t     (J1, J2, J3)    B1, B2
+    S_phi_q2     1  2pi   pc, pc        j = beta, b=0  pc    (0, 0, 1)       0, 0
+    S_phi_q1     1  pc    2pi, 2pi      -              2pi   (pc/2pi, 0, 1)  0, 0
+    (alternate)  3  2pi   pc, pc        j = beta, b=0  pc    (1, 0, 0)       0, 0
+    H_q2         1  pi/2  pi/2, pi/2    b = q beta j   pi/2  (-1, -w, 0)     -w, 0
+    H_q1         3  pi/2  pi/2, pi/2    b = -q beta j  pi/2  (0, -w, -1)     0, -w
+    CNOT_12      1  pi/4  2pi m, D      j = 0          T     (pi/(4T), 0, 0) 1, L/T
+    CNOT_21      3  pi/4  2pi m, D      j = 0          T     (0, 0, pi/(4T)) L/T, 1
+
+A target set equal to its gate's published row gets those controls.
+Any other target set is synthesized by exact inversion, not a search.
+In the frame of axis h each block restriction c0 + c . sigma is linear
+in the couplings, and five of its coordinates (c0 of block 1, block 2
+carrying -c0, and the transversal and longitudinal components of c in
+each block) are a one-to-one 0/+-1 image of (J1, J2, J3, B1, B2).  At
+t = 1 a target row fixes these coordinates up to a finite choice:
 
 - phase branch: c0 = -s r with s = +-1 and r the drift target folded
   into [-pi, pi].  The residual accepts exactly the phases +-r + 2 pi n,
@@ -45,7 +60,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -62,7 +79,6 @@ __all__ = [
     "PrescriptionTargets",
     "PrescriptionCard",
     "prescription_targets",
-    "residual_labels",
     "solve_physical",
     "cnot_family",
     "emit_card",
@@ -118,7 +134,9 @@ class PrescriptionTargets:
 class PrescriptionCard:
     """A solved realization: targets, physical controls, honesty numbers.
 
-    residuals follows residual_labels(targets); realized_error is the
+    residuals are in the order delta_plus, delta_minus_1, delta_minus_2,
+    then j_1, j_2 where the targets pin j, then b_1, b_2 where they pin
+    b by value or by the Hadamard relation.  realized_error is the
     phase-invariant distance between the evolution and the target gate
     in the frame arrangement; phase_branch records which sign of
     delta_plus_1 the solution landed on.
@@ -129,16 +147,6 @@ class PrescriptionCard:
     residuals: tuple[float, ...]
     realized_error: float
     phase_branch: int
-
-
-def residual_labels(tg: PrescriptionTargets) -> tuple[str, ...]:
-    """Names of the residual vector entries, in order."""
-    labels = ["delta_plus", "delta_minus_1", "delta_minus_2"]
-    if tg.j_targets is not None:
-        labels += ["j_1", "j_2"]
-    if tg.b_targets is not None or tg.b_relation_sign is not None:
-        labels += ["b_1", "b_2"]
-    return tuple(labels)
 
 
 def _canonical_phase(phi: float) -> float:
@@ -162,6 +170,17 @@ def prescription_targets(
     bookkeeping device), so it is rejected here, as are the
     computational-basis tags.
     """
+    return _published_row(g, m, m_prime, route)[0]
+
+
+def _published_row(
+    g: GateId, m: int, m_prime: int, route: str
+) -> tuple[PrescriptionTargets, Callable[[], PhysicalParams]]:
+    """One row of the published table: its targets and its closed-form controls.
+
+    The controls come as a zero-argument builder, already in canonical
+    gauge, so that a solve pays for them only when the row is realized.
+    """
     if not isinstance(g, GateId):
         raise TypeError(f"expected a GateId, got {type(g).__name__}")
     if g.tag not in _SOLVABLE_TAGS:
@@ -171,64 +190,54 @@ def prescription_targets(
     if route == "alternate" and g.tag != "S_phi_q1":
         raise ValueError("only S_phi_q1 has an alternate route")
 
-    if g.tag == "S_phi_q2":
-        fr = bell_frame(1)
+    tag = g.tag
+    if tag == "S_phi_q2" or route == "alternate":
+        # the phase is both blocks' rotation, one exchange coupling drives it
+        h = 1 if tag == "S_phi_q2" else 3
+        beta = bell_frame(h).beta
         pc = _canonical_phase(g.phi)
-        return PrescriptionTargets(
+        row = PrescriptionTargets(
             gate=g,
-            h=1,
+            h=h,
             delta_plus_1=TWO_PI,
             delta_minus_1=pc,
             delta_minus_2=pc,
-            j_targets=(float(fr.beta[0]), float(fr.beta[1])),
+            j_targets=(float(beta[0]), float(beta[1])),
             b_targets=(0.0, 0.0),
         )
-    if g.tag == "S_phi_q1":
+        J = (0.0, 0.0, 1.0) if h == 1 else (1.0, 0.0, 0.0)
+        return row, partial(PhysicalParams, t=pc, J=J, B1=0.0, B2=0.0, h=h)
+    if tag == "S_phi_q1":
         pc = _canonical_phase(g.phi)
-        if route == "alternate":
-            fr = bell_frame(3)
-            return PrescriptionTargets(
-                gate=g,
-                h=3,
-                delta_plus_1=TWO_PI,
-                delta_minus_1=pc,
-                delta_minus_2=pc,
-                j_targets=(float(fr.beta[0]), float(fr.beta[1])),
-                b_targets=(0.0, 0.0),
-            )
-        return PrescriptionTargets(
-            gate=g,
-            h=1,
-            delta_plus_1=pc,
-            delta_minus_1=TWO_PI,
-            delta_minus_2=TWO_PI,
+        row = PrescriptionTargets(
+            gate=g, h=1, delta_plus_1=pc, delta_minus_1=TWO_PI, delta_minus_2=TWO_PI
         )
-    if g.tag == "H_q2":
-        return PrescriptionTargets(
+        return row, partial(
+            PhysicalParams, t=TWO_PI, J=(pc / TWO_PI, 0.0, 1.0), B1=0.0, B2=0.0, h=1
+        )
+    if tag in ("H_q2", "H_q1"):
+        h = 1 if tag == "H_q2" else 3
+        row = PrescriptionTargets(
             gate=g,
-            h=1,
+            h=h,
             delta_plus_1=math.pi / 2,
             delta_minus_1=math.pi / 2,
             delta_minus_2=math.pi / 2,
-            b_relation_sign=1,
+            b_relation_sign=1 if h == 1 else -1,
         )
-    if g.tag == "H_q1":
-        return PrescriptionTargets(
-            gate=g,
-            h=3,
-            delta_plus_1=math.pi / 2,
-            delta_minus_1=math.pi / 2,
-            delta_minus_2=math.pi / 2,
-            b_relation_sign=-1,
-        )
+        w = _HADAMARD_WEIGHT
+        if h == 1:
+            return row, partial(PhysicalParams, t=math.pi / 2, J=(-1.0, -w, 0.0), B1=-w, B2=0.0, h=1)
+        return row, partial(PhysicalParams, t=math.pi / 2, J=(0.0, -w, -1.0), B1=0.0, B2=-w, h=3)
 
     m = strict_int("m", m)
     m_prime = strict_int("m_prime", m_prime)
     if m < 1 or m_prime < 0:
         raise ValueError(f"CNOT windings require m >= 1, m_prime >= 0, got {m}, {m_prime}")
-    return PrescriptionTargets(
+    h = 1 if tag == "CNOT_12" else 3
+    row = PrescriptionTargets(
         gate=g,
-        h=1 if g.tag == "CNOT_12" else 3,
+        h=h,
         delta_plus_1=math.pi / 4,
         delta_minus_1=2.0 * m * math.pi,
         delta_minus_2=math.pi / 2 + 2.0 * m_prime * math.pi,
@@ -237,6 +246,13 @@ def prescription_targets(
         m=m,
         m_prime=m_prime,
     )
+    # zeroing the spectator exchanges makes j = 0 exact on both blocks, so
+    # the finite-m realization is exact up to phase
+    t = (row.delta_minus_1 + row.delta_minus_2) / 2.0
+    lo = (row.delta_minus_1 - row.delta_minus_2) / 2.0 / t
+    if tag == "CNOT_12":
+        return row, partial(PhysicalParams, t=t, J=(math.pi / 4 / t, 0.0, 0.0), B1=1.0, B2=lo, h=1)
+    return row, partial(PhysicalParams, t=t, J=(0.0, 0.0, math.pi / 4 / t), B1=lo, B2=1.0, h=3)
 
 
 def _check_feasible(tg: PrescriptionTargets) -> None:
@@ -294,59 +310,17 @@ def _evaluate(
     return tuple(float(v) for v in res), branch, float(err)
 
 
-def _published(tg: PrescriptionTargets) -> bool:
-    """Whether tg is the row prescription_targets returns for its gate, route and windings."""
+def _closed_form(tg: PrescriptionTargets) -> PhysicalParams | None:
+    """Closed-form controls of tg if it is the published row of its gate, route and windings."""
     route = "alternate" if tg.gate.tag == "S_phi_q1" and tg.h == 3 else "printed"
-    windings = {} if tg.m is None else {"m": tg.m, "m_prime": tg.m_prime}
+    m = 1 if tg.m is None else tg.m
+    m_prime = 0 if tg.m_prime is None else tg.m_prime
     try:
-        return tg == prescription_targets(tg.gate, route=route, **windings)
+        row, controls = _published_row(tg.gate, m, m_prime, route)
     except ValueError:
-        # a row prescription_targets refuses is not a published one
-        return False
-
-
-def _construction(tg: PrescriptionTargets) -> PhysicalParams:
-    """Closed-form controls for a published row, already in canonical gauge."""
-    tag = tg.gate.tag
-    if tag == "S_phi_q2":
-        pc = tg.delta_minus_1
-        return PhysicalParams(t=pc, J=(0.0, 0.0, 1.0), B1=0.0, B2=0.0, h=1)
-    if tag == "S_phi_q1":
-        if tg.h == 3:
-            pc = tg.delta_minus_1
-            return PhysicalParams(t=pc, J=(1.0, 0.0, 0.0), B1=0.0, B2=0.0, h=3)
-        pc = tg.delta_plus_1
-        return PhysicalParams(
-            t=TWO_PI, J=(pc / TWO_PI, 0.0, 1.0), B1=0.0, B2=0.0, h=1
-        )
-    if tag == "H_q2":
-        return PhysicalParams(
-            t=math.pi / 2,
-            J=(-1.0, -_HADAMARD_WEIGHT, 0.0),
-            B1=-_HADAMARD_WEIGHT,
-            B2=0.0,
-            h=1,
-        )
-    if tag == "H_q1":
-        return PhysicalParams(
-            t=math.pi / 2,
-            J=(0.0, -_HADAMARD_WEIGHT, -1.0),
-            B1=0.0,
-            B2=-_HADAMARD_WEIGHT,
-            h=3,
-        )
-    # CNOT rows: zeroing the spectator exchanges makes j = 0 exact on
-    # both blocks, so the finite-m realization is exact up to phase.
-    theta_hi = (tg.delta_minus_1 + tg.delta_minus_2) / 2.0
-    theta_lo = (tg.delta_minus_1 - tg.delta_minus_2) / 2.0
-    t = theta_hi
-    if tag == "CNOT_12":
-        return PhysicalParams(
-            t=t, J=(math.pi / 4 / t, 0.0, 0.0), B1=1.0, B2=theta_lo / t, h=1
-        )
-    return PhysicalParams(
-        t=t, J=(0.0, 0.0, math.pi / 4 / t), B1=theta_lo / t, B2=1.0, h=3
-    )
+        # a row _published_row refuses is not a published one
+        return None
+    return controls() if tg == row else None
 
 
 #: index of the transversal coefficient in BLOCK_COEFFS[h]: c_x on axes 1 and 3, c_y on 2
@@ -501,7 +475,8 @@ def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
     """
     _check_feasible(tg)
 
-    attempts = [_construction(tg)] if _published(tg) else _candidates(tg)
+    closed = _closed_form(tg)
+    attempts = [closed] if closed is not None else _candidates(tg)
     best_worst = math.inf
     for p in attempts:
         res, branch, err = _evaluate(tg, p)

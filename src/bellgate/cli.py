@@ -28,7 +28,7 @@ from .bellframe import bell_frame, closed_form_block, reduced_params, to_blocks
 from .checks import STRUCTURAL_TOL
 from .errors import BellgateError, SolverFailure
 from .gates import Circuit, GateId, compile_circuit, matrix_of
-from .jsonio import complex_to_doc, dumps, format_float
+from .jsonio import dumps, format_float
 from .model import PhysicalParams, evolve
 from .spinlin import dist_phase_invariant, dist_unitary
 
@@ -46,10 +46,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _matrix_doc(m: np.ndarray) -> list:
-    return [[complex_to_doc(z) for z in row] for row in m]
 
 
 def _read(path: str) -> str:
@@ -117,7 +113,7 @@ def _cmd_evolve(args) -> str:
         return "\n".join(lines) + "\n"
     doc = {
         "params": json.loads(p.to_json()),
-        "unitary": _matrix_doc(u),
+        "unitary": u,
         "unitarity_residual": dist_unitary(u),
     }
     return dumps(doc, indent=2) + "\n"
@@ -144,8 +140,8 @@ def _cmd_blocks(args) -> str:
         )
     doc = {
         "frame": json.loads(frame.to_json()),
-        "block1": _matrix_doc(b1),
-        "block2": _matrix_doc(b2),
+        "block1": b1,
+        "block2": b2,
         "offblock_norm": off,
         "within_structural_tol": bool(off <= STRUCTURAL_TOL),
         "reduced": reduced,

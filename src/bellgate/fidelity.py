@@ -44,7 +44,6 @@ __all__ = [
     "directional_derivatives",
     "fidelity_exact",
     "fidelity_second_order",
-    "quadratic_sensitivities",
     "sensitivity_sweep",
     "rank_parameters",
     "sample_states",
@@ -233,17 +232,6 @@ def fidelity_second_order(state: BlockState, p: PhysicalParams, dp: Perturbation
     return float(_second_order(var, step, axis)[0])
 
 
-def quadratic_sensitivities(p: PhysicalParams, state: BlockState) -> tuple[float, ...]:
-    """Per-parameter quadratic infidelity coefficients, Var(G) per axis.
-
-    The expansion has no linear term, so 1 - F^2 = l^2 times these
-    diagonal coefficients to second order along each axis; they are the
-    meaningful sensitivity ranking quantities.
-    """
-    _check_state(state, p)
-    return tuple(_axis_variances(p, state.frame, state.amplitudes[None])[0].tolist())
-
-
 def sensitivity_sweep(
     card: PrescriptionCard, states: list[BlockState], grid: list[float]
 ) -> list[FidelityReport]:
@@ -258,7 +246,7 @@ def sensitivity_sweep(
     give, and one displaced propagator per (axis, distinct step).  The
     states are evaluated together; all of them must live in one frame.
     """
-    grid = [float(step) for step in grid]
+    grid = [strict_float("perturbation component", step) for step in grid]
     if not states:
         raise ValueError("sensitivity sweep needs at least one state")
     if not grid:

@@ -17,11 +17,11 @@ opaque matrix node otherwise.
 
 Both sets are finite, so every matrix here except the parametric phase
 gates is a constant.  They are built once at import as read-only
-tables: the computational gates, their 4x4 embeddings per (tag, qubit),
-the fixed Bell-basis gates, and the resolved conjugate T g T of each
-embedding.  boykin_gate, d_gate, translator and embedded_matrix return
-these shared arrays (copy before writing), and compile_circuit is one
-table lookup per gate.
+tables: the 4x4 computational matrix of each (tag, qubit), the fixed
+Bell-basis gates, and the resolved conjugate T g T of each computational
+matrix.  d_gate, translator and embedded_matrix return these shared
+arrays (copy before writing), and compile_circuit is one table lookup
+per gate.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "GateId",
     "OpaqueGate",
     "Circuit",
-    "boykin_gate",
     "d_gate",
     "translator",
     "embedded_matrix",
@@ -50,7 +49,6 @@ __all__ = [
 D_TAGS = ("S_phi_q2", "S_phi_q1", "H_q2", "H_q1", "CNOT_12", "CNOT_21", "T_translator")
 B_TAGS = ("B_S8", "B_S4", "B_H", "B_CNOT12", "B_CNOT21")
 _PHASE_TAGS = ("S_phi_q2", "S_phi_q1")
-_B_ONE_LEVEL = ("B_S8", "B_S4", "B_H")
 
 
 def _frozen(m: np.ndarray) -> np.ndarray:
@@ -71,22 +69,17 @@ _CX_SECOND = _frozen(
     np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=np.complex128)
 )
 
-#: computational-basis library: 2x2 one-level gates, 4x4 CNOTs
-_BOYKIN = {
-    "B_S8": _frozen(_phase2(np.pi / 8)),
-    "B_S4": _frozen(_phase2(np.pi / 4)),
-    "B_H": _H2,
-    "B_CNOT12": _CX_FIRST,
-    "B_CNOT21": _CX_SECOND,
-}
+#: 2x2 one-level gates of the computational-basis library
+_ONE_LEVEL = {"B_S8": _phase2(np.pi / 8), "B_S4": _phase2(np.pi / 4), "B_H": _H2}
 
 #: 4x4 computational matrix of each (tag, qubit) a circuit can hold
 _EMBEDDED = {
-    (tag, q): _frozen(np.kron(_BOYKIN[tag], _I2) if q == 1 else np.kron(_I2, _BOYKIN[tag]))
-    for tag in _B_ONE_LEVEL
+    (tag, q): _frozen(np.kron(m, _I2) if q == 1 else np.kron(_I2, m))
+    for tag, m in _ONE_LEVEL.items()
     for q in (1, 2)
 }
-_EMBEDDED.update({(tag, None): _BOYKIN[tag] for tag in ("B_CNOT12", "B_CNOT21")})
+_EMBEDDED[("B_CNOT12", None)] = _CX_FIRST
+_EMBEDDED[("B_CNOT21", None)] = _CX_SECOND
 
 #: Bell-basis library members without a parameter; T is H on label i
 _D_FIXED = {
@@ -122,7 +115,7 @@ class GateId:
             raise ValueError(f"{self.tag} takes no phi")
         if self.qubit is not None:
             object.__setattr__(self, "qubit", strict_int("qubit", self.qubit, (1, 2)))
-        if self.qubit is not None and self.tag not in _B_ONE_LEVEL:
+        if self.qubit is not None and self.tag not in _ONE_LEVEL:
             raise ValueError(f"{self.tag} takes no qubit annotation")
 
 
@@ -210,14 +203,6 @@ class Circuit:
         return cls(gates=tuple(gates), basis=basis)
 
 
-def boykin_gate(g: GateId) -> np.ndarray:
-    """Computational-basis matrix of a finite-set gate: 2x2 one-level, 4x4 CNOT (read-only)."""
-    m = _BOYKIN.get(g.tag)
-    if m is None:
-        raise ValueError(f"{g.tag} is not a computational-basis library gate")
-    return m
-
-
 def d_gate(g: GateId) -> np.ndarray:
     """Bell-basis matrix of a product-gate library member (canonical label order).
 
@@ -251,7 +236,7 @@ def embedded_matrix(g, basis: str) -> np.ndarray:
     m = _EMBEDDED.get((g.tag, g.qubit))
     if m is not None:
         return m
-    if g.tag not in _BOYKIN:
+    if g.tag not in B_TAGS:
         raise ValueError(f"{g.tag} is not a computational-basis library gate")
     raise ValueError(f"one-level gate {g.tag} needs a qubit annotation to embed")
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checks import HERMITICITY_TOL, UNITARITY_TOL
+from .checks import HERMITICITY_TOL, UNITARITY_TOL, strict_int
 from .errors import NonHermitianError, NonUnitaryError
 
 __all__ = [
@@ -28,9 +28,7 @@ _PAULI = {1: _SX, 2: _SY, 3: _SZ}
 
 def pauli(k: int) -> np.ndarray:
     """Pauli matrix sigma_k for k in {1, 2, 3} = (x, y, z).  Returns a copy."""
-    if k not in _PAULI:
-        raise ValueError(f"pauli index must be 1, 2 or 3, got {k!r}")
-    return _PAULI[k].copy()
+    return _PAULI[strict_int("pauli index", k, _PAULI)].copy()
 
 
 def expm_hermitian(hm: np.ndarray, scale: float = 1.0) -> np.ndarray:

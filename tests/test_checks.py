@@ -1,5 +1,6 @@
 """The tolerance table and the one integer check every entry point uses."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -11,13 +12,17 @@ from bellgate import (
     GateId,
     Perturbation,
     bell_frame,
+    bell_state,
     cnot_family,
     prescription_targets,
     sample_states,
+    sensitivity_sweep,
+    solve_physical,
 )
 from bellgate.checks import strict_float, strict_int
 
 SRC = Path(bellgate.__file__).resolve().parent
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 #: a float literal between 1e-7 and 1e-19, in code, comments or docstrings
 TOLERANCE_LITERAL = re.compile(r"\d(?:\.\d*)?[eE]-0*(?:[7-9]|1\d)\b")
@@ -33,6 +38,38 @@ def test_tolerance_literals_live_only_in_checks():
         if TOLERANCE_LITERAL.search(line)
     ]
     assert hits == []
+
+
+def _loaded_names(path):
+    """Every name the module reads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _exported_names(path):
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_public_names_have_a_caller_besides_tests():
+    # a public name that only its own tests call is API the package does not need;
+    # the acceptance criteria count as a caller, the package's re-exports do not
+    readers = [path for path in SRC.glob("*.py") if path.name != "__init__.py"] + [ACCEPTANCE]
+    loaded = set().union(*(_loaded_names(path) for path in readers))
+    unused = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _exported_names(path)
+        if name not in loaded
+    ]
+    assert unused == []
 
 
 @pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3), np.uint8(3)])
@@ -71,6 +108,9 @@ def test_strict_float_rejects_non_reals(value):
         lambda: cnot_family(GateId("CNOT_12"), 2.5, 1.0),
         lambda: cnot_family(GateId("CNOT_12"), True, 1.0),
         lambda: sample_states(bell_frame(1), n=2.5),
+        lambda: bell_state(1.0, 0),
+        lambda: bell_state(0, 1.0),
+        lambda: bell_state(True, 0),
     ],
     ids=[
         "bell_frame-bool",
@@ -80,11 +120,19 @@ def test_strict_float_rejects_non_reals(value):
         "family-m-float",
         "family-m-bool",
         "sample_states-n-float",
+        "bell_state-i-float",
+        "bell_state-j-float",
+        "bell_state-i-bool",
     ],
 )
 def test_integer_entry_points_reject_non_integers(call):
     with pytest.raises(ValueError):
         call()
+
+
+def _h_sweep(grid):
+    card = solve_physical(prescription_targets(GateId("H_q2")))
+    return sensitivity_sweep(card, sample_states(bell_frame(1), n=1), grid)
 
 
 @pytest.mark.parametrize(
@@ -97,6 +145,8 @@ def test_integer_entry_points_reject_non_integers(call):
         lambda: cnot_family(GateId("CNOT_12"), 2, "3"),
         lambda: cnot_family(GateId("CNOT_12"), 2, True),
         lambda: cnot_family(GateId("CNOT_12"), 2, np.inf),
+        lambda: _h_sweep(["0.01"]),
+        lambda: _h_sweep([0.01, True]),
     ],
     ids=[
         "perturbation-bool",
@@ -106,6 +156,8 @@ def test_integer_entry_points_reject_non_integers(call):
         "family-field_scale-string",
         "family-field_scale-bool",
         "family-field_scale-inf",
+        "sweep-grid-string",
+        "sweep-grid-bool",
     ],
 )
 def test_real_entry_points_reject_non_reals(call):
@@ -129,3 +181,4 @@ def test_numpy_integers_pass_every_entry_point():
     assert bell_frame(np.int64(2)) is bell_frame(2)
     assert prescription_targets(GateId("CNOT_12"), m=np.int64(2)).m == 2
     assert len(sample_states(bell_frame(1), n=np.int64(3))) == 3
+    assert np.array_equal(bell_state(np.int64(1), np.uint8(0)), bell_state(1, 0))

@@ -28,7 +28,6 @@ from bellgate import (
     fidelity_exact,
     fidelity_second_order,
     prescription_targets,
-    quadratic_sensitivities,
     rank_parameters,
     sample_states,
     sensitivity_sweep,
@@ -279,11 +278,12 @@ def test_quadratic_sensitivities_on_large_field_cards(tag, m, field_scale):
     # large couplings must not degrade the derivatives: the expansion's
     # quadratic coefficients match the exact infidelity over a step small
     # enough that the cubic term is negligible
-    p = cnot_family(GateId(tag), m, field_scale).solved
+    card = cnot_family(GateId(tag), m, field_scale)
+    p = card.solved
     x = np.array([p.t, *p.J, p.B1, p.B2])
     h = 1e-4 / float(np.max(np.abs(x)))
     for st in sample_states(bell_frame(p.h), n=4, seed=7):
-        sens = np.array(quadratic_sensitivities(p, st))
+        sens = np.array(sensitivity_sweep(card, [st], [h])[0].per_parameter_gradient)
         exact = np.array(
             [(1.0 - fidelity_exact(st, p, Perturbation.axis(i, h))) / h**2 for i in range(6)]
         )
@@ -403,11 +403,12 @@ def test_frame_mismatch_rejected():
 def test_quadratic_sensitivities_definition():
     rng = np.random.default_rng(113)
     st = _random_state(rng)
-    sens = quadratic_sensitivities(BASE, st)
-    assert len(sens) == 6
+    # the sweep's gradient is Var(G) per axis: 1 - F^2 at a unit step
+    sens = [1.0 - fidelity_second_order(st, BASE, Perturbation.axis(i, 1.0)) for i in range(6)]
+    grad = fid._axis_variances(BASE, FRAME, st.amplitudes[None])[0]
+    assert len(grad) == 6
     for i in range(6):
-        f2 = fidelity_second_order(st, BASE, Perturbation.axis(i, 1.0))
-        assert sens[i] == pytest.approx(1.0 - f2, rel=1e-12)
+        assert grad[i] == pytest.approx(sens[i], rel=1e-12)
 
 
 def test_sample_states_deterministic_and_normalized():
@@ -499,7 +500,10 @@ def test_shared_sweep_matches_per_state_references(name):
         return abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
     u0 = propagator(x0)
-    grads = [quadratic_sensitivities(p, st) for st in states]
+    grads = [
+        [1.0 - fidelity_second_order(st, p, Perturbation.axis(i, 1.0)) for i in range(6)]
+        for st in states
+    ]
     reports = sensitivity_sweep(card, states, grid)
     assert len(reports) == len(states) * len(PARAM_NAMES) * len(grid)
     for r in reports:

@@ -12,7 +12,6 @@ from bellgate import (
     Circuit,
     GateId,
     OpaqueGate,
-    boykin_gate,
     compile_circuit,
     d_gate,
     dist_phase_invariant,
@@ -64,16 +63,19 @@ def test_d_gate_unitarity():
 
 
 def test_boykin_frozen_literals():
-    assert np.max(np.abs(boykin_gate(GateId("B_H")) - HADAMARD)) < 1e-15
+    def emb(tag, qubit=None):
+        return embedded_matrix(GateId(tag, qubit=qubit), "computational")
+
     s8 = np.diag([np.exp(-1j * np.pi / 8), np.exp(1j * np.pi / 8)])
-    assert np.max(np.abs(boykin_gate(GateId("B_S8")) - s8)) < 1e-15
     s4 = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
-    assert np.max(np.abs(boykin_gate(GateId("B_S4")) - s4)) < 1e-15
-    assert np.array_equal(boykin_gate(GateId("B_CNOT12")).real, D_FROZEN["CNOT_12"])
+    for tag, one_level in (("B_H", HADAMARD), ("B_S8", s8), ("B_S4", s4)):
+        assert np.max(np.abs(emb(tag, 1) - np.kron(one_level, np.eye(2)))) < 1e-15
+        assert np.max(np.abs(emb(tag, 2) - np.kron(np.eye(2), one_level))) < 1e-15
+    assert np.array_equal(emb("B_CNOT12").real, D_FROZEN["CNOT_12"])
     cx21 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])[
         np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
     ]
-    assert np.array_equal(boykin_gate(GateId("B_CNOT21")).real, cx21)
+    assert np.array_equal(emb("B_CNOT21").real, cx21)
 
 
 def test_translator_involution():
@@ -161,7 +163,7 @@ def test_matrix_of_applies_left_to_right():
         gates=(GateId("B_H", qubit=1), GateId("B_CNOT12")), basis="computational"
     )
     h1 = np.kron(HADAMARD, np.eye(2))
-    cx = boykin_gate(GateId("B_CNOT12"))
+    cx = embedded_matrix(GateId("B_CNOT12"), "computational")
     assert np.max(np.abs(matrix_of(c) - cx @ h1)) < 1e-15
 
 
@@ -351,8 +353,6 @@ def _oracle_compiled(tag, qubit):
 
 
 def test_library_tables_match_kron_oracle():
-    for tag in B_TAGS:
-        assert np.array_equal(boykin_gate(GateId(tag)), _oracle_boykin(tag))
     for tag, qubit in COMPUTATIONAL_KEYS:
         got = embedded_matrix(GateId(tag, qubit=qubit), "computational")
         assert np.array_equal(got, _oracle_embedded(tag, qubit))
@@ -383,8 +383,7 @@ def test_phase_gates_equal_kron_of_phase2(phi):
 
 
 def _table_arrays():
-    out = [boykin_gate(GateId(tag)) for tag in B_TAGS]
-    out += [embedded_matrix(GateId(tag, qubit=q), "computational") for tag, q in COMPUTATIONAL_KEYS]
+    out = [embedded_matrix(GateId(tag, qubit=q), "computational") for tag, q in COMPUTATIONAL_KEYS]
     out += [d_gate(GateId(tag)) for tag in FIXED_D_TAGS]
     out.append(translator())
     for tag, qubit in COMPUTATIONAL_KEYS:
@@ -396,7 +395,7 @@ def _table_arrays():
 
 def test_returned_tables_are_read_only():
     arrays = _table_arrays()
-    assert len(arrays) == 5 + 8 + 5 + 1 + 4
+    assert len(arrays) == 8 + 5 + 1 + 4
     for m in arrays:
         with pytest.raises(ValueError):
             m[0, 0] = 0.0

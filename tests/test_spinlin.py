@@ -36,7 +36,7 @@ def test_pauli_literals():
     assert np.array_equal(pauli(3), SIGMA_3)
 
 
-@pytest.mark.parametrize("k", [0, -1, 4])
+@pytest.mark.parametrize("k", [0, -1, 4, True, 1.0])
 def test_pauli_rejects_out_of_range(k):
     with pytest.raises(ValueError):
         pauli(k)
