@@ -67,7 +67,15 @@ from functools import partial
 import numpy as np
 
 from .bellframe import BLOCK_COEFFS, bell_frame, block_axis, frame_permutation, reduced_params
-from .checks import ACCEPT_TOL, INVISIBLE_AXIS_TOL, UNIT_CIRCLE_TOL, WEIGHT_TOL, strict_float, strict_int
+from .checks import (
+    ACCEPT_TOL,
+    INVISIBLE_AXIS_TOL,
+    UNIT_CIRCLE_TOL,
+    WEIGHT_TOL,
+    strict_bool,
+    strict_float,
+    strict_int,
+)
 from .errors import SolverFailure
 from .gates import GateId, d_gate
 from .jsonio import dumps
@@ -559,22 +567,31 @@ def emit_card(card: PrescriptionCard) -> str:
     return dumps(doc, indent=2)
 
 
+def _reals(name: str, values, count: int | None = None) -> tuple[float, ...]:
+    """A JSON list of finite reals as a tuple, with count entries when count is given."""
+    if not isinstance(values, list) or count not in (None, len(values)):
+        spec = "a list of real numbers" if count is None else f"a list of {count} real numbers"
+        raise ValueError(f"{name} must be {spec}, got {values!r}")
+    return tuple(strict_float(name, v) for v in values)
+
+
 def parse_card(text: str) -> PrescriptionCard:
-    """Rebuild a card from its JSON document."""
+    """Rebuild a card from its JSON document; every field must have its emitted type."""
     doc = json.loads(text)
     try:
         g = GateId(tag=doc["gate"], phi=doc["phi"])
         td = doc["targets"]
+        jt, bt = td["j_targets"], td["b_targets"]
         tg = PrescriptionTargets(
             gate=g,
             h=doc["h"],
-            delta_plus_1=float(td["delta_plus_1"]),
-            delta_minus_1=float(td["delta_minus_1"]),
-            delta_minus_2=float(td["delta_minus_2"]),
-            j_targets=tuple(td["j_targets"]) if td["j_targets"] is not None else None,
-            b_targets=tuple(td["b_targets"]) if td["b_targets"] is not None else None,
+            delta_plus_1=strict_float("delta_plus_1", td["delta_plus_1"]),
+            delta_minus_1=strict_float("delta_minus_1", td["delta_minus_1"]),
+            delta_minus_2=strict_float("delta_minus_2", td["delta_minus_2"]),
+            j_targets=None if jt is None else _reals("j_targets", jt, 2),
+            b_targets=None if bt is None else _reals("b_targets", bt, 2),
             b_relation_sign=td["b_relation_sign"],
-            b_abs_to_one=bool(td["b_abs_to_one"]),
+            b_abs_to_one=strict_bool("b_abs_to_one", td["b_abs_to_one"]),
             m=doc["m"],
             m_prime=td["m_prime"],
         )
@@ -585,9 +602,9 @@ def parse_card(text: str) -> PrescriptionCard:
         return PrescriptionCard(
             targets=tg,
             solved=p,
-            residuals=tuple(float(r) for r in doc["residuals"]),
-            realized_error=float(doc["realized_error"]),
-            phase_branch=int(doc["phase_branch"]),
+            residuals=_reals("residuals", doc["residuals"]),
+            realized_error=strict_float("realized_error", doc["realized_error"]),
+            phase_branch=strict_int("phase_branch", doc["phase_branch"], (1, -1)),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed card document: {exc}") from exc

@@ -1,4 +1,4 @@
-"""Every tolerance the package applies, each with its reason, and the integer and real-number checks.
+"""Every tolerance the package applies, each with its reason, and the strict integer, real and bool checks.
 
 The tolerances are constants of the contract, not settings: ACCEPT_TOL
 (criterion 5) accepts every synthesized card and STRUCTURAL_TOL
@@ -56,3 +56,10 @@ def strict_float(name: str, value) -> float:
     if not (real and math.isfinite(value)):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
+
+
+def strict_bool(name: str, value) -> bool:
+    """bool(value); ValueError for anything but a bool, so neither 1 nor "false" passes."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return bool(value)

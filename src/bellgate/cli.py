@@ -48,6 +48,35 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _grid(text: str) -> list[float]:
+    """The steps of a comma list; empty items are skipped."""
+    return [float(s) for s in text.split(",") if s.strip() != ""]
+
+
+def _is_grid(text: str) -> bool:
+    try:
+        _grid(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_grids(argv: list[str]) -> list[str]:
+    """Spell "--steps GRID" as "--steps=GRID".
+
+    argparse reads a value that starts with "-" and is not a plain
+    decimal, such as -5e-3 or -1e-2,5e-3, as an option and reports a
+    missing argument; attached with "=", it is read as the value.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--steps" and _is_grid(arg):
+            out[-1] = "--steps=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
@@ -222,7 +251,7 @@ def _cmd_compile(args) -> str:
 
 def _cmd_fidelity_sweep(args) -> str:
     card = calib.parse_card(_read(args.card))
-    steps = [float(s) for s in args.steps.split(",") if s.strip() != ""]
+    steps = _grid(args.steps)
     frame = bell_frame(card.targets.h)
     states = fidelity.sample_states(frame, n=args.states, seed=args.seed)
     reports = fidelity.sensitivity_sweep(card, states, steps)
@@ -286,7 +315,7 @@ def _emit_error(kind: str, exc: Exception) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_grids(sys.argv[1:] if argv is None else argv))
     except _UsageError as exc:
         _emit_error("usage", exc)
         return 2

@@ -35,6 +35,7 @@ from .calib import PrescriptionCard
 from .checks import STATE_NORM_TOL, ZERO_NORM_TOL, strict_float, strict_int
 from .errors import NonFiniteDerivative
 from .model import PhysicalParams, evolve
+from .sobol import ndtri, sobol_points
 
 __all__ = [
     "PARAM_NAMES",
@@ -304,14 +305,10 @@ def rank_parameters(reports: list[FidelityReport]) -> list[tuple[str, float]]:
 
 def sample_states(frame: BellFrame, n: int = 64, seed: int = 7) -> list[BlockState]:
     """Deterministic low-discrepancy states on the amplitude sphere."""
-    # imported on first use, so that import bellgate loads no scipy module
-    from scipy.special import ndtri
-    from scipy.stats import qmc
-
     if strict_int("n", n) < 1:
         raise ValueError(f"need at least one state, got {n}")
-    sob = qmc.Sobol(d=8, scramble=True, seed=seed)
     # draw a full power-of-two batch to keep the sequence balanced
-    z = ndtri(sob.random_base2(max(1, math.ceil(math.log2(n)))))[:n]
+    u = sobol_points(max(1, math.ceil(math.log2(n))), strict_int("seed", seed))[:n]
+    z = np.array([ndtri(y) for y in u.ravel().tolist()]).reshape(u.shape)
     vecs = z[:, 0:4] + 1j * z[:, 4:8]
     return [BlockState.normalized(v, frame) for v in vecs]

@@ -182,18 +182,27 @@ def test_solver_is_deterministic():
     assert emit_card(a) == emit_card(b)
 
 
+def _assert_round_trip(card):
+    text = emit_card(card)
+    back = parse_card(text)
+    assert back == card
+    assert emit_card(back) == text
+
+
 def test_card_round_trip_is_lossless():
+    # every published row, both S_phi_q1 routes, and CNOT windings past the defaults
     for tag in sorted(FROZEN_CONTROLS):
-        card = solve_physical(_targets(tag))
-        text = emit_card(card)
-        back = parse_card(text)
-        assert back == card
-        assert emit_card(back) == text
+        _assert_round_trip(solve_physical(_targets(tag)))
+    _assert_round_trip(solve_physical(_targets("S_phi_q1", route="alternate")))
+    for tag in ("CNOT_12", "CNOT_21"):
+        for m, m_prime in ((2, 1), (3, 2), (8, 10)):
+            _assert_round_trip(solve_physical(_targets(tag, m=m, m_prime=m_prime)))
 
 
 def test_family_card_round_trip():
-    card = cnot_family(GateId("CNOT_21"), m=3, field_scale=2.0)
-    assert parse_card(emit_card(card)) == card
+    for tag in ("CNOT_12", "CNOT_21"):
+        for m, field_scale in ((1, 1.0), (3, 2.0), (8, 10.0)):
+            _assert_round_trip(cnot_family(GateId(tag), m=m, field_scale=field_scale))
 
 
 @pytest.mark.parametrize("text", ["nope", "{}", '{"gate": "H_q1"}'])

@@ -19,7 +19,7 @@ from bellgate import (
     sensitivity_sweep,
     solve_physical,
 )
-from bellgate.checks import strict_float, strict_int
+from bellgate.checks import strict_bool, strict_float, strict_int
 
 SRC = Path(bellgate.__file__).resolve().parent
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
@@ -98,6 +98,18 @@ def test_strict_float_rejects_non_reals(value):
         strict_float("x", value)
 
 
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False)])
+def test_strict_bool_accepts_truth_values(value):
+    out = strict_bool("flag", value)
+    assert out == value and type(out) is bool
+
+
+@pytest.mark.parametrize("value", [1, 0, 1.0, "false", "true", None, np.int64(1)])
+def test_strict_bool_rejects_everything_else(value):
+    with pytest.raises(ValueError, match="^flag must be true or false, got "):
+        strict_bool("flag", value)
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -108,6 +120,9 @@ def test_strict_float_rejects_non_reals(value):
         lambda: cnot_family(GateId("CNOT_12"), 2.5, 1.0),
         lambda: cnot_family(GateId("CNOT_12"), True, 1.0),
         lambda: sample_states(bell_frame(1), n=2.5),
+        lambda: sample_states(bell_frame(1), n=2, seed=1.5),
+        lambda: sample_states(bell_frame(1), n=2, seed=True),
+        lambda: sample_states(bell_frame(1), n=2, seed=[1, 2]),
         lambda: bell_state(1.0, 0),
         lambda: bell_state(0, 1.0),
         lambda: bell_state(True, 0),
@@ -120,6 +135,9 @@ def test_strict_float_rejects_non_reals(value):
         "family-m-float",
         "family-m-bool",
         "sample_states-n-float",
+        "sample_states-seed-float",
+        "sample_states-seed-bool",
+        "sample_states-seed-list",
         "bell_state-i-float",
         "bell_state-j-float",
         "bell_state-i-bool",
@@ -180,5 +198,5 @@ def test_numpy_integers_pass_every_entry_point():
     assert Perturbation.axis(np.int64(4), 1e-3) == Perturbation.axis(4, 1e-3)
     assert bell_frame(np.int64(2)) is bell_frame(2)
     assert prescription_targets(GateId("CNOT_12"), m=np.int64(2)).m == 2
-    assert len(sample_states(bell_frame(1), n=np.int64(3))) == 3
+    assert len(sample_states(bell_frame(1), n=np.int64(3), seed=np.uint8(7))) == 3
     assert np.array_equal(bell_state(np.int64(1), np.uint8(0)), bell_state(1, 0))

@@ -412,6 +412,29 @@ def test_bool_or_string_card_float_is_input_error(capsys, tmp_path, field, value
 
 
 @pytest.mark.parametrize(
+    "where, key, value",
+    [
+        ("targets", "delta_plus_1", True),
+        ("targets", "b_abs_to_one", "false"),
+        ("card", "phase_branch", 1.7),
+        ("card", "realized_error", "1e-3"),
+        ("targets", "j_targets", ["0", "x"]),
+        ("card", "residuals", "00000"),
+    ],
+    ids=["delta-true", "b_abs-string", "branch-float", "error-string", "j-strings", "residuals-string"],
+)
+def test_mistyped_card_field_is_input_error(capsys, tmp_path, card_file, where, key, value):
+    doc = json.loads(Path(card_file).read_text())
+    (doc if where == "card" else doc[where])[key] = value
+    f = tmp_path / "bad_card.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "fidelity-sweep", str(f), "--states", "1", "--steps", "1e-2")
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "input"
+    assert key in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("synth", "H_q2", "--seed", "3"),
@@ -457,8 +480,43 @@ def test_bad_step_maps_to_exit_2(capsys, card_file, steps, message):
     assert doc["error"] == {"type": "input", "message": message}
 
 
-# Import boundary: scipy loads on first use by sample_states only, never
-# at import, for synthesis or for the fidelity expansion.  Each cold check
+@pytest.mark.parametrize("steps", ["-5e-3", "-1e-2,5e-3", "-0.005,-1E-2"])
+def test_negative_grid_after_a_space_is_the_grid(capsys, card_file, steps):
+    # argparse alone reads "-5e-3" as an option and reports a missing argument
+    attached = run(capsys, "fidelity-sweep", card_file, "--states", "1", f"--steps={steps}")
+    assert attached[0] == 0 and attached[1]
+    assert run(capsys, "fidelity-sweep", card_file, "--states", "1", "--steps", steps) == attached
+
+
+_MISSING_STEPS = '{"error":{"type":"usage","message":"argument --steps: expected one argument"}}\n'
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (
+            ("--steps", "1e200"),
+            3,
+            '{"error":{"type":"numerical","message":"non-finite derivative input at parameter index 0"}}\n',
+        ),
+        (
+            ("--steps=-5,nan",),
+            2,
+            '{"error":{"type":"input","message":'
+            '"perturbation component must be a finite real number, got nan"}}\n',
+        ),
+        (("--steps",), 2, _MISSING_STEPS),
+        (("--steps", "--seed", "3"), 2, _MISSING_STEPS),
+        (("--steps", "-x"), 2, _MISSING_STEPS),
+    ],
+    ids=["overflow", "attached-nan", "no-value", "option-next", "not-a-grid"],
+)
+def test_step_errors_keep_their_lines(capsys, card_file, argv, code, err):
+    assert run(capsys, "fidelity-sweep", card_file, "--states", "1", *argv) == (code, "", err)
+
+
+# Import boundary: the package runs on numpy alone, so no command, not even
+# the state sampler of fidelity-sweep, loads a scipy module.  Each cold check
 # starts a fresh interpreter on the src tree the tests import, runs BODY
 # (which sets `code`), and reports the scipy modules it ended up with on
 # stderr's last line.
@@ -492,46 +550,55 @@ def test_import_loads_no_scipy():
 
 @pytest.mark.parametrize(
     "argv",
-    [("evolve", "{params}"), ("blocks", "{params}"), ("compile", "{circuit}"), ("synth", "H_q2")],
+    [
+        ("evolve", "{params}"),
+        ("blocks", "{params}"),
+        ("compile", "{circuit}"),
+        ("synth", "H_q2"),
+        pytest.param(("fidelity-sweep", "{card}", "--states", "2"), id="fidelity-sweep-json"),
+        pytest.param(
+            ("fidelity-sweep", "{card}", "--states", "2", "--format", "csv"), id="fidelity-sweep-csv"
+        ),
+    ],
     ids=lambda argv: argv[0],
 )
-def test_numpy_only_commands_load_no_scipy(capsys, params_file, circuit_file, argv):
-    argv = [a.format(params=params_file, circuit=circuit_file) for a in argv]
+def test_numpy_only_commands_load_no_scipy(capsys, params_file, circuit_file, card_file, argv):
+    argv = [a.format(params=params_file, circuit=circuit_file, card=card_file) for a in argv]
     code, want, _ = run(capsys, *argv)
     assert code == 0
     assert _cold(_CLI_BODY, *argv) == (0, want, [], [])
 
 
-def test_fidelity_sweep_loads_scipy_on_first_use(capsys, card_file):
-    argv = ("fidelity-sweep", card_file, "--states", "2")
-    code, want, _ = run(capsys, *argv)
-    code_cold, out, err, mods = _cold(_CLI_BODY, *argv)
-    assert (code, code_cold, out, err) == (0, 0, want, [])
-    assert "scipy.linalg" in mods and "scipy.stats" in mods
+def _imported_modules(path):
+    """Top-level names of the absolute imports anywhere in a module, function bodies included."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
 
 
-def _scipy_imports(node, where):
-    """(module, enclosing function) of every scipy import below node."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Import):
-            names = [alias.name for alias in child.names]
-        elif isinstance(child, ast.ImportFrom):
-            names = [child.module or ""]
-        else:
-            names = []
-        yield from ((name, where) for name in names if name.split(".")[0] == "scipy")
-        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
-        yield from _scipy_imports(child, inner)
+_PACKAGE = Path(bellgate.__file__).resolve().parent
 
 
-def test_scipy_is_imported_only_by_sample_states():
-    src = Path(bellgate.__file__).resolve().parent
-    hits = {
-        (path.name, where)
-        for path in sorted(src.glob("*.py"))
-        for _, where in _scipy_imports(ast.parse(path.read_text()), None)
+def test_src_imports_no_scipy():
+    hits = [path.name for path in sorted(_PACKAGE.glob("*.py")) if "scipy" in _imported_modules(path)]
+    assert hits == []
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = _PACKAGE.parents[1] / "pyproject.toml"
+    deps = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    names = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in deps}
+    assert names == {"numpy"}
+    third_party = {
+        name
+        for path in _PACKAGE.glob("*.py")
+        for name in _imported_modules(path)
+        if name not in sys.stdlib_module_names
     }
-    assert hits == {("fidelity.py", "sample_states")}
+    assert third_party <= names
 
 
 def test_fidelity_expansion_loads_no_scipy():
