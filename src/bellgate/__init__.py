@@ -26,8 +26,6 @@ from .calib import (
     PrescriptionCard,
     PrescriptionTargets,
     cnot_family,
-    emit_card,
-    parse_card,
     prescription_targets,
     solve_physical,
 )

@@ -25,7 +25,6 @@ q are fixed per block from the frame's row positions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -92,18 +91,12 @@ class BellFrame:
     beta: tuple[int, int]
     q: tuple[int, int]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "h": self.h,
-                "pairing": [list(p) for p in self.pairing],
-                "signs": {
-                    "alpha": list(self.alpha),
-                    "beta": list(self.beta),
-                    "q": list(self.q),
-                },
-            }
-        )
+    def to_doc(self) -> dict:
+        return {
+            "h": self.h,
+            "pairing": [list(p) for p in self.pairing],
+            "signs": {"alpha": list(self.alpha), "beta": list(self.beta), "q": list(self.q)},
+        }
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,6 @@ retains its meaning.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -70,15 +69,17 @@ from .bellframe import BLOCK_COEFFS, bell_frame, block_axis, frame_permutation, 
 from .checks import (
     ACCEPT_TOL,
     INVISIBLE_AXIS_TOL,
+    RECOMPUTE_TOL,
     UNIT_CIRCLE_TOL,
     WEIGHT_TOL,
     strict_bool,
     strict_float,
     strict_int,
+    strict_reals,
 )
 from .errors import SolverFailure
 from .gates import GateId, d_gate
-from .jsonio import dumps
+from .jsonio import fields
 from .model import PhysicalParams, evolve
 from .spinlin import dist_phase_invariant, pauli
 
@@ -89,8 +90,6 @@ __all__ = [
     "prescription_targets",
     "solve_physical",
     "cnot_family",
-    "emit_card",
-    "parse_card",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -138,6 +137,12 @@ class PrescriptionTargets:
                 object.__setattr__(self, name, strict_int(name, v, allowed))
 
 
+_CARD_KEYS = ("gate", "phi", "h", "m", "targets", "solved",
+              "residuals", "realized_error", "phase_branch")
+_TARGET_KEYS = ("delta_plus_1", "delta_minus_1", "delta_minus_2", "j_targets", "b_targets",
+                "b_relation_sign", "b_abs_to_one", "m_prime")
+
+
 @dataclass(frozen=True)
 class PrescriptionCard:
     """A solved realization: targets, physical controls, honesty numbers.
@@ -155,6 +160,76 @@ class PrescriptionCard:
     residuals: tuple[float, ...]
     realized_error: float
     phase_branch: int
+
+    def to_doc(self) -> dict:
+        tg, p = self.targets, self.solved
+        return {
+            "gate": tg.gate.tag,
+            "phi": tg.gate.phi,
+            "h": tg.h,
+            "m": tg.m,
+            "targets": {
+                "delta_plus_1": tg.delta_plus_1,
+                "delta_minus_1": tg.delta_minus_1,
+                "delta_minus_2": tg.delta_minus_2,
+                "j_targets": None if tg.j_targets is None else list(tg.j_targets),
+                "b_targets": None if tg.b_targets is None else list(tg.b_targets),
+                "b_relation_sign": tg.b_relation_sign,
+                "b_abs_to_one": tg.b_abs_to_one,
+                "m_prime": tg.m_prime,
+            },
+            "solved": {"t": p.t, "J": list(p.J), "B1": p.B1, "B2": p.B2},
+            "residuals": list(self.residuals),
+            "realized_error": self.realized_error,
+            "phase_branch": self.phase_branch,
+        }
+
+    @classmethod
+    def from_doc(cls, doc) -> "PrescriptionCard":
+        """Read a card document with exactly the keys to_doc writes, each of its type.
+
+        The honesty numbers are recomputed from the targets and controls:
+        a document whose residual count differs from the recomputation,
+        whose residuals or realized_error differ by more than
+        RECOMPUTE_TOL, or whose phase_branch differs where the two branch
+        distances are more than RECOMPUTE_TOL apart, is rejected.  The
+        card carries the recomputed numbers.
+        """
+        tag, phi, h, m, td, sv, res, err, branch = fields(doc, "card", _CARD_KEYS)
+        dp1, dm1, dm2, jt, bt, rel, b_abs, m_prime = fields(td, "card", _TARGET_KEYS)
+        t, J, B1, B2 = fields(sv, "card", ("t", "J", "B1", "B2"))
+        tg = PrescriptionTargets(
+            gate=GateId(tag=tag, phi=phi),
+            h=h,
+            delta_plus_1=strict_float("delta_plus_1", dp1),
+            delta_minus_1=strict_float("delta_minus_1", dm1),
+            delta_minus_2=strict_float("delta_minus_2", dm2),
+            j_targets=None if jt is None else strict_reals("j_targets", jt, 2),
+            b_targets=None if bt is None else strict_reals("b_targets", bt, 2),
+            b_relation_sign=rel,
+            b_abs_to_one=strict_bool("b_abs_to_one", b_abs),
+            m=m,
+            m_prime=m_prime,
+        )
+        p = PhysicalParams(t=t, J=strict_reals("J", J, 3), B1=B1, B2=B2, h=h)
+        stored_res = strict_reals("residuals", res)
+        stored_err = strict_float("realized_error", err)
+        stored_branch = strict_int("phase_branch", branch, (1, -1))
+        res, branch, err, branch_margin = _evaluate(tg, p)
+        if len(stored_res) != len(res):
+            raise ValueError(
+                f"card residual count {len(stored_res)} differs from its recomputation {len(res)}"
+            )
+        if stored_branch != branch and branch_margin > RECOMPUTE_TOL:
+            raise ValueError(
+                f"card phase_branch {stored_branch} differs from its recomputation {branch}"
+            )
+        worst = max(abs(a - b) for a, b in zip(stored_res + (stored_err,), res + (err,)))
+        if worst > RECOMPUTE_TOL:
+            raise ValueError(
+                f"card residuals and realized_error differ from their recomputation by {worst!r}"
+            )
+        return cls(targets=tg, solved=p, residuals=res, realized_error=err, phase_branch=branch)
 
 
 def _canonical_phase(phi: float) -> float:
@@ -290,8 +365,13 @@ def _circ(x: float) -> float:
 
 def _evaluate(
     tg: PrescriptionTargets, p: PhysicalParams
-) -> tuple[tuple[float, ...], int, float]:
-    """Residual vector, phase branch, and realized gate error of p."""
+) -> tuple[tuple[float, ...], int, float, float]:
+    """Residual vector, phase branch, realized gate error of p, and branch margin.
+
+    The branch margin is how far apart the distances to the two signs of
+    delta_plus_1 are; it is 0 up to rounding where delta_plus_1 is a
+    multiple of pi and both branches are the same phase.
+    """
     frame = bell_frame(tg.h)
     rp1, rp2 = reduced_params(p, frame)
     d_pos = _circ(rp1.delta_plus - tg.delta_plus_1)
@@ -315,7 +395,7 @@ def _evaluate(
     c = frame.change_of_basis
     mat = c.conj().T @ evolve(p) @ c
     err = dist_phase_invariant(mat, _frame_target(tg))
-    return tuple(float(v) for v in res), branch, float(err)
+    return tuple(float(v) for v in res), branch, float(err), abs(d_pos - d_neg)
 
 
 def _closed_form(tg: PrescriptionTargets) -> PhysicalParams | None:
@@ -487,7 +567,7 @@ def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
     attempts = [closed] if closed is not None else _candidates(tg)
     best_worst = math.inf
     for p in attempts:
-        res, branch, err = _evaluate(tg, p)
+        res, branch, err, _ = _evaluate(tg, p)
         if err <= ACCEPT_TOL and max(res) <= ACCEPT_TOL:
             return PrescriptionCard(
                 targets=tg, solved=p, residuals=res, realized_error=err, phase_branch=branch
@@ -530,81 +610,7 @@ def cnot_family(g: GateId, m: int, field_scale: float) -> PrescriptionCard:
         p = PhysicalParams(t=t, J=(j_drive, half, -half), B1=b_hi, B2=b_lo, h=1)
     else:
         p = PhysicalParams(t=t, J=(half, -half, j_drive), B1=b_lo, B2=b_hi, h=3)
-    res, branch, err = _evaluate(tg, p)
+    res, branch, err, _ = _evaluate(tg, p)
     return PrescriptionCard(
         targets=tg, solved=p, residuals=res, realized_error=err, phase_branch=branch
     )
-
-
-def _targets_doc(tg: PrescriptionTargets) -> dict:
-    return {
-        "delta_plus_1": tg.delta_plus_1,
-        "delta_minus_1": tg.delta_minus_1,
-        "delta_minus_2": tg.delta_minus_2,
-        "j_targets": list(tg.j_targets) if tg.j_targets is not None else None,
-        "b_targets": list(tg.b_targets) if tg.b_targets is not None else None,
-        "b_relation_sign": tg.b_relation_sign,
-        "b_abs_to_one": tg.b_abs_to_one,
-        "m_prime": tg.m_prime,
-    }
-
-
-def emit_card(card: PrescriptionCard) -> str:
-    """Serialize a card to deterministic JSON; parse_card inverts losslessly."""
-    g = card.targets.gate
-    p = card.solved
-    doc = {
-        "gate": g.tag,
-        "phi": g.phi,
-        "h": card.targets.h,
-        "m": card.targets.m,
-        "targets": _targets_doc(card.targets),
-        "solved": {"t": p.t, "J": list(p.J), "B1": p.B1, "B2": p.B2},
-        "residuals": list(card.residuals),
-        "realized_error": card.realized_error,
-        "phase_branch": card.phase_branch,
-    }
-    return dumps(doc, indent=2)
-
-
-def _reals(name: str, values, count: int | None = None) -> tuple[float, ...]:
-    """A JSON list of finite reals as a tuple, with count entries when count is given."""
-    if not isinstance(values, list) or count not in (None, len(values)):
-        spec = "a list of real numbers" if count is None else f"a list of {count} real numbers"
-        raise ValueError(f"{name} must be {spec}, got {values!r}")
-    return tuple(strict_float(name, v) for v in values)
-
-
-def parse_card(text: str) -> PrescriptionCard:
-    """Rebuild a card from its JSON document; every field must have its emitted type."""
-    doc = json.loads(text)
-    try:
-        g = GateId(tag=doc["gate"], phi=doc["phi"])
-        td = doc["targets"]
-        jt, bt = td["j_targets"], td["b_targets"]
-        tg = PrescriptionTargets(
-            gate=g,
-            h=doc["h"],
-            delta_plus_1=strict_float("delta_plus_1", td["delta_plus_1"]),
-            delta_minus_1=strict_float("delta_minus_1", td["delta_minus_1"]),
-            delta_minus_2=strict_float("delta_minus_2", td["delta_minus_2"]),
-            j_targets=None if jt is None else _reals("j_targets", jt, 2),
-            b_targets=None if bt is None else _reals("b_targets", bt, 2),
-            b_relation_sign=td["b_relation_sign"],
-            b_abs_to_one=strict_bool("b_abs_to_one", td["b_abs_to_one"]),
-            m=doc["m"],
-            m_prime=td["m_prime"],
-        )
-        sv = doc["solved"]
-        p = PhysicalParams(
-            t=sv["t"], J=tuple(sv["J"]), B1=sv["B1"], B2=sv["B2"], h=doc["h"]
-        )
-        return PrescriptionCard(
-            targets=tg,
-            solved=p,
-            residuals=_reals("residuals", doc["residuals"]),
-            realized_error=strict_float("realized_error", doc["realized_error"]),
-            phase_branch=strict_int("phase_branch", doc["phase_branch"], (1, -1)),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed card document: {exc}") from exc

@@ -35,6 +35,10 @@ INVISIBLE_AXIS_TOL = 1e-12
 STATE_NORM_TOL = 1e-12
 #: norm below which BlockState.normalized() refuses a vector as zero
 ZERO_NORM_TOL = 1e-12
+#: largest difference between a card document's honesty numbers and their recomputation on
+#: read: a card read on another machine can differ in the last bits of LAPACK output, while
+#: an edit that stays within it cannot move a number across ACCEPT_TOL by more than 1%
+RECOMPUTE_TOL = 1e-10
 
 
 def strict_int(name: str, value, allowed=None) -> int:
@@ -56,6 +60,14 @@ def strict_float(name: str, value) -> float:
     if not (real and math.isfinite(value)):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
+
+
+def strict_reals(name: str, values, count: int | None = None) -> tuple[float, ...]:
+    """A JSON list of finite reals as a tuple, with count entries when count is given."""
+    if not isinstance(values, list) or count not in (None, len(values)):
+        spec = "a list of real numbers" if count is None else f"a list of {count} real numbers"
+        raise ValueError(f"{name} must be {spec}, got {values!r}")
+    return tuple(strict_float(name, v) for v in values)
 
 
 def strict_bool(name: str, value) -> bool:

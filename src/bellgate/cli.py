@@ -28,7 +28,7 @@ from .bellframe import bell_frame, closed_form_block, reduced_params, to_blocks
 from .checks import STRUCTURAL_TOL
 from .errors import BellgateError, SolverFailure
 from .gates import Circuit, GateId, compile_circuit, matrix_of
-from .jsonio import dumps, format_float
+from .jsonio import dumps, dumps_csv
 from .model import PhysicalParams, evolve
 from .spinlin import dist_phase_invariant, dist_unitary
 
@@ -77,9 +77,9 @@ def _attach_grids(argv: list[str]) -> list[str]:
     return out
 
 
-def _read(path: str) -> str:
+def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        return json.loads(fh.read())
 
 
 def _build_parser() -> _Parser:
@@ -130,18 +130,13 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_evolve(args) -> str:
-    p = PhysicalParams.from_json(_read(args.params))
+    p = PhysicalParams.from_doc(_load(args.params))
     u = evolve(p)
     if args.format == "csv":
-        lines = ["row,col,re,im"]
-        for r in range(4):
-            for c in range(4):
-                lines.append(
-                    f"{r},{c},{format_float(u[r, c].real)},{format_float(u[r, c].imag)}"
-                )
-        return "\n".join(lines) + "\n"
+        rows = ((r, c, u[r, c].real, u[r, c].imag) for r in range(4) for c in range(4))
+        return dumps_csv(("row", "col", "re", "im"), rows)
     doc = {
-        "params": json.loads(p.to_json()),
+        "params": p.to_doc(),
         "unitary": u,
         "unitarity_residual": dist_unitary(u),
     }
@@ -149,7 +144,7 @@ def _cmd_evolve(args) -> str:
 
 
 def _cmd_blocks(args) -> str:
-    p = PhysicalParams.from_json(_read(args.params))
+    p = PhysicalParams.from_doc(_load(args.params))
     frame = bell_frame(p.h)
     u = evolve(p)
     b1, b2, off = to_blocks(u, frame)
@@ -168,7 +163,7 @@ def _cmd_blocks(args) -> str:
             }
         )
     doc = {
-        "frame": json.loads(frame.to_json()),
+        "frame": frame.to_doc(),
         "block1": b1,
         "block2": b2,
         "offblock_norm": off,
@@ -205,29 +200,16 @@ def _cmd_synth(args) -> str:
             for m in _parse_m_range(args.m)
         ]
         if args.format == "csv":
-            lines = ["gate,h,m,m_prime,field_scale,t,b_abs,realized_error"]
-            for card in cards:
-                lines.append(
-                    ",".join(
-                        [
-                            card.targets.gate.tag,
-                            str(card.targets.h),
-                            str(card.targets.m),
-                            str(card.targets.m_prime),
-                            format_float(args.field_scale),
-                            format_float(card.solved.t),
-                            format_float(_family_b_abs(card)),
-                            format_float(card.realized_error),
-                        ]
-                    )
-                )
-            return "\n".join(lines) + "\n"
+            header = ("gate", "h", "m", "m_prime", "field_scale", "t", "b_abs", "realized_error")
+            rows = (
+                (c.targets.gate.tag, c.targets.h, c.targets.m, c.targets.m_prime,
+                 args.field_scale, c.solved.t, _family_b_abs(c), c.realized_error)
+                for c in cards
+            )
+            return dumps_csv(header, rows)
         doc = {
             "field_scale": args.field_scale,
-            "family": [
-                dict(json.loads(calib.emit_card(card)), b_abs=_family_b_abs(card))
-                for card in cards
-            ],
+            "family": [dict(card.to_doc(), b_abs=_family_b_abs(card)) for card in cards],
         }
         return dumps(doc, indent=2) + "\n"
     if args.format == "csv":
@@ -235,49 +217,37 @@ def _cmd_synth(args) -> str:
     tg = calib.prescription_targets(
         gate, m=int(args.m), m_prime=args.m_prime, route=args.route
     )
-    return calib.emit_card(calib.solve_physical(tg)) + "\n"
+    return dumps(calib.solve_physical(tg).to_doc(), indent=2) + "\n"
 
 
 def _cmd_compile(args) -> str:
-    circuit = Circuit.from_json(_read(args.circuit))
+    circuit = Circuit.from_doc(_load(args.circuit))
     compiled = compile_circuit(circuit)
     residual = dist_phase_invariant(matrix_of(compiled), matrix_of(circuit))
     doc = {
-        "compiled": json.loads(compiled.to_json()),
+        "compiled": compiled.to_doc(),
         "equivalence_residual": residual,
     }
     return dumps(doc, indent=2) + "\n"
 
 
 def _cmd_fidelity_sweep(args) -> str:
-    card = calib.parse_card(_read(args.card))
+    card = calib.PrescriptionCard.from_doc(_load(args.card))
     steps = _grid(args.steps)
     frame = bell_frame(card.targets.h)
     states = fidelity.sample_states(frame, n=args.states, seed=args.seed)
     reports = fidelity.sensitivity_sweep(card, states, steps)
     g = card.targets.gate
     if args.format == "csv":
-        phi_s = "" if g.phi is None else format_float(g.phi)
-        m_s = "" if card.targets.m is None else str(card.targets.m)
-        lines = ["gate,phi,m,state_id,param,dp,f2_exact,f2_second_order,cubic_residual"]
-        for rep in reports:
-            step = rep.dp.dp[fidelity.PARAM_NAMES.index(rep.param)]
-            lines.append(
-                ",".join(
-                    [
-                        g.tag,
-                        phi_s,
-                        m_s,
-                        str(rep.state_id),
-                        rep.param,
-                        format_float(step),
-                        format_float(rep.f2_exact),
-                        format_float(rep.f2_second_order),
-                        format_float(rep.cubic_residual),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        header = ("gate", "phi", "m", "state_id", "param", "dp",
+                  "f2_exact", "f2_second_order", "cubic_residual")
+        rows = (
+            (g.tag, g.phi, card.targets.m, rep.state_id, rep.param,
+             rep.dp.dp[fidelity.PARAM_NAMES.index(rep.param)],
+             rep.f2_exact, rep.f2_second_order, rep.cubic_residual)
+            for rep in reports
+        )
+        return dumps_csv(header, rows)
     doc = {
         "gate": g.tag,
         "phi": g.phi,

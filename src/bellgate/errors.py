@@ -26,10 +26,9 @@ class NonUnitaryError(BellgateError):
 class SolverFailure(BellgateError):
     """No candidate control set met the solver's acceptance tolerance."""
 
-    def __init__(self, best_residual: float, message: str = ""):
+    def __init__(self, best_residual: float, message: str):
         self.best_residual = best_residual
-        msg = message or f"no candidate accepted; best residual {best_residual:.3e}"
-        super().__init__(msg)
+        super().__init__(message)
 
 
 class NonFiniteDerivative(BellgateError):

@@ -303,7 +303,7 @@ def rank_parameters(reports: list[FidelityReport]) -> list[tuple[str, float]]:
     return [(name, float(val)) for name, val in order]
 
 
-def sample_states(frame: BellFrame, n: int = 64, seed: int = 7) -> list[BlockState]:
+def sample_states(frame: BellFrame, n: int, seed: int) -> list[BlockState]:
     """Deterministic low-discrepancy states on the amplitude sphere."""
     if strict_int("n", n) < 1:
         raise ValueError(f"need at least one state, got {n}")

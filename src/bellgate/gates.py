@@ -26,12 +26,12 @@ per gate.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .checks import DIAGONAL_TOL, MATCH_TOL, strict_float, strict_int
+from .jsonio import complex_entry, fields
 
 __all__ = [
     "D_TAGS",
@@ -160,19 +160,12 @@ class Circuit:
             else:
                 raise TypeError(f"circuit entries must be GateId or OpaqueGate, got {g!r}")
 
-    def to_json(self) -> str:
+    def to_doc(self) -> dict:
         items = []
         for g in self.gates:
             if isinstance(g, OpaqueGate):
-                items.append(
-                    {
-                        "gate": "OPAQUE",
-                        "matrix": [
-                            [{"re": float(z.real), "im": float(z.imag)} for z in row]
-                            for row in g.matrix
-                        ],
-                    }
-                )
+                rows = [[complex_entry(z) for z in row] for row in g.matrix]
+                items.append({"gate": "OPAQUE", "matrix": rows})
             else:
                 doc: dict = {"gate": g.tag}
                 if g.phi is not None:
@@ -180,27 +173,35 @@ class Circuit:
                 if g.qubit is not None:
                     doc["qubit"] = g.qubit
                 items.append(doc)
-        return json.dumps({"basis": self.basis, "gates": items})
+        return {"basis": self.basis, "gates": items}
 
     @classmethod
-    def from_json(cls, text: str) -> "Circuit":
-        doc = json.loads(text)
+    def from_doc(cls, doc) -> "Circuit":
+        """Read a circuit document; it and each entry have exactly the keys to_doc writes."""
+        basis, items = fields(doc, "circuit", ("basis", "gates"))
+        if not isinstance(items, list):
+            raise ValueError(
+                f"malformed circuit document: gates must be a list, got {items!r}"
+            )
         gates: list = []
-        try:
-            basis = doc["basis"]
-            for item in doc["gates"]:
-                tag = item["gate"]
-                if tag == "OPAQUE":
-                    m = np.array(
-                        [[complex(z["re"], z["im"]) for z in row] for row in item["matrix"]],
-                        dtype=np.complex128,
+        for item in items:
+            if isinstance(item, dict) and item.get("gate") == "OPAQUE":
+                _, rows = fields(item, "circuit", ("gate", "matrix"))
+                if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+                    raise ValueError(
+                        f"malformed circuit document: matrix must be a list of rows, got {rows!r}"
                     )
-                    gates.append(OpaqueGate(m))
-                else:
-                    gates.append(GateId(tag=tag, phi=item.get("phi"), qubit=item.get("qubit")))
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed circuit document: {exc}") from exc
+                gates.append(OpaqueGate([[_matrix_entry(z) for z in row] for row in rows]))
+            else:
+                tag, phi, qubit = fields(item, "circuit", ("gate",), ("phi", "qubit"))
+                gates.append(GateId(tag=tag, phi=phi, qubit=qubit))
         return cls(gates=tuple(gates), basis=basis)
+
+
+def _matrix_entry(z) -> complex:
+    re, im = fields(z, "circuit", ("re", "im"))
+    name = "malformed circuit document: matrix entry"
+    return complex(strict_float(name, re), strict_float(name, im))
 
 
 def d_gate(g: GateId) -> np.ndarray:

@@ -1,9 +1,11 @@
-"""Deterministic JSON emission.
+"""The document layer: the one place that turns documents into text.
 
-The standard encoder prints floats with repr, whose width varies by
-value.  CLI output must be byte-identical across runs and carry full
-precision, so floats are always rendered with 17 significant digits
-and containers keep insertion order.  Parsing stays with the stdlib.
+A document is a plain dict with a fixed set of keys.  The standard
+encoder prints floats with repr, whose width varies by value.  CLI
+output must be byte-identical across runs and carry full precision, so
+floats are always rendered with 17 significant digits, in JSON and in
+CSV alike, and containers keep insertion order.  Parsing stays with
+the stdlib; fields reads a parsed document's keys exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 
 import numpy as np
 
-__all__ = ["format_float", "dumps", "complex_to_doc"]
+__all__ = ["format_float", "complex_entry", "dumps", "dumps_csv", "fields"]
 
 
 def format_float(x: float) -> str:
@@ -26,7 +28,8 @@ def format_float(x: float) -> str:
     return s
 
 
-def complex_to_doc(z: complex) -> dict:
+def complex_entry(z) -> dict:
+    """A complex number as a document entry: {"re": real part, "im": imaginary part}."""
     return {"re": float(z.real), "im": float(z.imag)}
 
 
@@ -44,7 +47,7 @@ def _emit(obj, parts: list[str], indent: int | None, level: int) -> None:
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif isinstance(obj, (complex, np.complexfloating)):
-        _emit(complex_to_doc(complex(obj)), parts, indent, level)
+        _emit(complex_entry(obj), parts, indent, level)
     elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")
@@ -83,3 +86,45 @@ def dumps(obj, indent: int | None = None) -> str:
     parts: list[str] = []
     _emit(obj, parts, indent, 0)
     return "".join(parts)
+
+
+def _csv_field(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return format_float(v)
+    raise TypeError(f"cannot write {type(v).__name__} to a CSV field")
+
+
+def dumps_csv(header, rows) -> str:
+    """CSV text: the header line, one line per row, a trailing newline.
+
+    A float is written through format_float, an int through str, None as
+    an empty field and a string as is.
+    """
+    lines = [",".join(header)]
+    lines += [",".join(_csv_field(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def fields(doc, kind: str, keys, optional=()) -> tuple:
+    """The values of a document's keys, in the order given.
+
+    Every key in keys must be present and no key outside keys and
+    optional may be; an absent optional key reads as None.  ValueError
+    ("malformed <kind> document: ...") otherwise, and for a doc that is
+    not a JSON object.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed {kind} document: expected an object, got {doc!r}")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ValueError(f"malformed {kind} document: missing key {missing[0]!r}")
+    unknown = [k for k in doc if k not in keys and k not in optional]
+    if unknown:
+        raise ValueError(f"malformed {kind} document: unknown key {unknown[0]!r}")
+    return tuple(doc[k] for k in keys) + tuple(doc.get(k) for k in optional)

@@ -17,12 +17,12 @@ evolution is expressed by the adjoint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import strict_float, strict_int
+from .checks import strict_float, strict_int, strict_reals
+from .jsonio import fields
 from .spinlin import expm_hermitian, pauli
 
 __all__ = ["PhysicalParams", "assemble_hamiltonian", "build_hamiltonian", "evolve"]
@@ -61,20 +61,14 @@ class PhysicalParams:
         if self.t < 0:
             raise ValueError("t must be nonnegative")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {"t": self.t, "J": list(self.J), "B1": self.B1, "B2": self.B2, "h": self.h}
-        )
+    def to_doc(self) -> dict:
+        return {"t": self.t, "J": list(self.J), "B1": self.B1, "B2": self.B2, "h": self.h}
 
     @classmethod
-    def from_json(cls, text: str) -> "PhysicalParams":
-        doc = json.loads(text)
-        try:
-            return cls(
-                t=doc["t"], J=tuple(doc["J"]), B1=doc["B1"], B2=doc["B2"], h=doc["h"]
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed parameter document: {exc}") from exc
+    def from_doc(cls, doc) -> "PhysicalParams":
+        """Read a parameter document with exactly the keys to_doc writes."""
+        t, J, B1, B2, h = fields(doc, "parameter", ("t", "J", "B1", "B2", "h"))
+        return cls(t=t, J=strict_reals("J", J, 3), B1=B1, B2=B2, h=h)
 
 
 def assemble_hamiltonian(J, B1: float, B2: float, h: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import json
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -20,6 +22,14 @@ def random_params(rng, h=None):
         B2=float(rng.uniform(-COUPLING_RANGE, COUPLING_RANGE)),
         h=h,
     )
+
+
+def parsed(text):
+    """The value a file holding text parses to; text that is no JSON stays a string, which is no document."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
 
 
 def random_unitary(rng, n=4):

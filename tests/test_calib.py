@@ -6,6 +6,7 @@ through the closed-form path.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -14,21 +15,23 @@ import pytest
 from bellgate import (
     ACCEPT_TOL,
     GateId,
+    PrescriptionCard,
     SolverFailure,
     bell_frame,
     cnot_family,
     d_gate,
     dist_phase_invariant,
-    emit_card,
     evolve,
     frame_permutation,
-    parse_card,
     prescription_targets,
     reduced_params,
     solve_physical,
 )
 from bellgate.bellframe import BLOCK_COEFFS
 from bellgate.calib import _INVERSE, _TRANSVERSAL
+from bellgate.checks import RECOMPUTE_TOL
+from bellgate.jsonio import dumps
+from conftest import parsed
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
@@ -179,14 +182,14 @@ def test_solver_is_deterministic():
     a = solve_physical(_targets("H_q2"))
     b = solve_physical(_targets("H_q2"))
     assert a == b
-    assert emit_card(a) == emit_card(b)
+    assert dumps(a.to_doc(), indent=2) == dumps(b.to_doc(), indent=2)
 
 
 def _assert_round_trip(card):
-    text = emit_card(card)
-    back = parse_card(text)
+    text = dumps(card.to_doc(), indent=2)
+    back = PrescriptionCard.from_doc(json.loads(text))
     assert back == card
-    assert emit_card(back) == text
+    assert dumps(back.to_doc(), indent=2) == text
 
 
 def test_card_round_trip_is_lossless():
@@ -208,7 +211,33 @@ def test_family_card_round_trip():
 @pytest.mark.parametrize("text", ["nope", "{}", '{"gate": "H_q1"}'])
 def test_parse_card_rejects_malformed(text):
     with pytest.raises(ValueError):
-        parse_card(text)
+        PrescriptionCard.from_doc(parsed(text))
+
+
+def test_card_from_doc_recomputes_honesty_numbers():
+    # stored numbers within RECOMPUTE_TOL of the recomputation are read as the
+    # recomputation; beyond it the document is rejected
+    card = cnot_family(GateId("CNOT_12"), m=2, field_scale=1.0)
+    doc = card.to_doc()
+    doc["realized_error"] += RECOMPUTE_TOL / 2
+    doc["residuals"][0] += RECOMPUTE_TOL / 2
+    assert PrescriptionCard.from_doc(doc) == card
+    doc["realized_error"] += RECOMPUTE_TOL
+    with pytest.raises(ValueError, match="recomputation"):
+        PrescriptionCard.from_doc(doc)
+
+
+def test_card_from_doc_reads_either_branch_where_they_coincide():
+    # delta_plus_1 = 2*pi: both signs of it are one phase, so which branch the
+    # stored card names is a rounding choice; elsewhere a flipped branch is an edit
+    card = solve_physical(_targets("S_phi_q2"))
+    doc = card.to_doc()
+    doc["phase_branch"] = -doc["phase_branch"]
+    assert PrescriptionCard.from_doc(doc) == card
+    doc = solve_physical(_targets("H_q2")).to_doc()
+    doc["phase_branch"] = -doc["phase_branch"]
+    with pytest.raises(ValueError, match="phase_branch .* differs from its recomputation"):
+        PrescriptionCard.from_doc(doc)
 
 
 def test_solver_reaches_shifted_drift_branch():
@@ -424,10 +453,8 @@ def test_family_validation():
 
 
 def test_emit_card_schema():
-    import json
-
     card = solve_physical(_targets("CNOT_12"))
-    doc = json.loads(emit_card(card))
+    doc = json.loads(dumps(card.to_doc(), indent=2))
     assert doc["gate"] == "CNOT_12"
     assert doc["h"] == 1
     assert doc["m"] == 1

@@ -72,6 +72,31 @@ def test_public_names_have_a_caller_besides_tests():
     assert unused == []
 
 
+def _called_names(path):
+    """The name of every function the module calls: "json.dumps", "format_float", ..."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, ast.Name):
+                names.add(f.id)
+            elif isinstance(f, ast.Attribute):
+                names.add(f"{f.value.id}.{f.attr}" if isinstance(f.value, ast.Name) else f.attr)
+    return names
+
+
+def test_only_jsonio_writes_text_and_only_cli_parses_it():
+    # one float rule: documents become text in jsonio alone, and the command
+    # line is the one place that parses a file into a document
+    owners = {"json.dumps": "jsonio.py", "json.dump": "jsonio.py", "format_float": "jsonio.py",
+              "json.loads": "cli.py", "json.load": "cli.py"}
+    calls = {path.name: _called_names(path) for path in sorted(SRC.glob("*.py"))}
+    assert "json.dumps" in calls["jsonio.py"] and "json.loads" in calls["cli.py"]
+    strays = [f"{name}: {call}" for name, called in calls.items()
+              for call, owner in owners.items() if call in called and name != owner]
+    assert strays == []
+
+
 @pytest.mark.parametrize("value", [3, np.int64(3), np.int32(3), np.uint8(3)])
 def test_strict_int_accepts_integers(value):
     out = strict_int("k", value, (1, 2, 3))
@@ -119,7 +144,7 @@ def test_strict_bool_rejects_everything_else(value):
         lambda: prescription_targets(GateId("CNOT_12"), m_prime=True),
         lambda: cnot_family(GateId("CNOT_12"), 2.5, 1.0),
         lambda: cnot_family(GateId("CNOT_12"), True, 1.0),
-        lambda: sample_states(bell_frame(1), n=2.5),
+        lambda: sample_states(bell_frame(1), n=2.5, seed=7),
         lambda: sample_states(bell_frame(1), n=2, seed=1.5),
         lambda: sample_states(bell_frame(1), n=2, seed=True),
         lambda: sample_states(bell_frame(1), n=2, seed=[1, 2]),
@@ -150,7 +175,7 @@ def test_integer_entry_points_reject_non_integers(call):
 
 def _h_sweep(grid):
     card = solve_physical(prescription_targets(GateId("H_q2")))
-    return sensitivity_sweep(card, sample_states(bell_frame(1), n=1), grid)
+    return sensitivity_sweep(card, sample_states(bell_frame(1), n=1, seed=7), grid)
 
 
 @pytest.mark.parametrize(

@@ -22,15 +22,15 @@ from bellgate import (
     GateId,
     Perturbation,
     PhysicalParams,
+    PrescriptionCard,
     SolverFailure,
     bell_frame,
-    emit_card,
     evolve,
     fidelity_second_order,
-    parse_card,
     prescription_targets,
     solve_physical,
 )
+from bellgate.jsonio import dumps
 
 PARAMS_TEXT = '{"t": 1.2, "J": [0.7, -0.4, 0.9], "B1": 0.3, "B2": -0.6, "h": 1}'
 CIRCUIT_TEXT = (
@@ -76,7 +76,7 @@ def test_evolve_json_schema(capsys, params_file):
     assert doc["params"]["h"] == 1
     assert doc["unitarity_residual"] < 1e-12
     u = np.array([[c["re"] + 1j * c["im"] for c in row] for row in doc["unitary"]])
-    want = evolve(PhysicalParams.from_json(PARAMS_TEXT))
+    want = evolve(PhysicalParams.from_doc(json.loads(PARAMS_TEXT)))
     assert np.max(np.abs(u - want)) < 1e-15
 
 
@@ -86,7 +86,7 @@ def test_evolve_csv_matches_library(capsys, params_file):
     lines = out.strip().splitlines()
     assert lines[0] == "row,col,re,im"
     assert len(lines) == 17
-    want = evolve(PhysicalParams.from_json(PARAMS_TEXT))
+    want = evolve(PhysicalParams.from_doc(json.loads(PARAMS_TEXT)))
     for line in lines[1:]:
         r, c, re, im = line.split(",")
         assert complex(float(re), float(im)) == want[int(r), int(c)]
@@ -149,7 +149,7 @@ def test_blocks_rejects_csv(capsys, params_file):
 def test_synth_card_round_trips_into_library(capsys):
     code, out, _ = run(capsys, "synth", "S_phi_q2", "--phi", "0.5")
     assert code == 0
-    card = parse_card(out)
+    card = PrescriptionCard.from_doc(json.loads(out))
     want = solve_physical(prescription_targets(GateId("S_phi_q2", phi=0.5)))
     assert card == want
 
@@ -157,7 +157,7 @@ def test_synth_card_round_trips_into_library(capsys):
 def test_synth_alternate_route(capsys):
     code, out, _ = run(capsys, "synth", "S_phi_q1", "--phi", "0.5", "--route", "alternate")
     assert code == 0
-    card = parse_card(out)
+    card = PrescriptionCard.from_doc(json.loads(out))
     assert card.solved.h == 3
     assert card.solved.t == pytest.approx(0.5, abs=1e-12)
 
@@ -207,7 +207,7 @@ def test_compile_document(capsys, circuit_file):
     doc = json.loads(out)
     assert set(doc) == {"compiled", "equivalence_residual"}
     assert doc["equivalence_residual"] < 1e-9
-    compiled = Circuit.from_json(json.dumps(doc["compiled"]))
+    compiled = Circuit.from_doc(doc["compiled"])
     assert compiled.basis == "bell"
     assert compiled.gates[0].tag == "T_translator"
     assert compiled.gates[-1].tag == "T_translator"
@@ -434,6 +434,64 @@ def test_mistyped_card_field_is_input_error(capsys, tmp_path, card_file, where, 
     assert key in json.loads(err)["error"]["message"]
 
 
+def _edited(tmp_path, text, edit):
+    doc = json.loads(text)
+    edit(doc)
+    f = tmp_path / "edited.json"
+    f.write_text(json.dumps(doc))
+    return str(f)
+
+
+def _assert_input_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"]["type"] == "input"
+    return json.loads(err)["error"]["message"]
+
+
+def test_unknown_parameter_key_is_input_error(capsys, tmp_path):
+    f = _edited(tmp_path, PARAMS_TEXT, lambda d: d.update(B3=9.0))
+    assert "unknown key 'B3'" in _assert_input_error(capsys, "evolve", f)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda d: d["gates"][1].update(qbit=1), lambda d: d.update(extra=True)],
+    ids=["entry-key", "top-level-key"],
+)
+def test_unknown_circuit_key_is_input_error(capsys, tmp_path, edit):
+    f = _edited(tmp_path, CIRCUIT_TEXT, edit)
+    assert "unknown key" in _assert_input_error(capsys, "compile", f)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [lambda d: d.update(phase_brnach=1), lambda d: d["targets"].update(delta_plus_2=0.0)],
+    ids=["top-level-key", "targets-key"],
+)
+def test_unknown_card_key_is_input_error(capsys, tmp_path, card_file, edit):
+    f = _edited(tmp_path, Path(card_file).read_text(), edit)
+    message = _assert_input_error(capsys, "fidelity-sweep", f, "--states", "1", "--steps", "1e-2")
+    assert "malformed card document: unknown key" in message
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.update(realized_error=0.5),
+        lambda d: d["residuals"].__setitem__(1, 9.0),
+        lambda d: d.update(phase_branch=-d["phase_branch"]),
+        lambda d: d["residuals"].pop(),
+        lambda d: d.update(realized_error=0.5, residuals=[9.0]),
+    ],
+    ids=["realized_error", "residual", "phase_branch", "dropped-residual", "both"],
+)
+def test_edited_honesty_numbers_are_input_error(capsys, tmp_path, card_file, edit):
+    f = _edited(tmp_path, Path(card_file).read_text(), edit)
+    message = _assert_input_error(capsys, "fidelity-sweep", f, "--states", "1", "--steps", "1e-2")
+    assert "recomputation" in message
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -624,12 +682,13 @@ def test_shifted_solve_loads_no_scipy():
     tg = dataclasses.replace(prescription_targets(GateId("S_phi_q2", phi=0.5)), delta_plus_1=math.pi)
     body = (
         "import dataclasses, math\n"
-        "from bellgate import GateId, emit_card, prescription_targets, solve_physical\n"
+        "from bellgate import GateId, prescription_targets, solve_physical\n"
+        "from bellgate.jsonio import dumps\n"
         "tg = dataclasses.replace(prescription_targets(GateId('S_phi_q2', phi=0.5)), delta_plus_1=math.pi)\n"
-        "print(emit_card(solve_physical(tg)))\n"
+        "print(dumps(solve_physical(tg).to_doc(), indent=2))\n"
         "code = 0"
     )
-    assert _cold(body) == (0, emit_card(solve_physical(tg)) + "\n", [], [])
+    assert _cold(body) == (0, dumps(solve_physical(tg).to_doc(), indent=2) + "\n", [], [])
 
 
 _DATA = Path(__file__).resolve().parent / "data"

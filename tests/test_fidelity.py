@@ -421,7 +421,7 @@ def test_sample_states_deterministic_and_normalized():
     assert all(np.array_equal(x.amplitudes, y.amplitudes) for x, y in zip(a, b))
     assert not np.array_equal(a[0].amplitudes, c[0].amplitudes)
     with pytest.raises(ValueError):
-        sample_states(FRAME, n=0)
+        sample_states(FRAME, n=0, seed=7)
 
 
 def test_sensitivity_sweep_shape_and_reports():

@@ -21,7 +21,7 @@ from bellgate import (
     translator,
 )
 
-from conftest import random_unitary
+from conftest import parsed, random_unitary
 
 UNITARY_TOL = 1e-13
 TRANSLATOR_TOL = 1e-14
@@ -177,14 +177,14 @@ def test_circuit_json_round_trip():
         gates=(GateId("S_phi_q2", phi=0.3), GateId("H_q1"), GateId("CNOT_21")),
         basis="bell",
     )
-    assert Circuit.from_json(c.to_json()) == c
+    assert Circuit.from_doc(json.loads(json.dumps(c.to_doc()))) == c
 
 
 def test_circuit_json_round_trip_with_opaque():
     rng = np.random.default_rng(2)
     u = random_unitary(rng)
     c = Circuit(gates=(GateId("H_q2"), OpaqueGate(matrix=u)), basis="bell")
-    back = Circuit.from_json(c.to_json())
+    back = Circuit.from_doc(json.loads(json.dumps(c.to_doc())))
     assert back.basis == "bell"
     assert back.gates[0] == c.gates[0]
     assert np.max(np.abs(np.asarray(back.gates[1].matrix) - u)) < 1e-15
@@ -193,7 +193,7 @@ def test_circuit_json_round_trip_with_opaque():
 @pytest.mark.parametrize("text", ["nope", "{}", '{"basis": "bell"}', '{"basis": "x", "gates": []}'])
 def test_circuit_from_json_rejects_malformed(text):
     with pytest.raises(ValueError):
-        Circuit.from_json(text)
+        Circuit.from_doc(parsed(text))
 
 
 @pytest.mark.parametrize(
@@ -203,12 +203,16 @@ def test_circuit_from_json_rejects_malformed(text):
         ["B_H"],
         5,
         [{"gate": "OPAQUE", "matrix": [[{"re": "x", "im": 0.0}] * 4] * 4}],
+        [{"gate": "OPAQUE", "matrix": [[{"re": True, "im": 0.0}] * 4] * 4}],
+        [{"gate": "B_CNOT12", "qbit": 1}],
+        [{"gate": "OPAQUE", "matrix": 5}],
     ],
-    ids=["no-gate-key", "string-entry", "gates-not-a-list", "non-numeric-matrix"],
+    ids=["no-gate-key", "string-entry", "gates-not-a-list", "non-numeric-matrix", "bool-matrix-entry",
+         "unknown-entry-key", "matrix-not-a-list"],
 )
 def test_circuit_from_json_rejects_malformed_entries(gates):
     with pytest.raises(ValueError, match="malformed circuit document"):
-        Circuit.from_json(json.dumps({"basis": "bell", "gates": gates}))
+        Circuit.from_doc({"basis": "bell", "gates": gates})
 
 
 def test_compile_conjugates_with_translators():
@@ -280,7 +284,7 @@ def test_compile_equivalence_random_circuits():
         assert cc.basis == "bell"
         assert dist_phase_invariant(matrix_of(cc), matrix_of(c)) < COMPILE_TOL
         # compiled circuits survive serialization with equivalence intact
-        back = Circuit.from_json(cc.to_json())
+        back = Circuit.from_doc(json.loads(json.dumps(cc.to_doc())))
         assert dist_phase_invariant(matrix_of(back), matrix_of(c)) < COMPILE_TOL
 
 
@@ -432,7 +436,7 @@ def test_opaque_gate_rejects_bad_matrices(matrix):
 
 def _opaque_doc(matrix):
     rows = [[{"re": float(z.real), "im": float(z.imag)} for z in row] for row in matrix]
-    return json.dumps({"basis": "bell", "gates": [{"gate": "OPAQUE", "matrix": rows}]})
+    return {"basis": "bell", "gates": [{"gate": "OPAQUE", "matrix": rows}]}
 
 
 @pytest.mark.parametrize(
@@ -440,9 +444,10 @@ def _opaque_doc(matrix):
 )
 def test_circuit_from_json_checks_opaque_matrices(matrix):
     with pytest.raises(ValueError):
-        Circuit.from_json(_opaque_doc(matrix))
+        Circuit.from_doc(_opaque_doc(matrix))
 
 
 def test_circuit_from_json_opaque_matrix_is_read_only():
-    back = Circuit.from_json(_opaque_doc(np.eye(4)))
+    back = Circuit.from_doc(_opaque_doc(np.eye(4)))
     assert not back.gates[0].matrix.flags.writeable
+

@@ -8,7 +8,7 @@ import scipy.linalg
 
 from bellgate import PhysicalParams, assemble_hamiltonian, build_hamiltonian, evolve
 
-from conftest import random_params
+from conftest import parsed, random_params
 
 HERMITICITY_TOL = 1e-14
 ORACLE_TOL = 1e-11
@@ -107,14 +107,14 @@ def test_params_validation(kwargs):
 
 def test_params_store_axis_as_int():
     p = PhysicalParams(t=1.0, J=(0.0, 0.0, 0.0), B1=0.0, B2=0.0, h=np.int64(3))
-    assert type(p.h) is int and json.loads(p.to_json())["h"] == 3
+    assert type(p.h) is int and p.to_doc()["h"] == 3
 
 
 def test_params_json_round_trip():
     p = PhysicalParams(t=1.5, J=(0.2, -0.3, 0.7), B1=1.0, B2=-0.25, h=2)
-    text = p.to_json()
+    text = json.dumps(p.to_doc())
     assert json.loads(text)["h"] == 2
-    assert PhysicalParams.from_json(text) == p
+    assert PhysicalParams.from_doc(json.loads(text)) == p
 
 
 @pytest.mark.parametrize(
@@ -131,4 +131,4 @@ def test_params_json_round_trip():
 )
 def test_params_from_json_rejects_malformed(text):
     with pytest.raises((ValueError, TypeError)):
-        PhysicalParams.from_json(text)
+        PhysicalParams.from_doc(parsed(text))
