@@ -42,6 +42,7 @@ from .fidelity import (
     BlockState,
     FidelityReport,
     Perturbation,
+    SweepResult,
     directional_derivatives,
     fidelity_exact,
     fidelity_second_order,

@@ -142,7 +142,7 @@ def _block_coefficients(frame: BellFrame) -> np.ndarray:
     # every generator in frame coordinates; rint removes the 1/sqrt(2)
     # rounding noise and + 0.0 turns its -0.0 into +0.0
     c = frame.change_of_basis
-    w = c.conj().T @ np.stack(GENERATORS[frame.h]) @ c
+    w = c.conj().T @ GENERATORS[frame.h] @ c
     out = np.stack([np.einsum("aij,nji->an", BLOCK_BASIS, w[:, k : k + 2, k : k + 2]) for k in (0, 2)])
     out = np.rint(out.real / 2.0) + 0.0
     out.flags.writeable = False

@@ -62,12 +62,17 @@ def _is_grid(text: str) -> bool:
 
 
 def _attach_grids(argv: list[str]) -> list[str]:
-    """Spell "--steps GRID" as "--steps=GRID".
+    """Spell "--steps GRID" as "--steps=GRID" on fidelity-sweep.
 
     argparse reads a value that starts with "-" and is not a plain
     decimal, such as -5e-3 or -1e-2,5e-3, as an option and reports a
-    missing argument; attached with "=", it is read as the value.
+    missing argument; attached with "=", it is read as the value.  Other
+    subcommands have no --steps, and their usage errors keep quoting
+    the arguments as given.
     """
+    # the top-level parser takes no option values, so its first positional is the subcommand
+    if next((arg for arg in argv if not arg.startswith("-")), None) != "fidelity-sweep":
+        return argv
     out = []
     for arg in argv:
         if out and out[-1] == "--steps" and _is_grid(arg):
@@ -167,7 +172,7 @@ def _cmd_blocks(args) -> str:
         "block1": b1,
         "block2": b2,
         "offblock_norm": off,
-        "within_structural_tol": bool(off <= STRUCTURAL_TOL),
+        "within_structural_tol": off <= STRUCTURAL_TOL,
         "reduced": reduced,
         "cross": None,
     }
@@ -236,35 +241,42 @@ def _cmd_fidelity_sweep(args) -> str:
     steps = _grid(args.steps)
     frame = bell_frame(card.targets.h)
     states = fidelity.sample_states(frame, n=args.states, seed=args.seed)
-    reports = fidelity.sensitivity_sweep(card, states, steps)
+    result = fidelity.sensitivity_sweep(card, states, steps)
     g = card.targets.gate
+    # one row per (state, axis, step), in the result's order
+    f2e, f2s, cubic = (a.tolist() for a in (result.f2_exact, result.f2_second_order, result.cubic_residual))
+    probes = [(sid, i, name, j, step)
+              for sid in range(len(states))
+              for i, name in enumerate(fidelity.PARAM_NAMES)
+              for j, step in enumerate(result.grid)]
     if args.format == "csv":
         header = ("gate", "phi", "m", "state_id", "param", "dp",
                   "f2_exact", "f2_second_order", "cubic_residual")
         rows = (
-            (g.tag, g.phi, card.targets.m, rep.state_id, rep.param,
-             rep.dp.dp[fidelity.PARAM_NAMES.index(rep.param)],
-             rep.f2_exact, rep.f2_second_order, rep.cubic_residual)
-            for rep in reports
+            (g.tag, g.phi, card.targets.m, sid, name, step,
+             f2e[sid][i][j], f2s[sid][i][j], cubic[sid][i][j])
+            for sid, i, name, j, step in probes
         )
         return dumps_csv(header, rows)
+    dps = [[list(fidelity.Perturbation.axis(i, step).dp) for step in result.grid] for i in range(6)]
+    grads = result.gradient.tolist()
     doc = {
         "gate": g.tag,
         "phi": g.phi,
         "m": card.targets.m,
         "reports": [
             {
-                "state_id": rep.state_id,
-                "param": rep.param,
-                "dp": list(rep.dp.dp),
-                "f2_exact": rep.f2_exact,
-                "f2_second_order": rep.f2_second_order,
-                "cubic_residual": rep.cubic_residual,
-                "per_parameter_gradient": list(rep.per_parameter_gradient),
+                "state_id": sid,
+                "param": name,
+                "dp": dps[i][j],
+                "f2_exact": f2e[sid][i][j],
+                "f2_second_order": f2s[sid][i][j],
+                "cubic_residual": cubic[sid][i][j],
+                "per_parameter_gradient": grads[sid],
             }
-            for rep in reports
+            for sid, i, name, j, step in probes
         ],
-        "ranking": [[name, val] for name, val in fidelity.rank_parameters(reports)],
+        "ranking": [[name, val] for name, val in fidelity.rank_parameters(result)],
     }
     return dumps(doc, indent=2) + "\n"
 

@@ -16,17 +16,23 @@ Daleckii-Krein divided differences exp(-i t (w_a + w_b) / 2)
 sinc(t (w_a - w_b) / 2), which stay smooth for degenerate blocks and at
 t = 0 (Higham, Functions of Matrices, SIAM 2008, sec. 3.2).
 
-A sweep does its per-card work once: one propagator, the six unit-axis
-derivatives with the variance they give per state and axis, and one
-displaced propagator per (axis, step).  All states are evaluated
-together as (n, 4) amplitude arrays.  The variance is itself the
-per-parameter sensitivity.
+A sweep does its per-card work once, as array operations: one block
+eigendecomposition for the six unit-axis derivatives and the variance
+they give per state and axis, and one stacked exponential for the
+propagator and the displaced propagators of every (axis, distinct
+step).  All states are evaluated together as (n, 4) amplitude arrays,
+and the numbers stay in arrays: a SweepResult holds them as columns
+and builds a FidelityReport only when one is read.  The variance is
+itself the per-parameter sensitivity.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,14 +40,16 @@ from .bellframe import BLOCK_BASIS, BLOCK_COEFFS, BellFrame
 from .calib import PrescriptionCard
 from .checks import STATE_NORM_TOL, ZERO_NORM_TOL, strict_float, strict_int
 from .errors import NonFiniteDerivative
-from .model import PhysicalParams, evolve
+from .model import PhysicalParams, admissible, assemble_hamiltonian, evolve
 from .sobol import ndtri, sobol_points
+from .spinlin import expm_hermitian
 
 __all__ = [
     "PARAM_NAMES",
     "BlockState",
     "Perturbation",
     "FidelityReport",
+    "SweepResult",
     "directional_derivatives",
     "fidelity_exact",
     "fidelity_second_order",
@@ -116,7 +124,7 @@ class Perturbation:
 
 @dataclass(frozen=True, eq=False)
 class FidelityReport:
-    """One (state, displacement) probe of a solved card."""
+    """One (state, displacement) probe of a solved card, as a SweepResult reads it."""
 
     state_id: int
     param: str
@@ -125,6 +133,61 @@ class FidelityReport:
     f2_second_order: float
     per_parameter_gradient: tuple[float, ...]
     cubic_residual: float
+
+
+@dataclass(frozen=True, eq=False)
+class SweepResult(Sequence):
+    """The numbers of a sensitivity sweep, one read-only array per field.
+
+    f2_exact, f2_second_order and cubic_residual have shape
+    (states, 6, len(grid)): state, PARAM_NAMES axis, grid step.
+    gradient, shape (states, 6), is each state's Var(G) per axis.  grid
+    is the step grid as given, repeats included.
+
+    The result is also a sequence of FidelityReport in state, axis, step
+    order, with integer and slice indexes.  Each report is built when it
+    is read, from parts that all reports share and that are made once,
+    on the first read.
+    """
+
+    card: PrescriptionCard
+    grid: tuple[float, ...]
+    f2_exact: np.ndarray
+    f2_second_order: np.ndarray
+    cubic_residual: np.ndarray
+    gradient: np.ndarray
+
+    def __len__(self) -> int:
+        return self.f2_exact.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._report(k) for k in range(len(self))[index]]
+        k = operator.index(index)
+        if not -len(self) <= k < len(self):
+            raise IndexError(f"sweep report index {index} out of range for {len(self)} reports")
+        return self._report(k % len(self))
+
+    def __iter__(self):
+        return map(self._report, range(len(self)))
+
+    @cached_property
+    def _shared(self):
+        """One Perturbation per (axis, step), one gradient tuple per state, and the columns as lists."""
+        perts = [[Perturbation.axis(i, step) for step in self.grid] for i in range(6)]
+        grads = [tuple(g) for g in self.gradient.tolist()]
+        columns = (a.tolist() for a in (self.f2_exact, self.f2_second_order, self.cubic_residual))
+        return perts, grads, *columns
+
+    def _report(self, k: int) -> FidelityReport:
+        perts, grads, f2e, f2s, cubic = self._shared
+        sid, rest = divmod(k, 6 * len(self.grid))
+        axis, j = divmod(rest, len(self.grid))
+        # positional, in field order: keywords cost a third more per report
+        return FidelityReport(
+            sid, PARAM_NAMES[axis], perts[axis][j],
+            f2e[sid][axis][j], f2s[sid][axis][j], grads[sid], cubic[sid][axis][j],
+        )
 
 
 def _param_vector(p: PhysicalParams) -> np.ndarray:
@@ -136,22 +199,28 @@ def _displaced(p: PhysicalParams, dp: Perturbation) -> PhysicalParams:
     return PhysicalParams(t=x[0], J=(x[1], x[2], x[3]), B1=x[4], B2=x[5], h=p.h)
 
 
-def directional_derivatives(
-    p: PhysicalParams, dp: Perturbation, frame: BellFrame
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """First directional derivatives of both block maps, and the block maps.
+def _block_derivatives(
+    p: PhysicalParams, frame: BellFrame, directions: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First derivatives of both block maps along k directions at once, and the block maps.
 
-    Returns ((Ds_1, Ds_2), (s_1, s_2)).  Each block map is
-    s_k = exp(-i t W_k), with W_k = V diag(w) V^dag the block's
-    Hamiltonian in frame coordinates.  Along x + l*dp its derivative is
-    Ds_k = V ((V^dag E V) * Phi) V^dag with E = -i (dt W_k + t dW_k),
-    dW_k the block Hamiltonian of dp's couplings, and the divided
-    differences Phi_ab = exp(-i t (w_a + w_b) / 2) sinc(t (w_a - w_b) / 2).
-    Ds is linear in dp; dp = 0 returns zero matrices.
+    directions is a (k, 6) array of displacements (dt, dJ1, dJ2, dJ3,
+    dB1, dB2).  Returns (ds, s): ds[r, b] is the derivative of block map
+    b along row r, shape (k, 2, 2, 2), and s the two block maps, shape
+    (2, 2, 2).  Each block map is s_b = exp(-i t W_b), with
+    W_b = V diag(w) V^dag the block's Hamiltonian in frame coordinates;
+    one eigendecomposition serves every row.  Along x + l*d the
+    derivative is Ds_b = V ((V^dag E V) * Phi) V^dag with
+    E = -i (dt W_b + t dW_b), dW_b the block Hamiltonian of d's
+    couplings, and the divided differences
+    Phi_ab = exp(-i t (w_a + w_b) / 2) sinc(t (w_a - w_b) / 2).  Ds is
+    linear in d; a zero row gives zero matrices.  The first row whose
+    derivative overflows raises NonFiniteDerivative with the index of
+    that row's largest component.
     """
     if p.h != frame.h:
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
-    d = dp.as_array()
+    d = np.asarray(directions, dtype=float)
     coeffs = BLOCK_COEFFS[frame.h]
     w = np.einsum("ka,aij->kij", coeffs @ _param_vector(p)[1:], BLOCK_BASIS)
     lam, v = np.linalg.eigh(w)
@@ -161,12 +230,28 @@ def directional_derivatives(
     phi = np.exp(-1j * p.t * mean) * np.sinc(p.t * half / np.pi)
     # an overflowing displacement surfaces as NonFiniteDerivative below
     with np.errstate(over="ignore", invalid="ignore"):
-        dw = np.einsum("ka,aij->kij", coeffs @ d[1:], BLOCK_BASIS)
-        ds = v @ ((vh @ (-1j * (d[0] * w + p.t * dw)) @ v) * phi) @ vh
-    if not np.all(np.isfinite(ds)):
-        raise NonFiniteDerivative(int(np.argmax(np.abs(d))))
+        # (c0, cx, cy, cz) of both blocks for each row's couplings
+        dc = (coeffs @ d[:, None, 1:, None])[..., 0]
+        dw = np.einsum("rka,aij->rkij", dc, BLOCK_BASIS)
+        ds = v @ ((vh @ (-1j * (d[:, 0, None, None, None] * w + p.t * dw)) @ v) * phi) @ vh
+    bad = ~np.isfinite(ds).all(axis=(1, 2, 3))
+    if bad.any():
+        raise NonFiniteDerivative(int(np.argmax(np.abs(d[np.argmax(bad)]))))
     s = v @ (phi * np.eye(2)) @ vh
-    return (ds[0], ds[1]), (s[0], s[1])
+    return ds, s
+
+
+def directional_derivatives(
+    p: PhysicalParams, dp: Perturbation, frame: BellFrame
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """First directional derivatives of both block maps, and the block maps.
+
+    Returns ((Ds_1, Ds_2), (s_1, s_2)), the one-direction case of
+    _block_derivatives.  Ds is linear in dp; dp = 0 returns zero
+    matrices.
+    """
+    ds, s = _block_derivatives(p, frame, dp.as_array()[None])
+    return (ds[0, 0], ds[0, 1]), (s[0], s[1])
 
 
 def _check_state(state: BlockState, p: PhysicalParams) -> None:
@@ -177,33 +262,34 @@ def _check_state(state: BlockState, p: PhysicalParams) -> None:
 
 
 def _overlaps(psi: np.ndarray, u: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """|<u psi | u2 psi>|^2 for each row of psi (computational amplitudes)."""
-    return np.abs(np.einsum("ni,ni->n", (psi @ u.T).conj(), psi @ u2.T)) ** 2
+    """|<u psi | u2 psi>|^2 for each (..., 4, 4) propagator of u2 and each row of psi, shape (..., n).
 
-
-def _variance(amps: np.ndarray, ds, s) -> np.ndarray:
-    """Var(G) = ||G a||^2 - |<a|G|a>|^2 for each row a of amps, (n, 4) frame amplitudes.
-
-    ds and s are the block pairs directional_derivatives returns for one
-    direction; G is block-diagonal with G_k = i s_k^dag Ds_k.
+    psi holds computational amplitudes, one state per row.
     """
-    ga = np.hstack([amps[:, 2 * k : 2 * k + 2] @ (1j * s[k].conj().T @ ds[k]).T for k in (0, 1)])
-    return np.sum(np.abs(ga) ** 2, axis=1) - np.abs(np.einsum("ni,ni->n", amps.conj(), ga)) ** 2
+    return np.abs(np.einsum("ni,...ni->...n", (psi @ u.T).conj(), psi @ u2.swapaxes(-1, -2))) ** 2
 
 
-def _second_order(var: np.ndarray, step: float, axis: int) -> np.ndarray:
-    """F^2 = 1 - step^2 var; NonFiniteDerivative(axis) if it overflows."""
+def _variance(amps: np.ndarray, ds: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Var(G) = ||G a||^2 - |<a|G|a>|^2 per direction and row a of amps, shape (k, n).
+
+    amps holds (n, 4) frame amplitudes; ds and s are what
+    _block_derivatives returns for k directions.  G is block-diagonal
+    with G_b = i s_b^dag Ds_b.
+    """
+    g = 1j * s.conj().swapaxes(-1, -2) @ ds
+    ga = np.concatenate([amps[:, 2 * b : 2 * b + 2] @ g[:, b].swapaxes(-1, -2) for b in (0, 1)], axis=-1)
+    return np.sum(np.abs(ga) ** 2, axis=-1) - np.abs(np.einsum("ni,kni->kn", amps.conj(), ga)) ** 2
+
+
+def _second_order(var: np.ndarray, steps) -> np.ndarray:
+    """F^2 = 1 - step^2 var, broadcasting; an overflow comes out non-finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        f2 = 1.0 - (step * step) * var
-    if not np.all(np.isfinite(f2)):
-        raise NonFiniteDerivative(axis)
-    return f2
+        return 1.0 - (steps * steps) * var
 
 
 def _axis_variances(p: PhysicalParams, frame: BellFrame, amps: np.ndarray) -> np.ndarray:
     """Var(G) of each row of amps along the six unit axes, shape (n, 6)."""
-    pairs = [directional_derivatives(p, Perturbation.axis(i, 1.0), frame) for i in range(6)]
-    return np.stack([_variance(amps, *pair) for pair in pairs], axis=1)
+    return np.ascontiguousarray(_variance(amps, *_block_derivatives(p, frame, np.eye(6))).T)
 
 
 def fidelity_exact(state: BlockState, p: PhysicalParams, dp: Perturbation) -> float:
@@ -228,26 +314,33 @@ def fidelity_second_order(state: BlockState, p: PhysicalParams, dp: Perturbation
     _check_state(state, p)
     step = dp.norm
     unit = Perturbation(dp=tuple(v / step for v in dp.dp)) if step > 0.0 else dp
-    var = _variance(state.amplitudes[None], *directional_derivatives(p, unit, state.frame))
-    axis = int(np.argmax(np.abs(dp.as_array())))
-    return float(_second_order(var, step, axis)[0])
+    var = _variance(state.amplitudes[None], *_block_derivatives(p, state.frame, unit.as_array()[None]))
+    f2 = float(_second_order(var, step)[0, 0])
+    if not math.isfinite(f2):
+        raise NonFiniteDerivative(int(np.argmax(np.abs(dp.as_array()))))
+    return f2
 
 
 def sensitivity_sweep(
-    card: PrescriptionCard, states: list[BlockState], grid: list[float]
-) -> list[FidelityReport]:
-    """Coordinate-displacement fidelity reports for a solved card.
+    card: PrescriptionCard, states: list[BlockState], grid: Iterable[float]
+) -> SweepResult:
+    """Coordinate-displacement fidelity of a solved card, as columns.
 
     Every state is probed along each of the six parameter axes with
-    every step in the grid; each report carries the state's quadratic
-    sensitivity vector so rankings can be derived downstream.
+    every step in the grid.  The result holds the exact and second-order
+    F^2 and their difference per (state, axis, step), and each state's
+    quadratic sensitivity vector, from which rankings are derived.
 
-    The per-card work is shared by all states: one propagator, six
-    unit-axis derivatives and the variance per state and axis they
-    give, and one displaced propagator per (axis, distinct step).  The
-    states are evaluated together; all of them must live in one frame.
+    The per-card work is shared by all states: one eigendecomposition
+    for the six unit-axis derivatives and the variance per state and
+    axis they give, and one stacked exponential for the propagator and
+    the displaced propagators of every (axis, distinct step).  The
+    states must all live in one frame.  Errors come in the order a
+    step-by-step sweep would meet them: a derivative overflow, first
+    axis first; then per axis and step, an invalid displaced parameter
+    set, then an overflowing expansion.
     """
-    grid = [strict_float("perturbation component", step) for step in grid]
+    grid = tuple(strict_float("perturbation component", step) for step in grid)
     if not states:
         raise ValueError("sensitivity sweep needs at least one state")
     if not grid:
@@ -259,46 +352,42 @@ def sensitivity_sweep(
         if state.frame is not frame:
             raise ValueError("sensitivity sweep states must share one frame")
     amps = np.array([state.amplitudes for state in states])
-    psi = amps @ frame.change_of_basis.T
-    u = evolve(p)
     var = _axis_variances(p, frame, amps)
-    grads = var.tolist()
-    # (name, perturbation, exact column, second-order column) in report order
-    probes = []
-    for i, name in enumerate(PARAM_NAMES):
-        exact = {}
-        for step in grid:
-            pert = Perturbation.axis(i, step)
-            if step not in exact:
-                exact[step] = _overlaps(psi, u, evolve(_displaced(p, pert))).tolist()
-            f2s = _second_order(var[:, i], step, i).tolist()
-            probes.append((name, pert, exact[step], f2s))
-    reports: list[FidelityReport] = []
-    for sid, grad in enumerate(grads):
-        grad = tuple(grad)
-        for name, pert, f2e, f2s in probes:
-            reports.append(
-                FidelityReport(
-                    state_id=sid,
-                    param=name,
-                    dp=pert,
-                    f2_exact=f2e[sid],
-                    f2_second_order=f2s[sid],
-                    per_parameter_gradient=grad,
-                    cubic_residual=abs(f2s[sid] - f2e[sid]),
-                )
-            )
-    return reports
+    f2s = _second_order(var[:, :, None], np.array(grid))
+    # each distinct step (0.0 and -0.0 are one) is displaced once per axis;
+    # col maps a grid position to its distinct step
+    first: dict[float, int] = {}
+    col = [first.setdefault(step, len(first)) for step in grid]
+    shift = np.zeros((6, len(first), 6))
+    shift[range(6), :, range(6)] = list(first)
+    x0 = _param_vector(p)
+    moved = x0 + shift
+    valid = admissible(moved)
+    finite = np.isfinite(f2s).all(axis=0)
+    if not (valid.all() and finite.all()):
+        # the first failure in (axis, step) order; _displaced raises the
+        # error of an invalid point with the message PhysicalParams gives it
+        for i in range(6):
+            for j, step in enumerate(grid):
+                if not valid[i, col[j]]:
+                    _displaced(p, Perturbation.axis(i, step))
+                if not finite[i, j]:
+                    raise NonFiniteDerivative(i)
+    points = np.concatenate([x0[None], moved.reshape(-1, 6)])
+    u = expm_hermitian(assemble_hamiltonian(points[:, 1:4].T, points[:, 4], points[:, 5], p.h), points[:, 0])
+    psi = amps @ frame.change_of_basis.T
+    f2e = _overlaps(psi, u[0], u[1:]).reshape(6, len(first), -1)[:, col].transpose(2, 0, 1)
+    columns = (np.ascontiguousarray(f2e), f2s, np.abs(f2s - f2e), var)
+    for a in columns:
+        a.flags.writeable = False
+    return SweepResult(card, grid, *columns)
 
 
-def rank_parameters(reports: list[FidelityReport]) -> list[tuple[str, float]]:
-    """Parameters ordered by mean quadratic sensitivity, largest first."""
-    if not reports:
+def rank_parameters(result: SweepResult) -> list[tuple[str, float]]:
+    """Parameters ordered by mean quadratic sensitivity over the sweep's states, largest first."""
+    if not len(result):
         raise ValueError("cannot rank parameters without reports")
-    by_state: dict[int, tuple[float, ...]] = {}
-    for rep in reports:
-        by_state.setdefault(rep.state_id, rep.per_parameter_gradient)
-    mean = np.mean([g for g in by_state.values()], axis=0)
+    mean = np.mean(result.gradient, axis=0)
     order = sorted(zip(PARAM_NAMES, mean), key=lambda kv: (-kv[1], kv[0]))
     return [(name, float(val)) for name, val in order]
 

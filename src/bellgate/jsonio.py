@@ -38,9 +38,9 @@ def _emit(obj, parts: list[str], indent: int | None, level: int) -> None:
     end = "" if indent is None else "\n" + " " * (indent * level)
     if obj is None:
         parts.append("null")
-    elif isinstance(obj, bool):
+    elif isinstance(obj, (bool, np.bool_)):
         parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+    elif isinstance(obj, (int, np.integer)):
         parts.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         parts.append(format_float(float(obj)))

@@ -7,8 +7,9 @@ common axis h in {1, 2, 3}:
     H = sum_k J_k sigma_k (x) sigma_k - B1 sigma_h (x) 1 - B2 1 (x) sigma_h
 
 H is linear in the couplings (J1, J2, J3, B1, B2).  The generator table
-GENERATORS[h] holds the five constant 4x4 matrices they multiply:
-sigma_k (x) sigma_k for k = 1, 2, 3, then -sigma_h (x) 1 and -1 (x) sigma_h.
+GENERATORS[h] holds the five constant 4x4 matrices they multiply, as one
+(5, 4, 4) array: sigma_k (x) sigma_k for k = 1, 2, 3, then
+-sigma_h (x) 1 and -1 (x) sigma_h.
 
 Computational basis ordering is |q1 q2> -> index 2*q1 + q2.  The
 propagator is U(t) = exp(-i H t); negative times are rejected, inverse
@@ -25,16 +26,15 @@ from .checks import strict_float, strict_int, strict_reals
 from .jsonio import fields
 from .spinlin import expm_hermitian, pauli
 
-__all__ = ["PhysicalParams", "assemble_hamiltonian", "build_hamiltonian", "evolve"]
+__all__ = ["PhysicalParams", "admissible", "assemble_hamiltonian", "build_hamiltonian", "evolve"]
 
 
-def _generators(h: int) -> tuple[np.ndarray, ...]:
+def _generators(h: int) -> np.ndarray:
     i2 = np.eye(2, dtype=np.complex128)
     sh = pauli(h)
-    gens = tuple(np.kron(pauli(k), pauli(k)) for k in (1, 2, 3))
-    gens += (-np.kron(sh, i2), -np.kron(i2, sh))
-    for g in gens:
-        g.flags.writeable = False
+    gens = [np.kron(pauli(k), pauli(k)) for k in (1, 2, 3)]
+    gens = np.stack(gens + [-np.kron(sh, i2), -np.kron(i2, sh)])
+    gens.flags.writeable = False
     return gens
 
 
@@ -58,6 +58,7 @@ class PhysicalParams:
         if len(self.J) != 3:
             raise ValueError("J must have exactly three components")
         object.__setattr__(self, "h", strict_int("field axis h", self.h, (1, 2, 3)))
+        # admissible() states these value checks for parameter arrays; change both together
         if self.t < 0:
             raise ValueError("t must be nonnegative")
 
@@ -71,18 +72,35 @@ class PhysicalParams:
         return cls(t=t, J=strict_reals("J", J, 3), B1=B1, B2=B2, h=h)
 
 
-def assemble_hamiltonian(J, B1: float, B2: float, h: int) -> np.ndarray:
+def admissible(x: np.ndarray) -> np.ndarray:
+    """Which rows (t, J1, J2, J3, B1, B2) of a (..., 6) array PhysicalParams accepts.
+
+    The value rule of PhysicalParams on arrays: every component finite
+    and t >= 0.  Returns a bool array of shape (...).
+    """
+    return np.isfinite(x).all(axis=-1) & (x[..., 0] >= 0.0)
+
+
+def assemble_hamiltonian(J, B1, B2, h: int) -> np.ndarray:
     """Assemble the 4x4 Hamiltonian from raw components.
 
+    J[0], J[1], J[2], B1 and B2 are floats, or arrays of one shape; the
+    result then has that shape followed by (4, 4), and each slice equals
+    the Hamiltonian of its own components bit for bit.
     Hermitian by construction and traceless.  Only the axis is checked
     (ValueError unless a non-bool integer 1, 2 or 3, as in
     PhysicalParams); callers that need the full parameter contract go
     through PhysicalParams.
     """
     gens = GENERATORS[strict_int("field axis h", h, GENERATORS)]
-    hm = np.zeros((4, 4), dtype=np.complex128)
-    for c, g in zip((J[0], J[1], J[2], B1, B2), gens):
-        hm += float(c) * g
+    c = np.array((J[0], J[1], J[2], B1, B2), dtype=float)
+    # terms[k] = c[k] * gens[k], in one product; the terms are then added
+    # one at a time, in generator order, from zero, which keeps each slice
+    # the one-matrix sum bit for bit
+    terms = c.reshape(c.shape + (1, 1)) * gens.reshape((5,) + (1,) * (c.ndim - 1) + (4, 4))
+    hm = np.zeros(terms.shape[1:], dtype=np.complex128)
+    for term in terms:
+        hm += term
     return hm
 
 

@@ -31,18 +31,24 @@ def pauli(k: int) -> np.ndarray:
     return _PAULI[strict_int("pauli index", k, _PAULI)].copy()
 
 
-def expm_hermitian(hm: np.ndarray, scale: float = 1.0) -> np.ndarray:
+def expm_hermitian(hm: np.ndarray, scale=1.0) -> np.ndarray:
     """exp(-i * scale * hm) for Hermitian hm, via eigendecomposition.
 
-    Raises NonHermitianError (carrying the measured asymmetry) if
-    max |hm - hm^dag| exceeds HERMITICITY_TOL.
+    hm may be one (n, n) matrix or a (..., n, n) stack, and scale a
+    float or an array that broadcasts against the stack shape (...);
+    each slice comes out bit for bit as its own one-matrix call.
+    Raises NonHermitianError (carrying the measured asymmetry, the
+    largest of any slice) if max |hm - hm^dag| exceeds HERMITICITY_TOL.
     """
     hm = np.asarray(hm, dtype=np.complex128)
-    asym = float(np.abs(hm - hm.conj().T).max())
+    asym = float(np.abs(hm - hm.conj().swapaxes(-1, -2)).max())
     if asym > HERMITICITY_TOL:
         raise NonHermitianError(asym)
     w, v = np.linalg.eigh(hm)
-    return (v * np.exp(-1j * scale * w)) @ v.conj().T
+    if not isinstance(scale, float):
+        # one factor per slice, applied to that slice's eigenvalue row
+        scale = np.asarray(scale)[..., None]
+    return (v * np.exp(-1j * scale * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def dist_unitary(u: np.ndarray) -> float:

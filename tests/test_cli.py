@@ -573,6 +573,24 @@ def test_step_errors_keep_their_lines(capsys, card_file, argv, code, err):
     assert run(capsys, "fidelity-sweep", card_file, "--states", "1", *argv) == (code, "", err)
 
 
+@pytest.mark.parametrize("command", ["evolve", "blocks", "compile"])
+def test_steps_stays_an_unknown_option_elsewhere(capsys, params_file, command):
+    # only fidelity-sweep reads a grid, so only there is "--steps -1" attached
+    code, out, err = run(capsys, command, params_file, "--steps", "-1")
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"type": "usage", "message": "unrecognized arguments: --steps -1"}}
+
+
+def test_fidelity_sweep_writes_columns_without_report_objects(capsys, monkeypatch, card_file):
+    def refuse(**kwargs):
+        raise AssertionError("fidelity-sweep built a FidelityReport")
+
+    monkeypatch.setattr(bellgate.fidelity, "FidelityReport", refuse)
+    for fmt in ("json", "csv"):
+        code, out, err = run(capsys, "fidelity-sweep", card_file, "--states", "3", "--format", fmt)
+        assert (code, err) == (0, "") and out
+
+
 # Import boundary: the package runs on numpy alone, so no command, not even
 # the state sampler of fidelity-sweep, loads a scipy module.  Each cold check
 # starts a fresh interpreter on the src tree the tests import, runs BODY

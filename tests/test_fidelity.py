@@ -19,6 +19,7 @@ from bellgate import (
     NonFiniteDerivative,
     Perturbation,
     PhysicalParams,
+    SweepResult,
     assemble_hamiltonian,
     bell_frame,
     build_hamiltonian,
@@ -521,32 +522,131 @@ def test_shared_sweep_matches_per_state_references(name):
 @pytest.mark.parametrize("n", [1, 64])
 def test_sweep_shares_per_card_work(monkeypatch, n):
     # the optimisation's guard: per-card work must not scale with the
-    # number of states, a repeated step reuses its propagator, and the
-    # expansion's variance is computed once per axis, not per step
-    calls = {}
+    # number of states, the axes or the steps: one block eigendecomposition
+    # serves the six derivatives and one stacked exponential holds the
+    # propagator and every (axis, distinct step) displaced propagator
+    expm_calls = []
+    eigh_shapes = []
+    expm, eigh = fid.expm_hermitian, np.linalg.eigh
 
-    def counting(name):
-        fn = getattr(fid, name)
+    def counting_expm(hm, scale=1.0):
+        expm_calls.append(np.shape(hm))
+        return expm(hm, scale)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    def counting_eigh(a, *args, **kwargs):
+        eigh_shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
 
-        monkeypatch.setattr(fid, name, wrapper)
-
-    for name in ("directional_derivatives", "evolve", "_variance"):
-        counting(name)
+    monkeypatch.setattr(fid, "expm_hermitian", counting_expm)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     card = solve_physical(prescription_targets(GateId("H_q2")))
     states = sample_states(bell_frame(card.solved.h), n=n, seed=7)
-    for grid in ([1e-2], [1e-2, 5e-3, 1e-2, 2.5e-3]):
-        calls.update(directional_derivatives=0, evolve=0, _variance=0)
-        reports = sensitivity_sweep(card, states, grid)
-        assert len(reports) == n * 6 * len(grid)
-        assert calls == {
-            "directional_derivatives": 6,
-            "evolve": 1 + 6 * len(set(grid)),
-            "_variance": 6,
-        }
+    for grid in ([1e-2], [1e-2, 5e-3, 1e-2, 2.5e-3], [0.0, -0.0, 1e-2, 0.0]):
+        expm_calls.clear()
+        eigh_shapes.clear()
+        result = sensitivity_sweep(card, states, grid)
+        assert len(result) == n * 6 * len(grid)
+        points = 1 + 6 * len(set(grid))
+        assert expm_calls == [(points, 4, 4)]
+        assert eigh_shapes == [(2, 2, 2), (points, 4, 4)]
+
+
+def test_block_derivatives_rows_match_one_direction():
+    # the kernel's rows are independent of each other: every row equals the
+    # one-direction call bit for bit, for unit axes and drawn directions
+    rng = np.random.default_rng(74)
+    for _ in range(20):
+        p = random_params(rng)
+        frame = bell_frame(p.h)
+        dirs = np.vstack([np.eye(6), rng.normal(size=(5, 6)), np.zeros((1, 6))])
+        ds, s = fid._block_derivatives(p, frame, dirs)
+        assert ds.shape == (12, 2, 2, 2) and s.shape == (2, 2, 2)
+        for row, d in zip(ds, dirs):
+            (ds1, ds2), (s1, s2) = directional_derivatives(p, Perturbation(dp=tuple(d)), frame)
+            assert np.array_equal(row[0], ds1) and np.array_equal(row[1], ds2)
+            assert np.array_equal(s[0], s1) and np.array_equal(s[1], s2)
+
+
+def test_block_derivatives_report_the_first_overflowing_row():
+    # in the h = 1 frame J3 - J2 and B1 + B2 are block coefficients, so
+    # each pair of opposite huge components overflows; the error carries
+    # the largest component of the first such row
+    dirs = np.zeros((4, 6))
+    dirs[1, 0] = 1.0
+    dirs[2, 2:4] = (1e308, -1e308)
+    dirs[3, 4:6] = (1e308, 1e308)
+    for rows, index in (([0, 1, 2, 3], 2), ([1, 3], 4)):
+        with pytest.raises(NonFiniteDerivative) as info:
+            fid._block_derivatives(BASE, FRAME, dirs[rows])
+        assert info.value.index == index
+
+
+def test_sweep_result_is_a_sequence_of_reports():
+    card = solve_physical(prescription_targets(GateId("S_phi_q2", phi=0.4)))
+    states = sample_states(bell_frame(card.solved.h), n=3, seed=7)
+    grid = [1e-2, -5e-3, 1e-2]
+    result = sensitivity_sweep(card, states, grid)
+    assert isinstance(result, SweepResult)
+    assert result.card is card and result.grid == (1e-2, -5e-3, 1e-2)
+    for name in ("f2_exact", "f2_second_order", "cubic_residual"):
+        assert getattr(result, name).shape == (3, 6, 3)
+    assert result.gradient.shape == (3, 6)
+    assert len(result) == 3 * 6 * 3
+    reports = list(result)
+    assert len(reports) == len(result)
+    want = [(sid, name, step) for sid in range(3) for name in PARAM_NAMES for step in grid]
+    assert [(r.state_id, r.param, r.dp.dp[PARAM_NAMES.index(r.param)]) for r in reports] == want
+    for k, r in enumerate(reports):
+        sid, i, j = np.unravel_index(k, result.f2_exact.shape)
+        assert r.dp == Perturbation.axis(int(i), grid[j])
+        assert r.f2_exact == result.f2_exact[sid, i, j]
+        assert r.f2_second_order == result.f2_second_order[sid, i, j]
+        assert r.cubic_residual == result.cubic_residual[sid, i, j]
+        assert r.per_parameter_gradient == tuple(result.gradient[sid])
+        assert all(type(v) is float for v in (r.f2_exact, r.f2_second_order, r.cubic_residual))
+    last = result[-1]
+    assert (last.state_id, last.param, last.f2_exact) == (2, "B2", reports[-1].f2_exact)
+    assert result[-len(result)].f2_exact == reports[0].f2_exact
+    for bad in (len(result), -len(result) - 1):
+        with pytest.raises(IndexError):
+            result[bad]
+    for part in (slice(None, 3), slice(-4, None), slice(None, None, -5), slice(60, 70)):
+        assert [r.f2_exact for r in result[part]] == [r.f2_exact for r in reports[part]]
+    # reports share one Perturbation per (axis, step) and one gradient per state
+    assert result[0].dp is result[6 * 3].dp
+    assert result[0].per_parameter_gradient is result[17].per_parameter_gradient
+
+
+def test_sweep_result_arrays_are_read_only():
+    card = solve_physical(prescription_targets(GateId("H_q2")))
+    result = sensitivity_sweep(card, sample_states(bell_frame(card.solved.h), n=2, seed=7), [1e-2])
+    for name in ("f2_exact", "f2_second_order", "cubic_residual", "gradient"):
+        arr = getattr(result, name)
+        assert arr.dtype == np.float64
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0.5
+    with pytest.raises(AttributeError):
+        result.grid = (1.0,)
+
+
+@pytest.mark.parametrize(
+    "tag, family, grid, error, message",
+    [
+        # CNOT_12's expansion overflows along J1 at 7e153 (index 1), but the
+        # negative time comes first, on axis 0
+        ("CNOT_12", False, [7e153, -5.0], ValueError, "t must be nonnegative"),
+        ("CNOT_12", False, [7e153], NonFiniteDerivative, "non-finite derivative input at parameter index 1"),
+        # on the (1, 1) family card the time axis overflows itself, before its -5
+        ("CNOT_12", True, [7e153, -5.0], NonFiniteDerivative, "non-finite derivative input at parameter index 0"),
+        ("CNOT_12", True, [-5.0, 7e153], ValueError, "t must be nonnegative"),
+    ],
+)
+def test_sweep_errors_come_in_step_by_step_order(tag, family, grid, error, message):
+    # per axis and step: the displaced parameters, then the expansion
+    card = cnot_family(GateId(tag), 1, 1.0) if family else solve_physical(prescription_targets(GateId(tag)))
+    states = sample_states(bell_frame(card.solved.h), n=4, seed=7)
+    with pytest.raises(error, match=f"^{message}$"):
+        sensitivity_sweep(card, states, grid)
 
 
 def test_sweep_second_order_has_no_linear_term():
@@ -610,5 +710,8 @@ def test_rank_parameters():
     assert sorted(name for name, _ in ranking) == sorted(PARAM_NAMES)
     values = [v for _, v in ranking]
     assert values == sorted(values, reverse=True)
+    assert ranking == rank_parameters(sensitivity_sweep(card, states, [1e-2, 5e-3]))
+    want = np.mean([reports[6 * sid].per_parameter_gradient for sid in range(2)], axis=0)
+    assert dict(ranking) == dict(zip(PARAM_NAMES, want.tolist()))
     with pytest.raises(ValueError):
         rank_parameters([])

@@ -53,6 +53,13 @@ def test_scalars_and_sequences():
     )
 
 
+def test_numpy_bools_are_json_bools():
+    # checks.strict_bool accepts a numpy bool, so the writer must too
+    assert dumps({"t": np.bool_(True), "f": np.float64(1.0) > 2.0, "list": [np.False_]}) == (
+        '{"t":true,"f":false,"list":[false]}'
+    )
+
+
 def test_non_string_keys_and_unknown_objects_are_refused():
     with pytest.raises(TypeError, match="keys must be strings"):
         dumps({1: 0.0})

@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg
 
 from bellgate import PhysicalParams, assemble_hamiltonian, build_hamiltonian, evolve
+from bellgate.model import admissible
 
 from conftest import parsed, random_params
 
@@ -29,6 +30,36 @@ FROZEN_H = np.array(
 def test_hamiltonian_frozen_example():
     hm = assemble_hamiltonian((0.3, -0.7, 1.1), 0.4, -0.2, 3)
     assert np.max(np.abs(hm - FROZEN_H)) < 1e-15
+
+
+def test_hamiltonian_of_arrays_is_a_stack_of_hamiltonians():
+    # each slice is the one-matrix build, bit for bit
+    rng = np.random.default_rng(75)
+    x = rng.normal(size=(3, 3, 5)) * 10.0 ** rng.uniform(-3, 3, size=(3, 3, 1))
+    x[0, 0] = (0.0, -0.0, 0.0, -0.0, 0.0)
+    for h in (1, 2, 3):
+        stack = assemble_hamiltonian(np.moveaxis(x[..., :3], -1, 0), x[..., 3], x[..., 4], h)
+        assert stack.shape == (3, 3, 4, 4)
+        for row, got in zip(x.reshape(9, 5), stack.reshape(9, 4, 4)):
+            assert got.tobytes() == assemble_hamiltonian(row[:3], row[3], row[4], h).tobytes()
+
+
+def test_admissible_is_the_params_value_rule():
+    rows = [
+        (0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
+        (-1e-300, 1.0, 2.0, 3.0, 4.0, 5.0),
+        (1.0, np.nan, 2.0, 3.0, 4.0, 5.0),
+        (1.0, 1.0, 2.0, 3.0, 4.0, np.inf),
+        (np.inf, 1.0, 2.0, 3.0, 4.0, 5.0),
+        (-0.0, -1.0, -2.0, -3.0, -4.0, -5.0),
+    ]
+    for row, ok in zip(rows, admissible(np.array(rows))):
+        try:
+            PhysicalParams(t=row[0], J=row[1:4], B1=row[4], B2=row[5], h=1)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert ok == accepted
 
 
 @pytest.mark.parametrize("h", [0, 4, True, 2.0])

@@ -89,6 +89,30 @@ def test_expm_hermitian_rejects_nonhermitian():
         expm_hermitian(bad)
 
 
+def test_expm_hermitian_stack_matches_one_matrix_calls():
+    # each slice of a stacked call, with its own scale, is the one-matrix
+    # call bit for bit, also for a zero, a negative-zero and a huge scale
+    rng = np.random.default_rng(17)
+    hms = np.array([_random_hermitian(seed) for seed in range(12)])
+    hms[3] = hms[3].real
+    scales = np.array([0.0, -0.0, 1e-300, 7e153, *rng.uniform(0.0, 3.0, size=8)])
+    stack = expm_hermitian(hms.reshape(3, 4, 4, 4), scales.reshape(3, 4))
+    assert stack.shape == (3, 4, 4, 4)
+    for hm, scale, got in zip(hms, scales, stack.reshape(12, 4, 4)):
+        assert got.tobytes() == expm_hermitian(hm, float(scale)).tobytes()
+    shared = expm_hermitian(hms, 0.7)
+    for hm, got in zip(hms, shared):
+        assert got.tobytes() == expm_hermitian(hm, 0.7).tobytes()
+
+
+def test_expm_hermitian_stack_reports_the_bad_slice():
+    hms = np.array([_random_hermitian(seed) for seed in range(5)])
+    hms[3, 0, 1] += 0.25
+    with pytest.raises(NonHermitianError) as info:
+        expm_hermitian(hms, np.ones(5))
+    assert info.value.asymmetry == pytest.approx(0.25, rel=1e-12)
+
+
 def test_dist_unitary_zero_for_unitary():
     assert dist_unitary(np.eye(4)) < 1e-15
     assert dist_unitary(np.kron(SIGMA_1, SIGMA_2)) < 1e-15
