@@ -112,11 +112,11 @@ def _build_parser() -> _Parser:
     p.add_argument("gate", choices=_SYNTH_TAGS)
     p.add_argument("--phi", type=float, default=None, help="phase angle, radians")
     p.add_argument("--m", default="1", help="winding number, or a..b range with --family")
-    p.add_argument("--m-prime", type=int, default=0)
-    p.add_argument("--route", choices=("printed", "alternate"), default="printed")
+    p.add_argument("--m-prime", type=int, default=None)
+    p.add_argument("--route", choices=("printed", "alternate"), default=None)
     p.add_argument("--family", action="store_true",
                    help="emit the asymptotic CNOT family instead of one card")
-    p.add_argument("--field-scale", type=float, default=1.0)
+    p.add_argument("--field-scale", type=float, default=None)
     formatted(p)
 
     p = sub.add_parser("compile", help="compile a computational circuit to Bell grammar")
@@ -200,27 +200,30 @@ def _family_b_abs(card: calib.PrescriptionCard) -> float:
 def _cmd_synth(args) -> str:
     gate = GateId(tag=args.gate, phi=args.phi)
     if args.family:
-        cards = [
-            calib.cnot_family(gate, m=m, field_scale=args.field_scale)
-            for m in _parse_m_range(args.m)
-        ]
+        for flag, value in (("--m-prime", args.m_prime), ("--route", args.route)):
+            if value is not None:
+                raise ValueError(f"synth --family takes no {flag}")
+        scale = 1.0 if args.field_scale is None else args.field_scale
+        cards = [calib.cnot_family(gate, m=m, field_scale=scale) for m in _parse_m_range(args.m)]
         if args.format == "csv":
             header = ("gate", "h", "m", "m_prime", "field_scale", "t", "b_abs", "realized_error")
             rows = (
                 (c.targets.gate.tag, c.targets.h, c.targets.m, c.targets.m_prime,
-                 args.field_scale, c.solved.t, _family_b_abs(c), c.realized_error)
+                 scale, c.solved.t, _family_b_abs(c), c.realized_error)
                 for c in cards
             )
             return dumps_csv(header, rows)
         doc = {
-            "field_scale": args.field_scale,
+            "field_scale": scale,
             "family": [dict(card.to_doc(), b_abs=_family_b_abs(card)) for card in cards],
         }
         return dumps(doc, indent=2) + "\n"
     if args.format == "csv":
         raise ValueError("synth only supports --format csv together with --family")
+    if args.field_scale is not None:
+        raise ValueError("synth only takes --field-scale together with --family")
     tg = calib.prescription_targets(
-        gate, m=int(args.m), m_prime=args.m_prime, route=args.route
+        gate, m=int(args.m), m_prime=args.m_prime or 0, route=args.route or "printed"
     )
     return dumps(calib.solve_physical(tg).to_doc(), indent=2) + "\n"
 
@@ -243,23 +246,15 @@ def _cmd_fidelity_sweep(args) -> str:
     states = fidelity.sample_states(frame, n=args.states, seed=args.seed)
     result = fidelity.sensitivity_sweep(card, states, steps)
     g = card.targets.gate
-    # one row per (state, axis, step), in the result's order
-    f2e, f2s, cubic = (a.tolist() for a in (result.f2_exact, result.f2_second_order, result.cubic_residual))
-    probes = [(sid, i, name, j, step)
-              for sid in range(len(states))
-              for i, name in enumerate(fidelity.PARAM_NAMES)
-              for j, step in enumerate(result.grid)]
     if args.format == "csv":
         header = ("gate", "phi", "m", "state_id", "param", "dp",
                   "f2_exact", "f2_second_order", "cubic_residual")
         rows = (
-            (g.tag, g.phi, card.targets.m, sid, name, step,
-             f2e[sid][i][j], f2s[sid][i][j], cubic[sid][i][j])
-            for sid, i, name, j, step in probes
+            (g.tag, g.phi, card.targets.m, sid, name, dp.dp[fidelity.PARAM_NAMES.index(name)],
+             f2e, f2s, cubic)
+            for sid, name, dp, f2e, f2s, _, cubic in result.rows()
         )
         return dumps_csv(header, rows)
-    dps = [[list(fidelity.Perturbation.axis(i, step).dp) for step in result.grid] for i in range(6)]
-    grads = result.gradient.tolist()
     doc = {
         "gate": g.tag,
         "phi": g.phi,
@@ -268,13 +263,13 @@ def _cmd_fidelity_sweep(args) -> str:
             {
                 "state_id": sid,
                 "param": name,
-                "dp": dps[i][j],
-                "f2_exact": f2e[sid][i][j],
-                "f2_second_order": f2s[sid][i][j],
-                "cubic_residual": cubic[sid][i][j],
-                "per_parameter_gradient": grads[sid],
+                "dp": dp.dp,
+                "f2_exact": f2e,
+                "f2_second_order": f2s,
+                "cubic_residual": cubic,
+                "per_parameter_gradient": grad,
             }
-            for sid, i, name, j, step in probes
+            for sid, name, dp, f2e, f2s, grad, cubic in result.rows()
         ],
         "ranking": [[name, val] for name, val in fidelity.rank_parameters(result)],
     }

@@ -22,17 +22,15 @@ they give per state and axis, and one stacked exponential for the
 propagator and the displaced propagators of every (axis, distinct
 step).  All states are evaluated together as (n, 4) amplitude arrays,
 and the numbers stay in arrays: a SweepResult holds them as columns
-and builds a FidelityReport only when one is read.  The variance is
+and walks them as rows only when they are read.  The variance is
 itself the per-parameter sensitivity.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -124,7 +122,7 @@ class Perturbation:
 
 @dataclass(frozen=True, eq=False)
 class FidelityReport:
-    """One (state, displacement) probe of a solved card, as a SweepResult reads it."""
+    """One (state, displacement) probe of a solved card, as iterating a SweepResult gives it."""
 
     state_id: int
     param: str
@@ -136,7 +134,7 @@ class FidelityReport:
 
 
 @dataclass(frozen=True, eq=False)
-class SweepResult(Sequence):
+class SweepResult:
     """The numbers of a sensitivity sweep, one read-only array per field.
 
     f2_exact, f2_second_order and cubic_residual have shape
@@ -144,10 +142,8 @@ class SweepResult(Sequence):
     gradient, shape (states, 6), is each state's Var(G) per axis.  grid
     is the step grid as given, repeats included.
 
-    The result is also a sequence of FidelityReport in state, axis, step
-    order, with integer and slice indexes.  Each report is built when it
-    is read, from parts that all reports share and that are made once,
-    on the first read.
+    rows() walks the numbers in state, axis, step order; iterating the
+    result gives the same rows as FidelityReport views.
     """
 
     card: PrescriptionCard
@@ -160,34 +156,24 @@ class SweepResult(Sequence):
     def __len__(self) -> int:
         return self.f2_exact.size
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._report(k) for k in range(len(self))[index]]
-        k = operator.index(index)
-        if not -len(self) <= k < len(self):
-            raise IndexError(f"sweep report index {index} out of range for {len(self)} reports")
-        return self._report(k % len(self))
-
     def __iter__(self):
-        return map(self._report, range(len(self)))
+        return (FidelityReport(*row) for row in self.rows())
 
-    @cached_property
-    def _shared(self):
-        """One Perturbation per (axis, step), one gradient tuple per state, and the columns as lists."""
+    def rows(self):
+        """One tuple per (state, axis, step), in FidelityReport's field order.
+
+        The rows of one walk share one Perturbation per (axis, step) and
+        one gradient tuple per state.
+        """
         perts = [[Perturbation.axis(i, step) for step in self.grid] for i in range(6)]
-        grads = [tuple(g) for g in self.gradient.tolist()]
-        columns = (a.tolist() for a in (self.f2_exact, self.f2_second_order, self.cubic_residual))
-        return perts, grads, *columns
-
-    def _report(self, k: int) -> FidelityReport:
-        perts, grads, f2e, f2s, cubic = self._shared
-        sid, rest = divmod(k, 6 * len(self.grid))
-        axis, j = divmod(rest, len(self.grid))
-        # positional, in field order: keywords cost a third more per report
-        return FidelityReport(
-            sid, PARAM_NAMES[axis], perts[axis][j],
-            f2e[sid][axis][j], f2s[sid][axis][j], grads[sid], cubic[sid][axis][j],
+        f2e, f2s, cubic = (
+            a.tolist() for a in (self.f2_exact, self.f2_second_order, self.cubic_residual)
         )
+        for sid, grad in enumerate(self.gradient.tolist()):
+            grad = tuple(grad)
+            for i, name in enumerate(PARAM_NAMES):
+                for dp, e, s, c in zip(perts[i], f2e[sid][i], f2s[sid][i], cubic[sid][i]):
+                    yield sid, name, dp, e, s, grad, c
 
 
 def _param_vector(p: PhysicalParams) -> np.ndarray:

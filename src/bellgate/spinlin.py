@@ -39,10 +39,12 @@ def expm_hermitian(hm: np.ndarray, scale=1.0) -> np.ndarray:
     each slice comes out bit for bit as its own one-matrix call.
     Raises NonHermitianError (carrying the measured asymmetry, the
     largest of any slice) if max |hm - hm^dag| exceeds HERMITICITY_TOL.
+    A non-finite entry makes the asymmetry NaN or inf, so it raises too.
     """
     hm = np.asarray(hm, dtype=np.complex128)
-    asym = float(np.abs(hm - hm.conj().swapaxes(-1, -2)).max())
-    if asym > HERMITICITY_TOL:
+    with np.errstate(invalid="ignore", over="ignore"):
+        asym = float(np.abs(hm - hm.conj().swapaxes(-1, -2)).max())
+    if not asym <= HERMITICITY_TOL:
         raise NonHermitianError(asym)
     w, v = np.linalg.eigh(hm)
     if not isinstance(scale, float):

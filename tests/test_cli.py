@@ -201,6 +201,23 @@ def test_synth_range_requires_family(capsys):
     assert json.loads(err)["error"]["type"] == "input"
 
 
+def test_synth_field_scale_requires_family(capsys):
+    code, out, err = run(capsys, "synth", "H_q2", "--field-scale", "5")
+    assert (code, out) == (2, "")
+    message = "synth only takes --field-scale together with --family"
+    assert json.loads(err) == {"error": {"type": "input", "message": message}}
+
+
+@pytest.mark.parametrize("flag, value", [("--m-prime", "7"), ("--route", "alternate")])
+def test_synth_family_refuses_single_card_options(capsys, flag, value):
+    argv = ("synth", "CNOT_12", "--family", "--m", "1..2", flag, value, "--format", "csv")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    message = f"synth --family takes no {flag}"
+    assert json.loads(err) == {"error": {"type": "input", "message": message}}
+
+
 def test_compile_document(capsys, circuit_file):
     code, out, _ = run(capsys, "compile", circuit_file)
     assert code == 0
@@ -582,7 +599,7 @@ def test_steps_stays_an_unknown_option_elsewhere(capsys, params_file, command):
 
 
 def test_fidelity_sweep_writes_columns_without_report_objects(capsys, monkeypatch, card_file):
-    def refuse(**kwargs):
+    def refuse(*args, **kwargs):
         raise AssertionError("fidelity-sweep built a FidelityReport")
 
     monkeypatch.setattr(bellgate.fidelity, "FidelityReport", refuse)

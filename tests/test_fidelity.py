@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -15,6 +15,7 @@ import bellgate.fidelity as fid
 from bellgate import (
     PARAM_NAMES,
     BlockState,
+    FidelityReport,
     GateId,
     NonFiniteDerivative,
     Perturbation,
@@ -284,7 +285,7 @@ def test_quadratic_sensitivities_on_large_field_cards(tag, m, field_scale):
     x = np.array([p.t, *p.J, p.B1, p.B2])
     h = 1e-4 / float(np.max(np.abs(x)))
     for st in sample_states(bell_frame(p.h), n=4, seed=7):
-        sens = np.array(sensitivity_sweep(card, [st], [h])[0].per_parameter_gradient)
+        sens = sensitivity_sweep(card, [st], [h]).gradient[0]
         exact = np.array(
             [(1.0 - fidelity_exact(st, p, Perturbation.axis(i, h))) / h**2 for i in range(6)]
         )
@@ -581,7 +582,7 @@ def test_block_derivatives_report_the_first_overflowing_row():
         assert info.value.index == index
 
 
-def test_sweep_result_is_a_sequence_of_reports():
+def test_sweep_result_rows_and_reports_follow_the_columns():
     card = solve_physical(prescription_targets(GateId("S_phi_q2", phi=0.4)))
     states = sample_states(bell_frame(card.solved.h), n=3, seed=7)
     grid = [1e-2, -5e-3, 1e-2]
@@ -604,17 +605,18 @@ def test_sweep_result_is_a_sequence_of_reports():
         assert r.cubic_residual == result.cubic_residual[sid, i, j]
         assert r.per_parameter_gradient == tuple(result.gradient[sid])
         assert all(type(v) is float for v in (r.f2_exact, r.f2_second_order, r.cubic_residual))
-    last = result[-1]
-    assert (last.state_id, last.param, last.f2_exact) == (2, "B2", reports[-1].f2_exact)
-    assert result[-len(result)].f2_exact == reports[0].f2_exact
-    for bad in (len(result), -len(result) - 1):
-        with pytest.raises(IndexError):
-            result[bad]
-    for part in (slice(None, 3), slice(-4, None), slice(None, None, -5), slice(60, 70)):
-        assert [r.f2_exact for r in result[part]] == [r.f2_exact for r in reports[part]]
-    # reports share one Perturbation per (axis, step) and one gradient per state
-    assert result[0].dp is result[6 * 3].dp
-    assert result[0].per_parameter_gradient is result[17].per_parameter_gradient
+    # rows() is the same walk as tuples in FidelityReport's field order
+    rows = list(result.rows())
+    assert rows == [tuple(getattr(r, f.name) for f in fields(FidelityReport)) for r in reports]
+    sid, i, j = np.indices(result.f2_exact.shape).reshape(3, -1)
+    assert [row[3] for row in rows] == result.f2_exact[sid, i, j].tolist()
+    assert [row[4] for row in rows] == result.f2_second_order[sid, i, j].tolist()
+    assert [row[5] for row in rows] == [tuple(g) for g in result.gradient[sid].tolist()]
+    assert [row[6] for row in rows] == result.cubic_residual[sid, i, j].tolist()
+    # a walk shares one Perturbation per (axis, step) and one gradient per state
+    assert reports[0].dp is reports[6 * 3].dp and rows[0][2] is rows[6 * 3][2]
+    assert reports[0].per_parameter_gradient is reports[17].per_parameter_gradient
+    assert rows[0][5] is rows[17][5]
 
 
 def test_sweep_result_arrays_are_read_only():
@@ -704,14 +706,14 @@ def test_cubic_residual_shrinks_under_step_halving():
 def test_rank_parameters():
     card = solve_physical(prescription_targets(GateId("H_q2")))
     states = sample_states(bell_frame(card.solved.h), n=2, seed=7)
-    reports = sensitivity_sweep(card, states, [1e-2])
-    ranking = rank_parameters(reports)
+    result = sensitivity_sweep(card, states, [1e-2])
+    ranking = rank_parameters(result)
     assert [name for name, _ in ranking] != []
     assert sorted(name for name, _ in ranking) == sorted(PARAM_NAMES)
     values = [v for _, v in ranking]
     assert values == sorted(values, reverse=True)
     assert ranking == rank_parameters(sensitivity_sweep(card, states, [1e-2, 5e-3]))
-    want = np.mean([reports[6 * sid].per_parameter_gradient for sid in range(2)], axis=0)
+    want = np.mean([result.gradient[sid] for sid in range(2)], axis=0)
     assert dict(ranking) == dict(zip(PARAM_NAMES, want.tolist()))
     with pytest.raises(ValueError):
         rank_parameters([])

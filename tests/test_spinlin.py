@@ -113,6 +113,22 @@ def test_expm_hermitian_stack_reports_the_bad_slice():
     assert info.value.asymmetry == pytest.approx(0.25, rel=1e-12)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2)], ids=["diagonal", "off-diagonal"])
+def test_expm_hermitian_rejects_non_finite_entries(value, entry):
+    # a NaN asymmetry compares False against any tolerance, and inf - inf
+    # is NaN; neither may pass as Hermitian or leak a RuntimeWarning
+    one = np.eye(4, dtype=complex)
+    one[entry] = value
+    with pytest.raises(NonHermitianError) as info:
+        expm_hermitian(one, 1.0)
+    assert not np.isfinite(info.value.asymmetry)
+    stack = np.array([_random_hermitian(seed) for seed in range(5)])
+    stack[2][entry] = value
+    with pytest.raises(NonHermitianError):
+        expm_hermitian(stack, np.ones(5))
+
+
 def test_dist_unitary_zero_for_unitary():
     assert dist_unitary(np.eye(4)) < 1e-15
     assert dist_unitary(np.kron(SIGMA_1, SIGMA_2)) < 1e-15
