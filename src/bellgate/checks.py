@@ -35,6 +35,10 @@ INVISIBLE_AXIS_TOL = 1e-12
 STATE_NORM_TOL = 1e-12
 #: norm below which BlockState.normalized() refuses a vector as zero
 ZERO_NORM_TOL = 1e-12
+#: relative gap within which rank_parameters counts two mean sensitivities as tied: axes that a
+#: symmetry of the card ties differ only by rounding (a few ulps), and last-ulp noise must not
+#: decide the ranking order
+RANK_TIE_TOL = 1e-12
 #: largest difference between a card document's honesty numbers and their recomputation on
 #: read: a card read on another machine can differ in the last bits of LAPACK output, while
 #: an edit that stays within it cannot move a number across ACCEPT_TOL by more than 1%

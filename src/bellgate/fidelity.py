@@ -7,23 +7,38 @@ no linear term and its quadratic term needs first derivatives only:
 along a unit direction, F^2 = 1 - l^2 Var(G) + O(l^3) with the Hermitian
 generator G = i s^dag Ds of the block maps s and their derivative Ds
 (the Fubini-Study metric; Braunstein & Caves, PRL 72 (1994) 3439).  This
-module computes that expansion, the exact overlap as the brute-force
-oracle, and per-parameter sensitivity sweeps built on both.
+module computes that expansion, the exact overlap, and per-parameter
+sensitivity sweeps built on both.
 
-Each block derivative is the Frechet derivative of the exponential of a
-2x2 Hermitian block, read off the block's eigendecomposition with the
-Daleckii-Krein divided differences exp(-i t (w_a + w_b) / 2)
-sinc(t (w_a - w_b) / 2), which stay smooth for degenerate blocks and at
-t = 0 (Higham, Functions of Matrices, SIAM 2008, sec. 3.2).
+Everything is computed in Pauli coordinates of the two 2x2 blocks.  A
+block W = c0 + c . sigma has coefficients linear in the couplings
+(BLOCK_COEFFS), and its block map is a phase times an SU(2) rotation:
 
-A sweep does its per-card work once, as array operations: one block
-eigendecomposition for the six unit-axis derivatives and the variance
-they give per state and axis, and one stacked exponential for the
-propagator and the displaced propagators of every (axis, distinct
-step).  All states are evaluated together as (n, 4) amplitude arrays,
-and the numbers stay in arrays: a SweepResult holds them as columns
-and walks them as rows only when they are read.  The variance is
-itself the per-parameter sensitivity.
+    s = exp(-i t W) = exp(-i t c0) (cos(t r) - i t sinc(t r) c . sigma),  r = |c|.
+
+Along a displacement (dt, dJ1, ..., dB2), with block coefficients
+(dc0, dc), the generator G = g0 + g . sigma is the average of
+dt W + t dW over the rotation exp(i tau t W) . exp(-i tau t W),
+tau in [0, 1] (Wilcox, J. Math. Phys. 8 (1967) 962):
+
+    g0 = dt c0 + t dc0,
+    g  = dt c + t [(n . dc) n + sinc(2tr) dc_perp - ((1 - cos 2tr) / (2tr)) n x dc_perp],
+
+with n = c / r and dc_perp = dc - (n . dc) n.  Both stay smooth for
+degenerate blocks (r = 0, where g = dt c + t dc) and at t = 0, and
+Ds = -i s G.  A state enters through its block Bloch 4-vectors
+E_b = (|a_b|^2, <sigma_x>, <sigma_y>, <sigma_z>): <G> = E . (g0, g) and
+<G^2> = E . (g0^2 + |g|^2, 2 g0 g), and the overlap <s0 a | s a> is E
+dotted with the Pauli coefficients of s0^dag s, a quaternion product.
+
+A sweep is therefore a few small products per card and no
+eigendecomposition: one product with BLOCK_COEFFS gives the block
+coefficients of the solved point, of the six unit axes and of every
+displaced point, and the variance and the exact overlaps of all states
+follow as (states, 8) x (8, k) products.  The numbers stay in arrays: a
+SweepResult holds them as columns and walks them as rows only when they
+are read.  The variance is itself the per-parameter sensitivity.
+fidelity_exact keeps the 4x4 propagators as the independent oracle.
 """
 
 from __future__ import annotations
@@ -36,11 +51,10 @@ import numpy as np
 
 from .bellframe import BLOCK_BASIS, BLOCK_COEFFS, BellFrame
 from .calib import PrescriptionCard
-from .checks import STATE_NORM_TOL, ZERO_NORM_TOL, strict_float, strict_int
+from .checks import RANK_TIE_TOL, STATE_NORM_TOL, ZERO_NORM_TOL, strict_float, strict_int
 from .errors import NonFiniteDerivative
-from .model import PhysicalParams, admissible, assemble_hamiltonian, evolve
+from .model import PhysicalParams, admissible, evolve
 from .sobol import ndtri, sobol_points
-from .spinlin import expm_hermitian
 
 __all__ = [
     "PARAM_NAMES",
@@ -185,46 +199,116 @@ def _displaced(p: PhysicalParams, dp: Perturbation) -> PhysicalParams:
     return PhysicalParams(t=x[0], J=(x[1], x[2], x[3]), B1=x[4], B2=x[5], h=p.h)
 
 
-def _block_derivatives(
-    p: PhysicalParams, frame: BellFrame, directions: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """First derivatives of both block maps along k directions at once, and the block maps.
+# BLOCK_COEFFS[h] as one (5, 8) map from (J1, J2, J3, B1, B2) to (c0, cx, cy, cz) of both blocks
+_COEFF_MAP = {h: c.reshape(8, 5).T for h, c in BLOCK_COEFFS.items()}
 
-    directions is a (k, 6) array of displacements (dt, dJ1, dJ2, dJ3,
-    dB1, dB2).  Returns (ds, s): ds[r, b] is the derivative of block map
-    b along row r, shape (k, 2, 2, 2), and s the two block maps, shape
-    (2, 2, 2).  Each block map is s_b = exp(-i t W_b), with
-    W_b = V diag(w) V^dag the block's Hamiltonian in frame coordinates;
-    one eigendecomposition serves every row.  Along x + l*d the
-    derivative is Ds_b = V ((V^dag E V) * Phi) V^dag with
-    E = -i (dt W_b + t dW_b), dW_b the block Hamiltonian of d's
-    couplings, and the divided differences
-    Phi_ab = exp(-i t (w_a + w_b) / 2) sinc(t (w_a - w_b) / 2).  Ds is
-    linear in d; a zero row gives zero matrices.  The first row whose
-    derivative overflows raises NonFiniteDerivative with the index of
-    that row's largest component.
+_UNIT_AXES = np.eye(6)
+
+# (n @ _CROSS).reshape(..., 3, 3) @ v = n x v; row j is the matrix of e_j x .
+_CROSS = np.array(
+    [
+        [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ]
+)
+
+# for quaternions q = (a, b) of block maps a - i b . sigma, (q0 @ _LEFT_CONJ).reshape(..., 4, 4) @ qk
+# is (m0, m) with (a0 + i b0 . sigma)(ak - i bk . sigma) = m0 + i m . sigma:
+# m0 = a0 ak + b0 . bk and m = ak b0 - a0 bk + b0 x bk
+_LEFT_CONJ = np.zeros((4, 4, 4))
+_LEFT_CONJ[0] = np.diag([1.0, -1.0, -1.0, -1.0])
+for _j in range(3):
+    _LEFT_CONJ[1 + _j, 0, 1 + _j] = _LEFT_CONJ[1 + _j, 1 + _j, 0] = 1.0
+    _LEFT_CONJ[1 + _j, 1:, 1:] = _CROSS[_j].reshape(3, 3)
+_LEFT_CONJ = _LEFT_CONJ.reshape(4, 16)
+for _table in (_UNIT_AXES, _CROSS, _LEFT_CONJ):
+    _table.flags.writeable = False
+
+
+def _block_coefficients(x: np.ndarray, h: int) -> np.ndarray:
+    """(c0, cx, cy, cz) of both blocks for each row (t, J1, J2, J3, B1, B2) of x, shape (rows, 2, 4).
+
+    The map is linear, so a displacement row gives the coefficients of
+    its displacement.  An overflowing row comes out non-finite without a
+    warning; the callers report it as the error of its point.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (x[:, 1:] @ _COEFF_MAP[h]).reshape(-1, 2, 4)
+
+
+def _sinc(x: np.ndarray) -> np.ndarray:
+    """sin(x) / x, and 1 at x = 0."""
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+
+
+def _norm3(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis of length 3, without overflow."""
+    return np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
+
+
+def _rotations(t, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block maps exp(-i t (c0 + c . sigma)) = exp(-i phase) (q0 - i q . sigma) of coefficients c (..., 4).
+
+    Returns the phase t c0 and the unit quaternion
+    q = (cos(t r), t sinc(t r) c), shape (..., 4); t broadcasts against
+    c's leading axes.
+    """
+    x = t * _norm3(c[..., 1:])
+    q = np.empty_like(c)
+    q[..., 0] = np.cos(x)
+    q[..., 1:] = (t * _sinc(x))[..., None] * c[..., 1:]
+    return t * c[..., 0], q
+
+
+def _generator_map(t: float, c: np.ndarray) -> np.ndarray:
+    """The matrix M of each block, shape (2, 4, 4), with G = dt (c0, c) + M (dc0, dc).
+
+    t and c (2, 4) are the time and the block coefficients of the point.
+    M is the closed form of the module docstring: t for dc0, and for dc
+    t times (n . dc) n + sinc(2y) dc_perp - ((1 - cos 2y) / (2y)) n x dc_perp,
+    y = t r, written as one 3x3 matrix.
+    """
+    cv = c[:, 1:]
+    r = _norm3(cv)
+    # a degenerate block has no axis; n = 0 leaves the map t * 1, the r -> 0 limit
+    n = np.divide(cv, r[:, None], out=np.zeros_like(cv), where=r[:, None] > 0.0)
+    y = (t * r)[:, None, None]
+    sinc = _sinc(y)
+    # sinc(2y) = sinc(y) cos(y) and (1 - cos 2y) / (2y) = y sinc(y)^2
+    turn = sinc * np.cos(y)
+    nn = n[:, :, None] * n[:, None, :]
+    out = np.zeros((2, 4, 4))
+    out[:, 0, 0] = t
+    out[:, 1:, 1:] = t * (nn + turn * (np.eye(3) - nn) - y * sinc * sinc * (n @ _CROSS).reshape(2, 3, 3))
+    return out
+
+
+def _generators(t: float, c: np.ndarray, d: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """Pauli coordinates (g0, gx, gy, gz) of G = i s^dag Ds of both blocks along each row of d, shape (k, 2, 4).
+
+    t and c (2, 4) are the time and the block coefficients of the point,
+    d (k, 6) the displacements and dc (k, 2, 4) their block
+    coefficients.  G is linear in d; a zero row gives zeros.  The first
+    row whose generator overflows raises NonFiniteDerivative with the
+    index of that row's largest component.
+    """
+    # an overflowing displacement surfaces as NonFiniteDerivative below
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (_generator_map(t, c) @ dc[..., None])[..., 0] + d[:, 0, None, None] * c
+    bad = ~np.isfinite(g).all(axis=(1, 2))
+    if bad.any():
+        raise NonFiniteDerivative(int(np.argmax(np.abs(d[np.argmax(bad)]))))
+    return g
+
+
+def _generators_at(p: PhysicalParams, frame: BellFrame, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_generators of p along each row of directions (k, 6), and the block coefficients of p."""
     if p.h != frame.h:
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
     d = np.asarray(directions, dtype=float)
-    coeffs = BLOCK_COEFFS[frame.h]
-    w = np.einsum("ka,aij->kij", coeffs @ _param_vector(p)[1:], BLOCK_BASIS)
-    lam, v = np.linalg.eigh(w)
-    vh = v.conj().swapaxes(1, 2)
-    mean = (lam[:, :, None] + lam[:, None, :]) / 2.0
-    half = (lam[:, :, None] - lam[:, None, :]) / 2.0
-    phi = np.exp(-1j * p.t * mean) * np.sinc(p.t * half / np.pi)
-    # an overflowing displacement surfaces as NonFiniteDerivative below
-    with np.errstate(over="ignore", invalid="ignore"):
-        # (c0, cx, cy, cz) of both blocks for each row's couplings
-        dc = (coeffs @ d[:, None, 1:, None])[..., 0]
-        dw = np.einsum("rka,aij->rkij", dc, BLOCK_BASIS)
-        ds = v @ ((vh @ (-1j * (d[:, 0, None, None, None] * w + p.t * dw)) @ v) * phi) @ vh
-    bad = ~np.isfinite(ds).all(axis=(1, 2, 3))
-    if bad.any():
-        raise NonFiniteDerivative(int(np.argmax(np.abs(d[np.argmax(bad)]))))
-    s = v @ (phi * np.eye(2)) @ vh
-    return ds, s
+    c = _block_coefficients(np.concatenate([_param_vector(p)[None], d]), p.h)
+    return _generators(p.t, c[0], d, c[1:]), c[0]
 
 
 def directional_derivatives(
@@ -232,12 +316,15 @@ def directional_derivatives(
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """First directional derivatives of both block maps, and the block maps.
 
-    Returns ((Ds_1, Ds_2), (s_1, s_2)), the one-direction case of
-    _block_derivatives.  Ds is linear in dp; dp = 0 returns zero
-    matrices.
+    Returns ((Ds_1, Ds_2), (s_1, s_2)) as 2x2 matrices, with
+    Ds = -i s (g0 + g . sigma) from the closed-form generator along dp.
+    Ds is linear in dp; dp = 0 returns zero matrices.
     """
-    ds, s = _block_derivatives(p, frame, dp.as_array()[None])
-    return (ds[0, 0], ds[0, 1]), (s[0], s[1])
+    g, c = _generators_at(p, frame, dp.as_array()[None])
+    phase, q = _rotations(p.t, c)
+    s = np.einsum("ba,aij->bij", np.exp(-1j * phase)[:, None] * q * (1.0, -1j, -1j, -1j), BLOCK_BASIS)
+    ds = -1j * s @ np.einsum("ba,aij->bij", g[0], BLOCK_BASIS)
+    return (ds[0], ds[1]), (s[0], s[1])
 
 
 def _check_state(state: BlockState, p: PhysicalParams) -> None:
@@ -247,48 +334,64 @@ def _check_state(state: BlockState, p: PhysicalParams) -> None:
         )
 
 
-def _overlaps(psi: np.ndarray, u: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """|<u psi | u2 psi>|^2 for each (..., 4, 4) propagator of u2 and each row of psi, shape (..., n).
+def _bloch(amps: np.ndarray) -> np.ndarray:
+    """Block Bloch 4-vectors (|a_b|^2, <sigma_x>, <sigma_y>, <sigma_z>) of both blocks, shape (n, 8).
 
-    psi holds computational amplitudes, one state per row.
+    amps holds (n, 4) frame amplitudes, one state per row.
     """
-    return np.abs(np.einsum("ni,...ni->...n", (psi @ u.T).conj(), psi @ u2.swapaxes(-1, -2))) ** 2
+    a = amps.reshape(-1, 2)
+    a0, a1 = a[:, 0], a[:, 1]
+    p0 = a0.real * a0.real + a0.imag * a0.imag
+    p1 = a1.real * a1.real + a1.imag * a1.imag
+    z = 2.0 * a0.conj() * a1
+    e = np.empty((len(a), 4))
+    e[:, 0], e[:, 1], e[:, 2], e[:, 3] = p0 + p1, z.real, z.imag, p0 - p1
+    return e.reshape(-1, 8)
 
 
-def _variance(amps: np.ndarray, ds: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Var(G) = ||G a||^2 - |<a|G|a>|^2 per direction and row a of amps, shape (k, n).
+def _variance(e: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Var(G) = <G^2> - <G>^2 for each row of e (n, 8) and generator of g (k, 2, 4), shape (n, k)."""
+    g0, gv = g[..., :1], g[..., 1:]
+    sq = np.concatenate([g0 * g0 + np.sum(gv * gv, axis=-1, keepdims=True), 2.0 * g0 * gv], axis=-1)
+    mean = e @ g.reshape(-1, 8).T
+    return e @ sq.reshape(-1, 8).T - mean * mean
 
-    amps holds (n, 4) frame amplitudes; ds and s are what
-    _block_derivatives returns for k directions.  G is block-diagonal
-    with G_b = i s_b^dag Ds_b.
+
+def _overlaps(e: np.ndarray, phase: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """|<s_0 a | s_k a>|^2 for each row a of e (n, 8) and each block map s_k, k >= 1, of (phase, q), shape (n, k).
+
+    phase (k + 1, 2) and q (k + 1, 2, 4) are what _rotations returns;
+    row 0 is s_0.  s_0^dag s_k = exp(i (phase_0 - phase_k)) (m0 + i m . sigma),
+    with (m0, m) the quaternion product conj(q_0) q_k.
     """
-    g = 1j * s.conj().swapaxes(-1, -2) @ ds
-    ga = np.concatenate([amps[:, 2 * b : 2 * b + 2] @ g[:, b].swapaxes(-1, -2) for b in (0, 1)], axis=-1)
-    return np.sum(np.abs(ga) ** 2, axis=-1) - np.abs(np.einsum("ni,kni->kn", amps.conj(), ga)) ** 2
+    m = ((q[0] @ _LEFT_CONJ).reshape(2, 4, 4) @ q[1:, :, :, None])[..., 0]
+    m = np.exp(1j * (phase[0] - phase[1:]))[..., None] * m * (1.0, 1j, 1j, 1j)
+    ov = e @ m.reshape(-1, 8).T
+    return ov.real * ov.real + ov.imag * ov.imag
 
 
-def _second_order(var: np.ndarray, steps) -> np.ndarray:
-    """F^2 = 1 - step^2 var, broadcasting; an overflow comes out non-finite."""
+def _second_order(var: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """F^2 = 1 - step^2 var for each entry of var (n, k) and each step, shape (n, k, steps).
+
+    An overflow comes out non-finite.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        return 1.0 - (steps * steps) * var
-
-
-def _axis_variances(p: PhysicalParams, frame: BellFrame, amps: np.ndarray) -> np.ndarray:
-    """Var(G) of each row of amps along the six unit axes, shape (n, 6)."""
-    return np.ascontiguousarray(_variance(amps, *_block_derivatives(p, frame, np.eye(6))).T)
+        # an outer product with one factor per entry, as a matmul: numpy's
+        # broadcast loop over a short last axis costs more than the product
+        return 1.0 - (var.reshape(-1, 1) @ (steps * steps)[None]).reshape(var.shape + steps.shape)
 
 
 def fidelity_exact(state: BlockState, p: PhysicalParams, dp: Perturbation) -> float:
     """Squared overlap of the exact and the perturbed final states.
 
-    Both evolutions run as full 4x4 propagators; this is the oracle the
-    second-order expansion is judged against.  The displaced parameters
-    must themselves be valid (in particular t + dt >= 0).
+    Both evolutions run as full 4x4 propagators, independent of the
+    block closed forms; this is the oracle the second-order expansion
+    and the sweep are judged against.  The displaced parameters must
+    themselves be valid (in particular t + dt >= 0).
     """
     _check_state(state, p)
-    p2 = _displaced(p, dp)
-    psi = (state.frame.change_of_basis @ state.amplitudes)[None]
-    return float(_overlaps(psi, evolve(p), evolve(p2))[0])
+    psi = state.frame.change_of_basis @ state.amplitudes
+    return float(abs(np.vdot(evolve(p) @ psi, evolve(_displaced(p, dp)) @ psi)) ** 2)
 
 
 def fidelity_second_order(state: BlockState, p: PhysicalParams, dp: Perturbation) -> float:
@@ -300,8 +403,9 @@ def fidelity_second_order(state: BlockState, p: PhysicalParams, dp: Perturbation
     _check_state(state, p)
     step = dp.norm
     unit = Perturbation(dp=tuple(v / step for v in dp.dp)) if step > 0.0 else dp
-    var = _variance(state.amplitudes[None], *_block_derivatives(p, state.frame, unit.as_array()[None]))
-    f2 = float(_second_order(var, step)[0, 0])
+    g, _ = _generators_at(p, state.frame, unit.as_array()[None])
+    var = _variance(_bloch(state.amplitudes[None]), g)
+    f2 = float(_second_order(var, np.array([step]))[0, 0, 0])
     if not math.isfinite(f2):
         raise NonFiniteDerivative(int(np.argmax(np.abs(dp.as_array()))))
     return f2
@@ -317,14 +421,15 @@ def sensitivity_sweep(
     F^2 and their difference per (state, axis, step), and each state's
     quadratic sensitivity vector, from which rankings are derived.
 
-    The per-card work is shared by all states: one eigendecomposition
-    for the six unit-axis derivatives and the variance per state and
-    axis they give, and one stacked exponential for the propagator and
-    the displaced propagators of every (axis, distinct step).  The
-    states must all live in one frame.  Errors come in the order a
-    step-by-step sweep would meet them: a derivative overflow, first
-    axis first; then per axis and step, an invalid displaced parameter
-    set, then an overflowing expansion.
+    The per-card work is shared by all states: one product gives the
+    block coefficients of the solved point, the six unit axes and every
+    (axis, distinct step) point; the closed forms give the six
+    generators and every block map; and each state's Bloch vectors meet
+    them in one variance and one overlap product.  The states must all
+    live in one frame.  Errors come in the order a step-by-step sweep
+    would meet them: a derivative overflow, first axis first; then per
+    axis and step, an invalid displaced parameter set, then an
+    overflowing expansion.
     """
     grid = tuple(strict_float("perturbation component", step) for step in grid)
     if not states:
@@ -337,9 +442,6 @@ def sensitivity_sweep(
         _check_state(state, p)
         if state.frame is not frame:
             raise ValueError("sensitivity sweep states must share one frame")
-    amps = np.array([state.amplitudes for state in states])
-    var = _axis_variances(p, frame, amps)
-    f2s = _second_order(var[:, :, None], np.array(grid))
     # each distinct step (0.0 and -0.0 are one) is displaced once per axis;
     # col maps a grid position to its distinct step
     first: dict[float, int] = {}
@@ -348,6 +450,13 @@ def sensitivity_sweep(
     shift[range(6), :, range(6)] = list(first)
     x0 = _param_vector(p)
     moved = x0 + shift
+    # rows: the six unit axes, the solved point, then every displaced point;
+    # a non-finite point is reported in step order below
+    points = np.concatenate([_UNIT_AXES, x0[None], moved.reshape(-1, 6)])
+    c = _block_coefficients(points, p.h)
+    e = _bloch(np.array([state.amplitudes for state in states]))
+    var = _variance(e, _generators(p.t, c[6], _UNIT_AXES, c[:6]))
+    f2s = _second_order(var, np.array(grid))
     valid = admissible(moved)
     finite = np.isfinite(f2s).all(axis=0)
     if not (valid.all() and finite.all()):
@@ -359,23 +468,30 @@ def sensitivity_sweep(
                     _displaced(p, Perturbation.axis(i, step))
                 if not finite[i, j]:
                     raise NonFiniteDerivative(i)
-    points = np.concatenate([x0[None], moved.reshape(-1, 6)])
-    u = expm_hermitian(assemble_hamiltonian(points[:, 1:4].T, points[:, 4], points[:, 5], p.h), points[:, 0])
-    psi = amps @ frame.change_of_basis.T
-    f2e = _overlaps(psi, u[0], u[1:]).reshape(6, len(first), -1)[:, col].transpose(2, 0, 1)
-    columns = (np.ascontiguousarray(f2e), f2s, np.abs(f2s - f2e), var)
+    f2e = _overlaps(e, *_rotations(points[6:, :1], c[6:]))
+    f2e = f2e.reshape(-1, 6, len(first))[:, :, col]
+    columns = (f2e, f2s, np.abs(f2s - f2e), var)
     for a in columns:
         a.flags.writeable = False
     return SweepResult(card, grid, *columns)
 
 
 def rank_parameters(result: SweepResult) -> list[tuple[str, float]]:
-    """Parameters ordered by mean quadratic sensitivity over the sweep's states, largest first."""
+    """Parameters ordered by mean quadratic sensitivity over the sweep's states, largest first.
+
+    Means within RANK_TIE_TOL of the largest mean of their tie are
+    tied, and a tie lists its parameters by name.
+    """
     if not len(result):
         raise ValueError("cannot rank parameters without reports")
-    mean = np.mean(result.gradient, axis=0)
-    order = sorted(zip(PARAM_NAMES, mean), key=lambda kv: (-kv[1], kv[0]))
-    return [(name, float(val)) for name, val in order]
+    ranked = sorted(zip(PARAM_NAMES, np.mean(result.gradient, axis=0).tolist()), key=lambda kv: -kv[1])
+    ties: list[list[tuple[str, float]]] = []
+    for name, val in ranked:
+        if ties and ties[-1][0][1] - val <= RANK_TIE_TOL * abs(ties[-1][0][1]):
+            ties[-1].append((name, val))
+        else:
+            ties.append([(name, val)])
+    return [kv for tie in ties for kv in sorted(tie)]
 
 
 def sample_states(frame: BellFrame, n: int, seed: int) -> list[BlockState]:

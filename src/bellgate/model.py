@@ -84,24 +84,15 @@ def admissible(x: np.ndarray) -> np.ndarray:
 def assemble_hamiltonian(J, B1, B2, h: int) -> np.ndarray:
     """Assemble the 4x4 Hamiltonian from raw components.
 
-    J[0], J[1], J[2], B1 and B2 are floats, or arrays of one shape; the
-    result then has that shape followed by (4, 4), and each slice equals
-    the Hamiltonian of its own components bit for bit.
     Hermitian by construction and traceless.  Only the axis is checked
     (ValueError unless a non-bool integer 1, 2 or 3, as in
     PhysicalParams); callers that need the full parameter contract go
     through PhysicalParams.
     """
     gens = GENERATORS[strict_int("field axis h", h, GENERATORS)]
-    c = np.array((J[0], J[1], J[2], B1, B2), dtype=float)
-    # terms[k] = c[k] * gens[k], in one product; the terms are then added
-    # one at a time, in generator order, from zero, which keeps each slice
-    # the one-matrix sum bit for bit
-    terms = c.reshape(c.shape + (1, 1)) * gens.reshape((5,) + (1,) * (c.ndim - 1) + (4, 4))
-    hm = np.zeros(terms.shape[1:], dtype=np.complex128)
-    for term in terms:
-        hm += term
-    return hm
+    # the terms are added in generator order, starting from an exact zero,
+    # so an entry that every term leaves at zero comes out +0.0
+    return sum(np.array((J[0], J[1], J[2], B1, B2), dtype=float)[:, None, None] * gens)
 
 
 def build_hamiltonian(p: PhysicalParams) -> np.ndarray:

@@ -8,6 +8,8 @@ so unitarity holds to machine precision for any time argument.
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .checks import HERMITICITY_TOL, UNITARITY_TOL, strict_int
@@ -31,12 +33,11 @@ def pauli(k: int) -> np.ndarray:
     return _PAULI[strict_int("pauli index", k, _PAULI)].copy()
 
 
-def expm_hermitian(hm: np.ndarray, scale=1.0) -> np.ndarray:
+def expm_hermitian(hm: np.ndarray, scale: float = 1.0) -> np.ndarray:
     """exp(-i * scale * hm) for Hermitian hm, via eigendecomposition.
 
-    hm may be one (n, n) matrix or a (..., n, n) stack, and scale a
-    float or an array that broadcasts against the stack shape (...);
-    each slice comes out bit for bit as its own one-matrix call.
+    hm may be one (n, n) matrix or a (..., n, n) stack sharing one
+    scale; each slice comes out bit for bit as its own one-matrix call.
     Raises NonHermitianError (carrying the measured asymmetry, the
     largest of any slice) if max |hm - hm^dag| exceeds HERMITICITY_TOL.
     A non-finite entry makes the asymmetry NaN or inf, so it raises too.
@@ -47,9 +48,6 @@ def expm_hermitian(hm: np.ndarray, scale=1.0) -> np.ndarray:
     if not asym <= HERMITICITY_TOL:
         raise NonHermitianError(asym)
     w, v = np.linalg.eigh(hm)
-    if not isinstance(scale, float):
-        # one factor per slice, applied to that slice's eigenvalue row
-        scale = np.asarray(scale)[..., None]
     return (v * np.exp(-1j * scale * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
@@ -60,15 +58,19 @@ def dist_unitary(u: np.ndarray) -> float:
 
 
 def dist_phase_invariant(a: np.ndarray, b: np.ndarray) -> float:
-    """Global-phase-invariant distance 1 - |tr(a^dag b)| / n between unitaries.
+    """Global-phase-invariant distance ||e^{i theta} a - b||_F^2 / (2n) between unitaries.
 
-    Zero iff a and b agree up to a global phase.  Both inputs must be
-    unitary; a NonUnitaryError carries the worse defect otherwise.
+    theta = arg tr(a^dag b) is the phase that minimises the norm, where
+    the distance equals 1 - |tr(a^dag b)| / n.  Written as a sum of
+    squares it is never negative and stays accurate down to the inputs'
+    own rounding, where the trace form cancels to noise of either sign.
+    Zero iff a and b agree up to a global phase.  Both inputs must be unitary; a
+    NonUnitaryError carries the worse defect otherwise.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     defect = max(dist_unitary(a), dist_unitary(b))
     if defect > UNITARITY_TOL:
         raise NonUnitaryError(defect)
-    n = a.shape[0]
-    return float(1.0 - abs(np.trace(a.conj().T @ b)) / n)
+    d = cmath.exp(1j * cmath.phase(np.vdot(a, b))) * a - b
+    return float(np.vdot(d, d).real) / (2 * a.shape[0])

@@ -443,6 +443,18 @@ def test_family_scale_trades_time_for_error():
     assert errs[2.0] < errs[1.0] < errs[0.5]
 
 
+@pytest.mark.parametrize("tag", ["CNOT_12", "CNOT_21"])
+def test_family_error_follows_the_fourth_power_law(tag):
+    # the realized error falls as field_scale^-4 (cnot_family's docstring);
+    # at field_scale 1e4 it is near 1e-21, where a distance that cancels
+    # would print rounding noise of either sign
+    for m in range(1, 9):
+        base = cnot_family(GateId(tag), m, 10.0).realized_error * 10.0**4
+        for fs in (30.0, 100.0, 1e3, 1e4):
+            scaled = cnot_family(GateId(tag), m, fs).realized_error * fs**4
+            assert abs(scaled - base) <= 1e-2 * base
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         cnot_family(GateId("CNOT_12"), m=0, field_scale=1.0)

@@ -184,6 +184,25 @@ def test_synth_family_csv_is_monotone(capsys):
     assert all(lo < hi for lo, hi in zip(babs[:-1], babs[1:]))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("synth", "CNOT_12", "--m", "1000", "--m-prime", "3"),
+        ("synth", "CNOT_12", "--family", "--m", "8..8", "--field-scale", "1e6", "--format", "csv"),
+    ],
+)
+def test_realized_error_below_rounding_is_not_negative(capsys, argv):
+    # both cards' gate errors lie below 1e-15, where 1 - |tr(a^dag b)| / n
+    # printed -2.2e-16 and -6.7e-16
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    if "--family" in argv:
+        value = float(out.strip().splitlines()[1].split(",")[-1])
+    else:
+        value = json.loads(out)["realized_error"]
+    assert 0.0 <= value < 1e-15
+
+
 def test_synth_family_json_schema(capsys):
     code, out, _ = run(capsys, "synth", "CNOT_21", "--family", "--m", "2..3")
     assert code == 0

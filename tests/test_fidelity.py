@@ -11,6 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bellgate
 import bellgate.fidelity as fid
 from bellgate import (
     PARAM_NAMES,
@@ -36,9 +37,11 @@ from bellgate import (
     solve_physical,
     to_blocks,
 )
+from bellgate.bellframe import BLOCK_BASIS, BLOCK_COEFFS
+from bellgate.checks import RANK_TIE_TOL
 from bellgate.model import GENERATORS
 
-from conftest import edge_params, random_params
+from conftest import DEGENERATE, edge_params, random_params
 
 EXACT_UNITY_TOL = 1e-14
 SKEW_TOL = 1e-9
@@ -261,6 +264,56 @@ def test_block_derivatives_against_60_digit_oracle():
             assert np.max(np.abs(got - want[k : k + 2, k : k + 2])) <= 1e-12 * scale
 
 
+def _divided_difference_generators(p, d):
+    """Oracle for the Pauli-coordinate generators: G = i s^dag Ds of both
+    blocks along d from each block's eigendecomposition and the
+    Daleckii-Krein divided differences (Higham, Functions of Matrices,
+    SIAM 2008, sec. 3.2).  With W = c0 + V diag(w) V^dag and
+    X = dt W + t dW, G = V ((V^dag X V) * P) V^dag,
+    P_ab = exp(i y_ab) sinc(y_ab), y_ab = t (w_a - w_b) / 2.  The
+    eigendecomposition is of c . sigma alone, so a large c0 costs it no
+    digits; c0 commutes and passes through the diagonal of P."""
+    coeffs = BLOCK_COEFFS[p.h]
+    c = coeffs @ np.array([*p.J, p.B1, p.B2])
+    dc = coeffs @ d[1:]
+    out = []
+    for b in (0, 1):
+        w, v = np.linalg.eigh(np.einsum("a,aij->ij", c[b, 1:], BLOCK_BASIS[1:]))
+        x = np.einsum("a,aij->ij", d[0] * c[b] + p.t * dc[b], BLOCK_BASIS)
+        y = p.t * (w[:, None] - w[None, :]) / 2.0
+        sinc = np.divide(np.sin(y), y, out=np.ones_like(y), where=y != 0.0)
+        out.append(v @ ((v.conj().T @ x @ v) * np.exp(1j * y) * sinc) @ v.conj().T)
+    return np.array(out)
+
+
+def test_generators_match_divided_differences_at_edge_regimes():
+    # 1000 parameter sets: generic, degenerate and near-degenerate blocks
+    # and t = 0, with couplings from 1e-3 to 1e6 and t |c| up to about 3e6;
+    # six unit axes and one drawn direction each
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for k in range(1000):
+        h = int(rng.integers(1, 4))
+        scale = 10.0 ** rng.uniform(-3.0, 6.0)
+        c = rng.uniform(-1.0, 1.0, size=5) * scale
+        kind = k % 4
+        if kind in (1, 2):
+            a, b, s_j, s_b = DEGENERATE[(h, int(rng.integers(1, 3)))]
+            c[b] = s_j * c[a]
+            c[4] = s_b * c[3]
+        if kind == 2:
+            c += rng.uniform(-1.0, 1.0, size=5) * scale * 10.0 ** rng.uniform(-16.0, -6.0)
+        t = 0.0 if kind == 3 else float(rng.uniform(0.0, 3.0)) * (1.0 if k % 8 < 4 else 1.0 / scale)
+        p = PhysicalParams(t=t, J=tuple(c[:3]), B1=c[3], B2=c[4], h=h)
+        dirs = np.vstack([np.eye(6), rng.normal(size=(1, 6))])
+        g, _ = fid._generators_at(p, bell_frame(h), dirs)
+        for d, row in zip(dirs, g):
+            want = _divided_difference_generators(p, d)
+            got = np.einsum("ba,aij->bij", row, BLOCK_BASIS)
+            worst = max(worst, np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want))))
+    assert worst <= 1e-13
+
+
 def test_time_derivatives_at_zero_time():
     # at t = 0 the block maps are exp(-i l W_k) along the time axis, so
     # Ds = -i W_k exactly
@@ -407,7 +460,8 @@ def test_quadratic_sensitivities_definition():
     st = _random_state(rng)
     # the sweep's gradient is Var(G) per axis: 1 - F^2 at a unit step
     sens = [1.0 - fidelity_second_order(st, BASE, Perturbation.axis(i, 1.0)) for i in range(6)]
-    grad = fid._axis_variances(BASE, FRAME, st.amplitudes[None])[0]
+    g, _ = fid._generators_at(BASE, FRAME, np.eye(6))
+    grad = fid._variance(fid._bloch(st.amplitudes[None]), g)[0]
     assert len(grad) == 6
     for i in range(6):
         assert grad[i] == pytest.approx(sens[i], rel=1e-12)
@@ -480,6 +534,7 @@ SWEEP_CARDS = {
     "S_phi_q2": lambda: solve_physical(prescription_targets(GateId("S_phi_q2", phi=0.4))),
     "CNOT_12-8-10": lambda: cnot_family(GateId("CNOT_12"), 8, 10.0),
     "CNOT_21-4-3": lambda: cnot_family(GateId("CNOT_21"), 4, 3.0),
+    "CNOT_12-2-1": lambda: solve_physical(prescription_targets(GateId("CNOT_12"), m=2, m_prime=1)),
 }
 
 
@@ -520,36 +575,42 @@ def test_shared_sweep_matches_per_state_references(name):
         assert all(close(g, want) for g, want in zip(r.per_parameter_gradient, grads[r.state_id]))
 
 
+@pytest.mark.parametrize("name", list(SWEEP_CARDS))
+def test_gauge_direction_has_zero_variance(name):
+    # scaling t up and every coupling down by the same factor leaves U
+    # unchanged, so along (t, -J1, -J2, -J3, -B1, -B2) G = t W - t W = 0
+    # and Var(G) = 0 for every state; a sign or scale error in the t
+    # column of the generators shows here first
+    p = SWEEP_CARDS[name]().solved
+    x = np.array([p.t, *p.J, p.B1, p.B2])
+    d = np.concatenate([x[:1], -x[1:]])
+    states = sample_states(bell_frame(p.h), n=64, seed=7)
+    e = fid._bloch(np.array([st.amplitudes for st in states]))
+    g, _ = fid._generators_at(p, bell_frame(p.h), np.vstack([d, np.eye(6)]))
+    var = fid._variance(e, g)
+    assert np.abs(var[:, 0]).max() <= 1e-26 * float(d @ d) * max(1.0, np.abs(x).max()) ** 2
+    assert var[:, 1:].max() > 0.5
+
+
 @pytest.mark.parametrize("n", [1, 64])
 def test_sweep_shares_per_card_work(monkeypatch, n):
-    # the optimisation's guard: per-card work must not scale with the
-    # number of states, the axes or the steps: one block eigendecomposition
-    # serves the six derivatives and one stacked exponential holds the
-    # propagator and every (axis, distinct step) displaced propagator
-    expm_calls = []
-    eigh_shapes = []
-    expm, eigh = fid.expm_hermitian, np.linalg.eigh
+    # the optimisation's guard: a sweep works in Pauli coordinates from
+    # closed forms, so it runs no eigendecomposition and builds no 4x4
+    # propagator, for any number of states, steps or repeated steps
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sensitivity sweep must not call this")
 
-    def counting_expm(hm, scale=1.0):
-        expm_calls.append(np.shape(hm))
-        return expm(hm, scale)
-
-    def counting_eigh(a, *args, **kwargs):
-        eigh_shapes.append(np.shape(a))
-        return eigh(a, *args, **kwargs)
-
-    monkeypatch.setattr(fid, "expm_hermitian", counting_expm)
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     card = solve_physical(prescription_targets(GateId("H_q2")))
     states = sample_states(bell_frame(card.solved.h), n=n, seed=7)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(bellgate.spinlin, "expm_hermitian", forbidden)
+    monkeypatch.setattr(bellgate.model, "expm_hermitian", forbidden)
+    monkeypatch.setattr(bellgate.model, "evolve", forbidden)
+    monkeypatch.setattr(fid, "evolve", forbidden)
     for grid in ([1e-2], [1e-2, 5e-3, 1e-2, 2.5e-3], [0.0, -0.0, 1e-2, 0.0]):
-        expm_calls.clear()
-        eigh_shapes.clear()
         result = sensitivity_sweep(card, states, grid)
         assert len(result) == n * 6 * len(grid)
-        points = 1 + 6 * len(set(grid))
-        assert expm_calls == [(points, 4, 4)]
-        assert eigh_shapes == [(2, 2, 2), (points, 4, 4)]
+        assert np.isfinite(result.f2_exact).all()
 
 
 def test_block_derivatives_rows_match_one_direction():
@@ -560,12 +621,11 @@ def test_block_derivatives_rows_match_one_direction():
         p = random_params(rng)
         frame = bell_frame(p.h)
         dirs = np.vstack([np.eye(6), rng.normal(size=(5, 6)), np.zeros((1, 6))])
-        ds, s = fid._block_derivatives(p, frame, dirs)
-        assert ds.shape == (12, 2, 2, 2) and s.shape == (2, 2, 2)
-        for row, d in zip(ds, dirs):
-            (ds1, ds2), (s1, s2) = directional_derivatives(p, Perturbation(dp=tuple(d)), frame)
-            assert np.array_equal(row[0], ds1) and np.array_equal(row[1], ds2)
-            assert np.array_equal(s[0], s1) and np.array_equal(s[1], s2)
+        g, c = fid._generators_at(p, frame, dirs)
+        assert g.shape == (12, 2, 4) and c.shape == (2, 4)
+        for row, d in zip(g, dirs):
+            one, c1 = fid._generators_at(p, frame, d[None])
+            assert np.array_equal(row, one[0]) and np.array_equal(c, c1)
 
 
 def test_block_derivatives_report_the_first_overflowing_row():
@@ -578,7 +638,7 @@ def test_block_derivatives_report_the_first_overflowing_row():
     dirs[3, 4:6] = (1e308, 1e308)
     for rows, index in (([0, 1, 2, 3], 2), ([1, 3], 4)):
         with pytest.raises(NonFiniteDerivative) as info:
-            fid._block_derivatives(BASE, FRAME, dirs[rows])
+            fid._generators_at(BASE, FRAME, dirs[rows])
         assert info.value.index == index
 
 
@@ -701,6 +761,31 @@ def test_cubic_residual_shrinks_under_step_halving():
         assert rf.param == rh.param and rf.state_id == rh.state_id
         if rf.cubic_residual > 1e-10:
             assert 5.0 < rf.cubic_residual / rh.cubic_residual < 20.0
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_rank_parameters_keeps_name_order_within_a_tie(seed):
+    # on CNOT_12 (2, 1) J2 and J3 have equal sensitivities for every state;
+    # their means differ only by rounding, and the tie lists J2 first
+    card = SWEEP_CARDS["CNOT_12-2-1"]()
+    result = sensitivity_sweep(card, sample_states(bell_frame(card.solved.h), n=64, seed=seed), [1e-2])
+    mean = result.gradient.mean(axis=0)
+    assert abs(mean[2] - mean[3]) <= RANK_TIE_TOL * mean[2]
+    names = [name for name, _ in rank_parameters(result)]
+    assert names.index("J3") == names.index("J2") + 1
+
+
+def test_rank_parameters_tie_rule():
+    # means within RANK_TIE_TOL of their tie's largest mean are one tie,
+    # listed by name; a gap above the tolerance still orders by value
+    card = solve_physical(prescription_targets(GateId("H_q2")))
+    one = 1.0 + 2.0 ** -52
+    gradient = np.array([[0.5, 2.0, 1.0, one * one, 1.0 / one, 2.0 * (1.0 - 1e-9)]])
+    cols = np.ones((1, 6, 1))
+    result = SweepResult(card, (1e-2,), cols, cols, cols, gradient)
+    names = [name for name, _ in rank_parameters(result)]
+    assert names == ["J1", "B2", "B1", "J2", "J3", "t"]
+    assert dict(rank_parameters(result)) == dict(zip(PARAM_NAMES, gradient[0].tolist()))
 
 
 def test_rank_parameters():

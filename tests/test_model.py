@@ -32,18 +32,6 @@ def test_hamiltonian_frozen_example():
     assert np.max(np.abs(hm - FROZEN_H)) < 1e-15
 
 
-def test_hamiltonian_of_arrays_is_a_stack_of_hamiltonians():
-    # each slice is the one-matrix build, bit for bit
-    rng = np.random.default_rng(75)
-    x = rng.normal(size=(3, 3, 5)) * 10.0 ** rng.uniform(-3, 3, size=(3, 3, 1))
-    x[0, 0] = (0.0, -0.0, 0.0, -0.0, 0.0)
-    for h in (1, 2, 3):
-        stack = assemble_hamiltonian(np.moveaxis(x[..., :3], -1, 0), x[..., 3], x[..., 4], h)
-        assert stack.shape == (3, 3, 4, 4)
-        for row, got in zip(x.reshape(9, 5), stack.reshape(9, 4, 4)):
-            assert got.tobytes() == assemble_hamiltonian(row[:3], row[3], row[4], h).tobytes()
-
-
 def test_admissible_is_the_params_value_rule():
     rows = [
         (0.0, 1.0, 2.0, 3.0, 4.0, 5.0),

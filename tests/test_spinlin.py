@@ -1,5 +1,6 @@
 """Pauli algebra, Hermitian propagators, and unitary distances."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -14,6 +15,7 @@ from bellgate import (
     expm_hermitian,
     pauli,
 )
+from conftest import random_unitary
 
 UNITARY_TOL = 1e-12
 EXPM_ORACLE_TOL = 1e-11
@@ -90,26 +92,23 @@ def test_expm_hermitian_rejects_nonhermitian():
 
 
 def test_expm_hermitian_stack_matches_one_matrix_calls():
-    # each slice of a stacked call, with its own scale, is the one-matrix
-    # call bit for bit, also for a zero, a negative-zero and a huge scale
+    # each slice of a stacked call is the one-matrix call bit for bit, also
+    # for a zero, a negative-zero and a huge scale
     rng = np.random.default_rng(17)
     hms = np.array([_random_hermitian(seed) for seed in range(12)])
     hms[3] = hms[3].real
-    scales = np.array([0.0, -0.0, 1e-300, 7e153, *rng.uniform(0.0, 3.0, size=8)])
-    stack = expm_hermitian(hms.reshape(3, 4, 4, 4), scales.reshape(3, 4))
-    assert stack.shape == (3, 4, 4, 4)
-    for hm, scale, got in zip(hms, scales, stack.reshape(12, 4, 4)):
-        assert got.tobytes() == expm_hermitian(hm, float(scale)).tobytes()
-    shared = expm_hermitian(hms, 0.7)
-    for hm, got in zip(hms, shared):
-        assert got.tobytes() == expm_hermitian(hm, 0.7).tobytes()
+    for scale in (0.0, -0.0, 1e-300, 7e153, *rng.uniform(0.0, 3.0, size=4)):
+        stack = expm_hermitian(hms.reshape(3, 4, 4, 4), scale)
+        assert stack.shape == (3, 4, 4, 4)
+        for hm, got in zip(hms, stack.reshape(12, 4, 4)):
+            assert got.tobytes() == expm_hermitian(hm, scale).tobytes()
 
 
 def test_expm_hermitian_stack_reports_the_bad_slice():
     hms = np.array([_random_hermitian(seed) for seed in range(5)])
     hms[3, 0, 1] += 0.25
     with pytest.raises(NonHermitianError) as info:
-        expm_hermitian(hms, np.ones(5))
+        expm_hermitian(hms, 1.0)
     assert info.value.asymmetry == pytest.approx(0.25, rel=1e-12)
 
 
@@ -126,7 +125,7 @@ def test_expm_hermitian_rejects_non_finite_entries(value, entry):
     stack = np.array([_random_hermitian(seed) for seed in range(5)])
     stack[2][entry] = value
     with pytest.raises(NonHermitianError):
-        expm_hermitian(stack, np.ones(5))
+        expm_hermitian(stack, 1.0)
 
 
 def test_dist_unitary_zero_for_unitary():
@@ -155,3 +154,47 @@ def test_dist_phase_invariant_separates_distinct_gates():
 def test_dist_phase_invariant_rejects_nonunitary():
     with pytest.raises(NonUnitaryError):
         dist_phase_invariant(np.eye(4) * 1.5, np.eye(4))
+
+
+def _near_pair(seed, eps):
+    """A unitary a and a copy b = e^{i phi} a exp(-i eps H), at a distance of order eps^2."""
+    rng = np.random.default_rng(seed)
+    a = random_unitary(rng)
+    phi = float(rng.uniform(-np.pi, np.pi))
+    return a, np.exp(1j * phi) * a @ expm_hermitian(_random_hermitian(seed), eps)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-12.0, 0.0), st.booleans())
+def test_dist_phase_invariant_is_never_negative(seed, log_eps, near):
+    # random pairs and near-equal pairs down to rounding; the trace form
+    # 1 - |tr(a^dag b)| / n returned noise of either sign there
+    a, b = _near_pair(seed, 10.0**log_eps) if near else (
+        random_unitary(np.random.default_rng(seed)),
+        random_unitary(np.random.default_rng(seed + 1)),
+    )
+    assert dist_phase_invariant(a, b) >= 0.0
+    assert dist_phase_invariant(a, a) == 0.0
+
+
+def _mp_distance(a, b):
+    """60-digit oracle: min over theta of ||e^{i theta} a - b||_F^2 / (2n) of the given float matrices."""
+    with mpmath.workdps(60):
+        za = [mpmath.mpc(complex(z)) for z in a.ravel()]
+        zb = [mpmath.mpc(complex(z)) for z in b.ravel()]
+        tr = mpmath.fsum(mpmath.conj(x) * y for x, y in zip(za, zb))
+        rot = mpmath.expjpi(mpmath.arg(tr) / mpmath.pi)
+        return mpmath.fsum(abs(rot * x - y) ** 2 for x, y in zip(za, zb)) / (2 * a.shape[0])
+
+
+@pytest.mark.parametrize("log_eps", [-10.0, -8.0, -6.0, -4.0])
+def test_dist_phase_invariant_against_60_digit_oracle(log_eps):
+    # distances from about 1e-20 to 1e-8; each rounding of e^{i theta} a - b
+    # costs about eps * |d|, so the bound grows with the square root of
+    # the distance
+    for seed in range(5):
+        a, b = _near_pair(seed, 10.0**log_eps)
+        want = _mp_distance(a, b)
+        assert 1e-22 < want < 1e-7
+        got = dist_phase_invariant(a, b)
+        assert abs(got - want) <= 1e-15 * mpmath.sqrt(want)
