@@ -575,7 +575,8 @@ def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
         best_worst = min(best_worst, max(max(res), err))
     raise SolverFailure(
         best_worst,
-        f"no acceptable controls for {tg.gate.tag}: {len(attempts)} candidates missed",
+        f"no acceptable controls for {tg.gate.tag}: {len(attempts)} candidates missed; "
+        f"the closest has worst residual {best_worst:.3e} against ACCEPT_TOL {ACCEPT_TOL:.0e}",
     )
 
 

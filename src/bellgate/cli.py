@@ -271,7 +271,7 @@ def _cmd_fidelity_sweep(args) -> str:
             }
             for sid, name, dp, f2e, f2s, grad, cubic in result.rows()
         ],
-        "ranking": [[name, val] for name, val in fidelity.rank_parameters(result)],
+        "ranking": [[name, val] for name, val in fidelity.rank_parameters(card)],
     }
     return dumps(doc, indent=2) + "\n"
 

@@ -37,7 +37,9 @@ coefficients of the solved point, of the six unit axes and of every
 displaced point, and the variance and the exact overlaps of all states
 follow as (states, 8) x (8, k) products.  The numbers stay in arrays: a
 SweepResult holds them as columns and walks them as rows only when they
-are read.  The variance is itself the per-parameter sensitivity.
+are read.  The variance is itself the per-parameter sensitivity, and
+rank_parameters averages it over all states in closed form, from the
+traces of the six unit-axis generators.
 fidelity_exact keeps the 4x4 propagators as the independent oracle.
 """
 
@@ -54,7 +56,6 @@ from .calib import PrescriptionCard
 from .checks import RANK_TIE_TOL, STATE_NORM_TOL, ZERO_NORM_TOL, strict_float, strict_int
 from .errors import NonFiniteDerivative
 from .model import PhysicalParams, admissible, evolve
-from .sobol import ndtri, sobol_points
 
 __all__ = [
     "PARAM_NAMES",
@@ -476,15 +477,9 @@ def sensitivity_sweep(
     return SweepResult(card, grid, *columns)
 
 
-def rank_parameters(result: SweepResult) -> list[tuple[str, float]]:
-    """Parameters ordered by mean quadratic sensitivity over the sweep's states, largest first.
-
-    Means within RANK_TIE_TOL of the largest mean of their tie are
-    tied, and a tie lists its parameters by name.
-    """
-    if not len(result):
-        raise ValueError("cannot rank parameters without reports")
-    ranked = sorted(zip(PARAM_NAMES, np.mean(result.gradient, axis=0).tolist()), key=lambda kv: -kv[1])
+def _ranked(means) -> list[tuple[str, float]]:
+    """PARAM_NAMES paired with means, largest first; ties (see rank_parameters) listed by name."""
+    ranked = sorted(zip(PARAM_NAMES, means), key=lambda kv: -kv[1])
     ties: list[list[tuple[str, float]]] = []
     for name, val in ranked:
         if ties and ties[-1][0][1] - val <= RANK_TIE_TOL * abs(ties[-1][0][1]):
@@ -494,12 +489,33 @@ def rank_parameters(result: SweepResult) -> list[tuple[str, float]]:
     return [kv for tie in ties for kv in sorted(tie)]
 
 
+def rank_parameters(card: PrescriptionCard) -> list[tuple[str, float]]:
+    """Parameters ordered by their mean quadratic sensitivity over all states, largest first.
+
+    The mean of Var(G) over states uniform on the unit sphere of C^d,
+    d = 4, is (tr G^2 - (tr G)^2 / d) / (d + 1), from the second moment
+    E[|a><a| (x) |a><a|] = (1 + SWAP) / (d (d + 1)) behind the average
+    gate fidelity (Horodecki, Horodecki & Horodecki, PRA 60 (1999) 1888;
+    Nielsen, Phys. Lett. A 303 (2002) 249).  Every Hamiltonian of the
+    model is traceless (the blocks' c0 are opposite), so tr G = 0, and
+    with the blocks G = g0 + g . sigma the mean is
+    tr G^2 / 5 = 2 sum_b (g0^2 + |g|^2) / 5.  It is the large-sample
+    limit of the mean of a sweep's gradient over sample_states, and
+    equals that mean over any 2-design.
+
+    Means within RANK_TIE_TOL of the largest mean of their tie are
+    tied, and a tie lists its parameters by name.
+    """
+    p = card.solved
+    c = _block_coefficients(np.concatenate([_param_vector(p)[None], _UNIT_AXES]), p.h)
+    g = _generators(p.t, c[0], _UNIT_AXES, c[1:])
+    return _ranked((0.4 * np.sum(g * g, axis=(1, 2))).tolist())
+
+
 def sample_states(frame: BellFrame, n: int, seed: int) -> list[BlockState]:
-    """Deterministic low-discrepancy states on the amplitude sphere."""
+    """n deterministic states uniform on the amplitude sphere: normalized Gaussian rows of default_rng(seed)."""
     if strict_int("n", n) < 1:
         raise ValueError(f"need at least one state, got {n}")
-    # draw a full power-of-two batch to keep the sequence balanced
-    u = sobol_points(max(1, math.ceil(math.log2(n))), strict_int("seed", seed))[:n]
-    z = np.array([ndtri(y) for y in u.ravel().tolist()]).reshape(u.shape)
-    vecs = z[:, 0:4] + 1j * z[:, 4:8]
-    return [BlockState.normalized(v, frame) for v in vecs]
+    z = np.random.default_rng(strict_int("seed", seed)).standard_normal((n, 8))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return [BlockState(z[k, :4] + 1j * z[k, 4:], frame) for k in range(n)]

@@ -34,21 +34,22 @@ def pauli(k: int) -> np.ndarray:
 
 
 def expm_hermitian(hm: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """exp(-i * scale * hm) for Hermitian hm, via eigendecomposition.
+    """exp(-i * scale * hm) for one Hermitian (n, n) matrix hm, via eigendecomposition.
 
-    hm may be one (n, n) matrix or a (..., n, n) stack sharing one
-    scale; each slice comes out bit for bit as its own one-matrix call.
-    Raises NonHermitianError (carrying the measured asymmetry, the
-    largest of any slice) if max |hm - hm^dag| exceeds HERMITICITY_TOL.
-    A non-finite entry makes the asymmetry NaN or inf, so it raises too.
+    Raises ValueError for input of any other shape, and NonHermitianError
+    (carrying the measured asymmetry) if max |hm - hm^dag| exceeds
+    HERMITICITY_TOL.  A non-finite entry makes the asymmetry NaN or inf,
+    so it raises too.
     """
     hm = np.asarray(hm, dtype=np.complex128)
+    if hm.ndim != 2 or hm.shape[0] != hm.shape[1]:
+        raise ValueError(f"expm_hermitian needs one square matrix, got shape {hm.shape}")
     with np.errstate(invalid="ignore", over="ignore"):
-        asym = float(np.abs(hm - hm.conj().swapaxes(-1, -2)).max())
+        asym = float(np.abs(hm - hm.conj().T).max())
     if not asym <= HERMITICITY_TOL:
         raise NonHermitianError(asym)
     w, v = np.linalg.eigh(hm)
-    return (v * np.exp(-1j * scale * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (v * np.exp(-1j * scale * w)) @ v.conj().T
 
 
 def dist_unitary(u: np.ndarray) -> float:

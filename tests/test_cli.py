@@ -289,6 +289,24 @@ def test_fidelity_sweep_json(capsys, card_file):
     assert values == sorted(values, reverse=True)
 
 
+def test_fidelity_sweep_ranking_ignores_states_and_seed(capsys, tmp_path):
+    # the ranking is the exact mean over all states, so it is the same
+    # text for any sample, the two ties of CNOT_12 (2, 1) included
+    card = tmp_path / "card.json"
+    assert cli.main(["synth", "CNOT_12", "--m", "2", "--m-prime", "1", "--out", str(card)]) == 0
+    texts = set()
+    for states in ("2", "64"):
+        for seed in ("3", "7", "11"):
+            code, out, _ = run(capsys, "fidelity-sweep", str(card), "--states", states, "--seed", seed)
+            assert code == 0
+            texts.add(out[out.index('"ranking"'):])
+    assert len(texts) == 1
+    doc = json.loads("{" + texts.pop())
+    want = bellgate.rank_parameters(PrescriptionCard.from_doc(json.loads(card.read_text())))
+    assert doc["ranking"] == [[name, val] for name, val in want]
+    assert [name for name, _ in want] == ["B1", "B2", "J1", "t", "J2", "J3"]
+
+
 def test_out_flag_writes_stdout_bytes(capsys, params_file, tmp_path):
     code, out, _ = run(capsys, "evolve", params_file)
     assert code == 0
@@ -365,6 +383,20 @@ def test_solver_failure_maps_to_exit_3(capsys, monkeypatch):
     doc = json.loads(err)
     assert doc["error"]["type"] == "solver"
     assert "gave up" in doc["error"]["message"]
+
+
+def test_solver_failure_message_names_the_closest_miss(capsys):
+    # at a huge winding the one closed-form candidate misses by rounding;
+    # the message says by how much, against which tolerance
+    code, out, err = run(capsys, "synth", "CNOT_12", "--m", "100000000", "--m-prime", "3")
+    assert (code, out) == (3, "")
+    doc = json.loads(err)["error"]
+    assert doc["type"] == "solver"
+    assert re.fullmatch(
+        r"no acceptable controls for CNOT_12: 1 candidates missed; "
+        r"the closest has worst residual \d\.\d{3}e-08 against ACCEPT_TOL 1e-08",
+        doc["message"],
+    ), doc["message"]
 
 
 def test_overflowing_step_maps_to_exit_3(capsys, card_file):
@@ -747,6 +779,40 @@ def test_shifted_solve_loads_no_scipy():
 
 _DATA = Path(__file__).resolve().parent / "data"
 _CLI_ENTRY = "import sys; from bellgate.cli import main; sys.exit(main())"
+
+
+_README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_output(lines, command):
+    """The lines the README shows under "$ command", up to the next prompt or the end of its block."""
+    start = lines.index("$ " + command) + 1
+    end = next(k for k in range(start, len(lines)) if lines[k].startswith(("$ ", "```")) or not lines[k])
+    return lines[start:end]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "bellgate evolve params.json --format csv | head -3",
+        "bellgate synth CNOT_12 --family --m 1..4 --format csv",
+        "bellgate fidelity-sweep card.json --states 2 --steps 1e-2,5e-3 --format csv | head -3",
+    ],
+    ids=["evolve", "synth-family", "fidelity-sweep"],
+)
+def test_readme_csv_examples_match_the_program(capsys, tmp_path, monkeypatch, command):
+    # each example runs in a directory holding the README's params.json
+    # and the card of its "bellgate synth H_q2 --out card.json"
+    lines = _README.read_text(encoding="utf-8").splitlines()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "params.json").write_text(_readme_output(lines, "cat params.json")[0])
+    assert _readme_output(lines, "bellgate synth H_q2 --out card.json") == []
+    assert cli.main(["synth", "H_q2", "--out", "card.json"]) == 0
+    argv, _, head = command.partition(" | head -")
+    code, out, err = run(capsys, *argv.split()[1:])
+    assert (code, err) == (0, "")
+    got = out.splitlines()[: int(head)] if head else out.splitlines()
+    assert got == _readme_output(lines, command)
 
 
 def test_compile_stdout_matches_golden_fixture():
