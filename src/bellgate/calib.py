@@ -59,9 +59,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -85,6 +83,7 @@ from .spinlin import dist_phase_invariant, pauli
 
 __all__ = [
     "FAMILY_EXCHANGE",
+    "SOLVABLE_TAGS",
     "PrescriptionTargets",
     "PrescriptionCard",
     "prescription_targets",
@@ -98,7 +97,8 @@ TWO_PI = 2.0 * math.pi
 FAMILY_EXCHANGE = 1.0
 
 _CNOT_TAGS = ("CNOT_12", "CNOT_21")
-_SOLVABLE_TAGS = ("S_phi_q2", "S_phi_q1", "H_q2", "H_q1") + _CNOT_TAGS
+#: the library generators with a published row, in table order
+SOLVABLE_TAGS = ("S_phi_q2", "S_phi_q1", "H_q2", "H_q1") + _CNOT_TAGS
 
 #: transversal rotation angle of the Hadamard rows, |b| = |j| = 1/sqrt(2)
 _HADAMARD_WEIGHT = 1.0 / math.sqrt(2.0)
@@ -258,15 +258,11 @@ def prescription_targets(
 
 def _published_row(
     g: GateId, m: int, m_prime: int, route: str
-) -> tuple[PrescriptionTargets, Callable[[], PhysicalParams]]:
-    """One row of the published table: its targets and its closed-form controls.
-
-    The controls come as a zero-argument builder, already in canonical
-    gauge, so that a solve pays for them only when the row is realized.
-    """
+) -> tuple[PrescriptionTargets, PhysicalParams]:
+    """One row of the published table: its targets and its closed-form controls, in canonical gauge."""
     if not isinstance(g, GateId):
         raise TypeError(f"expected a GateId, got {type(g).__name__}")
-    if g.tag not in _SOLVABLE_TAGS:
+    if g.tag not in SOLVABLE_TAGS:
         raise ValueError(f"{g.tag} has no pulse prescription")
     if route not in ("printed", "alternate"):
         raise ValueError(f"route must be printed or alternate, got {route!r}")
@@ -289,15 +285,13 @@ def _published_row(
             b_targets=(0.0, 0.0),
         )
         J = (0.0, 0.0, 1.0) if h == 1 else (1.0, 0.0, 0.0)
-        return row, partial(PhysicalParams, t=pc, J=J, B1=0.0, B2=0.0, h=h)
+        return row, PhysicalParams(t=pc, J=J, B1=0.0, B2=0.0, h=h)
     if tag == "S_phi_q1":
         pc = _canonical_phase(g.phi)
         row = PrescriptionTargets(
             gate=g, h=1, delta_plus_1=pc, delta_minus_1=TWO_PI, delta_minus_2=TWO_PI
         )
-        return row, partial(
-            PhysicalParams, t=TWO_PI, J=(pc / TWO_PI, 0.0, 1.0), B1=0.0, B2=0.0, h=1
-        )
+        return row, PhysicalParams(t=TWO_PI, J=(pc / TWO_PI, 0.0, 1.0), B1=0.0, B2=0.0, h=1)
     if tag in ("H_q2", "H_q1"):
         h = 1 if tag == "H_q2" else 3
         row = PrescriptionTargets(
@@ -310,8 +304,8 @@ def _published_row(
         )
         w = _HADAMARD_WEIGHT
         if h == 1:
-            return row, partial(PhysicalParams, t=math.pi / 2, J=(-1.0, -w, 0.0), B1=-w, B2=0.0, h=1)
-        return row, partial(PhysicalParams, t=math.pi / 2, J=(0.0, -w, -1.0), B1=0.0, B2=-w, h=3)
+            return row, PhysicalParams(t=math.pi / 2, J=(-1.0, -w, 0.0), B1=-w, B2=0.0, h=1)
+        return row, PhysicalParams(t=math.pi / 2, J=(0.0, -w, -1.0), B1=0.0, B2=-w, h=3)
 
     m = strict_int("m", m)
     m_prime = strict_int("m_prime", m_prime)
@@ -334,8 +328,8 @@ def _published_row(
     t = (row.delta_minus_1 + row.delta_minus_2) / 2.0
     lo = (row.delta_minus_1 - row.delta_minus_2) / 2.0 / t
     if tag == "CNOT_12":
-        return row, partial(PhysicalParams, t=t, J=(math.pi / 4 / t, 0.0, 0.0), B1=1.0, B2=lo, h=1)
-    return row, partial(PhysicalParams, t=t, J=(0.0, 0.0, math.pi / 4 / t), B1=lo, B2=1.0, h=3)
+        return row, PhysicalParams(t=t, J=(math.pi / 4 / t, 0.0, 0.0), B1=1.0, B2=lo, h=1)
+    return row, PhysicalParams(t=t, J=(0.0, 0.0, math.pi / 4 / t), B1=lo, B2=1.0, h=3)
 
 
 def _check_feasible(tg: PrescriptionTargets) -> None:
@@ -408,7 +402,7 @@ def _closed_form(tg: PrescriptionTargets) -> PhysicalParams | None:
     except ValueError:
         # a row _published_row refuses is not a published one
         return None
-    return controls() if tg == row else None
+    return controls if tg == row else None
 
 
 #: index of the transversal coefficient in BLOCK_COEFFS[h]: c_x on axes 1 and 3, c_y on 2

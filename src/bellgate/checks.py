@@ -19,10 +19,6 @@ UNITARITY_TOL = 1e-8
 ACCEPT_TOL = 1e-8
 #: block structure (criterion 1): largest off-block norm reported as within_structural_tol
 STRUCTURAL_TOL = 1e-10
-#: entrywise distance at which a compiled conjugate T g T takes a library gate's name
-MATCH_TOL = 1e-10
-#: largest off-diagonal entry of a conjugate that is still tried as a phase gate
-DIAGONAL_TOL = 1e-12
 #: |c| below this multiple of a block's largest entry is rounding noise: the block is degenerate
 DEGENERATE_TOL = 1e-13
 #: slack on b^2 + j^2 = 1 for block weights, in closed_form_block and the feasibility check

@@ -36,8 +36,6 @@ __all__ = ["main", "DEFAULT_SEED"]
 
 DEFAULT_SEED = 7
 
-_SYNTH_TAGS = ("S_phi_q2", "S_phi_q1", "H_q2", "H_q1", "CNOT_12", "CNOT_21")
-
 
 class _UsageError(Exception):
     pass
@@ -109,7 +107,7 @@ def _build_parser() -> _Parser:
     out(p)
 
     p = sub.add_parser("synth", help="solve a pulse prescription card")
-    p.add_argument("gate", choices=_SYNTH_TAGS)
+    p.add_argument("gate", choices=calib.SOLVABLE_TAGS)
     p.add_argument("--phi", type=float, default=None, help="phase angle, radians")
     p.add_argument("--m", default="1", help="winding number, or a..b range with --family")
     p.add_argument("--m-prime", type=int, default=None)

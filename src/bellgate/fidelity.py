@@ -32,7 +32,7 @@ E_b = (|a_b|^2, <sigma_x>, <sigma_y>, <sigma_z>): <G> = E . (g0, g) and
 dotted with the Pauli coefficients of s0^dag s, a quaternion product.
 
 A sweep is therefore a few small products per card and no
-eigendecomposition: one product with BLOCK_COEFFS gives the block
+eigendecomposition: products with BLOCK_COEFFS give the block
 coefficients of the solved point, of the six unit axes and of every
 displaced point, and the variance and the exact overlaps of all states
 follow as (states, 8) x (8, k) products.  The numbers stay in arrays: a
@@ -285,31 +285,23 @@ def _generator_map(t: float, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _generators(t: float, c: np.ndarray, d: np.ndarray, dc: np.ndarray) -> np.ndarray:
-    """Pauli coordinates (g0, gx, gy, gz) of G = i s^dag Ds of both blocks along each row of d, shape (k, 2, 4).
+def _generators(p: PhysicalParams, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G = i s^dag Ds of both blocks of p along each row of d, and the block coefficients of p.
 
-    t and c (2, 4) are the time and the block coefficients of the point,
-    d (k, 6) the displacements and dc (k, 2, 4) their block
-    coefficients.  G is linear in d; a zero row gives zeros.  The first
+    d (k, 6) holds the displacements.  The generators come as Pauli
+    coordinates (g0, gx, gy, gz), shape (k, 2, 4), and the coefficients
+    (c0, cx, cy, cz) of p's two blocks with shape (2, 4).  G is linear in d; a zero row gives zeros.  The first
     row whose generator overflows raises NonFiniteDerivative with the
     index of that row's largest component.
     """
+    c = _block_coefficients(np.concatenate([_param_vector(p)[None], d]), p.h)
     # an overflowing displacement surfaces as NonFiniteDerivative below
     with np.errstate(over="ignore", invalid="ignore"):
-        g = (_generator_map(t, c) @ dc[..., None])[..., 0] + d[:, 0, None, None] * c
+        g = (_generator_map(p.t, c[0]) @ c[1:, ..., None])[..., 0] + d[:, 0, None, None] * c[0]
     bad = ~np.isfinite(g).all(axis=(1, 2))
     if bad.any():
         raise NonFiniteDerivative(int(np.argmax(np.abs(d[np.argmax(bad)]))))
-    return g
-
-
-def _generators_at(p: PhysicalParams, frame: BellFrame, directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_generators of p along each row of directions (k, 6), and the block coefficients of p."""
-    if p.h != frame.h:
-        raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
-    d = np.asarray(directions, dtype=float)
-    c = _block_coefficients(np.concatenate([_param_vector(p)[None], d]), p.h)
-    return _generators(p.t, c[0], d, c[1:]), c[0]
+    return g, c[0]
 
 
 def directional_derivatives(
@@ -321,7 +313,9 @@ def directional_derivatives(
     Ds = -i s (g0 + g . sigma) from the closed-form generator along dp.
     Ds is linear in dp; dp = 0 returns zero matrices.
     """
-    g, c = _generators_at(p, frame, dp.as_array()[None])
+    if p.h != frame.h:
+        raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
+    g, c = _generators(p, dp.as_array()[None])
     phase, q = _rotations(p.t, c)
     s = np.einsum("ba,aij->bij", np.exp(-1j * phase)[:, None] * q * (1.0, -1j, -1j, -1j), BLOCK_BASIS)
     ds = -1j * s @ np.einsum("ba,aij->bij", g[0], BLOCK_BASIS)
@@ -404,7 +398,7 @@ def fidelity_second_order(state: BlockState, p: PhysicalParams, dp: Perturbation
     _check_state(state, p)
     step = dp.norm
     unit = Perturbation(dp=tuple(v / step for v in dp.dp)) if step > 0.0 else dp
-    g, _ = _generators_at(p, state.frame, unit.as_array()[None])
+    g, _ = _generators(p, unit.as_array()[None])
     var = _variance(_bloch(state.amplitudes[None]), g)
     f2 = float(_second_order(var, np.array([step]))[0, 0, 0])
     if not math.isfinite(f2):
@@ -422,15 +416,14 @@ def sensitivity_sweep(
     F^2 and their difference per (state, axis, step), and each state's
     quadratic sensitivity vector, from which rankings are derived.
 
-    The per-card work is shared by all states: one product gives the
-    block coefficients of the solved point, the six unit axes and every
-    (axis, distinct step) point; the closed forms give the six
-    generators and every block map; and each state's Bloch vectors meet
-    them in one variance and one overlap product.  The states must all
-    live in one frame.  Errors come in the order a step-by-step sweep
-    would meet them: a derivative overflow, first axis first; then per
-    axis and step, an invalid displaced parameter set, then an
-    overflowing expansion.
+    The per-card work is shared by all states: the closed forms give the
+    six unit-axis generators, and the block map of the solved point and
+    of every (axis, step) point from one product for their block
+    coefficients; each state's Bloch vectors meet them in one variance
+    and one overlap product.  The states must all live in one frame.
+    Errors come in the order a step-by-step sweep would meet them: a
+    derivative overflow, first axis first; then per axis and step, an
+    invalid displaced parameter set, then an overflowing expansion.
     """
     grid = tuple(strict_float("perturbation component", step) for step in grid)
     if not states:
@@ -443,20 +436,12 @@ def sensitivity_sweep(
         _check_state(state, p)
         if state.frame is not frame:
             raise ValueError("sensitivity sweep states must share one frame")
-    # each distinct step (0.0 and -0.0 are one) is displaced once per axis;
-    # col maps a grid position to its distinct step
-    first: dict[float, int] = {}
-    col = [first.setdefault(step, len(first)) for step in grid]
-    shift = np.zeros((6, len(first), 6))
-    shift[range(6), :, range(6)] = list(first)
+    shift = np.zeros((6, len(grid), 6))
+    shift[range(6), :, range(6)] = grid
     x0 = _param_vector(p)
     moved = x0 + shift
-    # rows: the six unit axes, the solved point, then every displaced point;
-    # a non-finite point is reported in step order below
-    points = np.concatenate([_UNIT_AXES, x0[None], moved.reshape(-1, 6)])
-    c = _block_coefficients(points, p.h)
     e = _bloch(np.array([state.amplitudes for state in states]))
-    var = _variance(e, _generators(p.t, c[6], _UNIT_AXES, c[:6]))
+    var = _variance(e, _generators(p, _UNIT_AXES)[0])
     f2s = _second_order(var, np.array(grid))
     valid = admissible(moved)
     finite = np.isfinite(f2s).all(axis=0)
@@ -465,12 +450,14 @@ def sensitivity_sweep(
         # error of an invalid point with the message PhysicalParams gives it
         for i in range(6):
             for j, step in enumerate(grid):
-                if not valid[i, col[j]]:
+                if not valid[i, j]:
                     _displaced(p, Perturbation.axis(i, step))
                 if not finite[i, j]:
                     raise NonFiniteDerivative(i)
-    f2e = _overlaps(e, *_rotations(points[6:, :1], c[6:]))
-    f2e = f2e.reshape(-1, 6, len(first))[:, :, col]
+    # rows: the solved point, then every displaced point
+    points = np.concatenate([x0[None], moved.reshape(-1, 6)])
+    f2e = _overlaps(e, *_rotations(points[:, :1], _block_coefficients(points, p.h)))
+    f2e = f2e.reshape(-1, 6, len(grid))
     columns = (f2e, f2s, np.abs(f2s - f2e), var)
     for a in columns:
         a.flags.writeable = False
@@ -506,9 +493,7 @@ def rank_parameters(card: PrescriptionCard) -> list[tuple[str, float]]:
     Means within RANK_TIE_TOL of the largest mean of their tie are
     tied, and a tie lists its parameters by name.
     """
-    p = card.solved
-    c = _block_coefficients(np.concatenate([_param_vector(p)[None], _UNIT_AXES]), p.h)
-    g = _generators(p.t, c[0], _UNIT_AXES, c[1:])
+    g, _ = _generators(card.solved, _UNIT_AXES)
     return _ranked((0.4 * np.sum(g * g, axis=(1, 2))).tolist())
 
 

@@ -11,17 +11,19 @@ in canonical Bell order b00, b01, b10, b11.
 The translator T is the Bell-basis matrix of (H on label i); it is
 self-adjoint, involutory, and sends each Bell column to the
 computational state |i, i xor j>.  compile_circuit uses it to rewrite
-any computational-basis circuit as T (T g T)... T, with each conjugate
-named as a Bell-basis gate when one matches exactly and kept as an
-opaque matrix node otherwise.
+any computational-basis circuit as T (T g T)... T.  T commutes with
+every gate on qubit 2 and with the Hadamard on qubit 1, and these four
+conjugates are Bell-basis gates under their own names: S_phi_q2 with
+phi pi/8 or pi/4, H_q2 and H_q1.  The other four (the phase gates on
+qubit 1 and both CNOTs) are no library gate and stay opaque matrix
+nodes.
 
 Both sets are finite, so every matrix here except the parametric phase
 gates is a constant.  They are built once at import as read-only
 tables: the 4x4 computational matrix of each (tag, qubit), the fixed
-Bell-basis gates, and the resolved conjugate T g T of each computational
-matrix.  d_gate, translator and embedded_matrix return these shared
-arrays (copy before writing), and compile_circuit is one table lookup
-per gate.
+Bell-basis gates, and the compiled node of each computational gate.
+d_gate, translator and embedded_matrix return these shared arrays (copy
+before writing), and compile_circuit is one table lookup per gate.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import DIAGONAL_TOL, MATCH_TOL, strict_float, strict_int
+from .checks import strict_float, strict_int
 from .jsonio import complex_entry, fields
 
 __all__ = [
@@ -250,29 +252,18 @@ def matrix_of(c: Circuit) -> np.ndarray:
     return out
 
 
-def _match_named(w: np.ndarray):
-    """Return the library GateId whose matrix equals w to MATCH_TOL, or None."""
-    off = w - np.diag(np.diag(w))
-    if np.abs(off).max() <= DIAGONAL_TOL:
-        d = np.diag(w)
-        for tag, pick in (("S_phi_q2", 1), ("S_phi_q1", 2)):
-            cand = GateId(tag, phi=float(np.angle(d[pick])))
-            if np.abs(d_gate(cand) - w).max() <= MATCH_TOL:
-                return cand
-    for tag in ("H_q2", "H_q1", "CNOT_12", "CNOT_21"):
-        if np.abs(_D_FIXED[tag] - w).max() <= MATCH_TOL:
-            return GateId(tag)
-    return None
-
-
-def _conjugate_node(m: np.ndarray):
-    w = _T @ m @ _T
-    named = _match_named(w)
-    return named if named is not None else OpaqueGate(w)
-
-
+#: the conjugates T g T that are library gates (T g T = g for each); the test suite
+#: derives this table independently by matching matrices
+_NAMED = {
+    ("B_S8", 2): GateId("S_phi_q2", phi=np.pi / 8),
+    ("B_S4", 2): GateId("S_phi_q2", phi=np.pi / 4),
+    ("B_H", 1): GateId("H_q1"),
+    ("B_H", 2): GateId("H_q2"),
+}
 #: Bell-basis node of T g T for each computational (tag, qubit)
-_COMPILED = {key: _conjugate_node(m) for key, m in _EMBEDDED.items()}
+_COMPILED = {
+    key: _NAMED[key] if key in _NAMED else OpaqueGate(_T @ m @ _T) for key, m in _EMBEDDED.items()
+}
 _T_ID = GateId("T_translator")
 
 
@@ -281,9 +272,8 @@ def compile_circuit(c: Circuit) -> Circuit:
 
     Returns [T, T g_1 T, ..., T g_n T, T]; the product telescopes back
     to the original circuit because T is involutory.  Each conjugate is
-    emitted under its library name when it matches one exactly,
-    otherwise as an opaque matrix node; both are looked up in a table
-    built at import.
+    emitted under its library name where it has one, otherwise as an
+    opaque matrix node; both are looked up in a table built at import.
     """
     if c.basis != "computational":
         raise ValueError("compile_circuit expects a computational-basis circuit")

@@ -9,6 +9,7 @@ so unitarity holds to machine precision for any time argument.
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
@@ -39,7 +40,9 @@ def expm_hermitian(hm: np.ndarray, scale: float = 1.0) -> np.ndarray:
     Raises ValueError for input of any other shape, and NonHermitianError
     (carrying the measured asymmetry) if max |hm - hm^dag| exceeds
     HERMITICITY_TOL.  A non-finite entry makes the asymmetry NaN or inf,
-    so it raises too.
+    so it raises too.  A phase scale * w that overflows for an
+    eigenvalue w would leave no propagator, only NaN: it raises
+    NonUnitaryError with an infinite defect.
     """
     hm = np.asarray(hm, dtype=np.complex128)
     if hm.ndim != 2 or hm.shape[0] != hm.shape[1]:
@@ -49,6 +52,11 @@ def expm_hermitian(hm: np.ndarray, scale: float = 1.0) -> np.ndarray:
     if not asym <= HERMITICITY_TOL:
         raise NonHermitianError(asym)
     w, v = np.linalg.eigh(hm)
+    # the eigenvalues are sorted, so the largest phase is at an end; plain
+    # floats, and two tests so that a NaN at either end fails
+    lo, hi = float(scale) * float(w[0]), float(scale) * float(w[-1])
+    if not (abs(lo) < math.inf and abs(hi) < math.inf):
+        raise NonUnitaryError(math.inf)
     return (v * np.exp(-1j * scale * w)) @ v.conj().T
 
 
@@ -66,12 +74,15 @@ def dist_phase_invariant(a: np.ndarray, b: np.ndarray) -> float:
     squares it is never negative and stays accurate down to the inputs'
     own rounding, where the trace form cancels to noise of either sign.
     Zero iff a and b agree up to a global phase.  Both inputs must be unitary; a
-    NonUnitaryError carries the worse defect otherwise.
+    NonUnitaryError carries the worse defect otherwise.  A non-finite entry
+    makes its defect NaN or inf, so it raises too.
     """
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    defect = max(dist_unitary(a), dist_unitary(b))
-    if defect > UNITARITY_TOL:
+    with np.errstate(invalid="ignore", over="ignore"):
+        # np.maximum keeps a NaN defect, where max() would drop it in second place
+        defect = float(np.maximum(dist_unitary(a), dist_unitary(b)))
+    if not defect <= UNITARITY_TOL:
         raise NonUnitaryError(defect)
     d = cmath.exp(1j * cmath.phase(np.vdot(a, b))) * a - b
     return float(np.vdot(d, d).real) / (2 * a.shape[0])

@@ -1,11 +1,13 @@
-"""The interface the bench sweep workload reads from a sweep result.
+"""The interfaces the bench reads from the package.
 
 The bench's sweep workload times ``sensitivity_sweep`` and then counts
 and checks what it returns through ``len()`` and iteration over
 ``FidelityReport`` views.  This runs that workload's own ``op``,
 ``items`` and ``check`` on every card of its pool, so a change to the
-sweep result that breaks the bench fails here first.  The bench files
-are imported, never changed.
+sweep result that breaks the bench fails here first.  The bench tracer
+counts calls of the functions it names, and only of those its layer
+module still lists as public.  The bench files are imported, never
+changed.
 """
 
 import importlib
@@ -26,3 +28,18 @@ def test_sweep_workload_reads_every_result(monkeypatch, tmp_path):
         assert wl.items(result) == 64 * 6 * 3
         failed = [name for name in wl.check(card, result) if name not in wl.accuracy_checks]
         assert failed == [], (card.targets.gate.tag, card.targets.m)
+
+
+def test_tracer_targets_are_public(monkeypatch):
+    # a target missing from its module's __all__ is reported as absent, and
+    # its per-layer metrics read 0; least_squares is scipy's, wrapped at its source
+    monkeypatch.syspath_prepend(str(BENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    tracing = importlib.import_module("tracing")
+    assert tracing.TARGETS
+    for layer, name in tracing.TARGETS:
+        if name == "least_squares":
+            continue
+        module = importlib.import_module(f"bellgate.{layer}")
+        assert name in module.__all__, f"bellgate.{layer}.{name}"
+        assert callable(getattr(module, name))

@@ -214,6 +214,21 @@ def test_synth_family_json_schema(capsys):
         assert 0.0 < entry["b_abs"] <= 1.0
 
 
+def test_synth_gate_choices_are_the_solvable_tags(capsys):
+    # calib owns the list of gates with a published row; the CLI offers exactly those
+    assert "SOLVABLE_TAGS" in bellgate.calib.__all__
+    assert not hasattr(bellgate, "SOLVABLE_TAGS")
+    tags = ("S_phi_q2", "S_phi_q1", "H_q2", "H_q1", "CNOT_12", "CNOT_21")
+    assert bellgate.calib.SOLVABLE_TAGS == tags
+    code, out, err = run(capsys, "synth", "B_H")
+    assert (code, out) == (2, "")
+    doc = json.loads(err)["error"]
+    assert doc["type"] == "usage"
+    head, offered = doc["message"].split("(choose from ")
+    assert head.startswith("argument gate: invalid choice: ")
+    assert re.findall(r"\w+", offered) == list(tags)
+
+
 def test_synth_range_requires_family(capsys):
     code, _, err = run(capsys, "synth", "CNOT_12", "--m", "2..4")
     assert code == 2
@@ -410,6 +425,36 @@ def test_overflowing_step_maps_to_exit_3(capsys, card_file):
     doc = json.loads(err)
     assert doc["error"]["type"] == "numerical"
     assert "non-finite derivative" in doc["error"]["message"]
+
+
+OVERFLOW_ERR = '{"error":{"type":"numerical","message":"matrix is not unitary: max |u^dag u - 1| = inf"}}\n'
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("evolve",), ("evolve", "--format", "csv"), ("blocks",), ("blocks", "--cross-h", "2")],
+)
+def test_overflowing_evolution_maps_to_exit_3(capsys, tmp_path, argv):
+    # t J1 overflows the eigenphase of the propagator; stderr must hold one
+    # JSON error line and no numpy warnings
+    f = tmp_path / "params.json"
+    f.write_text('{"t": 1e308, "J": [3.0, 0.0, 0.0], "B1": 0.0, "B2": 0.0, "h": 1}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+    assert (code, out, err) == (3, "", OVERFLOW_ERR)
+
+
+def test_card_with_an_overflowing_evolution_maps_to_exit_3(capsys, tmp_path, card_file):
+    # reading the card recomputes its realized error from the propagator
+    doc = json.loads(Path(card_file).read_text())
+    doc["solved"]["t"] = 1e308
+    f = tmp_path / "card.json"
+    f.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "fidelity-sweep", str(f), "--states", "2")
+    assert (code, out, err) == (3, "", OVERFLOW_ERR)
 
 
 @pytest.mark.parametrize(

@@ -310,7 +310,7 @@ def test_generators_match_divided_differences_at_edge_regimes():
         t = 0.0 if kind == 3 else float(rng.uniform(0.0, 3.0)) * (1.0 if k % 8 < 4 else 1.0 / scale)
         p = PhysicalParams(t=t, J=tuple(c[:3]), B1=c[3], B2=c[4], h=h)
         dirs = np.vstack([np.eye(6), rng.normal(size=(1, 6))])
-        g, _ = fid._generators_at(p, bell_frame(h), dirs)
+        g, _ = fid._generators(p, dirs)
         for d, row in zip(dirs, g):
             want = _divided_difference_generators(p, d)
             got = np.einsum("ba,aij->bij", row, BLOCK_BASIS)
@@ -464,7 +464,7 @@ def test_quadratic_sensitivities_definition():
     st = _random_state(rng)
     # the sweep's gradient is Var(G) per axis: 1 - F^2 at a unit step
     sens = [1.0 - fidelity_second_order(st, BASE, Perturbation.axis(i, 1.0)) for i in range(6)]
-    g, _ = fid._generators_at(BASE, FRAME, np.eye(6))
+    g, _ = fid._generators(BASE, np.eye(6))
     grad = fid._variance(fid._bloch(st.amplitudes[None]), g)[0]
     assert len(grad) == 6
     for i in range(6):
@@ -590,7 +590,7 @@ def test_gauge_direction_has_zero_variance(name):
     d = np.concatenate([x[:1], -x[1:]])
     states = sample_states(bell_frame(p.h), n=64, seed=7)
     e = fid._bloch(np.array([st.amplitudes for st in states]))
-    g, _ = fid._generators_at(p, bell_frame(p.h), np.vstack([d, np.eye(6)]))
+    g, _ = fid._generators(p, np.vstack([d, np.eye(6)]))
     var = fid._variance(e, g)
     assert np.abs(var[:, 0]).max() <= 1e-26 * float(d @ d) * max(1.0, np.abs(x).max()) ** 2
     assert var[:, 1:].max() > 0.5
@@ -617,18 +617,35 @@ def test_sweep_shares_per_card_work(monkeypatch, n):
         assert np.isfinite(result.f2_exact).all()
 
 
+def test_repeated_and_signed_zero_steps_give_equal_columns():
+    # every grid entry is its own column; a repeated step, and 0.0 against
+    # -0.0 on controls that hold -0.0 (the displaced entry is -0.0 + 0.0 =
+    # 0.0 against -0.0 + -0.0 = -0.0), give the same column bit for bit
+    card = solve_physical(prescription_targets(GateId("S_phi_q2", phi=0.4)))
+    card = replace(card, solved=replace(card.solved, J=(-0.0, 0.0, 1.0), B1=-0.0))
+    assert math.copysign(1.0, card.solved.J[0]) == -1.0
+    states = sample_states(bell_frame(card.solved.h), n=8, seed=7)
+    grid = [0.0, -0.0, 1e-2, 0.0, 1e-2, -0.0]
+    result = sensitivity_sweep(card, states, grid)
+    for name in ("f2_exact", "f2_second_order", "cubic_residual"):
+        a = getattr(result, name)
+        assert a.shape == (8, 6, len(grid))
+        for same in ([0, 1, 3, 5], [2, 4]):
+            for j in same[1:]:
+                assert a[..., j].tobytes() == a[..., same[0]].tobytes(), (name, j)
+
+
 def test_block_derivatives_rows_match_one_direction():
     # the kernel's rows are independent of each other: every row equals the
     # one-direction call bit for bit, for unit axes and drawn directions
     rng = np.random.default_rng(74)
     for _ in range(20):
         p = random_params(rng)
-        frame = bell_frame(p.h)
         dirs = np.vstack([np.eye(6), rng.normal(size=(5, 6)), np.zeros((1, 6))])
-        g, c = fid._generators_at(p, frame, dirs)
+        g, c = fid._generators(p, dirs)
         assert g.shape == (12, 2, 4) and c.shape == (2, 4)
         for row, d in zip(g, dirs):
-            one, c1 = fid._generators_at(p, frame, d[None])
+            one, c1 = fid._generators(p, d[None])
             assert np.array_equal(row, one[0]) and np.array_equal(c, c1)
 
 
@@ -642,7 +659,7 @@ def test_block_derivatives_report_the_first_overflowing_row():
     dirs[3, 4:6] = (1e308, 1e308)
     for rows, index in (([0, 1, 2, 3], 2), ([1, 3], 4)):
         with pytest.raises(NonFiniteDerivative) as info:
-            fid._generators_at(BASE, FRAME, dirs[rows])
+            fid._generators(BASE, dirs[rows])
         assert info.value.index == index
 
 

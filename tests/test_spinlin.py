@@ -109,6 +109,24 @@ def test_expm_hermitian_rejects_non_finite_entries(value, entry):
     assert not np.isfinite(info.value.asymmetry)
 
 
+@pytest.mark.parametrize("scale", [1e308, -1e308, np.inf, np.nan])
+def test_expm_hermitian_rejects_an_overflowing_phase(scale):
+    # the phase scale * w of eigenvalue 3 overflows; exp would turn it into a
+    # NaN matrix and two RuntimeWarnings, so it raises before exp instead
+    hm = np.diag([3.0, -1.0, -1.0, -1.0])
+    with pytest.raises(NonUnitaryError) as info:
+        expm_hermitian(hm, scale)
+    assert info.value.defect == np.inf
+
+
+def test_expm_hermitian_takes_the_largest_finite_phase():
+    # a phase that stays finite is no error however large, and a zero
+    # matrix has zero phase at any finite scale
+    u = expm_hermitian(np.diag([1.0, -1.0, 0.5, 0.0]), 1.5e308)
+    assert np.isfinite(u).all() and dist_unitary(u) < UNITARY_TOL
+    assert np.array_equal(expm_hermitian(np.zeros((4, 4)), 1e308), np.eye(4))
+
+
 def test_dist_unitary_zero_for_unitary():
     assert dist_unitary(np.eye(4)) < 1e-15
     assert dist_unitary(np.kron(SIGMA_1, SIGMA_2)) < 1e-15
@@ -135,6 +153,19 @@ def test_dist_phase_invariant_separates_distinct_gates():
 def test_dist_phase_invariant_rejects_nonunitary():
     with pytest.raises(NonUnitaryError):
         dist_phase_invariant(np.eye(4) * 1.5, np.eye(4))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+@pytest.mark.parametrize("first", [True, False], ids=["first", "second"])
+def test_dist_phase_invariant_rejects_non_finite_entries(value, first):
+    # a NaN defect compares False against any tolerance, and max() drops a
+    # NaN in second place; neither may pass as unitary or leak a RuntimeWarning
+    bad = np.eye(4, dtype=complex)
+    bad[1, 2] = value
+    args = (bad, np.eye(4)) if first else (np.eye(4), bad)
+    with pytest.raises(NonUnitaryError) as info:
+        dist_phase_invariant(*args)
+    assert not np.isfinite(info.value.defect)
 
 
 def _near_pair(seed, eps):
