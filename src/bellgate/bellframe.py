@@ -32,7 +32,7 @@ import numpy as np
 
 from .checks import DEGENERATE_TOL, UNIT_CIRCLE_TOL, strict_int
 from .model import GENERATORS, PhysicalParams
-from .spinlin import pauli
+from .spinlin import _frozen, pauli
 
 __all__ = [
     "LABELS",
@@ -81,7 +81,11 @@ class BellFrame:
     b00.  change_of_basis has the ordered Bell states as columns.  The
     per-block signs satisfy alpha = (-1)^(h+j+1),
     beta = (-1)^(j(h+l-k+1)) and q = beta (-1)^(h+1), with (k, l) the
-    1-based row positions of the block.
+    1-based row positions of the block.  adjoint is change_of_basis^dag,
+    so a matrix m reads in the frame as adjoint @ m @ change_of_basis;
+    order_index is the np.ix_ index that reorders a matrix in canonical
+    Bell order (b00, b01, b10, b11) into frame order.  All arrays are
+    read-only.
     """
 
     h: int
@@ -90,6 +94,8 @@ class BellFrame:
     alpha: tuple[int, int]
     beta: tuple[int, int]
     q: tuple[int, int]
+    adjoint: np.ndarray
+    order_index: tuple[np.ndarray, np.ndarray]
 
     def to_doc(self) -> dict:
         return {
@@ -112,8 +118,7 @@ class ReducedBlockParams:
 
 def _make_frame(h: int) -> BellFrame:
     order = _FRAME_ORDER[h]
-    cob = bell_change_of_basis()[:, order]
-    cob.flags.writeable = False
+    cob = _frozen(bell_change_of_basis()[:, order])
     pairing = (
         (LABELS[order[0]], LABELS[order[1]]),
         (LABELS[order[2]], LABELS[order[3]]),
@@ -129,6 +134,10 @@ def _make_frame(h: int) -> BellFrame:
         alpha=alpha,
         beta=beta,
         q=q,
+        # a transposed view, not a contiguous copy: products with it must
+        # round exactly as products with change_of_basis.conj().T
+        adjoint=_frozen(cob.conj().T),
+        order_index=tuple(_frozen(a) for a in np.ix_(order, order)),
     )
 
 
@@ -173,8 +182,7 @@ def to_blocks(u: np.ndarray, frame: BellFrame) -> tuple[np.ndarray, np.ndarray, 
     own axis it is zero up to rounding, for a mismatched axis it is
     macroscopic.
     """
-    c = frame.change_of_basis
-    m = c.conj().T @ np.asarray(u, dtype=np.complex128) @ c
+    m = frame.adjoint @ np.asarray(u, dtype=np.complex128) @ frame.change_of_basis
     off = float(np.sqrt(np.linalg.norm(m[0:2, 2:4]) ** 2 + np.linalg.norm(m[2:4, 0:2]) ** 2))
     return m[0:2, 0:2].copy(), m[2:4, 2:4].copy(), off
 
@@ -241,7 +249,11 @@ def closed_form_block(rp: ReducedBlockParams, frame: BellFrame) -> np.ndarray:
     norm2 = rp.b * rp.b + rp.j * rp.j
     if abs(norm2 - 1.0) > UNIT_CIRCLE_TOL:
         raise ValueError(f"(b, j) must lie on the unit circle, got b^2 + j^2 = {norm2!r}")
-    n = block_axis(rp.b, rp.j, frame, rp.block)
-    ns = n[0] * pauli(1) + n[1] * pauli(2) + n[2] * pauli(3)
-    u = np.cos(rp.delta_minus) * np.eye(2) - 1j * np.sin(rp.delta_minus) * ns
+    nx, ny, nz = block_axis(rp.b, rp.j, frame, rp.block)
+    c, s = float(np.cos(rp.delta_minus)), float(np.sin(rp.delta_minus))
+    # cos(dminus) 1 - i sin(dminus) (nx sigma_x + ny sigma_y + nz sigma_z), entry by entry
+    u = np.array(
+        [[complex(c, -s * nz), complex(-s * ny, -s * nx)],
+         [complex(s * ny, -s * nx), complex(c, s * nz)]]
+    )
     return np.exp(1j * rp.delta_plus) * u

@@ -59,11 +59,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bellframe import BLOCK_COEFFS, bell_frame, block_axis, frame_permutation, reduced_params
+from .bellframe import BLOCK_COEFFS, bell_frame, block_axis, reduced_params
 from .checks import (
     ACCEPT_TOL,
     INVISIBLE_AXIS_TOL,
@@ -75,7 +76,7 @@ from .checks import (
     strict_int,
     strict_reals,
 )
-from .errors import SolverFailure
+from .errors import NonUnitaryError, SolverFailure
 from .gates import GateId, d_gate
 from .jsonio import fields
 from .model import PhysicalParams, evolve
@@ -347,13 +348,18 @@ def _check_feasible(tg: PrescriptionTargets) -> None:
 
 
 def _frame_target(tg: PrescriptionTargets) -> np.ndarray:
-    w = d_gate(tg.gate)
-    perm = frame_permutation(bell_frame(tg.h))
-    return w[np.ix_(perm, perm)]
+    return d_gate(tg.gate)[bell_frame(tg.h).order_index]
 
 
 def _circ(x: float) -> float:
-    """Absolute distance of an angle from 0 on the circle."""
+    """Absolute distance of an angle from 0 on the circle.
+
+    An angle that overflowed to inf (or NaN) is a reduced phase of an
+    evolution whose phases overflow, which has no propagator: it raises
+    NonUnitaryError with an infinite defect, as expm_hermitian does.
+    """
+    if not math.isfinite(x):
+        raise NonUnitaryError(math.inf)
     return abs(math.remainder(x, TWO_PI))
 
 
@@ -386,8 +392,7 @@ def _evaluate(
             abs(rp1.b - r * frame.q[0] * frame.beta[0] * rp1.j),
             abs(rp2.b - r * frame.q[1] * frame.beta[1] * rp2.j),
         ]
-    c = frame.change_of_basis
-    mat = c.conj().T @ evolve(p) @ c
+    mat = frame.adjoint @ evolve(p) @ frame.change_of_basis
     err = dist_phase_invariant(mat, _frame_target(tg))
     return tuple(float(v) for v in res), branch, float(err), abs(d_pos - d_neg)
 
@@ -513,12 +518,13 @@ def _fill_invisible(
     return axes
 
 
-def _candidates(tg: PrescriptionTargets) -> list[PhysicalParams]:
+def _candidates(tg: PrescriptionTargets) -> Iterator[PhysicalParams]:
     """Every finite inversion choice as canonical controls, shortest first.
 
     Ties in duration keep enumeration order: phase sign +1 before -1,
     then block 1's axis choices, then block 2's, each in the order of
-    _axis_choices.
+    _axis_choices.  The choices are scored and sorted up front; each
+    one becomes PhysicalParams only when the caller asks for it.
     """
     h = tg.h
     tr = _TRANSVERSAL[h]
@@ -536,11 +542,9 @@ def _candidates(tg: PrescriptionTargets) -> list[PhysicalParams]:
         x = _INVERSE[h] @ np.array(y)
         scored.append((float(np.abs(x).max()), len(scored), x))
     scored.sort(key=lambda item: item[:2])
-    out = []
     for lam, _, x in scored:
         x = x / lam if lam else x
-        out.append(PhysicalParams(t=lam, J=(x[0], x[1], x[2]), B1=x[3], B2=x[4], h=h))
-    return out
+        yield PhysicalParams(t=lam, J=(x[0], x[1], x[2]), B1=x[3], B2=x[4], h=h)
 
 
 def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
@@ -551,16 +555,19 @@ def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
     keeps the published prescriptions recognizable in the emitted cards.
     Any other target set is inverted exactly (see the module docstring)
     and the shortest accepted candidate is returned, ties in enumeration
-    order.  A candidate is accepted when its realized gate error and
-    every residual are at most ACCEPT_TOL.  If none is accepted,
-    SolverFailure carries the smallest worst residual seen.
+    order; candidates after it are never built.  A candidate is accepted
+    when its realized gate error and every residual are at most
+    ACCEPT_TOL.  If none is accepted, SolverFailure carries the smallest
+    worst residual seen and the number of candidates, all of them tried.
     """
     _check_feasible(tg)
 
     closed = _closed_form(tg)
     attempts = [closed] if closed is not None else _candidates(tg)
     best_worst = math.inf
+    tried = 0
     for p in attempts:
+        tried += 1
         res, branch, err, _ = _evaluate(tg, p)
         if err <= ACCEPT_TOL and max(res) <= ACCEPT_TOL:
             return PrescriptionCard(
@@ -569,7 +576,7 @@ def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
         best_worst = min(best_worst, max(max(res), err))
     raise SolverFailure(
         best_worst,
-        f"no acceptable controls for {tg.gate.tag}: {len(attempts)} candidates missed; "
+        f"no acceptable controls for {tg.gate.tag}: {tried} candidates missed; "
         f"the closest has worst residual {best_worst:.3e} against ACCEPT_TOL {ACCEPT_TOL:.0e}",
     )
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from .checks import strict_float, strict_int
 from .jsonio import complex_entry, fields
+from .spinlin import _frozen
 
 __all__ = [
     "D_TAGS",
@@ -53,16 +54,12 @@ B_TAGS = ("B_S8", "B_S4", "B_H", "B_CNOT12", "B_CNOT21")
 _PHASE_TAGS = ("S_phi_q2", "S_phi_q1")
 
 
-def _frozen(m: np.ndarray) -> np.ndarray:
-    m.flags.writeable = False
-    return m
-
-
 def _phase2(phi: float) -> np.ndarray:
-    return np.diag([np.exp(-1j * phi), np.exp(1j * phi)])
+    return _frozen(np.diag([np.exp(-1j * phi), np.exp(1j * phi)]))
 
 
 _I2 = _frozen(np.eye(2, dtype=np.complex128))
+_I4 = _frozen(np.eye(4, dtype=np.complex128))
 _H2 = _frozen(np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0))
 _CX_FIRST = _frozen(
     np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128)
@@ -245,11 +242,14 @@ def embedded_matrix(g, basis: str) -> np.ndarray:
 
 
 def matrix_of(c: Circuit) -> np.ndarray:
-    """Product matrix of a circuit, leftmost gate applied first.  Empty -> 1."""
-    out = np.eye(4, dtype=np.complex128)
+    """Product matrix of a circuit, leftmost gate applied first.  Empty -> 1.
+
+    Always a fresh, writable array, also for an empty circuit.
+    """
+    out = _I4
     for g in c.gates:
         out = embedded_matrix(g, c.basis) @ out
-    return out
+    return out if c.gates else _I4.copy()
 
 
 #: the conjugates T g T that are library gates (T g T = g for each); the test suite

@@ -90,9 +90,13 @@ def assemble_hamiltonian(J, B1, B2, h: int) -> np.ndarray:
     through PhysicalParams.
     """
     gens = GENERATORS[strict_int("field axis h", h, GENERATORS)]
-    # the terms are added in generator order, starting from an exact zero,
-    # so an entry that every term leaves at zero comes out +0.0
-    return sum(np.array((J[0], J[1], J[2], B1, B2), dtype=float)[:, None, None] * gens)
+    # the five terms are added one after another in generator order, starting
+    # from an exact zero, so an entry that every term leaves at zero comes out
+    # +0.0.  A sum that overflows is left as inf or NaN, without a warning:
+    # expm_hermitian rejects it as non-Hermitian.
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.array((J[0], J[1], J[2], B1, B2), dtype=float)[:, None, None] * gens
+        return np.add.reduce(terms, axis=0, initial=0.0)
 
 
 def build_hamiltonian(p: PhysicalParams) -> np.ndarray:

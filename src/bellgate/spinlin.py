@@ -23,9 +23,15 @@ __all__ = [
     "dist_phase_invariant",
 ]
 
-_SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-_SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
+
+def _frozen(m: np.ndarray) -> np.ndarray:
+    m.flags.writeable = False
+    return m
+
+
+_SX = _frozen(np.array([[0, 1], [1, 0]], dtype=np.complex128))
+_SY = _frozen(np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
+_SZ = _frozen(np.array([[1, 0], [0, -1]], dtype=np.complex128))
 _PAULI = {1: _SX, 2: _SY, 3: _SZ}
 
 
@@ -80,9 +86,9 @@ def dist_phase_invariant(a: np.ndarray, b: np.ndarray) -> float:
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     with np.errstate(invalid="ignore", over="ignore"):
+        da, db = dist_unitary(a), dist_unitary(b)
+    if not (da <= UNITARITY_TOL and db <= UNITARITY_TOL):
         # np.maximum keeps a NaN defect, where max() would drop it in second place
-        defect = float(np.maximum(dist_unitary(a), dist_unitary(b)))
-    if not defect <= UNITARITY_TOL:
-        raise NonUnitaryError(defect)
+        raise NonUnitaryError(float(np.maximum(da, db)))
     d = cmath.exp(1j * cmath.phase(np.vdot(a, b))) * a - b
     return float(np.vdot(d, d).real) / (2 * a.shape[0])

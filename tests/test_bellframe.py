@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellgate import (
     LABELS,
     PhysicalParams,
+    ReducedBlockParams,
     bell_change_of_basis,
     bell_frame,
     bell_state,
@@ -28,7 +30,9 @@ from bellgate import (
     to_blocks,
 )
 
-from conftest import edge_params, random_params
+from bellgate.bellframe import block_axis
+
+from conftest import edge_params, random_params, random_unitary
 
 STRUCTURAL_TOL = 1e-10
 MISMATCH_FLOOR = 1e-3
@@ -134,6 +138,20 @@ def test_sign_tables(h):
     assert fr.alpha == alpha
     assert fr.beta == beta
     assert fr.q == q
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_frame_adjoint_and_order_index(h):
+    # both are built once per frame and shared by every caller
+    fr = bell_frame(h)
+    c = fr.change_of_basis
+    assert fr.adjoint.tobytes() == c.conj().T.tobytes()
+    assert fr.adjoint.strides == c.conj().T.strides
+    w = np.arange(16.0).reshape(4, 4)
+    perm = PERMUTATIONS[h]
+    assert np.array_equal(w[fr.order_index], w[np.ix_(perm, perm)])
+    assert not fr.adjoint.flags.writeable
+    assert not any(a.flags.writeable for a in fr.order_index)
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
@@ -335,3 +353,87 @@ def test_closed_form_matches_expm_oracle(case):
         assert (rp1, rp2)[degenerate - 1].delta_minus == 0.0
     assert np.max(np.abs(closed_form_block(rp1, fr) - b1)) < ROUND_TRIP_TOL
     assert np.max(np.abs(closed_form_block(rp2, fr) - b2)) < ROUND_TRIP_TOL
+
+
+# Oracles for the per-call formulas that closed_form_block and to_blocks
+# replaced: Pauli copies and an identity summed by numpy, and the
+# adjoint recomputed on every call.
+
+
+def _closed_form_oracle(rp, frame):
+    n = block_axis(rp.b, rp.j, frame, rp.block)
+    ns = n[0] * pauli(1) + n[1] * pauli(2) + n[2] * pauli(3)
+    u = np.cos(rp.delta_minus) * np.eye(2) - 1j * np.sin(rp.delta_minus) * ns
+    return np.exp(1j * rp.delta_plus) * u
+
+
+def _to_blocks_oracle(u, frame):
+    c = frame.change_of_basis
+    m = c.conj().T @ np.asarray(u, dtype=np.complex128) @ c
+    off = float(np.sqrt(np.linalg.norm(m[0:2, 2:4]) ** 2 + np.linalg.norm(m[2:4, 0:2]) ** 2))
+    return m[0:2, 0:2].copy(), m[2:4, 2:4].copy(), off
+
+
+#: evolution times scaled by up to six decades, on top of edge_params' six decades of couplings
+TIME_SCALES = st.sampled_from([1.0, 1e3, 1e6])
+
+
+def _scaled(p, scale):
+    return PhysicalParams(t=p.t * scale, J=p.J, B1=p.B1, B2=p.B2, h=p.h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_params(), TIME_SCALES)
+def test_closed_form_block_matches_its_oracle(case, scale):
+    # degenerate blocks, t = 0 and large phases; equal values, a zero's sign may differ
+    p = _scaled(case[0], scale)
+    fr = bell_frame(p.h)
+    for rp in reduced_params(p, fr):
+        assert np.array_equal(closed_form_block(rp, fr), _closed_form_oracle(rp, fr))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(1, 2),
+    st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]), st.floats(0.0, 2.0)),
+    st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+    st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+)
+def test_closed_form_block_matches_its_oracle_on_any_weights(h, block, turn, dplus, dminus):
+    # (b, j) anywhere on the unit circle, the axes (turn a multiple of 1/2) included
+    th = turn * math.pi
+    rp = ReducedBlockParams(
+        block=block, delta_plus=dplus, delta_minus=dminus, b=math.cos(th), j=math.sin(th)
+    )
+    fr = bell_frame(h)
+    assert np.array_equal(closed_form_block(rp, fr), _closed_form_oracle(rp, fr))
+
+
+def _same_split(got, want):
+    # bit for bit, the sign of a zero included: blocks prints every entry
+    return (
+        got[0].tobytes() == want[0].tobytes()
+        and got[1].tobytes() == want[1].tobytes()
+        and got[2] == want[2]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_params(), TIME_SCALES, st.integers(1, 3))
+def test_to_blocks_matches_its_oracle(case, scale, other_h):
+    # the frame's own axis (off-block norm at rounding level) and any other axis
+    p = _scaled(case[0], scale)
+    u = evolve(p)
+    for h in (p.h, other_h):
+        fr = bell_frame(h)
+        assert _same_split(to_blocks(u, fr), _to_blocks_oracle(u, fr))
+
+
+def test_to_blocks_matches_its_oracle_on_any_unitary():
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        u = random_unitary(rng)
+        for h in (1, 2, 3):
+            fr = bell_frame(h)
+            assert _same_split(to_blocks(u, fr), _to_blocks_oracle(u, fr))

@@ -6,15 +6,19 @@ through the closed-form path.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellgate import (
     ACCEPT_TOL,
     GateId,
+    PhysicalParams,
     PrescriptionCard,
     SolverFailure,
     bell_frame,
@@ -28,7 +32,8 @@ from bellgate import (
     solve_physical,
 )
 from bellgate.bellframe import BLOCK_COEFFS
-from bellgate.calib import _INVERSE, _TRANSVERSAL
+from bellgate import calib
+from bellgate.calib import _INVERSE, _TRANSVERSAL, SOLVABLE_TAGS
 from bellgate.checks import RECOMPUTE_TOL
 from bellgate.jsonio import dumps
 from conftest import parsed
@@ -473,3 +478,89 @@ def test_emit_card_schema():
     assert set(doc["solved"]) == {"t", "J", "B1", "B2"}
     assert len(doc["residuals"]) == len(card.residuals)
     assert doc["phase_branch"] in (-1, 1)
+
+
+def _candidates_oracle(tg):
+    # the eager list _candidates built before it yielded: every choice scored,
+    # sorted by (duration, enumeration index), each made PhysicalParams at once
+    h = tg.h
+    tr = _TRANSVERSAL[h]
+    w = calib._frame_target(tg)
+    rot = (tg.delta_minus_1, tg.delta_minus_2)
+    axes = calib._fill_invisible(
+        [calib._axis_choices(tg, k, w[2 * k - 2 : 2 * k, 2 * k - 2 : 2 * k]) for k in (1, 2)],
+        rot,
+        tr,
+    )
+    r = math.remainder(tg.delta_plus_1, TWO_PI)
+    scored = []
+    for s, n1, n2 in itertools.product((1.0, -1.0), axes[0], axes[1]):
+        y = [-s * r, rot[0] * n1[tr - 1], rot[0] * n1[2], rot[1] * n2[tr - 1], rot[1] * n2[2]]
+        x = _INVERSE[h] @ np.array(y)
+        scored.append((float(np.abs(x).max()), len(scored), x))
+    scored.sort(key=lambda item: item[:2])
+    out = []
+    for lam, _, x in scored:
+        x = x / lam if lam else x
+        out.append(PhysicalParams(t=lam, J=(x[0], x[1], x[2]), B1=x[3], B2=x[4], h=h))
+    return out
+
+
+@st.composite
+def _unpublished_targets(draw):
+    """A published row with its drift phase, one rotation or its pinned j moved off it."""
+    tag = draw(st.sampled_from(SOLVABLE_TAGS))
+    if tag.startswith("S_phi"):
+        g = GateId(tag, phi=draw(st.floats(-7.0, 7.0)))
+        route = draw(st.sampled_from(["printed", "alternate"])) if tag == "S_phi_q1" else "printed"
+        tg = prescription_targets(g, route=route)
+    else:
+        m, m_prime = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+        tg = prescription_targets(GateId(tag), m=m, m_prime=m_prime)
+    shift = draw(st.one_of(st.sampled_from([PI, 5 * PI / 4, -PI / 2, 0.0]), st.floats(-7.0, 7.0)))
+    tg = dataclasses.replace(tg, delta_plus_1=shift)
+    edit = draw(st.sampled_from(["none", "rotation", "free_j"]))
+    if edit == "rotation":
+        tg = dataclasses.replace(tg, delta_minus_1=draw(st.floats(0.0, 7.0)))
+    elif edit == "free_j":
+        tg = dataclasses.replace(tg, j_targets=None)
+    return tg
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unpublished_targets())
+def test_solver_tries_candidates_shortest_first_and_stops_at_the_first_accepted(tg):
+    if calib._closed_form(tg) is not None:
+        return
+    oracle = _candidates_oracle(tg)
+    built, tried = [], []
+    evaluate, params = calib._evaluate, calib.PhysicalParams
+
+    def counting_params(**kwargs):
+        built.append(params(**kwargs))
+        return built[-1]
+
+    def recording_evaluate(tg, p):
+        tried.append(p)
+        return evaluate(tg, p)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(calib, "PhysicalParams", counting_params)
+        # a candidate is built only when the caller asks for the next one
+        for k, p in enumerate(calib._candidates(tg), start=1):
+            assert len(built) == k
+        assert built == oracle
+        m.setattr(calib, "_evaluate", recording_evaluate)
+        try:
+            card = solve_physical(tg)
+        except SolverFailure as exc:
+            card, message = None, str(exc)
+    assert tried == oracle[: len(tried)]
+    if card is None:
+        assert len(tried) == len(oracle)
+        assert f": {len(oracle)} candidates missed;" in message
+    else:
+        assert card.solved == tried[-1]
+        for p in tried[:-1]:
+            res, _, err, _ = evaluate(tg, p)
+            assert max(max(res), err) > ACCEPT_TOL

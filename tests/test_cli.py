@@ -457,6 +457,58 @@ def test_card_with_an_overflowing_evolution_maps_to_exit_3(capsys, tmp_path, car
     assert (code, out, err) == (3, "", OVERFLOW_ERR)
 
 
+def test_family_card_with_an_overflowing_phase_maps_to_exit_3(capsys, tmp_path):
+    # the card's reduced phases overflow before its propagator is built; the
+    # same one JSON line as an overflowing evolution, not an input error
+    out_file = tmp_path / "family.json"
+    code = cli.main(
+        ["synth", "CNOT_21", "--family", "--m", "8", "--field-scale", "10", "--out", str(out_file)]
+    )
+    capsys.readouterr()
+    assert code == 0
+    doc = json.loads(out_file.read_text())["family"][0]
+    del doc["b_abs"]
+    doc["solved"]["t"] = 1e308
+    f = tmp_path / "card.json"
+    f.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "fidelity-sweep", str(f), "--states", "2")
+    assert (code, out, err) == (3, "", OVERFLOW_ERR)
+
+
+OVERFLOWING_SUM = '{"t": 1.0, "J": [1.7e308, 1.7e308, 0.0], "B1": 0.0, "B2": 0.0, "h": 1}'
+NON_HERMITIAN_ERR = (
+    '{"error":{"type":"numerical","message":"matrix is not Hermitian: max |m - m^dag| = nan"}}\n'
+)
+
+
+@pytest.mark.parametrize("argv", [("evolve",), ("evolve", "--format", "csv"), ("blocks",)])
+def test_overflowing_hamiltonian_maps_to_exit_3(capsys, tmp_path, argv):
+    # J1 + J2 overflows while the Hamiltonian is assembled
+    f = tmp_path / "params.json"
+    f.write_text(OVERFLOWING_SUM)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv[0], str(f), *argv[1:])
+    assert (code, out, err) == (3, "", NON_HERMITIAN_ERR)
+
+
+def test_overflowing_hamiltonian_writes_one_stderr_line(tmp_path):
+    # a fresh process with numpy's default warning filters: no RuntimeWarning
+    # goes to stderr before the JSON error line
+    f = tmp_path / "params.json"
+    f.write_text(OVERFLOWING_SUM)
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_ENTRY, "evolve", str(f)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", NON_HERMITIAN_ERR)
+
+
 @pytest.mark.parametrize(
     "command, text",
     [

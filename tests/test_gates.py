@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bellgate import (
     B_TAGS,
+    D_TAGS,
     Circuit,
     GateId,
     OpaqueGate,
@@ -451,3 +452,56 @@ def test_circuit_from_json_opaque_matrix_is_read_only():
     back = Circuit.from_doc(_opaque_doc(np.eye(4)))
     assert not back.gates[0].matrix.flags.writeable
 
+
+
+def _matrix_of_oracle(c):
+    # the per-call product matrix_of replaced: a fresh identity, every gate through embedded_matrix
+    out = np.eye(4, dtype=np.complex128)
+    for g in c.gates:
+        out = embedded_matrix(g, c.basis) @ out
+    return out
+
+
+_COMPUTATIONAL_GATES = st.sampled_from(
+    [GateId(tag, qubit=q) for tag in ("B_S8", "B_S4", "B_H") for q in (1, 2)]
+    + [GateId("B_CNOT12"), GateId("B_CNOT21")]
+)
+_BELL_GATES = st.one_of(
+    st.sampled_from([GateId(tag) for tag in D_TAGS if not tag.startswith("S_phi")]),
+    st.builds(
+        GateId,
+        st.sampled_from(["S_phi_q1", "S_phi_q2"]),
+        phi=st.one_of(st.just(0.0), st.floats(-1e6, 1e6)),
+    ),
+    st.builds(
+        lambda seed: OpaqueGate(random_unitary(np.random.default_rng(seed))), st.integers(0, 99)
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_COMPUTATIONAL_GATES, max_size=12), st.lists(_BELL_GATES, max_size=12))
+def test_matrix_of_matches_its_oracle(comp, bell):
+    # bit for bit, the sign of a zero included, in both bases and on compiled circuits
+    c = Circuit(gates=tuple(comp), basis="computational")
+    for circuit in (c, compile_circuit(c), Circuit(gates=tuple(bell), basis="bell")):
+        got = matrix_of(circuit)
+        assert got.tobytes() == _matrix_of_oracle(circuit).tobytes()
+        assert got.flags.writeable
+
+
+@pytest.mark.parametrize("basis", ["computational", "bell"])
+def test_matrix_of_empty_circuit_is_a_fresh_identity(basis):
+    c = Circuit(gates=(), basis=basis)
+    first = matrix_of(c)
+    assert first.tobytes() == _matrix_of_oracle(c).tobytes()
+    first[0, 0] = 7.0
+    second = matrix_of(c)
+    assert second is not first
+    assert second.tobytes() == np.eye(4, dtype=np.complex128).tobytes()
+
+
+def test_matrix_of_rejects_a_one_level_gate_without_qubit():
+    c = Circuit(gates=(GateId("B_CNOT12"), GateId("B_H")), basis="computational")
+    with pytest.raises(ValueError, match="needs a qubit annotation"):
+        matrix_of(c)

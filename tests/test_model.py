@@ -2,12 +2,16 @@
 
 import json
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellgate import PhysicalParams, assemble_hamiltonian, build_hamiltonian, evolve
-from bellgate.model import admissible
+from bellgate.model import GENERATORS, admissible
 
 from conftest import parsed, random_params
 
@@ -151,3 +155,31 @@ def test_params_json_round_trip():
 def test_params_from_json_rejects_malformed(text):
     with pytest.raises((ValueError, TypeError)):
         PhysicalParams.from_doc(parsed(text))
+
+
+#: couplings with signed zeros, and magnitudes from 1e-300 to 1e300
+COUPLINGS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-1e300, 1e300, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(COUPLINGS, min_size=5, max_size=5), st.integers(1, 3))
+def test_assemble_hamiltonian_matches_a_sum_from_zero(c, h):
+    # the oracle is the sum it replaced: Python's sum over the five terms,
+    # starting from the integer zero; bit for bit, the sign of a zero included
+    want = sum(np.array(c, dtype=float)[:, None, None] * GENERATORS[h])
+    got = assemble_hamiltonian(c[:3], c[3], c[4], h)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "c",
+    [(1.7e308, 1.7e308, 0.0, 0.0, 0.0), (1e308, -1e308, 0.0, 0.0, 0.0), (np.inf, 0.0, 0.0, 0.0, 0.0)],
+)
+def test_overflowing_hamiltonian_warns_nothing(c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hm = assemble_hamiltonian(c[:3], c[3], c[4], 1)
+    assert not np.isfinite(hm).all()
