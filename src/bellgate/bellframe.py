@@ -12,8 +12,10 @@ conventions, into a BellFrame.
 Each block restriction of H is c0*1 + c . sigma, linear in the
 couplings (J1, J2, J3, B1, B2).  BLOCK_COEFFS[h] holds that map as a
 2x4x5 matrix (block, (c0, cx, cy, cz), coupling), projected once from
-the model's generator table; every entry is 0 or +-1.  Each block
-propagator has the closed form
+the model's generator table; every entry is 0 or +-1.  The block
+kernel _block_coefficients, shared with the fidelity sweep, applies it
+and returns |c| too; a block is degenerate exactly where |c| = 0.  Each
+block propagator has the closed form
 
     s = exp(i dplus) (cos(dminus) 1 - i sin(dminus) n . sigma)
 
@@ -26,11 +28,12 @@ q are fixed per block from the frame's row positions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import DEGENERATE_TOL, UNIT_CIRCLE_TOL, strict_int
+from .checks import UNIT_CIRCLE_TOL, strict_int
 from .model import GENERATORS, PhysicalParams
 from .spinlin import _frozen, pauli
 
@@ -50,9 +53,10 @@ __all__ = [
 
 LABELS = ("b00", "b01", "b10", "b11")
 
-# exact sin(h pi/2), cos(h pi/2) for integer h; avoids sin(pi) != 0 noise
-_SIN_H = {1: 1.0, 2: 0.0, 3: -1.0}
-_COS_H = {1: 0.0, 2: -1.0, 3: 0.0}
+# the transversal direction (sin(h pi/2), cos(h pi/2)) of each axis is (1, 0),
+# (0, -1) or (-1, 0): the index of its coefficient in (c0, cx, cy, cz), and its sign
+_TRANSVERSAL = {1: 1, 2: 2, 3: 1}
+_TRANSVERSAL_SIGN = {1: 1.0, 2: -1.0, 3: -1.0}
 
 # canonical label index at each frame position; block 1 holds b00
 _FRAME_ORDER = {1: (0, 1, 2, 3), 2: (0, 3, 1, 2), 3: (0, 2, 1, 3)}
@@ -146,7 +150,7 @@ BLOCK_BASIS = np.stack([np.eye(2), pauli(1), pauli(2), pauli(3)])
 BLOCK_BASIS.flags.writeable = False
 
 
-def _block_coefficients(frame: BellFrame) -> np.ndarray:
+def _projected_coefficients(frame: BellFrame) -> np.ndarray:
     # tr(s_a g) / 2 over s_a in BLOCK_BASIS for each 2x2 diagonal block g of
     # every generator in frame coordinates; rint removes the 1/sqrt(2)
     # rounding noise and + 0.0 turns its -0.0 into +0.0
@@ -161,7 +165,23 @@ def _block_coefficients(frame: BellFrame) -> np.ndarray:
 _FRAMES = {h: _make_frame(h) for h in _FRAME_ORDER}
 
 # (c0, cx, cy, cz) of each block as a linear map of (J1, J2, J3, B1, B2)
-BLOCK_COEFFS = {h: _block_coefficients(fr) for h, fr in _FRAMES.items()}
+BLOCK_COEFFS = {h: _projected_coefficients(fr) for h, fr in _FRAMES.items()}
+
+# BLOCK_COEFFS[h] as one (5, 8) map from (J1, J2, J3, B1, B2) to (c0, cx, cy, cz) of both blocks
+_COEFF_MAP = {h: c.reshape(8, 5).T for h, c in BLOCK_COEFFS.items()}
+
+
+def _block_coefficients(x: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c0, cx, cy, cz) of both blocks, shape (..., 2, 4), and |c|, shape (..., 2), of coupling rows x (..., 5).
+
+    The map is linear, so a displacement row gives the coefficients of
+    its displacement.  |c| is a nested hypot, finite wherever |c| is.  An
+    overflowing row comes out non-finite without a warning; the callers
+    report it as the error of its point.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (x @ _COEFF_MAP[h]).reshape(x.shape[:-1] + (2, 4))
+        return c, np.hypot(np.hypot(c[..., 1], c[..., 2]), c[..., 3])
 
 
 def bell_frame(h: int) -> BellFrame:
@@ -190,8 +210,8 @@ def to_blocks(u: np.ndarray, frame: BellFrame) -> tuple[np.ndarray, np.ndarray, 
 def reduced_params(p: PhysicalParams, frame: BellFrame) -> tuple[ReducedBlockParams, ReducedBlockParams]:
     """Closed-form parameters of both blocks for the given physical parameters.
 
-    The block restriction of H decomposes as c0*1 + c . sigma with real
-    coefficients read off BLOCK_COEFFS; then dplus = -c0*t (propagator sign convention),
+    The block restriction of H decomposes as c0*1 + c . sigma, read off
+    the block kernel; then dplus = -c0*t (propagator sign convention),
     dminus = |c|*t >= 0, and the unit vector n = c/|c| is split into the
     longitudinal weight j (along sigma_z, sign beta) and the transversal
     weight b (along the frame's h-dependent transversal direction, sign
@@ -199,32 +219,24 @@ def reduced_params(p: PhysicalParams, frame: BellFrame) -> tuple[ReducedBlockPar
     """
     if p.h != frame.h:
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
-    sh, ch = _SIN_H[frame.h], _COS_H[frame.h]
-    coeffs = BLOCK_COEFFS[frame.h] @ np.array((*p.J, p.B1, p.B2))
+    tr, sign = _TRANSVERSAL[frame.h], _TRANSVERSAL_SIGN[frame.h]
+    coeffs, norms = _block_coefficients(np.array((*p.J, p.B1, p.B2)), frame.h)
     out = []
-    for block, (c0, cx, cy, cz) in enumerate(coeffs.tolist(), start=1):
-        r = math.sqrt(cx * cx + cy * cy + cz * cz)
-        # largest entry of the block restriction, c0 + cz sigma_z + cx sigma_x + cy sigma_y
-        scale = max(1.0, abs(c0) + abs(cz), math.hypot(cx, cy))
-        beta = frame.beta[block - 1]
-        q = frame.q[block - 1]
-        if r < DEGENERATE_TOL * scale:
+    for block, (c, r) in enumerate(zip(coeffs.tolist(), norms.tolist()), start=1):
+        if r == 0.0:
             dminus, b, j = 0.0, 0.0, 1.0
         else:
-            n = (cx / r, cy / r, cz / r)
             dminus = r * p.t
+            nt, nz = c[tr] / r, c[3] / r
+            if r < sys.float_info.min:
+                # a subnormal |c| keeps too few digits to divide by; the axis has
+                # no third component, so its two weights renormalize it
+                s = math.hypot(nt, nz)
+                nt, nz = nt / s, nz / s
             # + 0.0, here and on delta_plus, turns a vanishing term's -0.0 into +0.0
-            j = beta * n[2] + 0.0
-            b = q * (n[0] * sh + n[1] * ch) + 0.0
-        out.append(
-            ReducedBlockParams(
-                block=block,
-                delta_plus=-c0 * p.t + 0.0,
-                delta_minus=dminus,
-                b=float(b),
-                j=float(j),
-            )
-        )
+            j = frame.beta[block - 1] * nz + 0.0
+            b = frame.q[block - 1] * sign * nt + 0.0
+        out.append(ReducedBlockParams(block, -c[0] * p.t + 0.0, dminus, b, j))
     return out[0], out[1]
 
 
@@ -234,9 +246,9 @@ def block_axis(b: float, j: float, frame: BellFrame, block: int) -> tuple[float,
     The inverse of the (b, j) read-out in reduced_params; a unit vector
     whenever b^2 + j^2 = 1.
     """
-    q = frame.q[block - 1]
-    sh, ch = _SIN_H[frame.h], _COS_H[frame.h]
-    return (q * b * sh, q * b * ch, frame.beta[block - 1] * j)
+    n = [0.0, 0.0, frame.beta[block - 1] * j]
+    n[_TRANSVERSAL[frame.h] - 1] = frame.q[block - 1] * _TRANSVERSAL_SIGN[frame.h] * b
+    return tuple(n)
 
 
 def closed_form_block(rp: ReducedBlockParams, frame: BellFrame) -> np.ndarray:

@@ -59,12 +59,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bellframe import BLOCK_COEFFS, bell_frame, block_axis, reduced_params
+from .bellframe import _TRANSVERSAL, BLOCK_COEFFS, bell_frame, block_axis, reduced_params
 from .checks import (
     ACCEPT_TOL,
     INVISIBLE_AXIS_TOL,
@@ -100,6 +101,9 @@ FAMILY_EXCHANGE = 1.0
 _CNOT_TAGS = ("CNOT_12", "CNOT_21")
 #: the library generators with a published row, in table order
 SOLVABLE_TAGS = ("S_phi_q2", "S_phi_q1", "H_q2", "H_q1") + _CNOT_TAGS
+
+#: largest m + m_prime of a CNOT row: its angles, up to 2 pi (m + m_prime) + pi / 2, stay finite
+_MAX_WINDINGS = sys.float_info.max / (2.0 * TWO_PI)
 
 #: transversal rotation angle of the Hadamard rows, |b| = |j| = 1/sqrt(2)
 _HADAMARD_WEIGHT = 1.0 / math.sqrt(2.0)
@@ -212,6 +216,8 @@ class PrescriptionCard:
             m=m,
             m_prime=m_prime,
         )
+        if tg.gate.tag not in _CNOT_TAGS and (tg.m, tg.m_prime) != (None, None):
+            raise ValueError(f"only CNOT cards carry windings; a {tg.gate.tag} card has null m and m_prime")
         p = PhysicalParams(t=t, J=strict_reals("J", J, 3), B1=B1, B2=B2, h=h)
         stored_res = strict_reals("residuals", res)
         stored_err = strict_float("realized_error", err)
@@ -310,8 +316,9 @@ def _published_row(
 
     m = strict_int("m", m)
     m_prime = strict_int("m_prime", m_prime)
-    if m < 1 or m_prime < 0:
-        raise ValueError(f"CNOT windings require m >= 1, m_prime >= 0, got {m}, {m_prime}")
+    if m < 1 or m_prime < 0 or m + m_prime > _MAX_WINDINGS:
+        limits = f"m >= 1, m_prime >= 0 and m + m_prime <= {_MAX_WINDINGS:.3g}"
+        raise ValueError(f"CNOT windings require {limits}, got {m}, {m_prime}")
     h = 1 if tag == "CNOT_12" else 3
     row = PrescriptionTargets(
         gate=g,
@@ -408,10 +415,6 @@ def _closed_form(tg: PrescriptionTargets) -> PhysicalParams | None:
         # a row _published_row refuses is not a published one
         return None
     return controls if tg == row else None
-
-
-#: index of the transversal coefficient in BLOCK_COEFFS[h]: c_x on axes 1 and 3, c_y on 2
-_TRANSVERSAL = {h: 1 if BLOCK_COEFFS[h][0, 1].any() else 2 for h in BLOCK_COEFFS}
 
 
 def _inverse(h: int) -> np.ndarray:

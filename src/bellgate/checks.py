@@ -8,6 +8,7 @@ The tolerances are constants of the contract, not settings: ACCEPT_TOL
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -19,8 +20,6 @@ UNITARITY_TOL = 1e-8
 ACCEPT_TOL = 1e-8
 #: block structure (criterion 1): largest off-block norm reported as within_structural_tol
 STRUCTURAL_TOL = 1e-10
-#: |c| below this multiple of a block's largest entry is rounding noise: the block is degenerate
-DEGENERATE_TOL = 1e-13
 #: slack on b^2 + j^2 = 1 for block weights, in closed_form_block and the feasibility check
 UNIT_CIRCLE_TOL = 1e-9
 #: slack on |weight| <= 1 for pinned j and b targets
@@ -54,9 +53,12 @@ def strict_int(name: str, value, allowed=None) -> int:
 
 
 def strict_float(name: str, value) -> float:
-    """float(value); ValueError for a bool, a string, any other non-number, or a non-finite value."""
+    """float(value); ValueError for a bool, a string, any other non-number, or a value no finite float holds."""
     # bool is an int subclass, and float() would also parse "1.5"; numpy ints and floats pass
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if real and isinstance(value, int):
+        # exact for any size; math.isfinite raises OverflowError past the float range
+        real = abs(value) <= sys.float_info.max
     if not (real and math.isfinite(value)):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return float(value)

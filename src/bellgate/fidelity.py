@@ -11,8 +11,9 @@ module computes that expansion, the exact overlap, and per-parameter
 sensitivity sweeps built on both.
 
 Everything is computed in Pauli coordinates of the two 2x2 blocks.  A
-block W = c0 + c . sigma has coefficients linear in the couplings
-(BLOCK_COEFFS), and its block map is a phase times an SU(2) rotation:
+block W = c0 + c . sigma has coefficients linear in the couplings, read
+with |c| off bellframe's block kernel, and its block map is a phase
+times an SU(2) rotation:
 
     s = exp(-i t W) = exp(-i t c0) (cos(t r) - i t sinc(t r) c . sigma),  r = |c|.
 
@@ -32,10 +33,10 @@ E_b = (|a_b|^2, <sigma_x>, <sigma_y>, <sigma_z>): <G> = E . (g0, g) and
 dotted with the Pauli coefficients of s0^dag s, a quaternion product.
 
 A sweep is therefore a few small products per card and no
-eigendecomposition: products with BLOCK_COEFFS give the block
-coefficients of the solved point, of the six unit axes and of every
-displaced point, and the variance and the exact overlaps of all states
-follow as (states, 8) x (8, k) products.  The numbers stay in arrays: a
+eigendecomposition: the block kernel gives the block coefficients of
+the solved point, of the six unit axes and of every displaced point,
+and the variance and the exact overlaps of all states follow as
+(states, 8) x (8, k) products.  The numbers stay in arrays: a
 SweepResult holds them as columns and walks them as rows only when they
 are read.  The variance is itself the per-parameter sensitivity, and
 rank_parameters averages it over all states in closed form, from the
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellframe import BLOCK_BASIS, BLOCK_COEFFS, BellFrame
+from .bellframe import BLOCK_BASIS, BellFrame, _block_coefficients
 from .calib import PrescriptionCard
 from .checks import RANK_TIE_TOL, STATE_NORM_TOL, ZERO_NORM_TOL, strict_float, strict_int
 from .errors import NonFiniteDerivative
@@ -200,9 +201,6 @@ def _displaced(p: PhysicalParams, dp: Perturbation) -> PhysicalParams:
     return PhysicalParams(t=x[0], J=(x[1], x[2], x[3]), B1=x[4], B2=x[5], h=p.h)
 
 
-# BLOCK_COEFFS[h] as one (5, 8) map from (J1, J2, J3, B1, B2) to (c0, cx, cy, cz) of both blocks
-_COEFF_MAP = {h: c.reshape(8, 5).T for h, c in BLOCK_COEFFS.items()}
-
 _UNIT_AXES = np.eye(6)
 
 # (n @ _CROSS).reshape(..., 3, 3) @ v = n x v; row j is the matrix of e_j x .
@@ -227,51 +225,34 @@ for _table in (_UNIT_AXES, _CROSS, _LEFT_CONJ):
     _table.flags.writeable = False
 
 
-def _block_coefficients(x: np.ndarray, h: int) -> np.ndarray:
-    """(c0, cx, cy, cz) of both blocks for each row (t, J1, J2, J3, B1, B2) of x, shape (rows, 2, 4).
-
-    The map is linear, so a displacement row gives the coefficients of
-    its displacement.  An overflowing row comes out non-finite without a
-    warning; the callers report it as the error of its point.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (x[:, 1:] @ _COEFF_MAP[h]).reshape(-1, 2, 4)
-
-
 def _sinc(x: np.ndarray) -> np.ndarray:
     """sin(x) / x, and 1 at x = 0."""
     return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
-def _norm3(v: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis of length 3, without overflow."""
-    return np.hypot(np.hypot(v[..., 0], v[..., 1]), v[..., 2])
-
-
-def _rotations(t, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _rotations(t, c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Block maps exp(-i t (c0 + c . sigma)) = exp(-i phase) (q0 - i q . sigma) of coefficients c (..., 4).
 
-    Returns the phase t c0 and the unit quaternion
-    q = (cos(t r), t sinc(t r) c), shape (..., 4); t broadcasts against
-    c's leading axes.
+    r (...) holds |c|, as the block kernel gives it with c.  Returns the
+    phase t c0 and the unit quaternion q = (cos(t r), t sinc(t r) c),
+    shape (..., 4); t broadcasts against r.
     """
-    x = t * _norm3(c[..., 1:])
+    x = t * r
     q = np.empty_like(c)
     q[..., 0] = np.cos(x)
     q[..., 1:] = (t * _sinc(x))[..., None] * c[..., 1:]
     return t * c[..., 0], q
 
 
-def _generator_map(t: float, c: np.ndarray) -> np.ndarray:
+def _generator_map(t: float, c: np.ndarray, r: np.ndarray) -> np.ndarray:
     """The matrix M of each block, shape (2, 4, 4), with G = dt (c0, c) + M (dc0, dc).
 
-    t and c (2, 4) are the time and the block coefficients of the point.
+    t, c (2, 4) and r (2,) are the time, block coefficients and |c| of the point.
     M is the closed form of the module docstring: t for dc0, and for dc
     t times (n . dc) n + sinc(2y) dc_perp - ((1 - cos 2y) / (2y)) n x dc_perp,
     y = t r, written as one 3x3 matrix.
     """
     cv = c[:, 1:]
-    r = _norm3(cv)
     # a degenerate block has no axis; n = 0 leaves the map t * 1, the r -> 0 limit
     n = np.divide(cv, r[:, None], out=np.zeros_like(cv), where=r[:, None] > 0.0)
     y = (t * r)[:, None, None]
@@ -285,23 +266,23 @@ def _generator_map(t: float, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _generators(p: PhysicalParams, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G = i s^dag Ds of both blocks of p along each row of d, and the block coefficients of p.
+def _generators(p: PhysicalParams, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """G = i s^dag Ds of both blocks of p along each row of d, and the block coefficients of p and their |c|.
 
     d (k, 6) holds the displacements.  The generators come as Pauli
-    coordinates (g0, gx, gy, gz), shape (k, 2, 4), and the coefficients
-    (c0, cx, cy, cz) of p's two blocks with shape (2, 4).  G is linear in d; a zero row gives zeros.  The first
-    row whose generator overflows raises NonFiniteDerivative with the
-    index of that row's largest component.
+    coordinates (g0, gx, gy, gz), shape (k, 2, 4), p's (c0, cx, cy, cz)
+    with shape (2, 4) and |c| with shape (2,).  G is linear in d; a zero
+    row gives zeros.  The first row whose generator overflows raises
+    NonFiniteDerivative with the index of that row's largest component.
     """
-    c = _block_coefficients(np.concatenate([_param_vector(p)[None], d]), p.h)
+    c, r = _block_coefficients(np.concatenate([_param_vector(p)[None], d])[:, 1:], p.h)
     # an overflowing displacement surfaces as NonFiniteDerivative below
     with np.errstate(over="ignore", invalid="ignore"):
-        g = (_generator_map(p.t, c[0]) @ c[1:, ..., None])[..., 0] + d[:, 0, None, None] * c[0]
+        g = (_generator_map(p.t, c[0], r[0]) @ c[1:, ..., None])[..., 0] + d[:, 0, None, None] * c[0]
     bad = ~np.isfinite(g).all(axis=(1, 2))
     if bad.any():
         raise NonFiniteDerivative(int(np.argmax(np.abs(d[np.argmax(bad)]))))
-    return g, c[0]
+    return g, c[0], r[0]
 
 
 def directional_derivatives(
@@ -315,8 +296,8 @@ def directional_derivatives(
     """
     if p.h != frame.h:
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
-    g, c = _generators(p, dp.as_array()[None])
-    phase, q = _rotations(p.t, c)
+    g, c, r = _generators(p, dp.as_array()[None])
+    phase, q = _rotations(p.t, c, r)
     s = np.einsum("ba,aij->bij", np.exp(-1j * phase)[:, None] * q * (1.0, -1j, -1j, -1j), BLOCK_BASIS)
     ds = -1j * s @ np.einsum("ba,aij->bij", g[0], BLOCK_BASIS)
     return (ds[0], ds[1]), (s[0], s[1])
@@ -398,7 +379,7 @@ def fidelity_second_order(state: BlockState, p: PhysicalParams, dp: Perturbation
     _check_state(state, p)
     step = dp.norm
     unit = Perturbation(dp=tuple(v / step for v in dp.dp)) if step > 0.0 else dp
-    g, _ = _generators(p, unit.as_array()[None])
+    g = _generators(p, unit.as_array()[None])[0]
     var = _variance(_bloch(state.amplitudes[None]), g)
     f2 = float(_second_order(var, np.array([step]))[0, 0, 0])
     if not math.isfinite(f2):
@@ -456,7 +437,7 @@ def sensitivity_sweep(
                     raise NonFiniteDerivative(i)
     # rows: the solved point, then every displaced point
     points = np.concatenate([x0[None], moved.reshape(-1, 6)])
-    f2e = _overlaps(e, *_rotations(points[:, :1], _block_coefficients(points, p.h)))
+    f2e = _overlaps(e, *_rotations(points[:, :1], *_block_coefficients(points[:, 1:], p.h)))
     f2e = f2e.reshape(-1, 6, len(grid))
     columns = (f2e, f2s, np.abs(f2s - f2e), var)
     for a in columns:
@@ -493,7 +474,7 @@ def rank_parameters(card: PrescriptionCard) -> list[tuple[str, float]]:
     Means within RANK_TIE_TOL of the largest mean of their tie are
     tied, and a tie lists its parameters by name.
     """
-    g, _ = _generators(card.solved, _UNIT_AXES)
+    g = _generators(card.solved, _UNIT_AXES)[0]
     return _ranked((0.4 * np.sum(g * g, axis=(1, 2))).tolist())
 
 

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellgate import (
@@ -30,7 +30,14 @@ from bellgate import (
     to_blocks,
 )
 
-from bellgate.bellframe import block_axis
+import bellgate.fidelity as fid
+from bellgate.bellframe import (
+    _TRANSVERSAL,
+    _TRANSVERSAL_SIGN,
+    BLOCK_COEFFS,
+    _block_coefficients,
+    block_axis,
+)
 
 from conftest import edge_params, random_params, random_unitary
 
@@ -437,3 +444,82 @@ def test_to_blocks_matches_its_oracle_on_any_unitary():
         for h in (1, 2, 3):
             fr = bell_frame(h)
             assert _same_split(to_blocks(u, fr), _to_blocks_oracle(u, fr))
+
+
+# The block kernel: one coupling map, one norm and one degenerate rule for
+# reduced_params and the fidelity sweep.
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_transversal_table_matches_the_coefficients_and_the_frame_direction(h):
+    # the transversal coefficient is the in-plane one the couplings reach, the
+    # other stays zero; its sign is that of (sin(h pi/2), cos(h pi/2))
+    tr = _TRANSVERSAL[h]
+    assert BLOCK_COEFFS[h][:, tr].any() and not BLOCK_COEFFS[h][:, 3 - tr].any()
+    assert _TRANSVERSAL_SIGN[h] == (SIN_H[h], COS_H[h])[tr - 1]
+    assert (SIN_H[h], COS_H[h])[2 - tr] == 0.0
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize(
+    "couplings", [(5e-324, 0.0, 0.0, 0.0, 5e-324), (5e-324, 1e-320, 0.0, 3e-322, 0.0), (0.0, 0.0, 2e-310, 0.0, 0.0)]
+)
+def test_subnormal_couplings_keep_a_unit_axis(h, couplings):
+    # |c| itself is subnormal with few digits, yet no block is degenerate and
+    # every axis stays on the unit circle
+    p = PhysicalParams(t=1.0, J=couplings[:3], B1=couplings[3], B2=couplings[4], h=h)
+    fr = bell_frame(h)
+    b1, b2, _ = to_blocks(evolve(p), fr)
+    for rp, blk, norm in zip(reduced_params(p, fr), (b1, b2), _block_coefficients(np.array(couplings), h)[1]):
+        assert (rp.delta_minus == 0.0) == (norm == 0.0)
+        assert abs(rp.b**2 + rp.j**2 - 1.0) < NORMALIZATION_TOL
+        assert np.max(np.abs(closed_form_block(rp, fr) - blk)) < ROUND_TRIP_TOL
+
+
+def _couplings(p):
+    return np.array([*p.J, p.B1, p.B2])
+
+
+def _rescaled(p, k):
+    return PhysicalParams(t=p.t * k, J=tuple(v / k for v in p.J), B1=p.B1 / k, B2=p.B2 / k, h=p.h)
+
+
+#: powers of two from about 1e-150 to 1e150, so that (k t, J / k, B / k) is exact unless it underflows
+SCALES = st.integers(-498, 498).map(lambda e: 2.0**e)
+#: relative agreement of the reduced parameters of a rescaled evolution
+SCALE_TOL = 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_params(), SCALES)
+def test_reduced_params_are_invariant_under_rescaling(case, k):
+    # H t, and with it every block, is unchanged by (t, J, B) -> (k t, J / k, B / k);
+    # generic, degenerate and near-degenerate blocks alike
+    p = case[0]
+    q = _rescaled(p, k)
+    assume(_rescaled(q, 1.0 / k) == p)
+    fr = bell_frame(p.h)
+    degenerate = [_block_coefficients(_couplings(x), p.h)[1] == 0.0 for x in (p, q)]
+    assert np.array_equal(*degenerate)
+    b1, b2, _ = to_blocks(evolve(q), fr)
+    for a, rp, blk in zip(reduced_params(p, fr), reduced_params(q, fr), (b1, b2)):
+        for u, v in ((a.delta_minus, rp.delta_minus), (a.b, rp.b), (a.j, rp.j)):
+            assert abs(u - v) <= SCALE_TOL * max(1.0, abs(u))
+        assert np.max(np.abs(closed_form_block(rp, fr) - blk)) < ROUND_TRIP_TOL
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_params(), TIME_SCALES)
+def test_reduced_params_and_the_sweep_share_the_rotation_angle(case, scale):
+    # delta_minus is t |c| with the kernel's |c|, and the sweep's block maps
+    # rotate by that same angle: cos(delta_minus) is their quaternion's scalar part
+    p = _scaled(case[0], scale)
+    c, r = _block_coefficients(_couplings(p), p.h)
+    phase, quat = fid._rotations(p.t, c, r)
+    rps = reduced_params(p, bell_frame(p.h))
+    assert [rp.delta_minus for rp in rps] == (p.t * r).tolist()
+    assert np.cos([rp.delta_minus for rp in rps]).tolist() == quat[:, 0].tolist()
+    assert [-rp.delta_plus for rp in rps] == phase.tolist()
+    for rp, norm in zip(rps, r.tolist()):
+        if norm == 0.0:
+            assert (rp.delta_minus, rp.b, rp.j) == (0.0, 0.0, 1.0)

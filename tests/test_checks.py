@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,21 @@ def test_public_names_have_a_caller_besides_tests():
     assert unused == []
 
 
+def test_every_tolerance_has_a_reader():
+    # a tolerance that no module applies is a rule nobody keeps; re-exports do not count
+    tolerances = [
+        target.id
+        for node in ast.parse((SRC / "checks.py").read_text()).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("_TOL")
+    ]
+    readers = [path for path in SRC.glob("*.py") if path.name not in ("checks.py", "__init__.py")]
+    loaded = set().union(*(_loaded_names(path) for path in readers))
+    assert "ACCEPT_TOL" in tolerances
+    assert [name for name in tolerances if name not in loaded] == []
+
+
 def _called_names(path):
     """The name of every function the module calls: "json.dumps", "format_float", ..."""
     names = set()
@@ -121,6 +137,17 @@ def test_strict_float_accepts_real_numbers(value):
 def test_strict_float_rejects_non_reals(value):
     with pytest.raises(ValueError, match="^x must be a finite real number, got "):
         strict_float("x", value)
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024], ids=["10**400", "-10**400", "2**1024"])
+def test_strict_float_rejects_integers_past_the_float_range(value):
+    # no float holds them: the check names the field instead of raising OverflowError
+    with pytest.raises(ValueError, match="^x must be a finite real number, got "):
+        strict_float("x", value)
+
+
+def test_strict_float_accepts_the_largest_float_as_an_integer():
+    assert strict_float("x", int(sys.float_info.max)) == sys.float_info.max
 
 
 @pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False)])

@@ -928,3 +928,108 @@ def test_compile_stdout_matches_golden_fixture():
     )
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == (_DATA / "compile_all_gates.stdout").read_bytes()
+
+
+# Block coordinates from the one kernel: tiny and huge couplings reduce as
+# evolve builds them, and an overflowing card warns nothing.
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"t": 1e14, "J": [0.0, 1e-14, 0.0], "B1": 0.0, "B2": 0.0, "h": 1}',
+        '{"t": 1e-200, "J": [0.0, 1e200, 0.0], "B1": 0.0, "B2": 0.0, "h": 1}',
+    ],
+    ids=["small-couplings", "large-couplings"],
+)
+def test_blocks_reduces_any_scale_evolve_builds(capsys, tmp_path, text):
+    # H t is the same one-radian rotation on both blocks; a block is
+    # degenerate only where |c| = 0, and |c| does not overflow
+    f = tmp_path / "params.json"
+    f.write_text(text)
+    assert run(capsys, "evolve", str(f))[0] == 0
+    code, out, err = run(capsys, "blocks", str(f))
+    assert (code, err) == (0, "")
+    for entry in json.loads(out)["reduced"]:
+        assert entry["delta_minus"] == 1.0
+        assert entry["closed_form_residual"] < 1e-12
+
+
+def test_family_at_a_huge_field_scale_is_a_card(capsys):
+    code, out, err = run(capsys, "synth", "CNOT_12", "--family", "--m", "1..2", "--field-scale", "1e200")
+    assert (code, err) == (0, "")
+    assert [card["b_abs"] for card in json.loads(out)["family"]] == [1.0, 1.0]
+
+
+def test_card_with_overflowing_block_coefficients_writes_one_stderr_line(tmp_path, card_file):
+    # J3 - J2 overflows in the block coefficients while the card is read; a
+    # fresh process with numpy's default warning filters shows no RuntimeWarning
+    doc = json.loads(Path(card_file).read_text())
+    doc["solved"]["J"] = [0.0, 1.7e308, -1.7e308]
+    f = tmp_path / "card.json"
+    f.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_ENTRY, "fidelity-sweep", str(f), "--states", "2"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", OVERFLOW_ERR)
+
+
+HUGE = 10**400
+
+
+def _opaque_circuit(entry):
+    rows = [[{"re": int(r == c), "im": 0} for c in range(4)] for r in range(4)]
+    rows[0][0]["re"] = entry
+    return json.dumps({"basis": "computational", "gates": [{"gate": "OPAQUE", "matrix": rows}]})
+
+
+@pytest.mark.parametrize(
+    "command, text, name",
+    [
+        ("evolve", PARAMS_TEXT.replace('"t": 1.2', f'"t": {HUGE}'), "t must be"),
+        ("blocks", PARAMS_TEXT.replace("-0.4", str(HUGE)), "J must be"),
+        ("compile", _opaque_circuit(HUGE), "matrix entry must be"),
+    ],
+    ids=["evolve-t", "blocks-J", "compile-opaque"],
+)
+def test_integer_past_the_float_range_in_a_document_is_input_error(capsys, tmp_path, command, text, name):
+    f = tmp_path / "doc.json"
+    f.write_text(text)
+    assert name in _assert_input_error(capsys, command, str(f))
+
+
+@pytest.mark.parametrize(
+    "edit, name",
+    [
+        (lambda d: d["solved"].update(t=HUGE), "t must be"),
+        (lambda d: d.update(residuals=[HUGE] + d["residuals"][1:]), "residuals must be"),
+    ],
+    ids=["solved-t", "residuals"],
+)
+def test_integer_past_the_float_range_in_a_card_is_input_error(capsys, tmp_path, card_file, edit, name):
+    f = _edited(tmp_path, Path(card_file).read_text(), edit)
+    assert name in _assert_input_error(capsys, "fidelity-sweep", f, "--states", "1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--m", str(HUGE)), ("--m-prime", str(HUGE)), ("--family", "--m", str(HUGE))],
+    ids=["m", "m-prime", "family-m"],
+)
+def test_winding_past_the_float_range_is_input_error(capsys, argv):
+    assert "m + m_prime" in _assert_input_error(capsys, "synth", "CNOT_12", *argv)
+
+
+@pytest.mark.parametrize("m, m_prime", [(3, None), (None, 5), (3, 5)])
+def test_non_cnot_card_with_windings_is_input_error(capsys, tmp_path, card_file, m, m_prime):
+    # only CNOT rows wind; an H_q2 card carrying m would echo it in every sweep row
+    def edit(doc):
+        doc["m"] = m
+        doc["targets"]["m_prime"] = m_prime
+
+    f = _edited(tmp_path, Path(card_file).read_text(), edit)
+    assert "windings" in _assert_input_error(capsys, "fidelity-sweep", f, "--states", "1")

@@ -310,7 +310,7 @@ def test_generators_match_divided_differences_at_edge_regimes():
         t = 0.0 if kind == 3 else float(rng.uniform(0.0, 3.0)) * (1.0 if k % 8 < 4 else 1.0 / scale)
         p = PhysicalParams(t=t, J=tuple(c[:3]), B1=c[3], B2=c[4], h=h)
         dirs = np.vstack([np.eye(6), rng.normal(size=(1, 6))])
-        g, _ = fid._generators(p, dirs)
+        g, _, _ = fid._generators(p, dirs)
         for d, row in zip(dirs, g):
             want = _divided_difference_generators(p, d)
             got = np.einsum("ba,aij->bij", row, BLOCK_BASIS)
@@ -464,7 +464,7 @@ def test_quadratic_sensitivities_definition():
     st = _random_state(rng)
     # the sweep's gradient is Var(G) per axis: 1 - F^2 at a unit step
     sens = [1.0 - fidelity_second_order(st, BASE, Perturbation.axis(i, 1.0)) for i in range(6)]
-    g, _ = fid._generators(BASE, np.eye(6))
+    g, _, _ = fid._generators(BASE, np.eye(6))
     grad = fid._variance(fid._bloch(st.amplitudes[None]), g)[0]
     assert len(grad) == 6
     for i in range(6):
@@ -590,7 +590,7 @@ def test_gauge_direction_has_zero_variance(name):
     d = np.concatenate([x[:1], -x[1:]])
     states = sample_states(bell_frame(p.h), n=64, seed=7)
     e = fid._bloch(np.array([st.amplitudes for st in states]))
-    g, _ = fid._generators(p, np.vstack([d, np.eye(6)]))
+    g, _, _ = fid._generators(p, np.vstack([d, np.eye(6)]))
     var = fid._variance(e, g)
     assert np.abs(var[:, 0]).max() <= 1e-26 * float(d @ d) * max(1.0, np.abs(x).max()) ** 2
     assert var[:, 1:].max() > 0.5
@@ -642,11 +642,11 @@ def test_block_derivatives_rows_match_one_direction():
     for _ in range(20):
         p = random_params(rng)
         dirs = np.vstack([np.eye(6), rng.normal(size=(5, 6)), np.zeros((1, 6))])
-        g, c = fid._generators(p, dirs)
-        assert g.shape == (12, 2, 4) and c.shape == (2, 4)
+        g, c, r = fid._generators(p, dirs)
+        assert g.shape == (12, 2, 4) and c.shape == (2, 4) and r.shape == (2,)
         for row, d in zip(g, dirs):
-            one, c1 = fid._generators(p, d[None])
-            assert np.array_equal(row, one[0]) and np.array_equal(c, c1)
+            one, c1, r1 = fid._generators(p, d[None])
+            assert np.array_equal(row, one[0]) and np.array_equal(c, c1) and np.array_equal(r, r1)
 
 
 def test_block_derivatives_report_the_first_overflowing_row():
