@@ -13,9 +13,9 @@ Each block restriction of H is c0*1 + c . sigma, linear in the
 couplings (J1, J2, J3, B1, B2).  BLOCK_COEFFS[h] holds that map as a
 2x4x5 matrix (block, (c0, cx, cy, cz), coupling), projected once from
 the model's generator table; every entry is 0 or +-1.  The block
-kernel _block_coefficients, shared with the fidelity sweep, applies it
-and returns |c| too; a block is degenerate exactly where |c| = 0.  Each
-block propagator has the closed form
+kernel _block_coefficients, shared with the fidelity sweep and the
+solver, applies it and returns |c| too; a block is degenerate exactly
+where |c| = 0.  Each block propagator has the closed form
 
     s = exp(i dplus) (cos(dminus) 1 - i sin(dminus) n . sigma)
 
@@ -182,6 +182,25 @@ def _block_coefficients(x: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         c = (x @ _COEFF_MAP[h]).reshape(x.shape[:-1] + (2, 4))
         return c, np.hypot(np.hypot(c[..., 1], c[..., 2]), c[..., 3])
+
+
+def _sinc(x: np.ndarray) -> np.ndarray:
+    """sin(x) / x, and 1 at x = 0."""
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+
+
+def _rotations(t, c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block maps exp(-i t (c0 + c . sigma)) = exp(-i phase) (q0 - i q . sigma) of coefficients c (..., 4).
+
+    r (...) holds |c|, as the block kernel gives it with c.  Returns the
+    phase t c0 and the unit quaternion q = (cos(t r), t sinc(t r) c),
+    shape (..., 4); t broadcasts against r.
+    """
+    x = t * r
+    q = np.empty_like(c)
+    q[..., 0] = np.cos(x)
+    q[..., 1:] = (t * _sinc(x))[..., None] * c[..., 1:]
+    return t * c[..., 0], q
 
 
 def bell_frame(h: int) -> BellFrame:

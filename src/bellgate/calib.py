@@ -57,15 +57,17 @@ retains its meaning.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bellframe import _TRANSVERSAL, BLOCK_COEFFS, bell_frame, block_axis, reduced_params
+from .bellframe import _TRANSVERSAL, BLOCK_BASIS, BLOCK_COEFFS, _block_coefficients, _rotations, bell_frame
+from .bellframe import block_axis, reduced_params
 from .checks import (
     ACCEPT_TOL,
     INVISIBLE_AXIS_TOL,
@@ -80,8 +82,7 @@ from .checks import (
 from .errors import NonUnitaryError, SolverFailure
 from .gates import GateId, d_gate
 from .jsonio import fields
-from .model import PhysicalParams, evolve
-from .spinlin import dist_phase_invariant, pauli
+from .model import PhysicalParams
 
 __all__ = [
     "FAMILY_EXCHANGE",
@@ -216,13 +217,17 @@ class PrescriptionCard:
             m=m,
             m_prime=m_prime,
         )
-        if tg.gate.tag not in _CNOT_TAGS and (tg.m, tg.m_prime) != (None, None):
-            raise ValueError(f"only CNOT cards carry windings; a {tg.gate.tag} card has null m and m_prime")
+        if (tg.m, tg.m_prime) != (None, None):
+            # a shifted card keeps its row's rotations, so they still name its windings
+            row = prescription_targets(tg.gate, tg.m, tg.m_prime)
+            if tg.gate.tag not in _CNOT_TAGS or (row.delta_minus_1, row.delta_minus_2) != (dm1, dm2):
+                raise ValueError(f"only CNOT cards carry windings, and m = {tg.m}, m_prime = {tg.m_prime} "
+                                 f"must give the card's delta_minus {dm1!r}, {dm2!r}")
         p = PhysicalParams(t=t, J=strict_reals("J", J, 3), B1=B1, B2=B2, h=h)
         stored_res = strict_reals("residuals", res)
         stored_err = strict_float("realized_error", err)
         stored_branch = strict_int("phase_branch", branch, (1, -1))
-        res, branch, err, branch_margin = _evaluate(tg, p)
+        res, branch, err, branch_margin = _evaluate(tg, p, _target_blocks(tg))
         if len(stored_res) != len(res):
             raise ValueError(
                 f"card residual count {len(stored_res)} differs from its recomputation {len(res)}"
@@ -265,8 +270,8 @@ def prescription_targets(
 
 def _published_row(
     g: GateId, m: int, m_prime: int, route: str
-) -> tuple[PrescriptionTargets, PhysicalParams]:
-    """One row of the published table: its targets and its closed-form controls, in canonical gauge."""
+) -> tuple[PrescriptionTargets, Callable[[], PhysicalParams]]:
+    """One row of the published table: its targets, and a call that builds its closed-form controls in canonical gauge."""
     if not isinstance(g, GateId):
         raise TypeError(f"expected a GateId, got {type(g).__name__}")
     if g.tag not in SOLVABLE_TAGS:
@@ -292,13 +297,13 @@ def _published_row(
             b_targets=(0.0, 0.0),
         )
         J = (0.0, 0.0, 1.0) if h == 1 else (1.0, 0.0, 0.0)
-        return row, PhysicalParams(t=pc, J=J, B1=0.0, B2=0.0, h=h)
+        return row, lambda: PhysicalParams(t=pc, J=J, B1=0.0, B2=0.0, h=h)
     if tag == "S_phi_q1":
         pc = _canonical_phase(g.phi)
         row = PrescriptionTargets(
             gate=g, h=1, delta_plus_1=pc, delta_minus_1=TWO_PI, delta_minus_2=TWO_PI
         )
-        return row, PhysicalParams(t=TWO_PI, J=(pc / TWO_PI, 0.0, 1.0), B1=0.0, B2=0.0, h=1)
+        return row, lambda: PhysicalParams(t=TWO_PI, J=(pc / TWO_PI, 0.0, 1.0), B1=0.0, B2=0.0, h=1)
     if tag in ("H_q2", "H_q1"):
         h = 1 if tag == "H_q2" else 3
         row = PrescriptionTargets(
@@ -311,8 +316,8 @@ def _published_row(
         )
         w = _HADAMARD_WEIGHT
         if h == 1:
-            return row, PhysicalParams(t=math.pi / 2, J=(-1.0, -w, 0.0), B1=-w, B2=0.0, h=1)
-        return row, PhysicalParams(t=math.pi / 2, J=(0.0, -w, -1.0), B1=0.0, B2=-w, h=3)
+            return row, lambda: PhysicalParams(t=math.pi / 2, J=(-1.0, -w, 0.0), B1=-w, B2=0.0, h=1)
+        return row, lambda: PhysicalParams(t=math.pi / 2, J=(0.0, -w, -1.0), B1=0.0, B2=-w, h=3)
 
     m = strict_int("m", m)
     m_prime = strict_int("m_prime", m_prime)
@@ -336,8 +341,8 @@ def _published_row(
     t = (row.delta_minus_1 + row.delta_minus_2) / 2.0
     lo = (row.delta_minus_1 - row.delta_minus_2) / 2.0 / t
     if tag == "CNOT_12":
-        return row, PhysicalParams(t=t, J=(math.pi / 4 / t, 0.0, 0.0), B1=1.0, B2=lo, h=1)
-    return row, PhysicalParams(t=t, J=(0.0, 0.0, math.pi / 4 / t), B1=lo, B2=1.0, h=3)
+        return row, lambda: PhysicalParams(t=t, J=(math.pi / 4 / t, 0.0, 0.0), B1=1.0, B2=lo, h=1)
+    return row, lambda: PhysicalParams(t=t, J=(0.0, 0.0, math.pi / 4 / t), B1=lo, B2=1.0, h=3)
 
 
 def _check_feasible(tg: PrescriptionTargets) -> None:
@@ -354,8 +359,13 @@ def _check_feasible(tg: PrescriptionTargets) -> None:
         raise ValueError("infeasible targets: b fixed by value and by relation at once")
 
 
-def _frame_target(tg: PrescriptionTargets) -> np.ndarray:
-    return d_gate(tg.gate)[bell_frame(tg.h).order_index]
+def _target_blocks(tg: PrescriptionTargets) -> np.ndarray:
+    """Pauli coordinates (w0, wx, wy, wz) of both frame blocks of tg's gate, shape (2, 4).
+
+    The gate is block-diagonal in its frame; reshaped, w[k, :, k, :] is block k.
+    """
+    w = d_gate(tg.gate)[bell_frame(tg.h).order_index].reshape(2, 2, 2, 2)
+    return np.einsum("aij,kjki->ka", BLOCK_BASIS, w) / 2.0
 
 
 def _circ(x: float) -> float:
@@ -371,13 +381,16 @@ def _circ(x: float) -> float:
 
 
 def _evaluate(
-    tg: PrescriptionTargets, p: PhysicalParams
+    tg: PrescriptionTargets, p: PhysicalParams, w: np.ndarray
 ) -> tuple[tuple[float, ...], int, float, float]:
     """Residual vector, phase branch, realized gate error of p, and branch margin.
 
     The branch margin is how far apart the distances to the two signs of
     delta_plus_1 are; it is 0 up to rounding where delta_plus_1 is a
-    multiple of pi and both branches are the same phase.
+    multiple of pi and both branches are the same phase.  The realized
+    error ||e^{i theta} u - w||_F^2 / 8 of the frame propagator u is a sum
+    over its block maps s_k and the target blocks w_k (_target_blocks),
+    2 |e^{i theta} s_k - w_k|^2 each in Pauli coordinates, theta = arg (s . w).
     """
     frame = bell_frame(tg.h)
     rp1, rp2 = reduced_params(p, frame)
@@ -399,8 +412,16 @@ def _evaluate(
             abs(rp1.b - r * frame.q[0] * frame.beta[0] * rp1.j),
             abs(rp2.b - r * frame.q[1] * frame.beta[1] * rp2.j),
         ]
-    mat = frame.adjoint @ evolve(p) @ frame.change_of_basis
-    err = dist_phase_invariant(mat, _frame_target(tg))
+    c, r = _block_coefficients(np.array((*p.J, p.B1, p.B2)), tg.h)
+    # an eigenphase t (c0 +- |c|) that overflows leaves no propagator, as in expm_hermitian
+    if not p.t * max(abs(c0) + n for c0, n in zip(c[:, 0].tolist(), r.tolist())) < math.inf:
+        raise NonUnitaryError(math.inf)
+    phase, q = _rotations(p.t, c, r)
+    s = np.exp(-1j * phase)[:, None] * q * (1.0, -1j, -1j, -1j)
+    # the phase of s . w by atan2: a subnormal s . w must neither be divided by nor underflow
+    z = np.vdot(s, w)
+    d = cmath.rect(1.0, math.atan2(z.imag, z.real)) * s - w
+    err = np.vdot(d, d).real / 4.0
     return tuple(float(v) for v in res), branch, float(err), abs(d_pos - d_neg)
 
 
@@ -414,7 +435,7 @@ def _closed_form(tg: PrescriptionTargets) -> PhysicalParams | None:
     except ValueError:
         # a row _published_row refuses is not a published one
         return None
-    return controls if tg == row else None
+    return controls() if tg == row else None
 
 
 def _inverse(h: int) -> np.ndarray:
@@ -442,10 +463,10 @@ def _axis_choices(
 
     Pinned weights give one axis, a weight pinned alone or the Hadamard
     relation give two (the free weight's sign, positive first).  A block
-    with neither takes the axis of the target gate's frame block w, up to
-    sign (its largest component positive first); None marks the case
-    where w is a multiple of the identity, so that no axis is visible and
-    the caller picks one by pulse length.
+    with neither takes the axis of the target gate's frame block, of Pauli
+    coordinates w, up to sign (its largest component positive first);
+    None marks the case where w is a multiple of the identity, so that no
+    axis is visible and the caller picks one by pulse length.
     """
     frame = bell_frame(tg.h)
     k = block - 1
@@ -466,7 +487,7 @@ def _axis_choices(
     else:
         # w = e^{i theta} (cos a - i sin a n . sigma): the Pauli components
         # of w are one complex phase times the real vector sin(a) n
-        a = np.array([np.trace(pauli(i) @ w) for i in (1, 2, 3)]) / 2.0
+        a = w[1:]
         top = int(np.argmax(np.abs(a)))
         if abs(a[top]) <= INVISIBLE_AXIS_TOL:
             return None
@@ -521,8 +542,8 @@ def _fill_invisible(
     return axes
 
 
-def _candidates(tg: PrescriptionTargets) -> Iterator[PhysicalParams]:
-    """Every finite inversion choice as canonical controls, shortest first.
+def _candidates(tg: PrescriptionTargets, w: np.ndarray) -> Iterator[PhysicalParams]:
+    """Every finite inversion choice as canonical controls, shortest first; w as _target_blocks gives it.
 
     Ties in duration keep enumeration order: phase sign +1 before -1,
     then block 1's axis choices, then block 2's, each in the order of
@@ -531,11 +552,8 @@ def _candidates(tg: PrescriptionTargets) -> Iterator[PhysicalParams]:
     """
     h = tg.h
     tr = _TRANSVERSAL[h]
-    w = _frame_target(tg)
     rot = (tg.delta_minus_1, tg.delta_minus_2)
-    axes = _fill_invisible(
-        [_axis_choices(tg, k, w[2 * k - 2 : 2 * k, 2 * k - 2 : 2 * k]) for k in (1, 2)], rot, tr
-    )
+    axes = _fill_invisible([_axis_choices(tg, k, w[k - 1]) for k in (1, 2)], rot, tr)
     # every drift phase the residual accepts is +-r + 2 pi n; beyond +-r
     # a branch only lengthens the pulse, since |c0| is one of the couplings
     r = math.remainder(tg.delta_plus_1, TWO_PI)
@@ -565,13 +583,14 @@ def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
     """
     _check_feasible(tg)
 
+    w = _target_blocks(tg)
     closed = _closed_form(tg)
-    attempts = [closed] if closed is not None else _candidates(tg)
+    attempts = [closed] if closed is not None else _candidates(tg, w)
     best_worst = math.inf
     tried = 0
     for p in attempts:
         tried += 1
-        res, branch, err, _ = _evaluate(tg, p)
+        res, branch, err, _ = _evaluate(tg, p, w)
         if err <= ACCEPT_TOL and max(res) <= ACCEPT_TOL:
             return PrescriptionCard(
                 targets=tg, solved=p, residuals=res, realized_error=err, phase_branch=branch
@@ -588,19 +607,16 @@ def cnot_family(g: GateId, m: int, field_scale: float) -> PrescriptionCard:
     """Finite-winding CNOT approximant with unit exchange strength.
 
     The drive winds m times on the identity block and m + 1/4 turns on
-    the swap block while the exchange axis that tilts the identity
-    block stays at magnitude FAMILY_EXCHANGE.  Duration is
-    1/field_scale, so growing either m or field_scale increases field
-    dominance: the identity block's transversal weight |b| -> 1 and
-    realized_error falls off like the fourth power of the exchange to
-    field ratio.  The card is returned with its honest nonzero error,
-    never polished.
+    the swap block while the exchange E = FAMILY_EXCHANGE tilts the
+    identity block's axis.  Duration is t = 1/fs, fs = field_scale, so
+    the field B ~ 2 pi m fs dominates as m or fs grow: |b| -> 1, and the
+    identity block overshoots its m windings by E^2 t / (2 B) =
+    1 / (4 pi m fs^2) =: d, a gate error of d^2 / 4.  So realized_error ~
+    1 / (64 pi^2 m^2 fs^4), relative next term about -1 / (8 pi^2 m^2 fs^2).
+    The card keeps its honest nonzero error; m is bounded as in its CNOT row.
     """
     if not isinstance(g, GateId) or g.tag not in _CNOT_TAGS:
         raise ValueError("cnot_family requires a CNOT gate id")
-    m = strict_int("family winding m", m)
-    if m < 1:
-        raise ValueError(f"family winding m must be >= 1, got {m}")
     s = strict_float("field_scale", field_scale)
     if s <= 0.0:
         raise ValueError(f"field_scale must be positive, got {field_scale!r}")
@@ -608,14 +624,14 @@ def cnot_family(g: GateId, m: int, field_scale: float) -> PrescriptionCard:
     tg = prescription_targets(g, m=m, m_prime=m)
     t = 1.0 / s
     half = FAMILY_EXCHANGE / 2.0
-    b_hi = (2.0 * m * math.pi + math.pi / 4) * s
+    b_hi = (tg.delta_minus_1 + math.pi / 4) * s
     b_lo = -math.pi / 4 * s
     j_drive = math.pi / 4 * s
     if g.tag == "CNOT_12":
         p = PhysicalParams(t=t, J=(j_drive, half, -half), B1=b_hi, B2=b_lo, h=1)
     else:
         p = PhysicalParams(t=t, J=(half, -half, j_drive), B1=b_lo, B2=b_hi, h=3)
-    res, branch, err, _ = _evaluate(tg, p)
+    res, branch, err, _ = _evaluate(tg, p, _target_blocks(tg))
     return PrescriptionCard(
         targets=tg, solved=p, residuals=res, realized_error=err, phase_branch=branch
     )

@@ -180,14 +180,12 @@ def _cmd_blocks(args) -> str:
     return dumps(doc, indent=2) + "\n"
 
 
-def _parse_m_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty winding range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def _parse_m_range(text: str) -> range:
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    lo, hi = int(lo), int(hi)
+    if hi < lo:
+        raise ValueError(f"empty winding range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _family_b_abs(card: calib.PrescriptionCard) -> float:
@@ -202,7 +200,10 @@ def _cmd_synth(args) -> str:
             if value is not None:
                 raise ValueError(f"synth --family takes no {flag}")
         scale = 1.0 if args.field_scale is None else args.field_scale
-        cards = [calib.cnot_family(gate, m=m, field_scale=scale) for m in _parse_m_range(args.m)]
+        windings = _parse_m_range(args.m)
+        # the range is walked lazily: its far end meets its card's winding bounds before any card is solved
+        calib.prescription_targets(gate, m=windings[-1], m_prime=windings[-1])
+        cards = [calib.cnot_family(gate, m=m, field_scale=scale) for m in windings]
         if args.format == "csv":
             header = ("gate", "h", "m", "m_prime", "field_scale", "t", "b_abs", "realized_error")
             rows = (

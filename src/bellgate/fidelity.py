@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellframe import BLOCK_BASIS, BellFrame, _block_coefficients
+from .bellframe import BLOCK_BASIS, BellFrame, _block_coefficients, _rotations, _sinc
 from .calib import PrescriptionCard
 from .checks import RANK_TIE_TOL, STATE_NORM_TOL, ZERO_NORM_TOL, strict_float, strict_int
 from .errors import NonFiniteDerivative
@@ -223,25 +223,6 @@ for _j in range(3):
 _LEFT_CONJ = _LEFT_CONJ.reshape(4, 16)
 for _table in (_UNIT_AXES, _CROSS, _LEFT_CONJ):
     _table.flags.writeable = False
-
-
-def _sinc(x: np.ndarray) -> np.ndarray:
-    """sin(x) / x, and 1 at x = 0."""
-    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
-
-
-def _rotations(t, c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block maps exp(-i t (c0 + c . sigma)) = exp(-i phase) (q0 - i q . sigma) of coefficients c (..., 4).
-
-    r (...) holds |c|, as the block kernel gives it with c.  Returns the
-    phase t c0 and the unit quaternion q = (cos(t r), t sinc(t r) c),
-    shape (..., 4); t broadcasts against r.
-    """
-    x = t * r
-    q = np.empty_like(c)
-    q[..., 0] = np.cos(x)
-    q[..., 1:] = (t * _sinc(x))[..., None] * c[..., 1:]
-    return t * c[..., 0], q
 
 
 def _generator_map(t: float, c: np.ndarray, r: np.ndarray) -> np.ndarray:

@@ -30,12 +30,12 @@ from bellgate import (
     to_blocks,
 )
 
-import bellgate.fidelity as fid
 from bellgate.bellframe import (
     _TRANSVERSAL,
     _TRANSVERSAL_SIGN,
     BLOCK_COEFFS,
     _block_coefficients,
+    _rotations,
     block_axis,
 )
 
@@ -515,7 +515,7 @@ def test_reduced_params_and_the_sweep_share_the_rotation_angle(case, scale):
     # rotate by that same angle: cos(delta_minus) is their quaternion's scalar part
     p = _scaled(case[0], scale)
     c, r = _block_coefficients(_couplings(p), p.h)
-    phase, quat = fid._rotations(p.t, c, r)
+    phase, quat = _rotations(p.t, c, r)
     rps = reduced_params(p, bell_frame(p.h))
     assert [rp.delta_minus for rp in rps] == (p.t * r).tolist()
     assert np.cos([rp.delta_minus for rp in rps]).tolist() == quat[:, 0].tolist()

@@ -10,9 +10,10 @@ import itertools
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bellgate import (
@@ -36,6 +37,7 @@ from bellgate import calib
 from bellgate.calib import _INVERSE, _TRANSVERSAL, SOLVABLE_TAGS
 from bellgate.checks import RECOMPUTE_TOL
 from bellgate.jsonio import dumps
+from bellgate.model import GENERATORS
 from conftest import parsed
 
 TWO_PI = 2.0 * math.pi
@@ -243,6 +245,22 @@ def test_card_from_doc_reads_either_branch_where_they_coincide():
     doc["phase_branch"] = -doc["phase_branch"]
     with pytest.raises(ValueError, match="phase_branch .* differs from its recomputation"):
         PrescriptionCard.from_doc(doc)
+
+
+@pytest.mark.parametrize("key, value", [("m", 7), ("m", 1), ("m_prime", 0), ("m_prime", 2)])
+def test_card_windings_must_give_its_rotations(key, value):
+    # m and m_prime are echoed in every sweep row, so they must be the
+    # windings delta_minus_1 = 2 pi m and delta_minus_2 = pi/2 + 2 pi m_prime
+    doc = solve_physical(_targets("CNOT_12", m=2, m_prime=1)).to_doc()
+    (doc if key == "m" else doc["targets"])[key] = value
+    with pytest.raises(ValueError, match="must give the card's delta_minus"):
+        PrescriptionCard.from_doc(doc)
+
+
+def test_shifted_cnot_card_keeps_its_windings():
+    # a shifted drift leaves the row's rotations, so its windings still read
+    tg = dataclasses.replace(_targets("CNOT_21", m=2, m_prime=2), delta_plus_1=5 * PI / 4)
+    _assert_round_trip(solve_physical(tg))
 
 
 def test_solver_reaches_shifted_drift_branch():
@@ -460,6 +478,80 @@ def test_family_error_follows_the_fourth_power_law(tag):
             assert abs(scaled - base) <= 1e-2 * base
 
 
+@pytest.mark.parametrize("tag", ["CNOT_12", "CNOT_21"])
+def test_family_error_follows_its_law(tag):
+    # realized_error = 1 / (64 pi^2 m^2 fs^4) (1 - 1 / (8 pi^2 m^2 fs^2) + ...),
+    # the law of cnot_family's docstring; the ratio is within 1.27e-4 of 1 at fs = 10
+    for m in range(1, 101):
+        for fs in (10.0, 30.0, 100.0):
+            ratio = cnot_family(GateId(tag), m, fs).realized_error * 64 * PI**2 * m**2 * fs**4
+            assert abs(ratio - 1.0) <= 2e-4
+            if m <= 8 and fs == 10.0:
+                assert (ratio - 1.0) * m**2 * fs**2 == pytest.approx(-1 / (8 * PI**2), abs=1e-4)
+
+
+@st.composite
+def _cards(draw):
+    """A published card, a card solved for a shifted target, or a family card."""
+    kind = draw(st.sampled_from(["published", "shifted", "family"]))
+    if kind == "family":
+        tag = draw(st.sampled_from(["CNOT_12", "CNOT_21"]))
+        return cnot_family(GateId(tag), draw(st.integers(1, 8)), 10.0 ** draw(st.floats(0.0, 4.0)))
+    tg = draw(_unpublished_targets())
+    if kind == "published":
+        tg = prescription_targets(tg.gate, m=tg.m or 1, m_prime=tg.m_prime or 0)
+    try:
+        return solve_physical(tg)
+    except SolverFailure:
+        assume(False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cards())
+def test_realized_error_matches_the_4x4_path(card):
+    # the block-map distance against the propagator by eigh and the 4x4 distance
+    assert abs(card.realized_error - _verify_card_against_frame(card)) <= 1e-15
+
+
+def _mp_realized_error(card):
+    """60-digit oracle: the 4x4 distance of the card's float controls, from mpmath's expm."""
+    p, frame = card.solved, bell_frame(card.solved.h)
+    perm = frame_permutation(frame)
+    with mpmath.workdps(60):
+        c = mpmath.matrix(np.rint(frame.change_of_basis.real * np.sqrt(2.0)).tolist()) / mpmath.sqrt(2)
+        hm = mpmath.zeros(4, 4)
+        for v, g in zip((*p.J, p.B1, p.B2), GENERATORS[p.h]):
+            hm += mpmath.mpf(float(v)) * mpmath.matrix(g.tolist())
+        u = mpmath.expm(-1j * mpmath.mpf(p.t) * (c.H * hm * c))
+        w = mpmath.matrix(d_gate(card.targets.gate)[np.ix_(perm, perm)].tolist())
+        pairs = [(u[i, j], w[i, j]) for i in range(4) for j in range(4)]
+        rot = mpmath.expjpi(mpmath.arg(mpmath.fsum(mpmath.conj(a) * b for a, b in pairs)) / mpmath.pi)
+        return mpmath.fsum(abs(rot * a - b) ** 2 for a, b in pairs) / 8
+
+
+@pytest.mark.parametrize(
+    "tag, m, fs",
+    [("CNOT_12", 1, 20.0), ("CNOT_21", 2, 100.0), ("CNOT_12", 1, 1e3), ("CNOT_21", 3, 3e3), ("CNOT_12", 4, 1e4)],
+)
+def test_realized_error_against_60_digit_oracle(tag, m, fs):
+    # errors from about 1e-8 down to 1e-20.  Each rounding of the block maps
+    # costs about eps * |d| with |d| ~ sqrt(error); the 4x4 path misses this
+    # bound on the last card (1.1e-14), the block maps keep within 4e-15
+    card = cnot_family(GateId(tag), m, fs)
+    want = _mp_realized_error(card)
+    assert 1e-21 < want < 1e-7
+    assert abs(card.realized_error - want) <= 1e-14 * mpmath.sqrt(want)
+
+
+def test_subnormal_overlap_with_the_target_is_no_warning():
+    # a subnormal drift target gives candidates whose block maps overlap the
+    # target in a subnormal s . w; its phase must come without an overflow
+    tg = dataclasses.replace(_targets("H_q2"), delta_plus_1=2.225073858507e-311)
+    card = solve_physical(tg)
+    assert card.realized_error <= ACCEPT_TOL
+    assert abs(card.realized_error - _verify_card_against_frame(card)) <= 1e-15
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         cnot_family(GateId("CNOT_12"), m=0, field_scale=1.0)
@@ -485,13 +577,9 @@ def _candidates_oracle(tg):
     # sorted by (duration, enumeration index), each made PhysicalParams at once
     h = tg.h
     tr = _TRANSVERSAL[h]
-    w = calib._frame_target(tg)
+    w = calib._target_blocks(tg)
     rot = (tg.delta_minus_1, tg.delta_minus_2)
-    axes = calib._fill_invisible(
-        [calib._axis_choices(tg, k, w[2 * k - 2 : 2 * k, 2 * k - 2 : 2 * k]) for k in (1, 2)],
-        rot,
-        tr,
-    )
+    axes = calib._fill_invisible([calib._axis_choices(tg, k, w[k - 1]) for k in (1, 2)], rot, tr)
     r = math.remainder(tg.delta_plus_1, TWO_PI)
     scored = []
     for s, n1, n2 in itertools.product((1.0, -1.0), axes[0], axes[1]):
@@ -540,14 +628,14 @@ def test_solver_tries_candidates_shortest_first_and_stops_at_the_first_accepted(
         built.append(params(**kwargs))
         return built[-1]
 
-    def recording_evaluate(tg, p):
+    def recording_evaluate(tg, p, w):
         tried.append(p)
-        return evaluate(tg, p)
+        return evaluate(tg, p, w)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(calib, "PhysicalParams", counting_params)
         # a candidate is built only when the caller asks for the next one
-        for k, p in enumerate(calib._candidates(tg), start=1):
+        for k, p in enumerate(calib._candidates(tg, calib._target_blocks(tg)), start=1):
             assert len(built) == k
         assert built == oracle
         m.setattr(calib, "_evaluate", recording_evaluate)
@@ -562,5 +650,5 @@ def test_solver_tries_candidates_shortest_first_and_stops_at_the_first_accepted(
     else:
         assert card.solved == tried[-1]
         for p in tried[:-1]:
-            res, _, err, _ = evaluate(tg, p)
+            res, _, err, _ = evaluate(tg, p, calib._target_blocks(tg))
             assert max(max(res), err) > ACCEPT_TOL

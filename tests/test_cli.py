@@ -827,6 +827,15 @@ def test_src_imports_no_scipy():
     assert hits == []
 
 
+def test_calib_imports_no_4x4_path():
+    # realized_error is read off the two block maps; the 4x4 propagator and
+    # its distance stay test oracles and must not come back into synthesis
+    tree = ast.parse((_PACKAGE / "calib.py").read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert names & {"evolve", "dist_phase_invariant"} == set()
+
+
 def test_runtime_dependencies_are_numpy_alone():
     tomllib = pytest.importorskip("tomllib")
     pyproject = _PACKAGE.parents[1] / "pyproject.toml"
@@ -1017,11 +1026,25 @@ def test_integer_past_the_float_range_in_a_card_is_input_error(capsys, tmp_path,
 
 @pytest.mark.parametrize(
     "argv",
-    [("--m", str(HUGE)), ("--m-prime", str(HUGE)), ("--family", "--m", str(HUGE))],
-    ids=["m", "m-prime", "family-m"],
+    [
+        ("--m", str(HUGE)),
+        ("--m-prime", str(HUGE)),
+        ("--family", "--m", str(HUGE)),
+        ("--family", "--m", f"1..{HUGE}"),
+    ],
+    ids=["m", "m-prime", "family-m", "family-m-range"],
 )
 def test_winding_past_the_float_range_is_input_error(capsys, argv):
+    # a family range is bounded at its far end before any of its cards is solved
     assert "m + m_prime" in _assert_input_error(capsys, "synth", "CNOT_12", *argv)
+
+
+def test_cnot_card_with_edited_windings_is_input_error(capsys, tmp_path):
+    # the windings must give the card's rotations; m 7 would be echoed in every sweep row
+    card = tmp_path / "card.json"
+    assert cli.main(["synth", "CNOT_12", "--m", "2", "--m-prime", "1", "--out", str(card)]) == 0
+    f = _edited(tmp_path, card.read_text(), lambda d: d.update(m=7))
+    assert "must give the card's delta_minus" in _assert_input_error(capsys, "fidelity-sweep", f)
 
 
 @pytest.mark.parametrize("m, m_prime", [(3, None), (None, 5), (3, 5)])
