@@ -238,14 +238,20 @@ def reduced_params(p: PhysicalParams, frame: BellFrame) -> tuple[ReducedBlockPar
     """
     if p.h != frame.h:
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
+    return _reduced(*_block_coefficients(np.array((*p.J, p.B1, p.B2)), frame.h), p.t, frame)
+
+
+def _reduced(
+    coeffs: np.ndarray, norms: np.ndarray, t: float, frame: BellFrame
+) -> tuple[ReducedBlockParams, ReducedBlockParams]:
+    """reduced_params at duration t of one coupling row's (c, |c|), shapes (2, 4) and (2,), from the block kernel."""
     tr, sign = _TRANSVERSAL[frame.h], _TRANSVERSAL_SIGN[frame.h]
-    coeffs, norms = _block_coefficients(np.array((*p.J, p.B1, p.B2)), frame.h)
     out = []
     for block, (c, r) in enumerate(zip(coeffs.tolist(), norms.tolist()), start=1):
         if r == 0.0:
             dminus, b, j = 0.0, 0.0, 1.0
         else:
-            dminus = r * p.t
+            dminus = r * t
             nt, nz = c[tr] / r, c[3] / r
             if r < sys.float_info.min:
                 # a subnormal |c| keeps too few digits to divide by; the axis has
@@ -255,7 +261,7 @@ def reduced_params(p: PhysicalParams, frame: BellFrame) -> tuple[ReducedBlockPar
             # + 0.0, here and on delta_plus, turns a vanishing term's -0.0 into +0.0
             j = frame.beta[block - 1] * nz + 0.0
             b = frame.q[block - 1] * sign * nt + 0.0
-        out.append(ReducedBlockParams(block, -c[0] * p.t + 0.0, dminus, b, j))
+        out.append(ReducedBlockParams(block, -c[0] * t + 0.0, dminus, b, j))
     return out[0], out[1]
 
 

@@ -44,10 +44,12 @@ t = 1 a target row fixes these coordinates up to a finite choice:
   where that block is a multiple of the identity so that no axis is
   visible, the axis of the shortest pulse (closed form).
 
-Each choice gives the couplings x by one 5x5 solve, and max|x| is its
-canonical duration.  Candidates are tried shortest first, ties in
-enumeration order (phase sign +1 first, then block 1's axis choices,
-then block 2's, the positive sign of a free weight first).
+The inverse of that 5x5 map is a fixed table, so one product takes
+every choice's block coordinates to its couplings x, and max|x| is the
+choice's canonical duration.  Candidates are tried shortest first, ties
+in enumeration order (phase sign +1 first, then block 1's axis choices,
+then block 2's, the positive sign of a free weight first), and each
+one is checked against the row with one run of the block kernel.
 
 Gauge convention: a solved card is normalized so the largest coupling
 magnitude is 1 and the duration carries the overall scale.  Family
@@ -66,8 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellframe import _TRANSVERSAL, BLOCK_BASIS, BLOCK_COEFFS, _block_coefficients, _rotations, bell_frame
-from .bellframe import block_axis, reduced_params
+from .bellframe import _TRANSVERSAL, BLOCK_BASIS, BLOCK_COEFFS, _block_coefficients, _reduced, _rotations
+from .bellframe import bell_frame, block_axis
 from .checks import (
     ACCEPT_TOL,
     INVISIBLE_AXIS_TOL,
@@ -391,9 +393,12 @@ def _evaluate(
     error ||e^{i theta} u - w||_F^2 / 8 of the frame propagator u is a sum
     over its block maps s_k and the target blocks w_k (_target_blocks),
     2 |e^{i theta} s_k - w_k|^2 each in Pauli coordinates, theta = arg (s . w).
+    The block kernel runs once; the reduced parameters and the block maps
+    both read its coefficients.
     """
     frame = bell_frame(tg.h)
-    rp1, rp2 = reduced_params(p, frame)
+    c, norms = _block_coefficients(np.array((*p.J, p.B1, p.B2)), tg.h)
+    rp1, rp2 = _reduced(c, norms, p.t, frame)
     d_pos = _circ(rp1.delta_plus - tg.delta_plus_1)
     d_neg = _circ(rp1.delta_plus + tg.delta_plus_1)
     branch = 1 if d_pos <= d_neg else -1
@@ -412,11 +417,10 @@ def _evaluate(
             abs(rp1.b - r * frame.q[0] * frame.beta[0] * rp1.j),
             abs(rp2.b - r * frame.q[1] * frame.beta[1] * rp2.j),
         ]
-    c, r = _block_coefficients(np.array((*p.J, p.B1, p.B2)), tg.h)
     # an eigenphase t (c0 +- |c|) that overflows leaves no propagator, as in expm_hermitian
-    if not p.t * max(abs(c0) + n for c0, n in zip(c[:, 0].tolist(), r.tolist())) < math.inf:
+    if not p.t * max(abs(c0) + n for c0, n in zip(c[:, 0].tolist(), norms.tolist())) < math.inf:
         raise NonUnitaryError(math.inf)
-    phase, q = _rotations(p.t, c, r)
+    phase, q = _rotations(p.t, c, norms)
     s = np.exp(-1j * phase)[:, None] * q * (1.0, -1j, -1j, -1j)
     # the phase of s . w by atan2: a subnormal s . w must neither be divided by nor underflow
     z = np.vdot(s, w)
@@ -493,7 +497,8 @@ def _axis_choices(
             return None
         n = (a * (abs(a[top]) / a[top])).real
         n /= np.linalg.norm(n)
-        return [tuple(n), tuple(-n)]
+        # Python floats: a subnormal rotation times them must not warn in _free_angle
+        return [tuple(n.tolist()), tuple((-n).tolist())]
     pairs = list(dict.fromkeys(pairs))
     return [block_axis(bv, jv, frame, block) for bv, jv in pairs]
 
@@ -547,8 +552,9 @@ def _candidates(tg: PrescriptionTargets, w: np.ndarray) -> Iterator[PhysicalPara
 
     Ties in duration keep enumeration order: phase sign +1 before -1,
     then block 1's axis choices, then block 2's, each in the order of
-    _axis_choices.  The choices are scored and sorted up front; each
-    one becomes PhysicalParams only when the caller asks for it.
+    _axis_choices.  The choices are scored and sorted up front, their
+    couplings all from one stacked product; each one becomes
+    PhysicalParams only when the caller asks for it.
     """
     h = tg.h
     tr = _TRANSVERSAL[h]
@@ -557,15 +563,18 @@ def _candidates(tg: PrescriptionTargets, w: np.ndarray) -> Iterator[PhysicalPara
     # every drift phase the residual accepts is +-r + 2 pi n; beyond +-r
     # a branch only lengthens the pulse, since |c0| is one of the couplings
     r = math.remainder(tg.delta_plus_1, TWO_PI)
-    scored = []
-    for s, n1, n2 in itertools.product((1.0, -1.0), axes[0], axes[1]):
-        y = [-s * r, rot[0] * n1[tr - 1], rot[0] * n1[2], rot[1] * n2[tr - 1], rot[1] * n2[2]]
-        x = _INVERSE[h] @ np.array(y)
-        scored.append((float(np.abs(x).max()), len(scored), x))
-    scored.sort(key=lambda item: item[:2])
-    for lam, _, x in scored:
-        x = x / lam if lam else x
-        yield PhysicalParams(t=lam, J=(x[0], x[1], x[2]), B1=x[3], B2=x[4], h=h)
+    y = np.array([
+        (-s * r, rot[0] * n1[tr - 1], rot[0] * n1[2], rot[1] * n2[tr - 1], rot[1] * n2[2])
+        for s, n1, n2 in itertools.product((1.0, -1.0), axes[0], axes[1])
+    ])
+    # a stack of matrix-vector products, not y @ _INVERSE[h].T: the matrix
+    # product rounds sums of subnormal coordinates differently
+    x = (_INVERSE[h] @ y[..., None])[..., 0]
+    lams = np.abs(x).max(axis=1).tolist()
+    for i in sorted(range(len(lams)), key=lambda i: (lams[i], i)):
+        lam = lams[i]
+        xi = (x[i] / lam if lam else x[i]).tolist()
+        yield PhysicalParams(t=lam, J=(xi[0], xi[1], xi[2]), B1=xi[3], B2=xi[4], h=h)
 
 
 def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
@@ -579,14 +588,15 @@ def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
     order; candidates after it are never built.  A candidate is accepted
     when its realized gate error and every residual are at most
     ACCEPT_TOL.  If none is accepted, SolverFailure carries the smallest
-    worst residual seen and the number of candidates, all of them tried.
+    worst residual seen, and its message names that residual and gives
+    the number of candidates, all of them tried.
     """
     _check_feasible(tg)
 
     w = _target_blocks(tg)
     closed = _closed_form(tg)
     attempts = [closed] if closed is not None else _candidates(tg, w)
-    best_worst = math.inf
+    best_worst, best_at = math.inf, None
     tried = 0
     for p in attempts:
         tried += 1
@@ -595,12 +605,25 @@ def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
             return PrescriptionCard(
                 targets=tg, solved=p, residuals=res, realized_error=err, phase_branch=branch
             )
-        best_worst = min(best_worst, max(max(res), err))
+        worst = max(max(res), err)
+        if worst < best_worst:
+            best_worst, best_at = worst, (*res, err).index(worst)
+    name = None if best_at is None else _residual_names(tg)[best_at]
     raise SolverFailure(
         best_worst,
         f"no acceptable controls for {tg.gate.tag}: {tried} candidates missed; "
-        f"the closest has worst residual {best_worst:.3e} against ACCEPT_TOL {ACCEPT_TOL:.0e}",
+        f"the closest has worst residual {best_worst:.3e} ({name}) against ACCEPT_TOL {ACCEPT_TOL:.0e}",
     )
+
+
+def _residual_names(tg: PrescriptionTargets) -> list[str]:
+    """Names of _evaluate's residuals for tg in PrescriptionCard order, then realized_error."""
+    names = ["delta_plus", "delta_minus_1", "delta_minus_2"]
+    if tg.j_targets is not None:
+        names += ["j_1", "j_2"]
+    if tg.b_targets is not None or tg.b_relation_sign is not None:
+        names += ["b_1", "b_2"]
+    return names + ["realized_error"]
 
 
 def cnot_family(g: GateId, m: int, field_scale: float) -> PrescriptionCard:

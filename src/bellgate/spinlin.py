@@ -90,5 +90,7 @@ def dist_phase_invariant(a: np.ndarray, b: np.ndarray) -> float:
     if not (da <= UNITARITY_TOL and db <= UNITARITY_TOL):
         # np.maximum keeps a NaN defect, where max() would drop it in second place
         raise NonUnitaryError(float(np.maximum(da, db)))
-    d = cmath.exp(1j * cmath.phase(np.vdot(a, b))) * a - b
+    # the phase by atan2: cmath.phase raises OverflowError where it underflows
+    z = np.vdot(a, b)
+    d = cmath.rect(1.0, math.atan2(z.imag, z.real)) * a - b
     return float(np.vdot(d, d).real) / (2 * a.shape[0])

@@ -5,10 +5,12 @@ block reduction of each generator; solver output must land on them exactly
 through the closed-form path.
 """
 
+import cmath
 import dataclasses
 import itertools
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -21,6 +23,7 @@ from bellgate import (
     GateId,
     PhysicalParams,
     PrescriptionCard,
+    NonUnitaryError,
     SolverFailure,
     bell_frame,
     cnot_family,
@@ -33,9 +36,10 @@ from bellgate import (
     solve_physical,
 )
 from bellgate.bellframe import BLOCK_COEFFS
-from bellgate import calib
+from bellgate import bellframe, calib
 from bellgate.calib import _INVERSE, _TRANSVERSAL, SOLVABLE_TAGS
 from bellgate.checks import RECOMPUTE_TOL
+from bellgate.errors import BellgateError
 from bellgate.jsonio import dumps
 from bellgate.model import GENERATORS
 from conftest import parsed
@@ -573,8 +577,9 @@ def test_emit_card_schema():
 
 
 def _candidates_oracle(tg):
-    # the eager list _candidates built before it yielded: every choice scored,
-    # sorted by (duration, enumeration index), each made PhysicalParams at once
+    # _candidates as it scored each choice by its own matrix-vector product:
+    # every choice scored, sorted by (duration, enumeration index), each made
+    # PhysicalParams when the caller asks for it
     h = tg.h
     tr = _TRANSVERSAL[h]
     w = calib._target_blocks(tg)
@@ -587,10 +592,61 @@ def _candidates_oracle(tg):
         x = _INVERSE[h] @ np.array(y)
         scored.append((float(np.abs(x).max()), len(scored), x))
     scored.sort(key=lambda item: item[:2])
-    out = []
     for lam, _, x in scored:
         x = x / lam if lam else x
-        out.append(PhysicalParams(t=lam, J=(x[0], x[1], x[2]), B1=x[3], B2=x[4], h=h))
+        yield PhysicalParams(t=lam, J=(x[0], x[1], x[2]), B1=x[3], B2=x[4], h=h)
+
+
+def _evaluate_oracle(tg, p, w):
+    # _evaluate as it ran the block kernel twice: once inside the public
+    # reduced_params, once more for the block maps
+    frame = bell_frame(tg.h)
+    rp1, rp2 = reduced_params(p, frame)
+    d_pos = calib._circ(rp1.delta_plus - tg.delta_plus_1)
+    d_neg = calib._circ(rp1.delta_plus + tg.delta_plus_1)
+    branch = 1 if d_pos <= d_neg else -1
+    res = [
+        min(d_pos, d_neg),
+        calib._circ(rp1.delta_minus - tg.delta_minus_1),
+        calib._circ(rp2.delta_minus - tg.delta_minus_2),
+    ]
+    if tg.j_targets is not None:
+        res += [abs(rp1.j - tg.j_targets[0]), abs(rp2.j - tg.j_targets[1])]
+    if tg.b_targets is not None:
+        res += [abs(rp1.b - tg.b_targets[0]), abs(rp2.b - tg.b_targets[1])]
+    elif tg.b_relation_sign is not None:
+        r = float(tg.b_relation_sign)
+        res += [
+            abs(rp1.b - r * frame.q[0] * frame.beta[0] * rp1.j),
+            abs(rp2.b - r * frame.q[1] * frame.beta[1] * rp2.j),
+        ]
+    c, r = bellframe._block_coefficients(np.array((*p.J, p.B1, p.B2)), tg.h)
+    if not p.t * max(abs(c0) + n for c0, n in zip(c[:, 0].tolist(), r.tolist())) < math.inf:
+        raise NonUnitaryError(math.inf)
+    phase, q = bellframe._rotations(p.t, c, r)
+    s = np.exp(-1j * phase)[:, None] * q * (1.0, -1j, -1j, -1j)
+    z = np.vdot(s, w)
+    d = cmath.rect(1.0, math.atan2(z.imag, z.real)) * s - w
+    err = np.vdot(d, d).real / 4.0
+    return tuple(float(v) for v in res), branch, float(err), abs(d_pos - d_neg)
+
+
+def _outcome(call):
+    """repr of call()'s value, which tells -0.0 from 0.0, or the type and message of what it raised."""
+    try:
+        return repr(call())
+    except (ArithmeticError, ValueError, BellgateError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _docs(candidates):
+    """JSON of each candidate in turn, then what building the next one raised, if anything."""
+    out = []
+    try:
+        for p in candidates:
+            out.append(dumps(p.to_doc()))
+    except (ArithmeticError, ValueError, BellgateError) as exc:
+        out.append(f"{type(exc).__name__}: {exc}")
     return out
 
 
@@ -620,7 +676,7 @@ def _unpublished_targets(draw):
 def test_solver_tries_candidates_shortest_first_and_stops_at_the_first_accepted(tg):
     if calib._closed_form(tg) is not None:
         return
-    oracle = _candidates_oracle(tg)
+    oracle = list(_candidates_oracle(tg))
     built, tried = [], []
     evaluate, params = calib._evaluate, calib.PhysicalParams
 
@@ -652,3 +708,135 @@ def test_solver_tries_candidates_shortest_first_and_stops_at_the_first_accepted(
         for p in tried[:-1]:
             res, _, err, _ = evaluate(tg, p, calib._target_blocks(tg))
             assert max(max(res), err) > ACCEPT_TOL
+
+
+#: couplings, durations and target angles at the edges: signed zeros, subnormals, huge magnitudes
+_EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 6.3e-315, 2.2e-308, -1.0, 1.0, 1e300, -1e300]
+_EDGE_ANGLES = [0.0, -0.0, 5e-324, 2.2e-308, PI, TWO_PI, 1e300, 1.7e308]
+
+
+@st.composite
+def _edge_targets(draw):
+    """An unpublished row, its drift phase maybe on the pi / 4 grid (exact duration ties), its rotations maybe edge values."""
+    tg = draw(_unpublished_targets())
+    if draw(st.booleans()):
+        tg = dataclasses.replace(tg, delta_plus_1=draw(st.integers(-8, 8)) * PI / 4)
+    for name in ("delta_minus_1", "delta_minus_2"):
+        if draw(st.booleans()):
+            tg = dataclasses.replace(tg, **{name: draw(st.sampled_from(_EDGE_ANGLES))})
+    return tg
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_targets())
+def test_candidates_keep_the_bits_of_one_product_per_choice(tg):
+    # to_doc JSON tells -0.0 from 0.0, where PhysicalParams equality does not
+    w = calib._target_blocks(tg)
+    assert _docs(calib._candidates(tg, w)) == _docs(_candidates_oracle(tg))
+
+
+@st.composite
+def _edge_controls(draw):
+    """A row and controls on its axis: degenerate blocks (|c| = 0), subnormal |c|, t = 0, magnitudes up to 1e300."""
+    tg = draw(_unpublished_targets())
+    value = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(-1e300, 1e300))
+    # block coordinates (c0, T_1, L_1, T_2, L_2) with some of them zero give exactly degenerate blocks
+    y = [draw(st.one_of(st.just(0.0), value)) for _ in range(5)]
+    x = (_INVERSE[tg.h] @ np.array(y)).tolist() if draw(st.booleans()) else [draw(value) for _ in range(5)]
+    t = draw(st.one_of(st.sampled_from([0.0, 5e-324, 6.3e-315, 1.0, 1e300]), st.floats(0.0, 1e300)))
+    return tg, PhysicalParams(t=t, J=tuple(x[:3]), B1=x[3], B2=x[4], h=tg.h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_controls())
+def test_evaluate_keeps_the_bits_of_two_kernel_runs(case):
+    # residuals, branch, error and margin to the last bit, or the same error raised
+    tg, p = case
+    w = calib._target_blocks(tg)
+    assert _outcome(lambda: calib._evaluate(tg, p, w)) == _outcome(lambda: _evaluate_oracle(tg, p, w))
+
+
+def _solve_oracle(tg):
+    # solve_physical with the candidate and evaluation oracles; a failure
+    # gives its closest worst residual, the name of that entry and the count
+    calib._check_feasible(tg)
+    w = calib._target_blocks(tg)
+    closed = calib._closed_form(tg)
+    attempts = [closed] if closed is not None else _candidates_oracle(tg)
+    best, best_name, tried = math.inf, None, 0
+    for p in attempts:
+        tried += 1
+        res, branch, err, _ = _evaluate_oracle(tg, p, w)
+        if err <= ACCEPT_TOL and max(res) <= ACCEPT_TOL:
+            return dumps(calib.PrescriptionCard(tg, p, res, err, branch).to_doc())
+        names = ["delta_plus", "delta_minus_1", "delta_minus_2"]
+        names += ["j_1", "j_2"] * (tg.j_targets is not None)
+        names += ["b_1", "b_2"] * (tg.b_targets is not None or tg.b_relation_sign is not None)
+        worst = max(max(res), err)
+        if worst < best:
+            # the first entry at the worst value, in PrescriptionCard order
+            best, best_name = worst, next(n for n, v in zip(names + ["realized_error"], (*res, err)) if v == worst)
+    return f"SolverFailure: {tried} candidates missed; {best!r} {best_name}"
+
+
+def _solve_outcome(tg):
+    try:
+        return dumps(solve_physical(tg).to_doc())
+    except SolverFailure as exc:
+        found = re.search(r": (\d+ candidates missed;) .* \((\w+)\) against", str(exc))
+        return f"SolverFailure: {found[1]} {exc.best_residual!r} {found[2]}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_targets())
+def test_solver_keeps_the_bits_of_the_per_choice_path(tg):
+    # the same card to the last bit, or the same failure, or the same error
+    # raised at the same candidate
+    try:
+        calib._check_feasible(tg)
+    except ValueError:
+        return
+    assert _outcome(lambda: _solve_outcome(tg)) == _outcome(lambda: _solve_oracle(tg))
+
+
+_KERNEL_ROWS = [
+    (prescription_targets(GateId("S_phi_q2", phi=phi)), PI) for phi in (0.05, 2.0, PI - 0.04)
+] + [
+    (prescription_targets(GateId("S_phi_q1", phi=1.3), route=route), PI) for route in ("printed", "alternate")
+] + [
+    (prescription_targets(GateId(tag), m=m, m_prime=m_prime), 5 * PI / 4)
+    for tag in ("CNOT_12", "CNOT_21")
+    for m, m_prime in ((1, 0), (2, 1), (2, 0), (3, 2))
+] + [
+    # published rows (one closed-form candidate) and a row no candidate meets
+    (prescription_targets(GateId("CNOT_21"), m=2, m_prime=2), PI / 4),
+    (prescription_targets(GateId("S_phi_q2", phi=0.5)), TWO_PI),
+    (prescription_targets(GateId("S_phi_q2", phi=0.5)), 0.7),
+]
+
+
+@pytest.mark.parametrize("row, shift", _KERNEL_ROWS)
+def test_solver_runs_the_block_kernel_once_per_candidate(row, shift):
+    tg = dataclasses.replace(row, delta_plus_1=shift)
+    kernel, evaluate = bellframe._block_coefficients, calib._evaluate
+    calls = {"kernel": 0, "evaluate": 0}
+
+    def counting_kernel(x, h):
+        calls["kernel"] += 1
+        return kernel(x, h)
+
+    def counting_evaluate(tg, p, w):
+        calls["evaluate"] += 1
+        return evaluate(tg, p, w)
+
+    with pytest.MonkeyPatch.context() as m:
+        # both names, so a run reached through bellframe counts too
+        m.setattr(bellframe, "_block_coefficients", counting_kernel)
+        m.setattr(calib, "_block_coefficients", counting_kernel)
+        m.setattr(calib, "_evaluate", counting_evaluate)
+        try:
+            solve_physical(tg)
+        except SolverFailure:
+            pass
+    assert calls["evaluate"] >= 1
+    assert calls["kernel"] == calls["evaluate"]

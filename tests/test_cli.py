@@ -402,14 +402,14 @@ def test_solver_failure_maps_to_exit_3(capsys, monkeypatch):
 
 def test_solver_failure_message_names_the_closest_miss(capsys):
     # at a huge winding the one closed-form candidate misses by rounding;
-    # the message says by how much, against which tolerance
+    # the message says by how much, in which residual, against which tolerance
     code, out, err = run(capsys, "synth", "CNOT_12", "--m", "100000000", "--m-prime", "3")
     assert (code, out) == (3, "")
     doc = json.loads(err)["error"]
     assert doc["type"] == "solver"
     assert re.fullmatch(
         r"no acceptable controls for CNOT_12: 1 candidates missed; "
-        r"the closest has worst residual \d\.\d{3}e-08 against ACCEPT_TOL 1e-08",
+        r"the closest has worst residual \d\.\d{3}e-08 \(delta_minus_2\) against ACCEPT_TOL 1e-08",
         doc["message"],
     ), doc["message"]
 
@@ -834,6 +834,8 @@ def test_calib_imports_no_4x4_path():
     names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert names & {"evolve", "dist_phase_invariant"} == set()
+    # the reduced parameters come from the one block-kernel run of each candidate
+    assert "reduced_params" not in names
 
 
 def test_runtime_dependencies_are_numpy_alone():

@@ -1,5 +1,7 @@
 """Pauli algebra, Hermitian propagators, and unitary distances."""
 
+import cmath
+
 import mpmath
 import numpy as np
 import pytest
@@ -166,6 +168,27 @@ def test_dist_phase_invariant_rejects_non_finite_entries(value, first):
     with pytest.raises(NonUnitaryError) as info:
         dist_phase_invariant(*args)
     assert not np.isfinite(info.value.defect)
+
+
+def test_dist_phase_invariant_takes_an_underflowing_phase():
+    # arg tr(a^dag b) underflows to a subnormal; cmath.phase raised
+    # OverflowError on it, the distance is 0 to the last bit
+    b = np.eye(4, dtype=complex)
+    b[0, 0] = complex(1.0, 5e-324)
+    assert dist_phase_invariant(np.eye(4), b) == 0.0
+    assert dist_phase_invariant(b, np.eye(4)) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(-12.0, 0.0), st.booleans())
+def test_dist_phase_invariant_matches_the_cmath_phase_form(seed, log_eps, near):
+    # the atan2 phase gives the bits of exp(i cmath.phase(tr(a^dag b))) wherever that one is defined
+    a, b = _near_pair(seed, 10.0**log_eps) if near else (
+        random_unitary(np.random.default_rng(seed)),
+        random_unitary(np.random.default_rng(seed + 1)),
+    )
+    d = cmath.exp(1j * cmath.phase(np.vdot(a, b))) * a - b
+    assert dist_phase_invariant(a, b) == float(np.vdot(d, d).real) / 8
 
 
 def _near_pair(seed, eps):
