@@ -203,6 +203,10 @@ def _rotations(t, c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return t * c[..., 0], q
 
 
+#: a block map exp(-i phase) (q0 - i q . sigma) in Pauli coordinates is exp(-i phase) q times these
+_PAULI_SIGNS = _frozen(np.array((1.0, -1j, -1j, -1j)))
+
+
 def bell_frame(h: int) -> BellFrame:
     """The frozen Bell frame of field axis h."""
     return _FRAMES[strict_int("field axis h", h, _FRAMES)]
@@ -238,13 +242,17 @@ def reduced_params(p: PhysicalParams, frame: BellFrame) -> tuple[ReducedBlockPar
     """
     if p.h != frame.h:
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
-    return _reduced(*_block_coefficients(np.array((*p.J, p.B1, p.B2)), frame.h), p.t, frame)
+    rp1, rp2 = _reduced(*_block_coefficients(np.array((*p.J, p.B1, p.B2)), frame.h), p.t, frame)
+    return ReducedBlockParams(1, *rp1), ReducedBlockParams(2, *rp2)
 
 
 def _reduced(
     coeffs: np.ndarray, norms: np.ndarray, t: float, frame: BellFrame
-) -> tuple[ReducedBlockParams, ReducedBlockParams]:
-    """reduced_params at duration t of one coupling row's (c, |c|), shapes (2, 4) and (2,), from the block kernel."""
+) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
+    """reduced_params at duration t of one coupling row's (c, |c|), shapes (2, 4) and (2,), from the block kernel.
+
+    Each block comes as a plain (delta_plus, delta_minus, b, j) tuple of floats.
+    """
     tr, sign = _TRANSVERSAL[frame.h], _TRANSVERSAL_SIGN[frame.h]
     out = []
     for block, (c, r) in enumerate(zip(coeffs.tolist(), norms.tolist()), start=1):
@@ -261,7 +269,7 @@ def _reduced(
             # + 0.0, here and on delta_plus, turns a vanishing term's -0.0 into +0.0
             j = frame.beta[block - 1] * nz + 0.0
             b = frame.q[block - 1] * sign * nt + 0.0
-        out.append(ReducedBlockParams(block, -c[0] * t + 0.0, dminus, b, j))
+        out.append((-c[0] * t + 0.0, dminus, b, j))
     return out[0], out[1]
 
 

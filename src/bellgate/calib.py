@@ -68,8 +68,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellframe import _TRANSVERSAL, BLOCK_BASIS, BLOCK_COEFFS, _block_coefficients, _reduced, _rotations
-from .bellframe import bell_frame, block_axis
+from .bellframe import _PAULI_SIGNS, _TRANSVERSAL, BLOCK_BASIS, BLOCK_COEFFS, _block_coefficients, _reduced
+from .bellframe import _rotations, bell_frame, block_axis
 from .checks import (
     ACCEPT_TOL,
     INVISIBLE_AXIS_TOL,
@@ -85,6 +85,7 @@ from .errors import NonUnitaryError, SolverFailure
 from .gates import GateId, d_gate
 from .jsonio import fields
 from .model import PhysicalParams
+from .spinlin import _frozen
 
 __all__ = [
     "FAMILY_EXCHANGE",
@@ -247,11 +248,18 @@ class PrescriptionCard:
 
 
 def _canonical_phase(phi: float) -> float:
-    """Fold a phase angle into (0, 2*pi]; a zero angle means a full winding."""
-    pc = math.fmod(float(phi), TWO_PI)
-    if pc < 0.0:
-        pc += TWO_PI
-    return TWO_PI if pc == 0.0 else pc
+    """Fold a phase angle into (0, 2*pi]; a zero angle means a full winding.
+
+    An angle in (0, 2*pi] is its own fold.  Any other is folded as the
+    gate's exp(-+i phi) folds it, by the exact 2*pi: the angle of
+    (cos phi, sin phi).  A fold by the rounded 2*pi would be off by the
+    winding count times its rounding, 3.9e-4 at phi = 1e13.
+    """
+    phi = float(phi)
+    if 0.0 < phi <= TWO_PI:
+        return phi
+    pc = math.atan2(math.sin(phi), math.cos(phi))
+    return pc + TWO_PI if pc <= 0.0 else pc
 
 
 def prescription_targets(
@@ -361,13 +369,27 @@ def _check_feasible(tg: PrescriptionTargets) -> None:
         raise ValueError("infeasible targets: b fixed by value and by relation at once")
 
 
+def _frame_blocks(g: GateId, h: int) -> np.ndarray:
+    # the gate is block-diagonal in its frame; reshaped, w[k, :, k, :] is block k
+    w = d_gate(g)[bell_frame(h).order_index].reshape(2, 2, 2, 2)
+    return np.einsum("aij,kjki->ka", BLOCK_BASIS, w) / 2.0
+
+
+#: frame blocks of each gate without a phase angle, on every axis; read-only
+_FIXED_BLOCKS = {
+    (tag, h): _frozen(_frame_blocks(GateId(tag), h)) for tag in ("H_q2", "H_q1") + _CNOT_TAGS for h in (1, 2, 3)
+}
+
+
 def _target_blocks(tg: PrescriptionTargets) -> np.ndarray:
     """Pauli coordinates (w0, wx, wy, wz) of both frame blocks of tg's gate, shape (2, 4).
 
-    The gate is block-diagonal in its frame; reshaped, w[k, :, k, :] is block k.
+    A gate without a phase angle reads them from a read-only table built
+    at import; a phase gate's are built per call.
     """
-    w = d_gate(tg.gate)[bell_frame(tg.h).order_index].reshape(2, 2, 2, 2)
-    return np.einsum("aij,kjki->ka", BLOCK_BASIS, w) / 2.0
+    h = bell_frame(tg.h).h
+    w = _FIXED_BLOCKS.get((tg.gate.tag, h))
+    return _frame_blocks(tg.gate, h) if w is None else w
 
 
 def _circ(x: float) -> float:
@@ -398,30 +420,30 @@ def _evaluate(
     """
     frame = bell_frame(tg.h)
     c, norms = _block_coefficients(np.array((*p.J, p.B1, p.B2)), tg.h)
-    rp1, rp2 = _reduced(c, norms, p.t, frame)
-    d_pos = _circ(rp1.delta_plus - tg.delta_plus_1)
-    d_neg = _circ(rp1.delta_plus + tg.delta_plus_1)
+    (dplus1, dminus1, b1, j1), (_, dminus2, b2, j2) = _reduced(c, norms, p.t, frame)
+    d_pos = _circ(dplus1 - tg.delta_plus_1)
+    d_neg = _circ(dplus1 + tg.delta_plus_1)
     branch = 1 if d_pos <= d_neg else -1
     res = [
         min(d_pos, d_neg),
-        _circ(rp1.delta_minus - tg.delta_minus_1),
-        _circ(rp2.delta_minus - tg.delta_minus_2),
+        _circ(dminus1 - tg.delta_minus_1),
+        _circ(dminus2 - tg.delta_minus_2),
     ]
     if tg.j_targets is not None:
-        res += [abs(rp1.j - tg.j_targets[0]), abs(rp2.j - tg.j_targets[1])]
+        res += [abs(j1 - tg.j_targets[0]), abs(j2 - tg.j_targets[1])]
     if tg.b_targets is not None:
-        res += [abs(rp1.b - tg.b_targets[0]), abs(rp2.b - tg.b_targets[1])]
+        res += [abs(b1 - tg.b_targets[0]), abs(b2 - tg.b_targets[1])]
     elif tg.b_relation_sign is not None:
         r = float(tg.b_relation_sign)
         res += [
-            abs(rp1.b - r * frame.q[0] * frame.beta[0] * rp1.j),
-            abs(rp2.b - r * frame.q[1] * frame.beta[1] * rp2.j),
+            abs(b1 - r * frame.q[0] * frame.beta[0] * j1),
+            abs(b2 - r * frame.q[1] * frame.beta[1] * j2),
         ]
     # an eigenphase t (c0 +- |c|) that overflows leaves no propagator, as in expm_hermitian
     if not p.t * max(abs(c0) + n for c0, n in zip(c[:, 0].tolist(), norms.tolist())) < math.inf:
         raise NonUnitaryError(math.inf)
     phase, q = _rotations(p.t, c, norms)
-    s = np.exp(-1j * phase)[:, None] * q * (1.0, -1j, -1j, -1j)
+    s = np.exp(-1j * phase)[:, None] * q * _PAULI_SIGNS
     # the phase of s . w by atan2: a subnormal s . w must neither be divided by nor underflow
     z = np.vdot(s, w)
     d = cmath.rect(1.0, math.atan2(z.imag, z.real)) * s - w
@@ -571,7 +593,8 @@ def _candidates(tg: PrescriptionTargets, w: np.ndarray) -> Iterator[PhysicalPara
     # product rounds sums of subnormal coordinates differently
     x = (_INVERSE[h] @ y[..., None])[..., 0]
     lams = np.abs(x).max(axis=1).tolist()
-    for i in sorted(range(len(lams)), key=lambda i: (lams[i], i)):
+    # a stable sort: ties keep enumeration order
+    for i in sorted(range(len(lams)), key=lams.__getitem__):
         lam = lams[i]
         xi = (x[i] / lam if lam else x[i]).tolist()
         yield PhysicalParams(t=lam, J=(xi[0], xi[1], xi[2]), B1=xi[3], B2=xi[4], h=h)
@@ -588,15 +611,16 @@ def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
     order; candidates after it are never built.  A candidate is accepted
     when its realized gate error and every residual are at most
     ACCEPT_TOL.  If none is accepted, SolverFailure carries the smallest
-    worst residual seen, and its message names that residual and gives
-    the number of candidates, all of them tried.
+    worst residual seen and the candidate that has it, and its message
+    names that residual and the candidate's duration and gives the
+    number of candidates, all of them tried.
     """
     _check_feasible(tg)
 
     w = _target_blocks(tg)
     closed = _closed_form(tg)
     attempts = [closed] if closed is not None else _candidates(tg, w)
-    best_worst, best_at = math.inf, None
+    best_worst, best_at, best = math.inf, None, None
     tried = 0
     for p in attempts:
         tried += 1
@@ -607,12 +631,14 @@ def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
             )
         worst = max(max(res), err)
         if worst < best_worst:
-            best_worst, best_at = worst, (*res, err).index(worst)
+            best_worst, best_at, best = worst, (*res, err).index(worst), p
     name = None if best_at is None else _residual_names(tg)[best_at]
+    at = "" if best is None else f", at t = {best.t:.3e},"
     raise SolverFailure(
         best_worst,
-        f"no acceptable controls for {tg.gate.tag}: {tried} candidates missed; "
-        f"the closest has worst residual {best_worst:.3e} ({name}) against ACCEPT_TOL {ACCEPT_TOL:.0e}",
+        f"no acceptable controls for {tg.gate.tag}: {tried} candidates missed; the closest{at} "
+        f"has worst residual {best_worst:.3e} ({name}) against ACCEPT_TOL {ACCEPT_TOL:.0e}",
+        best,
     )
 
 
@@ -648,6 +674,9 @@ def cnot_family(g: GateId, m: int, field_scale: float) -> PrescriptionCard:
     t = 1.0 / s
     half = FAMILY_EXCHANGE / 2.0
     b_hi = (tg.delta_minus_1 + math.pi / 4) * s
+    if not (t < math.inf and b_hi < math.inf):
+        raise ValueError(f"field_scale must keep the duration 1 / field_scale and the field "
+                         f"(2 pi m + pi / 4) field_scale finite, got {field_scale!r} at m = {tg.m}")
     b_lo = -math.pi / 4 * s
     j_drive = math.pi / 4 * s
     if g.tag == "CNOT_12":

@@ -42,6 +42,9 @@ RECOMPUTE_TOL = 1e-10
 
 def strict_int(name: str, value, allowed=None) -> int:
     """int(value); ValueError for a bool, a non-integer, or a value not in allowed."""
+    # fast path: a plain int is its own int(); anything else takes the general path below
+    if type(value) is int and (allowed is None or value in allowed):
+        return value
     # bool is an int subclass and 2.0 == 2, so both would pass "in"; numpy integers pass
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (
         allowed is not None and value not in allowed
@@ -54,6 +57,9 @@ def strict_int(name: str, value, allowed=None) -> int:
 
 def strict_float(name: str, value) -> float:
     """float(value); ValueError for a bool, a string, any other non-number, or a value no finite float holds."""
+    # fast path: a finite plain float is its own float(); anything else takes the general path below
+    if type(value) is float and math.isfinite(value):
+        return value
     # bool is an int subclass, and float() would also parse "1.5"; numpy ints and floats pass
     real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
     if real and isinstance(value, int):

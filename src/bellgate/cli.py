@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 
 import numpy as np
 
@@ -51,30 +52,35 @@ def _grid(text: str) -> list[float]:
     return [float(s) for s in text.split(",") if s.strip() != ""]
 
 
-def _is_grid(text: str) -> bool:
+def _reads(read: Callable[[str], object], text: str) -> bool:
     try:
-        _grid(text)
+        read(text)
     except ValueError:
         return False
     return True
 
 
-def _attach_grids(argv: list[str]) -> list[str]:
-    """Spell "--steps GRID" as "--steps=GRID" on fidelity-sweep.
+#: per subcommand, the options whose value may start with "-", each with the reader of its value
+_SIGNED_VALUES = {"synth": {"--phi": float, "--field-scale": float}, "fidelity-sweep": {"--steps": _grid}}
+
+
+def _attach_values(argv: list[str]) -> list[str]:
+    """Spell "--phi VALUE", "--field-scale VALUE" and "--steps GRID" with "=".
 
     argparse reads a value that starts with "-" and is not a plain
-    decimal, such as -5e-3 or -1e-2,5e-3, as an option and reports a
-    missing argument; attached with "=", it is read as the value.  Other
-    subcommands have no --steps, and their usage errors keep quoting
-    the arguments as given.
+    decimal, such as -5e-3, -inf or -1e-2,5e-3, as an option and reports
+    a missing argument; attached with "=", it is read as the value.  Only
+    the subcommand that has the option attaches it, and only a text the
+    option reads, so every other usage error keeps quoting the arguments
+    as given.
     """
     # the top-level parser takes no option values, so its first positional is the subcommand
-    if next((arg for arg in argv if not arg.startswith("-")), None) != "fidelity-sweep":
-        return argv
+    readers = _SIGNED_VALUES.get(next((arg for arg in argv if not arg.startswith("-")), None), {})
     out = []
     for arg in argv:
-        if out and out[-1] == "--steps" and _is_grid(arg):
-            out[-1] = "--steps=" + arg
+        read = readers.get(out[-1]) if out else None
+        if read is not None and _reads(read, arg):
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
@@ -291,7 +297,7 @@ def _emit_error(kind: str, exc: Exception) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(_attach_grids(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except _UsageError as exc:
         _emit_error("usage", exc)
         return 2

@@ -24,10 +24,15 @@ class NonUnitaryError(BellgateError):
 
 
 class SolverFailure(BellgateError):
-    """No candidate control set met the solver's acceptance tolerance."""
+    """No candidate control set met the solver's acceptance tolerance.
 
-    def __init__(self, best_residual: float, message: str):
+    closest is the candidate with the smallest worst residual, or None
+    when no candidate was scored.
+    """
+
+    def __init__(self, best_residual: float, message: str, closest=None):
         self.best_residual = best_residual
+        self.closest = closest
         super().__init__(message)
 
 

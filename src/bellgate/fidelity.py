@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellframe import BLOCK_BASIS, BellFrame, _block_coefficients, _rotations, _sinc
+from .bellframe import _PAULI_SIGNS, BLOCK_BASIS, BellFrame, _block_coefficients, _rotations, _sinc
 from .calib import PrescriptionCard
 from .checks import RANK_TIE_TOL, STATE_NORM_TOL, ZERO_NORM_TOL, strict_float, strict_int
 from .errors import NonFiniteDerivative
@@ -279,7 +279,7 @@ def directional_derivatives(
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
     g, c, r = _generators(p, dp.as_array()[None])
     phase, q = _rotations(p.t, c, r)
-    s = np.einsum("ba,aij->bij", np.exp(-1j * phase)[:, None] * q * (1.0, -1j, -1j, -1j), BLOCK_BASIS)
+    s = np.einsum("ba,aij->bij", np.exp(-1j * phase)[:, None] * q * _PAULI_SIGNS, BLOCK_BASIS)
     ds = -1j * s @ np.einsum("ba,aij->bij", g[0], BLOCK_BASIS)
     return (ds[0], ds[1]), (s[0], s[1])
 

@@ -840,3 +840,106 @@ def test_solver_runs_the_block_kernel_once_per_candidate(row, shift):
             pass
     assert calls["evaluate"] >= 1
     assert calls["kernel"] == calls["evaluate"]
+
+
+@pytest.mark.parametrize("tag", ["H_q2", "H_q1", "CNOT_12", "CNOT_21"])
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_fixed_gate_blocks_are_the_einsum_of_the_gate(tag, h):
+    # the import-time table holds, to the byte, what the per-call construction gives
+    w = d_gate(GateId(tag))[bell_frame(h).order_index].reshape(2, 2, 2, 2)
+    want = np.einsum("aij,kjki->ka", bellframe.BLOCK_BASIS, w) / 2.0
+    table = calib._FIXED_BLOCKS[(tag, h)]
+    assert (table.dtype, table.shape, table.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    assert not table.flags.writeable
+    tg = dataclasses.replace(prescription_targets(GateId(tag)), h=h)
+    assert calib._target_blocks(tg) is table
+
+
+def test_fixed_gate_table_holds_every_gate_without_a_phase_on_every_axis():
+    assert set(calib._FIXED_BLOCKS) == {
+        (tag, h) for tag in ("H_q2", "H_q1", "CNOT_12", "CNOT_21") for h in (1, 2, 3)
+    }
+
+
+@pytest.mark.parametrize("tag", ["S_phi_q2", "S_phi_q1"])
+def test_phase_gate_blocks_are_built_per_call(tag):
+    tg = prescription_targets(GateId(tag, phi=0.3))
+    w = d_gate(tg.gate)[bell_frame(tg.h).order_index].reshape(2, 2, 2, 2)
+    want = np.einsum("aij,kjki->ka", bellframe.BLOCK_BASIS, w) / 2.0
+    assert calib._target_blocks(tg).tobytes() == want.tobytes()
+
+
+def test_solver_builds_no_reduced_block_params(monkeypatch):
+    # _evaluate reads the reduced parameters as plain tuples; only the public reduced_params wraps them
+    built = []
+    init = bellframe.ReducedBlockParams.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(bellframe.ReducedBlockParams, "__init__", counting_init)
+    for row, shift in _KERNEL_ROWS:
+        try:
+            card = solve_physical(dataclasses.replace(row, delta_plus_1=shift))
+        except SolverFailure:
+            continue
+        PrescriptionCard.from_doc(json.loads(dumps(card.to_doc())))
+    cnot_family(GateId("CNOT_21"), m=2, field_scale=3.0)
+    assert built == []
+    reduced_params(PhysicalParams(t=PI / 2, J=(-1.0, -SQ2, 0.0), B1=-SQ2, B2=0.0, h=1), bell_frame(1))
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize(
+    "tg",
+    [
+        dataclasses.replace(prescription_targets(GateId("S_phi_q2", phi=0.5)), delta_plus_1=0.7),
+        dataclasses.replace(prescription_targets(GateId("CNOT_21"), m=2, m_prime=1), delta_plus_1=0.3),
+        # the published row: its one closed-form candidate misses by rounding
+        prescription_targets(GateId("CNOT_12"), m=10**8, m_prime=3),
+    ],
+    ids=["phase-off-grid", "cnot-phase-off-grid", "huge-winding"],
+)
+def test_solver_failure_carries_the_closest_candidate(tg):
+    w = calib._target_blocks(tg)
+    with pytest.raises(SolverFailure) as exc:
+        solve_physical(tg)
+    p = exc.value.closest
+    res, _, err, _ = calib._evaluate(tg, p, w)
+    assert max(max(res), err) == exc.value.best_residual
+    assert f"; the closest, at t = {p.t:.3e}, has worst residual " in str(exc.value)
+    # it is the first candidate that misses by the least
+    closed = calib._closed_form(tg)
+    worsts = [
+        max(max(res), err)
+        for res, _, err, _ in (calib._evaluate(tg, q, w) for q in ([closed] if closed else calib._candidates(tg, w)))
+    ]
+    assert min(worsts) == exc.value.best_residual
+    assert p == ([closed] if closed else list(calib._candidates(tg, w)))[worsts.index(min(worsts))]
+
+
+def test_solver_failure_without_a_scored_candidate_names_no_duration(monkeypatch):
+    # a NaN worst residual never counts as closer than none
+    tg = dataclasses.replace(_targets("S_phi_q2"), delta_plus_1=PI)
+    monkeypatch.setattr(calib, "_evaluate", lambda tg, p, w: ((math.nan,) * 7, 1, math.nan, 0.0))
+    with pytest.raises(SolverFailure) as exc:
+        solve_physical(tg)
+    assert exc.value.closest is None
+    assert "; the closest has worst residual inf (None) against " in str(exc.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, TWO_PI, exclude_min=True))
+def test_a_phase_in_one_turn_is_its_own_fold(phi):
+    assert calib._canonical_phase(phi) == phi
+    assert prescription_targets(GateId("S_phi_q2", phi=phi)).delta_minus_1 == phi
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0, -TWO_PI, 2 * TWO_PI, 1e13, 1e15, -1e15])))
+def test_the_fold_gives_the_gate_of_the_phase(phi):
+    # the gate reduces phi by the exact 2 pi; so does the fold, up to its last bits
+    pc = calib._canonical_phase(phi)
+    assert 0.0 < pc <= TWO_PI
+    assert abs(cmath.exp(1j * pc) - cmath.exp(1j * phi)) <= 1e-15

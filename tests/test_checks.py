@@ -1,12 +1,16 @@
 """The tolerance table and the one integer check every entry point uses."""
 
 import ast
+import enum
+import math
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellgate
 from bellgate import (
@@ -148,6 +152,83 @@ def test_strict_float_rejects_integers_past_the_float_range(value):
 
 def test_strict_float_accepts_the_largest_float_as_an_integer():
     assert strict_float("x", int(sys.float_info.max)) == sys.float_info.max
+
+
+def _general_int(name, value, allowed=None):
+    # strict_int without its fast path for a plain int
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (
+        allowed is not None and value not in allowed
+    ):
+        vals = [repr(a) for a in allowed or ()]
+        spec = ", ".join(vals[:-1]) + " or " + vals[-1] if vals else "an integer"
+        raise ValueError(f"{name} must be {spec}, got {value!r}")
+    return int(value)
+
+
+def _general_float(name, value):
+    # strict_float without its fast path for a finite plain float
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if real and isinstance(value, int):
+        real = abs(value) <= sys.float_info.max
+    if not (real and math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Axis(enum.IntEnum):
+    X = 1
+    Y = 2
+    Z = 3
+
+
+_INTS = st.integers(-(2**1100), 2**1100)
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_NUMBERS = st.one_of(
+    _INTS,
+    _FLOATS,
+    st.booleans(),
+    st.sampled_from(
+        [0, 1, 2, 3, -1, 0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, sys.float_info.max,
+         int(sys.float_info.max), 2**1024, -(2**1024), 10**400, 2.0, 3.0]
+    ),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.booleans().map(np.bool_),
+    _FLOATS.map(_Float),
+    _INTS.map(_Int),
+    st.sampled_from(list(_Axis)),
+)
+
+
+def _outcome(check, *args):
+    """(type, repr) of what check returns, or the message of the ValueError it raises."""
+    try:
+        out = check(*args)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return type(out), repr(out)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_NUMBERS)
+def test_strict_float_fast_path_agrees_with_the_general_path(value):
+    assert _outcome(strict_float, "x", value) == _outcome(_general_float, "x", value)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_NUMBERS, st.sampled_from([None, (1, 2, 3), (1, -1), {1: "a", 2: "b", 3: "c"}]))
+def test_strict_int_fast_path_agrees_with_the_general_path(value, allowed):
+    assert _outcome(strict_int, "k", value, allowed) == _outcome(_general_int, "k", value, allowed)
 
 
 @pytest.mark.parametrize("value", [True, False, np.bool_(True), np.bool_(False)])

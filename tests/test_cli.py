@@ -402,14 +402,15 @@ def test_solver_failure_maps_to_exit_3(capsys, monkeypatch):
 
 def test_solver_failure_message_names_the_closest_miss(capsys):
     # at a huge winding the one closed-form candidate misses by rounding;
-    # the message says by how much, in which residual, against which tolerance
+    # the message says how long it lasts, by how much it misses, in which
+    # residual, against which tolerance
     code, out, err = run(capsys, "synth", "CNOT_12", "--m", "100000000", "--m-prime", "3")
     assert (code, out) == (3, "")
     doc = json.loads(err)["error"]
     assert doc["type"] == "solver"
     assert re.fullmatch(
-        r"no acceptable controls for CNOT_12: 1 candidates missed; "
-        r"the closest has worst residual \d\.\d{3}e-08 \(delta_minus_2\) against ACCEPT_TOL 1e-08",
+        r"no acceptable controls for CNOT_12: 1 candidates missed; the closest, at t = 3\.142e\+08, "
+        r"has worst residual \d\.\d{3}e-08 \(delta_minus_2\) against ACCEPT_TOL 1e-08",
         doc["message"],
     ), doc["message"]
 
@@ -738,6 +739,64 @@ def test_step_errors_keep_their_lines(capsys, card_file, argv, code, err):
     assert run(capsys, "fidelity-sweep", card_file, "--states", "1", *argv) == (code, "", err)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("S_phi_q2", "--phi", "-5e-3"),
+        ("S_phi_q2", "--phi", "-1E2"),
+        ("S_phi_q1", "--route", "alternate", "--phi", "-2.5e+1"),
+        ("CNOT_12", "--family", "--m", "1..2", "--field-scale", "-1e3"),
+        ("CNOT_12", "--family", "--m", "1..2", "--field-scale", "-inf"),
+        ("S_phi_q2", "--phi", "-inf"),
+    ],
+    ids=["phi", "phi-capital-e", "phi-alternate", "field-scale", "field-scale-inf", "phi-inf"],
+)
+def test_negative_real_after_a_space_is_the_value(capsys, argv):
+    # argparse alone reads "-5e-3" as an option and reports a missing argument
+    *head, option, value = argv
+    attached = run(capsys, "synth", *head, f"{option}={value}")
+    assert run(capsys, "synth", *head, option, value) == attached
+    assert attached[0] == 0 or json.loads(attached[2])["error"]["type"] == "input"
+
+
+_MISSING_PHI = '{"error":{"type":"usage","message":"argument --phi: expected one argument"}}\n'
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("synth", "S_phi_q2", "--phi"), _MISSING_PHI),
+        (("synth", "S_phi_q2", "--phi", "-x"), _MISSING_PHI),
+        (("synth", "S_phi_q2", "--phi", "--m", "2"), _MISSING_PHI),
+        (
+            ("synth", "S_phi_q2", "--phi", "abc"),
+            '{"error":{"type":"usage","message":"argument --phi: invalid float value: \'abc\'"}}\n',
+        ),
+        (
+            ("synth", "CNOT_12", "--family", "--field-scale", "-e3"),
+            '{"error":{"type":"usage","message":"argument --field-scale: expected one argument"}}\n',
+        ),
+        (
+            ("synth", "H_q2", "--steps", "-1e-2"),
+            '{"error":{"type":"usage","message":"unrecognized arguments: --steps -1e-2"}}\n',
+        ),
+        (
+            ("compile", "circuit.json", "--phi", "-5e-3"),
+            '{"error":{"type":"usage","message":"unrecognized arguments: --phi -5e-3"}}\n',
+        ),
+        (
+            ("fidelity-sweep", "card.json", "--field-scale", "-1e3"),
+            '{"error":{"type":"usage","message":"unrecognized arguments: --field-scale -1e3"}}\n',
+        ),
+    ],
+    ids=["no-value", "not-a-number", "option-next", "invalid", "field-scale-not-a-number",
+         "steps-on-synth", "phi-on-compile", "field-scale-on-fidelity-sweep"],
+)
+def test_real_option_errors_keep_their_lines(capsys, argv, err):
+    # only the subcommand that has the option attaches its value, and only a value it reads
+    assert run(capsys, *argv) == (2, "", err)
+
+
 @pytest.mark.parametrize("command", ["evolve", "blocks", "compile"])
 def test_steps_stays_an_unknown_option_elsewhere(capsys, params_file, command):
     # only fidelity-sweep reads a grid, so only there is "--steps -1" attached
@@ -970,6 +1029,43 @@ def test_family_at_a_huge_field_scale_is_a_card(capsys):
     code, out, err = run(capsys, "synth", "CNOT_12", "--family", "--m", "1..2", "--field-scale", "1e200")
     assert (code, err) == (0, "")
     assert [card["b_abs"] for card in json.loads(out)["family"]] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("scale", ["5e-324", "1e308"], ids=["duration-overflows", "field-overflows"])
+def test_family_field_scale_out_of_the_float_range_is_named(capsys, scale):
+    # 1 / 5e-324 and 2 pi 1e308 overflow; the error names the option given, not t or B1
+    message = _assert_input_error(capsys, "synth", "CNOT_12", "--family", "--m", "1..2", "--field-scale", scale)
+    assert message.startswith("field_scale must keep the duration 1 / field_scale and the field ")
+    assert message.endswith(f", got {float(scale)!r} at m = 1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("S_phi_q2", "--phi", "1e12"),
+        ("S_phi_q2", "--phi", "1e13"),
+        ("S_phi_q2", "--phi", "1e15"),
+        ("S_phi_q2", "--phi", "1e300"),
+        ("S_phi_q2", "--phi=-1e13"),
+        ("S_phi_q1", "--phi", "1e13"),
+        ("S_phi_q1", "--phi", "1e15"),
+        ("S_phi_q1", "--phi", "1e300"),
+        ("S_phi_q1", "--phi=-1e13"),
+        ("S_phi_q1", "--route", "alternate", "--phi", "1e13"),
+        ("S_phi_q1", "--route", "alternate", "--phi", "1e15"),
+        ("S_phi_q1", "--route", "alternate", "--phi=-1e13"),
+    ],
+)
+def test_huge_phase_is_folded_as_the_gate_folds_it(capsys, argv):
+    # the gate's exp(-+i phi) reduces phi by the exact 2 pi; a fold by the
+    # rounded 2 pi missed by 7.6e-8 at 1e13 and 7.6e-4 at 1e15
+    code, out, err = run(capsys, "synth", *argv)
+    assert (code, err) == (0, "")
+    card = PrescriptionCard.from_doc(json.loads(out))
+    frame = bell_frame(card.targets.h)
+    u = frame.adjoint @ evolve(card.solved) @ frame.change_of_basis
+    want = bellgate.d_gate(card.targets.gate)[frame.order_index]
+    assert bellgate.dist_phase_invariant(u, want) <= bellgate.ACCEPT_TOL
 
 
 def test_card_with_overflowing_block_coefficients_writes_one_stderr_line(tmp_path, card_file):

@@ -34,6 +34,17 @@ def test_every_module_is_scanned():
     assert {"bellgate.bellframe", "bellgate.calib", "bellgate.gates", "bellgate.spinlin"} <= set(MODULES)
 
 
+def test_the_solver_tables_are_scanned():
+    # the fixed-gate target blocks, the Pauli signs and the inversion table are shared by every solve
+    scanned = {
+        f"{name}.{attr}"
+        for name in MODULES
+        for attr, value in vars(importlib.import_module(name)).items()
+        if any(True for _ in _arrays(value, attr))
+    }
+    assert {"bellgate.calib._FIXED_BLOCKS", "bellgate.bellframe._PAULI_SIGNS", "bellgate.calib._INVERSE"} <= scanned
+
+
 @pytest.mark.parametrize("name", MODULES)
 def test_module_level_arrays_are_read_only(name):
     module = importlib.import_module(name)
