@@ -60,9 +60,12 @@ retains its meaning.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import itertools
 import math
+import operator
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -144,6 +147,16 @@ class PrescriptionTargets:
             v = getattr(self, name)
             if v is not None:
                 object.__setattr__(self, name, strict_int(name, v, allowed))
+
+
+#: a target set as a plain tuple of PrescriptionTargets' fields, in order and with their defaults
+_Row = namedtuple(
+    "_Row",
+    [f.name for f in dataclasses.fields(PrescriptionTargets)],
+    defaults=[f.default for f in dataclasses.fields(PrescriptionTargets) if f.default is not dataclasses.MISSING],
+)
+#: the fields of a PrescriptionTargets as one tuple, in _Row order
+_fields_of = operator.attrgetter(*_Row._fields)
 
 
 _CARD_KEYS = ("gate", "phi", "h", "m", "targets", "solved",
@@ -275,13 +288,13 @@ def prescription_targets(
     bookkeeping device), so it is rejected here, as are the
     computational-basis tags.
     """
-    return _published_row(g, m, m_prime, route)[0]
+    return PrescriptionTargets(*_published_row(g, m, m_prime, route)[0])
 
 
 def _published_row(
     g: GateId, m: int, m_prime: int, route: str
-) -> tuple[PrescriptionTargets, Callable[[], PhysicalParams]]:
-    """One row of the published table: its targets, and a call that builds its closed-form controls in canonical gauge."""
+) -> tuple[_Row, Callable[[], PhysicalParams]]:
+    """One row of the published table: its targets as a _Row, and a call that builds its closed-form controls in canonical gauge."""
     if not isinstance(g, GateId):
         raise TypeError(f"expected a GateId, got {type(g).__name__}")
     if g.tag not in SOLVABLE_TAGS:
@@ -297,7 +310,7 @@ def _published_row(
         h = 1 if tag == "S_phi_q2" else 3
         beta = bell_frame(h).beta
         pc = _canonical_phase(g.phi)
-        row = PrescriptionTargets(
+        row = _Row(
             gate=g,
             h=h,
             delta_plus_1=TWO_PI,
@@ -310,13 +323,11 @@ def _published_row(
         return row, lambda: PhysicalParams(t=pc, J=J, B1=0.0, B2=0.0, h=h)
     if tag == "S_phi_q1":
         pc = _canonical_phase(g.phi)
-        row = PrescriptionTargets(
-            gate=g, h=1, delta_plus_1=pc, delta_minus_1=TWO_PI, delta_minus_2=TWO_PI
-        )
+        row = _Row(gate=g, h=1, delta_plus_1=pc, delta_minus_1=TWO_PI, delta_minus_2=TWO_PI)
         return row, lambda: PhysicalParams(t=TWO_PI, J=(pc / TWO_PI, 0.0, 1.0), B1=0.0, B2=0.0, h=1)
     if tag in ("H_q2", "H_q1"):
         h = 1 if tag == "H_q2" else 3
-        row = PrescriptionTargets(
+        row = _Row(
             gate=g,
             h=h,
             delta_plus_1=math.pi / 2,
@@ -335,7 +346,7 @@ def _published_row(
         limits = f"m >= 1, m_prime >= 0 and m + m_prime <= {_MAX_WINDINGS:.3g}"
         raise ValueError(f"CNOT windings require {limits}, got {m}, {m_prime}")
     h = 1 if tag == "CNOT_12" else 3
-    row = PrescriptionTargets(
+    row = _Row(
         gate=g,
         h=h,
         delta_plus_1=math.pi / 4,
@@ -381,15 +392,51 @@ _FIXED_BLOCKS = {
 }
 
 
+def _phase_layout(tag: str, h: int) -> tuple[tuple[complex, int, complex, int], ...]:
+    """Where _frame_blocks of a phase gate on axis h takes each of its terms from.
+
+    The gate is diagonal, its entries e^{-i phi} or e^{i phi}.  The
+    einsum sums basis[a, i, j] m_k[j, i] over the block m_k in (i, j)
+    order, from a +0 start; the off-diagonal products are signed zeros
+    added to a sum that is already +0 or nonzero, so they change no bit.
+    Per (block, coordinate) this gives (basis[a, 0, 0], u, basis[a, 1, 1],
+    v), with u and v the indices into (e^{-i phi}, e^{i phi}) of m_k's
+    diagonal, read off the gate at phi = 1, where e^{-i phi} is the entry
+    of negative imaginary part.
+    """
+    probe = np.diagonal(d_gate(GateId(tag, phi=1.0)))[bell_frame(h).order_index[0].ravel()]
+    src = [0 if z.imag < 0.0 else 1 for z in probe.tolist()]
+    return tuple(
+        (complex(BLOCK_BASIS[a, 0, 0]), src[2 * k], complex(BLOCK_BASIS[a, 1, 1]), src[2 * k + 1])
+        for k in (0, 1)
+        for a in range(4)
+    )
+
+
+#: per phase gate and axis, the terms of its frame blocks; tuples, so read-only
+_PHASE_LAYOUT = {(tag, h): _phase_layout(tag, h) for tag in ("S_phi_q2", "S_phi_q1") for h in (1, 2, 3)}
+
+
 def _target_blocks(tg: PrescriptionTargets) -> np.ndarray:
     """Pauli coordinates (w0, wx, wy, wz) of both frame blocks of tg's gate, shape (2, 4).
 
     A gate without a phase angle reads them from a read-only table built
-    at import; a phase gate's are built per call.
+    at import.  A phase gate's are its two diagonal terms e^{-+i phi},
+    summed as _PHASE_LAYOUT places them and halved as _frame_blocks does,
+    so they keep the einsum's bits, signed zeros included.  A gate with
+    no published row, which only a hand-built target carries, goes through
+    the einsum itself.
     """
     h = bell_frame(tg.h).h
     w = _FIXED_BLOCKS.get((tg.gate.tag, h))
-    return _frame_blocks(tg.gate, h) if w is None else w
+    if w is not None:
+        return w
+    layout = _PHASE_LAYOUT.get((tg.gate.tag, h))
+    if layout is None:
+        return _frame_blocks(tg.gate, h)
+    # the gate's entries, by the same calls as d_gate
+    e = (complex(np.exp(-1j * tg.gate.phi)), complex(np.exp(1j * tg.gate.phi)))
+    return np.array([0j + c0 * e[u] + c1 * e[v] for c0, u, c1, v in layout]).reshape(2, 4) / 2.0
 
 
 def _circ(x: float) -> float:
@@ -452,7 +499,12 @@ def _evaluate(
 
 
 def _closed_form(tg: PrescriptionTargets) -> PhysicalParams | None:
-    """Closed-form controls of tg if it is the published row of its gate, route and windings."""
+    """Closed-form controls of tg if it is the published row of its gate, route and windings.
+
+    The row is a _Row, compared with tg's fields as one tuple: the first
+    field that differs decides, and only a target equal to its row builds
+    the row's controls.
+    """
     route = "alternate" if tg.gate.tag == "S_phi_q1" and tg.h == 3 else "printed"
     m = 1 if tg.m is None else tg.m
     m_prime = 0 if tg.m_prime is None else tg.m_prime
@@ -461,7 +513,7 @@ def _closed_form(tg: PrescriptionTargets) -> PhysicalParams | None:
     except ValueError:
         # a row _published_row refuses is not a published one
         return None
-    return controls() if tg == row else None
+    return controls() if _fields_of(tg) == row else None
 
 
 def _inverse(h: int) -> np.ndarray:
@@ -606,9 +658,13 @@ def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
     A published row (the one prescription_targets returns for the gate,
     route and windings of tg) gets its closed-form construction, which
     keeps the published prescriptions recognizable in the emitted cards.
-    Any other target set is inverted exactly (see the module docstring)
-    and the shortest accepted candidate is returned, ties in enumeration
-    order; candidates after it are never built.  A candidate is accepted
+    The row is compared with tg as a plain tuple (_closed_form), and the
+    target blocks of a phase gate come from its import-time layout
+    (_target_blocks), so a shifted target builds no PrescriptionTargets
+    for its row and no gate matrix.  Any other target set is inverted
+    exactly (see the module docstring) and the shortest accepted
+    candidate is returned, ties in enumeration order; candidates after it
+    are never built.  A candidate is accepted
     when its realized gate error and every residual are at most
     ACCEPT_TOL.  If none is accepted, SolverFailure carries the smallest
     worst residual seen and the candidate that has it, and its message

@@ -64,7 +64,15 @@ def _reads(read: Callable[[str], object], text: str) -> bool:
 _SIGNED_VALUES = {"synth": {"--phi": float, "--field-scale": float}, "fidelity-sweep": {"--steps": _grid}}
 
 
-def _attach_values(argv: list[str]) -> list[str]:
+def _option_named(token: str, options: dict[str, argparse.Action]) -> str | None:
+    """The option a token names as argparse reads it: itself, or the one option it is a prefix of."""
+    if token in options:
+        return token
+    matches = [o for o in options if o.startswith(token)] if token.startswith("--") else []
+    return matches[0] if len(matches) == 1 else None
+
+
+def _attach_values(argv: list[str], subcommands: dict[str, _Parser]) -> list[str]:
     """Spell "--phi VALUE", "--field-scale VALUE" and "--steps GRID" with "=".
 
     argparse reads a value that starts with "-" and is not a plain
@@ -72,13 +80,17 @@ def _attach_values(argv: list[str]) -> list[str]:
     a missing argument; attached with "=", it is read as the value.  Only
     the subcommand that has the option attaches it, and only a text the
     option reads, so every other usage error keeps quoting the arguments
-    as given.
+    as given.  An option is named as argparse names it, in full or by a
+    prefix of it alone, so "--ph -5e-3" is "--phi=-5e-3" on synth; an
+    ambiguous prefix attaches nothing and keeps argparse's error.
     """
     # the top-level parser takes no option values, so its first positional is the subcommand
-    readers = _SIGNED_VALUES.get(next((arg for arg in argv if not arg.startswith("-")), None), {})
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    readers = _SIGNED_VALUES.get(command, {})
+    options = subcommands[command]._option_string_actions if readers else {}
     out = []
     for arg in argv:
-        read = readers.get(out[-1]) if out else None
+        read = readers.get(_option_named(out[-1], options)) if out else None
         if read is not None and _reads(read, arg):
             out[-1] += "=" + arg
         else:
@@ -91,7 +103,8 @@ def _load(path: str):
         return json.loads(fh.read())
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The parser, and its subcommand parsers by name."""
     parser = _Parser(prog="bellgate", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -115,7 +128,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("synth", help="solve a pulse prescription card")
     p.add_argument("gate", choices=calib.SOLVABLE_TAGS)
     p.add_argument("--phi", type=float, default=None, help="phase angle, radians")
-    p.add_argument("--m", default="1", help="winding number, or a..b range with --family")
+    p.add_argument("--m", default=None,
+                   help="winding number of a CNOT (default 1), or a..b range with --family")
     p.add_argument("--m-prime", type=int, default=None)
     p.add_argument("--route", choices=("printed", "alternate"), default=None)
     p.add_argument("--family", action="store_true",
@@ -135,7 +149,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="state sampling seed")
     formatted(p)
 
-    return parser
+    return parser, sub.choices
 
 
 def _cmd_evolve(args) -> str:
@@ -186,9 +200,17 @@ def _cmd_blocks(args) -> str:
     return dumps(doc, indent=2) + "\n"
 
 
-def _parse_m_range(text: str) -> range:
+def _parse_m(text: str | None, family: bool) -> range:
+    """The windings --m names: 1 when it is absent, an integer, or with --family an a..b range."""
+    if text is None:
+        return range(1, 2)
+    if ".." in text and not family:
+        raise ValueError("synth only takes an --m range a..b together with --family")
     lo, hi = text.split("..", 1) if ".." in text else (text, text)
-    lo, hi = int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"--m takes an integer{' or a range a..b' if family else ''}, got {text!r}") from None
     if hi < lo:
         raise ValueError(f"empty winding range {text!r}")
     return range(lo, hi + 1)
@@ -206,7 +228,7 @@ def _cmd_synth(args) -> str:
             if value is not None:
                 raise ValueError(f"synth --family takes no {flag}")
         scale = 1.0 if args.field_scale is None else args.field_scale
-        windings = _parse_m_range(args.m)
+        windings = _parse_m(args.m, family=True)
         # the range is walked lazily: its far end meets its card's winding bounds before any card is solved
         calib.prescription_targets(gate, m=windings[-1], m_prime=windings[-1])
         cards = [calib.cnot_family(gate, m=m, field_scale=scale) for m in windings]
@@ -228,8 +250,13 @@ def _cmd_synth(args) -> str:
     if args.field_scale is not None:
         raise ValueError("synth only takes --field-scale together with --family")
     tg = calib.prescription_targets(
-        gate, m=int(args.m), m_prime=args.m_prime or 0, route=args.route or "printed"
+        gate, m=_parse_m(args.m, family=False)[0], m_prime=args.m_prime or 0, route=args.route or "printed"
     )
+    if tg.m is None:
+        # only a CNOT row carries windings; the other rows ignore them
+        for flag, value in (("--m", args.m), ("--m-prime", args.m_prime)):
+            if value is not None:
+                raise ValueError(f"synth {args.gate} takes no {flag}: only a CNOT has windings")
     return dumps(calib.solve_physical(tg).to_doc(), indent=2) + "\n"
 
 
@@ -295,9 +322,9 @@ def _emit_error(kind: str, exc: Exception) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, subcommands = _build_parser()
     try:
-        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv, subcommands))
     except _UsageError as exc:
         _emit_error("usage", exc)
         return 2

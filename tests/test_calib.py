@@ -943,3 +943,134 @@ def test_the_fold_gives_the_gate_of_the_phase(phi):
     pc = calib._canonical_phase(phi)
     assert 0.0 < pc <= TWO_PI
     assert abs(cmath.exp(1j * pc) - cmath.exp(1j * phi)) <= 1e-15
+
+
+def _closed_form_oracle(tg):
+    # _closed_form as it built the published row as PrescriptionTargets and
+    # compared it with the dataclass ==, and built the controls only then
+    route = "alternate" if tg.gate.tag == "S_phi_q1" and tg.h == 3 else "printed"
+    m = 1 if tg.m is None else tg.m
+    m_prime = 0 if tg.m_prime is None else tg.m_prime
+    try:
+        row = prescription_targets(tg.gate, m, m_prime, route)
+    except ValueError:
+        return None
+    return calib._published_row(tg.gate, m, m_prime, route)[1]() if tg == row else None
+
+
+#: phase angles at the edges: signed zeros, subnormals, near pi, huge
+_EDGE_PHASES = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.floats(-2.3e-308, 2.3e-308),
+    st.floats(PI - 1e-9, PI + 1e-9),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, PI, -PI, math.nextafter(PI, 0.0), TWO_PI, 1e300, -1e300]),
+)
+_WINDINGS = st.one_of(st.integers(0, 4), st.integers(0, 10**306))
+
+
+@st.composite
+def _published_rows(draw):
+    """Any published row: every gate, both routes of S_phi_q1, CNOT windings up to the float range."""
+    tag = draw(st.sampled_from(SOLVABLE_TAGS))
+    if tag.startswith("S_phi"):
+        route = draw(st.sampled_from(["printed", "alternate"])) if tag == "S_phi_q1" else "printed"
+        return prescription_targets(GateId(tag, phi=draw(_EDGE_PHASES)), route=route)
+    if tag.startswith("H"):
+        return prescription_targets(GateId(tag))
+    m, m_prime = draw(_WINDINGS.filter(lambda m: m >= 1)), draw(_WINDINGS)
+    assume(m + m_prime <= calib._MAX_WINDINGS)
+    return prescription_targets(GateId(tag), m=m, m_prime=m_prime)
+
+
+def _field_edits(tg, name):
+    """Values one field of tg may be edited to: near and equal values, signed zeros, other kinds."""
+    value = getattr(tg, name)
+    if name == "gate":
+        # another gate of the library, or the same phase gate at another phase
+        phase_tag = tg.gate.tag if tg.gate.phi is not None else "S_phi_q2"
+        others = [GateId(tag, phi=0.5) for tag in ("S_phi_q2", "S_phi_q1")] + [GateId(tag) for tag in SOLVABLE_TAGS[2:]]
+        return st.one_of(st.sampled_from(others), _EDGE_PHASES.map(lambda phi: GateId(phase_tag, phi=phi)))
+    if name == "h":
+        return st.sampled_from([1, 2, 3])
+    if name.startswith("delta"):
+        near = [value, -value, math.nextafter(value, math.inf), math.nextafter(value, -math.inf)]
+        return st.one_of(st.sampled_from(near + [0.0, -0.0, PI / 4, PI / 2, TWO_PI, 1e300]), st.floats(-1e300, 1e300))
+    if name in ("j_targets", "b_targets"):
+        pairs = [None, (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (1.0, -1.0), (-1.0, 1.0), [0.0, 0.0]]
+        if value is not None:
+            pairs += [tuple(-v for v in value), (value[0], -value[1]), (math.nextafter(value[0], 2.0), value[1])]
+        return st.one_of(st.sampled_from(pairs), st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+    if name == "b_relation_sign":
+        return st.sampled_from([None, 1, -1])
+    if name == "b_abs_to_one":
+        return st.just(not value)
+    # m and m_prime
+    near = [] if value is None else [value - 1, value + 1]
+    return st.one_of(st.sampled_from([None, 0, 1, 2, 3] + near), _WINDINGS)
+
+
+@st.composite
+def _rows_with_one_edit(draw):
+    """A published row as it is, or with one field edited alone."""
+    tg = draw(_published_rows())
+    name = draw(st.sampled_from([None] + [f.name for f in dataclasses.fields(tg)]))
+    if name is None:
+        return tg
+    return dataclasses.replace(tg, **{name: draw(_field_edits(tg, name))})
+
+
+@settings(max_examples=400, deadline=None)
+@given(_rows_with_one_edit())
+def test_closed_form_decides_as_the_built_row_compares(tg):
+    # the same controls to the last bit (repr tells -0.0 from 0.0), or None for both
+    assert _outcome(lambda: calib._closed_form(tg)) == _outcome(lambda: _closed_form_oracle(tg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([("S_phi_q2", "printed"), ("S_phi_q1", "printed"), ("S_phi_q1", "alternate")]),
+    st.sampled_from([1, 2, 3]),
+    _EDGE_PHASES,
+)
+def test_phase_gate_blocks_keep_the_einsum_bits(gate_route, h, phi):
+    # every axis, not only the row's: to the byte, signed zeros included
+    tag, route = gate_route
+    tg = dataclasses.replace(prescription_targets(GateId(tag, phi=phi), route=route), h=h)
+    w = d_gate(tg.gate)[bell_frame(h).order_index].reshape(2, 2, 2, 2)
+    want = np.einsum("aij,kjki->ka", bellframe.BLOCK_BASIS, w) / 2.0
+    got = calib._target_blocks(tg)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_shifted_target_builds_no_row_and_no_gate_matrix(monkeypatch):
+    # a solve compares the row as a plain tuple and reads a phase gate's blocks off its layout;
+    # the shifts are the bench's: pi on a phase or Hadamard row, 5 pi / 4 on a CNOT row
+    targets = [
+        dataclasses.replace(row, delta_plus_1=shift)
+        for row, shift in [
+            (prescription_targets(GateId("S_phi_q2", phi=2.3)), PI),
+            (prescription_targets(GateId("S_phi_q1", phi=1.3)), PI),
+            (prescription_targets(GateId("S_phi_q1", phi=4.4), route="alternate"), PI),
+            (prescription_targets(GateId("H_q1")), PI),
+            (prescription_targets(GateId("CNOT_12"), m=2, m_prime=2), 5 * PI / 4),
+            (prescription_targets(GateId("CNOT_21"), m=3, m_prime=1), 5 * PI / 4),
+        ]
+    ]
+    built, gates = [], []
+    init = calib.PrescriptionTargets.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(calib.PrescriptionTargets, "__init__", counting_init)
+    monkeypatch.setattr(calib, "d_gate", lambda g: gates.append(g))
+    cards = 0
+    for tg in targets:
+        try:
+            solve_physical(tg)
+            cards += 1
+        except SolverFailure:
+            pass
+    assert cards > 0
+    assert (built, gates) == ([], [])

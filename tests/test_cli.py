@@ -1,7 +1,9 @@
 """Command-line surface: schemas, determinism, and exit codes."""
 
 import ast
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -13,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import bellgate
 import bellgate.cli as cli
@@ -30,6 +34,7 @@ from bellgate import (
     prescription_targets,
     solve_physical,
 )
+from bellgate.calib import SOLVABLE_TAGS
 from bellgate.jsonio import dumps
 
 PARAMS_TEXT = '{"t": 1.2, "J": [0.7, -0.4, 0.9], "B1": 0.3, "B2": -0.6, "h": 1}'
@@ -1154,3 +1159,283 @@ def test_non_cnot_card_with_windings_is_input_error(capsys, tmp_path, card_file,
 
     f = _edited(tmp_path, Path(card_file).read_text(), edit)
     assert "windings" in _assert_input_error(capsys, "fidelity-sweep", f, "--states", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, full",
+    [
+        (("synth", "S_phi_q2", "--ph", "-5e-3"), ("synth", "S_phi_q2", "--phi=-5e-3")),
+        (("synth", "S_phi_q2", "--p", "-1E2"), ("synth", "S_phi_q2", "--phi=-1E2")),
+        (("synth", "CNOT_12", "--family", "--m", "1..2", "--fi", "-1e3"),
+         ("synth", "CNOT_12", "--family", "--m", "1..2", "--field-scale=-1e3")),
+        (("fidelity-sweep", "CARD", "--states", "1", "--ste", "-5e-3"),
+         ("fidelity-sweep", "CARD", "--states", "1", "--steps=-5e-3")),
+    ],
+    ids=["phi", "phi-one-letter", "field-scale", "steps"],
+)
+def test_option_prefix_takes_a_negative_value(capsys, card_file, argv, full):
+    # argparse takes an unambiguous prefix of an option, and so does the value attachment
+    argv, full = ([card_file if a == "CARD" else a for a in v] for v in (argv, full))
+    attached = run(capsys, *full)
+    assert attached[0] in (0, 2) and (attached[1] or attached[2])
+    assert run(capsys, *argv) == attached
+
+
+@pytest.mark.parametrize(
+    "argv, matches",
+    [
+        (("synth", "S_phi_q2", "--f", "-5e-3"), "--f could match --family, --field-scale, --format"),
+        (("fidelity-sweep", "CARD", "--st", "-5e-3"), "--st could match --states, --steps"),
+    ],
+)
+def test_ambiguous_option_prefix_keeps_the_argparse_error(capsys, card_file, argv, matches):
+    argv = [card_file if a == "CARD" else a for a in argv]
+    err = '{"error":{"type":"usage","message":"ambiguous option: %s"}}\n' % matches
+    assert run(capsys, *argv) == (2, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("H_q2", "--m", "3"), "--m"),
+        (("S_phi_q2", "--phi", "1", "--m", "5", "--m-prime", "2"), "--m"),
+        (("H_q1", "--m-prime", "2"), "--m-prime"),
+        (("S_phi_q1", "--phi", "1", "--route", "alternate", "--m", "1"), "--m"),
+    ],
+)
+def test_synth_windings_need_a_cnot(capsys, argv, flag):
+    # only a CNOT row winds; the other rows used to ignore --m and print "m": null
+    message = _assert_input_error(capsys, "synth", *argv)
+    assert message == f"synth {argv[0]} takes no {flag}: only a CNOT has windings"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--m", "abc"), "--m takes an integer, got 'abc'"),
+        (("--m", "1.5"), "--m takes an integer, got '1.5'"),
+        (("--m", "2..4"), "synth only takes an --m range a..b together with --family"),
+        (("--family", "--m", "1..x"), "--m takes an integer or a range a..b, got '1..x'"),
+    ],
+)
+def test_synth_unreadable_winding_names_the_option(capsys, argv, message):
+    assert _assert_input_error(capsys, "synth", "CNOT_12", *argv) == message
+
+
+def test_synth_winding_defaults_to_one(capsys):
+    assert run(capsys, "synth", "CNOT_21") == run(capsys, "synth", "CNOT_21", "--m", "1", "--m-prime", "0")
+    family = run(capsys, "synth", "CNOT_21", "--family", "--format", "csv")
+    assert family == run(capsys, "synth", "CNOT_21", "--family", "--m", "1", "--format", "csv")
+
+
+@pytest.mark.parametrize(
+    "tag, message",
+    [
+        ("T_translator", "card residuals and realized_error differ from their recomputation by 0.7499999999999998"),
+        ("B_H", "B_H is not a Bell-basis library gate"),
+    ],
+)
+def test_card_of_a_gate_without_a_row_keeps_its_error(capsys, tmp_path, card_file, tag, message):
+    # no target of a row carries such a gate, so its blocks still come from the gate matrix
+    f = _edited(tmp_path, Path(card_file).read_text(), lambda d: d.update(gate=tag))
+    assert _assert_input_error(capsys, "fidelity-sweep", f, "--states", "1") == message
+
+
+def _run_quietly(argv):
+    """cli.main in process, its stdout and stderr captured without a fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_contract(code, out, err):
+    """Exit 0 with no stderr, or exit 2 or 3 with one JSON error line and no stdout."""
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err == ""
+        return
+    assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+    kinds = ("usage", "input") if code == 2 else ("numerical", "solver")
+    doc = json.loads(err)
+    assert list(doc) == ["error"] and list(doc["error"]) == ["type", "message"]
+    assert doc["error"]["type"] in kinds
+
+
+def _assert_csv(out):
+    header, *rows = out.splitlines()
+    assert header and rows
+    assert {len(row.split(",")) for row in rows} == {len(header.split(","))}
+
+
+def _windings_give_rotations(doc):
+    """The rule for a card's windings, stated apart from calib: none, or a CNOT's, naming its rotations."""
+    m, m_prime, tg = doc["m"], doc["targets"]["m_prime"], doc["targets"]
+    if (m, m_prime) == (None, None):
+        return True
+    return (
+        doc["gate"] in ("CNOT_12", "CNOT_21")
+        and tg["delta_minus_1"] == 2.0 * m * math.pi
+        and tg["delta_minus_2"] == math.pi / 2 + 2.0 * m_prime * math.pi
+    )
+
+
+def _assert_card_reads_back(doc):
+    card = PrescriptionCard.from_doc(doc)
+    assert json.loads(dumps(card.to_doc())) == doc
+    assert _windings_give_rotations(doc)
+
+
+#: option values at the edges: signed zeros, subnormals, near and past the float range, no number at all
+_REAL_TEXTS = st.one_of(
+    st.sampled_from(["0", "-0.0", "5e-324", "-5e-324", "2.2e-308", "3.141592653589793", "-5e-3", "1e-2,5e-3",
+                     "1e300", "-1e300", "1.7976931348623157e308", "1e309", "-inf", "nan", "abc", ""]),
+    st.floats(-1e3, 1e3).map(repr),
+)
+_INTEGERS = st.one_of(st.integers(-2, 4), st.sampled_from([10**8, 10**306, HUGE, -HUGE]))
+_WINDING_TEXTS = st.one_of(
+    _INTEGERS.map(str),
+    # a range spans at most four cards, or runs past the float range so its far end is refused first
+    st.tuples(_INTEGERS, st.one_of(st.integers(-1, 3), st.just(HUGE))).map(lambda r: f"{r[0]}..{r[0] + r[1]}"),
+    st.sampled_from(["abc", "1..", "..2", "1.5", ""]),
+)
+
+
+@st.composite
+def _spelled(draw, option, value=None):
+    """An option in full or, one time in four, by a prefix of it; its value after a space or attached with "="."""
+    full = draw(st.sampled_from([True] * 3 + [False]))
+    name = option if full else option[: draw(st.sampled_from(range(3, len(option) + 1)))]
+    if value is None:
+        return [name]
+    return draw(st.sampled_from([[name, value], [f"{name}={value}"]]))
+
+
+@st.composite
+def _synth_argv(draw):
+    """A synth command: each option that fits the gate and mode seven times in ten, any other one time in ten."""
+    tag = draw(st.sampled_from(SOLVABLE_TAGS))
+    cnot = tag.startswith("CNOT")
+    # lists, not integer ranges: hypothesis favours their first entry, so the common case comes first
+    fits, misfits = st.sampled_from([True] * 7 + [False] * 3), st.sampled_from([False] * 9 + [True])
+    family = draw(st.booleans() if cnot else misfits)
+    fitting = {"--format"}
+    if tag.startswith("S_phi"):
+        fitting |= {"--phi"} | ({"--route"} if tag == "S_phi_q1" else set())
+    if cnot:
+        fitting |= {"--m", "--field-scale"} if family else {"--m", "--m-prime"}
+    windings = st.integers(1, 3).map(str)
+    if family:
+        # a range past the float range is refused at its far end, before any card is solved
+        windings = st.sampled_from(["1..2", f"1..{HUGE}", "2..4", f"{HUGE}..{HUGE}"])
+    options = [("--family", None)] if family else []
+    for option, values in [
+        ("--phi", _REAL_TEXTS),
+        ("--m", st.one_of(windings, _WINDING_TEXTS)),
+        ("--m-prime", st.one_of(st.integers(0, 2), _INTEGERS).map(str)),
+        ("--route", st.sampled_from(["printed", "alternate"])),
+        ("--field-scale", _REAL_TEXTS),
+        ("--format", st.sampled_from(["csv", "json"] if family else ["json"] * 4 + ["csv"])),
+    ]:
+        if draw(fits if option in fitting else misfits):
+            options.append((option, draw(values)))
+    argv = ["synth", tag]
+    for option, value in draw(st.permutations(options)):
+        argv += draw(_spelled(option, value))
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_synth_argv())
+# regressions run every time: a range listed before its far end is checked, windings past the float range
+@example(["synth", "CNOT_12", "--family", "--m", f"1..{HUGE}"])
+@example(["synth", "CNOT_21", "--m", str(HUGE)])
+@example(["synth", "CNOT_12", "--m-prime", str(HUGE)])
+def test_synth_keeps_the_exit_contract(argv):
+    code, out, err = _run_quietly(argv)
+    _assert_exit_contract(code, out, err)
+    if code != 0:
+        return
+    if out.startswith("{"):
+        doc = json.loads(out)
+        for card in doc["family"] if "family" in doc else [doc]:
+            card.pop("b_abs", None)
+            _assert_card_reads_back(card)
+    else:
+        _assert_csv(out)
+
+
+def _base_cards():
+    rows = [
+        prescription_targets(GateId("H_q2")),
+        prescription_targets(GateId("S_phi_q2", phi=0.5)),
+        prescription_targets(GateId("S_phi_q1", phi=2.0), route="alternate"),
+        prescription_targets(GateId("CNOT_12"), m=2, m_prime=1),
+    ]
+    docs = [solve_physical(tg).to_doc() for tg in rows]
+    docs.append(bellgate.cnot_family(GateId("CNOT_21"), m=2, field_scale=3.0).to_doc())
+    return [json.loads(dumps(doc)) for doc in docs]
+
+
+_BASE_CARDS = _base_cards()
+#: document values at the edges: numbers, integers past the float range, and wrong JSON types
+_DOC_VALUES = st.one_of(
+    st.sampled_from([HUGE, -HUGE, 2**1024]),
+    st.sampled_from([0, 1, 2, 7, -1, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.7976931348623157e308,
+                     math.inf, math.nan]),
+    st.sampled_from([True, False, None, "x", [], {}, [0.0, 0.0], [0.5, 0.5, 0.5]]),
+)
+
+
+@st.composite
+def _mutated_card(draw):
+    """A solved card as it is, with its windings edited, or with one key set to an edge value, dropped, or added."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_BASE_CARDS))))
+    action = draw(st.sampled_from(["none", "windings", "windings", "set", "set", "item", "drop"]))
+    if action == "windings":
+        winding = st.one_of(st.none(), st.integers(0, 9), _INTEGERS)
+        which = draw(st.sampled_from(["m", "m_prime", "both"]))
+        if which != "m_prime":
+            doc["m"] = draw(winding)
+        if which != "m":
+            doc["targets"]["m_prime"] = draw(winding)
+        return doc
+    where = draw(st.sampled_from([doc, doc["targets"], doc["solved"]]))
+    key = draw(st.sampled_from(sorted(where) + ["extra"]))
+    if action == "drop":
+        where.pop(key, None)
+    elif action == "item" and isinstance(where.get(key), list) and where[key]:
+        where[key][draw(st.integers(0, len(where[key]) - 1))] = draw(_DOC_VALUES)
+    elif action != "none":
+        where[key] = draw(_DOC_VALUES)
+    return doc
+
+
+def _base_card_with(index, edit):
+    doc = json.loads(json.dumps(_BASE_CARDS[index]))
+    edit(doc)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    doc=_mutated_card(),
+    steps=st.sampled_from(["1e-2", "-5e-3", "1e-2,5e-3", "0", "1e200", "nan", ","]),
+    fmt=st.sampled_from(["json", "csv"]),
+)
+# regressions run every time: edited CNOT windings, an integer past the float range
+@example(doc=_base_card_with(3, lambda d: d.update(m=7)), steps="1e-2", fmt="csv")
+@example(doc=_base_card_with(0, lambda d: d["solved"].update(t=HUGE)), steps="1e-2", fmt="json")
+def test_fidelity_sweep_keeps_the_exit_contract(tmp_path_factory, doc, steps, fmt):
+    card = tmp_path_factory.getbasetemp() / "exit-contract-card.json"
+    card.write_text(json.dumps(doc))
+    code, out, err = _run_quietly(["fidelity-sweep", str(card), "--states", "1", "--steps", steps, "--format", fmt])
+    _assert_exit_contract(code, out, err)
+    if code != 0:
+        return
+    # a card the sweep accepts names windings that give its rotations
+    assert _windings_give_rotations(doc)
+    if fmt == "csv":
+        _assert_csv(out)
+    else:
+        assert json.loads(out)["m"] == doc["m"]
