@@ -225,7 +225,7 @@ def to_blocks(u: np.ndarray, frame: BellFrame) -> tuple[np.ndarray, np.ndarray, 
     own axis it is zero up to rounding, for a mismatched axis it is
     macroscopic.
     """
-    m = frame.adjoint @ np.asarray(u, dtype=np.complex128) @ frame.change_of_basis
+    m = frame.adjoint.dot(np.asarray(u, dtype=np.complex128)).dot(frame.change_of_basis)
     off = float(np.sqrt(np.linalg.norm(m[0:2, 2:4]) ** 2 + np.linalg.norm(m[2:4, 0:2]) ** 2))
     return m[0:2, 0:2].copy(), m[2:4, 2:4].copy(), off
 

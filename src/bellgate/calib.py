@@ -233,6 +233,8 @@ class PrescriptionCard:
             m=m,
             m_prime=m_prime,
         )
+        if tg.gate.tag in _CNOT_TAGS and (tg.m, tg.m_prime) == (None, None):
+            raise ValueError("a CNOT card carries its windings m and m_prime, got null for both")
         if (tg.m, tg.m_prime) != (None, None):
             # a shifted card keeps its row's rotations, so they still name its windings
             row = prescription_targets(tg.gate, tg.m, tg.m_prime)

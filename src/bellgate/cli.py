@@ -224,6 +224,8 @@ def _family_b_abs(card: calib.PrescriptionCard) -> float:
 def _cmd_synth(args) -> str:
     gate = GateId(tag=args.gate, phi=args.phi)
     if args.family:
+        if args.gate not in ("CNOT_12", "CNOT_21"):
+            raise ValueError(f"synth --family takes CNOT_12 or CNOT_21, got {args.gate}")
         for flag, value in (("--m-prime", args.m_prime), ("--route", args.route)):
             if value is not None:
                 raise ValueError(f"synth --family takes no {flag}")

@@ -24,6 +24,10 @@ tables: the 4x4 computational matrix of each (tag, qubit), the fixed
 Bell-basis gates, and the compiled node of each computational gate.
 d_gate, translator and embedded_matrix return these shared arrays (copy
 before writing), and compile_circuit is one table lookup per gate.
+matrix_of reads each gate from one more table, built from these: every
+computational gate, every fixed Bell-basis gate and the two phase gates
+compile_circuit emits.  Only a gate outside it goes through
+embedded_matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 
 from .checks import strict_float, strict_int
 from .jsonio import complex_entry, fields
-from .spinlin import _frozen
+from .spinlin import _I4, _frozen
 
 __all__ = [
     "D_TAGS",
@@ -59,7 +63,6 @@ def _phase2(phi: float) -> np.ndarray:
 
 
 _I2 = _frozen(np.eye(2, dtype=np.complex128))
-_I4 = _frozen(np.eye(4, dtype=np.complex128))
 _H2 = _frozen(np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0))
 _CX_FIRST = _frozen(
     np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=np.complex128)
@@ -248,7 +251,11 @@ def matrix_of(c: Circuit) -> np.ndarray:
     """
     out = _I4
     for g in c.gates:
-        out = embedded_matrix(g, c.basis) @ out
+        m = g.matrix if isinstance(g, OpaqueGate) else _MATRICES.get((g.tag, g.phi, g.qubit))
+        if m is None:
+            # another phase angle, or a one-level gate without a qubit, which raises
+            m = embedded_matrix(g, c.basis)
+        out = m.dot(out)
     return out if c.gates else _I4.copy()
 
 
@@ -265,6 +272,14 @@ _COMPILED = {
     key: _NAMED[key] if key in _NAMED else OpaqueGate(_T @ m @ _T) for key, m in _EMBEDDED.items()
 }
 _T_ID = GateId("T_translator")
+
+#: matrix of each (tag, phi, qubit) matrix_of reads without embedded_matrix; the tag
+#: sets of the two bases are disjoint, so one table serves both
+_MATRICES = {(tag, None, q): m for (tag, q), m in _EMBEDDED.items()}
+_MATRICES.update(((tag, None, None), m) for tag, m in _D_FIXED.items())
+_MATRICES.update(
+    ((g.tag, g.phi, None), _frozen(d_gate(g))) for g in _NAMED.values() if g.tag in _PHASE_TAGS
+)
 
 
 def compile_circuit(c: Circuit) -> Circuit:

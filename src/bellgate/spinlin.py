@@ -4,6 +4,11 @@ Everything works on plain complex128 ndarrays: 2x2 single-spin operators
 and 4x4 two-spin operators.  Propagators are built by spectral
 decomposition of the (Hermitian) generator, never by Pade approximation,
 so unitarity holds to machine precision for any time argument.
+
+Products of two 2-D matrices are written a.dot(b), not a @ b: both call
+the same BLAS zgemm on the same operands and round alike, bit for bit,
+but dot skips the matmul ufunc dispatch, which costs more than the
+product itself at 4x4.  Stacked products keep @.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ _SX = _frozen(np.array([[0, 1], [1, 0]], dtype=np.complex128))
 _SY = _frozen(np.array([[0, -1j], [1j, 0]], dtype=np.complex128))
 _SZ = _frozen(np.array([[1, 0], [0, -1]], dtype=np.complex128))
 _PAULI = {1: _SX, 2: _SY, 3: _SZ}
+_I4 = _frozen(np.eye(4, dtype=np.complex128))
 
 
 def pauli(k: int) -> np.ndarray:
@@ -63,13 +69,14 @@ def expm_hermitian(hm: np.ndarray, scale: float = 1.0) -> np.ndarray:
     lo, hi = float(scale) * float(w[0]), float(scale) * float(w[-1])
     if not (abs(lo) < math.inf and abs(hi) < math.inf):
         raise NonUnitaryError(math.inf)
-    return (v * np.exp(-1j * scale * w)) @ v.conj().T
+    return (v * np.exp(-1j * scale * w)).dot(v.conj().T)
 
 
 def dist_unitary(u: np.ndarray) -> float:
     """Deviation from unitarity: max |u^dag u - 1| entrywise."""
     u = np.asarray(u, dtype=np.complex128)
-    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+    n = u.shape[0]
+    return float(np.abs(u.conj().T.dot(u) - (_I4 if n == 4 else np.eye(n))).max())
 
 
 def dist_phase_invariant(a: np.ndarray, b: np.ndarray) -> float:

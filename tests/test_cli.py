@@ -36,6 +36,7 @@ from bellgate import (
 )
 from bellgate.calib import SOLVABLE_TAGS
 from bellgate.jsonio import dumps
+from conftest import DEGENERATE
 
 PARAMS_TEXT = '{"t": 1.2, "J": [0.7, -0.4, 0.9], "B1": 0.3, "B2": -0.6, "h": 1}'
 CIRCUIT_TEXT = (
@@ -1150,6 +1151,27 @@ def test_cnot_card_with_edited_windings_is_input_error(capsys, tmp_path):
     assert "must give the card's delta_minus" in _assert_input_error(capsys, "fidelity-sweep", f)
 
 
+@pytest.mark.parametrize(
+    "m, m_prime, message",
+    [
+        (None, None, "a CNOT card carries its windings m and m_prime, got null for both"),
+        (7, None, "m_prime must be an integer, got None"),
+        (None, 1, "m must be an integer, got None"),
+    ],
+)
+def test_cnot_card_without_windings_is_input_error(capsys, tmp_path, m, m_prime, message):
+    # every CNOT card carries both windings; with both null the sweep printed m null in every row
+    card = tmp_path / "card.json"
+    assert cli.main(["synth", "CNOT_12", "--m", "2", "--m-prime", "1", "--out", str(card)]) == 0
+
+    def edit(doc):
+        doc["m"] = m
+        doc["targets"]["m_prime"] = m_prime
+
+    f = _edited(tmp_path, card.read_text(), edit)
+    assert _assert_input_error(capsys, "fidelity-sweep", f, "--states", "1") == message
+
+
 @pytest.mark.parametrize("m, m_prime", [(3, None), (None, 5), (3, 5)])
 def test_non_cnot_card_with_windings_is_input_error(capsys, tmp_path, card_file, m, m_prime):
     # only CNOT rows wind; an H_q2 card carrying m would echo it in every sweep row
@@ -1222,6 +1244,14 @@ def test_synth_unreadable_winding_names_the_option(capsys, argv, message):
     assert _assert_input_error(capsys, "synth", "CNOT_12", *argv) == message
 
 
+@pytest.mark.parametrize("tag", [tag for tag in SOLVABLE_TAGS if not tag.startswith("CNOT")])
+def test_synth_family_of_a_gate_without_one_names_the_option(capsys, tag):
+    # the message used to name the library call, cnot_family, instead of the option
+    phi = ("--phi", "1") if tag.startswith("S_phi") else ()
+    message = _assert_input_error(capsys, "synth", tag, *phi, "--family")
+    assert message == f"synth --family takes CNOT_12 or CNOT_21, got {tag}"
+
+
 def test_synth_winding_defaults_to_one(capsys):
     assert run(capsys, "synth", "CNOT_21") == run(capsys, "synth", "CNOT_21", "--m", "1", "--m-prime", "0")
     family = run(capsys, "synth", "CNOT_21", "--family", "--format", "csv")
@@ -1269,12 +1299,13 @@ def _assert_csv(out):
 
 
 def _windings_give_rotations(doc):
-    """The rule for a card's windings, stated apart from calib: none, or a CNOT's, naming its rotations."""
+    """The rule for a card's windings, stated apart from calib: a CNOT's name its rotations, no other card has any."""
     m, m_prime, tg = doc["m"], doc["targets"]["m_prime"], doc["targets"]
-    if (m, m_prime) == (None, None):
-        return True
+    if doc["gate"] not in ("CNOT_12", "CNOT_21"):
+        return (m, m_prime) == (None, None)
     return (
-        doc["gate"] in ("CNOT_12", "CNOT_21")
+        m is not None
+        and m_prime is not None
         and tg["delta_minus_1"] == 2.0 * m * math.pi
         and tg["delta_minus_2"] == math.pi / 2 + 2.0 * m_prime * math.pi
     )
@@ -1425,6 +1456,8 @@ def _base_card_with(index, edit):
 )
 # regressions run every time: edited CNOT windings, an integer past the float range
 @example(doc=_base_card_with(3, lambda d: d.update(m=7)), steps="1e-2", fmt="csv")
+@example(doc=_base_card_with(3, lambda d: (d.update(m=None), d["targets"].update(m_prime=None))), steps="1e-2",
+         fmt="csv")
 @example(doc=_base_card_with(0, lambda d: d["solved"].update(t=HUGE)), steps="1e-2", fmt="json")
 def test_fidelity_sweep_keeps_the_exit_contract(tmp_path_factory, doc, steps, fmt):
     card = tmp_path_factory.getbasetemp() / "exit-contract-card.json"
@@ -1439,3 +1472,100 @@ def test_fidelity_sweep_keeps_the_exit_contract(tmp_path_factory, doc, steps, fm
         _assert_csv(out)
     else:
         assert json.loads(out)["m"] == doc["m"]
+
+
+# The exit contract on the commands of the propagator, the Bell split and the compiler.
+
+#: parameter values at the edges: signed zeros, subnormals, near the float maximum, no number at all
+_PARAM_VALUES = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1.7976931348623157e308,
+                     -1.7976931348623157e308]),
+)
+_WRONG_VALUES = st.sampled_from([True, None, "x", [], {}, [0.0, 0.0], math.inf, math.nan, 2, HUGE])
+
+
+@st.composite
+def _params_doc(draw):
+    """A parameter document: drawn couplings, a degenerate block, or a sum that overflows; sometimes mistyped."""
+    h = draw(st.integers(1, 3))
+    c = draw(st.lists(_PARAM_VALUES, min_size=5, max_size=5))
+    kind = draw(st.sampled_from(["drawn", "degenerate", "overflowing"]))
+    if kind == "degenerate":
+        # |c| = 0 on one block, as in conftest's DEGENERATE table
+        a, b, s_j, s_b = DEGENERATE[(h, draw(st.integers(1, 2)))]
+        c[b] = s_j * c[a]
+        c[4] = s_b * c[3]
+    elif kind == "overflowing":
+        # J1 + J2 overflows while the Hamiltonian is assembled
+        c[0] = c[1] = 1.7e308
+    t = draw(st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e308]), st.floats(0.0, 4.0)))
+    doc = {"t": t, "J": c[:3], "B1": c[3], "B2": c[4], "h": h}
+    action = draw(st.sampled_from(["none"] * 4 + ["set", "drop"]))
+    key = draw(st.sampled_from(sorted(doc) + ["extra"]))
+    if action == "set":
+        doc[key] = draw(_WRONG_VALUES)
+    elif action == "drop":
+        doc.pop(key, None)
+    return doc
+
+
+_PARAMS_OPTIONS = st.sampled_from(
+    [("evolve",), ("evolve", "--format", "csv"), ("evolve", "--format", "json"), ("blocks",),
+     ("blocks", "--cross-h", "1"), ("blocks", "--cross-h", "2"), ("blocks", "--cross-h", "3"),
+     ("blocks", "--cross-h", "4"), ("blocks", "--format", "csv"), ("evolve", "--cross-h", "1")]
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(doc=_params_doc(), argv=_PARAMS_OPTIONS)
+# regressions run every time: t = 0, a degenerate block, an overflowing sum and phase, a wrong type
+@example(doc={"t": 0.0, "J": [1.0, -0.0, 0.5], "B1": 5e-324, "B2": -0.0, "h": 2}, argv=("blocks", "--cross-h", "1"))
+@example(doc={"t": 1.5, "J": [0.0, 0.7, 0.7], "B1": 0.3, "B2": -0.3, "h": 1}, argv=("blocks",))
+@example(doc=json.loads(OVERFLOWING_SUM), argv=("evolve", "--format", "csv"))
+@example(doc={"t": 1e308, "J": [3.0, 0.0, 0.0], "B1": 0.0, "B2": 0.0, "h": 1}, argv=("blocks",))
+@example(doc={"t": 1.0, "J": [1.0, 0.0, 0.0], "B1": 0.0, "B2": 0.0, "h": True}, argv=("evolve",))
+def test_evolve_and_blocks_keep_the_exit_contract(tmp_path_factory, doc, argv):
+    f = tmp_path_factory.getbasetemp() / "exit-contract-params.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = _run_quietly([argv[0], str(f), *argv[1:]])
+    _assert_exit_contract(code, out, err)
+    if code == 0 and "csv" in argv:
+        _assert_csv(out)
+    elif code == 0:
+        json.loads(out)
+
+
+_LIBRARY_ENTRIES = [{"gate": tag, "qubit": q} for tag in ("B_S8", "B_S4", "B_H") for q in (1, 2)]
+_CIRCUIT_ENTRIES = st.one_of(
+    st.sampled_from(_LIBRARY_ENTRIES + [{"gate": "B_CNOT12"}, {"gate": "B_CNOT21"}]),
+    # a one-level gate without its qubit, an unknown tag, a Bell-basis gate, mistyped entries
+    st.sampled_from([{"gate": "B_H"}, {"gate": "B_S4"}, {"gate": "B_T", "qubit": 1}, {"gate": "H_q2"},
+                     {"gate": "S_phi_q2", "phi": 0.5}, {"gate": "B_H", "qubit": 3}, {"gate": "B_H", "qubit": True},
+                     {"gate": "B_CNOT12", "qubit": 1}, {"gate": "B_S8", "qubit": 1, "phi": 0.1},
+                     {"gate": "OPAQUE", "matrix": np.eye(4).tolist()}, {"qubit": 1}, "B_H", None, []]),
+)
+
+
+@st.composite
+def _circuit_doc(draw):
+    """A circuit document, empty or not, mostly computational; sometimes malformed as a whole."""
+    gates = draw(st.lists(_CIRCUIT_ENTRIES, max_size=6))
+    basis = draw(st.sampled_from(["computational"] * 6 + ["bell", "spin", None]))
+    malformed = [{"gates": gates}, {"basis": basis, "gates": "B_H"}, gates]
+    return draw(st.sampled_from([{"basis": basis, "gates": gates}] * 6 + malformed))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_circuit_doc())
+# regressions run every time: empty, a qubit-less one-level gate, an unknown tag
+@example({"basis": "computational", "gates": []})
+@example({"basis": "computational", "gates": [{"gate": "B_CNOT12"}, {"gate": "B_H"}]})
+@example({"basis": "computational", "gates": [{"gate": "B_T", "qubit": 1}]})
+def test_compile_keeps_the_exit_contract(tmp_path_factory, doc):
+    f = tmp_path_factory.getbasetemp() / "exit-contract-circuit.json"
+    f.write_text(json.dumps(doc))
+    code, out, err = _run_quietly(["compile", str(f)])
+    _assert_exit_contract(code, out, err)
+    if code == 0:
+        assert json.loads(out)["equivalence_residual"] <= 1e-9

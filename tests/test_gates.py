@@ -22,6 +22,7 @@ from bellgate import (
     translator,
 )
 
+import bellgate.gates as gates
 from conftest import parsed, random_unitary
 
 UNITARY_TOL = 1e-13
@@ -488,6 +489,24 @@ def test_matrix_of_matches_its_oracle(comp, bell):
         got = matrix_of(circuit)
         assert got.tobytes() == _matrix_of_oracle(circuit).tobytes()
         assert got.flags.writeable
+
+
+def test_matrix_of_reads_every_compiled_gate_from_its_table(monkeypatch):
+    # every computational gate and every node compile_circuit emits for it
+    # is a table read; a missing entry would go through embedded_matrix
+    calls = []
+    for name in ("embedded_matrix", "d_gate"):
+        real = getattr(gates, name)
+        monkeypatch.setattr(gates, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
+    for tag, qubit in COMPUTATIONAL_KEYS:
+        c = Circuit(gates=(GateId(tag, qubit=qubit),), basis="computational")
+        matrix_of(c)
+        matrix_of(compile_circuit(c))
+    assert calls == []
+
+
+def test_matrix_of_tables_are_read_only():
+    assert all(not m.flags.writeable for m in gates._MATRICES.values())
 
 
 @pytest.mark.parametrize("basis", ["computational", "bell"])

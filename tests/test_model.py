@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from bellgate import PhysicalParams, assemble_hamiltonian, build_hamiltonian, evolve
 from bellgate.model import GENERATORS, admissible
 
-from conftest import parsed, random_params
+from conftest import edge_params, parsed, random_params
 
 HERMITICITY_TOL = 1e-14
 ORACLE_TOL = 1e-11
@@ -183,3 +183,22 @@ def test_overflowing_hamiltonian_warns_nothing(c):
         warnings.simplefilter("error")
         hm = assemble_hamiltonian(c[:3], c[3], c[4], 1)
     assert not np.isfinite(hm).all()
+
+
+def _evolve_oracle(p):
+    # the propagator as it was formed with @: exp(-i H t) from the same eigendecomposition
+    w, v = np.linalg.eigh(build_hamiltonian(p))
+    return (v * np.exp(-1j * p.t * w)) @ v.conj().T
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_params(), st.sampled_from([1.0, -0.0, 1e3, 1e6]), st.sampled_from([1.0, 1e100, 1e-300]))
+def test_evolve_matches_the_matmul_product(case, time_scale, coupling_scale):
+    # t = 0 of either sign, degenerate blocks, and couplings from below 1e-300 to 1e103;
+    # bit for bit, the sign of a zero included
+    p = case[0]
+    p = PhysicalParams(
+        t=p.t * time_scale, J=tuple(j * coupling_scale for j in p.J),
+        B1=p.B1 * coupling_scale, B2=p.B2 * coupling_scale, h=p.h,
+    )
+    assert evolve(p).tobytes() == _evolve_oracle(p).tobytes()

@@ -1,6 +1,7 @@
 """Pauli algebra, Hermitian propagators, and unitary distances."""
 
 import cmath
+import math
 
 import mpmath
 import numpy as np
@@ -233,3 +234,97 @@ def test_dist_phase_invariant_against_60_digit_oracle(log_eps):
         assert 1e-22 < want < 1e-7
         got = dist_phase_invariant(a, b)
         assert abs(got - want) <= 1e-15 * mpmath.sqrt(want)
+
+
+# expm_hermitian and dist_unitary take their 2-D products through ndarray.dot
+# and dist_unitary subtracts a shared identity; these oracles are the @ and
+# np.eye forms they replaced, and must agree to the bit, signed zeros included.
+
+
+def _expm_oracle(hm, scale):
+    w, v = np.linalg.eigh(hm)
+    return (v * np.exp(-1j * scale * w)) @ v.conj().T
+
+
+def _dist_unitary_oracle(u):
+    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
+
+
+#: entry magnitudes: zero (a signed zero after the product), subnormal, and up to 1e300
+MAGNITUDES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-300, 1.0, 1e150, 1e300]), st.floats(1e-300, 1e300))
+#: scales: t = 0 of either sign, tiny, large, and finite beyond every phase (raises)
+SCALES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1e6, 1e300]), st.floats(-1e3, 1e3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), MAGNITUDES, SCALES)
+def test_expm_hermitian_matches_the_matmul_product(seed, n, magnitude, scale):
+    hm = _random_hermitian(seed, n) * magnitude
+    try:
+        got = expm_hermitian(hm, scale)
+    except NonUnitaryError:
+        # a phase that overflows has no propagator in either form
+        w = np.linalg.eigvalsh(hm).tolist()
+        assert not (math.isfinite(scale * w[0]) and math.isfinite(scale * w[-1]))
+        return
+    assert got.tobytes() == _expm_oracle(hm, scale).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4]), MAGNITUDES, st.booleans(), st.booleans())
+def test_dist_unitary_matches_the_eye_form(seed, n, magnitude, unitary, zero_row):
+    # unitary inputs, at a rounding-level defect, and scaled random ones up to
+    # overflow (an inf or NaN defect); a zero row gives signed zeros in u^dag u
+    rng = np.random.default_rng(seed)
+    if unitary:
+        u = random_unitary(rng, n)
+    else:
+        u = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * magnitude
+    if zero_row:
+        u[int(rng.integers(n))] *= -0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = _dist_unitary_oracle(u)
+        got = dist_unitary(u)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        # and on a transposed view, which reaches BLAS with the other layout
+        assert np.float64(dist_unitary(u.T)).tobytes() == np.float64(_dist_unitary_oracle(u.T)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (np.nan, "matrix is not Hermitian: max |m - m^dag| = nan"),
+        (np.inf, "matrix is not Hermitian: max |m - m^dag| = nan"),
+        (complex(0.0, np.inf), "matrix is not Hermitian: max |m - m^dag| = inf"),
+    ],
+)
+def test_expm_hermitian_non_finite_errors_keep_their_messages(value, message):
+    one = np.eye(4, dtype=complex)
+    one[0, 0] = value
+    with pytest.raises(NonHermitianError) as info:
+        expm_hermitian(one, 1.0)
+    assert str(info.value) == message
+
+
+def test_expm_hermitian_overflowing_phase_keeps_its_message():
+    with pytest.raises(NonUnitaryError) as info:
+        expm_hermitian(np.diag([3.0, -1.0, -1.0, -1.0]), 1e308)
+    assert str(info.value) == "matrix is not unitary: max |u^dag u - 1| = inf"
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (np.nan, "matrix is not unitary: max |u^dag u - 1| = nan"),
+        (np.inf, "matrix is not unitary: max |u^dag u - 1| = nan"),
+        (1e200, "matrix is not unitary: max |u^dag u - 1| = inf"),
+    ],
+)
+def test_dist_phase_invariant_non_finite_errors_keep_their_messages(n, value, message):
+    bad = np.eye(n, dtype=complex)
+    bad[1, 0] = value
+    for args in ((bad, np.eye(n)), (np.eye(n), bad)):
+        with pytest.raises(NonUnitaryError) as info:
+            dist_phase_invariant(*args)
+        assert str(info.value) == message
