@@ -77,6 +77,7 @@ from .checks import (
     ACCEPT_TOL,
     INVISIBLE_AXIS_TOL,
     RECOMPUTE_TOL,
+    SOLVABLE_TAGS,
     UNIT_CIRCLE_TOL,
     WEIGHT_TOL,
     strict_bool,
@@ -106,8 +107,6 @@ TWO_PI = 2.0 * math.pi
 FAMILY_EXCHANGE = 1.0
 
 _CNOT_TAGS = ("CNOT_12", "CNOT_21")
-#: the library generators with a published row, in table order
-SOLVABLE_TAGS = ("S_phi_q2", "S_phi_q1", "H_q2", "H_q1") + _CNOT_TAGS
 
 #: largest m + m_prime of a CNOT row: its angles, up to 2 pi (m + m_prime) + pi / 2, stay finite
 _MAX_WINDINGS = sys.float_info.max / (2.0 * TWO_PI)

@@ -2,7 +2,9 @@
 
 The tolerances are constants of the contract, not settings: ACCEPT_TOL
 (criterion 5) accepts every synthesized card and STRUCTURAL_TOL
-(criterion 1) judges every blocks report.
+(criterion 1) judges every blocks report.  SOLVABLE_TAGS, the gates a
+pulse prescription exists for, lives here too: the command line offers
+them as choices before it loads any numerical layer.
 """
 
 from __future__ import annotations
@@ -38,6 +40,9 @@ RANK_TIE_TOL = 1e-12
 #: read: a card read on another machine can differ in the last bits of LAPACK output, while
 #: an edit that stays within it cannot move a number across ACCEPT_TOL by more than 1%
 RECOMPUTE_TOL = 1e-10
+
+#: the library generators with a published row, in table order (calib transcribes the rows)
+SOLVABLE_TAGS = ("S_phi_q2", "S_phi_q1", "H_q2", "H_q1", "CNOT_12", "CNOT_21")
 
 
 def strict_int(name: str, value, allowed=None) -> int:

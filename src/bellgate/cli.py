@@ -13,6 +13,10 @@ numerical or solver failure; failures write one JSON error object to
 stderr.  --format exists where a second format does: evolve and
 fidelity-sweep print json or csv, synth prints json always and csv for
 --family; blocks and compile print json and take no --format.
+
+A command loads only the layers it runs: each handler imports its own,
+so a cold evolve or compile never compiles the solver or the fidelity
+expansion.
 """
 
 from __future__ import annotations
@@ -24,14 +28,9 @@ from collections.abc import Callable
 
 import numpy as np
 
-from . import calib, fidelity
-from .bellframe import bell_frame, closed_form_block, reduced_params, to_blocks
-from .checks import STRUCTURAL_TOL
+from .checks import SOLVABLE_TAGS, STRUCTURAL_TOL
 from .errors import BellgateError, SolverFailure
-from .gates import Circuit, GateId, compile_circuit, matrix_of
 from .jsonio import dumps, dumps_csv
-from .model import PhysicalParams, evolve
-from .spinlin import dist_phase_invariant, dist_unitary
 
 __all__ = ["main", "DEFAULT_SEED"]
 
@@ -126,7 +125,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     out(p)
 
     p = sub.add_parser("synth", help="solve a pulse prescription card")
-    p.add_argument("gate", choices=calib.SOLVABLE_TAGS)
+    p.add_argument("gate", choices=SOLVABLE_TAGS)
     p.add_argument("--phi", type=float, default=None, help="phase angle, radians")
     p.add_argument("--m", default=None,
                    help="winding number of a CNOT (default 1), or a..b range with --family")
@@ -153,6 +152,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
 
 def _cmd_evolve(args) -> str:
+    from .model import PhysicalParams, evolve
+    from .spinlin import dist_unitary
+
     p = PhysicalParams.from_doc(_load(args.params))
     u = evolve(p)
     if args.format == "csv":
@@ -167,6 +169,9 @@ def _cmd_evolve(args) -> str:
 
 
 def _cmd_blocks(args) -> str:
+    from .bellframe import bell_frame, closed_form_block, reduced_params, to_blocks
+    from .model import PhysicalParams, evolve
+
     p = PhysicalParams.from_doc(_load(args.params))
     frame = bell_frame(p.h)
     u = evolve(p)
@@ -216,12 +221,15 @@ def _parse_m(text: str | None, family: bool) -> range:
     return range(lo, hi + 1)
 
 
-def _family_b_abs(card: calib.PrescriptionCard) -> float:
-    rp1, _ = reduced_params(card.solved, bell_frame(card.targets.h))
-    return abs(rp1.b)
-
-
 def _cmd_synth(args) -> str:
+    from . import calib
+    from .bellframe import bell_frame, reduced_params
+    from .gates import GateId
+
+    def family_b_abs(card) -> float:
+        rp1, _ = reduced_params(card.solved, bell_frame(card.targets.h))
+        return abs(rp1.b)
+
     gate = GateId(tag=args.gate, phi=args.phi)
     if args.family:
         if args.gate not in ("CNOT_12", "CNOT_21"):
@@ -238,13 +246,13 @@ def _cmd_synth(args) -> str:
             header = ("gate", "h", "m", "m_prime", "field_scale", "t", "b_abs", "realized_error")
             rows = (
                 (c.targets.gate.tag, c.targets.h, c.targets.m, c.targets.m_prime,
-                 scale, c.solved.t, _family_b_abs(c), c.realized_error)
+                 scale, c.solved.t, family_b_abs(c), c.realized_error)
                 for c in cards
             )
             return dumps_csv(header, rows)
         doc = {
             "field_scale": scale,
-            "family": [dict(card.to_doc(), b_abs=_family_b_abs(card)) for card in cards],
+            "family": [dict(card.to_doc(), b_abs=family_b_abs(card)) for card in cards],
         }
         return dumps(doc, indent=2) + "\n"
     if args.format == "csv":
@@ -263,6 +271,9 @@ def _cmd_synth(args) -> str:
 
 
 def _cmd_compile(args) -> str:
+    from .gates import Circuit, compile_circuit, matrix_of
+    from .spinlin import dist_phase_invariant
+
     circuit = Circuit.from_doc(_load(args.circuit))
     compiled = compile_circuit(circuit)
     residual = dist_phase_invariant(matrix_of(compiled), matrix_of(circuit))
@@ -274,6 +285,9 @@ def _cmd_compile(args) -> str:
 
 
 def _cmd_fidelity_sweep(args) -> str:
+    from . import calib, fidelity
+    from .bellframe import bell_frame
+
     card = calib.PrescriptionCard.from_doc(_load(args.card))
     steps = _grid(args.steps)
     frame = bell_frame(card.targets.h)

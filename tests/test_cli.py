@@ -822,22 +822,38 @@ def test_fidelity_sweep_writes_columns_without_report_objects(capsys, monkeypatc
 
 
 # Import boundary: the package runs on numpy alone, so no command, not even
-# the state sampler of fidelity-sweep, loads a scipy module.  Each cold check
-# starts a fresh interpreter on the src tree the tests import, runs BODY
-# (which sets `code`), and reports the scipy modules it ended up with on
-# stderr's last line.
+# the state sampler of fidelity-sweep, loads a scipy module, and each command
+# loads only the package layers it runs.  Each cold check starts a fresh
+# interpreter on the src tree the tests import, runs BODY (which sets `code`),
+# and reports the scipy and bellgate modules it ended up with on stderr's
+# last line.
 _SRC = str(Path(bellgate.__file__).resolve().parents[1])
 _COLD = """
 import json, sys
 {body}
 sys.stdout.flush()
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))), file=sys.stderr)
+loaded = [sorted(m for m in sys.modules if m == top or m.startswith(top + ".")) for top in ("scipy", "bellgate")]
+print(json.dumps(loaded), file=sys.stderr)
 sys.exit(code)
 """
 _CLI_BODY = "from bellgate.cli import main\ncode = main(sys.argv[1:])"
 
+#: what every command loads before its handler runs: the package namespace, the
+#: command line, and the three modules its parser and error lines need
+_SHELL = ["bellgate", "bellgate.checks", "bellgate.cli", "bellgate.errors", "bellgate.jsonio"]
+#: the layers each command loads on top of the shell
+_LAYERS = {
+    "evolve": ["model", "spinlin"],
+    "blocks": ["bellframe", "model", "spinlin"],
+    "compile": ["gates", "spinlin"],
+    "synth": ["bellframe", "calib", "gates", "model", "spinlin"],
+    "fidelity-sweep": ["bellframe", "calib", "fidelity", "gates", "model", "spinlin"],
+}
+_ALL_MODULES = _SHELL + [f"bellgate.{layer}" for layer in _LAYERS["fidelity-sweep"]]
+
 
 def _cold(body, *args):
+    """Exit code, stdout, stderr lines before the report, and the scipy and bellgate modules loaded."""
     proc = subprocess.run(
         [sys.executable, "-c", _COLD.format(body=body), *args],
         capture_output=True,
@@ -846,12 +862,25 @@ def _cold(body, *args):
         timeout=300,
     )
     *err, mods = proc.stderr.splitlines()
-    return proc.returncode, proc.stdout, err, json.loads(mods)
+    scipy_mods, bellgate_mods = json.loads(mods)
+    return proc.returncode, proc.stdout, err, scipy_mods, bellgate_mods
 
 
 def test_import_loads_no_scipy():
     body = "import bellgate, bellgate.cli\ncode = 0 if bellgate.__file__.startswith(sys.argv[1]) else 1"
-    assert _cold(body, _SRC) == (0, "", [], [])
+    assert _cold(body, _SRC) == (0, "", [], [], _SHELL)
+
+
+def test_bare_import_loads_no_layer_and_no_numpy():
+    body = "import bellgate\nprint('numpy' in sys.modules)\ncode = 0"
+    assert _cold(body) == (0, "False\n", [], [], ["bellgate"])
+
+
+def test_usage_error_loads_only_the_shell(capsys):
+    # the synth parser offers its gate choices before any layer is loaded
+    code, out, err = run(capsys, "synth", "B_H")
+    assert (code, out) == (2, "")
+    assert _cold(_CLI_BODY, "synth", "B_H") == (2, "", err.splitlines(), [], _SHELL)
 
 
 @pytest.mark.parametrize(
@@ -869,10 +898,12 @@ def test_import_loads_no_scipy():
     ids=lambda argv: argv[0],
 )
 def test_numpy_only_commands_load_no_scipy(capsys, params_file, circuit_file, card_file, argv):
+    # and no layer but its own: a cold evolve or compile never compiles the solver
     argv = [a.format(params=params_file, circuit=circuit_file, card=card_file) for a in argv]
     code, want, _ = run(capsys, *argv)
     assert code == 0
-    assert _cold(_CLI_BODY, *argv) == (0, want, [], [])
+    loaded = sorted(_SHELL + [f"bellgate.{layer}" for layer in _LAYERS[argv[0]]])
+    assert _cold(_CLI_BODY, *argv) == (0, want, [], [], loaded)
 
 
 def _imported_modules(path):
@@ -932,7 +963,8 @@ def test_fidelity_expansion_loads_no_scipy():
     p = PhysicalParams(t=1.2, J=(0.7, -0.4, 0.9), B1=0.3, B2=-0.6, h=1)
     state = BlockState.normalized([0.6, 0.5j, 0.4, -0.3], bell_frame(1))
     dp = Perturbation(dp=(1e-2, 0.0, 2e-2, 0.0, 0.0, -1e-2))
-    assert _cold(body) == (0, repr(fidelity_second_order(state, p, dp)) + "\n", [], [])
+    want = repr(fidelity_second_order(state, p, dp)) + "\n"
+    assert _cold(body) == (0, want, [], [], sorted(set(_ALL_MODULES) - {"bellgate.cli"}))
 
 
 def test_shifted_solve_loads_no_scipy():
@@ -947,7 +979,8 @@ def test_shifted_solve_loads_no_scipy():
         "print(dumps(solve_physical(tg).to_doc(), indent=2))\n"
         "code = 0"
     )
-    assert _cold(body) == (0, dumps(solve_physical(tg).to_doc(), indent=2) + "\n", [], [])
+    want = dumps(solve_physical(tg).to_doc(), indent=2) + "\n"
+    assert _cold(body) == (0, want, [], [], sorted(set(_ALL_MODULES) - {"bellgate.cli", "bellgate.fidelity"}))
 
 
 _DATA = Path(__file__).resolve().parent / "data"
