@@ -68,11 +68,12 @@ import sys
 from collections import namedtuple
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .bellframe import _PAULI_SIGNS, _TRANSVERSAL, BLOCK_BASIS, BLOCK_COEFFS, _block_coefficients, _reduced
-from .bellframe import _rotations, bell_frame, block_axis
+from .bellframe import _FRAME_ORDER, _rotations, bell_frame, block_axis
 from .checks import (
     ACCEPT_TOL,
     INVISIBLE_AXIS_TOL,
@@ -86,7 +87,7 @@ from .checks import (
     strict_reals,
 )
 from .errors import NonUnitaryError, SolverFailure
-from .gates import GateId, d_gate
+from .gates import _PHASE_DIAGONAL, GateId, d_gate
 from .jsonio import fields
 from .model import PhysicalParams
 from .spinlin import _frozen
@@ -170,7 +171,8 @@ class PrescriptionCard:
 
     residuals are in the order delta_plus, delta_minus_1, delta_minus_2,
     then j_1, j_2 where the targets pin j, then b_1, b_2 where they pin
-    b by value or by the Hadamard relation.  realized_error is the
+    b by value or by the Hadamard relation; a solver failure names a
+    residual by these names.  realized_error is the
     phase-invariant distance between the evolution and the target gate
     in the frame arrangement; phase_branch records which sign of
     delta_plus_1 the solution landed on.
@@ -244,21 +246,22 @@ class PrescriptionCard:
         stored_res = strict_reals("residuals", res)
         stored_err = strict_float("realized_error", err)
         stored_branch = strict_int("phase_branch", branch, (1, -1))
-        res, branch, err, branch_margin = _evaluate(tg, p, _target_blocks(tg))
+        e = _evaluate(tg, p, _target_blocks(tg))
+        res = tuple(e.residuals.values())
         if len(stored_res) != len(res):
             raise ValueError(
                 f"card residual count {len(stored_res)} differs from its recomputation {len(res)}"
             )
-        if stored_branch != branch and branch_margin > RECOMPUTE_TOL:
+        if stored_branch != e.phase_branch and e.branch_margin > RECOMPUTE_TOL:
             raise ValueError(
-                f"card phase_branch {stored_branch} differs from its recomputation {branch}"
+                f"card phase_branch {stored_branch} differs from its recomputation {e.phase_branch}"
             )
-        worst = max(abs(a - b) for a, b in zip(stored_res + (stored_err,), res + (err,)))
+        worst = max(abs(a - b) for a, b in zip(stored_res + (stored_err,), res + (e.realized_error,)))
         if worst > RECOMPUTE_TOL:
             raise ValueError(
                 f"card residuals and realized_error differ from their recomputation by {worst!r}"
             )
-        return cls(targets=tg, solved=p, residuals=res, realized_error=err, phase_branch=branch)
+        return _card(tg, p, e)
 
 
 def _canonical_phase(phi: float) -> float:
@@ -393,51 +396,29 @@ _FIXED_BLOCKS = {
 }
 
 
-def _phase_layout(tag: str, h: int) -> tuple[tuple[complex, int, complex, int], ...]:
-    """Where _frame_blocks of a phase gate on axis h takes each of its terms from.
-
-    The gate is diagonal, its entries e^{-i phi} or e^{i phi}.  The
-    einsum sums basis[a, i, j] m_k[j, i] over the block m_k in (i, j)
-    order, from a +0 start; the off-diagonal products are signed zeros
-    added to a sum that is already +0 or nonzero, so they change no bit.
-    Per (block, coordinate) this gives (basis[a, 0, 0], u, basis[a, 1, 1],
-    v), with u and v the indices into (e^{-i phi}, e^{i phi}) of m_k's
-    diagonal, read off the gate at phi = 1, where e^{-i phi} is the entry
-    of negative imaginary part.
-    """
-    probe = np.diagonal(d_gate(GateId(tag, phi=1.0)))[bell_frame(h).order_index[0].ravel()]
-    src = [0 if z.imag < 0.0 else 1 for z in probe.tolist()]
-    return tuple(
-        (complex(BLOCK_BASIS[a, 0, 0]), src[2 * k], complex(BLOCK_BASIS[a, 1, 1]), src[2 * k + 1])
-        for k in (0, 1)
-        for a in range(4)
-    )
-
-
-#: per phase gate and axis, the terms of its frame blocks; tuples, so read-only
-_PHASE_LAYOUT = {(tag, h): _phase_layout(tag, h) for tag in ("S_phi_q2", "S_phi_q1") for h in (1, 2, 3)}
-
-
 def _target_blocks(tg: PrescriptionTargets) -> np.ndarray:
     """Pauli coordinates (w0, wx, wy, wz) of both frame blocks of tg's gate, shape (2, 4).
 
     A gate without a phase angle reads them from a read-only table built
-    at import.  A phase gate's are its two diagonal terms e^{-+i phi},
-    summed as _PHASE_LAYOUT places them and halved as _frame_blocks does,
-    so they keep the einsum's bits, signed zeros included.  A gate with
-    no published row, which only a hand-built target carries, goes through
-    the einsum itself.
+    at import.  A phase gate is diagonal: block k holds the entries e_u,
+    e_v of its two frame slots, each one of e^{-+i phi} as the gate's
+    diagonal pattern places it, and is ((e_u + e_v) / 2, 0, 0,
+    (e_u - e_v) / 2).  Adding 0j turns a signed zero into +0, as the
+    einsum's +0 start does, so these keep _frame_blocks' bits.  A gate
+    with no published row, which only a hand-built target carries, goes
+    through the einsum itself.
     """
     h = bell_frame(tg.h).h
     w = _FIXED_BLOCKS.get((tg.gate.tag, h))
     if w is not None:
         return w
-    layout = _PHASE_LAYOUT.get((tg.gate.tag, h))
-    if layout is None:
+    diagonal = _PHASE_DIAGONAL.get(tg.gate.tag)
+    if diagonal is None:
         return _frame_blocks(tg.gate, h)
-    # the gate's entries, by the same calls as d_gate
+    # the gate's entries, by the same calls as d_gate, in frame order
     e = (complex(np.exp(-1j * tg.gate.phi)), complex(np.exp(1j * tg.gate.phi)))
-    return np.array([0j + c0 * e[u] + c1 * e[v] for c0, u, c1, v in layout]).reshape(2, 4) / 2.0
+    u = [e[diagonal[i]] for i in _FRAME_ORDER[h]]
+    return np.array([(0j + (eu + ev) / 2, 0j, 0j, 0j + (eu - ev) / 2) for eu, ev in (u[:2], u[2:])])
 
 
 def _circ(x: float) -> float:
@@ -452,41 +433,50 @@ def _circ(x: float) -> float:
     return abs(math.remainder(x, TWO_PI))
 
 
-def _evaluate(
-    tg: PrescriptionTargets, p: PhysicalParams, w: np.ndarray
-) -> tuple[tuple[float, ...], int, float, float]:
-    """Residual vector, phase branch, realized gate error of p, and branch margin.
+class _Evaluation(NamedTuple):
+    """What one block-kernel run measures of controls against a target set.
 
-    The branch margin is how far apart the distances to the two signs of
-    delta_plus_1 are; it is 0 up to rounding where delta_plus_1 is a
-    multiple of pi and both branches are the same phase.  The realized
-    error ||e^{i theta} u - w||_F^2 / 8 of the frame propagator u is a sum
-    over its block maps s_k and the target blocks w_k (_target_blocks),
-    2 |e^{i theta} s_k - w_k|^2 each in Pauli coordinates, theta = arg (s . w).
-    The block kernel runs once; the reduced parameters and the block maps
-    both read its coefficients.
+    residuals maps each residual's name to its value, in PrescriptionCard
+    order.  branch_margin is how far apart the distances to the two signs
+    of delta_plus_1 are; it is 0 up to rounding where delta_plus_1 is a
+    multiple of pi and both branches are the same phase.  b_abs is block
+    1's |b|, the drive weight of a CNOT family card.
+    """
+
+    residuals: dict[str, float]
+    phase_branch: int
+    realized_error: float
+    branch_margin: float
+    b_abs: float
+
+
+def _evaluate(tg: PrescriptionTargets, p: PhysicalParams, w: np.ndarray) -> _Evaluation:
+    """The residuals, phase branch and realized gate error of p against tg, as one record.
+
+    The realized error ||e^{i theta} u - w||_F^2 / 8 of the frame
+    propagator u is a sum over its block maps s_k and the target blocks
+    w_k (_target_blocks), 2 |e^{i theta} s_k - w_k|^2 each in Pauli
+    coordinates, theta = arg (s . w).  The block kernel runs once; the
+    reduced parameters and the block maps both read its coefficients.
     """
     frame = bell_frame(tg.h)
     c, norms = _block_coefficients(np.array((*p.J, p.B1, p.B2)), tg.h)
     (dplus1, dminus1, b1, j1), (_, dminus2, b2, j2) = _reduced(c, norms, p.t, frame)
     d_pos = _circ(dplus1 - tg.delta_plus_1)
     d_neg = _circ(dplus1 + tg.delta_plus_1)
-    branch = 1 if d_pos <= d_neg else -1
-    res = [
-        min(d_pos, d_neg),
-        _circ(dminus1 - tg.delta_minus_1),
-        _circ(dminus2 - tg.delta_minus_2),
-    ]
+    res = {
+        "delta_plus": min(d_pos, d_neg),
+        "delta_minus_1": _circ(dminus1 - tg.delta_minus_1),
+        "delta_minus_2": _circ(dminus2 - tg.delta_minus_2),
+    }
     if tg.j_targets is not None:
-        res += [abs(j1 - tg.j_targets[0]), abs(j2 - tg.j_targets[1])]
+        res["j_1"], res["j_2"] = abs(j1 - tg.j_targets[0]), abs(j2 - tg.j_targets[1])
     if tg.b_targets is not None:
-        res += [abs(b1 - tg.b_targets[0]), abs(b2 - tg.b_targets[1])]
+        res["b_1"], res["b_2"] = abs(b1 - tg.b_targets[0]), abs(b2 - tg.b_targets[1])
     elif tg.b_relation_sign is not None:
         r = float(tg.b_relation_sign)
-        res += [
-            abs(b1 - r * frame.q[0] * frame.beta[0] * j1),
-            abs(b2 - r * frame.q[1] * frame.beta[1] * j2),
-        ]
+        res["b_1"] = abs(b1 - r * frame.q[0] * frame.beta[0] * j1)
+        res["b_2"] = abs(b2 - r * frame.q[1] * frame.beta[1] * j2)
     # an eigenphase t (c0 +- |c|) that overflows leaves no propagator, as in expm_hermitian
     if not p.t * max(abs(c0) + n for c0, n in zip(c[:, 0].tolist(), norms.tolist())) < math.inf:
         raise NonUnitaryError(math.inf)
@@ -496,7 +486,18 @@ def _evaluate(
     z = np.vdot(s, w)
     d = cmath.rect(1.0, math.atan2(z.imag, z.real)) * s - w
     err = np.vdot(d, d).real / 4.0
-    return tuple(float(v) for v in res), branch, float(err), abs(d_pos - d_neg)
+    return _Evaluation(
+        residuals={name: float(v) for name, v in res.items()},
+        phase_branch=1 if d_pos <= d_neg else -1,
+        realized_error=float(err),
+        branch_margin=abs(d_pos - d_neg),
+        b_abs=abs(b1),
+    )
+
+
+def _card(tg: PrescriptionTargets, p: PhysicalParams, e: _Evaluation) -> PrescriptionCard:
+    """The card of controls p for tg, with the honesty numbers of their evaluation e."""
+    return PrescriptionCard(tg, p, tuple(e.residuals.values()), e.realized_error, e.phase_branch)
 
 
 def _closed_form(tg: PrescriptionTargets) -> PhysicalParams | None:
@@ -660,9 +661,9 @@ def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
     route and windings of tg) gets its closed-form construction, which
     keeps the published prescriptions recognizable in the emitted cards.
     The row is compared with tg as a plain tuple (_closed_form), and the
-    target blocks of a phase gate come from its import-time layout
-    (_target_blocks), so a shifted target builds no PrescriptionTargets
-    for its row and no gate matrix.  Any other target set is inverted
+    target blocks of a phase gate come from its diagonal (_target_blocks),
+    so a shifted target builds no PrescriptionTargets for its row and no
+    gate matrix.  Any other target set is inverted
     exactly (see the module docstring) and the shortest accepted
     candidate is returned, ties in enumeration order; candidates after it
     are never built.  A candidate is accepted
@@ -677,19 +678,19 @@ def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
     w = _target_blocks(tg)
     closed = _closed_form(tg)
     attempts = [closed] if closed is not None else _candidates(tg, w)
-    best_worst, best_at, best = math.inf, None, None
+    best_worst, name, best = math.inf, None, None
     tried = 0
     for p in attempts:
         tried += 1
-        res, branch, err, _ = _evaluate(tg, p, w)
-        if err <= ACCEPT_TOL and max(res) <= ACCEPT_TOL:
-            return PrescriptionCard(
-                targets=tg, solved=p, residuals=res, realized_error=err, phase_branch=branch
-            )
-        worst = max(max(res), err)
+        e = _evaluate(tg, p, w)
+        res, err = e.residuals, e.realized_error
+        if err <= ACCEPT_TOL and max(res.values()) <= ACCEPT_TOL:
+            return _card(tg, p, e)
+        worst = max(max(res.values()), err)
         if worst < best_worst:
-            best_worst, best_at, best = worst, (*res, err).index(worst), p
-    name = None if best_at is None else _residual_names(tg)[best_at]
+            # the first entry at the worst value, in card order
+            best_worst, best = worst, p
+            name = next(k for k, v in (*res.items(), ("realized_error", err)) if v == worst)
     at = "" if best is None else f", at t = {best.t:.3e},"
     raise SolverFailure(
         best_worst,
@@ -697,16 +698,6 @@ def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
         f"has worst residual {best_worst:.3e} ({name}) against ACCEPT_TOL {ACCEPT_TOL:.0e}",
         best,
     )
-
-
-def _residual_names(tg: PrescriptionTargets) -> list[str]:
-    """Names of _evaluate's residuals for tg in PrescriptionCard order, then realized_error."""
-    names = ["delta_plus", "delta_minus_1", "delta_minus_2"]
-    if tg.j_targets is not None:
-        names += ["j_1", "j_2"]
-    if tg.b_targets is not None or tg.b_relation_sign is not None:
-        names += ["b_1", "b_2"]
-    return names + ["realized_error"]
 
 
 def cnot_family(g: GateId, m: int, field_scale: float) -> PrescriptionCard:
@@ -721,6 +712,11 @@ def cnot_family(g: GateId, m: int, field_scale: float) -> PrescriptionCard:
     1 / (64 pi^2 m^2 fs^4), relative next term about -1 / (8 pi^2 m^2 fs^2).
     The card keeps its honest nonzero error; m is bounded as in its CNOT row.
     """
+    return _family_card(g, m, field_scale)[0]
+
+
+def _family_card(g: GateId, m: int, field_scale: float) -> tuple[PrescriptionCard, _Evaluation]:
+    """cnot_family's card, and the evaluation its honesty numbers and |b| come from."""
     if not isinstance(g, GateId) or g.tag not in _CNOT_TAGS:
         raise ValueError("cnot_family requires a CNOT gate id")
     s = strict_float("field_scale", field_scale)
@@ -740,7 +736,5 @@ def cnot_family(g: GateId, m: int, field_scale: float) -> PrescriptionCard:
         p = PhysicalParams(t=t, J=(j_drive, half, -half), B1=b_hi, B2=b_lo, h=1)
     else:
         p = PhysicalParams(t=t, J=(half, -half, j_drive), B1=b_lo, B2=b_hi, h=3)
-    res, branch, err, _ = _evaluate(tg, p, _target_blocks(tg))
-    return PrescriptionCard(
-        targets=tg, solved=p, residuals=res, realized_error=err, phase_branch=branch
-    )
+    e = _evaluate(tg, p, _target_blocks(tg))
+    return _card(tg, p, e), e

@@ -223,12 +223,7 @@ def _parse_m(text: str | None, family: bool) -> range:
 
 def _cmd_synth(args) -> str:
     from . import calib
-    from .bellframe import bell_frame, reduced_params
     from .gates import GateId
-
-    def family_b_abs(card) -> float:
-        rp1, _ = reduced_params(card.solved, bell_frame(card.targets.h))
-        return abs(rp1.b)
 
     gate = GateId(tag=args.gate, phi=args.phi)
     if args.family:
@@ -241,18 +236,19 @@ def _cmd_synth(args) -> str:
         windings = _parse_m(args.m, family=True)
         # the range is walked lazily: its far end meets its card's winding bounds before any card is solved
         calib.prescription_targets(gate, m=windings[-1], m_prime=windings[-1])
-        cards = [calib.cnot_family(gate, m=m, field_scale=scale) for m in windings]
+        # each card with its evaluation, which also measured its |b|
+        cards = [calib._family_card(gate, m=m, field_scale=scale) for m in windings]
         if args.format == "csv":
             header = ("gate", "h", "m", "m_prime", "field_scale", "t", "b_abs", "realized_error")
             rows = (
                 (c.targets.gate.tag, c.targets.h, c.targets.m, c.targets.m_prime,
-                 scale, c.solved.t, family_b_abs(c), c.realized_error)
-                for c in cards
+                 scale, c.solved.t, e.b_abs, c.realized_error)
+                for c, e in cards
             )
             return dumps_csv(header, rows)
         doc = {
             "field_scale": scale,
-            "family": [dict(card.to_doc(), b_abs=family_b_abs(card)) for card in cards],
+            "family": [dict(c.to_doc(), b_abs=e.b_abs) for c, e in cards],
         }
         return dumps(doc, indent=2) + "\n"
     if args.format == "csv":

@@ -55,7 +55,9 @@ __all__ = [
 
 D_TAGS = ("S_phi_q2", "S_phi_q1", "H_q2", "H_q1", "CNOT_12", "CNOT_21", "T_translator")
 B_TAGS = ("B_S8", "B_S4", "B_H", "B_CNOT12", "B_CNOT21")
-_PHASE_TAGS = ("S_phi_q2", "S_phi_q1")
+#: which of (e^{-i phi}, e^{i phi}) each phase gate's diagonal holds at b00, b01, b10, b11
+_PHASE_DIAGONAL = {"S_phi_q2": (0, 1, 0, 1), "S_phi_q1": (0, 0, 1, 1)}
+_PHASE_TAGS = tuple(_PHASE_DIAGONAL)
 
 
 def _phase2(phi: float) -> np.ndarray:
@@ -215,8 +217,8 @@ def d_gate(g: GateId) -> np.ndarray:
     read-only tables.
     """
     if g.tag in _PHASE_TAGS:
-        a, b = np.exp(-1j * g.phi), np.exp(1j * g.phi)
-        return np.diag([a, b, a, b] if g.tag == "S_phi_q2" else [a, a, b, b])
+        e = (np.exp(-1j * g.phi), np.exp(1j * g.phi))
+        return np.diag([e[i] for i in _PHASE_DIAGONAL[g.tag]])
     m = _D_FIXED.get(g.tag)
     if m is None:
         raise ValueError(f"{g.tag} is not a Bell-basis library gate")

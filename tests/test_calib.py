@@ -706,8 +706,8 @@ def test_solver_tries_candidates_shortest_first_and_stops_at_the_first_accepted(
     else:
         assert card.solved == tried[-1]
         for p in tried[:-1]:
-            res, _, err, _ = evaluate(tg, p, calib._target_blocks(tg))
-            assert max(max(res), err) > ACCEPT_TOL
+            e = evaluate(tg, p, calib._target_blocks(tg))
+            assert max(max(e.residuals.values()), e.realized_error) > ACCEPT_TOL
 
 
 #: couplings, durations and target angles at the edges: signed zeros, subnormals, huge magnitudes
@@ -750,10 +750,24 @@ def _edge_controls(draw):
 @settings(max_examples=300, deadline=None)
 @given(_edge_controls())
 def test_evaluate_keeps_the_bits_of_two_kernel_runs(case):
-    # residuals, branch, error and margin to the last bit, or the same error raised
+    # residuals, branch, error and margin to the last bit, or the same error raised; the
+    # residuals named in card order as the targets pin them, and |b| of the public block 1
     tg, p = case
     w = calib._target_blocks(tg)
-    assert _outcome(lambda: calib._evaluate(tg, p, w)) == _outcome(lambda: _evaluate_oracle(tg, p, w))
+    records = []
+
+    def record():
+        records.append(calib._evaluate(tg, p, w))
+        e = records[-1]
+        return tuple(e.residuals.values()), e.phase_branch, e.realized_error, e.branch_margin
+
+    assert _outcome(record) == _outcome(lambda: _evaluate_oracle(tg, p, w))
+    if records:
+        names = ["delta_plus", "delta_minus_1", "delta_minus_2"]
+        names += ["j_1", "j_2"] * (tg.j_targets is not None)
+        names += ["b_1", "b_2"] * (tg.b_targets is not None or tg.b_relation_sign is not None)
+        assert list(records[0].residuals) == names
+        assert repr(records[0].b_abs) == repr(abs(reduced_params(p, bell_frame(tg.h))[0].b))
 
 
 def _solve_oracle(tg):
@@ -862,8 +876,18 @@ def test_fixed_gate_table_holds_every_gate_without_a_phase_on_every_axis():
 
 
 @pytest.mark.parametrize("tag", ["S_phi_q2", "S_phi_q1"])
-def test_phase_gate_blocks_are_built_per_call(tag):
-    tg = prescription_targets(GateId(tag, phi=0.3))
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(-64, 64).map(lambda k: k * PI / 4),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300, 1.7e308, -1.7e308]),
+    ),
+    st.sampled_from([1, 2, 3]),
+)
+def test_phase_gate_blocks_are_built_per_call(tag, phi, h):
+    # to the byte, signed zeros included
+    tg = dataclasses.replace(prescription_targets(GateId(tag, phi=phi)), h=h)
     w = d_gate(tg.gate)[bell_frame(tg.h).order_index].reshape(2, 2, 2, 2)
     want = np.einsum("aij,kjki->ka", bellframe.BLOCK_BASIS, w) / 2.0
     assert calib._target_blocks(tg).tobytes() == want.tobytes()
@@ -906,14 +930,14 @@ def test_solver_failure_carries_the_closest_candidate(tg):
     with pytest.raises(SolverFailure) as exc:
         solve_physical(tg)
     p = exc.value.closest
-    res, _, err, _ = calib._evaluate(tg, p, w)
-    assert max(max(res), err) == exc.value.best_residual
+    e = calib._evaluate(tg, p, w)
+    assert max(max(e.residuals.values()), e.realized_error) == exc.value.best_residual
     assert f"; the closest, at t = {p.t:.3e}, has worst residual " in str(exc.value)
     # it is the first candidate that misses by the least
     closed = calib._closed_form(tg)
     worsts = [
-        max(max(res), err)
-        for res, _, err, _ in (calib._evaluate(tg, q, w) for q in ([closed] if closed else calib._candidates(tg, w)))
+        max(max(e.residuals.values()), e.realized_error)
+        for e in (calib._evaluate(tg, q, w) for q in ([closed] if closed else calib._candidates(tg, w)))
     ]
     assert min(worsts) == exc.value.best_residual
     assert p == ([closed] if closed else list(calib._candidates(tg, w)))[worsts.index(min(worsts))]
@@ -922,7 +946,9 @@ def test_solver_failure_carries_the_closest_candidate(tg):
 def test_solver_failure_without_a_scored_candidate_names_no_duration(monkeypatch):
     # a NaN worst residual never counts as closer than none
     tg = dataclasses.replace(_targets("S_phi_q2"), delta_plus_1=PI)
-    monkeypatch.setattr(calib, "_evaluate", lambda tg, p, w: ((math.nan,) * 7, 1, math.nan, 0.0))
+    names = ("delta_plus", "delta_minus_1", "delta_minus_2", "j_1", "j_2", "b_1", "b_2")
+    record = calib._Evaluation(dict.fromkeys(names, math.nan), 1, math.nan, 0.0, math.nan)
+    monkeypatch.setattr(calib, "_evaluate", lambda tg, p, w: record)
     with pytest.raises(SolverFailure) as exc:
         solve_physical(tg)
     assert exc.value.closest is None
@@ -1043,7 +1069,7 @@ def test_phase_gate_blocks_keep_the_einsum_bits(gate_route, h, phi):
 
 
 def test_shifted_target_builds_no_row_and_no_gate_matrix(monkeypatch):
-    # a solve compares the row as a plain tuple and reads a phase gate's blocks off its layout;
+    # a solve compares the row as a plain tuple and builds a phase gate's blocks from its diagonal;
     # the shifts are the bench's: pi on a phase or Hadamard row, 5 pi / 4 on a CNOT row
     targets = [
         dataclasses.replace(row, delta_plus_1=shift)
