@@ -33,10 +33,13 @@ E_b = (|a_b|^2, <sigma_x>, <sigma_y>, <sigma_z>): <G> = E . (g0, g) and
 dotted with the Pauli coefficients of s0^dag s, a quaternion product.
 
 A sweep is therefore a few small products per card and no
-eigendecomposition: the block kernel gives the block coefficients of
-the solved point, of the six unit axes and of every displaced point,
-and the variance and the exact overlaps of all states follow as
-(states, 8) x (8, k) products.  The numbers stay in arrays: a
+eigendecomposition: one pass of the block kernel gives the block
+coefficients of the six unit axes, the solved point and every displaced
+point, and the variance and the exact overlaps of all states follow as
+(states, 8) x (8, k) products.  The generator map of a point, the two
+3x3 closed forms above, is a few dozen numbers and is computed on
+Python floats, in the order of the matching numpy expression and with
+the same bits.  The numbers stay in arrays: a
 SweepResult holds them as columns and walks them as rows only when they
 are read.  The variance is itself the per-parameter sensitivity, and
 rank_parameters averages it over all states in closed form, from the
@@ -52,11 +55,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellframe import _PAULI_SIGNS, BLOCK_BASIS, BellFrame, _block_coefficients, _rotations, _sinc
+from .bellframe import _PAULI_SIGNS, BLOCK_BASIS, BellFrame, _block_coefficients, _rotations
 from .calib import PrescriptionCard
 from .checks import RANK_TIE_TOL, STATE_NORM_TOL, ZERO_NORM_TOL, strict_float, strict_int
 from .errors import NonFiniteDerivative
 from .model import PhysicalParams, admissible, evolve
+from .spinlin import _frozen
 
 __all__ = [
     "PARAM_NAMES",
@@ -202,8 +206,10 @@ def _displaced(p: PhysicalParams, dp: Perturbation) -> PhysicalParams:
 
 
 _UNIT_AXES = np.eye(6)
+# shift[_AXIS, :, _AXIS] is the diagonal of a (6, steps, 6) array of axis displacements
+_AXIS = np.arange(6)
 
-# (n @ _CROSS).reshape(..., 3, 3) @ v = n x v; row j is the matrix of e_j x .
+# row j is the matrix of e_j x . as 9 entries
 _CROSS = np.array(
     [
         [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.0, 0.0],
@@ -221,8 +227,10 @@ for _j in range(3):
     _LEFT_CONJ[1 + _j, 0, 1 + _j] = _LEFT_CONJ[1 + _j, 1 + _j, 0] = 1.0
     _LEFT_CONJ[1 + _j, 1:, 1:] = _CROSS[_j].reshape(3, 3)
 _LEFT_CONJ = _LEFT_CONJ.reshape(4, 16)
-for _table in (_UNIT_AXES, _CROSS, _LEFT_CONJ):
-    _table.flags.writeable = False
+# the Pauli coordinates (m0, m) of m0 + i m . sigma
+_I_PARTS = np.array((1.0, 1j, 1j, 1j))
+for _table in (_UNIT_AXES, _AXIS, _CROSS, _LEFT_CONJ, _I_PARTS):
+    _frozen(_table)
 
 
 def _generator_map(t: float, c: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -231,20 +239,55 @@ def _generator_map(t: float, c: np.ndarray, r: np.ndarray) -> np.ndarray:
     t, c (2, 4) and r (2,) are the time, block coefficients and |c| of the point.
     M is the closed form of the module docstring: t for dc0, and for dc
     t times (n . dc) n + sinc(2y) dc_perp - ((1 - cos 2y) / (2y)) n x dc_perp,
-    y = t r, written as one 3x3 matrix.
+    y = t r, written as one 3x3 matrix.  The two blocks are a few dozen
+    Python floats, so the map is computed on floats, entry by entry as
+    t (n n^T + turn (1 - n n^T) - y sinc^2 (n x .)); a non-finite y
+    leaves the 3x3 part NaN.
     """
-    cv = c[:, 1:]
-    # a degenerate block has no axis; n = 0 leaves the map t * 1, the r -> 0 limit
-    n = np.divide(cv, r[:, None], out=np.zeros_like(cv), where=r[:, None] > 0.0)
-    y = (t * r)[:, None, None]
-    sinc = _sinc(y)
-    # sinc(2y) = sinc(y) cos(y) and (1 - cos 2y) / (2y) = y sinc(y)^2
-    turn = sinc * np.cos(y)
-    nn = n[:, :, None] * n[:, None, :]
-    out = np.zeros((2, 4, 4))
-    out[:, 0, 0] = t
-    out[:, 1:, 1:] = t * (nn + turn * (np.eye(3) - nn) - y * sinc * sinc * (n @ _CROSS).reshape(2, 3, 3))
-    return out
+    out = []
+    for (_, cx, cy, cz), rb in zip(c.tolist(), r.tolist()):
+        # a degenerate block has no axis; n = 0 leaves the map t * 1, the r -> 0 limit
+        nx, ny, nz = (cx / rb, cy / rb, cz / rb) if rb > 0.0 else (0.0, 0.0, 0.0)
+        y = t * rb
+        if math.isinf(y):
+            # math.sin and math.cos raise on inf where numpy's give NaN
+            sinc = cos = math.nan
+        else:
+            sinc = math.sin(y) / y if y != 0.0 else 1.0
+            cos = math.cos(y)
+        # sinc(2y) = sinc(y) cos(y) and (1 - cos 2y) / (2y) = y sinc(y)^2
+        turn = sinc * cos
+        wind = y * sinc * sinc
+        xx, yy, zz, xy, xz, yz = nx * nx, ny * ny, nz * nz, nx * ny, nx * nz, ny * nz
+        # n n^T + turn (1 - n n^T), a symmetric matrix
+        dx, dy, dz = xx + turn * (1.0 - xx), yy + turn * (1.0 - yy), zz + turn * (1.0 - zz)
+        sxy, sxz, syz = xy + turn * (0.0 - xy), xz + turn * (0.0 - xz), yz + turn * (0.0 - yz)
+        # then wind times n x . off it; 0.0 + and 0.0 - keep a zero entry of
+        # n x . at +0.0, as the matrix product of the same rows makes it
+        out += (
+            t, 0.0, 0.0, 0.0,
+            0.0, t * (dx - wind * 0.0), t * (sxy - wind * (0.0 - nz)), t * (sxz - wind * (0.0 + ny)),
+            0.0, t * (sxy - wind * (0.0 + nz)), t * (dy - wind * 0.0), t * (syz - wind * (0.0 - nx)),
+            0.0, t * (sxz - wind * (0.0 - ny)), t * (syz - wind * (0.0 + nx)), t * (dz - wind * 0.0),
+        )
+    return np.array(out).reshape(2, 4, 4)
+
+
+def _generator_step(t: float, d: np.ndarray, c: np.ndarray, r: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """G = i s^dag Ds of both blocks of a point along each row of d, shape (k, 2, 4), from block coefficients.
+
+    t, c (2, 4) and r (2,) are the point's time, block coefficients and
+    |c|; dc (k, 2, 4) holds the block coefficients of the displacements
+    d (k, 6).  The first row whose generator overflows raises
+    NonFiniteDerivative with the index of that row's largest component.
+    """
+    # an overflowing displacement surfaces as NonFiniteDerivative below
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (_generator_map(t, c, r) @ dc[..., None])[..., 0] + d[:, 0, None, None] * c
+    bad = ~np.isfinite(g).all(axis=(1, 2))
+    if bad.any():
+        raise NonFiniteDerivative(int(np.argmax(np.abs(d[np.argmax(bad)]))))
+    return g
 
 
 def _generators(p: PhysicalParams, d: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,13 +300,7 @@ def _generators(p: PhysicalParams, d: np.ndarray) -> tuple[np.ndarray, np.ndarra
     NonFiniteDerivative with the index of that row's largest component.
     """
     c, r = _block_coefficients(np.concatenate([_param_vector(p)[None], d])[:, 1:], p.h)
-    # an overflowing displacement surfaces as NonFiniteDerivative below
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = (_generator_map(p.t, c[0], r[0]) @ c[1:, ..., None])[..., 0] + d[:, 0, None, None] * c[0]
-    bad = ~np.isfinite(g).all(axis=(1, 2))
-    if bad.any():
-        raise NonFiniteDerivative(int(np.argmax(np.abs(d[np.argmax(bad)]))))
-    return g, c[0], r[0]
+    return _generator_step(p.t, d, c[0], r[0], c[1:]), c[0], r[0]
 
 
 def directional_derivatives(
@@ -322,7 +359,7 @@ def _overlaps(e: np.ndarray, phase: np.ndarray, q: np.ndarray) -> np.ndarray:
     with (m0, m) the quaternion product conj(q_0) q_k.
     """
     m = ((q[0] @ _LEFT_CONJ).reshape(2, 4, 4) @ q[1:, :, :, None])[..., 0]
-    m = np.exp(1j * (phase[0] - phase[1:]))[..., None] * m * (1.0, 1j, 1j, 1j)
+    m = np.exp(1j * (phase[0] - phase[1:]))[..., None] * m * _I_PARTS
     ov = e @ m.reshape(-1, 8).T
     return ov.real * ov.real + ov.imag * ov.imag
 
@@ -378,11 +415,13 @@ def sensitivity_sweep(
     F^2 and their difference per (state, axis, step), and each state's
     quadratic sensitivity vector, from which rankings are derived.
 
-    The per-card work is shared by all states: the closed forms give the
-    six unit-axis generators, and the block map of the solved point and
-    of every (axis, step) point from one product for their block
-    coefficients; each state's Bloch vectors meet them in one variance
-    and one overlap product.  The states must all live in one frame.
+    The per-card work is shared by all states: one block-kernel pass
+    gives the block coefficients of the six unit axes, the solved point
+    and every (axis, step) point.  The solved point's generator map, on
+    floats, turns the axes' coefficients into the six unit-axis
+    generators, and the coefficients of the points give their block
+    maps.  Each state's Bloch vectors meet them in one variance and one
+    overlap product.  The states must all live in one frame.
     Errors come in the order a step-by-step sweep would meet them: a
     derivative overflow, first axis first; then per axis and step, an
     invalid displaced parameter set, then an overflowing expansion.
@@ -398,16 +437,20 @@ def sensitivity_sweep(
         _check_state(state, p)
         if state.frame is not frame:
             raise ValueError("sensitivity sweep states must share one frame")
+    steps = np.array(grid)
     shift = np.zeros((6, len(grid), 6))
-    shift[range(6), :, range(6)] = grid
+    shift[_AXIS, :, _AXIS] = steps
     x0 = _param_vector(p)
     moved = x0 + shift
+    # one block-kernel pass; rows: the six unit axes, the solved point, then every displaced point
+    rows = np.concatenate([_UNIT_AXES, x0[None], moved.reshape(-1, 6)])
+    c, r = _block_coefficients(rows[:, 1:], p.h)
     e = _bloch(np.array([state.amplitudes for state in states]))
-    var = _variance(e, _generators(p, _UNIT_AXES)[0])
-    f2s = _second_order(var, np.array(grid))
+    var = _variance(e, _generator_step(p.t, _UNIT_AXES, c[6], r[6], c[:6]))
+    f2s = _second_order(var, steps)
     valid = admissible(moved)
     finite = np.isfinite(f2s).all(axis=0)
-    if not (valid.all() and finite.all()):
+    if not (valid & finite).all():
         # the first failure in (axis, step) order; _displaced raises the
         # error of an invalid point with the message PhysicalParams gives it
         for i in range(6):
@@ -416,9 +459,7 @@ def sensitivity_sweep(
                     _displaced(p, Perturbation.axis(i, step))
                 if not finite[i, j]:
                     raise NonFiniteDerivative(i)
-    # rows: the solved point, then every displaced point
-    points = np.concatenate([x0[None], moved.reshape(-1, 6)])
-    f2e = _overlaps(e, *_rotations(points[:, :1], *_block_coefficients(points[:, 1:], p.h)))
+    f2e = _overlaps(e, *_rotations(rows[6:, :1], c[6:], r[6:]))
     f2e = f2e.reshape(-1, 6, len(grid))
     columns = (f2e, f2s, np.abs(f2s - f2e), var)
     for a in columns:

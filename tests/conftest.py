@@ -1,14 +1,40 @@
 """Shared helpers for the test suite."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
 from bellgate import PhysicalParams
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+#: canonical Bell label (b00, b01, b10, b11) at each frame position; block k holds positions 2k - 2, 2k - 1
+FRAME_ORDER = {1: (0, 1, 2, 3), 2: (0, 3, 1, 2), 3: (0, 2, 1, 3)}
+
 COUPLING_RANGE = 2.0
 TIME_RANGE = 4.0
+
+
+def bench_module(name):
+    """bench/<name>.py, imported by its path; the import leaves no bytecode under bench/.
+
+    The bench modules import each other by name, so bench/ is on the path
+    while the module runs.
+    """
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    sys.path.insert(0, str(BENCH))
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(BENCH))
+        sys.dont_write_bytecode = dont_write
+    return module
 
 
 def random_params(rng, h=None):

@@ -710,6 +710,13 @@ def test_bad_step_maps_to_exit_2(capsys, card_file, steps, message):
     assert doc["error"] == {"type": "input", "message": message}
 
 
+def test_more_states_than_memory_maps_to_exit_2(capsys, card_file):
+    # numpy refuses the (1e14, 8) state draw before it allocates anything;
+    # its MemoryError is an input error, not a traceback with exit 1
+    message = _assert_input_error(capsys, "fidelity-sweep", card_file, "--states", "100000000000000")
+    assert message.startswith("Unable to allocate 5.68 PiB for an array with shape (100000000000000, 8)")
+
+
 @pytest.mark.parametrize("steps", ["-5e-3", "-1e-2,5e-3", "-0.005,-1E-2"])
 def test_negative_grid_after_a_space_is_the_grid(capsys, card_file, steps):
     # argparse alone reads "-5e-3" as an option and reports a missing argument

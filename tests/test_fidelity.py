@@ -37,7 +37,7 @@ from bellgate import (
     solve_physical,
     to_blocks,
 )
-from bellgate.bellframe import BLOCK_BASIS, BLOCK_COEFFS
+from bellgate.bellframe import BLOCK_BASIS, BLOCK_COEFFS, _sinc
 from bellgate.checks import RANK_TIE_TOL
 from bellgate.model import GENERATORS
 
@@ -545,8 +545,9 @@ SWEEP_CARDS = {
 @pytest.mark.parametrize("name", list(SWEEP_CARDS))
 def test_shared_sweep_matches_per_state_references(name):
     # the sweep shares propagators and unit-axis derivatives across states;
-    # each report must still match a scipy expm overlap and the per-state
-    # expansion, also for a negative, a zero and a repeated step
+    # each report must still match a scipy expm overlap, and the per-state
+    # expansion and the unit-axis variance to the bit, also for a negative,
+    # a zero and a repeated step
     card = SWEEP_CARDS[name]()
     p = card.solved
     frame = bell_frame(p.h)
@@ -567,6 +568,8 @@ def test_shared_sweep_matches_per_state_references(name):
     ]
     reports = sensitivity_sweep(card, states, grid)
     assert len(reports) == len(states) * len(PARAM_NAMES) * len(grid)
+    e = fid._bloch(np.array([st.amplitudes for st in states]))
+    assert reports.gradient.tobytes() == fid._variance(e, fid._generators(p, fid._UNIT_AXES)[0]).tobytes()
     for r in reports:
         st = states[r.state_id]
         i = PARAM_NAMES.index(r.param)
@@ -575,7 +578,7 @@ def test_shared_sweep_matches_per_state_references(name):
         x[i] += step
         psi = frame.change_of_basis @ st.amplitudes
         assert close(r.f2_exact, abs(np.vdot(u0 @ psi, propagator(x) @ psi)) ** 2)
-        assert close(r.f2_second_order, fidelity_second_order(st, p, Perturbation.axis(r.param, step)))
+        assert r.f2_second_order.hex() == fidelity_second_order(st, p, Perturbation.axis(r.param, step)).hex()
         assert all(close(g, want) for g, want in zip(r.per_parameter_gradient, grads[r.state_id]))
 
 
@@ -661,6 +664,117 @@ def test_block_derivatives_report_the_first_overflowing_row():
         with pytest.raises(NonFiniteDerivative) as info:
             fid._generators(BASE, dirs[rows])
         assert info.value.index == index
+
+
+def _numpy_generator_map(t, c, r):
+    """The generator map as numpy expressions over both blocks, the bit oracle of fid._generator_map."""
+    cv = c[:, 1:]
+    # a degenerate block has no axis; n = 0 leaves the map t * 1, the r -> 0 limit
+    n = np.divide(cv, r[:, None], out=np.zeros_like(cv), where=r[:, None] > 0.0)
+    y = (t * r)[:, None, None]
+    sinc = _sinc(y)
+    # sinc(2y) = sinc(y) cos(y) and (1 - cos 2y) / (2y) = y sinc(y)^2
+    turn = sinc * np.cos(y)
+    nn = n[:, :, None] * n[:, None, :]
+    out = np.zeros((2, 4, 4))
+    out[:, 0, 0] = t
+    out[:, 1:, 1:] = t * (nn + turn * (np.eye(3) - nn) - y * sinc * sinc * (n @ fid._CROSS).reshape(2, 3, 3))
+    return out
+
+
+def _drawn_block_points(rng, count):
+    """count (t, c, r) of both blocks, cycling through the regimes of the generator map.
+
+    t = 0; |c| = 0 in block 1 and in both blocks; subnormal |c|; signed
+    zeros in any coefficient; n on a coordinate axis; |c| from 1e-3 to
+    1e3 and from 1e-300 to 1e300; and t |c| from 1e-8 to 1e6 wherever t
+    is drawn.
+    """
+    kinds = np.arange(count) % 8
+    c = rng.standard_normal((count, 2, 4)) * 10.0 ** rng.uniform(-300.0, 300.0, (count, 1, 1))
+    c[kinds == 1, 0, 1:] = 0.0
+    c[kinds == 2, :, 1:] = 0.0
+    subnormal = kinds == 3
+    c[subnormal, :, 1:] = rng.standard_normal((subnormal.sum(), 2, 3)) * 10.0 ** rng.uniform(
+        -322.0, -309.0, (subnormal.sum(), 1, 1)
+    )
+    signed = (kinds == 4)[:, None, None] & (rng.random((count, 2, 4)) < 0.5)
+    c[signed] = rng.choice([0.0, -0.0], size=signed.sum())
+    on_axis = (kinds == 5)[:, None, None] & (np.arange(4) != rng.integers(1, 4, (count, 2, 1))) & (np.arange(4) > 0)
+    c[on_axis] = rng.choice([0.0, -0.0], size=on_axis.sum())
+    moderate = kinds == 6
+    c[moderate] = rng.standard_normal((moderate.sum(), 2, 4)) * 10.0 ** rng.uniform(-3.0, 3.0, (moderate.sum(), 1, 1))
+    r = np.hypot(np.hypot(c[..., 1], c[..., 2]), c[..., 3])
+    y = 10.0 ** rng.uniform(-8.0, 6.0, count)
+    for kind, ck, rk, yk in zip(kinds, c, r, y):
+        rmax = float(rk.max())
+        if kind == 0:
+            t = 0.0
+        elif rmax > 0.0:
+            t = min(float(yk) / rmax, 1e300)
+        else:
+            t = float(yk)
+        yield t, ck, rk
+
+
+def test_generator_map_keeps_the_bits_of_the_numpy_map():
+    # the float map computes each entry in the numpy expression's order,
+    # with math.sin and math.cos, so it gives every bit the numpy map
+    # gives, signed zeros included
+    points = list(_drawn_block_points(np.random.default_rng(28), 20000))
+    with np.errstate(all="ignore"):
+        want = [_numpy_generator_map(t, c, r).tobytes() for t, c, r in points]
+    got = [fid._generator_map(t, c, r).tobytes() for t, c, r in points]
+    missed = [point for point, a, b in zip(points, got, want) if a != b]
+    assert missed == []
+    assert sum(t == 0.0 for t, _, _ in points) >= 2500
+    assert sum(bool((r == 0.0).all()) for _, _, r in points) >= 2500
+    assert sum(bool((r > 0.0).all() and (r < 1e-308).any()) for _, _, r in points) >= 2000
+
+
+@pytest.mark.parametrize(
+    "t, c",
+    [
+        (1e300, [[0.0, 1e300, 0.0, 0.0], [1.0, 0.5, 0.0, -0.5]]),
+        (2.0, [[0.0, 1e308, 1e308, 1e308], [0.0, 0.0, 0.0, 0.0]]),
+        (0.0, [[0.0, np.inf, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]]),
+        (1.0, [[0.0, np.nan, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]]),
+    ],
+)
+def test_generator_map_of_a_non_finite_phase_is_nan(t, c):
+    # t |c| inf or NaN leaves the block's 3x3 part NaN, as numpy's sin
+    # and cos make it, where math.sin(inf) would raise
+    c = np.array(c)
+    with np.errstate(all="ignore"):
+        r = np.hypot(np.hypot(c[:, 1], c[:, 2]), c[:, 3])
+        want = _numpy_generator_map(t, c, r)
+    got = fid._generator_map(t, c, r)
+    assert np.isnan(got[0, 1:, 1:]).all()
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("t", [1.0, 0.0])
+def test_an_overflowing_solved_point_raises_non_finite_derivative(t):
+    # in the h = 1 frame J3 - J2 is a block coefficient, so the solved
+    # point's own |c| overflows and t |c| is inf (t = 1) or NaN (t = 0);
+    # every entry point reports the typed error on axis 0, not math's
+    # domain error
+    p = PhysicalParams(t=t, J=(0.0, 1e308, -1e308), B1=0.0, B2=0.0, h=1)
+    card = replace(solve_physical(prescription_targets(GateId("H_q2"))), solved=p)
+    assert card.targets.h == 1
+    states = sample_states(FRAME, n=2, seed=7)
+    calls = (
+        lambda: sensitivity_sweep(card, states, [1e-3]),
+        lambda: rank_parameters(card),
+        lambda: fidelity_second_order(states[0], p, Perturbation.axis(0, 1e-3)),
+        lambda: directional_derivatives(p, Perturbation.axis(0, 1e-3), FRAME),
+    )
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteDerivative) as info:
+                call()
+        assert info.value.index == 0
 
 
 def test_sweep_result_rows_and_reports_follow_the_columns():

@@ -3,7 +3,7 @@
 The command runs in process and its stdout is parsed.  From the printed
 controls every residual, the realized gate error and the family's b_abs
 are recomputed with the Hamiltonian, propagator and Bell-basis gates of
-bench/oracle.py and a Bell frame written out here: each block restriction
+bench/oracle.py and the Bell frame order of conftest: each block restriction
 c0 + c . sigma of H is projected out of the frame-ordered Hamiltonian,
 and the gate error is 1 - |tr(u^dag g)| / 4 of the whole propagator.  The
 bench module is imported by its path and never changed.  The family's
@@ -12,12 +12,9 @@ printed b_abs is also held to the bit against the public reduced_params.
 
 import csv
 import dataclasses
-import importlib.util
 import io
 import json
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,26 +23,11 @@ from bellgate import GateId, PrescriptionCard, bell_frame, calib, cnot_family, r
 from bellgate.checks import ACCEPT_TOL
 from bellgate.cli import main
 
+from conftest import FRAME_ORDER, bench_module
+
 PI = math.pi
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+oracle = bench_module("oracle")
 
-
-def _bench_module(name):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    # importing the bench must leave no bytecode under bench/
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = dont_write
-    return module
-
-
-oracle = _bench_module("oracle")
-
-#: canonical Bell label (b00, b01, b10, b11) at each frame position; block k holds positions 2k - 2, 2k - 1
-FRAME_ORDER = {1: (0, 1, 2, 3), 2: (0, 3, 1, 2), 3: (0, 2, 1, 3)}
 #: the transversal direction (sin(h pi / 2), cos(h pi / 2)) of each field axis
 TRANSVERSAL = {1: (1, 0), 2: (0, -1), 3: (-1, 0)}
 
