@@ -128,6 +128,10 @@ class PrescriptionTargets:
     b_relation_sign r encodes the Hadamard rows' coupling condition
     b_k = r * q_k * beta_k * j_k.  b_abs_to_one marks the asymptotic
     drive condition |b| -> 1, which is reported, never enforced.
+
+    gate and every value field are checked on construction, and each
+    field holds what its check returns, so a malformed field raises the
+    card reader's error for it; h is checked where it is first used.
     """
 
     gate: GateId
@@ -143,10 +147,22 @@ class PrescriptionTargets:
     m_prime: int | None = None
 
     def __post_init__(self):
-        for name, allowed in (("m", None), ("m_prime", None), ("b_relation_sign", (1, -1))):
+        if not isinstance(self.gate, GateId):
+            raise TypeError(f"expected a GateId, got {type(self.gate).__name__}")
+        for name, check, nullable in _TARGET_CHECKS:
             v = getattr(self, name)
-            if v is not None:
-                object.__setattr__(self, name, strict_int(name, v, allowed))
+            if v is not None or not nullable:
+                object.__setattr__(self, name, check(name, v))
+
+
+#: each value field's check and whether None passes it, in the order the card reader has always met them
+_TARGET_CHECKS = (
+    *((name, strict_float, False) for name in ("delta_plus_1", "delta_minus_1", "delta_minus_2")),
+    *((name, lambda n, v: strict_reals(n, v, 2), True) for name in ("j_targets", "b_targets")),
+    ("b_abs_to_one", strict_bool, False),
+    *((name, strict_int, True) for name in ("m", "m_prime")),
+    ("b_relation_sign", lambda n, v: strict_int(n, v, (1, -1)), True),
+)
 
 
 #: a target set as a plain tuple of PrescriptionTargets' fields, in order and with their defaults
@@ -163,6 +179,7 @@ _CARD_KEYS = ("gate", "phi", "h", "m", "targets", "solved",
               "residuals", "realized_error", "phase_branch")
 _TARGET_KEYS = ("delta_plus_1", "delta_minus_1", "delta_minus_2", "j_targets", "b_targets",
                 "b_relation_sign", "b_abs_to_one", "m_prime")
+_target_values = operator.attrgetter(*_TARGET_KEYS)
 
 
 @dataclass(frozen=True)
@@ -191,16 +208,9 @@ class PrescriptionCard:
             "phi": tg.gate.phi,
             "h": tg.h,
             "m": tg.m,
-            "targets": {
-                "delta_plus_1": tg.delta_plus_1,
-                "delta_minus_1": tg.delta_minus_1,
-                "delta_minus_2": tg.delta_minus_2,
-                "j_targets": None if tg.j_targets is None else list(tg.j_targets),
-                "b_targets": None if tg.b_targets is None else list(tg.b_targets),
-                "b_relation_sign": tg.b_relation_sign,
-                "b_abs_to_one": tg.b_abs_to_one,
-                "m_prime": tg.m_prime,
-            },
+            # a pair is a tuple on the target set and a list in the document
+            "targets": {k: list(v) if type(v) is tuple else v
+                        for k, v in zip(_TARGET_KEYS, _target_values(tg))},
             "solved": {"t": p.t, "J": list(p.J), "B1": p.B1, "B2": p.B2},
             "residuals": list(self.residuals),
             "realized_error": self.realized_error,
@@ -219,26 +229,16 @@ class PrescriptionCard:
         card carries the recomputed numbers.
         """
         tag, phi, h, m, td, sv, res, err, branch = fields(doc, "card", _CARD_KEYS)
-        dp1, dm1, dm2, jt, bt, rel, b_abs, m_prime = fields(td, "card", _TARGET_KEYS)
+        targets = dict(zip(_TARGET_KEYS, fields(td, "card", _TARGET_KEYS)))
         t, J, B1, B2 = fields(sv, "card", ("t", "J", "B1", "B2"))
-        tg = PrescriptionTargets(
-            gate=GateId(tag=tag, phi=phi),
-            h=h,
-            delta_plus_1=strict_float("delta_plus_1", dp1),
-            delta_minus_1=strict_float("delta_minus_1", dm1),
-            delta_minus_2=strict_float("delta_minus_2", dm2),
-            j_targets=None if jt is None else strict_reals("j_targets", jt, 2),
-            b_targets=None if bt is None else strict_reals("b_targets", bt, 2),
-            b_relation_sign=rel,
-            b_abs_to_one=strict_bool("b_abs_to_one", b_abs),
-            m=m,
-            m_prime=m_prime,
-        )
+        tg = PrescriptionTargets(gate=GateId(tag=tag, phi=phi), h=h, m=m, **targets)
         if tg.gate.tag in _CNOT_TAGS and (tg.m, tg.m_prime) == (None, None):
             raise ValueError("a CNOT card carries its windings m and m_prime, got null for both")
         if (tg.m, tg.m_prime) != (None, None):
             # a shifted card keeps its row's rotations, so they still name its windings
             row = prescription_targets(tg.gate, tg.m, tg.m_prime)
+            # the document's own values, so an integer 3 prints as 3
+            dm1, dm2 = targets["delta_minus_1"], targets["delta_minus_2"]
             if tg.gate.tag not in _CNOT_TAGS or (row.delta_minus_1, row.delta_minus_2) != (dm1, dm2):
                 raise ValueError(f"only CNOT cards carry windings, and m = {tg.m}, m_prime = {tg.m_prime} "
                                  f"must give the card's delta_minus {dm1!r}, {dm2!r}")

@@ -76,8 +76,8 @@ def strict_float(name: str, value) -> float:
 
 
 def strict_reals(name: str, values, count: int | None = None) -> tuple[float, ...]:
-    """A JSON list of finite reals as a tuple, with count entries when count is given."""
-    if not isinstance(values, list) or count not in (None, len(values)):
+    """A JSON list, or a tuple, of finite reals as a tuple, with count entries when count is given."""
+    if not isinstance(values, (list, tuple)) or count not in (None, len(values)):
         spec = "a list of real numbers" if count is None else f"a list of {count} real numbers"
         raise ValueError(f"{name} must be {spec}, got {values!r}")
     return tuple(strict_float(name, v) for v in values)

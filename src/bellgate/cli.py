@@ -99,7 +99,11 @@ def _attach_values(argv: list[str], subcommands: dict[str, _Parser]) -> list[str
 
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.loads(fh.read())
+        try:
+            return json.loads(fh.read())
+        except RecursionError:
+            # nested deeper than the parser's recursion limit, an input error like any malformed file
+            raise ValueError(f"{path} nests its JSON values too deeply to parse") from None
 
 
 def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -342,6 +346,9 @@ def main(argv=None) -> int:
         return 2
     try:
         text = _HANDLERS[args.command](args)
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
     except SolverFailure as exc:
         _emit_error("solver", exc)
         return 3
@@ -352,10 +359,7 @@ def main(argv=None) -> int:
         # a MemoryError is an input asking for more than the machine holds, such as a huge --states
         _emit_error("input", exc)
         return 2
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    if args.out is None:
         sys.stdout.write(text)
     return 0
 

@@ -4,8 +4,10 @@ A document is a plain dict with a fixed set of keys.  The standard
 encoder prints floats with repr, whose width varies by value.  CLI
 output must be byte-identical across runs and carry full precision, so
 floats are always rendered with 17 significant digits, in JSON and in
-CSV alike, and containers keep insertion order.  Parsing stays with
-the stdlib; fields reads a parsed document's keys exactly.
+CSV alike, and containers keep insertion order.  One rule lays out
+every container, a dict, list, tuple or ndarray, with its line break
+and indent built once.  Parsing stays with the stdlib; fields reads a
+parsed document's keys exactly.
 """
 
 from __future__ import annotations
@@ -33,9 +35,8 @@ def complex_entry(z) -> dict:
     return {"re": float(z.real), "im": float(z.imag)}
 
 
-def _emit(obj, parts: list[str], indent: int | None, level: int) -> None:
-    pad = "" if indent is None else "\n" + " " * (indent * (level + 1))
-    end = "" if indent is None else "\n" + " " * (indent * level)
+def _emit(obj, parts: list[str], line: str, step: str) -> None:
+    """Append obj's text to parts; line is the break and indent of obj's line, step one level's indent."""
     if obj is None:
         parts.append("null")
     elif isinstance(obj, (bool, np.bool_)):
@@ -47,36 +48,25 @@ def _emit(obj, parts: list[str], indent: int | None, level: int) -> None:
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
     elif isinstance(obj, (complex, np.complexfloating)):
-        _emit(complex_entry(obj), parts, indent, level)
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
+        _emit(complex_entry(obj), parts, line, step)
+    elif isinstance(obj, (dict, list, tuple, np.ndarray)):
+        is_dict = isinstance(obj, dict)
+        items = obj.items() if is_dict else list(obj)
+        if not items:
+            parts.append("{}" if is_dict else "[]")
             return
-        parts.append("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if not isinstance(k, str):
-                raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            if i:
-                parts.append(",")
-            parts.append(pad)
-            parts.append(json.dumps(k))
-            parts.append(": " if indent is not None else ":")
-            _emit(v, parts, indent, level + 1)
-        parts.append(end)
-        parts.append("}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            parts.append("[]")
-            return
-        parts.append("[")
-        for i, v in enumerate(seq):
-            if i:
-                parts.append(",")
-            parts.append(pad)
-            _emit(v, parts, indent, level + 1)
-        parts.append(end)
-        parts.append("]")
+        inner = line + step
+        sep, colon = "," + inner, ": " if line else ":"
+        parts.append("{" if is_dict else "[")
+        for i, item in enumerate(items):
+            parts.append(sep if i else inner)
+            if is_dict:
+                key, item = item
+                if not isinstance(key, str):
+                    raise TypeError(f"JSON object keys must be strings, got {key!r}")
+                parts.append(json.dumps(key) + colon)
+            _emit(item, parts, inner, step)
+        parts.append(line + ("}" if is_dict else "]"))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
 
@@ -84,7 +74,7 @@ def _emit(obj, parts: list[str], indent: int | None, level: int) -> None:
 def dumps(obj, indent: int | None = None) -> str:
     """Serialize with 17-significant-digit floats and stable ordering."""
     parts: list[str] = []
-    _emit(obj, parts, indent, 0)
+    _emit(obj, parts, "" if indent is None else "\n", "" if indent is None else " " * indent)
     return "".join(parts)
 
 

@@ -261,6 +261,61 @@ def test_card_windings_must_give_its_rotations(key, value):
         PrescriptionCard.from_doc(doc)
 
 
+#: malformed target fields, each with the message the card reader gives for it
+_MALFORMED_TARGETS = [
+    ("delta_plus_1", None, "delta_plus_1 must be a finite real number, got None"),
+    ("delta_minus_1", None, "delta_minus_1 must be a finite real number, got None"),
+    ("delta_minus_2", None, "delta_minus_2 must be a finite real number, got None"),
+    ("delta_plus_1", math.nan, "delta_plus_1 must be a finite real number, got nan"),
+    ("delta_plus_1", math.inf, "delta_plus_1 must be a finite real number, got inf"),
+    ("delta_minus_1", True, "delta_minus_1 must be a finite real number, got True"),
+    ("delta_minus_2", "1.0", "delta_minus_2 must be a finite real number, got '1.0'"),
+    ("delta_plus_1", 10**400, f"delta_plus_1 must be a finite real number, got {10**400!r}"),
+    ("j_targets", [1.0], "j_targets must be a list of 2 real numbers, got [1.0]"),
+    ("j_targets", ["0", "x"], "j_targets must be a finite real number, got '0'"),
+    ("b_targets", 0.5, "b_targets must be a list of 2 real numbers, got 0.5"),
+    ("b_targets", [0.0, None], "b_targets must be a finite real number, got None"),
+    ("b_abs_to_one", None, "b_abs_to_one must be true or false, got None"),
+    ("b_abs_to_one", "no", "b_abs_to_one must be true or false, got 'no'"),
+    ("b_abs_to_one", 1, "b_abs_to_one must be true or false, got 1"),
+    ("m_prime", 2.5, "m_prime must be an integer, got 2.5"),
+    ("m_prime", True, "m_prime must be an integer, got True"),
+    ("b_relation_sign", 2, "b_relation_sign must be 1 or -1, got 2"),
+]
+
+
+@pytest.mark.parametrize("tag", ["S_phi_q2", "CNOT_12"])
+@pytest.mark.parametrize("key, value, message", _MALFORMED_TARGETS)
+def test_a_malformed_target_field_has_one_message_in_a_card_and_a_hand_built_target(tag, key, value, message):
+    # the target set checks its own fields, so the card reader and a hand-built target say the same
+    row = _targets(tag)
+    doc = solve_physical(row).to_doc()
+    doc["targets"][key] = value
+    with pytest.raises(ValueError) as from_card:
+        PrescriptionCard.from_doc(doc)
+    with pytest.raises(ValueError) as by_hand:
+        dataclasses.replace(row, **{key: value})
+    assert str(from_card.value) == str(by_hand.value) == message
+
+
+def test_a_hand_built_target_needs_a_gate_id():
+    with pytest.raises(TypeError, match="^expected a GateId, got str$"):
+        dataclasses.replace(_targets("S_phi_q2"), gate="S_phi_q2")
+
+
+def test_a_target_set_holds_what_its_checks_return():
+    # numpy scalars, integers and list pairs become the float, int, bool and tuple the row holds
+    row = _targets("S_phi_q2")
+    tg = dataclasses.replace(row, delta_plus_1=np.float64(TWO_PI), delta_minus_1=PHI, delta_minus_2=np.float32(0.5),
+                             j_targets=list(row.j_targets), b_targets=[0, 0], b_abs_to_one=np.False_,
+                             b_relation_sign=None)
+    assert tg == row
+    assert [type(v) for v in (tg.delta_plus_1, tg.delta_minus_2, tg.j_targets, tg.b_targets, tg.b_abs_to_one)] == [
+        float, float, tuple, tuple, bool]
+    # a list pair equal to the row's is the row, so it gets the closed-form controls
+    assert solve_physical(tg) == solve_physical(row)
+
+
 def test_shifted_cnot_card_keeps_its_windings():
     # a shifted drift leaves the row's rotations, so its windings still read
     tg = dataclasses.replace(_targets("CNOT_21", m=2, m_prime=2), delta_plus_1=5 * PI / 4)
@@ -1100,3 +1155,32 @@ def test_shifted_target_builds_no_row_and_no_gate_matrix(monkeypatch):
             pass
     assert cards > 0
     assert (built, gates) == ([], [])
+
+
+@st.composite
+def _hand_built_targets(draw):
+    """A published row with one field edited that the card reader's windings rule leaves free.
+
+    The reader also asks that a card's m and m_prime give its delta_minus pair and that a
+    CNOT card carry them; a target set does not check that, so those edits stay out.
+    """
+    tg = draw(_published_rows())
+    names = ["delta_plus_1", "j_targets", "b_targets", "b_relation_sign", "b_abs_to_one", "h"]
+    if tg.m is None:
+        names += ["delta_minus_1", "delta_minus_2"]
+    name = draw(st.sampled_from(names))
+    return dataclasses.replace(tg, **{name: draw(_field_edits(tg, name))})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_hand_built_targets())
+def test_a_hand_built_target_survives_the_card_round_trip(tg):
+    try:
+        card = solve_physical(tg)
+    except (ValueError, BellgateError):
+        # infeasible targets, or no candidate accepted
+        return
+    text = dumps(card.to_doc())
+    back = PrescriptionCard.from_doc(json.loads(text))
+    assert back == card
+    assert dumps(back.to_doc()) == text

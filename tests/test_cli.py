@@ -337,6 +337,27 @@ def test_out_flag_writes_stdout_bytes(capsys, params_file, tmp_path):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_out_that_cannot_be_opened_is_input_error(capsys, params_file, tmp_path, where):
+    # the file is opened inside the error mapping: one JSON error line, no traceback
+    target = tmp_path / "absent" / "u.json" if where == "missing-directory" else tmp_path
+    code, out, err = run(capsys, "evolve", params_file, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"]["type"] == "input"
+    assert str(target) in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["evolve", "blocks", "compile", "fidelity-sweep"])
+def test_input_nested_past_the_parsers_recursion_limit_is_input_error(capsys, tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run(capsys, command, str(deep))
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == {
+        "type": "input", "message": f"{deep} nests its JSON values too deeply to parse"}
+
+
 def test_byte_determinism_across_runs(capsys, params_file, circuit_file, card_file):
     invocations = [
         ("evolve", params_file),
@@ -592,8 +613,13 @@ def test_bool_or_string_card_float_is_input_error(capsys, tmp_path, field, value
         ("card", "realized_error", "1e-3"),
         ("targets", "j_targets", ["0", "x"]),
         ("card", "residuals", "00000"),
+        ("targets", "delta_plus_1", None),
+        ("targets", "delta_minus_1", None),
+        ("targets", "delta_minus_2", None),
+        ("targets", "b_abs_to_one", None),
     ],
-    ids=["delta-true", "b_abs-string", "branch-float", "error-string", "j-strings", "residuals-string"],
+    ids=["delta-true", "b_abs-string", "branch-float", "error-string", "j-strings", "residuals-string",
+         "delta_plus_1-null", "delta_minus_1-null", "delta_minus_2-null", "b_abs-null"],
 )
 def test_mistyped_card_field_is_input_error(capsys, tmp_path, card_file, where, key, value):
     doc = json.loads(Path(card_file).read_text())

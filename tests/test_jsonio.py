@@ -3,8 +3,12 @@
 import json
 import math
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellgate.jsonio import dumps, dumps_csv, fields, format_float
 
@@ -85,6 +89,68 @@ def test_indent_layout_of_a_nested_doc():
         "}"
     )
     assert json.loads(dumps(doc, indent=2)) == doc
+
+
+def _trees(scalars):
+    """JSON trees over the given leaves: lists, and dicts with text keys."""
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+        max_leaves=20,
+    )
+
+
+_EXACT_LEAVES = st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.text(max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees(_EXACT_LEAVES), st.sampled_from([0, 1, 2, 4]))
+def test_layout_is_the_stdlib_encoders_without_floats(doc, indent):
+    assert dumps(doc) == json.dumps(doc, separators=(",", ":"))
+    assert dumps(doc, indent=indent) == json.dumps(doc, indent=indent)
+
+
+#: a JSON string, or a number token (group 1); skipping strings keeps digits inside text out
+_NUMBER_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|(-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?)')
+
+
+def _float_leaves(tree):
+    if isinstance(tree, list):
+        return [x for v in tree for x in _float_leaves(v)]
+    if isinstance(tree, dict):
+        return [x for v in tree.values() for x in _float_leaves(v)]
+    return [tree] if isinstance(tree, float) else []
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees(_EXACT_LEAVES | st.floats(allow_nan=False, allow_infinity=False)), st.sampled_from([None, 2]))
+def test_floats_are_format_floats_tokens_and_read_back(doc, indent):
+    text = dumps(doc, indent=indent)
+    assert json.loads(text) == doc
+    # every number token in document order; the floats among them are format_float's, in leaf order
+    tokens = [m.group(1) for m in _NUMBER_TOKEN.finditer(text) if m.group(1) is not None]
+    floats = [t for t in tokens if "." in t or "e" in t]
+    assert floats == [format_float(x) for x in _float_leaves(doc)]
+
+
+def test_tuples_arrays_and_complex_values_print_as_lists_and_entries():
+    doc = {
+        "pair": (1, (2.5, None)),
+        "matrix": np.array([[1.0, 2.0], [3.0, 4.0]]),
+        "z": [1 - 0.5j, np.complex64(2j)],
+        "zs": np.array([[0.25j]]),
+        "empty": (np.zeros(0), ()),
+    }
+    as_lists = {
+        "pair": [1, [2.5, None]],
+        "matrix": [[1.0, 2.0], [3.0, 4.0]],
+        "z": [{"re": 1.0, "im": -0.5}, {"re": 0.0, "im": 2.0}],
+        "zs": [[{"re": 0.0, "im": 0.25}]],
+        "empty": [[], []],
+    }
+    for indent in (None, 2):
+        assert dumps(doc, indent=indent) == dumps(as_lists, indent=indent)
+    assert dumps(as_lists, indent=2) == json.dumps(as_lists, indent=2)
 
 
 def test_csv_scalar_rule_and_trailing_newline():
