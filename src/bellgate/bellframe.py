@@ -207,6 +207,12 @@ def _rotations(t, c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 _PAULI_SIGNS = _frozen(np.array((1.0, -1j, -1j, -1j)))
 
 
+def _block_maps(t, c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The block maps of _rotations in Pauli coordinates, exp(-i phase) q times _PAULI_SIGNS, shape (2, 4)."""
+    phase, q = _rotations(t, c, r)
+    return np.exp(-1j * phase)[:, None] * q * _PAULI_SIGNS
+
+
 def bell_frame(h: int) -> BellFrame:
     """The frozen Bell frame of field axis h."""
     return _FRAMES[strict_int("field axis h", h, _FRAMES)]

@@ -72,8 +72,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bellframe import _PAULI_SIGNS, _TRANSVERSAL, BLOCK_BASIS, BLOCK_COEFFS, _block_coefficients, _reduced
-from .bellframe import _FRAME_ORDER, _rotations, bell_frame, block_axis
+from .bellframe import _TRANSVERSAL, BLOCK_BASIS, BLOCK_COEFFS, _block_coefficients, _block_maps, _reduced
+from .bellframe import _FRAME_ORDER, bell_frame, block_axis
 from .checks import (
     ACCEPT_TOL,
     INVISIBLE_AXIS_TOL,
@@ -129,9 +129,12 @@ class PrescriptionTargets:
     b_k = r * q_k * beta_k * j_k.  b_abs_to_one marks the asymptotic
     drive condition |b| -> 1, which is reported, never enforced.
 
-    gate and every value field are checked on construction, and each
+    A target set that builds is one the card reader accepts.  Each value
     field holds what its check returns, so a malformed field raises the
-    card reader's error for it; h is checked where it is first used.
+    card reader's error for it (h is checked where it is first used).
+    Then the gate must have a published row, a CNOT row must carry
+    windings m >= 1, m_prime >= 0 that give its rotations (2 pi m, pi/2 +
+    2 pi m_prime) and no other row any, and the weights must be feasible.
     """
 
     gate: GateId
@@ -149,10 +152,21 @@ class PrescriptionTargets:
     def __post_init__(self):
         if not isinstance(self.gate, GateId):
             raise TypeError(f"expected a GateId, got {type(self.gate).__name__}")
+        # the rotations as given, so that the windings message prints an integer 3 as 3
+        dm = (self.delta_minus_1, self.delta_minus_2)
         for name, check, nullable in _TARGET_CHECKS:
             v = getattr(self, name)
             if v is not None or not nullable:
                 object.__setattr__(self, name, check(name, v))
+        tag, windings = self.gate.tag, (self.m, self.m_prime)
+        if tag not in SOLVABLE_TAGS:
+            raise ValueError(f"{tag} has no pulse prescription")
+        if tag in _CNOT_TAGS and windings == (None, None):
+            raise ValueError("a CNOT card carries its windings m and m_prime, got null for both")
+        if windings != (None, None) and (tag not in _CNOT_TAGS or _cnot_rotations(*windings) != dm):
+            raise ValueError(f"only CNOT cards carry windings, and m = {self.m}, m_prime = {self.m_prime} "
+                             f"must give the card's delta_minus {dm[0]!r}, {dm[1]!r}")
+        _check_feasible(self)
 
 
 #: each value field's check and whether None passes it, in the order the card reader has always met them
@@ -232,16 +246,6 @@ class PrescriptionCard:
         targets = dict(zip(_TARGET_KEYS, fields(td, "card", _TARGET_KEYS)))
         t, J, B1, B2 = fields(sv, "card", ("t", "J", "B1", "B2"))
         tg = PrescriptionTargets(gate=GateId(tag=tag, phi=phi), h=h, m=m, **targets)
-        if tg.gate.tag in _CNOT_TAGS and (tg.m, tg.m_prime) == (None, None):
-            raise ValueError("a CNOT card carries its windings m and m_prime, got null for both")
-        if (tg.m, tg.m_prime) != (None, None):
-            # a shifted card keeps its row's rotations, so they still name its windings
-            row = prescription_targets(tg.gate, tg.m, tg.m_prime)
-            # the document's own values, so an integer 3 prints as 3
-            dm1, dm2 = targets["delta_minus_1"], targets["delta_minus_2"]
-            if tg.gate.tag not in _CNOT_TAGS or (row.delta_minus_1, row.delta_minus_2) != (dm1, dm2):
-                raise ValueError(f"only CNOT cards carry windings, and m = {tg.m}, m_prime = {tg.m_prime} "
-                                 f"must give the card's delta_minus {dm1!r}, {dm2!r}")
         p = PhysicalParams(t=t, J=strict_reals("J", J, 3), B1=B1, B2=B2, h=h)
         stored_res = strict_reals("residuals", res)
         stored_err = strict_float("realized_error", err)
@@ -344,18 +348,14 @@ def _published_row(
             return row, lambda: PhysicalParams(t=math.pi / 2, J=(-1.0, -w, 0.0), B1=-w, B2=0.0, h=1)
         return row, lambda: PhysicalParams(t=math.pi / 2, J=(0.0, -w, -1.0), B1=0.0, B2=-w, h=3)
 
-    m = strict_int("m", m)
-    m_prime = strict_int("m_prime", m_prime)
-    if m < 1 or m_prime < 0 or m + m_prime > _MAX_WINDINGS:
-        limits = f"m >= 1, m_prime >= 0 and m + m_prime <= {_MAX_WINDINGS:.3g}"
-        raise ValueError(f"CNOT windings require {limits}, got {m}, {m_prime}")
+    dm1, dm2 = _cnot_rotations(m, m_prime)
     h = 1 if tag == "CNOT_12" else 3
     row = _Row(
         gate=g,
         h=h,
         delta_plus_1=math.pi / 4,
-        delta_minus_1=2.0 * m * math.pi,
-        delta_minus_2=math.pi / 2 + 2.0 * m_prime * math.pi,
+        delta_minus_1=dm1,
+        delta_minus_2=dm2,
         j_targets=(0.0, 0.0),
         b_abs_to_one=True,
         m=m,
@@ -370,6 +370,16 @@ def _published_row(
     return row, lambda: PhysicalParams(t=t, J=(0.0, 0.0, math.pi / 4 / t), B1=lo, B2=1.0, h=3)
 
 
+def _cnot_rotations(m, m_prime) -> tuple[float, float]:
+    """The rotations (2 pi m, pi/2 + 2 pi m_prime) of a CNOT row's windings, which must be in bounds."""
+    m = strict_int("m", m)
+    m_prime = strict_int("m_prime", m_prime)
+    if m < 1 or m_prime < 0 or m + m_prime > _MAX_WINDINGS:
+        limits = f"m >= 1, m_prime >= 0 and m + m_prime <= {_MAX_WINDINGS:.3g}"
+        raise ValueError(f"CNOT windings require {limits}, got {m}, {m_prime}")
+    return 2.0 * m * math.pi, math.pi / 2 + 2.0 * m_prime * math.pi
+
+
 def _check_feasible(tg: PrescriptionTargets) -> None:
     for pair in (tg.j_targets, tg.b_targets):
         if pair is not None and max(abs(v) for v in pair) > 1.0 + WEIGHT_TOL:
@@ -377,9 +387,7 @@ def _check_feasible(tg: PrescriptionTargets) -> None:
     if tg.j_targets is not None and tg.b_targets is not None:
         for jv, bv in zip(tg.j_targets, tg.b_targets):
             if abs(jv * jv + bv * bv - 1.0) > UNIT_CIRCLE_TOL:
-                raise ValueError(
-                    f"infeasible targets: j^2 + b^2 = {jv * jv + bv * bv} != 1"
-                )
+                raise ValueError(f"infeasible targets: j^2 + b^2 = {jv * jv + bv * bv} != 1")
     if tg.b_targets is not None and tg.b_relation_sign is not None:
         raise ValueError("infeasible targets: b fixed by value and by relation at once")
 
@@ -404,17 +412,13 @@ def _target_blocks(tg: PrescriptionTargets) -> np.ndarray:
     e_v of its two frame slots, each one of e^{-+i phi} as the gate's
     diagonal pattern places it, and is ((e_u + e_v) / 2, 0, 0,
     (e_u - e_v) / 2).  Adding 0j turns a signed zero into +0, as the
-    einsum's +0 start does, so these keep _frame_blocks' bits.  A gate
-    with no published row, which only a hand-built target carries, goes
-    through the einsum itself.
+    einsum's +0 start does, so these keep _frame_blocks' bits.
     """
     h = bell_frame(tg.h).h
     w = _FIXED_BLOCKS.get((tg.gate.tag, h))
     if w is not None:
         return w
-    diagonal = _PHASE_DIAGONAL.get(tg.gate.tag)
-    if diagonal is None:
-        return _frame_blocks(tg.gate, h)
+    diagonal = _PHASE_DIAGONAL[tg.gate.tag]
     # the gate's entries, by the same calls as d_gate, in frame order
     e = (complex(np.exp(-1j * tg.gate.phi)), complex(np.exp(1j * tg.gate.phi)))
     u = [e[diagonal[i]] for i in _FRAME_ORDER[h]]
@@ -480,8 +484,7 @@ def _evaluate(tg: PrescriptionTargets, p: PhysicalParams, w: np.ndarray) -> _Eva
     # an eigenphase t (c0 +- |c|) that overflows leaves no propagator, as in expm_hermitian
     if not p.t * max(abs(c0) + n for c0, n in zip(c[:, 0].tolist(), norms.tolist())) < math.inf:
         raise NonUnitaryError(math.inf)
-    phase, q = _rotations(p.t, c, norms)
-    s = np.exp(-1j * phase)[:, None] * q * _PAULI_SIGNS
+    s = _block_maps(p.t, c, norms)
     # the phase of s . w by atan2: a subnormal s . w must neither be divided by nor underflow
     z = np.vdot(s, w)
     d = cmath.rect(1.0, math.atan2(z.imag, z.real)) * s - w
@@ -503,18 +506,13 @@ def _card(tg: PrescriptionTargets, p: PhysicalParams, e: _Evaluation) -> Prescri
 def _closed_form(tg: PrescriptionTargets) -> PhysicalParams | None:
     """Closed-form controls of tg if it is the published row of its gate, route and windings.
 
-    The row is a _Row, compared with tg's fields as one tuple: the first
-    field that differs decides, and only a target equal to its row builds
-    the row's controls.
+    The row is a _Row, compared with tg's fields as one tuple; only a
+    target equal to its row builds the row's controls.
     """
     route = "alternate" if tg.gate.tag == "S_phi_q1" and tg.h == 3 else "printed"
     m = 1 if tg.m is None else tg.m
     m_prime = 0 if tg.m_prime is None else tg.m_prime
-    try:
-        row, controls = _published_row(tg.gate, m, m_prime, route)
-    except ValueError:
-        # a row _published_row refuses is not a published one
-        return None
+    row, controls = _published_row(tg.gate, m, m_prime, route)
     return controls() if _fields_of(tg) == row else None
 
 
@@ -663,18 +661,15 @@ def solve_physical(tg: PrescriptionTargets) -> PrescriptionCard:
     The row is compared with tg as a plain tuple (_closed_form), and the
     target blocks of a phase gate come from its diagonal (_target_blocks),
     so a shifted target builds no PrescriptionTargets for its row and no
-    gate matrix.  Any other target set is inverted
-    exactly (see the module docstring) and the shortest accepted
-    candidate is returned, ties in enumeration order; candidates after it
-    are never built.  A candidate is accepted
-    when its realized gate error and every residual are at most
-    ACCEPT_TOL.  If none is accepted, SolverFailure carries the smallest
+    gate matrix.  Any other target set is inverted exactly (see the module
+    docstring) and the shortest accepted candidate is returned, ties in
+    enumeration order; candidates after it are never built.  A candidate
+    is accepted when its realized gate error and every residual are at
+    most ACCEPT_TOL.  If none is accepted, SolverFailure carries the smallest
     worst residual seen and the candidate that has it, and its message
     names that residual and the candidate's duration and gives the
     number of candidates, all of them tried.
     """
-    _check_feasible(tg)
-
     w = _target_blocks(tg)
     closed = _closed_form(tg)
     attempts = [closed] if closed is not None else _candidates(tg, w)

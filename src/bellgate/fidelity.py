@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellframe import _PAULI_SIGNS, BLOCK_BASIS, BellFrame, _block_coefficients, _rotations
+from .bellframe import BLOCK_BASIS, BellFrame, _block_coefficients, _block_maps, _rotations
 from .calib import PrescriptionCard
 from .checks import RANK_TIE_TOL, STATE_NORM_TOL, ZERO_NORM_TOL, strict_float, strict_int
 from .errors import NonFiniteDerivative
@@ -315,8 +315,7 @@ def directional_derivatives(
     if p.h != frame.h:
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
     g, c, r = _generators(p, dp.as_array()[None])
-    phase, q = _rotations(p.t, c, r)
-    s = np.einsum("ba,aij->bij", np.exp(-1j * phase)[:, None] * q * _PAULI_SIGNS, BLOCK_BASIS)
+    s = np.einsum("ba,aij->bij", _block_maps(p.t, c, r), BLOCK_BASIS)
     ds = -1j * s @ np.einsum("ba,aij->bij", g[0], BLOCK_BASIS)
     return (ds[0], ds[1]), (s[0], s[1])
 

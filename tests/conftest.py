@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -98,3 +99,22 @@ def edge_params(draw):
     t = draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0)))
     p = PhysicalParams(t=t, J=tuple(c[:3]), B1=c[3], B2=c[4], h=h)
     return p, block if kind == "degenerate" else None
+
+
+def windings_give_rotations(doc):
+    """The rule for a card's windings, stated apart from calib.
+
+    A CNOT card names windings m >= 1 and m_prime >= 0 that give its
+    rotations (2 pi m, pi/2 + 2 pi m_prime); no other card has any.
+    """
+    m, m_prime, tg = doc["m"], doc["targets"]["m_prime"], doc["targets"]
+    if doc["gate"] not in ("CNOT_12", "CNOT_21"):
+        return (m, m_prime) == (None, None)
+    return (
+        m is not None
+        and m_prime is not None
+        and m >= 1
+        and m_prime >= 0
+        and tg["delta_minus_1"] == 2.0 * m * math.pi
+        and tg["delta_minus_2"] == math.pi / 2 + 2.0 * m_prime * math.pi
+    )

@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -42,7 +43,7 @@ from bellgate.checks import RECOMPUTE_TOL
 from bellgate.errors import BellgateError
 from bellgate.jsonio import dumps
 from bellgate.model import GENERATORS
-from conftest import parsed
+from conftest import parsed, windings_give_rotations
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
@@ -433,18 +434,12 @@ def test_solver_failure_reports_best_residual():
 
 
 @pytest.mark.parametrize("rotations", [(0.0, 0.0), (-1.0, 0.0)])
-def test_cnot_rotations_without_a_duration_skip_the_closed_form(rotations):
-    # the CNOT closed form lasts the rotations' half-sum; with none left
-    # the inversion alone decides, and a CNOT cannot rotate neither block
-    tg = dataclasses.replace(
-        _targets("CNOT_12", m=1, m_prime=0),
-        delta_minus_1=rotations[0],
-        delta_minus_2=rotations[1],
-    )
-    with pytest.raises(SolverFailure) as exc:
-        solve_physical(tg)
-    assert "closed form" not in str(exc.value)
-    assert exc.value.best_residual > 0.5
+def test_cnot_rotations_without_a_duration_do_not_build(rotations):
+    # a CNOT row's rotations are those of its windings, so a CNOT target
+    # that rotates neither block is refused before any solve
+    with pytest.raises(ValueError, match="^only CNOT cards carry windings, and m = 1, m_prime = 0 must give"):
+        dataclasses.replace(_targets("CNOT_12", m=1, m_prime=0), delta_minus_1=rotations[0],
+                            delta_minus_2=rotations[1])
 
 
 @pytest.mark.parametrize(
@@ -459,17 +454,50 @@ def test_targets_reject_non_integer_fields(field, value):
 
 def test_targets_store_integer_fields_as_int():
     tg = dataclasses.replace(
-        _targets("H_q2"), m=np.int64(2), m_prime=np.int32(1), b_relation_sign=np.int8(-1)
+        _targets("CNOT_12", m=2, m_prime=1), m=np.int64(2), m_prime=np.int32(1), b_relation_sign=np.int8(-1)
     )
     assert (tg.m, tg.m_prime, tg.b_relation_sign) == (2, 1, -1)
     assert all(type(v) is int for v in (tg.m, tg.m_prime, tg.b_relation_sign))
 
 
 def test_infeasible_axis_targets_rejected():
-    tg = _targets("S_phi_q2")
-    bad = dataclasses.replace(tg, j_targets=(1.0, 1.0), b_targets=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        solve_physical(bad)
+    with pytest.raises(ValueError, match=r"^infeasible targets: j\^2 \+ b\^2 = 2.0 != 1$"):
+        dataclasses.replace(_targets("S_phi_q2"), j_targets=(1.0, 1.0), b_targets=(1.0, 1.0))
+
+
+def _card_doc_with(doc, edit):
+    """A card document with the target fields of edit set as a target set holds them."""
+    for key, value in edit.items():
+        if key == "gate":
+            doc["gate"], doc["phi"] = value.tag, value.phi
+        else:
+            (doc if key in doc else doc["targets"])[key] = value
+    return doc
+
+
+#: hand-built targets the solver used to solve into cards the card reader refused, and the reader's message
+_REFUSED_BY_THE_READER = [
+    ("H_q2", {"m": 3}, "only CNOT cards carry windings, and m = 3, m_prime = None must give the card's "
+                       "delta_minus 1.5707963267948966, 1.5707963267948966"),
+    ("CNOT_12", {"m": None, "m_prime": None}, "a CNOT card carries its windings m and m_prime, got null for both"),
+    ("CNOT_12", {"m": 5}, "only CNOT cards carry windings, and m = 5, m_prime = 0 must give the card's "
+                          "delta_minus 6.283185307179586, 1.5707963267948966"),
+    ("CNOT_12", {"m": -4}, "CNOT windings require m >= 1, m_prime >= 0 and m + m_prime <= 1.43e+307, got -4, 0"),
+    ("H_q2", {"gate": GateId("T_translator")}, "T_translator has no pulse prescription"),
+    ("S_phi_q2", {"j_targets": (1.5, -1.0)}, "infeasible targets: weight outside [-1, 1] in (1.5, -1.0)"),
+]
+
+
+@pytest.mark.parametrize("tag, edit, message", _REFUSED_BY_THE_READER)
+def test_a_target_the_card_reader_refuses_does_not_build(tag, edit, message):
+    # the same message for the target built by hand and for the card document with the same edit
+    row = _targets(tag)
+    doc = _card_doc_with(solve_physical(row).to_doc(), edit)
+    with pytest.raises(ValueError) as from_card:
+        PrescriptionCard.from_doc(doc)
+    with pytest.raises(ValueError) as by_hand:
+        dataclasses.replace(row, **edit)
+    assert str(from_card.value) == str(by_hand.value) == message
 
 
 def test_family_controls_formula():
@@ -707,7 +735,11 @@ def _docs(candidates):
 
 @st.composite
 def _unpublished_targets(draw):
-    """A published row with its drift phase, one rotation or its pinned j moved off it."""
+    """A published row with its drift phase moved, and maybe its pinned j freed or j pinned alone.
+
+    A row without windings may also have its first rotation moved; a CNOT
+    row's rotations are its windings', so they stay.
+    """
     tag = draw(st.sampled_from(SOLVABLE_TAGS))
     if tag.startswith("S_phi"):
         g = GateId(tag, phi=draw(st.floats(-7.0, 7.0)))
@@ -718,11 +750,15 @@ def _unpublished_targets(draw):
         tg = prescription_targets(GateId(tag), m=m, m_prime=m_prime)
     shift = draw(st.one_of(st.sampled_from([PI, 5 * PI / 4, -PI / 2, 0.0]), st.floats(-7.0, 7.0)))
     tg = dataclasses.replace(tg, delta_plus_1=shift)
-    edit = draw(st.sampled_from(["none", "rotation", "free_j"]))
+    edit = draw(st.sampled_from(["none", "free_j"] + ["rotation", "j_alone"] * (tg.m is None)))
     if edit == "rotation":
         tg = dataclasses.replace(tg, delta_minus_1=draw(st.floats(0.0, 7.0)))
     elif edit == "free_j":
         tg = dataclasses.replace(tg, j_targets=None)
+    elif edit == "j_alone":
+        # j pinned alone, as on a CNOT row, on a row whose rotations may move
+        j = draw(st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1.0, 1.0))] * 2))
+        tg = dataclasses.replace(tg, j_targets=j, b_targets=None, b_relation_sign=None)
     return tg
 
 
@@ -772,22 +808,55 @@ _EDGE_ANGLES = [0.0, -0.0, 5e-324, 2.2e-308, PI, TWO_PI, 1e300, 1.7e308]
 
 @st.composite
 def _edge_targets(draw):
-    """An unpublished row, its drift phase maybe on the pi / 4 grid (exact duration ties), its rotations maybe edge values."""
+    """An unpublished row, its drift phase maybe on the pi / 4 grid (exact duration ties).
+
+    A row without windings has its rotations maybe set to edge values; a
+    CNOT row's rotations are its windings', so they stay.
+    """
     tg = draw(_unpublished_targets())
     if draw(st.booleans()):
         tg = dataclasses.replace(tg, delta_plus_1=draw(st.integers(-8, 8)) * PI / 4)
-    for name in ("delta_minus_1", "delta_minus_2"):
+    if tg.m is None:
+        # one rotation in each regime (zero, subnormal, huge, the rest) in turn, the other maybe at any edge
+        regime = draw(st.sampled_from([_EDGE_ANGLES[:2], _EDGE_ANGLES[2:4], _EDGE_ANGLES[6:], _EDGE_ANGLES[4:6]]))
+        names = draw(st.permutations(["delta_minus_1", "delta_minus_2"]))
+        tg = dataclasses.replace(tg, **{names[0]: draw(st.sampled_from(regime))})
         if draw(st.booleans()):
-            tg = dataclasses.replace(tg, **{name: draw(st.sampled_from(_EDGE_ANGLES))})
+            tg = dataclasses.replace(tg, **{names[1]: draw(st.sampled_from(_EDGE_ANGLES))})
     return tg
 
 
-@settings(max_examples=300, deadline=None)
-@given(_edge_targets())
-def test_candidates_keep_the_bits_of_one_product_per_choice(tg):
-    # to_doc JSON tells -0.0 from 0.0, where PhysicalParams equality does not
-    w = calib._target_blocks(tg)
-    assert _docs(calib._candidates(tg, w)) == _docs(_candidates_oracle(tg))
+def _same_draws(count):
+    """Settings that draw the same count examples on every run, so that a test can count what it met."""
+    return settings(max_examples=count, deadline=None, derandomize=True, database=None)
+
+
+def _assert_edge_targets_met(targets):
+    # every regime of the inversion, met on each run (about twice these counts in 300 draws):
+    # a zero rotation (a degenerate block), a subnormal one, one of 1e300 and more, and j pinned
+    # alone on a row without windings and on a CNOT row
+    rotations = [(tg.delta_minus_1, tg.delta_minus_2) for tg in targets]
+    j_alone = [tg for tg in targets if tg.j_targets is not None and tg.b_targets is None and tg.b_relation_sign is None]
+    assert sum(0.0 in rot for rot in rotations) >= 30
+    assert sum(any(0.0 < r < sys.float_info.min for r in rot) for rot in rotations) >= 30
+    assert sum(max(rot) >= 1e300 for rot in rotations) >= 20
+    assert sum(tg.m is None for tg in j_alone) >= 15
+    assert sum(tg.m is not None for tg in j_alone) >= 20
+
+
+def test_candidates_keep_the_bits_of_one_product_per_choice():
+    met = []
+
+    @_same_draws(300)
+    @given(_edge_targets())
+    def check(tg):
+        # to_doc JSON tells -0.0 from 0.0, where PhysicalParams equality does not
+        met.append(tg)
+        w = calib._target_blocks(tg)
+        assert _docs(calib._candidates(tg, w)) == _docs(_candidates_oracle(tg))
+
+    check()
+    _assert_edge_targets_met(met)
 
 
 @st.composite
@@ -795,40 +864,56 @@ def _edge_controls(draw):
     """A row and controls on its axis: degenerate blocks (|c| = 0), subnormal |c|, t = 0, magnitudes up to 1e300."""
     tg = draw(_unpublished_targets())
     value = st.one_of(st.sampled_from(_EDGE_VALUES), st.floats(-1e300, 1e300))
-    # block coordinates (c0, T_1, L_1, T_2, L_2) with some of them zero give exactly degenerate blocks
+    # block coordinates (c0, T_1, L_1, T_2, L_2) with some of them zero give exactly degenerate
+    # blocks, and a block's (T, L) of signed zeros and subnormals a zero or subnormal |c|
     y = [draw(st.one_of(st.just(0.0), value)) for _ in range(5)]
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([1, 3]))
+        y[k : k + 2] = [draw(st.sampled_from([0.0, -0.0, 5e-324, -6.3e-315, 2.2e-308])) for _ in range(2)]
     x = (_INVERSE[tg.h] @ np.array(y)).tolist() if draw(st.booleans()) else [draw(value) for _ in range(5)]
     t = draw(st.one_of(st.sampled_from([0.0, 5e-324, 6.3e-315, 1.0, 1e300]), st.floats(0.0, 1e300)))
     return tg, PhysicalParams(t=t, J=tuple(x[:3]), B1=x[3], B2=x[4], h=tg.h)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_edge_controls())
-def test_evaluate_keeps_the_bits_of_two_kernel_runs(case):
-    # residuals, branch, error and margin to the last bit, or the same error raised; the
-    # residuals named in card order as the targets pin them, and |b| of the public block 1
-    tg, p = case
-    w = calib._target_blocks(tg)
-    records = []
+def test_evaluate_keeps_the_bits_of_two_kernel_runs():
+    met = []
 
-    def record():
-        records.append(calib._evaluate(tg, p, w))
-        e = records[-1]
-        return tuple(e.residuals.values()), e.phase_branch, e.realized_error, e.branch_margin
+    @_same_draws(300)
+    @given(_edge_controls())
+    def check(case):
+        # residuals, branch, error and margin to the last bit, or the same error raised; the
+        # residuals named in card order as the targets pin them, and |b| of the public block 1
+        tg, p = case
+        met.append(p)
+        w = calib._target_blocks(tg)
+        records = []
 
-    assert _outcome(record) == _outcome(lambda: _evaluate_oracle(tg, p, w))
-    if records:
-        names = ["delta_plus", "delta_minus_1", "delta_minus_2"]
-        names += ["j_1", "j_2"] * (tg.j_targets is not None)
-        names += ["b_1", "b_2"] * (tg.b_targets is not None or tg.b_relation_sign is not None)
-        assert list(records[0].residuals) == names
-        assert repr(records[0].b_abs) == repr(abs(reduced_params(p, bell_frame(tg.h))[0].b))
+        def record():
+            records.append(calib._evaluate(tg, p, w))
+            e = records[-1]
+            return tuple(e.residuals.values()), e.phase_branch, e.realized_error, e.branch_margin
+
+        assert _outcome(record) == _outcome(lambda: _evaluate_oracle(tg, p, w))
+        if records:
+            names = ["delta_plus", "delta_minus_1", "delta_minus_2"]
+            names += ["j_1", "j_2"] * (tg.j_targets is not None)
+            names += ["b_1", "b_2"] * (tg.b_targets is not None or tg.b_relation_sign is not None)
+            assert list(records[0].residuals) == names
+            assert repr(records[0].b_abs) == repr(abs(reduced_params(p, bell_frame(tg.h))[0].b))
+
+    check()
+    # every regime of the block kernel, met on each run (about twice these counts in 300 draws):
+    # a degenerate block (|c| = 0), a subnormal |c|, t = 0, and couplings or durations of 1e300 and more
+    norms = [bellframe._block_coefficients(np.array((*p.J, p.B1, p.B2)), p.h)[1].tolist() for p in met]
+    assert sum(0.0 in r for r in norms) >= 40
+    assert sum(any(0.0 < v < sys.float_info.min for v in r) for r in norms) >= 10
+    assert sum(p.t == 0.0 for p in met) >= 25
+    assert sum(max(p.t, *map(abs, p.J), abs(p.B1), abs(p.B2)) >= 1e300 for p in met) >= 50
 
 
 def _solve_oracle(tg):
     # solve_physical with the candidate and evaluation oracles; a failure
     # gives its closest worst residual, the name of that entry and the count
-    calib._check_feasible(tg)
     w = calib._target_blocks(tg)
     closed = calib._closed_form(tg)
     attempts = [closed] if closed is not None else _candidates_oracle(tg)
@@ -856,16 +941,19 @@ def _solve_outcome(tg):
         return f"SolverFailure: {found[1]} {exc.best_residual!r} {found[2]}"
 
 
-@settings(max_examples=300, deadline=None)
-@given(_edge_targets())
-def test_solver_keeps_the_bits_of_the_per_choice_path(tg):
-    # the same card to the last bit, or the same failure, or the same error
-    # raised at the same candidate
-    try:
-        calib._check_feasible(tg)
-    except ValueError:
-        return
-    assert _outcome(lambda: _solve_outcome(tg)) == _outcome(lambda: _solve_oracle(tg))
+def test_solver_keeps_the_bits_of_the_per_choice_path():
+    met = []
+
+    @_same_draws(300)
+    @given(_edge_targets())
+    def check(tg):
+        # the same card to the last bit, or the same failure, or the same error
+        # raised at the same candidate
+        met.append(tg)
+        assert _outcome(lambda: _solve_outcome(tg)) == _outcome(lambda: _solve_oracle(tg))
+
+    check()
+    _assert_edge_targets_met(met)
 
 
 _KERNEL_ROWS = [
@@ -1032,10 +1120,7 @@ def _closed_form_oracle(tg):
     route = "alternate" if tg.gate.tag == "S_phi_q1" and tg.h == 3 else "printed"
     m = 1 if tg.m is None else tg.m
     m_prime = 0 if tg.m_prime is None else tg.m_prime
-    try:
-        row = prescription_targets(tg.gate, m, m_prime, route)
-    except ValueError:
-        return None
+    row = prescription_targets(tg.gate, m, m_prime, route)
     return calib._published_row(tg.gate, m, m_prime, route)[1]() if tg == row else None
 
 
@@ -1091,13 +1176,21 @@ def _field_edits(tg, name):
 
 
 @st.composite
-def _rows_with_one_edit(draw):
-    """A published row as it is, or with one field edited alone."""
+def _one_edit(draw):
+    """A published row, and no edit or one of its fields with a value to edit it to."""
     tg = draw(_published_rows())
     name = draw(st.sampled_from([None] + [f.name for f in dataclasses.fields(tg)]))
-    if name is None:
-        return tg
-    return dataclasses.replace(tg, **{name: draw(_field_edits(tg, name))})
+    return tg, {} if name is None else {name: draw(_field_edits(tg, name))}
+
+
+@st.composite
+def _rows_with_one_edit(draw):
+    """A published row as it is, or with one field edited alone where the edit builds."""
+    tg, edit = draw(_one_edit())
+    try:
+        return dataclasses.replace(tg, **edit)
+    except (ValueError, TypeError):
+        assume(False)
 
 
 @settings(max_examples=400, deadline=None)
@@ -1159,26 +1252,40 @@ def test_shifted_target_builds_no_row_and_no_gate_matrix(monkeypatch):
 
 @st.composite
 def _hand_built_targets(draw):
-    """A published row with one field edited that the card reader's windings rule leaves free.
+    """A published row and an edit of any one of its fields, or of a CNOT row's windings and rotations together.
 
-    The reader also asks that a card's m and m_prime give its delta_minus pair and that a
-    CNOT card carry them; a target set does not check that, so those edits stay out.
+    The joint edit gives the rotations of its windings, by the rule as
+    windings_give_rotations states it, so that some edited CNOT rows build.
     """
-    tg = draw(_published_rows())
-    names = ["delta_plus_1", "j_targets", "b_targets", "b_relation_sign", "b_abs_to_one", "h"]
-    if tg.m is None:
-        names += ["delta_minus_1", "delta_minus_2"]
-    name = draw(st.sampled_from(names))
-    return dataclasses.replace(tg, **{name: draw(_field_edits(tg, name))})
+    tg, edit = draw(_one_edit())
+    if tg.m is not None and draw(st.booleans()):
+        m, m_prime = draw(_WINDINGS), draw(_WINDINGS)
+        edit = {"m": m, "m_prime": m_prime, "delta_minus_1": 2.0 * m * PI, "delta_minus_2": PI / 2 + 2.0 * m_prime * PI}
+    return tg, edit
 
 
-@settings(max_examples=150, deadline=None)
+def _target_doc(tg, edit):
+    """The gate, m and target fields of tg with edit applied, as a card document holds them."""
+    f = {**{name: getattr(tg, name) for name in calib._Row._fields}, **edit}
+    return {"gate": f["gate"].tag, "m": f["m"], "targets": {k: f[k] for k in calib._TARGET_KEYS}}
+
+
+@settings(max_examples=300, deadline=None)
 @given(_hand_built_targets())
-def test_a_hand_built_target_survives_the_card_round_trip(tg):
+def test_a_hand_built_target_is_refused_or_survives_the_card_round_trip(case):
+    # a target set that builds is solved into a card the card reader reads back, or fails to solve;
+    # with its weights left as its row's, it builds exactly when its windings give its rotations
+    tg, edit = case
     try:
-        card = solve_physical(tg)
-    except (ValueError, BellgateError):
-        # infeasible targets, or no candidate accepted
+        built = dataclasses.replace(tg, **edit)
+    except (ValueError, TypeError):
+        assert {"j_targets", "b_targets", "b_relation_sign"} & set(edit) or not windings_give_rotations(
+            _target_doc(tg, edit))
+        return
+    assert windings_give_rotations(_target_doc(tg, edit))
+    try:
+        card = solve_physical(built)
+    except SolverFailure:
         return
     text = dumps(card.to_doc())
     back = PrescriptionCard.from_doc(json.loads(text))

@@ -36,7 +36,7 @@ from bellgate import (
 )
 from bellgate.calib import SOLVABLE_TAGS
 from bellgate.jsonio import dumps
-from conftest import DEGENERATE
+from conftest import DEGENERATE, windings_give_rotations
 
 PARAMS_TEXT = '{"t": 1.2, "J": [0.7, -0.4, 0.9], "B1": 0.3, "B2": -0.6, "h": 1}'
 CIRCUIT_TEXT = (
@@ -967,6 +967,46 @@ def test_calib_imports_no_4x4_path():
     assert "reduced_params" not in names
 
 
+def _calls_by_function(tree):
+    """The names each function of a module calls, by the function's qualified name."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if isinstance(child, ast.FunctionDef):
+                    out[name] = {
+                        call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                        for call in ast.walk(child)
+                        if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))
+                    }
+                visit(child, f"{name}.")
+
+    visit(tree, "")
+    return out
+
+
+def test_calib_checks_a_target_set_in_one_place():
+    # a target set is valid by construction: the windings rule and the weight
+    # check live in PrescriptionTargets, so neither the card reader nor the
+    # solver keeps a copy or builds a second target set to compare with
+    tree = ast.parse((_PACKAGE / "calib.py").read_text())
+    calls = _calls_by_function(tree)
+    callers = {helper: sorted(name for name, called in calls.items() if helper in called)
+               for helper in ("_check_feasible", "_cnot_rotations")}
+    assert callers == {
+        "_check_feasible": ["PrescriptionTargets.__post_init__"],
+        "_cnot_rotations": ["PrescriptionTargets.__post_init__", "_published_row"],
+    }
+    for name in ("PrescriptionCard.from_doc", "solve_physical"):
+        assert calls[name] & {"_check_feasible", "_cnot_rotations", "prescription_targets"} == set()
+    # and no path is left for a target set that could not build: no refusal is
+    # caught, and only the import-time table reads a gate's blocks off its matrix
+    assert not any(isinstance(node, ast.Try) for node in ast.walk(tree))
+    assert [name for name, called in calls.items() if "_frame_blocks" in called] == []
+
+
 def test_runtime_dependencies_are_numpy_alone():
     tomllib = pytest.importorskip("tomllib")
     pyproject = _PACKAGE.parents[1] / "pyproject.toml"
@@ -1324,17 +1364,26 @@ def test_synth_winding_defaults_to_one(capsys):
     assert family == run(capsys, "synth", "CNOT_21", "--family", "--m", "1", "--format", "csv")
 
 
-@pytest.mark.parametrize(
-    "tag, message",
-    [
-        ("T_translator", "card residuals and realized_error differ from their recomputation by 0.7499999999999998"),
-        ("B_H", "B_H is not a Bell-basis library gate"),
-    ],
-)
-def test_card_of_a_gate_without_a_row_keeps_its_error(capsys, tmp_path, card_file, tag, message):
-    # no target of a row carries such a gate, so its blocks still come from the gate matrix
+@pytest.mark.parametrize("tag", ["T_translator", "B_H"])
+def test_card_of_a_gate_without_a_row_keeps_its_error(capsys, tmp_path, card_file, tag):
+    # a target set of a gate without a published row does not build, so the card is refused there
     f = _edited(tmp_path, Path(card_file).read_text(), lambda d: d.update(gate=tag))
-    assert _assert_input_error(capsys, "fidelity-sweep", f, "--states", "1") == message
+    message = _assert_input_error(capsys, "fidelity-sweep", f, "--states", "1")
+    assert message == f"{tag} has no pulse prescription"
+
+
+def test_card_with_infeasible_weights_is_input_error(capsys, tmp_path):
+    # the residuals match their recomputation, but the solver refuses these targets, so the reader does too
+    card = tmp_path / "card.json"
+    assert cli.main(["synth", "S_phi_q2", "--phi", "0.5", "--out", str(card)]) == 0
+
+    def edit(doc):
+        doc["targets"]["j_targets"] = [1.5, -1.0]
+        doc["residuals"][3:5] = [2.5, 2.0]
+
+    f = _edited(tmp_path, card.read_text(), edit)
+    message = _assert_input_error(capsys, "fidelity-sweep", f, "--states", "1")
+    assert message == "infeasible targets: weight outside [-1, 1] in (1.5, -1.0)"
 
 
 def _run_quietly(argv):
@@ -1364,23 +1413,10 @@ def _assert_csv(out):
     assert {len(row.split(",")) for row in rows} == {len(header.split(","))}
 
 
-def _windings_give_rotations(doc):
-    """The rule for a card's windings, stated apart from calib: a CNOT's name its rotations, no other card has any."""
-    m, m_prime, tg = doc["m"], doc["targets"]["m_prime"], doc["targets"]
-    if doc["gate"] not in ("CNOT_12", "CNOT_21"):
-        return (m, m_prime) == (None, None)
-    return (
-        m is not None
-        and m_prime is not None
-        and tg["delta_minus_1"] == 2.0 * m * math.pi
-        and tg["delta_minus_2"] == math.pi / 2 + 2.0 * m_prime * math.pi
-    )
-
-
 def _assert_card_reads_back(doc):
     card = PrescriptionCard.from_doc(doc)
     assert json.loads(dumps(card.to_doc())) == doc
-    assert _windings_give_rotations(doc)
+    assert windings_give_rotations(doc)
 
 
 #: option values at the edges: signed zeros, subnormals, near and past the float range, no number at all
@@ -1533,7 +1569,7 @@ def test_fidelity_sweep_keeps_the_exit_contract(tmp_path_factory, doc, steps, fm
     if code != 0:
         return
     # a card the sweep accepts names windings that give its rotations
-    assert _windings_give_rotations(doc)
+    assert windings_give_rotations(doc)
     if fmt == "csv":
         _assert_csv(out)
     else:
