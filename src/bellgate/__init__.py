@@ -67,7 +67,6 @@ _HOMES = {
         "OpaqueGate",
         "compile_circuit",
         "d_gate",
-        "embedded_matrix",
         "matrix_of",
         "translator",
     ),

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import UNIT_CIRCLE_TOL, strict_int
+from .errors import NonUnitaryError
 from .model import GENERATORS, PhysicalParams
 from .spinlin import _frozen, pauli
 
@@ -111,13 +112,16 @@ class BellFrame:
 
 @dataclass(frozen=True)
 class ReducedBlockParams:
-    """Closed-form parameters (dplus, dminus, b, j) of one block, b^2 + j^2 = 1."""
+    """Closed-form parameters (dplus, dminus, b, j) of block 1 or 2 (ValueError otherwise), b^2 + j^2 = 1."""
 
     block: int
     delta_plus: float
     delta_minus: float
     b: float
     j: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "block", strict_int("block", self.block, (1, 2)))
 
 
 def _make_frame(h: int) -> BellFrame:
@@ -244,7 +248,9 @@ def reduced_params(p: PhysicalParams, frame: BellFrame) -> tuple[ReducedBlockPar
     dminus = |c|*t >= 0, and the unit vector n = c/|c| is split into the
     longitudinal weight j (along sigma_z, sign beta) and the transversal
     weight b (along the frame's h-dependent transversal direction, sign
-    q).  A degenerate |c| = 0 block reports b = 0, j = 1, dminus = 0.
+    q).  A degenerate |c| = 0 block reports b = 0, j = 1, dminus = 0.  A
+    block whose eigenphase t (c0 +- |c|) overflows has no such parameters:
+    NonUnitaryError(inf), as evolve raises for it.
     """
     if p.h != frame.h:
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
@@ -258,10 +264,14 @@ def _reduced(
     """reduced_params at duration t of one coupling row's (c, |c|), shapes (2, 4) and (2,), from the block kernel.
 
     Each block comes as a plain (delta_plus, delta_minus, b, j) tuple of floats.
+    A block whose eigenphase t (c0 +- |c|) overflows leaves no propagator, as
+    in expm_hermitian: NonUnitaryError(inf), for the solver as for reduced_params.
     """
     tr, sign = _TRANSVERSAL[frame.h], _TRANSVERSAL_SIGN[frame.h]
     out = []
     for block, (c, r) in enumerate(zip(coeffs.tolist(), norms.tolist()), start=1):
+        if not t * (abs(c[0]) + r) < math.inf:
+            raise NonUnitaryError(math.inf)
         if r == 0.0:
             dminus, b, j = 0.0, 0.0, 1.0
         else:

@@ -481,9 +481,6 @@ def _evaluate(tg: PrescriptionTargets, p: PhysicalParams, w: np.ndarray) -> _Eva
         r = float(tg.b_relation_sign)
         res["b_1"] = abs(b1 - r * frame.q[0] * frame.beta[0] * j1)
         res["b_2"] = abs(b2 - r * frame.q[1] * frame.beta[1] * j2)
-    # an eigenphase t (c0 +- |c|) that overflows leaves no propagator, as in expm_hermitian
-    if not p.t * max(abs(c0) + n for c0, n in zip(c[:, 0].tolist(), norms.tolist())) < math.inf:
-        raise NonUnitaryError(math.inf)
     s = _block_maps(p.t, c, norms)
     # the phase of s . w by atan2: a subnormal s . w must neither be divided by nor underflow
     z = np.vdot(s, w)

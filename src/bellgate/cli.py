@@ -355,7 +355,7 @@ def main(argv=None) -> int:
     except BellgateError as exc:
         _emit_error("numerical", exc)
         return 3
-    except (ValueError, KeyError, TypeError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         # a MemoryError is an input asking for more than the machine holds, such as a huge --states
         _emit_error("input", exc)
         return 2

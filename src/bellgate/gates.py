@@ -22,12 +22,14 @@ Both sets are finite, so every matrix here except the parametric phase
 gates is a constant.  They are built once at import as read-only
 tables: the 4x4 computational matrix of each (tag, qubit), the fixed
 Bell-basis gates, and the compiled node of each computational gate.
-d_gate, translator and embedded_matrix return these shared arrays (copy
-before writing), and compile_circuit is one table lookup per gate.
-matrix_of reads each gate from one more table, built from these: every
-computational gate, every fixed Bell-basis gate and the two phase gates
-compile_circuit emits.  Only a gate outside it goes through
-embedded_matrix.
+d_gate and translator return these shared arrays (copy before writing).
+A Circuit is valid when it is built: each entry belongs to its basis,
+and each one-level computational gate carries its qubit.  So
+compile_circuit is one table read per gate, and matrix_of reads each
+gate from one more table (every computational gate, every fixed
+Bell-basis gate and the two phase gates compile_circuit emits); only a
+Bell phase gate at another angle is built, by d_gate.  One gate's 4x4
+matrix is matrix_of(Circuit((g,), basis)).
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "Circuit",
     "d_gate",
     "translator",
-    "embedded_matrix",
     "matrix_of",
     "compile_circuit",
 ]
@@ -144,7 +145,10 @@ class OpaqueGate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list with a basis tag; leftmost gate is applied first."""
+    """Ordered gate list with a basis tag; leftmost gate is applied first.
+
+    Valid when built: each entry is of the basis, each one-level gate has its qubit.
+    """
 
     gates: tuple
     basis: str = "computational"
@@ -163,6 +167,11 @@ class Circuit:
                     raise ValueError(f"gate {g.tag} does not belong to basis {self.basis}")
             else:
                 raise TypeError(f"circuit entries must be GateId or OpaqueGate, got {g!r}")
+        if self.basis == "computational":
+            # after every entry's basis, so a gate of the other basis is reported first wherever it stands
+            for g in self.gates:
+                if g.qubit is None and g.tag in _ONE_LEVEL:
+                    raise ValueError(f"one-level gate {g.tag} needs a qubit annotation to embed")
 
     def to_doc(self) -> dict:
         items = []
@@ -230,22 +239,6 @@ def translator() -> np.ndarray:
     return _T
 
 
-def embedded_matrix(g, basis: str) -> np.ndarray:
-    """4x4 matrix of a circuit entry; one-level gates need a qubit annotation."""
-    if basis not in ("computational", "bell"):
-        raise ValueError(f"basis must be computational or bell, got {basis!r}")
-    if isinstance(g, OpaqueGate):
-        return g.matrix
-    if basis == "bell":
-        return d_gate(g)
-    m = _EMBEDDED.get((g.tag, g.qubit))
-    if m is not None:
-        return m
-    if g.tag not in B_TAGS:
-        raise ValueError(f"{g.tag} is not a computational-basis library gate")
-    raise ValueError(f"one-level gate {g.tag} needs a qubit annotation to embed")
-
-
 def matrix_of(c: Circuit) -> np.ndarray:
     """Product matrix of a circuit, leftmost gate applied first.  Empty -> 1.
 
@@ -255,8 +248,8 @@ def matrix_of(c: Circuit) -> np.ndarray:
     for g in c.gates:
         m = g.matrix if isinstance(g, OpaqueGate) else _MATRICES.get((g.tag, g.phi, g.qubit))
         if m is None:
-            # another phase angle, or a one-level gate without a qubit, which raises
-            m = embedded_matrix(g, c.basis)
+            # a Bell phase gate at another angle
+            m = d_gate(g)
         out = m.dot(out)
     return out if c.gates else _I4.copy()
 
@@ -275,8 +268,8 @@ _COMPILED = {
 }
 _T_ID = GateId("T_translator")
 
-#: matrix of each (tag, phi, qubit) matrix_of reads without embedded_matrix; the tag
-#: sets of the two bases are disjoint, so one table serves both
+#: matrix of each (tag, phi, qubit) matrix_of reads without d_gate; the tag sets of
+#: the two bases are disjoint, so one table serves both
 _MATRICES = {(tag, None, q): m for (tag, q), m in _EMBEDDED.items()}
 _MATRICES.update(((tag, None, None), m) for tag, m in _D_FIXED.items())
 _MATRICES.update(
@@ -296,10 +289,6 @@ def compile_circuit(c: Circuit) -> Circuit:
         raise ValueError("compile_circuit expects a computational-basis circuit")
     out: list = [_T_ID]
     for g in c.gates:
-        node = _COMPILED.get((g.tag, g.qubit))
-        if node is None:
-            # only a one-level gate without a qubit misses; this raises for it
-            embedded_matrix(g, c.basis)
-        out.append(node)
+        out.append(_COMPILED[g.tag, g.qubit])
     out.append(_T_ID)
     return Circuit(gates=tuple(out), basis="bell")

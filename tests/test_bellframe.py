@@ -7,6 +7,7 @@ tests check the package against them rather than the other way around.
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 from bellgate import (
     LABELS,
+    BellgateError,
+    NonUnitaryError,
     PhysicalParams,
     ReducedBlockParams,
     bell_change_of_basis,
@@ -38,6 +41,7 @@ from bellgate.bellframe import (
     _rotations,
     block_axis,
 )
+from bellgate.checks import UNIT_CIRCLE_TOL
 
 from conftest import edge_params, random_params, random_unitary
 
@@ -329,6 +333,57 @@ def test_reduced_params_frame_mismatch_rejected():
     p = PhysicalParams(t=1.0, J=(0.5, 0.0, 0.0), B1=0.0, B2=0.0, h=1)
     with pytest.raises(ValueError):
         reduced_params(p, bell_frame(2))
+
+
+@pytest.mark.parametrize("block", [0, 3, -1, True, 1.0, "1", None])
+def test_reduced_block_params_refuse_a_block_other_than_1_or_2(block):
+    # block 0 read the frame's last signs and rebuilt block 2, True passed as
+    # block 1, and block 3 ended in an IndexError inside closed_form_block
+    with pytest.raises(ValueError, match=re.escape(f"block must be 1 or 2, got {block!r}")):
+        ReducedBlockParams(block, 0.0, 0.5, 0.6, 0.8)
+
+
+def test_reduced_block_params_store_the_block_as_an_int():
+    rp = ReducedBlockParams(np.int64(2), 0.0, 0.5, 0.6, 0.8)
+    assert type(rp.block) is int and rp == ReducedBlockParams(2, 0.0, 0.5, 0.6, 0.8)
+
+
+@pytest.mark.parametrize("b, j", [(0.6, 0.9), (0.0, 0.0), (1.0, 1e-4)])
+def test_closed_form_block_refuses_weights_off_the_unit_circle(b, j):
+    rp = ReducedBlockParams(1, 0.0, 0.5, b, j)
+    with pytest.raises(ValueError, match=r"\(b, j\) must lie on the unit circle, got b\^2 \+ j\^2 = "):
+        closed_form_block(rp, bell_frame(1))
+    # within UNIT_CIRCLE_TOL of the circle it builds
+    closed_form_block(ReducedBlockParams(1, 0.0, 0.5, 1.0, math.sqrt(5e-10)), bell_frame(1))
+
+
+def test_reduced_params_refuse_an_overflowing_block():
+    # |c| of a block overflows: the parameters came out b = j = 0 with delta_minus = inf
+    p = PhysicalParams(t=1.0, J=(0.0, 0.0, 1.7e308), B1=0.0, B2=1.7e308, h=1)
+    with pytest.raises(NonUnitaryError, match=re.escape("max |u^dag u - 1| = inf")):
+        reduced_params(p, bell_frame(1))
+    with pytest.raises(NonUnitaryError):
+        evolve(p)
+
+
+_EDGE_COUPLINGS = st.sampled_from([0.0, 1.0, -1.0, 9e307, -9e307, 1e308, -1e308, 1.7e308, -1.7e308])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_EDGE_COUPLINGS, min_size=5, max_size=5), st.integers(1, 3), st.sampled_from([0.0, 1e-300, 1.0, 2.5]))
+def test_reduced_params_lie_on_the_unit_circle_or_are_refused_with_the_evolution(x, h, t):
+    # near the float maximum either both blocks reduce to finite phases on the
+    # unit circle, or an eigenphase overflows and evolve fails as well
+    p = PhysicalParams(t=t, J=tuple(x[:3]), B1=x[3], B2=x[4], h=h)
+    try:
+        rps = reduced_params(p, bell_frame(h))
+    except NonUnitaryError:
+        with pytest.raises(BellgateError):
+            evolve(p)
+        return
+    for rp in rps:
+        assert math.isfinite(rp.delta_plus) and math.isfinite(rp.delta_minus)
+        assert abs(rp.b * rp.b + rp.j * rp.j - 1.0) <= UNIT_CIRCLE_TOL
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])

@@ -427,6 +427,19 @@ def test_solver_failure_maps_to_exit_3(capsys, monkeypatch):
     assert "gave up" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("error", [TypeError, KeyError])
+def test_a_programming_error_is_not_reported_as_input(capsys, monkeypatch, error):
+    # every malformed document and argv raises ValueError; a TypeError from the
+    # writer or a KeyError from a table is a fault of the program and propagates
+    def broken(args):
+        raise error("a fault of the program")
+
+    monkeypatch.setitem(cli._HANDLERS, "synth", broken)
+    with pytest.raises(error, match="a fault of the program"):
+        cli.main(["synth", "H_q2"])
+    assert capsys.readouterr() == ("", "")
+
+
 def test_solver_failure_message_names_the_closest_miss(capsys):
     # at a huge winding the one closed-form candidate misses by rounding;
     # the message says how long it lasts, by how much it misses, in which

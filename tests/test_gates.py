@@ -1,5 +1,7 @@
 """Gate dictionaries, the translator, and circuit compilation."""
 
+import ast
+import inspect
 import json
 
 import numpy as np
@@ -17,7 +19,6 @@ from bellgate import (
     d_gate,
     dist_phase_invariant,
     dist_unitary,
-    embedded_matrix,
     matrix_of,
     translator,
 )
@@ -64,9 +65,14 @@ def test_d_gate_unitarity():
     assert dist_unitary(translator()) < UNITARY_TOL
 
 
+def _one(g, basis="computational"):
+    """One gate's 4x4 matrix, as the library gives it."""
+    return matrix_of(Circuit(gates=(g,), basis=basis))
+
+
 def test_boykin_frozen_literals():
     def emb(tag, qubit=None):
-        return embedded_matrix(GateId(tag, qubit=qubit), "computational")
+        return _one(GateId(tag, qubit=qubit))
 
     s8 = np.diag([np.exp(-1j * np.pi / 8), np.exp(1j * np.pi / 8)])
     s4 = np.diag([np.exp(-1j * np.pi / 4), np.exp(1j * np.pi / 4)])
@@ -140,15 +146,35 @@ def test_gate_id_stores_qubit_as_int():
     assert type(g.qubit) is int and g == GateId("B_H", qubit=2)
 
 
-def test_embedded_matrix_qubit_placement():
-    h1 = embedded_matrix(GateId("B_H", qubit=1), "computational")
-    h2 = embedded_matrix(GateId("B_H", qubit=2), "computational")
-    assert np.max(np.abs(h1 - np.kron(HADAMARD, np.eye(2)))) < 1e-15
-    assert np.max(np.abs(h2 - np.kron(np.eye(2), HADAMARD))) < 1e-15
-    with pytest.raises(ValueError):
-        embedded_matrix(GateId("B_H"), "computational")
-    with pytest.raises(ValueError):
-        embedded_matrix(GateId("B_H", qubit=1), "spin")
+@pytest.mark.parametrize(
+    "gates",
+    [
+        (GateId("B_H"),),
+        (GateId("B_S8"),),
+        (GateId("B_S4", qubit=2), GateId("B_S4")),
+        (GateId("B_CNOT12"), GateId("B_H")),
+    ],
+    ids=["B_H", "B_S8", "after-a-placed-gate", "after-a-cnot"],
+)
+def test_circuit_refuses_a_one_level_gate_without_qubit(gates):
+    tag = gates[-1].tag
+    with pytest.raises(ValueError, match=f"^one-level gate {tag} needs a qubit annotation to embed$"):
+        Circuit(gates=gates, basis="computational")
+
+
+def test_circuit_document_refuses_a_one_level_gate_without_qubit():
+    doc = {"basis": "computational", "gates": [{"gate": "B_CNOT12"}, {"gate": "B_H"}]}
+    with pytest.raises(ValueError, match="^one-level gate B_H needs a qubit annotation to embed$"):
+        Circuit.from_doc(doc)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["missing-qubit-first", "missing-qubit-last"])
+def test_a_gate_of_the_other_basis_is_reported_before_a_missing_qubit(order):
+    # every entry's basis is checked before any qubit, wherever the entries stand
+    with pytest.raises(ValueError, match="^gate H_q2 does not belong to basis computational$"):
+        Circuit(gates=(GateId("B_H"), GateId("H_q2"))[::order], basis="computational")
+    with pytest.raises(ValueError, match="^opaque nodes only appear in bell-basis circuits$"):
+        Circuit(gates=(GateId("B_H"), OpaqueGate(np.eye(4)))[::order], basis="computational")
 
 
 def test_circuit_validation():
@@ -165,7 +191,7 @@ def test_matrix_of_applies_left_to_right():
         gates=(GateId("B_H", qubit=1), GateId("B_CNOT12")), basis="computational"
     )
     h1 = np.kron(HADAMARD, np.eye(2))
-    cx = embedded_matrix(GateId("B_CNOT12"), "computational")
+    cx = D_FROZEN["CNOT_12"]
     assert np.max(np.abs(matrix_of(c) - cx @ h1)) < 1e-15
 
 
@@ -360,11 +386,10 @@ def _oracle_compiled(tag, qubit):
 
 def test_library_tables_match_kron_oracle():
     for tag, qubit in COMPUTATIONAL_KEYS:
-        got = embedded_matrix(GateId(tag, qubit=qubit), "computational")
-        assert np.array_equal(got, _oracle_embedded(tag, qubit))
+        assert np.array_equal(_one(GateId(tag, qubit=qubit)), _oracle_embedded(tag, qubit))
     for tag in FIXED_D_TAGS:
         assert np.array_equal(d_gate(GateId(tag)), _oracle_d_gate(tag))
-        assert np.array_equal(embedded_matrix(GateId(tag), "bell"), _oracle_d_gate(tag))
+        assert np.array_equal(_one(GateId(tag), "bell"), _oracle_d_gate(tag))
     assert np.array_equal(translator(), _oracle_d_gate("T_translator"))
 
 
@@ -389,8 +414,7 @@ def test_phase_gates_equal_kron_of_phase2(phi):
 
 
 def _table_arrays():
-    out = [embedded_matrix(GateId(tag, qubit=q), "computational") for tag, q in COMPUTATIONAL_KEYS]
-    out += [d_gate(GateId(tag)) for tag in FIXED_D_TAGS]
+    out = [d_gate(GateId(tag)) for tag in FIXED_D_TAGS]
     out.append(translator())
     for tag, qubit in COMPUTATIONAL_KEYS:
         node = compile_circuit(Circuit(gates=(GateId(tag, qubit=qubit),))).gates[1]
@@ -401,7 +425,7 @@ def _table_arrays():
 
 def test_returned_tables_are_read_only():
     arrays = _table_arrays()
-    assert len(arrays) == 8 + 5 + 1 + 4
+    assert len(arrays) == 5 + 1 + 4
     for m in arrays:
         with pytest.raises(ValueError):
             m[0, 0] = 0.0
@@ -455,11 +479,31 @@ def test_circuit_from_json_opaque_matrix_is_read_only():
 
 
 
+#: which of (e^{-i phi}, e^{i phi}) a Bell phase gate holds at b00, b01, b10, b11 (see D_FROZEN)
+_PHASE_PATTERN = {"S_phi_q2": (0, 1, 0, 1), "S_phi_q1": (0, 0, 1, 1)}
+
+
+def _oracle_matrix(g, basis):
+    """One circuit entry's 4x4 matrix from this module's own tables, with the bits of a per-call build.
+
+    A Bell phase gate is a diagonal written entry by entry, so its zeros
+    are +0.0; everything else is the kron oracle above.
+    """
+    if isinstance(g, OpaqueGate):
+        return g.matrix
+    if basis == "computational":
+        return _oracle_embedded(g.tag, g.qubit)
+    if g.tag in _PHASE_PATTERN:
+        e = (np.exp(-1j * g.phi), np.exp(1j * g.phi))
+        return np.diag([e[k] for k in _PHASE_PATTERN[g.tag]])
+    return _oracle_d_gate(g.tag)
+
+
 def _matrix_of_oracle(c):
-    # the per-call product matrix_of replaced: a fresh identity, every gate through embedded_matrix
+    # a fresh identity, every gate from the oracle tables, one product per gate
     out = np.eye(4, dtype=np.complex128)
     for g in c.gates:
-        out = embedded_matrix(g, c.basis) @ out
+        out = _oracle_matrix(g, c.basis) @ out
     return out
 
 
@@ -493,11 +537,10 @@ def test_matrix_of_matches_its_oracle(comp, bell):
 
 def test_matrix_of_reads_every_compiled_gate_from_its_table(monkeypatch):
     # every computational gate and every node compile_circuit emits for it
-    # is a table read; a missing entry would go through embedded_matrix
+    # is a table read; a missing entry would go through d_gate
     calls = []
-    for name in ("embedded_matrix", "d_gate"):
-        real = getattr(gates, name)
-        monkeypatch.setattr(gates, name, lambda *a, _name=name, _real=real: calls.append(_name) or _real(*a))
+    real = gates.d_gate
+    monkeypatch.setattr(gates, "d_gate", lambda *a: calls.append(a) or real(*a))
     for tag, qubit in COMPUTATIONAL_KEYS:
         c = Circuit(gates=(GateId(tag, qubit=qubit),), basis="computational")
         matrix_of(c)
@@ -520,7 +563,17 @@ def test_matrix_of_empty_circuit_is_a_fresh_identity(basis):
     assert second.tobytes() == np.eye(4, dtype=np.complex128).tobytes()
 
 
-def test_matrix_of_rejects_a_one_level_gate_without_qubit():
-    c = Circuit(gates=(GateId("B_CNOT12"), GateId("B_H")), basis="computational")
-    with pytest.raises(ValueError, match="needs a qubit annotation"):
-        matrix_of(c)
+def _raises(name):
+    """The source of every raise statement in the body of gates.<name>."""
+    tree = ast.parse(inspect.getsource(getattr(gates, name)))
+    return [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Raise)]
+
+
+def test_a_built_circuit_needs_no_error_path_to_compile_or_multiply():
+    # Circuit refuses every entry the tables lack when it is built, so matrix_of
+    # has no error path and compile_circuit only checks the basis it is given
+    assert _raises("matrix_of") == []
+    assert _raises("compile_circuit") == [
+        "raise ValueError('compile_circuit expects a computational-basis circuit')"
+    ]
+    assert not hasattr(gates, "embedded_matrix")

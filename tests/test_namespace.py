@@ -36,7 +36,7 @@ PUBLIC = {
     ],
     "gates": [
         "B_TAGS", "D_TAGS", "Circuit", "GateId", "OpaqueGate", "compile_circuit", "d_gate",
-        "embedded_matrix", "matrix_of", "translator",
+        "matrix_of", "translator",
     ],
     "model": ["PhysicalParams", "assemble_hamiltonian", "build_hamiltonian", "evolve"],
     "spinlin": ["dist_phase_invariant", "dist_unitary", "expm_hermitian", "pauli"],
