@@ -13,21 +13,28 @@ this command and the diff of contract.json:
 
     PYTHONPATH=src python3 tests/data/make_contract.py
 
-It uses only the standard library and bellgate.
+It uses only the standard library and bellgate.  The inputs that other
+programs draw (the benchmark's cli workload, the exit-contract property
+tests of tests/test_cli.py) are copied here as literals.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
 from pathlib import Path
 
 from bellgate import cli
+from bellgate.calib import cnot_family, prescription_targets, solve_physical
+from bellgate.gates import GateId
+from bellgate.jsonio import dumps
 
 DATA = Path(__file__).resolve().parent
 CONTRACT = DATA / "contract.json"
@@ -387,11 +394,220 @@ def _sweep_cases(card: str):
             "card.json": _edited(text, edit)}
 
 
+def _winding_cases():
+    # a card per winding from 1e7 to 1e300, with m_prime 0 and 3, and a winding past the bound
+    for tag in ("CNOT_12", "CNOT_21"):
+        for k in (7, 10, 100, 300):
+            yield f"synth/{tag}-m1e{k}", ("synth", tag, "--m", str(10**k)), {}
+            yield f"synth/{tag}-m1e{k}-m_prime3", ("synth", tag, "--m", str(10**k), "--m-prime", "3"), {}
+    yield "synth/CNOT_12-m1e308", ("synth", "CNOT_12", "--m", str(10**308)), {}
+
+
+def _shifted_card(tag, delta_plus_1, phi=None, **kw) -> str:
+    """The card of tag's published row with another delta_plus_1, as the solver inverts it."""
+    row = prescription_targets(GateId(tag, phi=phi), **kw)
+    return dumps(solve_physical(dataclasses.replace(row, delta_plus_1=delta_plus_1)).to_doc())
+
+
+def _shifted_sweep_cases():
+    # H_q2 and H_q1 take the Hadamard-relation branch of the inversion, the
+    # printed S_phi_q1 row the invisible-axis branch
+    cards = {
+        "H_q2": _shifted_card("H_q2", math.pi),
+        "H_q1": _shifted_card("H_q1", 2 * math.pi),
+        "S_phi_q1-printed": _shifted_card("S_phi_q1", 0.5 + math.pi, phi=0.5, route="printed"),
+        "CNOT_12": _shifted_card("CNOT_12", 5 * math.pi / 4, m=2, m_prime=1),
+        "CNOT_21": _shifted_card("CNOT_21", 5 * math.pi / 4, m=2, m_prime=0),
+    }
+    for name, text in cards.items():
+        files = {"card.json": text}
+        for fmt in ("json", "csv"):
+            yield f"fidelity-sweep/shifted-{name}-{fmt}", ("fidelity-sweep", "card.json", "--states", "2",
+                                                          "--format", fmt), files
+    # the first error in (axis, step) order: a negative time on axis 0 or an overflowing expansion
+    family = dumps(cnot_family(GateId("CNOT_12"), 1, 1.0).to_doc())
+    for name, text in {"CNOT_12": _stdout("synth", "CNOT_12"), "CNOT_12-family": family}.items():
+        for grid in ("7e153,-5", "-5,7e153"):
+            yield f"fidelity-sweep/mixed-grid-{name}-{grid}", ("fidelity-sweep", "card.json", "--states", "4",
+                                                               f"--steps={grid}"), {"card.json": text}
+
+
+#: the benchmark's cli workload, seeds 0-3: two parameter sets (t, J, B1, B2, h), two circuits, the phase
+#: angle, the cross axis and the family's last winding and field scale
+BENCH_CLI = {
+    0: {"params": ((1.2685434731046734, [1.532287742430917, -1.0856293128216743, -0.35741361714601405],
+                    -0.21322687751940972, 1.0851292321979362, 2),
+                   (2.507784349770654, [-0.5976581383583439, -1.945844621444912, -0.24045831873973267],
+                    -0.20028439999806613, 1.4763340724666225, 1)),
+        "circuits": (("B_CNOT21", "B_CNOT21", "B_H2", "B_CNOT21", "B_CNOT12", "B_S82"),
+                     ("B_CNOT21", "B_CNOT21", "B_CNOT12", "B_H2", "B_CNOT21", "B_CNOT21", "B_CNOT12")),
+        "phi": "0.828578", "cross_h": "2", "m": "1..4", "field_scale": "1"},
+    1: {"params": ((3.9715077624991455, [-0.4206993825701342, 1.4011101512116002, 1.6894391902122603],
+                    0.08195356155619882, 1.3442901824215805, 1),
+                   (0.8917963257928065, [-1.149121274212006, -0.8552907910024619, 0.45590581446086054],
+                    0.9259155571799442, -1.9297858992404113, 1)),
+        "circuits": (("B_CNOT21", "B_H1"),
+                     ("B_H2", "B_H2", "B_CNOT21", "B_S81", "B_H2", "B_S41", "B_CNOT21", "B_H2")),
+        "phi": "3.069552", "cross_h": "3", "m": "1..2", "field_scale": "3"},
+    2: {"params": ((2.6723908665350953, [0.06748577284942314, 0.6085602794739438, -0.6848584049826019],
+                    1.7896627451675284, 0.3666419965283976, 1),
+                   (1.7905404322277805, [1.9775612776069762, 1.840249549351363, -1.8483645025625002],
+                    -0.7726007756121849, -0.04071549829579535, 3)),
+        "circuits": (("B_CNOT12", "B_H1", "B_CNOT21", "B_CNOT21", "B_S42", "B_S81", "B_CNOT21"),
+                     ("B_S42", "B_S42", "B_S81", "B_S82")),
+        "phi": "5.292661", "cross_h": "2", "m": "1..4", "field_scale": "10"},
+    3: {"params": ((2.992336979886673, [1.5935497591354473, -0.17689928264888932, -1.5307481724392744],
+                    -1.5879060945440489, 0.043395906045144095, 3),
+                   (0.8503589803202927, [1.4528428937578632, 0.465503271011114, 0.7217381820787949],
+                    -0.961102523569874, -0.020944756372926143, 3)),
+        "circuits": (("B_CNOT21", "B_CNOT12"),
+                     ("B_CNOT21", "B_H1", "B_CNOT21", "B_H2", "B_S41", "B_CNOT12", "B_CNOT21", "B_S41")),
+        "phi": "5.718633", "cross_h": "3", "m": "1..4", "field_scale": "3"},
+}
+
+
+def _bench_gate(name: str) -> dict:
+    # a CNOT as it is, a one-level gate with its qubit as the last character
+    return {"gate": name} if name.startswith("B_CNOT") else {"gate": name[:-1], "qubit": int(name[-1])}
+
+
+def _bench_cli_cases(card: str):
+    for seed, w in BENCH_CLI.items():
+        files = {f"params{k}.json": _params(*p) for k, p in enumerate(w["params"])}
+        files.update({f"circuit{k}.json": _circuit(*map(_bench_gate, c)) for k, c in enumerate(w["circuits"])})
+        files.update({"card0.json": card, "card1.json": _stdout("synth", "S_phi_q2", "--phi", w["phi"])})
+        for k, argv in enumerate([
+            ("evolve", "params0.json"),
+            ("blocks", "params1.json", "--cross-h", w["cross_h"]),
+            ("synth", "S_phi_q1", "--phi", w["phi"]),
+            ("compile", "circuit0.json"),
+            ("fidelity-sweep", "card0.json", "--states", "2"),
+            ("evolve", "params1.json", "--format", "csv"),
+            ("blocks", "params0.json"),
+            ("synth", "CNOT_12", "--family", "--m", w["m"], "--field-scale", w["field_scale"]),
+            ("compile", "circuit1.json"),
+            ("fidelity-sweep", "card1.json", "--states", "2", "--format", "csv"),
+        ]):
+            yield f"bench-cli/seed{seed}-{k}-{argv[0]}", argv, files
+
+
+#: a fixed sample of the exit-contract property tests' draws (tests/test_cli.py), one list per test
+DRAWN_SYNTH = [
+    ("S_phi_q2", "--phi", "0", "--format", "json"),
+    ("CNOT_21", "--format", "csv", "--fa", "--m", "100000000"),
+    ("CNOT_21", "--fo", "csv", "--family", "--m", "100000000"),
+    ("CNOT_12", "--m", f"{10**8}..{HUGE + 10**8}", "--field-scal", "-inf", "--f", "--format", "json"),
+    ("S_phi_q2", "--m-prime", "-1"),
+    ("S_phi_q1", "--route=alternate", "--format", "json", "--phi=835.9055693684959"),
+    ("H_q2", "--route", "printed", "--format", "json"),
+    ("H_q1", "--format", "csv"),
+]
+DRAWN_PARAMS = [
+    ({"t": 3.8310449691515647, "J": [1.3750536623247873, 5e-324, 1.3750536623247873], "B1": -0.14736624772140816,
+      "B2": 0.14736624772140816, "h": 2}, ("blocks",)),
+    ({"t": 3.8310449691515647, "J": [0.0, 0.0, 0.0], "B1": 1.3750536623247873, "B2": -1.3750536623247873, "h": 2},
+     ("blocks",)),
+    ({"t": -0.0, "J": [2.4770870003210463e-32, 1.453754435298852, -0.0], "B1": -0.0, "B2": 1.453754435298852,
+      "h": 2}, ("evolve",)),
+    ({"t": 5e-324, "J": [0.0, -4.4354381765584673e-110, -4.4354381765584673e-110], "B1": -5e-324, "B2": 5e-324,
+      "h": 1}, ("blocks", "--cross-h", "2")),
+    ({"t": 5e-324, "J": [-7.10737834300533e-286, -7.10737834300533e-286, 2.0], "B2": -1.7976931348623157e+308,
+      "h": 3}, ("blocks", "--format", "csv")),
+    ({"t": 0.0, "J": [-1.7976931348623157e+308, -1.7976931348623157e+308, -1.7976931348623157e+308],
+      "B1": 1.7976931348623157e+308, "B2": -1.7976931348623157e+308, "h": 1}, ("blocks", "--cross-h", "2")),
+    ({"t": 1e+308, "J": [1.7e+308, 1.7e+308, 1.7976931348623157e+308], "B1": 1.7976931348623157e+308,
+      "B2": 1e+300, "h": 1}, ("evolve",)),
+    ({"t": 0.0, "J": [5e-324, 5e-324, 1e-08], "B1": -1.7976931348623157e+308, "B2": 1e-08, "h": 1},
+     ("evolve", "--format", "json")),
+    ({"t": 1e+308, "J": [1.7976931348623157e+308, -1.7976931348623157e+308, 5e-324], "B1": -1.6787149586294623,
+      "B2": -1.6787149586294623, "h": []}, ("blocks", "--cross-h", "2")),
+    ({"t": 0.0, "J": [-0.0, -0.0, 5e-324], "B1": -0.0, "B2": 0.0, "h": 3}, ("blocks", "--cross-h", "1")),
+]
+_EYE = [[float(r == c) for c in range(4)] for r in range(4)]
+DRAWN_CIRCUITS = [
+    {"basis": "computational", "gates": [{"gate": "S_phi_q2", "phi": 0.5}]},
+    {"basis": None, "gates": [{"gate": "B_S8", "qubit": 1}, {"gate": "B_S4", "qubit": 1}, {"gate": "B_S4", "qubit": 2},
+                              [], {"gate": "B_CNOT21"}]},
+    {"basis": None, "gates": [{"gate": "B_H", "qubit": 1}, {"gate": "B_H", "qubit": 1}, {"gate": "B_S4", "qubit": 2},
+                              {"gate": "B_H", "qubit": 1}, {"gate": "B_H", "qubit": 1}]},
+    {"basis": "spin", "gates": [{"gate": "B_S8", "qubit": 1}]},
+    {"basis": "computational", "gates": [{"gate": "B_H"}, {"gate": "B_H", "qubit": 3}, {"gate": "B_S4"},
+                                         {"gate": "B_S4", "qubit": 2}, [], {"gate": "B_H", "qubit": 3}]},
+    {"basis": "computational", "gates": [{"gate": "B_S8", "qubit": 2}, {"gate": "B_H", "qubit": 3}, [],
+                                         {"gate": "B_S4", "qubit": 2}, [], {"gate": "B_H", "qubit": 3}]},
+    {"basis": "bell", "gates": [{"gate": "B_H", "qubit": 1}, {"gate": "B_CNOT12"},
+                                {"gate": "OPAQUE", "matrix": _EYE}, {"gate": "B_S4", "qubit": 2},
+                                {"gate": "B_S8", "qubit": 1, "phi": 0.1}, {"gate": "B_S4", "qubit": 1}]},
+    {"basis": "computational", "gates": [{"gate": "S_phi_q2", "phi": 0.5}, {"gate": "B_H", "qubit": 1},
+                                         {"gate": "B_CNOT12"}, {"gate": "B_CNOT12"}, {"gate": "S_phi_q2", "phi": 0.5},
+                                         {"gate": "OPAQUE", "matrix": _EYE}]},
+]
+#: a drawn card is a base card (by index into _drawn_bases) and edits (key path, value), DROP removing the key
+DROP = "drop"
+DRAWN_CARDS = [
+    (2, [], "1e-2", "json"),
+    (4, [], "-5e-3", "json"),
+    (1, [], "1e200", "json"),
+    (3, [], ",", "csv"),
+    (3, [(("phase_branch",), HUGE)], "nan", "csv"),
+    (1, [(("m",), -2), (("targets", "m_prime"), 2)], "-5e-3", "json"),
+    (1, [(("targets", "extra"), 1.7976931348623157e+308)], "-5e-3", "json"),
+    (0, [(("targets", "m_prime"), 6)], "-5e-3", "csv"),
+    (0, [(("h",), 0.0)], "1e200", "json"),
+    (4, [(("targets", "j_targets"), HUGE)], "1e-2", "json"),
+    (2, [(("residuals", 5), 2**1024)], "1e-2,5e-3", "json"),
+    (2, [(("solved", "B1"), 2**1024)], "nan", "json"),
+    (0, [(("targets", "b_targets"), -0.0)], "-5e-3", "json"),
+    (2, [(("targets", "j_targets"), 1e+300)], "-5e-3", "csv"),
+    (2, [(("m",), 3), (("targets", "m_prime"), 6)], "1e-2,5e-3", "csv"),
+    (4, [(("solved", "B2"), "x")], "nan", "json"),
+]
+
+
+def _drawn_bases() -> list[dict]:
+    # the base cards of the property test, as its documents hold them
+    rows = [
+        prescription_targets(GateId("H_q2")),
+        prescription_targets(GateId("S_phi_q2", phi=0.5)),
+        prescription_targets(GateId("S_phi_q1", phi=2.0), route="alternate"),
+        prescription_targets(GateId("CNOT_12"), m=2, m_prime=1),
+    ]
+    docs = [solve_physical(tg).to_doc() for tg in rows]
+    docs.append(cnot_family(GateId("CNOT_21"), m=2, field_scale=3.0).to_doc())
+    return [json.loads(dumps(doc)) for doc in docs]
+
+
+def _drawn_card(base: dict, edits) -> str:
+    doc = json.loads(json.dumps(base))
+    for (*path, key), value in edits:
+        where = doc
+        for k in path:
+            where = where[k]
+        if value == DROP:
+            where.pop(key)
+        else:
+            where[key] = value
+    return json.dumps(doc)
+
+
+def _drawn_cases():
+    for k, argv in enumerate(DRAWN_SYNTH):
+        yield f"drawn/synth-{k}", ("synth", *argv), {}
+    for k, (doc, argv) in enumerate(DRAWN_PARAMS):
+        yield f"drawn/params-{k}", (argv[0], "params.json", *argv[1:]), {"params.json": json.dumps(doc)}
+    for k, doc in enumerate(DRAWN_CIRCUITS):
+        yield f"drawn/circuit-{k}", ("compile", "circuit.json"), {"circuit.json": json.dumps(doc)}
+    bases = _drawn_bases()
+    for k, (base, edits, steps, fmt) in enumerate(DRAWN_CARDS):
+        yield f"drawn/card-{k}", ("fidelity-sweep", "card.json", "--states", "1", "--steps", steps, "--format", fmt), {
+            "card.json": _drawn_card(bases[base], edits)}
+
+
 def cases() -> list[dict]:
     """Every case: its id, argv and input files."""
     card = _stdout("synth", "H_q2")
     groups = (_readme_cases(card), _compile_cases(), _matrix_cases(), _synth_cases(), _usage_cases(),
-              _sweep_cases(card))
+              _sweep_cases(card), _winding_cases(), _shifted_sweep_cases(), _bench_cli_cases(card), _drawn_cases())
     out = [{"id": name, "argv": list(argv), "files": files} for group in groups for name, argv, files in group]
     assert len({c["id"] for c in out}) == len(out), "case ids must be unique"
     return out
