@@ -24,7 +24,6 @@ _HOMES = {
         "ReducedBlockParams",
         "bell_change_of_basis",
         "bell_frame",
-        "bell_state",
         "closed_form_block",
         "frame_permutation",
         "reduced_params",

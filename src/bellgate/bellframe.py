@@ -42,7 +42,6 @@ __all__ = [
     "LABELS",
     "BellFrame",
     "ReducedBlockParams",
-    "bell_state",
     "bell_change_of_basis",
     "bell_frame",
     "frame_permutation",
@@ -63,19 +62,15 @@ _TRANSVERSAL_SIGN = {1: 1.0, 2: -1.0, 3: -1.0}
 _FRAME_ORDER = {1: (0, 1, 2, 3), 2: (0, 3, 1, 2), 3: (0, 2, 1, 3)}
 
 
-def bell_state(i: int, j: int) -> np.ndarray:
-    """Bell state |b_ij> as a computational-basis column vector."""
-    i = strict_int("bell label i", i, (0, 1))
-    j = strict_int("bell label j", j, (0, 1))
-    v = np.zeros(4, dtype=np.complex128)
-    v[j] = 1.0
-    v[2 + (1 ^ j)] = (-1.0) ** i
-    return v / np.sqrt(2.0)
+# column 2i + j is |b_ij> = (|0,j> + (-1)^i |1, 1 xor j>) / sqrt(2); read-only
+_BELL_BASIS = _frozen(
+    np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]], dtype=np.complex128) / np.sqrt(2.0)
+)
 
 
 def bell_change_of_basis() -> np.ndarray:
-    """Columns are the Bell states in canonical label order b00, b01, b10, b11."""
-    return np.column_stack([bell_state(i, j) for i, j in ((0, 0), (0, 1), (1, 0), (1, 1))])
+    """Columns are the Bell states in canonical label order b00, b01, b10, b11; a fresh copy."""
+    return _BELL_BASIS.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,7 +121,7 @@ class ReducedBlockParams:
 
 def _make_frame(h: int) -> BellFrame:
     order = _FRAME_ORDER[h]
-    cob = _frozen(bell_change_of_basis()[:, order])
+    cob = _frozen(_BELL_BASIS[:, order])
     pairing = (
         (LABELS[order[0]], LABELS[order[1]]),
         (LABELS[order[2]], LABELS[order[3]]),
@@ -150,20 +145,22 @@ def _make_frame(h: int) -> BellFrame:
 
 
 #: (1, sigma_x, sigma_y, sigma_z); a block is its (c0, cx, cy, cz) contracted with these
-BLOCK_BASIS = np.stack([np.eye(2), pauli(1), pauli(2), pauli(3)])
-BLOCK_BASIS.flags.writeable = False
+BLOCK_BASIS = _frozen(np.stack([np.eye(2), pauli(1), pauli(2), pauli(3)]))
+
+
+def _block_coordinates(m: np.ndarray) -> np.ndarray:
+    """Pauli coordinates (w0, wx, wy, wz) = tr(s_a m_k) / 2 of the diagonal blocks m_k of frame-order 4x4 m, shape (2, 4, ...)."""
+    # reshaped, m[..., k, :, k, :] is block k; C order keeps BLOCK_COEFFS contiguous, so _COEFF_MAP is a view
+    return np.einsum("aij,...kjki->ka...", BLOCK_BASIS, m.reshape(*m.shape[:-2], 2, 2, 2, 2), order="C") / 2.0
 
 
 def _projected_coefficients(frame: BellFrame) -> np.ndarray:
-    # tr(s_a g) / 2 over s_a in BLOCK_BASIS for each 2x2 diagonal block g of
-    # every generator in frame coordinates; rint removes the 1/sqrt(2)
-    # rounding noise and + 0.0 turns its -0.0 into +0.0
+    # the block coordinates of every generator in frame coordinates, as
+    # (block, coordinate, coupling); rint removes the 1/sqrt(2) rounding
+    # noise and + 0.0 turns its -0.0 into +0.0
     c = frame.change_of_basis
     w = c.conj().T @ GENERATORS[frame.h] @ c
-    out = np.stack([np.einsum("aij,nji->an", BLOCK_BASIS, w[:, k : k + 2, k : k + 2]) for k in (0, 2)])
-    out = np.rint(out.real / 2.0) + 0.0
-    out.flags.writeable = False
-    return out
+    return _frozen(np.rint(_block_coordinates(w).real) + 0.0)
 
 
 _FRAMES = {h: _make_frame(h) for h in _FRAME_ORDER}

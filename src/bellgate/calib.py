@@ -72,7 +72,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bellframe import _TRANSVERSAL, BLOCK_BASIS, BLOCK_COEFFS, _block_coefficients, _block_maps, _reduced
+from .bellframe import _TRANSVERSAL, BLOCK_COEFFS, _block_coefficients, _block_coordinates, _block_maps, _reduced
 from .bellframe import _FRAME_ORDER, bell_frame, block_axis
 from .checks import (
     ACCEPT_TOL,
@@ -392,15 +392,10 @@ def _check_feasible(tg: PrescriptionTargets) -> None:
         raise ValueError("infeasible targets: b fixed by value and by relation at once")
 
 
-def _frame_blocks(g: GateId, h: int) -> np.ndarray:
-    # the gate is block-diagonal in its frame; reshaped, w[k, :, k, :] is block k
-    w = d_gate(g)[bell_frame(h).order_index].reshape(2, 2, 2, 2)
-    return np.einsum("aij,kjki->ka", BLOCK_BASIS, w) / 2.0
-
-
-#: frame blocks of each gate without a phase angle, on every axis; read-only
+#: frame blocks of each gate without a phase angle, on every axis, from its frame-order matrix; read-only
 _FIXED_BLOCKS = {
-    (tag, h): _frozen(_frame_blocks(GateId(tag), h)) for tag in ("H_q2", "H_q1") + _CNOT_TAGS for h in (1, 2, 3)
+    (tag, h): _frozen(_block_coordinates(d_gate(GateId(tag))[bell_frame(h).order_index]))
+    for tag in ("H_q2", "H_q1") + _CNOT_TAGS for h in (1, 2, 3)
 }
 
 
@@ -412,7 +407,7 @@ def _target_blocks(tg: PrescriptionTargets) -> np.ndarray:
     e_v of its two frame slots, each one of e^{-+i phi} as the gate's
     diagonal pattern places it, and is ((e_u + e_v) / 2, 0, 0,
     (e_u - e_v) / 2).  Adding 0j turns a signed zero into +0, as the
-    einsum's +0 start does, so these keep _frame_blocks' bits.
+    einsum's +0 start does, so these keep _block_coordinates' bits.
     """
     h = bell_frame(tg.h).h
     w = _FIXED_BLOCKS.get((tg.gate.tag, h))

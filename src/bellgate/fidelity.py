@@ -91,6 +91,8 @@ class BlockState:
     frame: BellFrame
 
     def __post_init__(self):
+        if not isinstance(self.frame, BellFrame):
+            raise TypeError(f"expected a BellFrame, got {type(self.frame).__name__}")
         amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amps.shape != (4,):
             raise ValueError(f"state needs 4 amplitudes, got shape {amps.shape}")
@@ -394,13 +396,13 @@ def fidelity_second_order(state: BlockState, p: PhysicalParams, dp: Perturbation
     evaluated at l = |dp| (see _variance).
     """
     _check_state(state, p)
+    d = dp.as_array()
     step = dp.norm
-    unit = Perturbation(dp=tuple(v / step for v in dp.dp)) if step > 0.0 else dp
-    g = _generators(p, unit.as_array()[None])[0]
+    g = _generators(p, (d / step if step > 0.0 else d)[None])[0]
     var = _variance(_bloch(state.amplitudes[None]), g)
     f2 = float(_second_order(var, np.array([step]))[0, 0, 0])
     if not math.isfinite(f2):
-        raise NonFiniteDerivative(int(np.argmax(np.abs(dp.as_array()))))
+        raise NonFiniteDerivative(int(np.argmax(np.abs(d))))
     return f2
 
 
@@ -448,16 +450,14 @@ def sensitivity_sweep(
     var = _variance(e, _generator_step(p.t, _UNIT_AXES, c[6], r[6], c[:6]))
     f2s = _second_order(var, steps)
     valid = admissible(moved)
-    finite = np.isfinite(f2s).all(axis=0)
-    if not (valid & finite).all():
+    ok = valid & np.isfinite(f2s).all(axis=0)
+    if not ok.all():
         # the first failure in (axis, step) order; _displaced raises the
         # error of an invalid point with the message PhysicalParams gives it
-        for i in range(6):
-            for j, step in enumerate(grid):
-                if not valid[i, j]:
-                    _displaced(p, Perturbation.axis(i, step))
-                if not finite[i, j]:
-                    raise NonFiniteDerivative(i)
+        i, j = divmod(int(np.argmin(ok)), len(grid))
+        if not valid[i, j]:
+            _displaced(p, Perturbation.axis(i, grid[j]))
+        raise NonFiniteDerivative(i)
     f2e = _overlaps(e, *_rotations(rows[6:, :1], c[6:], r[6:]))
     f2e = f2e.reshape(-1, 6, len(grid))
     columns = (f2e, f2s, np.abs(f2s - f2e), var)

@@ -18,22 +18,24 @@ from hypothesis import strategies as st
 from bellgate import (
     LABELS,
     BellgateError,
+    GateId,
     NonUnitaryError,
     PhysicalParams,
     ReducedBlockParams,
     bell_change_of_basis,
     bell_frame,
-    bell_state,
     build_hamiltonian,
+    calib,
     closed_form_block,
+    d_gate,
     evolve,
     frame_permutation,
     pauli,
     reduced_params,
     to_blocks,
 )
-
 from bellgate.bellframe import (
+    _COEFF_MAP,
     _TRANSVERSAL,
     _TRANSVERSAL_SIGN,
     BLOCK_COEFFS,
@@ -113,15 +115,9 @@ def _block_hamiltonians(p, frame):
 
 
 def test_bell_state_literals():
+    cob = bell_change_of_basis()
     for (i, j), vec in BELL_VECTORS.items():
-        assert np.max(np.abs(bell_state(i, j) - vec)) < 1e-15
-
-
-def test_bell_state_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        bell_state(2, 0)
-    with pytest.raises(ValueError):
-        bell_state(0, -1)
+        assert np.max(np.abs(cob[:, 2 * i + j] - vec)) < 1e-15
 
 
 def test_change_of_basis_columns_are_bell_states():
@@ -130,6 +126,49 @@ def test_change_of_basis_columns_are_bell_states():
         i, j = int(label[1]), int(label[2])
         assert np.max(np.abs(cob[:, col] - BELL_VECTORS[(i, j)])) < 1e-15
     assert np.max(np.abs(cob.conj().T @ cob - np.eye(4))) < 1e-15
+    # a fresh copy each call: writing into one leaves the next intact
+    cob[0, 0] = 5.0
+    assert bell_change_of_basis()[0, 0] == SQ2
+
+
+def _bell_oracle():
+    # |b_ij> built entry by entry from its formula, divided as a complex vector
+    columns = []
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        v = np.zeros(4, dtype=np.complex128)
+        v[j] = 1.0
+        v[2 + (1 ^ j)] = (-1.0) ** i
+        columns.append(v / np.sqrt(2.0))
+    return np.column_stack(columns)
+
+
+def _same_bits(got, want):
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_import_time_tables_keep_their_oracle_bits():
+    # the Bell basis, each frame's change of basis, the coupling map and the
+    # solver's fixed gate blocks, each against a construction of its own here
+    bell = _bell_oracle()
+    assert _same_bits(bell_change_of_basis(), bell)
+    basis = np.stack([np.eye(2), pauli(1), pauli(2), pauli(3)])
+    for h in (1, 2, 3):
+        frame = bell_frame(h)
+        cob = bell[:, frame_permutation(frame)]
+        assert _same_bits(frame.change_of_basis, cob)
+        gens = [build_hamiltonian(PhysicalParams(t=1.0, J=tuple(e[:3]), B1=e[3], B2=e[4], h=h)) for e in np.eye(5)]
+        coeffs = np.zeros((2, 4, 5))
+        for n, g in enumerate(gens):
+            w = cob.conj().T @ g @ cob
+            for k in (0, 1):
+                for a in range(4):
+                    coeffs[k, a, n] = np.rint(np.trace(basis[a] @ w[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]).real / 2.0)
+        assert _same_bits(BLOCK_COEFFS[h], coeffs + 0.0)
+        for tag in ("H_q2", "H_q1", "CNOT_12", "CNOT_21"):
+            w = d_gate(GateId(tag))[frame.order_index].reshape(2, 2, 2, 2)
+            assert _same_bits(calib._FIXED_BLOCKS[tag, h], np.einsum("aij,kjki->ka", basis, w) / 2.0)
+    tables = (*BLOCK_COEFFS.values(), *_COEFF_MAP.values(), *calib._FIXED_BLOCKS.values())
+    assert not any(t.flags.writeable for t in tables)
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])

@@ -17,7 +17,6 @@ from bellgate import (
     GateId,
     Perturbation,
     bell_frame,
-    bell_state,
     cnot_family,
     prescription_targets,
     sample_states,
@@ -256,9 +255,6 @@ def test_strict_bool_rejects_everything_else(value):
         lambda: sample_states(bell_frame(1), n=2, seed=1.5),
         lambda: sample_states(bell_frame(1), n=2, seed=True),
         lambda: sample_states(bell_frame(1), n=2, seed=[1, 2]),
-        lambda: bell_state(1.0, 0),
-        lambda: bell_state(0, 1.0),
-        lambda: bell_state(True, 0),
     ],
     ids=[
         "bell_frame-bool",
@@ -271,9 +267,6 @@ def test_strict_bool_rejects_everything_else(value):
         "sample_states-seed-float",
         "sample_states-seed-bool",
         "sample_states-seed-list",
-        "bell_state-i-float",
-        "bell_state-j-float",
-        "bell_state-i-bool",
     ],
 )
 def test_integer_entry_points_reject_non_integers(call):
@@ -332,4 +325,3 @@ def test_numpy_integers_pass_every_entry_point():
     assert bell_frame(np.int64(2)) is bell_frame(2)
     assert prescription_targets(GateId("CNOT_12"), m=np.int64(2)).m == 2
     assert len(sample_states(bell_frame(1), n=np.int64(3), seed=np.uint8(7))) == 3
-    assert np.array_equal(bell_state(np.int64(1), np.uint8(0)), bell_state(1, 0))

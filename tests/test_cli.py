@@ -980,6 +980,15 @@ def test_calib_imports_no_4x4_path():
     assert "reduced_params" not in names
 
 
+def _called(node):
+    """The names called anywhere under an AST node."""
+    return {
+        call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))
+    }
+
+
 def _calls_by_function(tree):
     """The names each function of a module calls, by the function's qualified name."""
     out = {}
@@ -989,11 +998,7 @@ def _calls_by_function(tree):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 name = f"{prefix}{child.name}"
                 if isinstance(child, ast.FunctionDef):
-                    out[name] = {
-                        call.func.id if isinstance(call.func, ast.Name) else call.func.attr
-                        for call in ast.walk(child)
-                        if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute))
-                    }
+                    out[name] = _called(child)
                 visit(child, f"{name}.")
 
     visit(tree, "")
@@ -1015,9 +1020,14 @@ def test_calib_checks_a_target_set_in_one_place():
     for name in ("PrescriptionCard.from_doc", "solve_physical"):
         assert calls[name] & {"_check_feasible", "_cnot_rotations", "prescription_targets"} == set()
     # and no path is left for a target set that could not build: no refusal is
-    # caught, and only the import-time table reads a gate's blocks off its matrix
+    # caught, and only the import-time table reads a gate's blocks off its matrix,
+    # through bellframe's one projection
     assert not any(isinstance(node, ast.Try) for node in ast.walk(tree))
-    assert [name for name, called in calls.items() if "_frame_blocks" in called] == []
+    assert [name for name, called in calls.items() if "_block_coordinates" in called] == []
+    called = _called(tree)
+    assert "_block_coordinates" in called and "einsum" not in called
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "BLOCK_BASIS" not in imported
 
 
 def test_runtime_dependencies_are_numpy_alone():

@@ -81,6 +81,16 @@ def test_block_state_requires_normalization():
         BlockState.normalized(np.zeros(4, dtype=complex), FRAME)
 
 
+@pytest.mark.parametrize("frame", [None, 1, "h1"])
+def test_block_state_refuses_a_frame_that_is_not_a_bell_frame(frame):
+    # before the check, both built and fidelity_exact failed with an AttributeError on frame.h
+    message = f"expected a BellFrame, got {type(frame).__name__}"
+    with pytest.raises(TypeError, match=message):
+        BlockState([1, 0, 0, 0], frame)
+    with pytest.raises(TypeError, match=message):
+        sample_states(frame, 2, 0)
+
+
 def test_block_state_amplitudes_read_only():
     st = _state([1.0, 0.0, 0.0, 0.0])
     with pytest.raises(ValueError):

@@ -21,7 +21,7 @@ import bellgate
 PUBLIC = {
     "bellframe": [
         "LABELS", "BellFrame", "ReducedBlockParams", "bell_change_of_basis", "bell_frame",
-        "bell_state", "closed_form_block", "frame_permutation", "reduced_params", "to_blocks",
+        "closed_form_block", "frame_permutation", "reduced_params", "to_blocks",
     ],
     "calib": [
         "FAMILY_EXCHANGE", "PrescriptionCard", "PrescriptionTargets", "cnot_family",

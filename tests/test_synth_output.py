@@ -8,8 +8,12 @@ c0 + c . sigma of H is projected out of the frame-ordered Hamiltonian,
 and the gate error is 1 - |tr(u^dag g)| / 4 of the whole propagator.  The
 bench module is imported by its path and never changed.  The family's
 printed b_abs is also held to the bit against the public reduced_params.
+Besides fixed argument lists, hypothesis draws phase angles near 0, near
+pi and anywhere, both S_phi_q1 routes, CNOT windings, and family ranges
+whose largest m times the field scale stays at most 100.
 """
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -18,6 +22,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellgate import GateId, PrescriptionCard, bell_frame, calib, cnot_family, reduced_params
 from bellgate.checks import ACCEPT_TOL
@@ -94,11 +100,12 @@ def _check_card(doc):
     return b_abs, tol
 
 
-def _synth(capsys, *argv):
-    code = main(["synth", *argv])
-    out, err = capsys.readouterr()
-    assert (code, err) == (0, "")
-    return out
+def _synth(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["synth", *argv])
+    assert (code, err.getvalue()) == (0, "")
+    return out.getvalue()
 
 
 @pytest.mark.parametrize(
@@ -113,18 +120,43 @@ def _synth(capsys, *argv):
         ("CNOT_21", "--m", "3", "--m-prime", "5"),
     ],
 )
-def test_a_printed_card_holds_the_numbers_of_its_printed_controls(capsys, argv):
-    doc = json.loads(_synth(capsys, *argv))
+def test_a_printed_card_holds_the_numbers_of_its_printed_controls(argv):
+    _check_accepted_card(json.loads(_synth(*argv)))
+
+
+def _check_accepted_card(doc):
     _check_card(doc)
     assert max(doc["residuals"] + [doc["realized_error"]]) <= ACCEPT_TOL
     assert PrescriptionCard.from_doc(doc).to_doc() == doc
+
+
+#: phase angles near 0, near pi and anywhere on two turns
+PHASES = st.one_of(st.floats(-1e-3, 1e-3), st.floats(PI - 1e-3, PI + 1e-3), st.floats(-2 * PI, 2 * PI))
+
+
+@st.composite
+def _card_argv(draw):
+    """A phase gate at a drawn angle, on either S_phi_q1 route, or a CNOT at drawn windings."""
+    tag = draw(st.sampled_from(["S_phi_q2", "S_phi_q1", "CNOT_12", "CNOT_21"]))
+    if tag.startswith("CNOT"):
+        return tag, "--m", str(draw(st.integers(1, 1000))), "--m-prime", str(draw(st.integers(0, 1000)))
+    argv = (tag, f"--phi={draw(PHASES)!r}")
+    if tag == "S_phi_q1":
+        argv += ("--route", draw(st.sampled_from(["printed", "alternate"])))
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_card_argv())
+def test_a_drawn_card_holds_the_numbers_of_its_printed_controls(argv):
+    _check_accepted_card(json.loads(_synth(*argv)))
 
 
 @pytest.mark.parametrize(
     "gate, shift",
     [(("H_q2",), PI), (("H_q1",), PI), (("CNOT_12", "--m", "2", "--m-prime", "1"), 5 * PI / 4)],
 )
-def test_a_card_solved_past_a_rejected_candidate_prints_the_accepted_numbers(capsys, monkeypatch, gate, shift):
+def test_a_card_solved_past_a_rejected_candidate_prints_the_accepted_numbers(monkeypatch, gate, shift):
     # the command solves its row with the drift phase shifted: exact inversion, whose
     # first candidate these shifts reject, so the card is the second one evaluated
     row = calib.prescription_targets
@@ -140,7 +172,7 @@ def test_a_card_solved_past_a_rejected_candidate_prints_the_accepted_numbers(cap
 
     monkeypatch.setattr(calib, "prescription_targets", shifted)
     monkeypatch.setattr(calib, "_evaluate", counting_evaluate)
-    doc = json.loads(_synth(capsys, *gate))
+    doc = json.loads(_synth(*gate))
     assert len(evaluated) == 2
     assert doc["targets"]["delta_plus_1"] == shift
     _check_card(doc)
@@ -157,12 +189,19 @@ def _family_controls(tag, m, fs):
     return 1.0 / fs, (0.5, -0.5, drive), lo, hi, 3
 
 
-@pytest.mark.parametrize("tag", ["CNOT_12", "CNOT_21"])
-@pytest.mark.parametrize("scale", ["1", "10"])
-def test_family_csv_rows_hold_the_numbers_of_their_controls(capsys, tag, scale):
-    rows = list(csv.DictReader(io.StringIO(_synth(capsys, tag, "--family", "--m", "1..4", "--field-scale", scale,
-                                                  "--format", "csv"))))
-    assert [int(r["m"]) for r in rows] == [1, 2, 3, 4]
+def _check_family(tag, first, last, scale, fmt):
+    """The json cards or csv rows of synth --family --m first..last: controls, realized_error and b_abs."""
+    out = _synth(tag, "--family", "--m", f"{first}..{last}", "--field-scale", scale, "--format", fmt)
+    ms = list(range(first, last + 1))
+    if fmt == "json":
+        cards = json.loads(out)["family"]
+        assert [card["m"] for card in cards] == ms
+        for card in cards:
+            b_abs, tol = _check_card(card)
+            assert abs(card["b_abs"] - b_abs) <= tol
+        return
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [int(r["m"]) for r in rows] == ms
     fs = float(scale)
     for r in rows:
         m = int(r["m"])
@@ -179,19 +218,42 @@ def test_family_csv_rows_hold_the_numbers_of_their_controls(capsys, tag, scale):
 
 @pytest.mark.parametrize("tag", ["CNOT_12", "CNOT_21"])
 @pytest.mark.parametrize("scale", ["1", "10"])
-def test_family_json_cards_hold_the_numbers_of_their_controls(capsys, tag, scale):
-    doc = json.loads(_synth(capsys, tag, "--family", "--m", "1..4", "--field-scale", scale))
-    assert [card["m"] for card in doc["family"]] == [1, 2, 3, 4]
-    for card in doc["family"]:
-        b_abs, tol = _check_card(card)
-        assert abs(card["b_abs"] - b_abs) <= tol
+def test_family_csv_rows_hold_the_numbers_of_their_controls(tag, scale):
+    _check_family(tag, 1, 4, scale, "csv")
+
+
+@pytest.mark.parametrize("tag", ["CNOT_12", "CNOT_21"])
+@pytest.mark.parametrize("scale", ["1", "10"])
+def test_family_json_cards_hold_the_numbers_of_their_controls(tag, scale):
+    _check_family(tag, 1, 4, scale, "json")
+
+
+@st.composite
+def _family_argv(draw):
+    """A CNOT, a range of up to four windings and a field scale with m fs at most 100, and a format.
+
+    Past m fs of about 100 the printed realized_error is mostly the
+    rounding of its own evaluation, which the oracle tolerance does not
+    cover.
+    """
+    fs = draw(st.floats(0.1, 20.0))
+    top = int(100.0 / fs)
+    first = draw(st.integers(1, top))
+    last = draw(st.integers(first, min(first + 3, top)))
+    return draw(st.sampled_from(["CNOT_12", "CNOT_21"])), first, last, repr(fs), draw(st.sampled_from(["csv", "json"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_family_argv())
+def test_a_drawn_family_holds_the_numbers_of_its_controls(drawn):
+    _check_family(*drawn)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("scale", ["1", "10", "1e4"])
 @pytest.mark.parametrize("tag", ["CNOT_12", "CNOT_21"])
-def test_family_b_abs_is_block_1_of_the_public_reduced_params_to_the_bit(capsys, tag, scale, fmt):
-    out = _synth(capsys, tag, "--family", "--m", "1..300", "--field-scale", scale, "--format", fmt)
+def test_family_b_abs_is_block_1_of_the_public_reduced_params_to_the_bit(tag, scale, fmt):
+    out = _synth(tag, "--family", "--m", "1..300", "--field-scale", scale, "--format", fmt)
     if fmt == "csv":
         printed = [float(r["b_abs"]) for r in csv.DictReader(io.StringIO(out))]
     else:
