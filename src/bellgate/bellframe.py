@@ -82,10 +82,8 @@ class BellFrame:
     per-block signs satisfy alpha = (-1)^(h+j+1),
     beta = (-1)^(j(h+l-k+1)) and q = beta (-1)^(h+1), with (k, l) the
     1-based row positions of the block.  adjoint is change_of_basis^dag,
-    so a matrix m reads in the frame as adjoint @ m @ change_of_basis;
-    order_index is the np.ix_ index that reorders a matrix in canonical
-    Bell order (b00, b01, b10, b11) into frame order.  All arrays are
-    read-only.
+    so a matrix m reads in the frame as adjoint @ m @ change_of_basis.
+    All arrays are read-only.
     """
 
     h: int
@@ -95,7 +93,6 @@ class BellFrame:
     beta: tuple[int, int]
     q: tuple[int, int]
     adjoint: np.ndarray
-    order_index: tuple[np.ndarray, np.ndarray]
 
     def to_doc(self) -> dict:
         return {
@@ -140,7 +137,6 @@ def _make_frame(h: int) -> BellFrame:
         # a transposed view, not a contiguous copy: products with it must
         # round exactly as products with change_of_basis.conj().T
         adjoint=_frozen(cob.conj().T),
-        order_index=tuple(_frozen(a) for a in np.ix_(order, order)),
     )
 
 

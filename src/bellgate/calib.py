@@ -131,7 +131,7 @@ class PrescriptionTargets:
 
     A target set that builds is one the card reader accepts.  Each value
     field holds what its check returns, so a malformed field raises the
-    card reader's error for it (h is checked where it is first used).
+    card reader's error for it.
     Then the gate must have a published row, a CNOT row must carry
     windings m >= 1, m_prime >= 0 that give its rotations (2 pi m, pi/2 +
     2 pi m_prime) and no other row any, and the weights must be feasible.
@@ -169,13 +169,14 @@ class PrescriptionTargets:
         _check_feasible(self)
 
 
-#: each value field's check and whether None passes it, in the order the card reader has always met them
+#: each value field's check and whether None passes it, in the order the card reader meets them
 _TARGET_CHECKS = (
     *((name, strict_float, False) for name in ("delta_plus_1", "delta_minus_1", "delta_minus_2")),
     *((name, lambda n, v: strict_reals(n, v, 2), True) for name in ("j_targets", "b_targets")),
     ("b_abs_to_one", strict_bool, False),
     *((name, strict_int, True) for name in ("m", "m_prime")),
     ("b_relation_sign", lambda n, v: strict_int(n, v, (1, -1)), True),
+    ("h", lambda n, v: strict_int("field axis h", v, (1, 2, 3)), False),
 )
 
 
@@ -394,8 +395,8 @@ def _check_feasible(tg: PrescriptionTargets) -> None:
 
 #: frame blocks of each gate without a phase angle, on every axis, from its frame-order matrix; read-only
 _FIXED_BLOCKS = {
-    (tag, h): _frozen(_block_coordinates(d_gate(GateId(tag))[bell_frame(h).order_index]))
-    for tag in ("H_q2", "H_q1") + _CNOT_TAGS for h in (1, 2, 3)
+    (tag, h): _frozen(_block_coordinates(d_gate(GateId(tag))[np.ix_(o, o)]))
+    for tag in ("H_q2", "H_q1") + _CNOT_TAGS for h, o in _FRAME_ORDER.items()
 }
 
 
@@ -409,14 +410,13 @@ def _target_blocks(tg: PrescriptionTargets) -> np.ndarray:
     (e_u - e_v) / 2).  Adding 0j turns a signed zero into +0, as the
     einsum's +0 start does, so these keep _block_coordinates' bits.
     """
-    h = bell_frame(tg.h).h
-    w = _FIXED_BLOCKS.get((tg.gate.tag, h))
+    w = _FIXED_BLOCKS.get((tg.gate.tag, tg.h))
     if w is not None:
         return w
     diagonal = _PHASE_DIAGONAL[tg.gate.tag]
     # the gate's entries, by the same calls as d_gate, in frame order
     e = (complex(np.exp(-1j * tg.gate.phi)), complex(np.exp(1j * tg.gate.phi)))
-    u = [e[diagonal[i]] for i in _FRAME_ORDER[h]]
+    u = [e[diagonal[i]] for i in _FRAME_ORDER[tg.h]]
     return np.array([(0j + (eu + ev) / 2, 0j, 0j, 0j + (eu - ev) / 2) for eu, ev in (u[:2], u[2:])])
 
 

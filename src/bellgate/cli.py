@@ -30,7 +30,7 @@ import numpy as np
 
 from .checks import SOLVABLE_TAGS, STRUCTURAL_TOL
 from .errors import BellgateError, SolverFailure
-from .jsonio import dumps, dumps_csv
+from .jsonio import complex_matrix, dumps, dumps_csv
 
 __all__ = ["main", "DEFAULT_SEED"]
 
@@ -166,7 +166,7 @@ def _cmd_evolve(args) -> str:
         return dumps_csv(("row", "col", "re", "im"), rows)
     doc = {
         "params": p.to_doc(),
-        "unitary": u,
+        "unitary": complex_matrix(u),
         "unitarity_residual": dist_unitary(u),
     }
     return dumps(doc, indent=2) + "\n"
@@ -196,8 +196,8 @@ def _cmd_blocks(args) -> str:
         )
     doc = {
         "frame": frame.to_doc(),
-        "block1": b1,
-        "block2": b2,
+        "block1": complex_matrix(b1),
+        "block2": complex_matrix(b2),
         "offblock_norm": off,
         "within_structural_tol": off <= STRUCTURAL_TOL,
         "reduced": reduced,

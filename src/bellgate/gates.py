@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import strict_float, strict_int
-from .jsonio import complex_entry, fields
+from .jsonio import complex_matrix, fields, read_complex_matrix
 from .spinlin import _I4, _frozen
 
 __all__ = [
@@ -177,8 +177,7 @@ class Circuit:
         items = []
         for g in self.gates:
             if isinstance(g, OpaqueGate):
-                rows = [[complex_entry(z) for z in row] for row in g.matrix]
-                items.append({"gate": "OPAQUE", "matrix": rows})
+                items.append({"gate": "OPAQUE", "matrix": complex_matrix(g.matrix)})
             else:
                 doc: dict = {"gate": g.tag}
                 if g.phi is not None:
@@ -200,21 +199,11 @@ class Circuit:
         for item in items:
             if isinstance(item, dict) and item.get("gate") == "OPAQUE":
                 _, rows = fields(item, "circuit", ("gate", "matrix"))
-                if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
-                    raise ValueError(
-                        f"malformed circuit document: matrix must be a list of rows, got {rows!r}"
-                    )
-                gates.append(OpaqueGate([[_matrix_entry(z) for z in row] for row in rows]))
+                gates.append(OpaqueGate(read_complex_matrix(rows, "circuit")))
             else:
                 tag, phi, qubit = fields(item, "circuit", ("gate",), ("phi", "qubit"))
                 gates.append(GateId(tag=tag, phi=phi, qubit=qubit))
         return cls(gates=tuple(gates), basis=basis)
-
-
-def _matrix_entry(z) -> complex:
-    re, im = fields(z, "circuit", ("re", "im"))
-    name = "malformed circuit document: matrix entry"
-    return complex(strict_float(name, re), strict_float(name, im))
 
 
 def d_gate(g: GateId) -> np.ndarray:

@@ -1,13 +1,17 @@
 """The document layer: the one place that turns documents into text.
 
-A document is a plain dict with a fixed set of keys.  The standard
-encoder prints floats with repr, whose width varies by value.  CLI
-output must be byte-identical across runs and carry full precision, so
-floats are always rendered with 17 significant digits, in JSON and in
-CSV alike, and containers keep insertion order.  One rule lays out
-every container, a dict, list, tuple or ndarray, with its line break
-and indent built once.  Parsing stays with the stdlib; fields reads a
-parsed document's keys exactly.
+A document is a plain dict with a fixed set of keys.  It holds JSON
+values only: None, bool, int, float (np.float64 is one), str, and
+dicts with text keys, lists and tuples of them; anything else, such as
+a numpy integer, a complex number or an ndarray, is refused with
+TypeError.  complex_matrix writes a complex matrix as rows of {"re",
+"im"} entries and read_complex_matrix reads them back; no other module
+knows that format.  CLI output must be byte-identical across runs and
+carry full precision, so floats are always rendered with 17
+significant digits (not the standard encoder's repr), in JSON and in
+CSV alike, and containers keep insertion order, laid out by one rule.
+Parsing stays with the stdlib; fields reads a parsed document's keys
+exactly.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
+from .checks import strict_float
 
-__all__ = ["format_float", "complex_entry", "dumps", "dumps_csv", "fields"]
+__all__ = ["format_float", "complex_matrix", "read_complex_matrix", "dumps", "dumps_csv", "fields"]
 
 
 def format_float(x: float) -> str:
@@ -30,28 +34,34 @@ def format_float(x: float) -> str:
     return s
 
 
-def complex_entry(z) -> dict:
-    """A complex number as a document entry: {"re": real part, "im": imaginary part}."""
-    return {"re": float(z.real), "im": float(z.imag)}
+def complex_matrix(m) -> list:
+    """The rows of a complex ndarray m, each entry {"re": real part, "im": imaginary part}."""
+    return [[{"re": z.real, "im": z.imag} for z in row] for row in m.tolist()]
+
+
+def read_complex_matrix(rows, kind: str) -> list:
+    """complex_matrix's rows read back as complex lists; ValueError ("malformed <kind> document: ...") otherwise."""
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise ValueError(f"malformed {kind} document: matrix must be a list of rows, got {rows!r}")
+    name = f"malformed {kind} document: matrix entry"
+    return [[complex(*(strict_float(name, v) for v in fields(z, kind, ("re", "im")))) for z in row] for row in rows]
 
 
 def _emit(obj, parts: list[str], line: str, step: str) -> None:
     """Append obj's text to parts; line is the break and indent of obj's line, step one level's indent."""
     if obj is None:
         parts.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
+    elif isinstance(obj, bool):
         parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(format_float(float(obj)))
+    elif isinstance(obj, float):
+        parts.append(format_float(obj))
     elif isinstance(obj, str):
         parts.append(json.dumps(obj))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        _emit(complex_entry(obj), parts, line, step)
-    elif isinstance(obj, (dict, list, tuple, np.ndarray)):
+    elif isinstance(obj, (dict, list, tuple)):
         is_dict = isinstance(obj, dict)
-        items = obj.items() if is_dict else list(obj)
+        items = obj.items() if is_dict else obj
         if not items:
             parts.append("{}" if is_dict else "[]")
             return
@@ -83,9 +93,9 @@ def _csv_field(v) -> str:
         return ""
     if isinstance(v, str):
         return v
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+    if isinstance(v, int) and not isinstance(v, bool):
         return str(int(v))
-    if isinstance(v, (float, np.floating)):
+    if isinstance(v, float):
         return format_float(v)
     raise TypeError(f"cannot write {type(v).__name__} to a CSV field")
 

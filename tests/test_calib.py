@@ -453,11 +453,12 @@ def test_targets_reject_non_integer_fields(field, value):
 
 
 def test_targets_store_integer_fields_as_int():
+    row = _targets("CNOT_12", m=2, m_prime=1)
     tg = dataclasses.replace(
-        _targets("CNOT_12", m=2, m_prime=1), m=np.int64(2), m_prime=np.int32(1), b_relation_sign=np.int8(-1)
+        row, m=np.int64(2), m_prime=np.int32(1), b_relation_sign=np.int8(-1), h=np.int64(row.h)
     )
-    assert (tg.m, tg.m_prime, tg.b_relation_sign) == (2, 1, -1)
-    assert all(type(v) is int for v in (tg.m, tg.m_prime, tg.b_relation_sign))
+    assert (tg.m, tg.m_prime, tg.b_relation_sign, tg.h) == (2, 1, -1, row.h)
+    assert all(type(v) is int for v in (tg.m, tg.m_prime, tg.b_relation_sign, tg.h))
 
 
 def test_infeasible_axis_targets_rejected():
@@ -485,6 +486,9 @@ _REFUSED_BY_THE_READER = [
     ("CNOT_12", {"m": -4}, "CNOT windings require m >= 1, m_prime >= 0 and m + m_prime <= 1.43e+307, got -4, 0"),
     ("H_q2", {"gate": GateId("T_translator")}, "T_translator has no pulse prescription"),
     ("S_phi_q2", {"j_targets": (1.5, -1.0)}, "infeasible targets: weight outside [-1, 1] in (1.5, -1.0)"),
+    ("H_q2", {"h": 5}, "field axis h must be 1, 2 or 3, got 5"),
+    ("H_q2", {"h": True}, "field axis h must be 1, 2 or 3, got True"),
+    ("CNOT_12", {"h": 1.0}, "field axis h must be 1, 2 or 3, got 1.0"),
 ]
 
 
@@ -999,11 +1003,17 @@ def test_solver_runs_the_block_kernel_once_per_candidate(row, shift):
     assert calls["kernel"] == calls["evaluate"]
 
 
+def _in_frame_order(m, h):
+    """m, a matrix in canonical Bell order, with rows and columns in the frame order of axis h."""
+    o = frame_permutation(bell_frame(h))
+    return m[np.ix_(o, o)]
+
+
 @pytest.mark.parametrize("tag", ["H_q2", "H_q1", "CNOT_12", "CNOT_21"])
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_fixed_gate_blocks_are_the_einsum_of_the_gate(tag, h):
     # the import-time table holds, to the byte, what the per-call construction gives
-    w = d_gate(GateId(tag))[bell_frame(h).order_index].reshape(2, 2, 2, 2)
+    w = _in_frame_order(d_gate(GateId(tag)), h).reshape(2, 2, 2, 2)
     want = np.einsum("aij,kjki->ka", bellframe.BLOCK_BASIS, w) / 2.0
     table = calib._FIXED_BLOCKS[(tag, h)]
     assert (table.dtype, table.shape, table.tobytes()) == (want.dtype, want.shape, want.tobytes())
@@ -1031,7 +1041,7 @@ def test_fixed_gate_table_holds_every_gate_without_a_phase_on_every_axis():
 def test_phase_gate_blocks_are_built_per_call(tag, phi, h):
     # to the byte, signed zeros included
     tg = dataclasses.replace(prescription_targets(GateId(tag, phi=phi)), h=h)
-    w = d_gate(tg.gate)[bell_frame(tg.h).order_index].reshape(2, 2, 2, 2)
+    w = _in_frame_order(d_gate(tg.gate), tg.h).reshape(2, 2, 2, 2)
     want = np.einsum("aij,kjki->ka", bellframe.BLOCK_BASIS, w) / 2.0
     assert calib._target_blocks(tg).tobytes() == want.tobytes()
 
@@ -1210,7 +1220,7 @@ def test_phase_gate_blocks_keep_the_einsum_bits(gate_route, h, phi):
     # every axis, not only the row's: to the byte, signed zeros included
     tag, route = gate_route
     tg = dataclasses.replace(prescription_targets(GateId(tag, phi=phi), route=route), h=h)
-    w = d_gate(tg.gate)[bell_frame(h).order_index].reshape(2, 2, 2, 2)
+    w = _in_frame_order(d_gate(tg.gate), h).reshape(2, 2, 2, 2)
     want = np.einsum("aij,kjki->ka", bellframe.BLOCK_BASIS, w) / 2.0
     got = calib._target_blocks(tg)
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import pytest
 
+from bellgate.jsonio import dumps
+
 _DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -52,3 +54,13 @@ def test_contract_lists_the_cases_of_its_script():
     # the committed file is the script's case list; a case added to one only is caught here
     recorded = [{key: case[key] for key in _INPUTS} for case in CASES]
     assert recorded == make_contract.cases()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[case["id"] for case in CASES])
+def test_printed_documents_are_fixed_points_of_parse_then_write(case, tmp_path):
+    # a document holds JSON values only, so what the command prints is what the writer makes of its parse
+    _, out, err, _ = make_contract._invoke(case["argv"], case["files"], tmp_path)
+    if out.startswith("{"):
+        assert dumps(json.loads(out), indent=2) + "\n" == out
+    if err:
+        assert dumps(json.loads(err)) + "\n" == err
