@@ -12,10 +12,15 @@ conventions, into a BellFrame.
 Each block restriction of H is c0*1 + c . sigma, linear in the
 couplings (J1, J2, J3, B1, B2).  BLOCK_COEFFS[h] holds that map as a
 2x4x5 matrix (block, (c0, cx, cy, cz), coupling), projected once from
-the model's generator table; every entry is 0 or +-1.  The block
-kernel _block_coefficients, shared with the fidelity sweep and the
-solver, applies it and returns |c| too; a block is degenerate exactly
-where |c| = 0.  Each block propagator has the closed form
+the model's generator table; every entry is 0 or +-1.  One table has
+two evaluators, selected by input shape: the block kernel
+_block_coefficients applies it to a stack of coupling rows (the
+fidelity sweep and its generators), and the point kernel
+_point_coefficients to one row on Python floats (reduced_params and
+the solver's evaluation of a candidate), as signed sums read off the
+same table.  Both return |c| too, with the same bits, which a bit
+oracle in the tests holds; a block is degenerate exactly where |c| = 0.
+Each block propagator has the closed form
 
     s = exp(i dplus) (cos(dminus) 1 - i sin(dminus) n . sigma)
 
@@ -27,6 +32,7 @@ q are fixed per block from the frame's row positions.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -169,16 +175,54 @@ _COEFF_MAP = {h: c.reshape(8, 5).T for h, c in BLOCK_COEFFS.items()}
 
 
 def _block_coefficients(x: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c0, cx, cy, cz) of both blocks, shape (..., 2, 4), and |c|, shape (..., 2), of coupling rows x (..., 5).
+    """(c0, cx, cy, cz) of both blocks, shape (..., 2, 4), and |c|, shape (..., 2), of a stack of coupling rows x (..., 5).
 
     The map is linear, so a displacement row gives the coefficients of
     its displacement.  |c| is a nested hypot, finite wherever |c| is.  An
     overflowing row comes out non-finite without a warning; the callers
-    report it as the error of its point.
+    report it as the error of its point.  One row goes to the point
+    kernel _point_coefficients instead, which gives the same bits.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         c = (x @ _COEFF_MAP[h]).reshape(x.shape[:-1] + (2, 4))
         return c, np.hypot(np.hypot(c[..., 1], c[..., 2]), c[..., 3])
+
+
+def _point_terms(coeff_map: np.ndarray) -> tuple[tuple[int, float, int, float], ...]:
+    """Each of the 8 coordinates of a (5, 8) coupling map as (i, s, k, u), the coordinate being s x_i + u x_k.
+
+    Every entry of the map is 0 or +-1, at most two of them nonzero per
+    coordinate (unpacking refuses a third); a missing term reads the
+    zero that the point kernel appends to the couplings as x_5.
+    """
+    terms = []
+    for column in coeff_map.T.tolist():
+        nonzero = [(i, s) for i, s in enumerate(column) if s != 0.0]
+        (i, s), (k, u) = nonzero + [(5, 1.0)] * (2 - len(nonzero))
+        terms.append((i, s, k, u))
+    return tuple(terms)
+
+
+#: _COEFF_MAP[h] as the signed terms of each block coordinate, for the point kernel
+_POINT_TERMS = {h: _point_terms(m) for h, m in _COEFF_MAP.items()}
+
+
+def _point_coefficients(x, h: int) -> tuple[list[list[float]], list[float]]:
+    """_block_coefficients of one coupling row x = (J1, J2, J3, B1, B2), on Python floats.
+
+    Returns ([c of block 1, c of block 2], |c|) as lists, each c as
+    (c0, cx, cy, cz), with the bits of the stacked kernel's row.  A
+    coordinate is a signed sum of at most two couplings, exact up to one
+    rounding in any order; + 0.0 turns a -0.0 into the +0.0 that the
+    matrix product's zero start leaves.  |c| is numpy's nested hypot
+    (math.hypot rounds differently), over both blocks at once; an
+    overflowing |c| comes out inf without a warning.
+    """
+    x = (*x, 0.0)
+    c = [s * x[i] + u * x[k] + 0.0 for i, s, k, u in _POINT_TERMS[h]]
+    with np.errstate(over="ignore"):
+        r = np.hypot(np.hypot(c[1::4], c[2::4]), c[3::4]).tolist()
+    return [c[:4], c[4:]], r
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
@@ -187,7 +231,7 @@ def _sinc(x: np.ndarray) -> np.ndarray:
 
 
 def _rotations(t, c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block maps exp(-i t (c0 + c . sigma)) = exp(-i phase) (q0 - i q . sigma) of coefficients c (..., 4).
+    """Block maps exp(-i t (c0 + c . sigma)) = exp(-i phase) (q0 - i q . sigma) of a stack of coefficients c (..., 4).
 
     r (...) holds |c|, as the block kernel gives it with c.  Returns the
     phase t c0 and the unit quaternion q = (cos(t r), t sinc(t r) c),
@@ -200,14 +244,26 @@ def _rotations(t, c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return t * c[..., 0], q
 
 
-#: a block map exp(-i phase) (q0 - i q . sigma) in Pauli coordinates is exp(-i phase) q times these
-_PAULI_SIGNS = _frozen(np.array((1.0, -1j, -1j, -1j)))
+def _block_maps(t: float, c, r) -> np.ndarray:
+    """The block maps of _rotations at one point in Pauli coordinates, exp(-i phase) q (1, -i, -i, -i), shape (2, 4).
 
-
-def _block_maps(t, c: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The block maps of _rotations in Pauli coordinates, exp(-i phase) q times _PAULI_SIGNS, shape (2, 4)."""
-    phase, q = _rotations(t, c, r)
-    return np.exp(-1j * phase)[:, None] * q * _PAULI_SIGNS
+    c holds both blocks' (c0, cx, cy, cz) and r their |c|, as Python
+    floats (the point kernel's lists).  Computed on floats, with the
+    bits of exp(-1j * phase)[:, None] * q * (1.0, -1j, -1j, -1j) over
+    the arrays of _rotations: each q component is made complex and both
+    products are full complex products, in that order.  t |c| must not
+    be infinite (math.cos raises on inf); both callers refuse such a
+    point first.
+    """
+    out = []
+    for (c0, cx, cy, cz), rb in zip(c, r):
+        x = t * rb
+        tsinc = t * (math.sin(x) / x if x != 0.0 else 1.0)
+        e = cmath.exp(-1j * (t * c0))
+        # -1j is complex(-0.0, -1.0), as numpy stores the same literal
+        out += (e * complex(math.cos(x)) * (1.0 + 0j), e * complex(tsinc * cx) * -1j,
+                e * complex(tsinc * cy) * -1j, e * complex(tsinc * cz) * -1j)
+    return np.array(out).reshape(2, 4)
 
 
 def bell_frame(h: int) -> BellFrame:
@@ -215,8 +271,15 @@ def bell_frame(h: int) -> BellFrame:
     return _FRAMES[strict_int("field axis h", h, _FRAMES)]
 
 
+def _check_frame(frame) -> None:
+    """TypeError unless frame is a BellFrame: the one check of a frame argument, made before any use of it."""
+    if not isinstance(frame, BellFrame):
+        raise TypeError(f"expected a BellFrame, got {type(frame).__name__}")
+
+
 def frame_permutation(frame: BellFrame) -> list[int]:
     """Canonical label index occupying each frame position."""
+    _check_frame(frame)
     return list(_FRAME_ORDER[frame.h])
 
 
@@ -228,6 +291,7 @@ def to_blocks(u: np.ndarray, frame: BellFrame) -> tuple[np.ndarray, np.ndarray, 
     own axis it is zero up to rounding, for a mismatched axis it is
     macroscopic.
     """
+    _check_frame(frame)
     m = frame.adjoint.dot(np.asarray(u, dtype=np.complex128)).dot(frame.change_of_basis)
     off = float(np.sqrt(np.linalg.norm(m[0:2, 2:4]) ** 2 + np.linalg.norm(m[2:4, 0:2]) ** 2))
     return m[0:2, 0:2].copy(), m[2:4, 2:4].copy(), off
@@ -237,7 +301,7 @@ def reduced_params(p: PhysicalParams, frame: BellFrame) -> tuple[ReducedBlockPar
     """Closed-form parameters of both blocks for the given physical parameters.
 
     The block restriction of H decomposes as c0*1 + c . sigma, read off
-    the block kernel; then dplus = -c0*t (propagator sign convention),
+    the point kernel; then dplus = -c0*t (propagator sign convention),
     dminus = |c|*t >= 0, and the unit vector n = c/|c| is split into the
     longitudinal weight j (along sigma_z, sign beta) and the transversal
     weight b (along the frame's h-dependent transversal direction, sign
@@ -245,16 +309,17 @@ def reduced_params(p: PhysicalParams, frame: BellFrame) -> tuple[ReducedBlockPar
     block whose eigenphase t (c0 +- |c|) overflows has no such parameters:
     NonUnitaryError(inf), as evolve raises for it.
     """
+    _check_frame(frame)
     if p.h != frame.h:
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
-    rp1, rp2 = _reduced(*_block_coefficients(np.array((*p.J, p.B1, p.B2)), frame.h), p.t, frame)
+    rp1, rp2 = _reduced(*_point_coefficients((*p.J, p.B1, p.B2), frame.h), p.t, frame)
     return ReducedBlockParams(1, *rp1), ReducedBlockParams(2, *rp2)
 
 
 def _reduced(
-    coeffs: np.ndarray, norms: np.ndarray, t: float, frame: BellFrame
+    coeffs, norms, t: float, frame: BellFrame
 ) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
-    """reduced_params at duration t of one coupling row's (c, |c|), shapes (2, 4) and (2,), from the block kernel.
+    """reduced_params at duration t of one coupling row's (c, |c|), as the point kernel's lists of floats.
 
     Each block comes as a plain (delta_plus, delta_minus, b, j) tuple of floats.
     A block whose eigenphase t (c0 +- |c|) overflows leaves no propagator, as
@@ -262,7 +327,7 @@ def _reduced(
     """
     tr, sign = _TRANSVERSAL[frame.h], _TRANSVERSAL_SIGN[frame.h]
     out = []
-    for block, (c, r) in enumerate(zip(coeffs.tolist(), norms.tolist()), start=1):
+    for block, (c, r) in enumerate(zip(coeffs, norms), start=1):
         if not t * (abs(c[0]) + r) < math.inf:
             raise NonUnitaryError(math.inf)
         if r == 0.0:
@@ -300,6 +365,7 @@ def closed_form_block(rp: ReducedBlockParams, frame: BellFrame) -> np.ndarray:
     n assembled from (b, j) and the frame's per-block signs.  The
     determinant is exp(2 i dplus).
     """
+    _check_frame(frame)
     norm2 = rp.b * rp.b + rp.j * rp.j
     if abs(norm2 - 1.0) > UNIT_CIRCLE_TOL:
         raise ValueError(f"(b, j) must lie on the unit circle, got b^2 + j^2 = {norm2!r}")

@@ -49,7 +49,8 @@ every choice's block coordinates to its couplings x, and max|x| is the
 choice's canonical duration.  Candidates are tried shortest first, ties
 in enumeration order (phase sign +1 first, then block 1's axis choices,
 then block 2's, the positive sign of a free weight first), and each
-one is checked against the row with one run of the block kernel.
+one is checked against the row with one run of the point kernel, the
+block coordinates of its one coupling row on Python floats.
 
 Gauge convention: a solved card is normalized so the largest coupling
 magnitude is 1 and the duration carries the overall scale.  Family
@@ -72,7 +73,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bellframe import _TRANSVERSAL, BLOCK_COEFFS, _block_coefficients, _block_coordinates, _block_maps, _reduced
+from .bellframe import _TRANSVERSAL, BLOCK_COEFFS, _block_coordinates, _block_maps, _point_coefficients, _reduced
 from .bellframe import _FRAME_ORDER, bell_frame, block_axis
 from .checks import (
     ACCEPT_TOL,
@@ -433,7 +434,7 @@ def _circ(x: float) -> float:
 
 
 class _Evaluation(NamedTuple):
-    """What one block-kernel run measures of controls against a target set.
+    """What one point-kernel run measures of controls against a target set.
 
     residuals maps each residual's name to its value, in PrescriptionCard
     order.  branch_margin is how far apart the distances to the two signs
@@ -455,11 +456,13 @@ def _evaluate(tg: PrescriptionTargets, p: PhysicalParams, w: np.ndarray) -> _Eva
     The realized error ||e^{i theta} u - w||_F^2 / 8 of the frame
     propagator u is a sum over its block maps s_k and the target blocks
     w_k (_target_blocks), 2 |e^{i theta} s_k - w_k|^2 each in Pauli
-    coordinates, theta = arg (s . w).  The block kernel runs once; the
-    reduced parameters and the block maps both read its coefficients.
+    coordinates, theta = arg (s . w).  The point kernel runs once, on
+    Python floats; the reduced parameters and the float block maps both
+    read its coefficients.  The two vdots stay on numpy: their reduction
+    order sets the last bit of the realized error.
     """
     frame = bell_frame(tg.h)
-    c, norms = _block_coefficients(np.array((*p.J, p.B1, p.B2)), tg.h)
+    c, norms = _point_coefficients((*p.J, p.B1, p.B2), tg.h)
     (dplus1, dminus1, b1, j1), (_, dminus2, b2, j2) = _reduced(c, norms, p.t, frame)
     d_pos = _circ(dplus1 - tg.delta_plus_1)
     d_neg = _circ(dplus1 + tg.delta_plus_1)

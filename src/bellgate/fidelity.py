@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellframe import BLOCK_BASIS, BellFrame, _block_coefficients, _block_maps, _rotations
+from .bellframe import BLOCK_BASIS, BellFrame, _block_coefficients, _block_maps, _check_frame, _rotations
 from .calib import PrescriptionCard
 from .checks import RANK_TIE_TOL, STATE_NORM_TOL, ZERO_NORM_TOL, strict_float, strict_int
 from .errors import NonFiniteDerivative
@@ -91,8 +91,7 @@ class BlockState:
     frame: BellFrame
 
     def __post_init__(self):
-        if not isinstance(self.frame, BellFrame):
-            raise TypeError(f"expected a BellFrame, got {type(self.frame).__name__}")
+        _check_frame(self.frame)
         amps = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
         if amps.shape != (4,):
             raise ValueError(f"state needs 4 amplitudes, got shape {amps.shape}")
@@ -314,10 +313,11 @@ def directional_derivatives(
     Ds = -i s (g0 + g . sigma) from the closed-form generator along dp.
     Ds is linear in dp; dp = 0 returns zero matrices.
     """
+    _check_frame(frame)
     if p.h != frame.h:
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
     g, c, r = _generators(p, dp.as_array()[None])
-    s = np.einsum("ba,aij->bij", _block_maps(p.t, c, r), BLOCK_BASIS)
+    s = np.einsum("ba,aij->bij", _block_maps(p.t, c.tolist(), r.tolist()), BLOCK_BASIS)
     ds = -1j * s @ np.einsum("ba,aij->bij", g[0], BLOCK_BASIS)
     return (ds[0], ds[1]), (s[0], s[1])
 

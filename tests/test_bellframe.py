@@ -8,6 +8,7 @@ tests check the package against them rather than the other way around.
 import itertools
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bellgate import (
     BellgateError,
     GateId,
     NonUnitaryError,
+    Perturbation,
     PhysicalParams,
     ReducedBlockParams,
     bell_change_of_basis,
@@ -28,6 +30,7 @@ from bellgate import (
     calib,
     closed_form_block,
     d_gate,
+    directional_derivatives,
     evolve,
     frame_permutation,
     pauli,
@@ -40,12 +43,15 @@ from bellgate.bellframe import (
     _TRANSVERSAL_SIGN,
     BLOCK_COEFFS,
     _block_coefficients,
+    _block_maps,
+    _point_coefficients,
+    _reduced,
     _rotations,
     block_axis,
 )
 from bellgate.checks import UNIT_CIRCLE_TOL
 
-from conftest import edge_params, random_params, random_unitary
+from conftest import DEGENERATE, edge_params, random_params, random_unitary
 
 STRUCTURAL_TOL = 1e-10
 MISMATCH_FLOOR = 1e-3
@@ -614,3 +620,87 @@ def test_reduced_params_and_the_sweep_share_the_rotation_angle(case, scale):
     for rp, norm in zip(rps, r.tolist()):
         if norm == 0.0:
             assert (rp.delta_minus, rp.b, rp.j) == (0.0, 0.0, 1.0)
+
+
+# The point kernel: one coupling row on Python floats, held to the bits of
+# the stacked kernel's row and of the numpy block maps.
+
+#: signed zeros, subnormals, the edges of the normal range, and magnitudes whose sums overflow
+EDGE_COUPLINGS = (
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, sys.float_info.min, -sys.float_info.min,
+    1.0, -1.0, 1e300, 1.7e308, -1.7e308, sys.float_info.max, -sys.float_info.max,
+)
+EDGE_TIMES = (0.0, 5e-324, 1e-300, 1.0, 1e300, 1.7e308)
+
+
+@st.composite
+def _point_rows(draw):
+    """(h, couplings, t): any finite couplings, edge values often, one block made degenerate in a third of the draws."""
+    h = draw(st.integers(1, 3))
+    coupling = st.one_of(st.sampled_from(EDGE_COUPLINGS), st.floats(allow_nan=False, allow_infinity=False))
+    x = draw(st.lists(coupling, min_size=5, max_size=5))
+    block = draw(st.sampled_from([None, None, 1, 2]))
+    if block is not None:
+        a, b, s_j, s_b = DEGENERATE[(h, block)]
+        x[b] = s_j * x[a]
+        x[4] = s_b * x[3]
+    t = draw(st.one_of(st.sampled_from(EDGE_TIMES), st.floats(0.0, allow_infinity=False)))
+    return h, tuple(x), t
+
+
+def test_point_kernel_keeps_the_bits_of_the_stacked_kernel():
+    met = []
+
+    @settings(max_examples=600, deadline=None, derandomize=True, database=None)
+    @given(_point_rows())
+    def check(row):
+        # c and |c| to the last bit, -0.0 apart from 0.0; and wherever _reduced
+        # accepts the point, the float block maps equal the numpy ones over _rotations
+        h, x, t = row
+        c, r = _point_coefficients(x, h)
+        want_c, want_r = _block_coefficients(np.array(x), h)
+        assert repr(c) == repr(want_c.tolist())
+        assert repr(r) == repr(want_r.tolist())
+        try:
+            _reduced(c, r, t, bell_frame(h))
+        except NonUnitaryError:
+            met.append((h, x, c, r, False))
+            return
+        phase, q = _rotations(t, want_c, want_r)
+        want = np.exp(-1j * phase)[:, None] * q * (1.0, -1j, -1j, -1j)
+        assert repr(_block_maps(t, c, r).tolist()) == repr(want.tolist())
+        met.append((h, x, c, r, True))
+
+    check()
+    # every regime, met on each run (about twice these counts in 600 draws): all three axes,
+    # signed zeros among the couplings, zero and subnormal coordinates, a degenerate block,
+    # coordinates that overflow, a norm that overflows from finite coordinates, and points
+    # that _reduced accepts and refuses
+    coords = [v for _, _, c, _, _ in met for v in c[0] + c[1]]
+    assert {h for h, *_ in met} == {1, 2, 3}
+    assert sum(math.copysign(1.0, v) < 0.0 for _, x, *_ in met for v in x if v == 0.0) >= 60
+    assert sum(v == 0.0 for v in coords) >= 1000
+    assert sum(0.0 < abs(v) < sys.float_info.min for v in coords) >= 130
+    assert sum(0.0 in r for *_, r, _ in met) >= 130
+    assert sum(math.isinf(v) for v in coords) >= 60
+    assert sum(math.isinf(n) for _, _, c, r, _ in met for n, cb in zip(r, c) if all(map(math.isfinite, cb))) >= 20
+    assert sum(ok for *_, ok in met) >= 190 and sum(not ok for *_, ok in met) >= 100
+
+
+_WRONG_FRAME_CALLS = {
+    "reduced_params": lambda fr: reduced_params(PhysicalParams(t=1.0, J=(1.0, 0.0, 0.0), B1=0.0, B2=0.0, h=1), fr),
+    "to_blocks": lambda fr: to_blocks(np.eye(4), fr),
+    "closed_form_block": lambda fr: closed_form_block(ReducedBlockParams(1, 0.0, 0.0, 0.0, 1.0), fr),
+    "frame_permutation": frame_permutation,
+    "directional_derivatives": lambda fr: directional_derivatives(
+        PhysicalParams(t=1.0, J=(1.0, 0.0, 0.0), B1=0.0, B2=0.0, h=1), Perturbation.axis(0, 1e-3), fr
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WRONG_FRAME_CALLS))
+@pytest.mark.parametrize("frame", [None, 1, "1"])
+def test_a_wrong_frame_argument_raises_type_error(name, frame):
+    # an AttributeError on frame.h once; now the TypeError BlockState raises
+    with pytest.raises(TypeError, match=f"^expected a BellFrame, got {type(frame).__name__}$"):
+        _WRONG_FRAME_CALLS[name](frame)

@@ -24,7 +24,6 @@ from bellgate import (
     GateId,
     PhysicalParams,
     PrescriptionCard,
-    NonUnitaryError,
     SolverFailure,
     bell_frame,
     cnot_family,
@@ -685,31 +684,30 @@ def _candidates_oracle(tg):
 
 
 def _evaluate_oracle(tg, p, w):
-    # _evaluate as it ran the block kernel twice: once inside the public
-    # reduced_params, once more for the block maps
+    # _evaluate on numpy arrays, independent of the point kernel: the stacked
+    # block kernel on one row, its reduced parameters, and the block maps as
+    # one numpy expression over _rotations
     frame = bell_frame(tg.h)
-    rp1, rp2 = reduced_params(p, frame)
-    d_pos = calib._circ(rp1.delta_plus - tg.delta_plus_1)
-    d_neg = calib._circ(rp1.delta_plus + tg.delta_plus_1)
+    c, r = bellframe._block_coefficients(np.array((*p.J, p.B1, p.B2)), tg.h)
+    (dplus1, dminus1, b1, j1), (_, dminus2, b2, j2) = bellframe._reduced(c.tolist(), r.tolist(), p.t, frame)
+    d_pos = calib._circ(dplus1 - tg.delta_plus_1)
+    d_neg = calib._circ(dplus1 + tg.delta_plus_1)
     branch = 1 if d_pos <= d_neg else -1
     res = [
         min(d_pos, d_neg),
-        calib._circ(rp1.delta_minus - tg.delta_minus_1),
-        calib._circ(rp2.delta_minus - tg.delta_minus_2),
+        calib._circ(dminus1 - tg.delta_minus_1),
+        calib._circ(dminus2 - tg.delta_minus_2),
     ]
     if tg.j_targets is not None:
-        res += [abs(rp1.j - tg.j_targets[0]), abs(rp2.j - tg.j_targets[1])]
+        res += [abs(j1 - tg.j_targets[0]), abs(j2 - tg.j_targets[1])]
     if tg.b_targets is not None:
-        res += [abs(rp1.b - tg.b_targets[0]), abs(rp2.b - tg.b_targets[1])]
+        res += [abs(b1 - tg.b_targets[0]), abs(b2 - tg.b_targets[1])]
     elif tg.b_relation_sign is not None:
-        r = float(tg.b_relation_sign)
+        rel = float(tg.b_relation_sign)
         res += [
-            abs(rp1.b - r * frame.q[0] * frame.beta[0] * rp1.j),
-            abs(rp2.b - r * frame.q[1] * frame.beta[1] * rp2.j),
+            abs(b1 - rel * frame.q[0] * frame.beta[0] * j1),
+            abs(b2 - rel * frame.q[1] * frame.beta[1] * j2),
         ]
-    c, r = bellframe._block_coefficients(np.array((*p.J, p.B1, p.B2)), tg.h)
-    if not p.t * max(abs(c0) + n for c0, n in zip(c[:, 0].tolist(), r.tolist())) < math.inf:
-        raise NonUnitaryError(math.inf)
     phase, q = bellframe._rotations(p.t, c, r)
     s = np.exp(-1j * phase)[:, None] * q * (1.0, -1j, -1j, -1j)
     z = np.vdot(s, w)
@@ -979,7 +977,7 @@ _KERNEL_ROWS = [
 @pytest.mark.parametrize("row, shift", _KERNEL_ROWS)
 def test_solver_runs_the_block_kernel_once_per_candidate(row, shift):
     tg = dataclasses.replace(row, delta_plus_1=shift)
-    kernel, evaluate = bellframe._block_coefficients, calib._evaluate
+    kernel, evaluate = bellframe._point_coefficients, calib._evaluate
     calls = {"kernel": 0, "evaluate": 0}
 
     def counting_kernel(x, h):
@@ -992,8 +990,8 @@ def test_solver_runs_the_block_kernel_once_per_candidate(row, shift):
 
     with pytest.MonkeyPatch.context() as m:
         # both names, so a run reached through bellframe counts too
-        m.setattr(bellframe, "_block_coefficients", counting_kernel)
-        m.setattr(calib, "_block_coefficients", counting_kernel)
+        m.setattr(bellframe, "_point_coefficients", counting_kernel)
+        m.setattr(calib, "_point_coefficients", counting_kernel)
         m.setattr(calib, "_evaluate", counting_evaluate)
         try:
             solve_physical(tg)

@@ -35,14 +35,14 @@ def test_every_module_is_scanned():
 
 
 def test_the_solver_tables_are_scanned():
-    # the fixed-gate target blocks, the Pauli signs and the inversion table are shared by every solve
+    # the fixed-gate target blocks and the inversion table are shared by every solve
     scanned = {
         f"{name}.{attr}"
         for name in MODULES
         for attr, value in vars(importlib.import_module(name)).items()
         if any(True for _ in _arrays(value, attr))
     }
-    assert {"bellgate.calib._FIXED_BLOCKS", "bellgate.bellframe._PAULI_SIGNS", "bellgate.calib._INVERSE"} <= scanned
+    assert {"bellgate.calib._FIXED_BLOCKS", "bellgate.calib._INVERSE"} <= scanned
 
 
 @pytest.mark.parametrize("name", MODULES)
