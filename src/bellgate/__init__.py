@@ -50,6 +50,7 @@ _HOMES = {
         "BlockState",
         "FidelityReport",
         "Perturbation",
+        "StateBatch",
         "SweepResult",
         "directional_derivatives",
         "fidelity_exact",

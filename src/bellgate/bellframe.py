@@ -225,6 +225,20 @@ def _point_coefficients(x, h: int) -> tuple[list[list[float]], list[float]]:
     return [c[:4], c[4:]], r
 
 
+def _check_phases(coeffs, norms, t: float) -> None:
+    """NonUnitaryError(inf) unless both blocks' eigenphases t (c0 +- |c|) are finite.
+
+    coeffs and norms are one point's (c, |c|), as the point kernel's
+    lists.  An overflowing eigenphase leaves no propagator, as in
+    expm_hermitian; the one overflow rule of every closed-form reader of
+    a point: _reduced, and through it reduced_params and the solver, and
+    directional_derivatives.
+    """
+    for c, r in zip(coeffs, norms):
+        if not t * (abs(c[0]) + r) < math.inf:
+            raise NonUnitaryError(math.inf)
+
+
 def _sinc(x: np.ndarray) -> np.ndarray:
     """sin(x) / x, and 1 at x = 0."""
     return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
@@ -251,9 +265,10 @@ def _block_maps(t: float, c, r) -> np.ndarray:
     floats (the point kernel's lists).  Computed on floats, with the
     bits of exp(-1j * phase)[:, None] * q * (1.0, -1j, -1j, -1j) over
     the arrays of _rotations: each q component is made complex and both
-    products are full complex products, in that order.  t |c| must not
-    be infinite (math.cos raises on inf); both callers refuse such a
-    point first.
+    products are full complex products, in that order.  The eigenphases
+    must be finite (math.cos raises on an infinite t |c|, and an
+    infinite t c0 leaves NaN); both callers refuse such a point first,
+    through _check_phases.
     """
     out = []
     for (c0, cx, cy, cz), rb in zip(c, r):
@@ -322,14 +337,13 @@ def _reduced(
     """reduced_params at duration t of one coupling row's (c, |c|), as the point kernel's lists of floats.
 
     Each block comes as a plain (delta_plus, delta_minus, b, j) tuple of floats.
-    A block whose eigenphase t (c0 +- |c|) overflows leaves no propagator, as
-    in expm_hermitian: NonUnitaryError(inf), for the solver as for reduced_params.
+    A block whose eigenphase t (c0 +- |c|) overflows leaves no propagator:
+    _check_phases raises NonUnitaryError(inf), for the solver as for reduced_params.
     """
+    _check_phases(coeffs, norms, t)
     tr, sign = _TRANSVERSAL[frame.h], _TRANSVERSAL_SIGN[frame.h]
     out = []
     for block, (c, r) in enumerate(zip(coeffs, norms), start=1):
-        if not t * (abs(c[0]) + r) < math.inf:
-            raise NonUnitaryError(math.inf)
         if r == 0.0:
             dminus, b, j = 0.0, 0.0, 1.0
         else:

@@ -36,7 +36,8 @@ A sweep is therefore a few small products per card and no
 eigendecomposition: one pass of the block kernel gives the block
 coefficients of the six unit axes, the solved point and every displaced
 point, and the variance and the exact overlaps of all states follow as
-(states, 8) x (8, k) products.  The generator map of a point, the two
+(states, 8) x (8, k) products.  The states' Bloch rows depend on no
+card: a StateBatch computes them once, when it is built.  The generator map of a point, the two
 3x3 closed forms above, is a few dozen numbers and is computed on
 Python floats, in the order of the matching numpy expression and with
 the same bits.  The numbers stay in arrays: a
@@ -50,12 +51,20 @@ fidelity_exact keeps the 4x4 propagators as the independent oracle.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bellframe import BLOCK_BASIS, BellFrame, _block_coefficients, _block_maps, _check_frame, _rotations
+from .bellframe import (
+    BLOCK_BASIS,
+    BellFrame,
+    _block_coefficients,
+    _block_maps,
+    _check_frame,
+    _check_phases,
+    _rotations,
+)
 from .calib import PrescriptionCard
 from .checks import RANK_TIE_TOL, STATE_NORM_TOL, ZERO_NORM_TOL, strict_float, strict_int
 from .errors import NonFiniteDerivative
@@ -65,6 +74,7 @@ from .spinlin import _frozen
 __all__ = [
     "PARAM_NAMES",
     "BlockState",
+    "StateBatch",
     "Perturbation",
     "FidelityReport",
     "SweepResult",
@@ -110,6 +120,83 @@ class BlockState:
         if nrm < ZERO_NORM_TOL:
             raise ValueError("cannot normalize a (near-)zero state vector")
         return cls(amplitudes=v / nrm, frame=frame)
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class StateBatch(Sequence):
+    """States of one frame as columns: a read-only sequence of BlockState.
+
+    amplitudes holds the states' (n, 4) frame amplitudes, one state per
+    row, and bloch their (n, 8) block Bloch 4-vectors, both read-only
+    and computed once.  StateBatch(amplitudes, frame) checks every row as
+    BlockState checks one state.  len(batch) is n; batch[k] is row k as a
+    BlockState whose amplitudes are a read-only view of that row, built
+    on the first read and the same object on every later one; batch[a:b]
+    (any slice) is a batch of those rows, views of the same arrays.
+    """
+
+    frame: BellFrame
+    amplitudes: np.ndarray
+    bloch: np.ndarray
+
+    def __init__(self, amplitudes, frame: BellFrame):
+        _check_frame(frame)
+        amps = np.array(amplitudes, dtype=np.complex128)
+        if amps.ndim != 2 or amps.shape[1] != 4:
+            raise ValueError(f"state batch needs (n, 4) amplitudes, got shape {amps.shape}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            nrm = np.linalg.norm(amps, axis=1)
+        # a row whose norm is not finite or not well within the tolerance gets
+        # BlockState's own check, which is the verdict and the message; the
+        # norms of the two differ by a few ulps, far below half the tolerance
+        for row in amps[~(np.abs(nrm - 1.0) <= 0.5 * STATE_NORM_TOL)]:
+            BlockState(row, frame)
+        amps = _frozen(amps)
+        self._set(frame, amps, _frozen(_bloch(amps)), [None] * len(amps))
+
+    def _set(self, frame: BellFrame, amps: np.ndarray, bloch: np.ndarray, states: list) -> None:
+        # the one writer of the fields; _states holds each row's BlockState once it is read
+        for name, value in zip(("frame", "amplitudes", "bloch", "_states"), (frame, amps, bloch, states)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _checked(cls, states: Sequence[BlockState], h: int) -> "StateBatch":
+        """states as one batch, refused unless they live in one frame of axis h.
+
+        A batch is checked once.  Any other sequence is checked state by
+        state, an axis mismatch before a second frame, and its amplitudes
+        are stacked; batch[k] is then states[k] itself.
+        """
+        if isinstance(states, StateBatch):
+            _check_axis(states.frame, h)
+            return states
+        frame = states[0].frame
+        for state in states:
+            _check_axis(state.frame, h)
+            if state.frame is not frame:
+                raise ValueError("sensitivity sweep states must share one frame")
+        amps = _frozen(np.array([state.amplitudes for state in states]))
+        batch = object.__new__(cls)
+        batch._set(frame, amps, _frozen(_bloch(amps)), list(states))
+        return batch
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            batch = object.__new__(StateBatch)
+            batch._set(self.frame, self.amplitudes[k], self.bloch[k], self._states[k])
+            return batch
+        state = self._states[k]
+        if state is None:
+            # row k was checked with the batch; its view needs no second check
+            k = range(len(self._states))[k]
+            state = object.__new__(BlockState)
+            object.__setattr__(state, "amplitudes", self.amplitudes[k])
+            object.__setattr__(state, "frame", self.frame)
+            self._states[k] = state
+        return state
 
 
 @dataclass(frozen=True)
@@ -311,22 +398,24 @@ def directional_derivatives(
 
     Returns ((Ds_1, Ds_2), (s_1, s_2)) as 2x2 matrices, with
     Ds = -i s (g0 + g . sigma) from the closed-form generator along dp.
-    Ds is linear in dp; dp = 0 returns zero matrices.
+    Ds is linear in dp; dp = 0 returns zero matrices.  A point whose
+    block eigenphases overflow has no block maps: NonUnitaryError(inf),
+    as reduced_params raises for it.
     """
     _check_frame(frame)
     if p.h != frame.h:
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
     g, c, r = _generators(p, dp.as_array()[None])
-    s = np.einsum("ba,aij->bij", _block_maps(p.t, c.tolist(), r.tolist()), BLOCK_BASIS)
+    c, r = c.tolist(), r.tolist()
+    _check_phases(c, r, p.t)
+    s = np.einsum("ba,aij->bij", _block_maps(p.t, c, r), BLOCK_BASIS)
     ds = -1j * s @ np.einsum("ba,aij->bij", g[0], BLOCK_BASIS)
     return (ds[0], ds[1]), (s[0], s[1])
 
 
-def _check_state(state: BlockState, p: PhysicalParams) -> None:
-    if state.frame.h != p.h:
-        raise ValueError(
-            f"state frame h={state.frame.h} does not match parameter h={p.h}"
-        )
+def _check_axis(frame: BellFrame, h: int) -> None:
+    if frame.h != h:
+        raise ValueError(f"state frame h={frame.h} does not match parameter h={h}")
 
 
 def _bloch(amps: np.ndarray) -> np.ndarray:
@@ -384,7 +473,7 @@ def fidelity_exact(state: BlockState, p: PhysicalParams, dp: Perturbation) -> fl
     and the sweep are judged against.  The displaced parameters must
     themselves be valid (in particular t + dt >= 0).
     """
-    _check_state(state, p)
+    _check_axis(state.frame, p.h)
     psi = state.frame.change_of_basis @ state.amplitudes
     return float(abs(np.vdot(evolve(p) @ psi, evolve(_displaced(p, dp)) @ psi)) ** 2)
 
@@ -395,7 +484,7 @@ def fidelity_second_order(state: BlockState, p: PhysicalParams, dp: Perturbation
     F^2 = 1 - l^2 Var(G) with Var(G) along the unit direction of dp,
     evaluated at l = |dp| (see _variance).
     """
-    _check_state(state, p)
+    _check_axis(state.frame, p.h)
     d = dp.as_array()
     step = dp.norm
     g = _generators(p, (d / step if step > 0.0 else d)[None])[0]
@@ -407,7 +496,7 @@ def fidelity_second_order(state: BlockState, p: PhysicalParams, dp: Perturbation
 
 
 def sensitivity_sweep(
-    card: PrescriptionCard, states: list[BlockState], grid: Iterable[float]
+    card: PrescriptionCard, states: Sequence[BlockState], grid: Iterable[float]
 ) -> SweepResult:
     """Coordinate-displacement fidelity of a solved card, as columns.
 
@@ -416,14 +505,21 @@ def sensitivity_sweep(
     F^2 and their difference per (state, axis, step), and each state's
     quadratic sensitivity vector, from which rankings are derived.
 
+    The states must all live in one frame of the card's axis.  A
+    StateBatch, as sample_states returns it, is checked once and read as
+    it is; any other sequence is checked state by state and stacked into
+    a batch first, with the same bits in the result.  Its errors come in
+    order: no state, an empty grid, then per state an axis mismatch
+    before a second frame.
+
     The per-card work is shared by all states: one block-kernel pass
     gives the block coefficients of the six unit axes, the solved point
     and every (axis, step) point.  The solved point's generator map, on
     floats, turns the axes' coefficients into the six unit-axis
     generators, and the coefficients of the points give their block
-    maps.  Each state's Bloch vectors meet them in one variance and one
-    overlap product.  The states must all live in one frame.
-    Errors come in the order a step-by-step sweep would meet them: a
+    maps.  The batch's Bloch rows meet them in one variance and one
+    overlap product.  Numerical errors come in the order a step-by-step
+    sweep would meet them: a
     derivative overflow, first axis first; then per axis and step, an
     invalid displaced parameter set, then an overflowing expansion.
     """
@@ -433,11 +529,7 @@ def sensitivity_sweep(
     if not grid:
         raise ValueError("sensitivity sweep needs a nonempty step grid")
     p = card.solved
-    frame = states[0].frame
-    for state in states:
-        _check_state(state, p)
-        if state.frame is not frame:
-            raise ValueError("sensitivity sweep states must share one frame")
+    e = StateBatch._checked(states, p.h).bloch
     steps = np.array(grid)
     shift = np.zeros((6, len(grid), 6))
     shift[_AXIS, :, _AXIS] = steps
@@ -446,7 +538,6 @@ def sensitivity_sweep(
     # one block-kernel pass; rows: the six unit axes, the solved point, then every displaced point
     rows = np.concatenate([_UNIT_AXES, x0[None], moved.reshape(-1, 6)])
     c, r = _block_coefficients(rows[:, 1:], p.h)
-    e = _bloch(np.array([state.amplitudes for state in states]))
     var = _variance(e, _generator_step(p.t, _UNIT_AXES, c[6], r[6], c[:6]))
     f2s = _second_order(var, steps)
     valid = admissible(moved)
@@ -499,10 +590,15 @@ def rank_parameters(card: PrescriptionCard) -> list[tuple[str, float]]:
     return _ranked((0.4 * np.sum(g * g, axis=(1, 2))).tolist())
 
 
-def sample_states(frame: BellFrame, n: int, seed: int) -> list[BlockState]:
-    """n deterministic states uniform on the amplitude sphere: normalized Gaussian rows of default_rng(seed)."""
+def sample_states(frame: BellFrame, n: int, seed: int) -> StateBatch:
+    """n deterministic states uniform on the amplitude sphere, as one StateBatch.
+
+    Row k is z[k, :4] + 1j z[k, 4:] for the Gaussian rows z of
+    default_rng(seed).standard_normal((n, 8)), each normalized; the batch
+    checks all rows at once.
+    """
     if strict_int("n", n) < 1:
         raise ValueError(f"need at least one state, got {n}")
     z = np.random.default_rng(strict_int("seed", seed)).standard_normal((n, 8))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
-    return [BlockState(z[k, :4] + 1j * z[k, 4:], frame) for k in range(n)]
+    return StateBatch(z[:, :4] + 1j * z[:, 4:], frame)

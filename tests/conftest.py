@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import dataclasses
 import importlib.util
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from bellgate import PhysicalParams
+from bellgate import GateId, PhysicalParams, cnot_family, prescription_targets, solve_physical
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -118,3 +119,40 @@ def windings_give_rotations(doc):
         and tg["delta_minus_1"] == 2.0 * m * math.pi
         and tg["delta_minus_2"] == math.pi / 2 + 2.0 * m_prime * math.pi
     )
+
+
+#: drift phases the inversion meets for a published row: the Hadamard relation
+#: (H_q2, H_q1), an invisible axis (the printed S_phi_q1 row) and CNOT windings
+SHIFTED = [
+    (GateId("H_q2"), {}, math.pi),
+    (GateId("H_q1"), {}, 2 * math.pi),
+    (GateId("S_phi_q1", phi=0.5), {"route": "printed"}, 0.5 + math.pi),
+    (GateId("CNOT_12"), {"m": 2, "m_prime": 1}, 5 * math.pi / 4),
+    (GateId("CNOT_21"), {"m": 2, "m_prime": 0}, 5 * math.pi / 4),
+]
+
+
+@st.composite
+def drawn_card(draw):
+    """A card document: a published row, a row with a shifted drift phase, or a family card with m fs <= 100."""
+    kind = draw(st.sampled_from(["published", "shifted", "family"]))
+    if kind == "family":
+        fs = draw(st.floats(0.1, 20.0))
+        m = draw(st.integers(1, int(100.0 / fs)))
+        return cnot_family(GateId(draw(st.sampled_from(["CNOT_12", "CNOT_21"]))), m, fs).to_doc()
+    if kind == "shifted":
+        gate, kw, shift = draw(st.sampled_from(SHIFTED))
+        return solve_physical(dataclasses.replace(prescription_targets(gate, **kw), delta_plus_1=shift)).to_doc()
+    tag = draw(st.sampled_from(["H_q2", "H_q1", "S_phi_q2", "S_phi_q1", "CNOT_12", "CNOT_21"]))
+    kw = {}
+    if tag.startswith("CNOT"):
+        kw = {"m": draw(st.integers(1, 20)), "m_prime": draw(st.integers(0, 20))}
+    elif tag == "S_phi_q1":
+        kw = {"route": draw(st.sampled_from(["printed", "alternate"]))}
+    phi = draw(st.floats(-2 * math.pi, 2 * math.pi)) if tag.startswith("S_phi") else None
+    return solve_physical(prescription_targets(GateId(tag, phi=phi), **kw)).to_doc()
+
+
+def drawn_step(t):
+    """A step of either sign; a negative one leaves the displaced duration t + step nonnegative."""
+    return st.floats(1e-4, 1e-2).flatmap(lambda x: st.sampled_from([x, -x] if x <= t else [x]))

@@ -2,7 +2,8 @@
 
 The bench's sweep workload times ``sensitivity_sweep`` and then counts
 and checks what it returns through ``len()`` and iteration over
-``FidelityReport`` views.  This runs that workload's own ``op``,
+``FidelityReport`` views.  This runs that workload's own ``warmup``,
+which sweeps a one-state slice of the sampled states, and its ``op``,
 ``items`` and ``check`` on every card of its pool, so a change to the
 sweep result that breaks the bench fails here first.  The scan and
 synth workloads get the same treatment: scan on the first 256 of its
@@ -28,6 +29,7 @@ def _workloads(monkeypatch):
 def test_sweep_workload_reads_every_result(monkeypatch, tmp_path):
     wl = _workloads(monkeypatch).Sweep(0, tmp_path)
     assert wl.inputs
+    wl.warmup()
     for card in wl.inputs:
         result = wl.op(card)
         assert wl.items(result) == 64 * 6 * 3

@@ -19,6 +19,7 @@ from bellgate import (
     FidelityReport,
     GateId,
     NonFiniteDerivative,
+    NonUnitaryError,
     Perturbation,
     PhysicalParams,
     SweepResult,
@@ -32,6 +33,7 @@ from bellgate import (
     fidelity_second_order,
     prescription_targets,
     rank_parameters,
+    reduced_params,
     sample_states,
     sensitivity_sweep,
     solve_physical,
@@ -785,6 +787,22 @@ def test_an_overflowing_solved_point_raises_non_finite_derivative(t):
             with pytest.raises(NonFiniteDerivative) as info:
                 call()
         assert info.value.index == 0
+
+
+@pytest.mark.parametrize("h, J", [(1, (1e300, 0.0, 0.0)), (2, (0.0, 1e300, 0.0)), (3, (0.0, 0.0, 1e300))])
+def test_an_overflowing_eigenphase_has_no_directional_derivatives(h, J):
+    # J_h is each frame's c0 alone, so |c| = 0 and every generator is
+    # finite, but t c0 overflows: the point has no block maps, and
+    # directional_derivatives raises what reduced_params raises for it
+    # instead of returning NaN matrices
+    p = PhysicalParams(t=1e10, J=J, B1=0.0, B2=0.0, h=h)
+    frame = bell_frame(h)
+    with pytest.raises(NonUnitaryError) as want:
+        reduced_params(p, frame)
+    for axis in range(6):
+        with pytest.raises(NonUnitaryError) as info:
+            directional_derivatives(p, Perturbation.axis(axis, 1.0), frame)
+        assert str(info.value) == str(want.value)
 
 
 def test_sweep_result_rows_and_reports_follow_the_columns():

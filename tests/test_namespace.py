@@ -30,7 +30,7 @@ PUBLIC = {
     "checks": ["ACCEPT_TOL", "STRUCTURAL_TOL"],
     "errors": ["BellgateError", "NonFiniteDerivative", "NonHermitianError", "NonUnitaryError", "SolverFailure"],
     "fidelity": [
-        "PARAM_NAMES", "BlockState", "FidelityReport", "Perturbation", "SweepResult",
+        "PARAM_NAMES", "BlockState", "FidelityReport", "Perturbation", "StateBatch", "SweepResult",
         "directional_derivatives", "fidelity_exact", "fidelity_second_order", "rank_parameters",
         "sample_states", "sensitivity_sweep",
     ],

@@ -25,11 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellgate import GateId, calib, cnot_family, prescription_targets, solve_physical
+from bellgate import GateId, calib, cnot_family
 from bellgate.cli import main
 from bellgate.jsonio import dumps
 
-from conftest import FRAME_ORDER, bench_module
+from conftest import FRAME_ORDER, bench_module, drawn_card, drawn_step
 
 oracle = bench_module("oracle")
 workloads = bench_module("workloads")
@@ -140,50 +140,13 @@ def _check_sweep(card_file, states, seed, steps):
         assert np.abs(np.asarray(grad) - coef).max() <= workloads.GRADIENT_TOL * np.abs(coef).max()
 
 
-#: drift phases the inversion meets for a published row: the Hadamard relation
-#: (H_q2, H_q1), an invisible axis (the printed S_phi_q1 row) and CNOT windings
-SHIFTED = [
-    (GateId("H_q2"), {}, math.pi),
-    (GateId("H_q1"), {}, 2 * math.pi),
-    (GateId("S_phi_q1", phi=0.5), {"route": "printed"}, 0.5 + math.pi),
-    (GateId("CNOT_12"), {"m": 2, "m_prime": 1}, 5 * math.pi / 4),
-    (GateId("CNOT_21"), {"m": 2, "m_prime": 0}, 5 * math.pi / 4),
-]
-
-
-@st.composite
-def _drawn_card(draw):
-    """A card document: a published row, a row with a shifted drift phase, or a family card with m fs <= 100."""
-    kind = draw(st.sampled_from(["published", "shifted", "family"]))
-    if kind == "family":
-        fs = draw(st.floats(0.1, 20.0))
-        m = draw(st.integers(1, int(100.0 / fs)))
-        return cnot_family(GateId(draw(st.sampled_from(["CNOT_12", "CNOT_21"]))), m, fs).to_doc()
-    if kind == "shifted":
-        gate, kw, shift = draw(st.sampled_from(SHIFTED))
-        return solve_physical(dataclasses.replace(prescription_targets(gate, **kw), delta_plus_1=shift)).to_doc()
-    tag = draw(st.sampled_from(["H_q2", "H_q1", "S_phi_q2", "S_phi_q1", "CNOT_12", "CNOT_21"]))
-    kw = {}
-    if tag.startswith("CNOT"):
-        kw = {"m": draw(st.integers(1, 20)), "m_prime": draw(st.integers(0, 20))}
-    elif tag == "S_phi_q1":
-        kw = {"route": draw(st.sampled_from(["printed", "alternate"]))}
-    phi = draw(st.floats(-2 * math.pi, 2 * math.pi)) if tag.startswith("S_phi") else None
-    return solve_physical(prescription_targets(GateId(tag, phi=phi), **kw)).to_doc()
-
-
-def _steps(t):
-    """A step of either sign; a negative one leaves the displaced duration t + step nonnegative."""
-    return st.floats(1e-4, 1e-2).flatmap(lambda x: st.sampled_from([x, -x] if x <= t else [x]))
-
-
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_a_drawn_sweep_holds_the_oracle_numbers(tmp_path_factory, data):
-    doc = data.draw(_drawn_card())
+    doc = data.draw(drawn_card())
     card_file = tmp_path_factory.getbasetemp() / "drawn-sweep-card.json"
     card_file.write_text(dumps(doc))
     states = str(data.draw(st.integers(1, 4)))
     seed = str(data.draw(st.integers(0, 2**32 - 1)))
-    steps = ",".join(map(repr, data.draw(st.lists(_steps(doc["solved"]["t"]), min_size=1, max_size=3))))
+    steps = ",".join(map(repr, data.draw(st.lists(drawn_step(doc["solved"]["t"]), min_size=1, max_size=3))))
     _check_sweep(card_file, states, seed, steps)
