@@ -11,7 +11,13 @@ and quantifies fidelity under parameter perturbations.
 The package namespace is lazy: a public name, or a layer module named
 as an attribute, loads its module on first read, so "import bellgate"
 costs neither numpy nor any layer, and each command of the command
-line loads only the layers it runs.
+line loads only the layers it runs.  The modules are split by what they
+import: params (PhysicalParams), gateid (GateId and the gate tags),
+pointkernel (the frame literals and the point kernel), calib (the
+solver), checks, errors and jsonio load no numpy, so the synth command
+and "from bellgate import GateId, solve_physical" run without it; the
+other layers are numpy's, and model, gates and bellframe re-export
+PhysicalParams, GateId with the tags, and LABELS.
 """
 
 __version__ = "0.1.0"
@@ -19,7 +25,6 @@ __version__ = "0.1.0"
 #: every public name of the package, under the module that defines it
 _HOMES = {
     "bellframe": (
-        "LABELS",
         "BellFrame",
         "ReducedBlockParams",
         "bell_change_of_basis",
@@ -59,11 +64,9 @@ _HOMES = {
         "sample_states",
         "sensitivity_sweep",
     ),
+    "gateid": ("B_TAGS", "D_TAGS", "GateId"),
     "gates": (
-        "B_TAGS",
-        "D_TAGS",
         "Circuit",
-        "GateId",
         "OpaqueGate",
         "compile_circuit",
         "d_gate",
@@ -71,7 +74,9 @@ _HOMES = {
         "translator",
     ),
     "jsonio": (),
-    "model": ("PhysicalParams", "assemble_hamiltonian", "build_hamiltonian", "evolve"),
+    "model": ("assemble_hamiltonian", "build_hamiltonian", "evolve"),
+    "params": ("PhysicalParams",),
+    "pointkernel": ("LABELS",),
     "spinlin": ("dist_phase_invariant", "dist_unitary", "expm_hermitian", "pauli"),
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}

@@ -11,16 +11,18 @@ conventions, into a BellFrame.
 
 Each block restriction of H is c0*1 + c . sigma, linear in the
 couplings (J1, J2, J3, B1, B2).  BLOCK_COEFFS[h] holds that map as a
-2x4x5 matrix (block, (c0, cx, cy, cz), coupling), projected once from
-the model's generator table; every entry is 0 or +-1.  One table has
-two evaluators, selected by input shape: the block kernel
-_block_coefficients applies it to a stack of coupling rows (the
-fidelity sweep and its generators), and the point kernel
-_point_coefficients to one row on Python floats (reduced_params and
-the solver's evaluation of a candidate), as signed sums read off the
-same table.  Both return |c| too, with the same bits, which a bit
-oracle in the tests holds; a block is degenerate exactly where |c| = 0.
-Each block propagator has the closed form
+2x4x5 matrix (block, (c0, cx, cy, cz), coupling); every entry is 0 or
++-1.  The frame orders, the signs and the map itself are literals of
+pointkernel, which loads no numpy, and this module builds its arrays
+from them; the tests hold each one to its projection of the model's
+generator table.  One map has two evaluators, selected by input shape:
+the block kernel _block_coefficients applies BLOCK_COEFFS to a stack
+of coupling rows (the fidelity sweep and its generators), and the
+point kernel _point_coefficients reads one row on Python floats
+(reduced_params and the solver's evaluation of a candidate) through
+the signed terms of the same map.  Both return |c| too, with the same
+bits, which a bit oracle in the tests holds; a block is degenerate
+exactly where |c| = 0.  Each block propagator has the closed form
 
     s = exp(i dplus) (cos(dminus) 1 - i sin(dminus) n . sigma)
 
@@ -32,16 +34,13 @@ q are fixed per block from the frame's row positions.
 
 from __future__ import annotations
 
-import cmath
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .checks import UNIT_CIRCLE_TOL, strict_int
-from .errors import NonUnitaryError
-from .model import GENERATORS, PhysicalParams
+from .params import PhysicalParams
+from .pointkernel import _FRAME_ORDER, _POINT_TERMS, _SIGNS, LABELS, _axis, _point_coefficients, _reduced
 from .spinlin import _frozen, pauli
 
 __all__ = [
@@ -56,17 +55,6 @@ __all__ = [
     "block_axis",
     "closed_form_block",
 ]
-
-LABELS = ("b00", "b01", "b10", "b11")
-
-# the transversal direction (sin(h pi/2), cos(h pi/2)) of each axis is (1, 0),
-# (0, -1) or (-1, 0): the index of its coefficient in (c0, cx, cy, cz), and its sign
-_TRANSVERSAL = {1: 1, 2: 2, 3: 1}
-_TRANSVERSAL_SIGN = {1: 1.0, 2: -1.0, 3: -1.0}
-
-# canonical label index at each frame position; block 1 holds b00
-_FRAME_ORDER = {1: (0, 1, 2, 3), 2: (0, 3, 1, 2), 3: (0, 2, 1, 3)}
-
 
 # column 2i + j is |b_ij> = (|0,j> + (-1)^i |1, 1 xor j>) / sqrt(2); read-only
 _BELL_BASIS = _frozen(
@@ -129,10 +117,7 @@ def _make_frame(h: int) -> BellFrame:
         (LABELS[order[0]], LABELS[order[1]]),
         (LABELS[order[2]], LABELS[order[3]]),
     )
-    alpha = tuple((-1) ** (h + j + 1) for j in (1, 2))
-    # block j holds the adjacent rows (k, l) = (2j - 1, 2j), so l - k = 1
-    beta = tuple((-1) ** (j * (h + 1 + 1)) for j in (1, 2))
-    q = tuple(beta[j - 1] * (-1) ** (h + 1) for j in (1, 2))
+    alpha, beta, q = _SIGNS[h]
     return BellFrame(
         h=h,
         pairing=pairing,
@@ -150,27 +135,22 @@ def _make_frame(h: int) -> BellFrame:
 BLOCK_BASIS = _frozen(np.stack([np.eye(2), pauli(1), pauli(2), pauli(3)]))
 
 
-def _block_coordinates(m: np.ndarray) -> np.ndarray:
-    """Pauli coordinates (w0, wx, wy, wz) = tr(s_a m_k) / 2 of the diagonal blocks m_k of frame-order 4x4 m, shape (2, 4, ...)."""
-    # reshaped, m[..., k, :, k, :] is block k; C order keeps BLOCK_COEFFS contiguous, so _COEFF_MAP is a view
-    return np.einsum("aij,...kjki->ka...", BLOCK_BASIS, m.reshape(*m.shape[:-2], 2, 2, 2, 2), order="C") / 2.0
-
-
-def _projected_coefficients(frame: BellFrame) -> np.ndarray:
-    # the block coordinates of every generator in frame coordinates, as
-    # (block, coordinate, coupling); rint removes the 1/sqrt(2) rounding
-    # noise and + 0.0 turns its -0.0 into +0.0
-    c = frame.change_of_basis
-    w = c.conj().T @ GENERATORS[frame.h] @ c
-    return _frozen(np.rint(_block_coordinates(w).real) + 0.0)
+def _coefficient_table(terms) -> np.ndarray:
+    """The point kernel's signed terms of one axis as the (2, 4, 5) array (block, coordinate, coupling); read-only."""
+    # column 5 collects the missing terms' reads of the appended zero and is dropped
+    m = np.zeros((8, 6))
+    for row, (i, s, k, u) in zip(m, terms):
+        row[i] += s
+        row[k] += u
+    return _frozen(np.ascontiguousarray(m[:, :5]).reshape(2, 4, 5))
 
 
 _FRAMES = {h: _make_frame(h) for h in _FRAME_ORDER}
 
 # (c0, cx, cy, cz) of each block as a linear map of (J1, J2, J3, B1, B2)
-BLOCK_COEFFS = {h: _projected_coefficients(fr) for h, fr in _FRAMES.items()}
+BLOCK_COEFFS = {h: _coefficient_table(terms) for h, terms in _POINT_TERMS.items()}
 
-# BLOCK_COEFFS[h] as one (5, 8) map from (J1, J2, J3, B1, B2) to (c0, cx, cy, cz) of both blocks
+# BLOCK_COEFFS[h] as one (5, 8) map from (J1, J2, J3, B1, B2) to (c0, cx, cy, cz) of both blocks; a read-only view
 _COEFF_MAP = {h: c.reshape(8, 5).T for h, c in BLOCK_COEFFS.items()}
 
 
@@ -186,57 +166,6 @@ def _block_coefficients(x: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore", invalid="ignore"):
         c = (x @ _COEFF_MAP[h]).reshape(x.shape[:-1] + (2, 4))
         return c, np.hypot(np.hypot(c[..., 1], c[..., 2]), c[..., 3])
-
-
-def _point_terms(coeff_map: np.ndarray) -> tuple[tuple[int, float, int, float], ...]:
-    """Each of the 8 coordinates of a (5, 8) coupling map as (i, s, k, u), the coordinate being s x_i + u x_k.
-
-    Every entry of the map is 0 or +-1, at most two of them nonzero per
-    coordinate (unpacking refuses a third); a missing term reads the
-    zero that the point kernel appends to the couplings as x_5.
-    """
-    terms = []
-    for column in coeff_map.T.tolist():
-        nonzero = [(i, s) for i, s in enumerate(column) if s != 0.0]
-        (i, s), (k, u) = nonzero + [(5, 1.0)] * (2 - len(nonzero))
-        terms.append((i, s, k, u))
-    return tuple(terms)
-
-
-#: _COEFF_MAP[h] as the signed terms of each block coordinate, for the point kernel
-_POINT_TERMS = {h: _point_terms(m) for h, m in _COEFF_MAP.items()}
-
-
-def _point_coefficients(x, h: int) -> tuple[list[list[float]], list[float]]:
-    """_block_coefficients of one coupling row x = (J1, J2, J3, B1, B2), on Python floats.
-
-    Returns ([c of block 1, c of block 2], |c|) as lists, each c as
-    (c0, cx, cy, cz), with the bits of the stacked kernel's row.  A
-    coordinate is a signed sum of at most two couplings, exact up to one
-    rounding in any order; + 0.0 turns a -0.0 into the +0.0 that the
-    matrix product's zero start leaves.  |c| is numpy's nested hypot
-    (math.hypot rounds differently), over both blocks at once; an
-    overflowing |c| comes out inf without a warning.
-    """
-    x = (*x, 0.0)
-    c = [s * x[i] + u * x[k] + 0.0 for i, s, k, u in _POINT_TERMS[h]]
-    with np.errstate(over="ignore"):
-        r = np.hypot(np.hypot(c[1::4], c[2::4]), c[3::4]).tolist()
-    return [c[:4], c[4:]], r
-
-
-def _check_phases(coeffs, norms, t: float) -> None:
-    """NonUnitaryError(inf) unless both blocks' eigenphases t (c0 +- |c|) are finite.
-
-    coeffs and norms are one point's (c, |c|), as the point kernel's
-    lists.  An overflowing eigenphase leaves no propagator, as in
-    expm_hermitian; the one overflow rule of every closed-form reader of
-    a point: _reduced, and through it reduced_params and the solver, and
-    directional_derivatives.
-    """
-    for c, r in zip(coeffs, norms):
-        if not t * (abs(c[0]) + r) < math.inf:
-            raise NonUnitaryError(math.inf)
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
@@ -256,29 +185,6 @@ def _rotations(t, c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     q[..., 0] = np.cos(x)
     q[..., 1:] = (t * _sinc(x))[..., None] * c[..., 1:]
     return t * c[..., 0], q
-
-
-def _block_maps(t: float, c, r) -> np.ndarray:
-    """The block maps of _rotations at one point in Pauli coordinates, exp(-i phase) q (1, -i, -i, -i), shape (2, 4).
-
-    c holds both blocks' (c0, cx, cy, cz) and r their |c|, as Python
-    floats (the point kernel's lists).  Computed on floats, with the
-    bits of exp(-1j * phase)[:, None] * q * (1.0, -1j, -1j, -1j) over
-    the arrays of _rotations: each q component is made complex and both
-    products are full complex products, in that order.  The eigenphases
-    must be finite (math.cos raises on an infinite t |c|, and an
-    infinite t c0 leaves NaN); both callers refuse such a point first,
-    through _check_phases.
-    """
-    out = []
-    for (c0, cx, cy, cz), rb in zip(c, r):
-        x = t * rb
-        tsinc = t * (math.sin(x) / x if x != 0.0 else 1.0)
-        e = cmath.exp(-1j * (t * c0))
-        # -1j is complex(-0.0, -1.0), as numpy stores the same literal
-        out += (e * complex(math.cos(x)) * (1.0 + 0j), e * complex(tsinc * cx) * -1j,
-                e * complex(tsinc * cy) * -1j, e * complex(tsinc * cz) * -1j)
-    return np.array(out).reshape(2, 4)
 
 
 def bell_frame(h: int) -> BellFrame:
@@ -327,38 +233,8 @@ def reduced_params(p: PhysicalParams, frame: BellFrame) -> tuple[ReducedBlockPar
     _check_frame(frame)
     if p.h != frame.h:
         raise ValueError(f"parameter axis h={p.h} does not match frame axis h={frame.h}")
-    rp1, rp2 = _reduced(*_point_coefficients((*p.J, p.B1, p.B2), frame.h), p.t, frame)
+    rp1, rp2 = _reduced(*_point_coefficients((*p.J, p.B1, p.B2), frame.h), p.t, frame.h)
     return ReducedBlockParams(1, *rp1), ReducedBlockParams(2, *rp2)
-
-
-def _reduced(
-    coeffs, norms, t: float, frame: BellFrame
-) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
-    """reduced_params at duration t of one coupling row's (c, |c|), as the point kernel's lists of floats.
-
-    Each block comes as a plain (delta_plus, delta_minus, b, j) tuple of floats.
-    A block whose eigenphase t (c0 +- |c|) overflows leaves no propagator:
-    _check_phases raises NonUnitaryError(inf), for the solver as for reduced_params.
-    """
-    _check_phases(coeffs, norms, t)
-    tr, sign = _TRANSVERSAL[frame.h], _TRANSVERSAL_SIGN[frame.h]
-    out = []
-    for block, (c, r) in enumerate(zip(coeffs, norms), start=1):
-        if r == 0.0:
-            dminus, b, j = 0.0, 0.0, 1.0
-        else:
-            dminus = r * t
-            nt, nz = c[tr] / r, c[3] / r
-            if r < sys.float_info.min:
-                # a subnormal |c| keeps too few digits to divide by; the axis has
-                # no third component, so its two weights renormalize it
-                s = math.hypot(nt, nz)
-                nt, nz = nt / s, nz / s
-            # + 0.0, here and on delta_plus, turns a vanishing term's -0.0 into +0.0
-            j = frame.beta[block - 1] * nz + 0.0
-            b = frame.q[block - 1] * sign * nt + 0.0
-        out.append((-c[0] * t + 0.0, dminus, b, j))
-    return out[0], out[1]
 
 
 def block_axis(b: float, j: float, frame: BellFrame, block: int) -> tuple[float, float, float]:
@@ -367,9 +243,7 @@ def block_axis(b: float, j: float, frame: BellFrame, block: int) -> tuple[float,
     The inverse of the (b, j) read-out in reduced_params; a unit vector
     whenever b^2 + j^2 = 1.
     """
-    n = [0.0, 0.0, frame.beta[block - 1] * j]
-    n[_TRANSVERSAL[frame.h] - 1] = frame.q[block - 1] * _TRANSVERSAL_SIGN[frame.h] * b
-    return tuple(n)
+    return _axis(b, j, frame.h, block)
 
 
 def closed_form_block(rp: ReducedBlockParams, frame: BellFrame) -> np.ndarray:

@@ -44,13 +44,17 @@ t = 1 a target row fixes these coordinates up to a finite choice:
   where that block is a multiple of the identity so that no axis is
   visible, the axis of the shortest pulse (closed form).
 
-The inverse of that 5x5 map is a fixed table, so one product takes
-every choice's block coordinates to its couplings x, and max|x| is the
-choice's canonical duration.  Candidates are tried shortest first, ties
-in enumeration order (phase sign +1 first, then block 1's axis choices,
-then block 2's, the positive sign of a free weight first), and each
-one is checked against the row with one run of the point kernel, the
-block coordinates of its one coupling row on Python floats.
+The inverse of that 5x5 map is a fixed table with at most two
+entries per row, so each choice's couplings x are signed two-term sums
+of its block coordinates, and max|x| is the choice's canonical
+duration.  Candidates are tried shortest first, ties in enumeration
+order (phase sign +1 first, then block 1's axis choices, then block
+2's, the positive sign of a free weight first), and each one is checked
+against the row with one run of the point kernel, the block
+coordinates of its one coupling row.  The solver runs on Python floats
+end to end and loads no numpy: its tables are literals, and it reads
+gates and frames through the numpy-free modules gateid and
+pointkernel.
 
 Gauge convention: a solved card is normalized so the largest coupling
 magnitude is 1 and the duration carries the overall scale.  Family
@@ -71,10 +75,6 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from .bellframe import _TRANSVERSAL, BLOCK_COEFFS, _block_coordinates, _block_maps, _point_coefficients, _reduced
-from .bellframe import _FRAME_ORDER, bell_frame, block_axis
 from .checks import (
     ACCEPT_TOL,
     INVISIBLE_AXIS_TOL,
@@ -88,10 +88,10 @@ from .checks import (
     strict_reals,
 )
 from .errors import NonUnitaryError, SolverFailure
-from .gates import _PHASE_DIAGONAL, GateId, d_gate
+from .gateid import _PHASE_DIAGONAL, GateId
 from .jsonio import fields
-from .model import PhysicalParams
-from .spinlin import _frozen
+from .params import PhysicalParams
+from .pointkernel import _FRAME_ORDER, _SIGNS, _TRANSVERSAL, _axis, _block_maps, _point_coefficients, _reduced
 
 __all__ = [
     "FAMILY_EXCHANGE",
@@ -318,7 +318,7 @@ def _published_row(
     if tag == "S_phi_q2" or route == "alternate":
         # the phase is both blocks' rotation, one exchange coupling drives it
         h = 1 if tag == "S_phi_q2" else 3
-        beta = bell_frame(h).beta
+        beta = _SIGNS[h][1]
         pc = _canonical_phase(g.phi)
         row = _Row(
             gate=g,
@@ -394,31 +394,48 @@ def _check_feasible(tg: PrescriptionTargets) -> None:
         raise ValueError("infeasible targets: b fixed by value and by relation at once")
 
 
-#: frame blocks of each gate without a phase angle, on every axis, from its frame-order matrix; read-only
+#: Pauli coordinates (w0, wx, wy, wz) of both frame blocks of each gate without a phase
+#: angle, on every axis: the projection of the gate's frame-order matrix, which the
+#: tests recompute.  Every coordinate is real.
 _FIXED_BLOCKS = {
-    (tag, h): _frozen(_block_coordinates(d_gate(GateId(tag))[np.ix_(o, o)]))
-    for tag in ("H_q2", "H_q1") + _CNOT_TAGS for h, o in _FRAME_ORDER.items()
+    key: tuple(tuple(complex(v) for v in block) for block in blocks)
+    for key, blocks in {
+        ("H_q2", 1): ((0.0, _HADAMARD_WEIGHT, 0.0, _HADAMARD_WEIGHT), (0.0, _HADAMARD_WEIGHT, 0.0, _HADAMARD_WEIGHT)),
+        ("H_q2", 2): ((0.0, 0.0, 0.0, _HADAMARD_WEIGHT), (0.0, 0.0, 0.0, -_HADAMARD_WEIGHT)),
+        ("H_q2", 3): ((_HADAMARD_WEIGHT, 0.0, 0.0, 0.0), (-_HADAMARD_WEIGHT, 0.0, 0.0, 0.0)),
+        ("H_q1", 1): ((_HADAMARD_WEIGHT, 0.0, 0.0, 0.0), (-_HADAMARD_WEIGHT, 0.0, 0.0, 0.0)),
+        ("H_q1", 2): ((0.0, 0.0, 0.0, _HADAMARD_WEIGHT), (0.0, 0.0, 0.0, _HADAMARD_WEIGHT)),
+        ("H_q1", 3): ((0.0, _HADAMARD_WEIGHT, 0.0, _HADAMARD_WEIGHT), (0.0, _HADAMARD_WEIGHT, 0.0, _HADAMARD_WEIGHT)),
+        ("CNOT_12", 1): ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)),
+        ("CNOT_12", 2): ((0.5, 0.0, 0.0, 0.5), (0.5, 0.0, 0.0, 0.5)),
+        ("CNOT_12", 3): ((0.5, 0.0, 0.0, 0.5), (0.5, 0.0, 0.0, 0.5)),
+        ("CNOT_21", 1): ((0.5, 0.0, 0.0, 0.5), (0.5, 0.0, 0.0, 0.5)),
+        ("CNOT_21", 2): ((0.5, 0.0, 0.0, 0.5), (0.5, 0.0, 0.0, -0.5)),
+        ("CNOT_21", 3): ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0)),
+    }.items()
 }
 
 
-def _target_blocks(tg: PrescriptionTargets) -> np.ndarray:
-    """Pauli coordinates (w0, wx, wy, wz) of both frame blocks of tg's gate, shape (2, 4).
+def _target_blocks(tg: PrescriptionTargets) -> tuple[tuple[complex, ...], tuple[complex, ...]]:
+    """Pauli coordinates (w0, wx, wy, wz) of both frame blocks of tg's gate, as two tuples of complex.
 
-    A gate without a phase angle reads them from a read-only table built
-    at import.  A phase gate is diagonal: block k holds the entries e_u,
-    e_v of its two frame slots, each one of e^{-+i phi} as the gate's
-    diagonal pattern places it, and is ((e_u + e_v) / 2, 0, 0,
-    (e_u - e_v) / 2).  Adding 0j turns a signed zero into +0, as the
-    einsum's +0 start does, so these keep _block_coordinates' bits.
+    A gate without a phase angle reads them from the literal table
+    _FIXED_BLOCKS.  A phase gate is diagonal: block k holds the entries
+    e_u, e_v of its two frame slots, each one of e^{-+i phi} as the
+    gate's diagonal pattern places it, and is ((e_u + e_v) / 2, 0, 0,
+    (e_u - e_v) / 2).  cmath.exp gives the bits of the np.exp that
+    d_gate calls, and adding 0j turns a signed zero into +0, as the
+    projection's +0 start does, so these keep the bits of the gate
+    matrix's projection.
     """
     w = _FIXED_BLOCKS.get((tg.gate.tag, tg.h))
     if w is not None:
         return w
     diagonal = _PHASE_DIAGONAL[tg.gate.tag]
-    # the gate's entries, by the same calls as d_gate, in frame order
-    e = (complex(np.exp(-1j * tg.gate.phi)), complex(np.exp(1j * tg.gate.phi)))
+    # the gate's entries, in frame order
+    e = (cmath.exp(-1j * tg.gate.phi), cmath.exp(1j * tg.gate.phi))
     u = [e[diagonal[i]] for i in _FRAME_ORDER[tg.h]]
-    return np.array([(0j + (eu + ev) / 2, 0j, 0j, 0j + (eu - ev) / 2) for eu, ev in (u[:2], u[2:])])
+    return tuple((0j + (eu + ev) / 2, 0j, 0j, 0j + (eu - ev) / 2) for eu, ev in (u[:2], u[2:]))
 
 
 def _circ(x: float) -> float:
@@ -450,20 +467,41 @@ class _Evaluation(NamedTuple):
     b_abs: float
 
 
-def _evaluate(tg: PrescriptionTargets, p: PhysicalParams, w: np.ndarray) -> _Evaluation:
+def _block_distance(s, w) -> float:
+    """||e^{i theta} s - w||^2 / 4 over the Pauli coordinates of both blocks, theta = arg (s . w).
+
+    s and w hold both blocks' four complex coordinates, as _block_maps
+    and _target_blocks give them.  Both sums are fixed-order float sums:
+    they run left to right from zero over the eight coordinates, block
+    1's (1, x, y, z) and then block 2's.  s . w adds conj(s_k) w_k, the
+    distance adds re^2 + im^2 of each e^{i theta} s_k - w_k.
+    """
+    z = 0j
+    for sb, wb in zip(s, w):
+        for a, b in zip(sb, wb):
+            z += a.conjugate() * b
+    # the phase by atan2: a subnormal s . w must neither be divided by nor underflow
+    rot = cmath.rect(1.0, math.atan2(z.imag, z.real))
+    err = 0.0
+    for sb, wb in zip(s, w):
+        for a, b in zip(sb, wb):
+            d = rot * a - b
+            err += d.real * d.real + d.imag * d.imag
+    return err / 4.0
+
+
+def _evaluate(tg: PrescriptionTargets, p: PhysicalParams, w) -> _Evaluation:
     """The residuals, phase branch and realized gate error of p against tg, as one record.
 
     The realized error ||e^{i theta} u - w||_F^2 / 8 of the frame
     propagator u is a sum over its block maps s_k and the target blocks
     w_k (_target_blocks), 2 |e^{i theta} s_k - w_k|^2 each in Pauli
-    coordinates, theta = arg (s . w).  The point kernel runs once, on
-    Python floats; the reduced parameters and the float block maps both
-    read its coefficients.  The two vdots stay on numpy: their reduction
-    order sets the last bit of the realized error.
+    coordinates, theta = arg (s . w) (_block_distance).  The point
+    kernel runs once; the reduced parameters and the block maps both
+    read its coefficients, and all of it is Python floats.
     """
-    frame = bell_frame(tg.h)
     c, norms = _point_coefficients((*p.J, p.B1, p.B2), tg.h)
-    (dplus1, dminus1, b1, j1), (_, dminus2, b2, j2) = _reduced(c, norms, p.t, frame)
+    (dplus1, dminus1, b1, j1), (_, dminus2, b2, j2) = _reduced(c, norms, p.t, tg.h)
     d_pos = _circ(dplus1 - tg.delta_plus_1)
     d_neg = _circ(dplus1 + tg.delta_plus_1)
     res = {
@@ -477,17 +515,13 @@ def _evaluate(tg: PrescriptionTargets, p: PhysicalParams, w: np.ndarray) -> _Eva
         res["b_1"], res["b_2"] = abs(b1 - tg.b_targets[0]), abs(b2 - tg.b_targets[1])
     elif tg.b_relation_sign is not None:
         r = float(tg.b_relation_sign)
-        res["b_1"] = abs(b1 - r * frame.q[0] * frame.beta[0] * j1)
-        res["b_2"] = abs(b2 - r * frame.q[1] * frame.beta[1] * j2)
-    s = _block_maps(p.t, c, norms)
-    # the phase of s . w by atan2: a subnormal s . w must neither be divided by nor underflow
-    z = np.vdot(s, w)
-    d = cmath.rect(1.0, math.atan2(z.imag, z.real)) * s - w
-    err = np.vdot(d, d).real / 4.0
+        _, beta, q = _SIGNS[tg.h]
+        res["b_1"] = abs(b1 - r * q[0] * beta[0] * j1)
+        res["b_2"] = abs(b2 - r * q[1] * beta[1] * j2)
     return _Evaluation(
         residuals={name: float(v) for name, v in res.items()},
         phase_branch=1 if d_pos <= d_neg else -1,
-        realized_error=float(err),
+        realized_error=_block_distance(_block_maps(p.t, c, norms), w),
         branch_margin=abs(d_pos - d_neg),
         b_abs=abs(b1),
     )
@@ -511,26 +545,24 @@ def _closed_form(tg: PrescriptionTargets) -> PhysicalParams | None:
     return controls() if _fields_of(tg) == row else None
 
 
-def _inverse(h: int) -> np.ndarray:
-    # rows: c0 of block 1, then the transversal and longitudinal component
-    # of each block.  Block 2's c0 is minus block 1's and the other
-    # transversal component vanishes, so these five fix both restrictions.
-    tr = _TRANSVERSAL[h]
-    m = BLOCK_COEFFS[h][[0, 0, 0, 1, 1], [0, tr, 3, tr, 3]]
-    # each coupling pair enters one block as a sum and the other as a
-    # difference, so the 0/+-1 columns are orthogonal and the inverse is the
-    # transpose over the squared column norms, exact in floating point
-    inv = m.T / (m * m).sum(axis=0)[:, None] + 0.0
-    inv.flags.writeable = False
-    return inv
-
-
-#: couplings (J1, J2, J3, B1, B2) at t = 1 from the five block coordinates
-_INVERSE = {h: _inverse(h) for h in BLOCK_COEFFS}
+#: couplings (J1, J2, J3, B1, B2) at t = 1 from the five block coordinates y: c0 of
+#: block 1, then the transversal and the longitudinal component of each block.
+#: Block 2's c0 is minus block 1's and its other transversal component vanishes, so
+#: these five fix both restrictions.  Each coupling pair enters one block as a sum
+#: and the other as a difference, so the 0/+-1 columns of the forward map are
+#: orthogonal and its inverse, the transpose over the squared column norms, is
+#: exact, with at most two nonzero entries per row.  Coupling i is listed as
+#: (j, a, k, b), the coupling being a y_j + b y_k; a missing term reads y_5, a
+#: zero.  The tests recompute the inverse from BLOCK_COEFFS.
+_INVERSE = {
+    1: ((0, 1.0, 5, 1.0), (2, -0.5, 4, 0.5), (2, 0.5, 4, 0.5), (1, -0.5, 3, 0.5), (1, -0.5, 3, -0.5)),
+    2: ((2, 0.5, 4, 0.5), (0, -1.0, 5, 1.0), (2, 0.5, 4, -0.5), (1, 0.5, 3, 0.5), (1, -0.5, 3, 0.5)),
+    3: ((2, 0.5, 4, 0.5), (2, -0.5, 4, 0.5), (0, 1.0, 5, 1.0), (1, -0.5, 3, -0.5), (1, -0.5, 3, 0.5)),
+}
 
 
 def _axis_choices(
-    tg: PrescriptionTargets, block: int, w: np.ndarray
+    tg: PrescriptionTargets, block: int, w: tuple[complex, ...]
 ) -> list[tuple[float, ...]] | None:
     """Rotation axes the row allows for one block, in tie-break order.
 
@@ -541,12 +573,12 @@ def _axis_choices(
     None marks the case where w is a multiple of the identity, so that no
     axis is visible and the caller picks one by pulse length.
     """
-    frame = bell_frame(tg.h)
+    _, beta, q = _SIGNS[tg.h]
     k = block - 1
     j = None if tg.j_targets is None else tg.j_targets[k]
     b = None if tg.b_targets is None else tg.b_targets[k]
     if tg.b_relation_sign is not None:
-        rel = tg.b_relation_sign * frame.q[k] * frame.beta[k]
+        rel = tg.b_relation_sign * q[k] * beta[k]
         js = [j] if j is not None else [_HADAMARD_WEIGHT, -_HADAMARD_WEIGHT]
         pairs = [(rel * jv, jv) for jv in js]
     elif j is not None and b is not None:
@@ -561,15 +593,17 @@ def _axis_choices(
         # w = e^{i theta} (cos a - i sin a n . sigma): the Pauli components
         # of w are one complex phase times the real vector sin(a) n
         a = w[1:]
-        top = int(np.argmax(np.abs(a)))
-        if abs(a[top]) <= INVISIBLE_AXIS_TOL:
+        size = [abs(v) for v in a]
+        top = size.index(max(size))
+        if size[top] <= INVISIBLE_AXIS_TOL:
             return None
-        n = (a * (abs(a[top]) / a[top])).real
-        n /= np.linalg.norm(n)
-        # Python floats: a subnormal rotation times them must not warn in _free_angle
-        return [tuple(n.tolist()), tuple((-n).tolist())]
+        phase = size[top] / a[top]
+        n = [(v * phase).real for v in a]
+        norm = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+        n = tuple(v / norm for v in n)
+        return [n, tuple(-v for v in n)]
     pairs = list(dict.fromkeys(pairs))
-    return [block_axis(bv, jv, frame, block) for bv, jv in pairs]
+    return [_axis(bv, jv, tg.h, block) for bv, jv in pairs]
 
 
 def _free_angle(a0: float, b0: float, r: float) -> float:
@@ -616,14 +650,18 @@ def _fill_invisible(
     return axes
 
 
-def _candidates(tg: PrescriptionTargets, w: np.ndarray) -> Iterator[PhysicalParams]:
+def _candidates(tg: PrescriptionTargets, w) -> Iterator[PhysicalParams]:
     """Every finite inversion choice as canonical controls, shortest first; w as _target_blocks gives it.
 
     Ties in duration keep enumeration order: phase sign +1 before -1,
     then block 1's axis choices, then block 2's, each in the order of
-    _axis_choices.  The choices are scored and sorted up front, their
-    couplings all from one stacked product; each one becomes
-    PhysicalParams only when the caller asks for it.
+    _axis_choices.  The choices are scored and sorted up front; each one
+    becomes PhysicalParams only when the caller asks for it.  A
+    choice's couplings x = _INVERSE y are fixed-order float sums: each
+    product a y_j is rounded, the at most two products of a row are
+    added in column order, and a zero start turns a -0.0 sum into +0.0.
+    The products are exact but for a subnormal y_j times 0.5, which
+    rounds before the sum (a fused multiply-add would not).
     """
     h = tg.h
     tr = _TRANSVERSAL[h]
@@ -632,18 +670,17 @@ def _candidates(tg: PrescriptionTargets, w: np.ndarray) -> Iterator[PhysicalPara
     # every drift phase the residual accepts is +-r + 2 pi n; beyond +-r
     # a branch only lengthens the pulse, since |c0| is one of the couplings
     r = math.remainder(tg.delta_plus_1, TWO_PI)
-    y = np.array([
-        (-s * r, rot[0] * n1[tr - 1], rot[0] * n1[2], rot[1] * n2[tr - 1], rot[1] * n2[2])
-        for s, n1, n2 in itertools.product((1.0, -1.0), axes[0], axes[1])
-    ])
-    # a stack of matrix-vector products, not y @ _INVERSE[h].T: the matrix
-    # product rounds sums of subnormal coordinates differently
-    x = (_INVERSE[h] @ y[..., None])[..., 0]
-    lams = np.abs(x).max(axis=1).tolist()
+    terms = _INVERSE[h]
+    xs, lams = [], []
+    for s, n1, n2 in itertools.product((1.0, -1.0), axes[0], axes[1]):
+        y = (-s * r, rot[0] * n1[tr - 1], rot[0] * n1[2], rot[1] * n2[tr - 1], rot[1] * n2[2], 0.0)
+        x = [0.0 + a * y[j] + b * y[k] for j, a, k, b in terms]
+        xs.append(x)
+        lams.append(max(abs(v) for v in x))
     # a stable sort: ties keep enumeration order
     for i in sorted(range(len(lams)), key=lams.__getitem__):
         lam = lams[i]
-        xi = (x[i] / lam if lam else x[i]).tolist()
+        xi = [v / lam for v in xs[i]] if lam else xs[i]
         yield PhysicalParams(t=lam, J=(xi[0], xi[1], xi[2]), B1=xi[3], B2=xi[4], h=h)
 
 

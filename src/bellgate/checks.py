@@ -5,14 +5,16 @@ The tolerances are constants of the contract, not settings: ACCEPT_TOL
 (criterion 1) judges every blocks report.  SOLVABLE_TAGS, the gates a
 pulse prescription exists for, lives here too: the command line offers
 them as choices before it loads any numerical layer.
+
+The checks accept numpy integers, floats and bools where they accept
+Python ones, and load no numpy for it: a numpy scalar exists only once
+numpy is loaded, so they look for numpy's types only in a loaded numpy.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-
-import numpy as np
 
 #: max |H - H^dag| for expm_hermitian; assembled Hamiltonians are Hermitian exactly
 HERMITICITY_TOL = 1e-12
@@ -45,13 +47,20 @@ RECOMPUTE_TOL = 1e-10
 SOLVABLE_TAGS = ("S_phi_q2", "S_phi_q1", "H_q2", "H_q1", "CNOT_12", "CNOT_21")
 
 
+def _numpy_types(*names: str) -> tuple[type, ...]:
+    """numpy's types of these names if numpy is loaded, else none."""
+    np = sys.modules.get("numpy")
+    return () if np is None else tuple(getattr(np, name) for name in names)
+
+
 def strict_int(name: str, value, allowed=None) -> int:
     """int(value); ValueError for a bool, a non-integer, or a value not in allowed."""
     # fast path: a plain int is its own int(); anything else takes the general path below
     if type(value) is int and (allowed is None or value in allowed):
         return value
     # bool is an int subclass and 2.0 == 2, so both would pass "in"; numpy integers pass
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or (
+    integer = isinstance(value, int) or isinstance(value, _numpy_types("integer"))
+    if isinstance(value, bool) or not integer or (
         allowed is not None and value not in allowed
     ):
         vals = [repr(a) for a in allowed or ()]
@@ -65,8 +74,11 @@ def strict_float(name: str, value) -> float:
     # fast path: a finite plain float is its own float(); anything else takes the general path below
     if type(value) is float and math.isfinite(value):
         return value
-    # bool is an int subclass, and float() would also parse "1.5"; numpy ints and floats pass
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    # bool is an int subclass, and float() would also parse "1.5"; numpy ints and floats
+    # pass, np.float64 without a look at numpy, as it is a float
+    real = not isinstance(value, bool) and (
+        isinstance(value, (int, float)) or isinstance(value, _numpy_types("integer", "floating"))
+    )
     if real and isinstance(value, int):
         # exact for any size; math.isfinite raises OverflowError past the float range
         real = abs(value) <= sys.float_info.max
@@ -85,6 +97,6 @@ def strict_reals(name: str, values, count: int | None = None) -> tuple[float, ..
 
 def strict_bool(name: str, value) -> bool:
     """bool(value); ValueError for anything but a bool, so neither 1 nor "false" passes."""
-    if not isinstance(value, (bool, np.bool_)):
+    if not (isinstance(value, bool) or isinstance(value, _numpy_types("bool_"))):
         raise ValueError(f"{name} must be true or false, got {value!r}")
     return bool(value)

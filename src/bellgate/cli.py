@@ -16,7 +16,8 @@ fidelity-sweep print json or csv, synth prints json always and csv for
 
 A command loads only the layers it runs: each handler imports its own,
 so a cold evolve or compile never compiles the solver or the fidelity
-expansion.
+expansion.  synth loads no numpy at all: the solver runs on Python
+floats, and this module imports numpy only inside the blocks handler.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ import argparse
 import json
 import sys
 from collections.abc import Callable
-
-import numpy as np
 
 from .checks import SOLVABLE_TAGS, STRUCTURAL_TOL
 from .errors import BellgateError, SolverFailure
@@ -173,6 +172,8 @@ def _cmd_evolve(args) -> str:
 
 
 def _cmd_blocks(args) -> str:
+    import numpy as np
+
     from .bellframe import bell_frame, closed_form_block, reduced_params, to_blocks
     from .model import PhysicalParams, evolve
 
@@ -227,7 +228,7 @@ def _parse_m(text: str | None, family: bool) -> range:
 
 def _cmd_synth(args) -> str:
     from . import calib
-    from .gates import GateId
+    from .gateid import GateId
 
     gate = GateId(tag=args.gate, phi=args.phi)
     if args.family:

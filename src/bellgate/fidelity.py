@@ -56,19 +56,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellframe import (
-    BLOCK_BASIS,
-    BellFrame,
-    _block_coefficients,
-    _block_maps,
-    _check_frame,
-    _check_phases,
-    _rotations,
-)
+from .bellframe import BLOCK_BASIS, BellFrame, _block_coefficients, _check_frame, _rotations
 from .calib import PrescriptionCard
 from .checks import RANK_TIE_TOL, STATE_NORM_TOL, ZERO_NORM_TOL, strict_float, strict_int
 from .errors import NonFiniteDerivative
 from .model import PhysicalParams, admissible, evolve
+from .pointkernel import _block_maps, _check_phases
 from .spinlin import _frozen
 
 __all__ = [
@@ -107,7 +100,9 @@ class BlockState:
             raise ValueError(f"state needs 4 amplitudes, got shape {amps.shape}")
         if not np.all(np.isfinite(amps.view(float))):
             raise ValueError("state amplitudes must be finite")
-        nrm = float(np.linalg.norm(amps))
+        # finite amplitudes whose norm overflows read as norm inf, refused below without a warning
+        with np.errstate(over="ignore"):
+            nrm = float(np.linalg.norm(amps))
         if abs(nrm - 1.0) > STATE_NORM_TOL:
             raise ValueError(f"state norm is {nrm}, expected 1")
         amps.flags.writeable = False
@@ -408,7 +403,7 @@ def directional_derivatives(
     g, c, r = _generators(p, dp.as_array()[None])
     c, r = c.tolist(), r.tolist()
     _check_phases(c, r, p.t)
-    s = np.einsum("ba,aij->bij", _block_maps(p.t, c, r), BLOCK_BASIS)
+    s = np.einsum("ba,aij->bij", np.array(_block_maps(p.t, c, r)), BLOCK_BASIS)
     ds = -1j * s @ np.einsum("ba,aij->bij", g[0], BLOCK_BASIS)
     return (ds[0], ds[1]), (s[0], s[1])
 

@@ -18,9 +18,10 @@ phi pi/8 or pi/4, H_q2 and H_q1.  The other four (the phase gates on
 qubit 1 and both CNOTs) are no library gate and stay opaque matrix
 nodes.
 
-Both sets are finite, so every matrix here except the parametric phase
-gates is a constant.  They are built once at import as read-only
-tables: the 4x4 computational matrix of each (tag, qubit), the fixed
+The tags and GateId live in gateid, which loads no numpy, and are
+re-exported here.  Both sets are finite, so every matrix here except
+the parametric phase gates is a constant.  They are built once at
+import as read-only tables: the 4x4 computational matrix of each (tag, qubit), the fixed
 Bell-basis gates, and the compiled node of each computational gate.
 d_gate and translator return these shared arrays (copy before writing).
 A Circuit is valid when it is built: each entry belongs to its basis,
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import strict_float, strict_int
+from .gateid import _ONE_LEVEL_TAGS, _PHASE_DIAGONAL, _PHASE_TAGS, B_TAGS, D_TAGS, GateId
 from .jsonio import complex_matrix, fields, read_complex_matrix
 from .spinlin import _I4, _frozen
 
@@ -53,12 +54,6 @@ __all__ = [
     "matrix_of",
     "compile_circuit",
 ]
-
-D_TAGS = ("S_phi_q2", "S_phi_q1", "H_q2", "H_q1", "CNOT_12", "CNOT_21", "T_translator")
-B_TAGS = ("B_S8", "B_S4", "B_H", "B_CNOT12", "B_CNOT21")
-#: which of (e^{-i phi}, e^{i phi}) each phase gate's diagonal holds at b00, b01, b10, b11
-_PHASE_DIAGONAL = {"S_phi_q2": (0, 1, 0, 1), "S_phi_q1": (0, 0, 1, 1)}
-_PHASE_TAGS = tuple(_PHASE_DIAGONAL)
 
 
 def _phase2(phi: float) -> np.ndarray:
@@ -75,7 +70,7 @@ _CX_SECOND = _frozen(
 )
 
 #: 2x2 one-level gates of the computational-basis library
-_ONE_LEVEL = {"B_S8": _phase2(np.pi / 8), "B_S4": _phase2(np.pi / 4), "B_H": _H2}
+_ONE_LEVEL = dict(zip(_ONE_LEVEL_TAGS, (_phase2(np.pi / 8), _phase2(np.pi / 4), _H2)))
 
 #: 4x4 computational matrix of each (tag, qubit) a circuit can hold
 _EMBEDDED = {
@@ -95,33 +90,6 @@ _D_FIXED = {
 }
 _D_FIXED["T_translator"] = _D_FIXED["H_q1"]
 _T = _D_FIXED["T_translator"]
-
-
-@dataclass(frozen=True)
-class GateId:
-    """A named gate: tag, optional phase angle (radians), optional target qubit.
-
-    phi is required exactly for the parametric phase gates; qubit (1 or
-    2) annotates one-level computational gates so they embed into 4x4.
-    """
-
-    tag: str
-    phi: float | None = None
-    qubit: int | None = None
-
-    def __post_init__(self):
-        if self.tag not in D_TAGS + B_TAGS:
-            raise ValueError(f"unknown gate tag {self.tag!r}")
-        if self.tag in _PHASE_TAGS:
-            if self.phi is None:
-                raise ValueError(f"{self.tag} requires a finite phi")
-            object.__setattr__(self, "phi", strict_float("phi", self.phi))
-        elif self.phi is not None:
-            raise ValueError(f"{self.tag} takes no phi")
-        if self.qubit is not None:
-            object.__setattr__(self, "qubit", strict_int("qubit", self.qubit, (1, 2)))
-        if self.qubit is not None and self.tag not in _ONE_LEVEL:
-            raise ValueError(f"{self.tag} takes no qubit annotation")
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,17 +13,17 @@ GENERATORS[h] holds the five constant 4x4 matrices they multiply, as one
 
 Computational basis ordering is |q1 q2> -> index 2*q1 + q2.  The
 propagator is U(t) = exp(-i H t); negative times are rejected, inverse
-evolution is expressed by the adjoint.
+evolution is expressed by the adjoint.  The parameter record
+PhysicalParams is defined in params, which loads no numpy, and is
+re-exported here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .checks import strict_float, strict_int, strict_reals
-from .jsonio import fields
+from .checks import strict_int
+from .params import PhysicalParams
 from .spinlin import expm_hermitian, pauli
 
 __all__ = ["PhysicalParams", "admissible", "assemble_hamiltonian", "build_hamiltonian", "evolve"]
@@ -39,37 +39,6 @@ def _generators(h: int) -> np.ndarray:
 
 
 GENERATORS = {h: _generators(h) for h in (1, 2, 3)}
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Exchange couplings, field amplitudes, field axis and evolution time."""
-
-    t: float
-    J: tuple[float, float, float]
-    B1: float
-    B2: float
-    h: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "J", tuple(strict_float("J", j) for j in self.J))
-        for name in ("t", "B1", "B2"):
-            object.__setattr__(self, name, strict_float(name, getattr(self, name)))
-        if len(self.J) != 3:
-            raise ValueError("J must have exactly three components")
-        object.__setattr__(self, "h", strict_int("field axis h", self.h, (1, 2, 3)))
-        # admissible() states these value checks for parameter arrays; change both together
-        if self.t < 0:
-            raise ValueError("t must be nonnegative")
-
-    def to_doc(self) -> dict:
-        return {"t": self.t, "J": list(self.J), "B1": self.B1, "B2": self.B2, "h": self.h}
-
-    @classmethod
-    def from_doc(cls, doc) -> "PhysicalParams":
-        """Read a parameter document with exactly the keys to_doc writes."""
-        t, J, B1, B2, h = fields(doc, "parameter", ("t", "J", "B1", "B2", "h"))
-        return cls(t=t, J=strict_reals("J", J, 3), B1=B1, B2=B2, h=h)
 
 
 def admissible(x: np.ndarray) -> np.ndarray:

@@ -5,10 +5,12 @@ hand from the two-spin Hamiltonian and are kept as frozen literals; the
 tests check the package against them rather than the other way around.
 """
 
+import dataclasses
 import itertools
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -37,19 +39,18 @@ from bellgate import (
     reduced_params,
     to_blocks,
 )
-from bellgate.bellframe import (
-    _COEFF_MAP,
+from bellgate.bellframe import _COEFF_MAP, BLOCK_COEFFS, _block_coefficients, _rotations, block_axis
+from bellgate.checks import UNIT_CIRCLE_TOL
+from bellgate.pointkernel import (
+    _FRAME_ORDER,
+    _POINT_TERMS,
+    _SIGNS,
     _TRANSVERSAL,
     _TRANSVERSAL_SIGN,
-    BLOCK_COEFFS,
-    _block_coefficients,
     _block_maps,
     _point_coefficients,
     _reduced,
-    _rotations,
-    block_axis,
 )
-from bellgate.checks import UNIT_CIRCLE_TOL
 
 from conftest import DEGENERATE, edge_params, random_params, random_unitary
 
@@ -152,9 +153,22 @@ def _same_bits(got, want):
     return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
+def _point_terms_oracle(coeffs):
+    # each of the 8 block coordinates of a (2, 4, 5) coupling table as (i, s, k, u), the
+    # coordinate being s x_i + u x_k; a missing term reads x_5
+    terms = []
+    for row in coeffs.reshape(8, 5).tolist():
+        nonzero = [(i, s) for i, s in enumerate(row) if s != 0.0]
+        (i, s), (k, u) = nonzero + [(5, 1.0)] * (2 - len(nonzero))
+        terms.append((i, s, k, u))
+    return tuple(terms)
+
+
 def test_import_time_tables_keep_their_oracle_bits():
     # the Bell basis, each frame's change of basis, the coupling map and the
-    # solver's fixed gate blocks, each against a construction of its own here
+    # solver's fixed gate blocks, each against a construction of its own here:
+    # the literal point terms and fixed blocks to the bits of their projection
+    # of the model's generators and of the gate matrices
     bell = _bell_oracle()
     assert _same_bits(bell_change_of_basis(), bell)
     basis = np.stack([np.eye(2), pauli(1), pauli(2), pauli(3)])
@@ -171,10 +185,11 @@ def test_import_time_tables_keep_their_oracle_bits():
                 for a in range(4):
                     coeffs[k, a, n] = np.rint(np.trace(basis[a] @ w[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]).real / 2.0)
         assert _same_bits(BLOCK_COEFFS[h], coeffs + 0.0)
+        assert repr(_POINT_TERMS[h]) == repr(_point_terms_oracle(coeffs))
         for tag in ("H_q2", "H_q1", "CNOT_12", "CNOT_21"):
             w = d_gate(GateId(tag))[np.ix_(order, order)].reshape(2, 2, 2, 2)
-            assert _same_bits(calib._FIXED_BLOCKS[tag, h], np.einsum("aij,kjki->ka", basis, w) / 2.0)
-    tables = (*BLOCK_COEFFS.values(), *_COEFF_MAP.values(), *calib._FIXED_BLOCKS.values())
+            assert _same_bits(np.array(calib._FIXED_BLOCKS[tag, h]), np.einsum("aij,kjki->ka", basis, w) / 2.0)
+    tables = (*BLOCK_COEFFS.values(), *_COEFF_MAP.values())
     assert not any(t.flags.writeable for t in tables)
 
 
@@ -195,6 +210,13 @@ def test_sign_tables(h):
     assert fr.alpha == alpha
     assert fr.beta == beta
     assert fr.q == q
+    # the literal signs follow BellFrame's formulas, block j holding the rows (k, l) = (2j - 1, 2j)
+    assert _SIGNS[h] == (
+        tuple((-1) ** (h + j + 1) for j in (1, 2)),
+        tuple((-1) ** (j * (h + 2 * j - (2 * j - 1) + 1)) for j in (1, 2)),
+        tuple((-1) ** (j * (h + 2)) * (-1) ** (h + 1) for j in (1, 2)),
+    )
+    assert frame_permutation(fr) == list(_FRAME_ORDER[h])
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
@@ -662,13 +684,13 @@ def test_point_kernel_keeps_the_bits_of_the_stacked_kernel():
         assert repr(c) == repr(want_c.tolist())
         assert repr(r) == repr(want_r.tolist())
         try:
-            _reduced(c, r, t, bell_frame(h))
+            _reduced(c, r, t, h)
         except NonUnitaryError:
             met.append((h, x, c, r, False))
             return
         phase, q = _rotations(t, want_c, want_r)
         want = np.exp(-1j * phase)[:, None] * q * (1.0, -1j, -1j, -1j)
-        assert repr(_block_maps(t, c, r).tolist()) == repr(want.tolist())
+        assert repr(_block_maps(t, c, r)) == repr(want.tolist())
         met.append((h, x, c, r, True))
 
     check()
@@ -685,6 +707,30 @@ def test_point_kernel_keeps_the_bits_of_the_stacked_kernel():
     assert sum(math.isinf(v) for v in coords) >= 60
     assert sum(math.isinf(n) for _, _, c, r, _ in met for n, cb in zip(r, c) if all(map(math.isfinite, cb))) >= 20
     assert sum(ok for *_, ok in met) >= 190 and sum(not ok for *_, ok in met) >= 100
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_point_kernel_gives_inf_where_finite_coordinates_overflow_the_norm(h):
+    # complex abs raises OverflowError where the C hypot overflows from finite input;
+    # the kernel gives inf there, as np.hypot does, and every closed-form reader of
+    # the row refuses it as a point without a propagator
+    rows = []
+    for x in itertools.product((-1.5e308, 0.0, 1.5e308), repeat=5):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            c, r = _point_coefficients(x, h)
+        assert caught == []
+        if all(math.isfinite(v) for v in c[0] + c[1]) and math.inf in r:
+            rows.append(x)
+            assert repr(r) == repr(_block_coefficients(np.array(x), h)[1].tolist())
+    assert len(rows) >= 8
+    tg = dataclasses.replace(calib.prescription_targets(GateId("H_q2")), h=h)
+    for x in rows:
+        p = PhysicalParams(t=1.0, J=x[:3], B1=x[3], B2=x[4], h=h)
+        for call in (lambda: reduced_params(p, bell_frame(h)), lambda: calib._evaluate(tg, p, calib._target_blocks(tg))):
+            with pytest.raises(NonUnitaryError) as info:
+                call()
+            assert info.value.defect == math.inf
 
 
 _WRONG_FRAME_CALLS = {

@@ -3,8 +3,12 @@
 import ast
 import enum
 import math
+import os
 import re
+import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +244,47 @@ def test_strict_bool_accepts_truth_values(value):
 def test_strict_bool_rejects_everything_else(value):
     with pytest.raises(ValueError, match="^flag must be true or false, got "):
         strict_bool("flag", value)
+
+
+# numbers.Real and numbers.Integral would let Fraction through, and Decimal is a number
+# too: the checks name the types they accept, so each of these stays refused
+_OTHER_NUMBERS = [Fraction(1, 2), Fraction(3), Decimal("2.5"), Decimal(3), "3"]
+
+
+@pytest.mark.parametrize("value", _OTHER_NUMBERS + [True, np.bool_(False)], ids=repr)
+def test_strict_float_and_strict_int_refuse_other_number_types(value):
+    with pytest.raises(ValueError, match="^x must be a finite real number, got "):
+        strict_float("x", value)
+    with pytest.raises(ValueError, match="^k must be an integer, got "):
+        strict_int("k", value)
+
+
+@pytest.mark.parametrize("value", _OTHER_NUMBERS + [Fraction(1), Decimal(1), np.float64(1.0)], ids=repr)
+def test_strict_bool_refuses_other_number_types(value):
+    with pytest.raises(ValueError, match="^flag must be true or false, got "):
+        strict_bool("flag", value)
+
+
+def test_checks_load_no_numpy_and_take_its_scalars_once_it_is_loaded():
+    # a numpy scalar exists only once numpy is loaded: the checks look for numpy's
+    # types in a loaded numpy on each call, and import none themselves
+    script = (
+        "import sys\n"
+        "from bellgate.checks import strict_bool, strict_float, strict_int\n"
+        "plain = (strict_int('k', 3), strict_float('x', 2.5), strict_bool('flag', True))\n"
+        "before = 'numpy' in sys.modules\n"
+        "import numpy as np\n"
+        "scalars = (strict_int('k', np.int64(3)), strict_float('x', np.float32(2.5)), strict_bool('flag', np.bool_(True)))\n"
+        "print(before, plain == scalars, [type(v).__name__ for v in scalars])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "False True ['int', 'float', 'bool']\n")
 
 
 @pytest.mark.parametrize(

@@ -887,13 +887,13 @@ _CLI_BODY = "from bellgate.cli import main\ncode = main(sys.argv[1:])"
 #: what every command loads before its handler runs: the package namespace, the
 #: command line, and the three modules its parser and error lines need
 _SHELL = ["bellgate", "bellgate.checks", "bellgate.cli", "bellgate.errors", "bellgate.jsonio"]
-#: the layers each command loads on top of the shell
+#: the layers each command loads on top of the shell; synth's are the numpy-free ones
 _LAYERS = {
-    "evolve": ["model", "spinlin"],
-    "blocks": ["bellframe", "model", "spinlin"],
-    "compile": ["gates", "spinlin"],
-    "synth": ["bellframe", "calib", "gates", "model", "spinlin"],
-    "fidelity-sweep": ["bellframe", "calib", "fidelity", "gates", "model", "spinlin"],
+    "evolve": ["model", "params", "spinlin"],
+    "blocks": ["bellframe", "model", "params", "pointkernel", "spinlin"],
+    "compile": ["gateid", "gates", "spinlin"],
+    "synth": ["calib", "gateid", "params", "pointkernel"],
+    "fidelity-sweep": ["bellframe", "calib", "fidelity", "gateid", "model", "params", "pointkernel", "spinlin"],
 }
 _ALL_MODULES = _SHELL + [f"bellgate.{layer}" for layer in _LAYERS["fidelity-sweep"]]
 
@@ -950,6 +950,41 @@ def test_numpy_only_commands_load_no_scipy(capsys, params_file, circuit_file, ca
     assert code == 0
     loaded = sorted(_SHELL + [f"bellgate.{layer}" for layer in _LAYERS[argv[0]]])
     assert _cold(_CLI_BODY, *argv) == (0, want, [], [], loaded)
+
+
+#: synth runs that must load no numpy: published rows, CNOT windings, a family range as
+#: csv and as json, --out, an input error (exit 2) and a solver failure (exit 3)
+_SYNTH_RUNS = [
+    ("synth", "H_q2"),
+    ("synth", "S_phi_q1", "--phi", "3.07"),
+    ("synth", "CNOT_12", "--m", "2", "--m-prime", "1"),
+    ("synth", "CNOT_21", "--family", "--m", "1..50", "--format", "csv"),
+    ("synth", "CNOT_21", "--family", "--m", "1..50"),
+    ("synth", "S_phi_q2", "--phi", "0.5", "--out", "{out}"),
+    ("synth", "H_q2", "--m", "2"),
+    ("synth", "CNOT_12", "--m", "100000000"),
+]
+
+
+@pytest.mark.parametrize("argv", _SYNTH_RUNS, ids=lambda argv: " ".join(argv[1:]))
+def test_synth_loads_no_numpy(capsys, tmp_path, argv):
+    # the solver, its tables and the writer are Python floats and literals end to end
+    argv = [a.format(out=tmp_path / "card.json") for a in argv]
+    code, want, want_err = run(capsys, *argv)
+    written = (tmp_path / "card.json").read_text() if "--out" in argv else None
+    body = _CLI_BODY + "\nprint(json.dumps('numpy' in sys.modules), file=sys.stderr)"
+    got_code, out, err, scipy_mods, bellgate_mods = _cold(body, *argv)
+    assert (got_code, out, err) == (code, want, want_err.splitlines() + ["false"])
+    assert code in (0, 2, 3) and (code == 0) == (want_err == "")
+    assert (scipy_mods, bellgate_mods) == ([], sorted(_SHELL + [f"bellgate.{layer}" for layer in _LAYERS["synth"]]))
+    if written is not None:
+        assert (tmp_path / "card.json").read_text() == written
+
+
+@pytest.mark.parametrize("module", ["bellgate.cli", "bellgate.jsonio", "bellgate.calib"])
+def test_numpy_free_modules_load_no_numpy(module):
+    body = f"import {module}\nprint('numpy' in sys.modules)\ncode = 0"
+    assert _cold(body)[:3] == (0, "False\n", [])
 
 
 def _imported_modules(path):
@@ -1020,14 +1055,11 @@ def test_calib_checks_a_target_set_in_one_place():
     for name in ("PrescriptionCard.from_doc", "solve_physical"):
         assert calls[name] & {"_check_feasible", "_cnot_rotations", "prescription_targets"} == set()
     # and no path is left for a target set that could not build: no refusal is
-    # caught, and only the import-time table reads a gate's blocks off its matrix,
-    # through bellframe's one projection
+    # caught, and no gate's blocks are read off its matrix, not even at import:
+    # the fixed blocks are a literal, which the tests hold to the projection
     assert not any(isinstance(node, ast.Try) for node in ast.walk(tree))
-    assert [name for name, called in calls.items() if "_block_coordinates" in called] == []
-    called = _called(tree)
-    assert "_block_coordinates" in called and "einsum" not in called
-    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert "BLOCK_BASIS" not in imported
+    assert _called(tree) & {"_block_coordinates", "einsum", "d_gate"} == set()
+    assert "numpy" not in set(_imported_modules(_PACKAGE / "calib.py"))
 
 
 def test_runtime_dependencies_are_numpy_alone():
@@ -1064,8 +1096,8 @@ def test_fidelity_expansion_loads_no_scipy():
 
 
 def test_shifted_solve_loads_no_scipy():
-    # the shifted-drift row of test_solver_reaches_shifted_drift_branch:
-    # the closed form misses it, so the inversion must run, on numpy alone
+    # the shifted-drift row of test_solver_reaches_shifted_drift_branch: the
+    # closed form misses it, so the inversion must run, and it loads no numpy either
     tg = dataclasses.replace(prescription_targets(GateId("S_phi_q2", phi=0.5)), delta_plus_1=math.pi)
     body = (
         "import dataclasses, math\n"
@@ -1073,10 +1105,12 @@ def test_shifted_solve_loads_no_scipy():
         "from bellgate.jsonio import dumps\n"
         "tg = dataclasses.replace(prescription_targets(GateId('S_phi_q2', phi=0.5)), delta_plus_1=math.pi)\n"
         "print(dumps(solve_physical(tg).to_doc(), indent=2))\n"
+        "print('numpy' in sys.modules)\n"
         "code = 0"
     )
-    want = dumps(solve_physical(tg).to_doc(), indent=2) + "\n"
-    assert _cold(body) == (0, want, [], [], sorted(set(_ALL_MODULES) - {"bellgate.cli", "bellgate.fidelity"}))
+    want = dumps(solve_physical(tg).to_doc(), indent=2) + "\nFalse\n"
+    modules = sorted(set(_SHELL + [f"bellgate.{layer}" for layer in _LAYERS["synth"]]) - {"bellgate.cli"})
+    assert _cold(body) == (0, want, [], [], modules)
 
 
 _DATA = Path(__file__).resolve().parent / "data"

@@ -3,7 +3,7 @@
 A caller that writes into a shared table would change every later
 result of the functions that read it, so each module-level ndarray of
 bellgate, and each one held in a module-level dict or tuple, must
-refuse writes.
+refuse writes, and the solver's tables hold tuples only.
 """
 
 import importlib
@@ -34,15 +34,27 @@ def test_every_module_is_scanned():
     assert {"bellgate.bellframe", "bellgate.calib", "bellgate.gates", "bellgate.spinlin"} <= set(MODULES)
 
 
+def _numbers_only(value):
+    """Whether value is a number or a tuple of such values, nested to any depth."""
+    if isinstance(value, tuple):
+        return all(_numbers_only(item) for item in value)
+    return type(value) in (int, float, complex)
+
+
 def test_the_solver_tables_are_scanned():
-    # the fixed-gate target blocks and the inversion table are shared by every solve
-    scanned = {
-        f"{name}.{attr}"
-        for name in MODULES
-        for attr, value in vars(importlib.import_module(name)).items()
-        if any(True for _ in _arrays(value, attr))
+    # the tables every solve shares are literals of nested tuples of Python numbers,
+    # which no caller can write into, and no array among them
+    tables = {
+        "calib": ("_FIXED_BLOCKS", "_INVERSE"),
+        "pointkernel": ("_FRAME_ORDER", "_POINT_TERMS", "_SIGNS"),
     }
-    assert {"bellgate.calib._FIXED_BLOCKS", "bellgate.calib._INVERSE"} <= scanned
+    for name, attrs in tables.items():
+        module = importlib.import_module(f"bellgate.{name}")
+        for attr in attrs:
+            table = getattr(module, attr)
+            assert isinstance(table, dict) and table
+            assert all(_numbers_only(value) for value in table.values()), f"{name}.{attr}"
+            assert not any(True for _ in _arrays(table, attr))
 
 
 @pytest.mark.parametrize("name", MODULES)

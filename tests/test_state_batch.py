@@ -163,3 +163,14 @@ def test_a_batch_checks_every_row_as_a_state():
     batch = StateBatch(good.copy(), frame)
     assert batch.amplitudes.tobytes() == good.tobytes() and not batch.amplitudes.flags.writeable
     assert len(StateBatch(np.empty((0, 4)), frame)) == 0
+
+
+@pytest.mark.parametrize("build", [BlockState, lambda amps, frame: StateBatch(amps[None], frame)],
+                         ids=["BlockState", "StateBatch"])
+@pytest.mark.parametrize("value", [1e200, -1e155j, 1.5e308])
+def test_finite_amplitudes_whose_norm_overflows_are_refused_without_a_warning(build, value):
+    # numpy's overflow warning in the norm used to come first, and under
+    # warnings-as-errors it was what the caller saw
+    amps = np.full(4, value, dtype=np.complex128)
+    with pytest.raises(ValueError, match=r"^state norm is inf, expected 1$"):
+        build(amps, bell_frame(1))
