@@ -11,7 +11,8 @@ and quantifies fidelity under parameter perturbations.
 The package namespace is lazy: a public name, or a layer module named
 as an attribute, loads its module on first read, so "import bellgate"
 costs neither numpy nor any layer, and each command of the command
-line loads only the layers it runs.  The modules are split by what they
+line loads only the layers it runs; "from bellgate import *" binds
+every public name.  The modules are split by what they
 import: params (PhysicalParams), gateid (GateId and the gate tags),
 pointkernel (the frame literals and the point kernel), calib (the
 solver), checks, errors and jsonio load no numpy, so the synth command
@@ -83,6 +84,9 @@ _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 
 def __getattr__(name):
+    if name == "__all__":
+        # "from bellgate import *" reads this, then loads each public name as it binds it
+        return sorted(_HOME)
     # importing a module binds it into this namespace; a resolved name is bound here too,
     # so every later read is a plain attribute read
     module = _HOME.get(name, name)

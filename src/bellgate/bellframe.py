@@ -52,7 +52,6 @@ __all__ = [
     "frame_permutation",
     "to_blocks",
     "reduced_params",
-    "block_axis",
     "closed_form_block",
 ]
 
@@ -237,15 +236,6 @@ def reduced_params(p: PhysicalParams, frame: BellFrame) -> tuple[ReducedBlockPar
     return ReducedBlockParams(1, *rp1), ReducedBlockParams(2, *rp2)
 
 
-def block_axis(b: float, j: float, frame: BellFrame, block: int) -> tuple[float, float, float]:
-    """Rotation axis n of a block from its weights: (q b sin(h pi/2), q b cos(h pi/2), beta j).
-
-    The inverse of the (b, j) read-out in reduced_params; a unit vector
-    whenever b^2 + j^2 = 1.
-    """
-    return _axis(b, j, frame.h, block)
-
-
 def closed_form_block(rp: ReducedBlockParams, frame: BellFrame) -> np.ndarray:
     """Rebuild the 2x2 block propagator from its reduced parameters.
 
@@ -257,7 +247,7 @@ def closed_form_block(rp: ReducedBlockParams, frame: BellFrame) -> np.ndarray:
     norm2 = rp.b * rp.b + rp.j * rp.j
     if abs(norm2 - 1.0) > UNIT_CIRCLE_TOL:
         raise ValueError(f"(b, j) must lie on the unit circle, got b^2 + j^2 = {norm2!r}")
-    nx, ny, nz = block_axis(rp.b, rp.j, frame, rp.block)
+    nx, ny, nz = _axis(rp.b, rp.j, frame.h, rp.block)
     c, s = float(np.cos(rp.delta_minus)), float(np.sin(rp.delta_minus))
     # cos(dminus) 1 - i sin(dminus) (nx sigma_x + ny sigma_y + nz sigma_z), entry by entry
     u = np.array(

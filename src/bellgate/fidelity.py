@@ -51,6 +51,7 @@ fidelity_exact keeps the 4x4 propagators as the independent oracle.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -110,10 +111,17 @@ class BlockState:
 
     @classmethod
     def normalized(cls, vec, frame: BellFrame) -> "BlockState":
+        """vec divided by its norm; refused if not finite, if its norm is near zero or if it overflows."""
         v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-        nrm = float(np.linalg.norm(v))
+        if not np.isfinite(v).all():
+            raise ValueError("state amplitudes must be finite")
+        # finite amplitudes whose norm overflows read as norm inf, refused below without a warning
+        with np.errstate(over="ignore"):
+            nrm = float(np.linalg.norm(v))
         if nrm < ZERO_NORM_TOL:
             raise ValueError("cannot normalize a (near-)zero state vector")
+        if nrm == math.inf:
+            raise ValueError("cannot normalize a state vector whose norm overflows")
         return cls(amplitudes=v / nrm, frame=frame)
 
 
@@ -125,9 +133,9 @@ class StateBatch(Sequence):
     row, and bloch their (n, 8) block Bloch 4-vectors, both read-only
     and computed once.  StateBatch(amplitudes, frame) checks every row as
     BlockState checks one state.  len(batch) is n; batch[k] is row k as a
-    BlockState whose amplitudes are a read-only view of that row, built
-    on the first read and the same object on every later one; batch[a:b]
-    (any slice) is a batch of those rows, views of the same arrays.
+    BlockState whose amplitudes are a read-only view of that row, a new
+    view on every read; batch[a:b] (any slice) is a batch of those rows,
+    views of the same arrays.  Neither is checked again.
     """
 
     frame: BellFrame
@@ -147,50 +155,25 @@ class StateBatch(Sequence):
         for row in amps[~(np.abs(nrm - 1.0) <= 0.5 * STATE_NORM_TOL)]:
             BlockState(row, frame)
         amps = _frozen(amps)
-        self._set(frame, amps, _frozen(_bloch(amps)), [None] * len(amps))
+        self._set(frame, amps, _frozen(_bloch(amps)))
 
-    def _set(self, frame: BellFrame, amps: np.ndarray, bloch: np.ndarray, states: list) -> None:
-        # the one writer of the fields; _states holds each row's BlockState once it is read
-        for name, value in zip(("frame", "amplitudes", "bloch", "_states"), (frame, amps, bloch, states)):
+    def _set(self, frame: BellFrame, amps: np.ndarray, bloch: np.ndarray) -> None:
+        # the one writer of the fields
+        for name, value in zip(("frame", "amplitudes", "bloch"), (frame, amps, bloch)):
             object.__setattr__(self, name, value)
 
-    @classmethod
-    def _checked(cls, states: Sequence[BlockState], h: int) -> "StateBatch":
-        """states as one batch, refused unless they live in one frame of axis h.
-
-        A batch is checked once.  Any other sequence is checked state by
-        state, an axis mismatch before a second frame, and its amplitudes
-        are stacked; batch[k] is then states[k] itself.
-        """
-        if isinstance(states, StateBatch):
-            _check_axis(states.frame, h)
-            return states
-        frame = states[0].frame
-        for state in states:
-            _check_axis(state.frame, h)
-            if state.frame is not frame:
-                raise ValueError("sensitivity sweep states must share one frame")
-        amps = _frozen(np.array([state.amplitudes for state in states]))
-        batch = object.__new__(cls)
-        batch._set(frame, amps, _frozen(_bloch(amps)), list(states))
-        return batch
-
     def __len__(self) -> int:
-        return len(self._states)
+        return len(self.amplitudes)
 
     def __getitem__(self, k):
         if isinstance(k, slice):
             batch = object.__new__(StateBatch)
-            batch._set(self.frame, self.amplitudes[k], self.bloch[k], self._states[k])
+            batch._set(self.frame, self.amplitudes[k], self.bloch[k])
             return batch
-        state = self._states[k]
-        if state is None:
-            # row k was checked with the batch; its view needs no second check
-            k = range(len(self._states))[k]
-            state = object.__new__(BlockState)
-            object.__setattr__(state, "amplitudes", self.amplitudes[k])
-            object.__setattr__(state, "frame", self.frame)
-            self._states[k] = state
+        # row k was checked with the batch; its view needs no second check
+        state = object.__new__(BlockState)
+        object.__setattr__(state, "amplitudes", self.amplitudes[operator.index(k)])
+        object.__setattr__(state, "frame", self.frame)
         return state
 
 
@@ -490,9 +473,7 @@ def fidelity_second_order(state: BlockState, p: PhysicalParams, dp: Perturbation
     return f2
 
 
-def sensitivity_sweep(
-    card: PrescriptionCard, states: Sequence[BlockState], grid: Iterable[float]
-) -> SweepResult:
+def sensitivity_sweep(card: PrescriptionCard, states: StateBatch, grid: Iterable[float]) -> SweepResult:
     """Coordinate-displacement fidelity of a solved card, as columns.
 
     Every state is probed along each of the six parameter axes with
@@ -500,12 +481,11 @@ def sensitivity_sweep(
     F^2 and their difference per (state, axis, step), and each state's
     quadratic sensitivity vector, from which rankings are derived.
 
-    The states must all live in one frame of the card's axis.  A
-    StateBatch, as sample_states returns it, is checked once and read as
-    it is; any other sequence is checked state by state and stacked into
-    a batch first, with the same bits in the result.  Its errors come in
-    order: no state, an empty grid, then per state an axis mismatch
-    before a second frame.
+    The states come as one StateBatch, as sample_states returns it,
+    checked when it was built and read as it is; anything else is a
+    TypeError.  The batch's frame must have the card's axis.  Its
+    errors come in order: no state, an empty grid, then an axis
+    mismatch.
 
     The per-card work is shared by all states: one block-kernel pass
     gives the block coefficients of the six unit axes, the solved point
@@ -518,13 +498,16 @@ def sensitivity_sweep(
     derivative overflow, first axis first; then per axis and step, an
     invalid displaced parameter set, then an overflowing expansion.
     """
+    if not isinstance(states, StateBatch):
+        raise TypeError(f"sensitivity sweep takes a StateBatch, got {type(states).__name__}")
     grid = tuple(strict_float("perturbation component", step) for step in grid)
     if not states:
         raise ValueError("sensitivity sweep needs at least one state")
     if not grid:
         raise ValueError("sensitivity sweep needs a nonempty step grid")
     p = card.solved
-    e = StateBatch._checked(states, p.h).bloch
+    _check_axis(states.frame, p.h)
+    e = states.bloch
     steps = np.array(grid)
     shift = np.zeros((6, len(grid), 6))
     shift[_AXIS, :, _AXIS] = steps

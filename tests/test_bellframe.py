@@ -39,7 +39,7 @@ from bellgate import (
     reduced_params,
     to_blocks,
 )
-from bellgate.bellframe import _COEFF_MAP, BLOCK_COEFFS, _block_coefficients, _rotations, block_axis
+from bellgate.bellframe import _COEFF_MAP, BLOCK_COEFFS, _block_coefficients, _rotations
 from bellgate.checks import UNIT_CIRCLE_TOL
 from bellgate.pointkernel import (
     _FRAME_ORDER,
@@ -47,6 +47,7 @@ from bellgate.pointkernel import (
     _SIGNS,
     _TRANSVERSAL,
     _TRANSVERSAL_SIGN,
+    _axis,
     _block_maps,
     _point_coefficients,
     _reduced,
@@ -487,7 +488,7 @@ def test_closed_form_matches_expm_oracle(case):
 
 
 def _closed_form_oracle(rp, frame):
-    n = block_axis(rp.b, rp.j, frame, rp.block)
+    n = _axis(rp.b, rp.j, frame.h, rp.block)
     ns = n[0] * pauli(1) + n[1] * pauli(2) + n[2] * pauli(3)
     u = np.cos(rp.delta_minus) * np.eye(2) - 1j * np.sin(rp.delta_minus) * ns
     return np.exp(1j * rp.delta_plus) * u

@@ -301,6 +301,8 @@ def test_a_malformed_target_field_has_one_message_in_a_card_and_a_hand_built_tar
 def test_a_hand_built_target_needs_a_gate_id():
     with pytest.raises(TypeError, match="^expected a GateId, got str$"):
         dataclasses.replace(_targets("S_phi_q2"), gate="S_phi_q2")
+    with pytest.raises(TypeError, match="^expected a GateId, got str$"):
+        prescription_targets("H_q2")
 
 
 def test_a_target_set_holds_what_its_checks_return():
@@ -1091,23 +1093,31 @@ def test_solver_builds_no_reduced_block_params(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "tg",
+    "tg, tried, worst",
     [
-        dataclasses.replace(prescription_targets(GateId("S_phi_q2", phi=0.5)), delta_plus_1=0.7),
-        dataclasses.replace(prescription_targets(GateId("CNOT_21"), m=2, m_prime=1), delta_plus_1=0.3),
+        (dataclasses.replace(prescription_targets(GateId("S_phi_q2", phi=0.5)), delta_plus_1=0.7),
+         2, "realized_error"),
+        (dataclasses.replace(prescription_targets(GateId("CNOT_21"), m=2, m_prime=1), delta_plus_1=0.3),
+         8, "realized_error"),
         # the published row: its one closed-form candidate misses by rounding
-        prescription_targets(GateId("CNOT_12"), m=10**8, m_prime=3),
+        (prescription_targets(GateId("CNOT_12"), m=10**8, m_prime=3), 1, "delta_minus_2"),
+        # no rotation in either block: both axes are invisible and the free
+        # angle sits at its edge, 0.0; the phase cannot be met
+        (calib.PrescriptionTargets(GateId("S_phi_q2", phi=0.3), h=3, delta_plus_1=0.1, delta_minus_1=0.0,
+                                   delta_minus_2=0.0), 2, "realized_error"),
     ],
-    ids=["phase-off-grid", "cnot-phase-off-grid", "huge-winding"],
+    ids=["phase-off-grid", "cnot-phase-off-grid", "huge-winding", "both-axes-invisible"],
 )
-def test_solver_failure_carries_the_closest_candidate(tg):
+def test_solver_failure_carries_the_closest_candidate(tg, tried, worst):
     w = calib._target_blocks(tg)
     with pytest.raises(SolverFailure) as exc:
         solve_physical(tg)
     p = exc.value.closest
     e = calib._evaluate(tg, p, w)
     assert max(max(e.residuals.values()), e.realized_error) == exc.value.best_residual
+    assert str(exc.value).startswith(f"no acceptable controls for {tg.gate.tag}: {tried} candidates missed; ")
     assert f"; the closest, at t = {p.t:.3e}, has worst residual " in str(exc.value)
+    assert str(exc.value).endswith(f" ({worst}) against ACCEPT_TOL 1e-08")
     # it is the first candidate that misses by the least
     closed = calib._closed_form(tg)
     worsts = [

@@ -22,6 +22,7 @@ from bellgate import (
     NonUnitaryError,
     Perturbation,
     PhysicalParams,
+    StateBatch,
     SweepResult,
     assemble_hamiltonian,
     bell_frame,
@@ -81,6 +82,33 @@ def test_block_state_requires_normalization():
         BlockState(amplitudes=np.array([1.0, 1.0, 0.0, 0.0], dtype=complex), frame=FRAME)
     with pytest.raises(ValueError):
         BlockState.normalized(np.zeros(4, dtype=complex), FRAME)
+    with pytest.raises(ValueError, match=r"^state needs 4 amplitudes, got shape \(3,\)$"):
+        BlockState(np.ones(3) / 3**0.5, FRAME)
+
+
+@pytest.mark.parametrize(
+    "vec, message",
+    [
+        (np.full(4, 1e200), "cannot normalize a state vector whose norm overflows"),
+        ([0.0, 0.0, -1e155j, 0.0], "cannot normalize a state vector whose norm overflows"),
+        ([np.inf, 0.0, 0.0, 0.0], "state amplitudes must be finite"),
+        ([np.nan, 0.0, 0.0, 0.0], "state amplitudes must be finite"),
+        ([0.0, complex(0.0, -np.inf), 0.0, 0.0], "state amplitudes must be finite"),
+    ],
+)
+def test_normalized_refuses_vectors_it_cannot_scale_without_a_warning(vec, message):
+    # an overflowing norm used to read as 0.0 after numpy's overflow warning,
+    # and inf or nan reached the division with numpy's invalid-value warning
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BlockState.normalized(vec, FRAME)
+
+
+def test_normalized_keeps_the_bits_of_the_division_by_the_norm():
+    rng = np.random.default_rng(5)
+    for scale in (1e-9, 1e-3, 1.0, 1e3, 1e150):
+        v = scale * (rng.normal(size=4) + 1j * rng.normal(size=4))
+        want = v / np.linalg.norm(v)
+        assert BlockState.normalized(v, FRAME).amplitudes.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("frame", [None, 1, "h1"])
@@ -353,8 +381,9 @@ def test_quadratic_sensitivities_on_large_field_cards(tag, m, field_scale):
     p = card.solved
     x = np.array([p.t, *p.J, p.B1, p.B2])
     h = 1e-4 / float(np.max(np.abs(x)))
-    for st in sample_states(bell_frame(p.h), n=4, seed=7):
-        sens = sensitivity_sweep(card, [st], [h]).gradient[0]
+    states = sample_states(bell_frame(p.h), n=4, seed=7)
+    for k, st in enumerate(states):
+        sens = sensitivity_sweep(card, states[k : k + 1], [h]).gradient[0]
         exact = np.array(
             [(1.0 - fidelity_exact(st, p, Perturbation.axis(i, h))) / h**2 for i in range(6)]
         )
@@ -522,9 +551,11 @@ def test_sensitivity_sweep_validation():
     card = solve_physical(prescription_targets(GateId("H_q1")))
     states = sample_states(bell_frame(card.solved.h), n=2, seed=7)
     with pytest.raises(ValueError):
-        sensitivity_sweep(card, [], [1e-3])
+        sensitivity_sweep(card, states[:0], [1e-3])
     with pytest.raises(ValueError):
         sensitivity_sweep(card, states, [])
+    with pytest.raises(TypeError):
+        sensitivity_sweep(card, list(states), [1e-3])
 
 
 def test_sensitivity_sweep_accepts_iterable_grids():
@@ -534,15 +565,6 @@ def test_sensitivity_sweep_accepts_iterable_grids():
     for grid in (iter([1e-3, 2e-3]), (s for s in (1e-3, 2e-3))):
         got = sensitivity_sweep(card, states, grid)
         assert [(r.state_id, r.param, r.f2_exact) for r in got] == want
-
-
-def test_sensitivity_sweep_states_share_one_frame():
-    card = solve_physical(prescription_targets(GateId("H_q2")))
-    frame = bell_frame(card.solved.h)
-    twin = replace(frame)
-    states = [BlockState.normalized([1.0, 0.0, 0.0, 0.0], f) for f in (frame, twin)]
-    with pytest.raises(ValueError):
-        sensitivity_sweep(card, states, [1e-3])
 
 
 SWEEP_CARDS = {
@@ -676,6 +698,18 @@ def test_block_derivatives_report_the_first_overflowing_row():
         with pytest.raises(NonFiniteDerivative) as info:
             fid._generators(BASE, dirs[rows])
         assert info.value.index == index
+
+
+def test_second_order_reports_an_overflowing_expansion():
+    # the generator along the unit direction is finite, but step^2 Var(G)
+    # overflows at a step of 1e200: the typed error names the largest component
+    card = solve_physical(prescription_targets(GateId("H_q2")))
+    state = sample_states(bell_frame(card.solved.h), 1, 7)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteDerivative) as info:
+            fidelity_second_order(state, card.solved, Perturbation((0.0, 1e200, 0.0, 0.0, 0.0, 0.0)))
+    assert info.value.index == 1
 
 
 def _numpy_generator_map(t, c, r):
@@ -981,7 +1015,7 @@ def test_rank_parameters():
 
 
 def _mutually_unbiased_states(frame):
-    """The 20 states of the five mutually unbiased bases of C^4, an exact 2-design.
+    """The 20 states of the five mutually unbiased bases of C^4, an exact 2-design, as one StateBatch.
 
     Each basis is the common eigenbasis of a commuting pair of two-qubit
     Pauli products, read off A + 2 B, which has four distinct eigenvalues.
@@ -1004,7 +1038,7 @@ def _mutually_unbiased_states(frame):
     basis = np.arange(20) // 4
     want = np.where(basis[:, None] == basis[None], np.eye(20), 0.25)
     assert np.abs(np.abs(np.conj(vecs) @ np.transpose(vecs)) ** 2 - want).max() < 1e-14
-    return [BlockState.normalized(v, frame) for v in vecs]
+    return StateBatch([BlockState.normalized(v, frame).amplitudes for v in vecs], frame)
 
 
 @pytest.mark.parametrize("name", list(SWEEP_CARDS))

@@ -65,6 +65,12 @@ def test_d_gate_unitarity():
     assert dist_unitary(translator()) < UNITARY_TOL
 
 
+@pytest.mark.parametrize("g", [GateId("B_H", qubit=1), GateId("B_CNOT12")], ids=["B_H", "B_CNOT12"])
+def test_d_gate_refuses_a_computational_gate(g):
+    with pytest.raises(ValueError, match=f"^{g.tag} is not a Bell-basis library gate$"):
+        d_gate(g)
+
+
 def _one(g, basis="computational"):
     """One gate's 4x4 matrix, as the library gives it."""
     return matrix_of(Circuit(gates=(g,), basis=basis))
@@ -162,6 +168,13 @@ def test_circuit_refuses_a_one_level_gate_without_qubit(gates):
         Circuit(gates=gates, basis="computational")
 
 
+@pytest.mark.parametrize("entry", ["B_H", None, np.eye(4)], ids=["tag", "None", "matrix"])
+def test_circuit_refuses_an_entry_that_is_no_gate(entry):
+    for basis in ("computational", "bell"):
+        with pytest.raises(TypeError, match="^circuit entries must be GateId or OpaqueGate, got "):
+            Circuit(gates=(entry,), basis=basis)
+
+
 def test_circuit_document_refuses_a_one_level_gate_without_qubit():
     doc = {"basis": "computational", "gates": [{"gate": "B_CNOT12"}, {"gate": "B_H"}]}
     with pytest.raises(ValueError, match="^one-level gate B_H needs a qubit annotation to embed$"):
@@ -200,11 +213,16 @@ def test_matrix_of_empty_circuit():
         assert np.max(np.abs(matrix_of(Circuit(gates=(), basis=basis)) - np.eye(4))) < 1e-15
 
 
-def test_circuit_json_round_trip():
-    c = Circuit(
-        gates=(GateId("S_phi_q2", phi=0.3), GateId("H_q1"), GateId("CNOT_21")),
-        basis="bell",
-    )
+@pytest.mark.parametrize(
+    "c",
+    [
+        Circuit(gates=(GateId("S_phi_q2", phi=0.3), GateId("H_q1"), GateId("CNOT_21")), basis="bell"),
+        # the qubit annotations travel in the document too
+        Circuit(gates=(GateId("B_H", qubit=1), GateId("B_CNOT12"), GateId("B_S4", qubit=2))),
+    ],
+    ids=["bell", "computational"],
+)
+def test_circuit_json_round_trip(c):
     assert Circuit.from_doc(json.loads(json.dumps(c.to_doc()))) == c
 
 

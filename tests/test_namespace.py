@@ -89,6 +89,31 @@ def test_public_names_import_in_a_fresh_process():
     assert json.loads(proc.stdout) == [[], False, list(bellgate.calib.SOLVABLE_TAGS), []]
 
 
+def test_star_import_binds_every_public_name_in_a_fresh_process():
+    # the lazy namespace answers __all__; a bare import still loads no layer
+    script = (
+        "import importlib, json, sys\n"
+        "import bellgate\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('bellgate.'))\n"
+        "before = set(globals())\n"
+        "from bellgate import *\n"
+        "bound = sorted(set(globals()) - before - {'before'})\n"
+        "home = lambda name: getattr(importlib.import_module('bellgate.' + bellgate._HOME[name]), name)\n"
+        "foreign = [n for n in bound if n not in bellgate._HOME or globals()[n] is not home(n)]\n"
+        "print(json.dumps([loaded, bound, foreign]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=_SRC),
+        timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == [[], sorted(bellgate._HOME), []]
+    assert sorted(bellgate._HOME) == sorted(name for _, name in NAMES)
+
+
 def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="module 'bellgate' has no attribute 'no_such_name'"):
         getattr(bellgate, "no_such_name")

@@ -1,14 +1,13 @@
 """Sampled states as one batch, held to the states built one by one.
 
-sample_states returns a StateBatch.  The reference here is the list of
-BlockState objects that the documented draw gives row by row, each
-checked on its own.  A sweep of the batch and a sweep of that list must
-give every SweepResult column byte for byte: hypothesis draws the state
-count, the seed and the step grid, on published, shifted and family
-cards.  The batch's rows, slices and checks are held to the same list.
+sample_states returns a StateBatch, and a sweep takes nothing else.
+The reference here is the list of BlockState objects that the
+documented draw gives row by row, each checked on its own.  Stacked
+into a batch of their own, they must sweep to every SweepResult column
+byte for byte: hypothesis draws the state count, the seed and the step
+grid, on published, shifted and family cards.  The batch's rows,
+slices and checks are held to the same list.
 """
-
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -39,13 +38,18 @@ def _listed(frame, n, seed):
     return [BlockState(z[k, :4] + 1j * z[k, 4:], frame) for k in range(n)]
 
 
+def _stacked(states):
+    """The states of a list as a batch of their own, built and checked by StateBatch."""
+    return StateBatch(np.array([state.amplitudes for state in states]), states[0].frame)
+
+
 def _bits(result):
     return [(getattr(result, name).shape, getattr(result, name).tobytes()) for name in COLUMNS]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_a_batch_sweeps_the_bits_of_its_states_as_a_list(data):
+def test_a_batch_sweeps_the_bits_of_its_states_stacked(data):
     card = PrescriptionCard.from_doc(data.draw(drawn_card()))
     n = data.draw(st.integers(1, 200))
     seed = data.draw(st.integers(0, 2**32 - 1))
@@ -55,19 +59,22 @@ def test_a_batch_sweeps_the_bits_of_its_states_as_a_list(data):
     listed = _listed(frame, n, seed)
     assert isinstance(batch, StateBatch) and len(batch) == n
     assert batch.amplitudes.tobytes() == np.array([s.amplitudes for s in listed]).tobytes()
-    assert _bits(sensitivity_sweep(card, batch, grid)) == _bits(sensitivity_sweep(card, listed, grid))
+    assert _bits(sensitivity_sweep(card, batch, grid)) == _bits(sensitivity_sweep(card, _stacked(listed), grid))
 
 
-def test_rows_are_read_only_views_read_once():
+def test_rows_are_read_only_views_built_on_each_read():
     frame = bell_frame(3)
     batch = sample_states(frame, 50, 11)
     listed = _listed(frame, 50, 11)
-    for k in (0, 1, 17, 49, -1, -50):
+    for k in (0, 1, 17, 49, -1, -50, np.int64(3)):
         state = batch[k]
         assert isinstance(state, BlockState) and state.frame is frame
         assert state.amplitudes.tobytes() == listed[k].amplitudes.tobytes()
         assert state.amplitudes.shape == (4,)
-        assert batch[k] is state and batch[k % 50] is state
+        assert np.shares_memory(state.amplitudes, batch.amplitudes)
+        # no cache: every read is a new view of the same row
+        again = batch[k % 50]
+        assert again is not state and again.amplitudes.tobytes() == state.amplitudes.tobytes()
         with pytest.raises(ValueError):
             state.amplitudes[0] = 0.0
         with pytest.raises(ValueError):
@@ -79,8 +86,11 @@ def test_rows_are_read_only_views_read_once():
     for k in (50, -51):
         with pytest.raises(IndexError):
             batch[k]
-    with pytest.raises(TypeError):
-        batch["0"]
+    for k in ("0", 1.0, None, (0, 1)):
+        with pytest.raises(TypeError):
+            batch[k]
+    # the three fields are all a batch holds
+    assert sorted(vars(batch)) == ["amplitudes", "bloch", "frame"]
 
 
 def _close(a, b):
@@ -101,36 +111,40 @@ def test_a_slice_is_a_batch_of_the_same_rows(k):
     assert [state.amplitudes.tobytes() for state in part] == [batch[i].amplitudes.tobytes() for i in rows]
     grid = [1e-2, -5e-3]
     swept = sensitivity_sweep(card, part, grid)
-    assert _bits(swept) == _bits(sensitivity_sweep(card, [batch[i] for i in rows], grid))
+    assert _bits(swept) == _bits(sensitivity_sweep(card, _stacked([batch[i] for i in rows]), grid))
     # BLAS picks its kernel by the number of rows, so a row's last bits may
-    # depend on how many states share the product, as for lists of states
+    # depend on how many states share the product
     full = sensitivity_sweep(card, batch, grid)
     assert all(_close(getattr(swept, name), getattr(full, name)[rows]) for name in COLUMNS)
 
 
-def test_a_list_keeps_its_checks_and_their_order():
+def test_the_sweep_takes_a_batch_and_keeps_its_refusals_in_order():
     card = solve_physical(prescription_targets(GateId("H_q2")))
     frame = bell_frame(card.solved.h)
     other = bell_frame(3)
-    twin = replace(frame)
     assert (frame.h, other.h) == (1, 3)
-
-    def state(f):
-        return BlockState.normalized([1.0, 0.0, 0.0, 0.0], f)
+    state = BlockState.normalized([1.0, 0.0, 0.0, 0.0], frame)
+    # anything but a batch is refused first, whatever its rows and the grid
+    for states, name in (
+        ([state], "list"),
+        ([], "list"),
+        ((state,), "tuple"),
+        (state, "BlockState"),
+        (sample_states(frame, 2, 7).amplitudes, "ndarray"),
+        (iter(sample_states(frame, 2, 7)), "generator"),
+    ):
+        for grid in ([1e-3], [], ["x"]):
+            with pytest.raises(TypeError) as info:
+                sensitivity_sweep(card, states, grid)
+            assert str(info.value) == f"sensitivity sweep takes a StateBatch, got {name}"
 
     mismatch = "state frame h=3 does not match parameter h=1"
-    mixed = "sensitivity sweep states must share one frame"
     cases = [
-        ([], [1e-3], "sensitivity sweep needs at least one state"),
-        ([], [], "sensitivity sweep needs at least one state"),
-        ([state(other)], [], "sensitivity sweep needs a nonempty step grid"),
-        ([state(other)], [1e-3], mismatch),
-        ([state(other), state(twin)], [1e-3], mismatch),
-        ([state(frame), state(other), state(twin)], [1e-3], mismatch),
-        ([state(frame), state(twin), state(other)], [1e-3], mixed),
-        ([state(frame), state(frame), state(twin)], [1e-3], mixed),
         (sample_states(frame, 4, 7)[2:2], [1e-3], "sensitivity sweep needs at least one state"),
+        (sample_states(other, 4, 7)[:0], [], "sensitivity sweep needs at least one state"),
+        (sample_states(other, 4, 7), [], "sensitivity sweep needs a nonempty step grid"),
         (sample_states(other, 4, 7), [1e-3], mismatch),
+        (sample_states(other, 4, 7)[1:2], [1e-3], mismatch),
     ]
     for states, grid, message in cases:
         with pytest.raises(ValueError) as info:
