@@ -12,13 +12,13 @@ The package namespace is lazy: a public name, or a layer module named
 as an attribute, loads its module on first read, so "import bellgate"
 costs neither numpy nor any layer, and each command of the command
 line loads only the layers it runs; "from bellgate import *" binds
-every public name.  The modules are split by what they
-import: params (PhysicalParams), gateid (GateId and the gate tags),
-pointkernel (the frame literals and the point kernel), calib (the
-solver), checks, errors and jsonio load no numpy, so the synth command
-and "from bellgate import GateId, solve_physical" run without it; the
-other layers are numpy's, and model, gates and bellframe re-export
-PhysicalParams, GateId with the tags, and LABELS.
+every public name.  Each public name has one home module, the one
+whose __all__ lists it.  The modules are split by what they import:
+params (PhysicalParams), gateid (GateId and the gate tags),
+pointkernel (LABELS, the frame literals and the point kernel), calib
+(the solver), checks, errors and jsonio load no numpy, so the synth
+command and "from bellgate import GateId, solve_physical" run without
+it; the other layers are numpy's.
 """
 
 __version__ = "0.1.0"

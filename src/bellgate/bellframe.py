@@ -10,19 +10,13 @@ order; bell_frame freezes it, together with the per-block sign
 conventions, into a BellFrame.
 
 Each block restriction of H is c0*1 + c . sigma, linear in the
-couplings (J1, J2, J3, B1, B2).  BLOCK_COEFFS[h] holds that map as a
-2x4x5 matrix (block, (c0, cx, cy, cz), coupling); every entry is 0 or
-+-1.  The frame orders, the signs and the map itself are literals of
-pointkernel, which loads no numpy, and this module builds its arrays
+couplings (J1, J2, J3, B1, B2); every entry of that map is 0 or +-1.
+The frame orders, the signs and the map itself are literals of
+pointkernel, which loads no numpy, and this module builds its frames
 from them; the tests hold each one to its projection of the model's
-generator table.  One map has two evaluators, selected by input shape:
-the block kernel _block_coefficients applies BLOCK_COEFFS to a stack
-of coupling rows (the fidelity sweep and its generators), and the
-point kernel _point_coefficients reads one row on Python floats
-(reduced_params and the solver's evaluation of a candidate) through
-the signed terms of the same map.  Both return |c| too, with the same
-bits, which a bit oracle in the tests holds; a block is degenerate
-exactly where |c| = 0.  Each block propagator has the closed form
+generator table.  reduced_params reads one coupling row through the
+point kernel; a block is degenerate exactly where |c| = 0.  Each block
+propagator has the closed form
 
     s = exp(i dplus) (cos(dminus) 1 - i sin(dminus) n . sigma)
 
@@ -40,11 +34,10 @@ import numpy as np
 
 from .checks import UNIT_CIRCLE_TOL, strict_int
 from .params import PhysicalParams
-from .pointkernel import _FRAME_ORDER, _POINT_TERMS, _SIGNS, LABELS, _axis, _point_coefficients, _reduced
-from .spinlin import _frozen, pauli
+from .pointkernel import _FRAME_ORDER, _SIGNS, LABELS, _axis, _point_coefficients, _reduced
+from .spinlin import _frozen
 
 __all__ = [
-    "LABELS",
     "BellFrame",
     "ReducedBlockParams",
     "bell_change_of_basis",
@@ -130,60 +123,7 @@ def _make_frame(h: int) -> BellFrame:
     )
 
 
-#: (1, sigma_x, sigma_y, sigma_z); a block is its (c0, cx, cy, cz) contracted with these
-BLOCK_BASIS = _frozen(np.stack([np.eye(2), pauli(1), pauli(2), pauli(3)]))
-
-
-def _coefficient_table(terms) -> np.ndarray:
-    """The point kernel's signed terms of one axis as the (2, 4, 5) array (block, coordinate, coupling); read-only."""
-    # column 5 collects the missing terms' reads of the appended zero and is dropped
-    m = np.zeros((8, 6))
-    for row, (i, s, k, u) in zip(m, terms):
-        row[i] += s
-        row[k] += u
-    return _frozen(np.ascontiguousarray(m[:, :5]).reshape(2, 4, 5))
-
-
 _FRAMES = {h: _make_frame(h) for h in _FRAME_ORDER}
-
-# (c0, cx, cy, cz) of each block as a linear map of (J1, J2, J3, B1, B2)
-BLOCK_COEFFS = {h: _coefficient_table(terms) for h, terms in _POINT_TERMS.items()}
-
-# BLOCK_COEFFS[h] as one (5, 8) map from (J1, J2, J3, B1, B2) to (c0, cx, cy, cz) of both blocks; a read-only view
-_COEFF_MAP = {h: c.reshape(8, 5).T for h, c in BLOCK_COEFFS.items()}
-
-
-def _block_coefficients(x: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
-    """(c0, cx, cy, cz) of both blocks, shape (..., 2, 4), and |c|, shape (..., 2), of a stack of coupling rows x (..., 5).
-
-    The map is linear, so a displacement row gives the coefficients of
-    its displacement.  |c| is a nested hypot, finite wherever |c| is.  An
-    overflowing row comes out non-finite without a warning; the callers
-    report it as the error of its point.  One row goes to the point
-    kernel _point_coefficients instead, which gives the same bits.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = (x @ _COEFF_MAP[h]).reshape(x.shape[:-1] + (2, 4))
-        return c, np.hypot(np.hypot(c[..., 1], c[..., 2]), c[..., 3])
-
-
-def _sinc(x: np.ndarray) -> np.ndarray:
-    """sin(x) / x, and 1 at x = 0."""
-    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
-
-
-def _rotations(t, c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Block maps exp(-i t (c0 + c . sigma)) = exp(-i phase) (q0 - i q . sigma) of a stack of coefficients c (..., 4).
-
-    r (...) holds |c|, as the block kernel gives it with c.  Returns the
-    phase t c0 and the unit quaternion q = (cos(t r), t sinc(t r) c),
-    shape (..., 4); t broadcasts against r.
-    """
-    x = t * r
-    q = np.empty_like(c)
-    q[..., 0] = np.cos(x)
-    q[..., 1:] = (t * _sinc(x))[..., None] * c[..., 1:]
-    return t * c[..., 0], q
 
 
 def bell_frame(h: int) -> BellFrame:

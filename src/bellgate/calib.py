@@ -87,7 +87,7 @@ from .checks import (
     strict_int,
     strict_reals,
 )
-from .errors import NonUnitaryError, SolverFailure
+from .errors import SolverFailure
 from .gateid import _PHASE_DIAGONAL, GateId
 from .jsonio import fields
 from .params import PhysicalParams
@@ -438,16 +438,16 @@ def _target_blocks(tg: PrescriptionTargets) -> tuple[tuple[complex, ...], tuple[
     return tuple((0j + (eu + ev) / 2, 0j, 0j, 0j + (eu - ev) / 2) for eu, ev in (u[:2], u[2:]))
 
 
-def _circ(x: float) -> float:
-    """Absolute distance of an angle from 0 on the circle.
+def _circ(a: float, b: float) -> float:
+    """Absolute distance of the angle a - b from 0 on the circle; finite for any two finite angles.
 
-    An angle that overflowed to inf (or NaN) is a reduced phase of an
-    evolution whose phases overflow, which has no propagator: it raises
-    NonUnitaryError with an infinite defect, as expm_hermitian does.
+    Where a - b overflows, the difference of the two angles' remainders
+    modulo 2 pi, each exact, is the same angle on the circle.
     """
-    if not math.isfinite(x):
-        raise NonUnitaryError(math.inf)
-    return abs(math.remainder(x, TWO_PI))
+    d = a - b
+    if math.isinf(d):
+        d = math.remainder(a, TWO_PI) - math.remainder(b, TWO_PI)
+    return abs(math.remainder(d, TWO_PI))
 
 
 class _Evaluation(NamedTuple):
@@ -502,12 +502,12 @@ def _evaluate(tg: PrescriptionTargets, p: PhysicalParams, w) -> _Evaluation:
     """
     c, norms = _point_coefficients((*p.J, p.B1, p.B2), tg.h)
     (dplus1, dminus1, b1, j1), (_, dminus2, b2, j2) = _reduced(c, norms, p.t, tg.h)
-    d_pos = _circ(dplus1 - tg.delta_plus_1)
-    d_neg = _circ(dplus1 + tg.delta_plus_1)
+    d_pos = _circ(dplus1, tg.delta_plus_1)
+    d_neg = _circ(dplus1, -tg.delta_plus_1)
     res = {
         "delta_plus": min(d_pos, d_neg),
-        "delta_minus_1": _circ(dminus1 - tg.delta_minus_1),
-        "delta_minus_2": _circ(dminus2 - tg.delta_minus_2),
+        "delta_minus_1": _circ(dminus1, tg.delta_minus_1),
+        "delta_minus_2": _circ(dminus2, tg.delta_minus_2),
     }
     if tg.j_targets is not None:
         res["j_1"], res["j_2"] = abs(j1 - tg.j_targets[0]), abs(j2 - tg.j_targets[1])
@@ -553,7 +553,7 @@ def _closed_form(tg: PrescriptionTargets) -> PhysicalParams | None:
 #: orthogonal and its inverse, the transpose over the squared column norms, is
 #: exact, with at most two nonzero entries per row.  Coupling i is listed as
 #: (j, a, k, b), the coupling being a y_j + b y_k; a missing term reads y_5, a
-#: zero.  The tests recompute the inverse from BLOCK_COEFFS.
+#: zero.  The tests recompute the inverse from the stacked coefficient map.
 _INVERSE = {
     1: ((0, 1.0, 5, 1.0), (2, -0.5, 4, 0.5), (2, 0.5, 4, 0.5), (1, -0.5, 3, 0.5), (1, -0.5, 3, -0.5)),
     2: ((2, 0.5, 4, 0.5), (0, -1.0, 5, 1.0), (2, 0.5, 4, -0.5), (1, 0.5, 3, 0.5), (1, -0.5, 3, 0.5)),

@@ -17,7 +17,8 @@ fidelity-sweep print json or csv, synth prints json always and csv for
 A command loads only the layers it runs: each handler imports its own,
 so a cold evolve or compile never compiles the solver or the fidelity
 expansion.  synth loads no numpy at all: the solver runs on Python
-floats, and this module imports numpy only inside the blocks handler.
+floats, and this module imports numpy nowhere; the layers that need it
+load it.
 """
 
 from __future__ import annotations
@@ -155,7 +156,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
 
 def _cmd_evolve(args) -> str:
-    from .model import PhysicalParams, evolve
+    from .model import evolve
+    from .params import PhysicalParams
     from .spinlin import dist_unitary
 
     p = PhysicalParams.from_doc(_load(args.params))
@@ -172,10 +174,9 @@ def _cmd_evolve(args) -> str:
 
 
 def _cmd_blocks(args) -> str:
-    import numpy as np
-
     from .bellframe import bell_frame, closed_form_block, reduced_params, to_blocks
-    from .model import PhysicalParams, evolve
+    from .model import evolve
+    from .params import PhysicalParams
 
     p = PhysicalParams.from_doc(_load(args.params))
     frame = bell_frame(p.h)
@@ -192,7 +193,7 @@ def _cmd_blocks(args) -> str:
                 "delta_minus": rp.delta_minus,
                 "b": rp.b,
                 "j": rp.j,
-                "closed_form_residual": float(np.max(np.abs(rebuilt - blk))),
+                "closed_form_residual": float(abs(rebuilt - blk).max()),
             }
         )
     doc = {

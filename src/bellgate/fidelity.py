@@ -12,8 +12,8 @@ sensitivity sweeps built on both.
 
 Everything is computed in Pauli coordinates of the two 2x2 blocks.  A
 block W = c0 + c . sigma has coefficients linear in the couplings, read
-with |c| off bellframe's block kernel, and its block map is a phase
-times an SU(2) rotation:
+with |c| off the block kernel _block_coefficients on stacks of coupling
+rows, and its block map is a phase times an SU(2) rotation:
 
     s = exp(-i t W) = exp(-i t c0) (cos(t r) - i t sinc(t r) c . sigma),  r = |c|.
 
@@ -57,13 +57,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bellframe import BLOCK_BASIS, BellFrame, _block_coefficients, _check_frame, _rotations
+from .bellframe import BellFrame, _check_frame
 from .calib import PrescriptionCard
 from .checks import RANK_TIE_TOL, STATE_NORM_TOL, ZERO_NORM_TOL, strict_float, strict_int
 from .errors import NonFiniteDerivative
-from .model import PhysicalParams, admissible, evolve
-from .pointkernel import _block_maps, _check_phases
-from .spinlin import _frozen
+from .model import evolve
+from .params import PhysicalParams
+from .pointkernel import _POINT_TERMS, _block_maps, _check_phases
+from .spinlin import _frozen, pauli
 
 __all__ = [
     "PARAM_NAMES",
@@ -269,6 +270,67 @@ def _param_vector(p: PhysicalParams) -> np.ndarray:
 def _displaced(p: PhysicalParams, dp: Perturbation) -> PhysicalParams:
     x = _param_vector(p) + dp.as_array()
     return PhysicalParams(t=x[0], J=(x[1], x[2], x[3]), B1=x[4], B2=x[5], h=p.h)
+
+
+#: (1, sigma_x, sigma_y, sigma_z); a block is its (c0, cx, cy, cz) contracted with these
+BLOCK_BASIS = _frozen(np.stack([np.eye(2), pauli(1), pauli(2), pauli(3)]))
+
+
+def _coefficient_table(terms) -> np.ndarray:
+    """The point kernel's signed terms of one axis as the (2, 4, 5) array (block, coordinate, coupling); read-only."""
+    # column 5 collects the missing terms' reads of the appended zero and is dropped
+    m = np.zeros((8, 6))
+    for row, (i, s, k, u) in zip(m, terms):
+        row[i] += s
+        row[k] += u
+    return _frozen(np.ascontiguousarray(m[:, :5]).reshape(2, 4, 5))
+
+
+# (c0, cx, cy, cz) of both blocks as one (5, 8) map of (J1, J2, J3, B1, B2): a
+# read-only transposed view of the table, whose layout fixes the rounding of the products
+_COEFF_MAP = {h: _coefficient_table(terms).reshape(8, 5).T for h, terms in _POINT_TERMS.items()}
+
+
+def _block_coefficients(x: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c0, cx, cy, cz) of both blocks, shape (..., 2, 4), and |c|, shape (..., 2), of a stack of coupling rows x (..., 5).
+
+    The map is linear, so a displacement row gives the coefficients of
+    its displacement.  |c| is a nested hypot, finite wherever |c| is.  An
+    overflowing row comes out non-finite without a warning; the callers
+    report it as the error of its point.  The point kernel
+    _point_coefficients gives the same bits for one row.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = (x @ _COEFF_MAP[h]).reshape(x.shape[:-1] + (2, 4))
+        return c, np.hypot(np.hypot(c[..., 1], c[..., 2]), c[..., 3])
+
+
+def _sinc(x: np.ndarray) -> np.ndarray:
+    """sin(x) / x, and 1 at x = 0."""
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0.0)
+
+
+def _rotations(t, c: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Block maps exp(-i t (c0 + c . sigma)) = exp(-i phase) (q0 - i q . sigma) of a stack of coefficients c (..., 4).
+
+    r (...) holds |c|, as the block kernel gives it with c.  Returns the
+    phase t c0 and the unit quaternion q = (cos(t r), t sinc(t r) c),
+    shape (..., 4); t broadcasts against r.
+    """
+    x = t * r
+    q = np.empty_like(c)
+    q[..., 0] = np.cos(x)
+    q[..., 1:] = (t * _sinc(x))[..., None] * c[..., 1:]
+    return t * c[..., 0], q
+
+
+def _admissible(x: np.ndarray) -> np.ndarray:
+    """Which rows (t, J1, J2, J3, B1, B2) of a (..., 6) array PhysicalParams accepts.
+
+    The value rule of PhysicalParams on arrays: every component finite
+    and t >= 0.  Returns a bool array of shape (...).
+    """
+    return np.isfinite(x).all(axis=-1) & (x[..., 0] >= 0.0)
 
 
 _UNIT_AXES = np.eye(6)
@@ -518,7 +580,7 @@ def sensitivity_sweep(card: PrescriptionCard, states: StateBatch, grid: Iterable
     c, r = _block_coefficients(rows[:, 1:], p.h)
     var = _variance(e, _generator_step(p.t, _UNIT_AXES, c[6], r[6], c[:6]))
     f2s = _second_order(var, steps)
-    valid = admissible(moved)
+    valid = _admissible(moved)
     ok = valid & np.isfinite(f2s).all(axis=0)
     if not ok.all():
         # the first failure in (axis, step) order; _displaced raises the

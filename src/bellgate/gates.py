@@ -18,11 +18,11 @@ phi pi/8 or pi/4, H_q2 and H_q1.  The other four (the phase gates on
 qubit 1 and both CNOTs) are no library gate and stay opaque matrix
 nodes.
 
-The tags and GateId live in gateid, which loads no numpy, and are
-re-exported here.  Both sets are finite, so every matrix here except
-the parametric phase gates is a constant.  They are built once at
-import as read-only tables: the 4x4 computational matrix of each (tag, qubit), the fixed
-Bell-basis gates, and the compiled node of each computational gate.
+The tags and GateId live in gateid, which loads no numpy.  Both sets
+are finite, so every matrix here except the parametric phase gates is a
+constant.  They are built once at import as read-only tables: the 4x4
+computational matrix of each (tag, qubit), the fixed Bell-basis gates,
+and the compiled node of each computational gate.
 d_gate and translator return these shared arrays (copy before writing).
 A Circuit is valid when it is built: each entry belongs to its basis,
 and each one-level computational gate carries its qubit.  So
@@ -39,14 +39,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gateid import _ONE_LEVEL_TAGS, _PHASE_DIAGONAL, _PHASE_TAGS, B_TAGS, D_TAGS, GateId
+from .gateid import _ONE_LEVEL_TAGS, _PHASE_DIAGONAL, _PHASE_TAGS, B_TAGS, GateId
 from .jsonio import complex_matrix, fields, read_complex_matrix
 from .spinlin import _I4, _frozen
 
 __all__ = [
-    "D_TAGS",
-    "B_TAGS",
-    "GateId",
     "OpaqueGate",
     "Circuit",
     "d_gate",

@@ -14,8 +14,7 @@ GENERATORS[h] holds the five constant 4x4 matrices they multiply, as one
 Computational basis ordering is |q1 q2> -> index 2*q1 + q2.  The
 propagator is U(t) = exp(-i H t); negative times are rejected, inverse
 evolution is expressed by the adjoint.  The parameter record
-PhysicalParams is defined in params, which loads no numpy, and is
-re-exported here.
+PhysicalParams is defined in params, which loads no numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from .checks import strict_int
 from .params import PhysicalParams
 from .spinlin import expm_hermitian, pauli
 
-__all__ = ["PhysicalParams", "admissible", "assemble_hamiltonian", "build_hamiltonian", "evolve"]
+__all__ = ["assemble_hamiltonian", "build_hamiltonian", "evolve"]
 
 
 def _generators(h: int) -> np.ndarray:
@@ -39,15 +38,6 @@ def _generators(h: int) -> np.ndarray:
 
 
 GENERATORS = {h: _generators(h) for h in (1, 2, 3)}
-
-
-def admissible(x: np.ndarray) -> np.ndarray:
-    """Which rows (t, J1, J2, J3, B1, B2) of a (..., 6) array PhysicalParams accepts.
-
-    The value rule of PhysicalParams on arrays: every component finite
-    and t >= 0.  Returns a bool array of shape (...).
-    """
-    return np.isfinite(x).all(axis=-1) & (x[..., 0] >= 0.0)
 
 
 def assemble_hamiltonian(J, B1, B2, h: int) -> np.ndarray:

@@ -2,10 +2,9 @@
 
 PhysicalParams is the validated record of the driven model's controls:
 the duration t, the exchange couplings J = (J1, J2, J3), the field
-amplitudes B1, B2 and the common field axis h in {1, 2, 3}.  model
-re-exports it next to the Hamiltonian; it lives apart so that the
-solver, which builds and checks these records by the thousand, runs
-without numpy.
+amplitudes B1, B2 and the common field axis h in {1, 2, 3}.  It lives
+apart from model, the Hamiltonian's module, so that the solver, which
+builds and checks these records by the thousand, runs without numpy.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ class PhysicalParams:
         if len(self.J) != 3:
             raise ValueError("J must have exactly three components")
         object.__setattr__(self, "h", strict_int("field axis h", self.h, (1, 2, 3)))
-        # model.admissible states these value checks for parameter arrays; change both together
+        # fidelity._admissible states these value checks for parameter arrays; change both together
         if self.t < 0:
             raise ValueError("t must be nonnegative")
 

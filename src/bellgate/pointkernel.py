@@ -6,8 +6,8 @@ q (_SIGNS), and the transversal direction of its rotation axes.  The
 block restriction c0 + c . sigma of H is linear in the couplings (J1,
 J2, J3, B1, B2): each of its eight coordinates, (c0, cx, cy, cz) of
 block 1 and then of block 2, is a signed sum of at most two couplings,
-as _POINT_TERMS lists them.  bellframe builds its BellFrame objects and
-its stacked coefficient table BLOCK_COEFFS from these literals, and the
+as _POINT_TERMS lists them.  bellframe builds its BellFrame objects
+from these literals and fidelity its stacked coefficient map, and the
 tests hold each one to its numpy projection of the model's generators.
 
 The point kernel reads one coupling row through those terms, and the
@@ -24,6 +24,8 @@ import math
 import sys
 
 from .errors import NonUnitaryError
+
+__all__ = ["LABELS"]
 
 LABELS = ("b00", "b01", "b10", "b11")
 
@@ -77,7 +79,7 @@ def _point_coefficients(x, h: int) -> tuple[list[list[float]], list[float]]:
     """(c0, cx, cy, cz) of both blocks and their |c| at one coupling row x = (J1, J2, J3, B1, B2).
 
     Returns ([c of block 1, c of block 2], |c|) as lists of Python floats,
-    with the bits of the stacked kernel bellframe._block_coefficients.  A
+    with the bits of the stacked kernel fidelity._block_coefficients.  A
     coordinate is a signed sum of at most two couplings, exact up to one
     rounding in any order; + 0.0 turns a -0.0 into the +0.0 that the
     matrix product's zero start leaves.  |c| is the nested hypot of
@@ -158,7 +160,7 @@ def _block_maps(t: float, c, r) -> list[list[complex]]:
     with phase t c0 and the unit quaternion q = (cos(t r), t sinc(t r) c),
     returned as a list of its four complex coordinates.  The bits are
     those of exp(-1j * phase)[:, None] * q * (1.0, -1j, -1j, -1j) over
-    the arrays of bellframe._rotations: each q component is made complex
+    the arrays of fidelity._rotations: each q component is made complex
     and both products are full complex products, in that order.  The
     eigenphases must be finite (math.cos raises on an infinite t |c|, and
     an infinite t c0 leaves NaN); every caller refuses such a point

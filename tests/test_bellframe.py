@@ -39,7 +39,7 @@ from bellgate import (
     reduced_params,
     to_blocks,
 )
-from bellgate.bellframe import _COEFF_MAP, BLOCK_COEFFS, _block_coefficients, _rotations
+from bellgate.fidelity import _COEFF_MAP, _block_coefficients, _rotations
 from bellgate.checks import UNIT_CIRCLE_TOL
 from bellgate.pointkernel import (
     _FRAME_ORDER,
@@ -185,13 +185,12 @@ def test_import_time_tables_keep_their_oracle_bits():
             for k in (0, 1):
                 for a in range(4):
                     coeffs[k, a, n] = np.rint(np.trace(basis[a] @ w[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]).real / 2.0)
-        assert _same_bits(BLOCK_COEFFS[h], coeffs + 0.0)
+        assert _same_bits(_COEFF_MAP[h].T.reshape(2, 4, 5), coeffs + 0.0)
         assert repr(_POINT_TERMS[h]) == repr(_point_terms_oracle(coeffs))
         for tag in ("H_q2", "H_q1", "CNOT_12", "CNOT_21"):
             w = d_gate(GateId(tag))[np.ix_(order, order)].reshape(2, 2, 2, 2)
             assert _same_bits(np.array(calib._FIXED_BLOCKS[tag, h]), np.einsum("aij,kjki->ka", basis, w) / 2.0)
-    tables = (*BLOCK_COEFFS.values(), *_COEFF_MAP.values())
-    assert not any(t.flags.writeable for t in tables)
+    assert not any(t.flags.writeable for t in _COEFF_MAP.values())
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
@@ -575,7 +574,8 @@ def test_transversal_table_matches_the_coefficients_and_the_frame_direction(h):
     # the transversal coefficient is the in-plane one the couplings reach, the
     # other stays zero; its sign is that of (sin(h pi/2), cos(h pi/2))
     tr = _TRANSVERSAL[h]
-    assert BLOCK_COEFFS[h][:, tr].any() and not BLOCK_COEFFS[h][:, 3 - tr].any()
+    coeffs = _COEFF_MAP[h].T.reshape(2, 4, 5)
+    assert coeffs[:, tr].any() and not coeffs[:, 3 - tr].any()
     assert _TRANSVERSAL_SIGN[h] == (SIN_H[h], COS_H[h])[tr - 1]
     assert (SIN_H[h], COS_H[h])[2 - tr] == 0.0
 

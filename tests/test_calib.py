@@ -5,6 +5,7 @@ block reduction of each generator; solver output must land on them exactly
 through the closed-form path.
 """
 
+import ast
 import cmath
 import dataclasses
 import itertools
@@ -12,6 +13,8 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -35,8 +38,7 @@ from bellgate import (
     reduced_params,
     solve_physical,
 )
-from bellgate.bellframe import BLOCK_COEFFS
-from bellgate import bellframe, calib, pointkernel
+from bellgate import bellframe, calib, fidelity, pointkernel
 from bellgate.calib import _INVERSE, _TRANSVERSAL, SOLVABLE_TAGS
 from bellgate.checks import RECOMPUTE_TOL
 from bellgate.errors import BellgateError
@@ -349,7 +351,8 @@ def _inverse_matrix(h):
 @pytest.mark.parametrize("h", [1, 2, 3])
 def test_inversion_table_is_exact_and_pairs_the_couplings(h):
     tr = _TRANSVERSAL[h]
-    rows = BLOCK_COEFFS[h][[0, 0, 0, 1, 1], [0, tr, 3, tr, 3]]
+    coeffs = fidelity._COEFF_MAP[h].T.reshape(2, 4, 5)
+    rows = coeffs[[0, 0, 0, 1, 1], [0, tr, 3, tr, 3]]
     inv = _inverse_matrix(h)
     # the literal holds the bits of the transpose over the squared column norms
     oracle = rows.T / (rows * rows).sum(axis=0)[:, None] + 0.0
@@ -358,7 +361,7 @@ def test_inversion_table_is_exact_and_pairs_the_couplings(h):
     assert set(np.abs(inv).ravel().tolist()) <= {0.0, 0.5, 1.0}
     for y in np.random.default_rng(h).normal(size=(50, 5)):
         x = inv @ y
-        full = BLOCK_COEFFS[h] @ x
+        full = coeffs @ x
         # the three rows left out follow from the five solved for
         assert full[1, 0] == pytest.approx(-y[0], abs=1e-15)
         assert full[0, 3 - tr] == full[1, 3 - tr] == 0.0
@@ -704,15 +707,15 @@ def _evaluate_oracle(tg, p, w):
     # block kernel on one row, its reduced parameters, and the block maps as
     # one numpy expression over _rotations, reduced in the documented order
     frame = bell_frame(tg.h)
-    c, r = bellframe._block_coefficients(np.array((*p.J, p.B1, p.B2)), tg.h)
+    c, r = fidelity._block_coefficients(np.array((*p.J, p.B1, p.B2)), tg.h)
     (dplus1, dminus1, b1, j1), (_, dminus2, b2, j2) = pointkernel._reduced(c.tolist(), r.tolist(), p.t, tg.h)
-    d_pos = calib._circ(dplus1 - tg.delta_plus_1)
-    d_neg = calib._circ(dplus1 + tg.delta_plus_1)
+    d_pos = calib._circ(dplus1, tg.delta_plus_1)
+    d_neg = calib._circ(dplus1, -tg.delta_plus_1)
     branch = 1 if d_pos <= d_neg else -1
     res = [
         min(d_pos, d_neg),
-        calib._circ(dminus1 - tg.delta_minus_1),
-        calib._circ(dminus2 - tg.delta_minus_2),
+        calib._circ(dminus1, tg.delta_minus_1),
+        calib._circ(dminus2, tg.delta_minus_2),
     ]
     if tg.j_targets is not None:
         res += [abs(j1 - tg.j_targets[0]), abs(j2 - tg.j_targets[1])]
@@ -724,7 +727,7 @@ def _evaluate_oracle(tg, p, w):
             abs(b1 - rel * frame.q[0] * frame.beta[0] * j1),
             abs(b2 - rel * frame.q[1] * frame.beta[1] * j2),
         ]
-    phase, q = bellframe._rotations(p.t, c, r)
+    phase, q = fidelity._rotations(p.t, c, r)
     s = np.exp(-1j * phase)[:, None] * q * (1.0, -1j, -1j, -1j)
     # left to right from zero over the eight Pauli coordinates, block 1's (1, x, y, z)
     # then block 2's: the overlap s . w, then |e^{i theta} s_k - w_k|^2 as re^2 + im^2
@@ -930,7 +933,7 @@ def test_evaluate_keeps_the_bits_of_two_kernel_runs():
     check()
     # every regime of the block kernel, met on each run (about twice these counts in 300 draws):
     # a degenerate block (|c| = 0), a subnormal |c|, t = 0, and couplings or durations of 1e300 and more
-    norms = [bellframe._block_coefficients(np.array((*p.J, p.B1, p.B2)), p.h)[1].tolist() for p in met]
+    norms = [fidelity._block_coefficients(np.array((*p.J, p.B1, p.B2)), p.h)[1].tolist() for p in met]
     assert sum(0.0 in r for r in norms) >= 40
     assert sum(any(0.0 < v < sys.float_info.min for v in r) for r in norms) >= 10
     assert sum(p.t == 0.0 for p in met) >= 25
@@ -1036,7 +1039,7 @@ def _in_frame_order(m, h):
 def test_fixed_gate_blocks_are_the_einsum_of_the_gate(tag, h):
     # the import-time table holds, to the byte, what the per-call construction gives
     w = _in_frame_order(d_gate(GateId(tag)), h).reshape(2, 2, 2, 2)
-    want = np.einsum("aij,kjki->ka", bellframe.BLOCK_BASIS, w) / 2.0
+    want = np.einsum("aij,kjki->ka", fidelity.BLOCK_BASIS, w) / 2.0
     table = calib._FIXED_BLOCKS[(tag, h)]
     got = np.array(table)
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
@@ -1066,7 +1069,7 @@ def test_phase_gate_blocks_are_built_per_call(tag, phi, h):
     # to the byte, signed zeros included
     tg = dataclasses.replace(prescription_targets(GateId(tag, phi=phi)), h=h)
     w = _in_frame_order(d_gate(tg.gate), tg.h).reshape(2, 2, 2, 2)
-    want = np.einsum("aij,kjki->ka", bellframe.BLOCK_BASIS, w) / 2.0
+    want = np.einsum("aij,kjki->ka", fidelity.BLOCK_BASIS, w) / 2.0
     assert np.array(calib._target_blocks(tg)).tobytes() == want.tobytes()
 
 
@@ -1154,6 +1157,48 @@ def test_the_fold_gives_the_gate_of_the_phase(phi):
     pc = calib._canonical_phase(phi)
     assert 0.0 < pc <= TWO_PI
     assert abs(cmath.exp(1j * pc) - cmath.exp(1j * phi)) <= 1e-15
+
+
+#: finite angles whose differences overflow, and the smallest and signed-zero ones
+_CIRCLE_EDGES = [sys.float_info.max, 1.7e308, 1e308, 5e-324, 2.2250738585072014e-308, 0.0]
+_ANGLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([s * x for x in _CIRCLE_EDGES for s in (1.0, -1.0)]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ANGLES, _ANGLES)
+def test_a_residual_on_the_circle_is_finite_for_any_two_finite_angles(a, b):
+    d = calib._circ(a, b)
+    assert 0.0 <= d <= PI
+    if math.isfinite(a - b):
+        assert d.hex() == abs(math.remainder(a - b, TWO_PI)).hex()
+    else:
+        # the distance of a - b from 0 on the circle of circumference TWO_PI, in exact
+        # arithmetic: the exact remainders differ by one rounding at most
+        turn = Fraction(TWO_PI)
+        exact = (Fraction(a) - Fraction(b)) % turn
+        assert abs(d - float(min(exact, turn - exact))) <= 4.0 * sys.float_info.epsilon
+
+
+def test_targets_whose_residual_difference_overflows_are_a_solver_failure():
+    # the candidates' rotation angles near 1e308 minus delta_minus_1 = -1e308 overflow;
+    # every phase is finite, so this is a target the solver misses, not a non-unitary point
+    tg = calib.PrescriptionTargets(
+        GateId("H_q2"), h=1, delta_plus_1=PI / 2, delta_minus_1=-1e308, delta_minus_2=PI / 2, b_relation_sign=1
+    )
+    with pytest.raises(SolverFailure, match="no acceptable controls for H_q2"):
+        solve_physical(tg)
+
+
+def test_calib_names_no_non_unitary_error():
+    # an overflowing phase is refused in the point kernel (_check_phases), the one
+    # overflow rule a solve or a card read meets; calib adds none of its own
+    tree = ast.parse(Path(calib.__file__).read_text())
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert "NonUnitaryError" not in names
 
 
 def _closed_form_oracle(tg):
@@ -1253,7 +1298,7 @@ def test_phase_gate_blocks_keep_the_einsum_bits(gate_route, h, phi):
     tag, route = gate_route
     tg = dataclasses.replace(prescription_targets(GateId(tag, phi=phi), route=route), h=h)
     w = _in_frame_order(d_gate(tg.gate), h).reshape(2, 2, 2, 2)
-    want = np.einsum("aij,kjki->ka", bellframe.BLOCK_BASIS, w) / 2.0
+    want = np.einsum("aij,kjki->ka", fidelity.BLOCK_BASIS, w) / 2.0
     got = np.array(calib._target_blocks(tg))
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 

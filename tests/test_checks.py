@@ -80,6 +80,17 @@ def test_public_names_have_a_caller_besides_tests():
     assert unused == []
 
 
+def test_each_public_name_is_listed_in_one_module():
+    # a name in two modules' __all__ has two homes; the package namespace reads
+    # each name from the one module _HOMES names, and no other __all__ lists it
+    listed = {}
+    for path in sorted(SRC.glob("*.py")):
+        for name in _exported_names(path):
+            listed.setdefault(name, []).append(path.stem)
+    assert {name: homes for name, homes in listed.items() if len(homes) > 1} == {}
+    assert [name for name, home in bellgate._HOME.items() if listed.get(name, [home]) != [home]] == []
+
+
 def test_every_tolerance_has_a_reader():
     # a tolerance that no module applies is a rule nobody keeps; re-exports do not count
     tolerances = [

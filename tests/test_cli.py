@@ -703,6 +703,18 @@ def test_edited_honesty_numbers_are_input_error(capsys, tmp_path, card_file, edi
     assert "recomputation" in message
 
 
+def test_card_whose_residual_difference_overflows_is_input_error(capsys, tmp_path, card_file):
+    # delta_minus_1 - (-1e308) overflows while every phase of the controls is finite: the
+    # residual is read on the circle, so the card's stated 2.2e-16 is an edit, not a NaN
+    def edit(doc):
+        doc["targets"]["delta_minus_1"] = -1e308
+        doc["solved"] = {"t": 1.0, "J": [0.0, 0.0, 0.0], "B1": 1e308, "B2": 0.0}
+
+    f = _edited(tmp_path, Path(card_file).read_text(), edit)
+    message = _assert_input_error(capsys, "fidelity-sweep", f, "--states", "1", "--steps", "1e-2")
+    assert message == "card residuals and realized_error differ from their recomputation by 1.5707963267948966"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1002,6 +1014,11 @@ _PACKAGE = Path(bellgate.__file__).resolve().parent
 def test_src_imports_no_scipy():
     hits = [path.name for path in sorted(_PACKAGE.glob("*.py")) if "scipy" in _imported_modules(path)]
     assert hits == []
+
+
+def test_cli_imports_no_numpy():
+    # the handlers read their numbers through the layers, which load numpy where they need it
+    assert "numpy" not in set(_imported_modules(_PACKAGE / "cli.py"))
 
 
 def test_calib_imports_no_4x4_path():

@@ -40,8 +40,8 @@ from bellgate import (
     solve_physical,
     to_blocks,
 )
-from bellgate.bellframe import BLOCK_BASIS, BLOCK_COEFFS, _sinc
 from bellgate.checks import RANK_TIE_TOL
+from bellgate.fidelity import _COEFF_MAP, BLOCK_BASIS, _sinc
 from bellgate.model import GENERATORS
 
 from conftest import DEGENERATE, edge_params, random_params
@@ -317,7 +317,7 @@ def _divided_difference_generators(p, d):
     P_ab = exp(i y_ab) sinc(y_ab), y_ab = t (w_a - w_b) / 2.  The
     eigendecomposition is of c . sigma alone, so a large c0 costs it no
     digits; c0 commutes and passes through the diagonal of P."""
-    coeffs = BLOCK_COEFFS[p.h]
+    coeffs = _COEFF_MAP[p.h].T.reshape(2, 4, 5)
     c = coeffs @ np.array([*p.J, p.B1, p.B2])
     dc = coeffs @ d[1:]
     out = []

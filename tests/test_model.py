@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellgate import PhysicalParams, assemble_hamiltonian, build_hamiltonian, evolve
-from bellgate.model import GENERATORS, admissible
+from bellgate.fidelity import _admissible
+from bellgate.model import GENERATORS
 
 from conftest import edge_params, parsed, random_params
 
@@ -45,7 +46,7 @@ def test_admissible_is_the_params_value_rule():
         (np.inf, 1.0, 2.0, 3.0, 4.0, 5.0),
         (-0.0, -1.0, -2.0, -3.0, -4.0, -5.0),
     ]
-    for row, ok in zip(rows, admissible(np.array(rows))):
+    for row, ok in zip(rows, _admissible(np.array(rows))):
         try:
             PhysicalParams(t=row[0], J=row[1:4], B1=row[4], B2=row[5], h=1)
             accepted = True

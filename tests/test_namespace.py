@@ -20,7 +20,7 @@ import bellgate
 #: every name the package re-exported when its __init__ imported each layer, by home module
 PUBLIC = {
     "bellframe": [
-        "LABELS", "BellFrame", "ReducedBlockParams", "bell_change_of_basis", "bell_frame",
+        "BellFrame", "ReducedBlockParams", "bell_change_of_basis", "bell_frame",
         "closed_form_block", "frame_permutation", "reduced_params", "to_blocks",
     ],
     "calib": [
@@ -34,11 +34,11 @@ PUBLIC = {
         "directional_derivatives", "fidelity_exact", "fidelity_second_order", "rank_parameters",
         "sample_states", "sensitivity_sweep",
     ],
-    "gates": [
-        "B_TAGS", "D_TAGS", "Circuit", "GateId", "OpaqueGate", "compile_circuit", "d_gate",
-        "matrix_of", "translator",
-    ],
-    "model": ["PhysicalParams", "assemble_hamiltonian", "build_hamiltonian", "evolve"],
+    "gateid": ["B_TAGS", "D_TAGS", "GateId"],
+    "gates": ["Circuit", "OpaqueGate", "compile_circuit", "d_gate", "matrix_of", "translator"],
+    "model": ["assemble_hamiltonian", "build_hamiltonian", "evolve"],
+    "params": ["PhysicalParams"],
+    "pointkernel": ["LABELS"],
     "spinlin": ["dist_phase_invariant", "dist_unitary", "expm_hermitian", "pauli"],
 }
 NAMES = [(module, name) for module, names in PUBLIC.items() for name in names]

@@ -26,7 +26,7 @@ from bellgate import (
     reduced_params,
     solve_physical,
 )
-from bellgate.bellframe import BLOCK_COEFFS
+from bellgate.fidelity import _COEFF_MAP
 
 PI = math.pi
 TWO_PI = 2.0 * PI
@@ -109,8 +109,8 @@ def _meets_row(tg, p):
 def _search(tg, shorter_than):
     """Durations below shorter_than of the grid candidates the oracle and the row accept."""
     h = tg.h
-    table = BLOCK_COEFFS[h].reshape(8, 5)
-    tr = 1 if BLOCK_COEFFS[h][0, 1].any() else 2
+    table = _COEFF_MAP[h].T
+    tr = 1 if table[1].any() else 2
     rot = (tg.delta_minus_1, tg.delta_minus_2)
     th = np.arange(GRID) * TWO_PI / GRID
     # every (drift branch, axis angle 1, axis angle 2) at t = 1 with the
