@@ -1,8 +1,9 @@
 """Bell-basis universal gates for the driven two-qubit Heisenberg-Ising model.
 
 The evolution of two exchange-coupled spins driven along a common
-field axis is block-diagonal over a pairing of the Bell states.  That
-structure carries a universal gate set acting on the Bell labels:
+field axis is block-diagonal over a pairing of the Bell states, and
+evolve builds the propagator as that direct sum of two 2x2 blocks.
+That structure carries a universal gate set acting on the Bell labels:
 phase gates, label Hadamards and label CNOTs, each realized by one
 free evolution.  The package computes the frames, solves the pulse
 prescriptions, compiles computational circuits into the Bell grammar

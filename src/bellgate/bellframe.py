@@ -11,9 +11,10 @@ conventions, into a BellFrame.
 
 Each block restriction of H is c0*1 + c . sigma, linear in the
 couplings (J1, J2, J3, B1, B2); every entry of that map is 0 or +-1.
-The frame orders, the signs and the map itself are literals of
-pointkernel, which loads no numpy, and this module builds its frames
-from them; the tests hold each one to its projection of the model's
+The Bell basis's sign pattern, the frame orders, the signs and the map
+itself are literals of pointkernel, which loads no numpy, and this
+module builds its frames from them; the tests hold the basis to its
+formula and each other literal to its projection of the model's
 generator table.  reduced_params reads one coupling row through the
 point kernel; a block is degenerate exactly where |c| = 0.  Each block
 propagator has the closed form
@@ -34,7 +35,7 @@ import numpy as np
 
 from .checks import UNIT_CIRCLE_TOL, strict_int
 from .params import PhysicalParams
-from .pointkernel import _FRAME_ORDER, _SIGNS, LABELS, _axis, _point_coefficients, _reduced
+from .pointkernel import _BELL_SIGNS, _FRAME_ORDER, _SIGNS, LABELS, _axis, _point_coefficients, _reduced
 from .spinlin import _frozen
 
 __all__ = [
@@ -49,9 +50,7 @@ __all__ = [
 ]
 
 # column 2i + j is |b_ij> = (|0,j> + (-1)^i |1, 1 xor j>) / sqrt(2); read-only
-_BELL_BASIS = _frozen(
-    np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 1, 0, -1], [1, 0, -1, 0]], dtype=np.complex128) / np.sqrt(2.0)
-)
+_BELL_BASIS = _frozen(np.array(_BELL_SIGNS, dtype=np.complex128) / np.sqrt(2.0))
 
 
 def bell_change_of_basis() -> np.ndarray:

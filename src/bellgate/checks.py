@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 import sys
 
+__all__ = ["ACCEPT_TOL", "STRUCTURAL_TOL"]
+
 #: max |H - H^dag| for expm_hermitian; assembled Hamiltonians are Hermitian exactly
 HERMITICITY_TOL = 1e-12
 #: max |U^dag U - 1| for dist_phase_invariant; rounding stays far below, a non-unitary far above

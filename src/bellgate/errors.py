@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["BellgateError", "NonFiniteDerivative", "NonHermitianError", "NonUnitaryError", "SolverFailure"]
+
 
 class BellgateError(Exception):
     """Base class for errors raised by this package."""

@@ -45,7 +45,8 @@ SweepResult holds them as columns and walks them as rows only when they
 are read.  The variance is itself the per-parameter sensitivity, and
 rank_parameters averages it over all states in closed form, from the
 traces of the six unit-axis generators.
-fidelity_exact keeps the 4x4 propagators as the independent oracle.
+fidelity_exact keeps the dense 4x4 propagators, expm_hermitian of the
+assembled Hamiltonian, as the independent oracle.
 """
 
 from __future__ import annotations
@@ -61,10 +62,10 @@ from .bellframe import BellFrame, _check_frame
 from .calib import PrescriptionCard
 from .checks import RANK_TIE_TOL, STATE_NORM_TOL, ZERO_NORM_TOL, strict_float, strict_int
 from .errors import NonFiniteDerivative
-from .model import evolve
+from .model import build_hamiltonian
 from .params import PhysicalParams
 from .pointkernel import _POINT_TERMS, _block_maps, _check_phases
-from .spinlin import _frozen, pauli
+from .spinlin import _frozen, expm_hermitian, pauli
 
 __all__ = [
     "PARAM_NAMES",
@@ -508,14 +509,18 @@ def _second_order(var: np.ndarray, steps: np.ndarray) -> np.ndarray:
 def fidelity_exact(state: BlockState, p: PhysicalParams, dp: Perturbation) -> float:
     """Squared overlap of the exact and the perturbed final states.
 
-    Both evolutions run as full 4x4 propagators, independent of the
-    block closed forms; this is the oracle the second-order expansion
-    and the sweep are judged against.  The displaced parameters must
-    themselves be valid (in particular t + dt >= 0).
+    Both evolutions run as dense 4x4 propagators, expm_hermitian of the
+    assembled Hamiltonian, independent of the block closed forms that
+    evolve and the sweep read; this is the oracle the second-order
+    expansion and the sweep are judged against.  The displaced
+    parameters must themselves be valid (in particular t + dt >= 0).
     """
     _check_axis(state.frame, p.h)
     psi = state.frame.change_of_basis @ state.amplitudes
-    return float(abs(np.vdot(evolve(p) @ psi, evolve(_displaced(p, dp)) @ psi)) ** 2)
+    u0 = expm_hermitian(build_hamiltonian(p), p.t)
+    q = _displaced(p, dp)
+    u1 = expm_hermitian(build_hamiltonian(q), q.t)
+    return float(abs(np.vdot(u0 @ psi, u1 @ psi)) ** 2)
 
 
 def fidelity_second_order(state: BlockState, p: PhysicalParams, dp: Perturbation) -> float:

@@ -13,8 +13,14 @@ GENERATORS[h] holds the five constant 4x4 matrices they multiply, as one
 
 Computational basis ordering is |q1 q2> -> index 2*q1 + q2.  The
 propagator is U(t) = exp(-i H t); negative times are rejected, inverse
-evolution is expressed by the adjoint.  The parameter record
-PhysicalParams is defined in params, which loads no numpy.
+evolution is expressed by the adjoint.  evolve forms it as the paper's
+direct sum, C blockdiag(s1, s2) C^dag over the Bell frame of h, from the
+point kernel's block maps on Python floats: no Hamiltonian, no
+eigendecomposition and no matrix product.  The dense path,
+expm_hermitian(build_hamiltonian(p), p.t), is its independent
+reference; fidelity_exact and the blocks command read it, because they
+check the closed form.  The parameter record PhysicalParams is defined
+in params, which loads no numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ import numpy as np
 
 from .checks import strict_int
 from .params import PhysicalParams
-from .spinlin import expm_hermitian, pauli
+from .pointkernel import _check_phases, _point_coefficients, _propagator
+from .spinlin import pauli
 
 __all__ = ["assemble_hamiltonian", "build_hamiltonian", "evolve"]
 
@@ -64,5 +71,13 @@ def build_hamiltonian(p: PhysicalParams) -> np.ndarray:
 
 
 def evolve(p: PhysicalParams) -> np.ndarray:
-    """Propagator U = exp(-i H t) for the given parameters."""
-    return expm_hermitian(build_hamiltonian(p), p.t)
+    """Propagator U = exp(-i H t) for the given parameters, as C blockdiag(s1, s2) C^dag.
+
+    Read from the point kernel's block maps (pointkernel._propagator).
+    A point whose eigenphases t (c0 +- |c|) overflow, an overflowing
+    entry of H among them, has no propagator: NonUnitaryError(inf), the
+    overflow rule of reduced_params and the solver.
+    """
+    c, r = _point_coefficients((*p.J, p.B1, p.B2), p.h)
+    _check_phases(c, r, p.t)
+    return np.array(_propagator(p.t, c, r, p.h)).view(np.complex128).reshape(4, 4)

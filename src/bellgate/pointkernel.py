@@ -12,9 +12,13 @@ tests hold each one to its numpy projection of the model's generators.
 
 The point kernel reads one coupling row through those terms, and the
 closed-form readers of one point build on it: _reduced gives the
-reduced parameters, _block_maps the block maps, and _check_phases
-refuses a point whose eigenphases overflow.  The solver reads nothing
-else of the frames, so synthesis loads no numpy.
+reduced parameters, _block_maps the block maps, _propagator the 4x4
+propagator as the paper's direct sum C blockdiag(s1, s2) C^dag of those
+maps, and _check_phases refuses a point whose eigenphases overflow.
+Every entry of C is 0 or +-1/sqrt(2), so each entry of the propagator
+is half a signed sum of block entries, whose terms _PROPAGATOR_TERMS
+lists per axis.  The solver reads nothing else of the frames, so
+synthesis loads no numpy; model.evolve wraps _propagator in an array.
 """
 
 from __future__ import annotations
@@ -97,8 +101,8 @@ def _check_phases(coeffs, norms, t: float) -> None:
     coeffs and norms are one point's (c, |c|), as the point kernel's
     lists.  An overflowing eigenphase leaves no propagator, as in
     expm_hermitian; the one overflow rule of every closed-form reader of
-    a point: _reduced, and through it reduced_params and the solver, and
-    directional_derivatives.
+    a point: _reduced, and through it reduced_params and the solver,
+    directional_derivatives, and evolve.
     """
     for c, r in zip(coeffs, norms):
         if not t * (abs(c[0]) + r) < math.inf:
@@ -174,4 +178,70 @@ def _block_maps(t: float, c, r) -> list[list[complex]]:
         # -1j is complex(-0.0, -1.0), as numpy stores the same literal
         out.append([e * complex(math.cos(x)) * (1.0 + 0j), e * complex(tsinc * cx) * -1j,
                     e * complex(tsinc * cy) * -1j, e * complex(tsinc * cz) * -1j])
+    return out
+
+
+#: sqrt(2) times the Bell basis: row a holds the sign of b00, b01, b10, b11 at computational
+#: state a, column 2i + j is |b_ij> = (|0,j> + (-1)^i |1, 1 xor j>) / sqrt(2)
+_BELL_SIGNS = ((1, 0, 1, 0), (0, 1, 0, 1), (0, 1, 0, -1), (1, 0, -1, 0))
+
+
+def _propagator_terms(h: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """For each entry (a, b) of U, row-major, the signed frame entries (k, l, +-1) that it sums.
+
+    U = C blockdiag(s1, s2) C^dag, and every entry of the frame's change
+    of basis C is 0 or +-1/sqrt(2), so U[a, b] is 0.5 times the sum of
+    sign(C[a, k]) sign(C[b, l]) S[k, l] over the frame positions k, l of
+    one block: two terms on axes 1 and 2, four or none on axis 3.
+    """
+    order = _FRAME_ORDER[h]
+
+    def support(a):
+        return [(k, _BELL_SIGNS[a][order[k]]) for k in range(4) if _BELL_SIGNS[a][order[k]]]
+
+    return tuple(
+        tuple((k, l, g * e) for k, g in support(a) for l, e in support(b) if k // 2 == l // 2)
+        for a in range(4)
+        for b in range(4)
+    )
+
+
+#: _propagator_terms as indices into _propagator's list of the eight block entries, S[k, l]
+#: at 2 k + l % 2, followed by their negations
+_PROPAGATOR_TERMS = {
+    h: tuple(tuple(2 * k + l % 2 + (8 if g < 0 else 0) for k, l, g in terms) for terms in _propagator_terms(h))
+    for h in _FRAME_ORDER
+}
+
+
+def _propagator(t: float, c, r, h: int) -> list[float]:
+    """U = exp(-i H t) of one point on axis h as C blockdiag(s1, s2) C^dag: (re, im) of each entry, row-major.
+
+    c and r are the point kernel's (c, |c|) and s1, s2 the block maps of
+    _block_maps, block k being m0 1 + m1 sigma_x + m2 sigma_y + m3 sigma_z
+    at frame positions 2k - 2 and 2k - 1.  Each entry of U is 0.5 times
+    the signed sum of its _PROPAGATOR_TERMS, added left to right; the
+    negations and i m2 are exact, and so is the halving but of a
+    subnormal, so an entry carries the rounding of the block maps and of
+    at most three additions, with no matrix product, and no entry is a
+    negative zero.  The 32 floats come
+    flat, for a complex view without a complex multiply.  The eigenphases
+    must be finite; every caller refuses such a point first, through
+    _check_phases.
+    """
+    f = []
+    for m0, m1, m2, m3 in _block_maps(t, c, r):
+        im2 = complex(-m2.imag, m2.real)
+        f += (m0 + m3, m1 - im2, m1 + im2, m0 - m3)
+    f += [-z for z in f]
+    out = []
+    for idx in _PROPAGATOR_TERMS[h]:
+        if not idx:
+            v = 0j
+        elif len(idx) == 2:
+            v = f[idx[0]] + f[idx[1]]
+        else:
+            v = f[idx[0]] + f[idx[1]] + f[idx[2]] + f[idx[3]]
+        # + 0.0 turns a vanishing entry's -0.0 into the +0.0 of the dense product
+        out += (0.5 * v.real + 0.0, 0.5 * v.imag + 0.0)
     return out

@@ -10,7 +10,15 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from bellgate import GateId, PhysicalParams, cnot_family, prescription_targets, solve_physical
+from bellgate import (
+    GateId,
+    PhysicalParams,
+    build_hamiltonian,
+    cnot_family,
+    expm_hermitian,
+    prescription_targets,
+    solve_physical,
+)
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -50,6 +58,11 @@ def random_params(rng, h=None):
         B2=float(rng.uniform(-COUPLING_RANGE, COUPLING_RANGE)),
         h=h,
     )
+
+
+def dense_propagator(p):
+    """exp(-i H t) of the assembled Hamiltonian by eigendecomposition: the oracle of evolve's closed form."""
+    return expm_hermitian(build_hamiltonian(p), p.t)
 
 
 def parsed(text):

@@ -37,6 +37,8 @@ from bellgate import (
     translator,
 )
 
+from conftest import dense_propagator
+
 
 def _generic_params(rng, h=None):
     """Generic parameter draw with couplings in [-2, 2] and t in [0.5, 4].
@@ -69,7 +71,8 @@ def test_criterion_1_block_structure():
         matched = bell_frame(h)
         others = [bell_frame(g) for g in (1, 2, 3) if g != h]
         for _ in range(1000):
-            u = evolve(_generic_params(rng, h=h))
+            # the dense propagator: evolve is the closed form that these criteria test
+            u = dense_propagator(_generic_params(rng, h=h))
             _, _, off = to_blocks(u, matched)
             worst_matched = max(worst_matched, off)
             for fr in others:
@@ -91,7 +94,7 @@ def test_criterion_2_closed_form_blocks():
     for _ in range(1000):
         p = _generic_params(rng)
         fr = bell_frame(p.h)
-        b1, b2, _ = to_blocks(evolve(p), fr)
+        b1, b2, _ = to_blocks(dense_propagator(p), fr)
         for rp, blk in zip(reduced_params(p, fr), (b1, b2)):
             w = closed_form_block(rp, fr)
             worst_entry = max(worst_entry, float(np.max(np.abs(w - blk))))

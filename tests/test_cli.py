@@ -526,13 +526,14 @@ NON_HERMITIAN_ERR = (
 
 @pytest.mark.parametrize("argv", [("evolve",), ("evolve", "--format", "csv"), ("blocks",)])
 def test_overflowing_hamiltonian_maps_to_exit_3(capsys, tmp_path, argv):
-    # J1 + J2 overflows while the Hamiltonian is assembled
+    # J1 + J2 overflows: evolve refuses the point's infinite eigenphase, as
+    # reduced_params does, and blocks the Hamiltonian it assembles
     f = tmp_path / "params.json"
     f.write_text(OVERFLOWING_SUM)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, argv[0], str(f), *argv[1:])
-    assert (code, out, err) == (3, "", NON_HERMITIAN_ERR)
+    assert (code, out, err) == (3, "", NON_HERMITIAN_ERR if argv[0] == "blocks" else OVERFLOW_ERR)
 
 
 def test_overflowing_hamiltonian_writes_one_stderr_line(tmp_path):
@@ -540,14 +541,15 @@ def test_overflowing_hamiltonian_writes_one_stderr_line(tmp_path):
     # goes to stderr before the JSON error line
     f = tmp_path / "params.json"
     f.write_text(OVERFLOWING_SUM)
-    proc = subprocess.run(
-        [sys.executable, "-c", _CLI_ENTRY, "evolve", str(f)],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=_SRC),
-        timeout=300,
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", NON_HERMITIAN_ERR)
+    for command, want in (("evolve", OVERFLOW_ERR), ("blocks", NON_HERMITIAN_ERR)):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CLI_ENTRY, command, str(f)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=_SRC),
+            timeout=300,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", want)
 
 
 @pytest.mark.parametrize(
@@ -901,7 +903,7 @@ _CLI_BODY = "from bellgate.cli import main\ncode = main(sys.argv[1:])"
 _SHELL = ["bellgate", "bellgate.checks", "bellgate.cli", "bellgate.errors", "bellgate.jsonio"]
 #: the layers each command loads on top of the shell; synth's are the numpy-free ones
 _LAYERS = {
-    "evolve": ["model", "params", "spinlin"],
+    "evolve": ["model", "params", "pointkernel", "spinlin"],
     "blocks": ["bellframe", "model", "params", "pointkernel", "spinlin"],
     "compile": ["gateid", "gates", "spinlin"],
     "synth": ["calib", "gateid", "params", "pointkernel"],

@@ -29,7 +29,6 @@ from bellgate import (
     build_hamiltonian,
     cnot_family,
     directional_derivatives,
-    evolve,
     fidelity_exact,
     fidelity_second_order,
     prescription_targets,
@@ -44,7 +43,7 @@ from bellgate.checks import RANK_TIE_TOL
 from bellgate.fidelity import _COEFF_MAP, BLOCK_BASIS, _sinc
 from bellgate.model import GENERATORS
 
-from conftest import DEGENERATE, edge_params, random_params
+from conftest import DEGENERATE, dense_propagator, edge_params, random_params
 
 EXACT_UNITY_TOL = 1e-14
 SKEW_TOL = 1e-9
@@ -234,7 +233,7 @@ def test_block_derivatives_match_augmented_exponential(case, direction):
     d = np.array(direction)
     if np.linalg.norm(d) > 1e-3:
         dirs.append(d / np.linalg.norm(d))
-    want_s = to_blocks(evolve(p), frame)[:2]
+    want_s = to_blocks(dense_propagator(p), frame)[:2]
     for u in dirs:
         ds, s = directional_derivatives(p, Perturbation(dp=tuple(u)), frame)
         for got, want in zip(ds, _augmented_derivatives(p, u, frame)):
@@ -645,9 +644,10 @@ def test_sweep_shares_per_card_work(monkeypatch, n):
     states = sample_states(bell_frame(card.solved.h), n=n, seed=7)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     monkeypatch.setattr(bellgate.spinlin, "expm_hermitian", forbidden)
-    monkeypatch.setattr(bellgate.model, "expm_hermitian", forbidden)
+    monkeypatch.setattr(bellgate.model, "build_hamiltonian", forbidden)
     monkeypatch.setattr(bellgate.model, "evolve", forbidden)
-    monkeypatch.setattr(fid, "evolve", forbidden)
+    monkeypatch.setattr(fid, "expm_hermitian", forbidden)
+    monkeypatch.setattr(fid, "build_hamiltonian", forbidden)
     for grid in ([1e-2], [1e-2, 5e-3, 1e-2, 2.5e-3], [0.0, -0.0, 1e-2, 0.0]):
         result = sensitivity_sweep(card, states, grid)
         assert len(result) == n * 6 * len(grid)
